@@ -1,4 +1,4 @@
-"""Shard-aware wave scatter vs per-query ShardTask dispatch.
+"""Shard-aware wave scatter vs per-attempt dispatch (``wave_size=1``).
 
 Expected shape: on ``SerialBackend`` and ``ThreadBackend`` the wave
 scatter wins modestly (fewer futures, shared candidate resolution per

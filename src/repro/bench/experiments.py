@@ -1294,25 +1294,23 @@ def kernel_throughput(
     wave_size: int | None = None,
     backend_names: tuple[str, ...] | None = None,
 ) -> ExperimentResult:
-    """Batch-wave kernel dispatch vs the per-query task loop, per backend.
+    """Batch-wave dispatch vs one submission per query, per backend.
 
-    The batch executor can ship a figure-1 stream two ways through the
-    same :class:`~repro.service.backends.ExecutionBackend`:
+    The batch executor ships a figure-1 stream through the same
+    :class:`~repro.service.backends.ExecutionBackend` at two wave sizes:
 
-    * ``Per-query-tasks`` — one :class:`ShardTask` per unique query
-      (``wave_kernels=False``), the pre-kernel scatter shape;
-    * ``Batch-wave`` — :class:`WaveTask` chunks driven through the
-      lockstep numpy kernel (``wave_kernels=True``, the default).
+    * ``Per-query-tasks`` — ``wave_size=1``: one
+      :class:`~repro.service.backends.WaveTask` per unique query;
+    * ``Batch-wave`` — ``wave_size`` queries per wave (default 32).
 
     Values are batch queries/second per backend.  The interesting number
     is the **ProcessBackend** pair: per-query dispatch pays pickle + IPC
     + future bookkeeping per query, a wave pays it once per ``wave_size``
     queries — this is the scatter overhead that capped sharded serving
     at ~2.8k qps while the flat loop did ~42k.  ``meta["speedup"]``
-    records wave/per-query per backend, and ``meta["kernel_only_speedup"]``
-    isolates the in-process kernel itself (one warm ``run_wave`` vs a
-    plain ``engine.run`` loop, no dispatch at all) so the dispatch
-    amortisation and the numpy-block win are reported separately.
+    records wave/per-query per backend; the searches themselves are the
+    same ``engine.run`` loop on both sides, so the ratio *is* the
+    transport amortisation.
 
     The stream perturbs each base query's budget per repeat so the batch
     deduplicator keeps every slot as a distinct unique computation —
@@ -1322,7 +1320,6 @@ def kernel_throughput(
     import time as _time
 
     from repro.core.engine import KOREngine
-    from repro.core.kernels import KernelContext, run_wave
     from repro.core.query import KORQuery
     from repro.graph.generators import figure_1_graph
     from repro.service import ProcessBackend, SerialBackend, ThreadBackend
@@ -1357,19 +1354,17 @@ def kernel_throughput(
             (name, factory) for name, factory in backends if name in backend_names
         )
 
-    def timed_batch(backend, handle, use_waves: bool) -> float:
-        """Best-of-3 wall seconds for one batch in the given mode."""
+    def timed_batch(backend, handle, wave_size: int) -> float:
+        """Best-of-3 wall seconds for one batch at the given wave size."""
         best = float("inf")
         for _ in range(3):
             begin = _time.perf_counter()
             report = execute_batch(
-                engine,
                 ResultCache(0),
                 stream,
                 backend=backend,
                 handle=handle,
-                wave_kernels=use_waves,
-                wave_size=effective_wave,
+                wave_size=wave_size,
             )
             best = min(best, _time.perf_counter() - begin)
             if not report.ok:
@@ -1390,20 +1385,18 @@ def kernel_throughput(
         backend = factory()
         try:
             handle = backend.register_engine(engine, key="kernel-bench")
-            # Warm both modes un-timed: pool spin-up, worker engine
-            # assembly and kernel-context builds are not billed.
-            for use_waves in (False, True):
+            # Warm both sizes un-timed: pool spin-up and worker engine
+            # assembly (on every lane a size reaches) are not billed.
+            for size in (1, effective_wave):
                 execute_batch(
-                    engine,
                     ResultCache(0),
                     stream,
                     backend=backend,
                     handle=handle,
-                    wave_kernels=use_waves,
-                    wave_size=effective_wave,
+                    wave_size=size,
                 )
-            solo = timed_batch(backend, handle, use_waves=False)
-            waved = timed_batch(backend, handle, use_waves=True)
+            solo = timed_batch(backend, handle, 1)
+            waved = timed_batch(backend, handle, effective_wave)
         finally:
             backend.close()
         xs.append(name)
@@ -1413,24 +1406,9 @@ def kernel_throughput(
             wave_qps[-1] / per_query_qps[-1] if per_query_qps[-1] > 0 else float("inf")
         )
 
-    # Kernel-alone comparison, no dispatch: warm-context run_wave vs the
-    # plain scalar loop on the same stream.
-    kctx = KernelContext(engine.graph, engine.tables)
-    run_wave(engine, stream, "bucketbound", {}, kernel_context=kctx)
-    begin = _time.perf_counter()
-    for query in stream:
-        engine.run(query, algorithm="bucketbound")
-    loop_wall = _time.perf_counter() - begin
-    begin = _time.perf_counter()
-    outcomes = run_wave(engine, stream, "bucketbound", {}, kernel_context=kctx)
-    wave_wall = _time.perf_counter() - begin
-    if any(outcome.error is not None for outcome in outcomes):
-        raise RuntimeError("kernel-only wave failed")
-    meta["kernel_only_speedup"] = loop_wall / wave_wall if wave_wall > 0 else float("inf")
-
     return ExperimentResult(
         figure="kernel_throughput",
-        title="Batch-wave kernel dispatch vs per-query tasks (figure1)",
+        title="Batch-wave dispatch vs per-query tasks (figure1)",
         x_name="backend",
         xs=xs,
         series={"Per-query-tasks": per_query_qps, "Batch-wave": wave_qps},
@@ -1439,7 +1417,7 @@ def kernel_throughput(
             f"figure1 stream of {len(stream)} distinct queries (budgets "
             f"perturbed per repeat), wave_size={effective_wave}, best of 3 "
             "batches per mode after an un-timed warm pass; same backend and "
-            "engine either side, only the dispatch currency changes"
+            "engine either side, only the wave size changes"
         ),
         meta=meta,
     )
@@ -1451,15 +1429,15 @@ def sharded_wave_throughput(
     num_cells: int = 2,
     backend_names: tuple[str, ...] | None = None,
 ) -> ExperimentResult:
-    """Shard-aware wave scatter vs per-query ShardTasks, per backend.
+    """Shard-aware wave scatter vs per-attempt dispatch, per backend.
 
-    The sharded tier's scatter now groups same-(cell, algorithm, params)
+    The sharded tier's scatter groups same-(cell, algorithm, params)
     attempts into :class:`~repro.service.backends.WaveTask` waves — one
-    submission per shard wave — instead of one :class:`ShardTask` per
-    attempt.  This experiment measures the same figure-1 query stream
-    through two otherwise-identical :class:`ShardedQueryService`
-    instances (``wave_kernels=True`` vs ``False``, cache disabled) and
-    reports batch queries/second per backend.
+    submission per shard wave.  This experiment measures the same
+    figure-1 query stream through two otherwise-identical
+    :class:`ShardedQueryService` instances (adaptive wave size vs
+    ``wave_size=1``, i.e. one submission per attempt; cache disabled)
+    and reports batch queries/second per backend.
 
     As with :func:`kernel_throughput`, the ProcessBackend pair is the
     headline: per-attempt dispatch pays pickle + IPC + future
@@ -1530,7 +1508,7 @@ def sharded_wave_throughput(
                     num_cells=num_cells,
                     backend=backend,
                     cache_capacity=0,
-                    wave_kernels=use_waves,
+                    wave_size=None if use_waves else 1,
                 )
                 try:
                     # Warm un-timed: pool spin-up and worker shard

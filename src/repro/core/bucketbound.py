@@ -24,8 +24,6 @@ import math
 import time
 from bisect import bisect_right
 
-import numpy as np
-
 from repro.core.deadline import Deadline
 from repro.core.label import VIA_EDGE, VIA_JUMP, Label, LabelStore, label_sort_key
 from repro.core.query import KORQuery, QueryBinding
@@ -58,24 +56,18 @@ class BucketQueue:
         # multiplication.  Mapping LOW values onto buckets by searching this
         # one list (instead of ``floor(log(low/base)/log(beta) + fudge)``)
         # makes boundary values deterministic: a ``low`` landing *exactly* on
-        # an edge always files in the bucket whose lower edge it is, on both
-        # the scalar (`bisect`) and batched (`np.searchsorted`) paths,
-        # because both search the very same float values.  The log/floor
-        # formulation could disagree with itself by one bucket at edges
-        # (``log``'s rounding vs the 1e-12 fudge) and with any vectorized
-        # twin (``np.log`` need not round like ``math.log``).
+        # an edge always files in the bucket whose lower edge it is.  The
+        # log/floor formulation could disagree with itself by one bucket at
+        # edges (``log``'s rounding vs the 1e-12 fudge).
         self._edges: list[float] = [base]
-        self._edges_arr: np.ndarray | None = None
         self._buckets: dict[int, list[tuple[tuple[int, float, float, int], Label]]] = {}
         self._ids: list[int] = []  # heap of bucket numbers, lazily pruned
         self._opened = 0
 
     def _grow_edges(self, low: float) -> None:
         edges = self._edges
-        if edges[-1] <= low:
-            while edges[-1] <= low:
-                edges.append(edges[-1] * self._beta)
-            self._edges_arr = None  # stale; rebuilt by bucket_indices
+        while edges[-1] <= low:
+            edges.append(edges[-1] * self._beta)
 
     def bucket_index(self, low: float) -> int:
         """Definition 9's bucket number for a ``LOW`` value.
@@ -90,25 +82,6 @@ class BucketQueue:
             raise ValueError(f"bucket LOW values must be finite, got {low}")
         self._grow_edges(low)
         return bisect_right(self._edges, low) - 1
-
-    def bucket_indices(self, lows: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`bucket_index` over an array of ``LOW`` values.
-
-        Searches the same cached edge list, so scalar and batched
-        assignment agree bit-for-bit (including exact-edge values).
-        """
-        lows = np.asarray(lows, dtype=np.float64)
-        if lows.size:
-            finite = lows[np.isfinite(lows)]
-            if finite.size != lows.size:
-                raise ValueError("bucket LOW values must be finite")
-            if finite.size:
-                self._grow_edges(float(finite.max()))
-        if self._edges_arr is None or len(self._edges_arr) != len(self._edges):
-            self._edges_arr = np.asarray(self._edges, dtype=np.float64)
-        return np.maximum(
-            np.searchsorted(self._edges_arr, lows, side="right") - 1, 0
-        ).astype(np.int64)
 
     def push(self, label: Label, low: float) -> int:
         """File *label* under its bucket; returns the bucket number."""
@@ -163,7 +136,7 @@ class BucketQueue:
 class _BucketBoundSearch:
     """One BucketBound run, advanced label by label (see
     :class:`repro.core.osscaling._OSScalingSearch` for the driver
-    protocol — the scalar loop and the lockstep batch kernel share it)."""
+    protocol)."""
 
     algorithm_family = "bucketbound"
     algorithm = "bucketbound"
@@ -182,7 +155,6 @@ class _BucketBoundSearch:
         trace: SearchTrace | None = None,
         binding: QueryBinding | None = None,
         deadline: Deadline | None = None,
-        shared=None,
     ) -> None:
         self._start = time.perf_counter()
         self.stats = SearchStats()
@@ -201,7 +173,6 @@ class _BucketBoundSearch:
             scaling,
             infrequent_threshold=infrequent_threshold,
             binding=binding,
-            shared=shared,
         )
         ctx = self.ctx
         self.delta = query.budget_limit
@@ -255,12 +226,7 @@ class _BucketBoundSearch:
     # ------------------------------------------------------------------
     # driver protocol
     # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        """Whether :meth:`pop` can still yield work."""
-        return self._early is not None or self._done
-
-    def pop(self, tick: bool = True) -> Label | None:
+    def pop(self) -> Label | None:
         """Next label from the lowest non-empty bucket, or ``None``.
 
         ``None`` signals Lemma 5's termination: every bucket below
@@ -272,7 +238,7 @@ class _BucketBoundSearch:
         ctx = self.ctx
         queue = self.queue
         while True:
-            if tick and self.deadline is not None:
+            if self.deadline is not None:
                 self.deadline.tick()
             frontier = queue.peek_bucket()
             if frontier is None or frontier >= self.r_hat:
@@ -290,7 +256,7 @@ class _BucketBoundSearch:
             return label
 
     def step(self, label: Label) -> None:
-        """Full scalar treatment of one dequeued label: edges then jump."""
+        """Treat one dequeued label: its out-edges in order, then the jump."""
         ctx = self.ctx
         for node, seg_os, seg_bs, seg_sos in ctx.scaled_out(label.node):
             self.consider(label, node, seg_os, seg_bs, seg_sos, VIA_EDGE)
@@ -300,15 +266,7 @@ class _BucketBoundSearch:
         """Optimisation Strategy 1's extra extension for *label*."""
         if not self.use_strategy1 or label.mask == self.full_mask:
             return
-        self.jump_from(label, self.ctx.jump_candidate(label))
-
-    def jump_from(self, label: Label, jump: tuple[int, float, float] | None) -> None:
-        """Apply a precomputed Strategy-1 candidate (see ``jump``).
-
-        Split out so the batch kernels can evaluate candidates for a
-        whole wave in one vector block and feed each member's winner
-        back through the exact scalar bookkeeping.
-        """
+        jump = self.ctx.jump_candidate(label)
         if jump is not None:
             vj, seg_os, seg_bs = jump
             self.stats.jump_labels_created += 1
@@ -335,26 +293,6 @@ class _BucketBoundSearch:
             if self.trace is not None:
                 self.trace.record("prune_budget", node, new_mask, new_sos, new_os, new_bs)
             return
-        self.bound_and_treat(parent, node, new_mask, new_os, new_bs, new_sos, via)
-
-    def bound_and_treat(
-        self,
-        parent: Label,
-        node: int,
-        new_mask: int,
-        new_os: float,
-        new_bs: float,
-        new_sos: float,
-        via: int,
-    ) -> None:
-        """Treatment from the LOW-prune onward, against the live bound.
-
-        Kernel re-entry point — see
-        :meth:`_OSScalingSearch.bound_and_treat
-        <repro.core.osscaling._OSScalingSearch.bound_and_treat>`;
-        ``best_low`` plays the role of ``U`` (both only tighten)."""
-        ctx = self.ctx
-        stats = self.stats
         low = new_os + ctx.os_tau_t_list[node]
         if low >= self.best_low:
             stats.labels_pruned_bound += 1

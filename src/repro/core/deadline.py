@@ -34,7 +34,7 @@ class Deadline:
     """An absolute monotonic-clock expiry for one request.
 
     Instances deliberately keep identity semantics (no ``__eq__`` /
-    ``__hash__`` override): a frozen :class:`ShardTask` carrying one
+    ``__hash__`` override): a frozen :class:`WaveTask` carrying one
     stays hashable, and two deadlines are never interchangeable anyway.
     """
 

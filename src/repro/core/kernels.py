@@ -1,47 +1,27 @@
-"""Numpy batch kernels — lockstep wave execution of the label searches.
+"""Waves — a transport envelope over the scalar engine.
 
-The serving stack's micro-batcher aggregates queries into waves that
-share ``(algorithm, params)``; this module executes such a wave through
-*one* kernel invocation instead of N independent python searches.  The
-scheme is **cross-query lockstep**: every member search advances by one
-label pop per step, and the step pools all popped labels' out-edges into
-one numpy block whose budget prune (``BS + BS(sigma_{j,t}) <= Delta``)
-and bound prune (``LOW(.) < U`` / ``LOW(.) < L*``) evaluate as masked
-array ops — including the per-binding keyword-bitmask gather — before
-the survivors flow back, per search and in edge order, through the exact
-scalar treatment tail (:meth:`bound_and_treat` on the stepwise search
-classes).
+The serving stack aggregates queries that share ``(algorithm, params)``
+into *waves*; :func:`run_wave` executes one wave on one engine.  A wave
+buys exactly two things: the members' keywords are resolved through the
+index **once** (one ``candidate_sets`` pass for the whole wave), and the
+caller ships B queries in **one** submission — on a process pool one
+pickle + IPC round trip instead of B.  The searches themselves run one
+after another through :meth:`repro.core.engine.KOREngine.run`, the same
+entry point a solo query takes, so a wave's results — routes, scores,
+failure reasons and per-label statistics — are those of N solo runs by
+construction.
 
-Why this shape: per-*label* vectorization loses on road-like graphs
-(mean out-degree ~2-4 makes every array tiny), but a wave of B queries
-pools ~B x degree candidate edges per step — enough to amortise numpy
-dispatch while every query keeps its private heap, label store, bound
-and statistics.
+The paper's label treatment (domination, bound, Strategy-1 jump,
+Strategy-2 screen; Sec. 3.2, Defs. 7-8) is sequential in label order.
+PRs 8 and 10 advanced a wave's searches in numpy lockstep instead; the
+end-to-end benchmark measured that driver at 1.02x the loop below while
+one lane round trip costs 0.22 ms per *wave*, so the lockstep driver was
+deleted and the transport — the part that pays — is what remains.
 
-**Exactness.**  Member searches are completely independent, so
-interleaving their steps changes nothing; within one search the kernel
-replays the identical pop/treat sequence a solo run executes:
-
-* the budget prune compares the same float64 values (edge arrays are the
-  same floats the scalar tuples carry; IEEE addition is deterministic);
-* the bound prune compares against a *snapshot* of the search's bound
-  taken at block start.  The bound only tightens, so every vector kill
-  is a label the scalar path would also have killed at its (later) turn
-  — and it is classified identically because the budget test ran first.
-  Survivors re-check the *live* bound inside ``bound_and_treat``;
-* domination, Strategy 2, incumbent updates, enqueueing and the
-  Strategy-1 jump stay scalar, per search, in order.
-
-Hence routes, scores, failure reasons *and per-label statistics* are
-identical to the scalar path — the differential suite in
-``tests/core/test_kernels.py`` pins this for all six algorithms.
-
-Algorithms without a label frontier (greedy, greedy2, exhaustive) run
-per member under the same wave umbrella (shared candidate sets, shared
-:class:`KernelContext` columns), so :func:`run_wave` is the single entry
-point the service layer needs.  One poisoned member (bad binding,
-injected fault, expired deadline) errors its own slot only; survivors
-complete normally.
+Failures are contained per member: the fault-injection hook, an expired
+deadline, an unbindable query or a search error poison only that
+member's :class:`WaveOutcome`; the members before it keep their results
+and the members after it still run.
 """
 
 from __future__ import annotations
@@ -49,244 +29,25 @@ from __future__ import annotations
 import time
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
-from repro.core.bucketbound import _BucketBoundSearch
 from repro.core.deadline import Deadline
-from repro.core.engine import KOREngine
-from repro.core.label import VIA_EDGE
-from repro.core.osscaling import _OSScalingSearch
 from repro.core.query import KORQuery
-from repro.core.scaling import _FLOOR_SLACK, ScalingContext
-from repro.exceptions import DeadlineExceeded
 
-__all__ = [
-    "KERNEL_WAVE_ALGORITHMS",
-    "KernelContext",
-    "TargetColumns",
-    "WaveOutcome",
-    "dominates_scores_block",
-    "jump_candidates_block",
-    "run_wave",
-]
-
-#: Algorithms the lockstep kernel drives directly; the rest of
-#: :data:`repro.core.engine.ALGORITHMS` runs per member (still sharing
-#: the wave's candidate sets and column caches).
-KERNEL_WAVE_ALGORITHMS = frozenset({"osscaling", "exact", "bucketbound"})
-
-#: Keyword masks ride int64 arrays; wider masks fall back to per-member
-#: scalar execution (python ints are unbounded, int64 is not).
-_MAX_MASK_BITS = 62
-
-#: Parameter surface per kernel algorithm — mirrors the scalar wrappers'
-#: signatures exactly, so a wave carrying a parameter the scalar path
-#: would reject (or an uncacheable one like ``trace``) falls back to the
-#: per-member path and fails/behaves precisely as N solo runs would.
-_KERNEL_PARAMS = {
-    "osscaling": frozenset(
-        {"epsilon", "use_strategy1", "use_strategy2", "infrequent_threshold", "exact"}
-    ),
-    "exact": frozenset({"use_strategy1", "use_strategy2"}),
-    "bucketbound": frozenset(
-        {"epsilon", "beta", "use_strategy1", "use_strategy2", "infrequent_threshold"}
-    ),
-}
-
-
-def dominates_scores_block(
-    sos_arr: np.ndarray, bs_arr: np.ndarray, scaled_os: float, bs: float
-) -> np.ndarray:
-    """Vector twin of :func:`repro.core.label.dominates_scores`.
-
-    Element ``i`` is True iff the stored scores ``(sos_arr[i], bs_arr[i])``
-    dominate ``(scaled_os, bs)`` — two independent non-strict compares
-    combined with ``&``, the same association the scalar comparator uses,
-    so equal-score/equal-budget ties resolve identically on both paths.
-    """
-    return (sos_arr <= scaled_os) & (bs_arr <= bs)
-
-
-class TargetColumns(NamedTuple):
-    """One target's completion-bound columns plus their list twins."""
-
-    os_tau: np.ndarray
-    bs_tau: np.ndarray
-    bs_sigma: np.ndarray
-    os_tau_list: list
-    bs_tau_list: list
-    bs_sigma_list: list
+__all__ = ["KernelContext", "run_wave"]
 
 
 class KernelContext:
-    """Shared, engine-scoped caches behind the batch kernels.
+    """Attribute-only placeholder; nothing under ``src/`` reads it.
 
-    Sits beside :class:`repro.core.searchbase.SearchContext`: where a
-    ``SearchContext`` holds one query's state, the ``KernelContext``
-    holds what *waves* of queries share — per-target column gathers
-    (with the ``.tolist()`` twins label creation needs), Strategy-2
-    detour screens, per-binding keyword-bitmask arrays, and CSR-style
-    out-edge / scaled-objective blocks.  All values are bit-identical to
-    what a solo :class:`SearchContext` would compute; the cache only
-    removes *re*-computation.
-
-    Instances are not thread-safe for concurrent mutation; the service
-    layer keeps one per worker (waves on one engine run sequentially per
-    worker).
+    It used to hold the lockstep driver's engine-scoped caches.  The only
+    remaining constructor call is ``benchmarks/e2e/e2e_onion.py``, which
+    builds ``KernelContext(engine.graph, engine.tables)`` and hands it to
+    :func:`repro.service.backends.run_wave_on_engine`; the class goes
+    when that benchmark drops the import.
     """
-
-    #: Soft cap on cached targets/screens so a long-lived worker serving
-    #: many distinct targets does not grow without bound.
-    _MAX_CACHED = 512
 
     def __init__(self, graph, tables) -> None:
         self.graph = graph
         self.tables = tables
-        self._targets: dict[int, TargetColumns] = {}
-        self._screens: dict = {}
-        self._masks: dict[tuple, np.ndarray] = {}
-        self._out: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._scaled: dict[tuple[float | None, int], np.ndarray] = {}
-        self._uncovered: dict[tuple, np.ndarray] = {}
-
-    # -- target columns -------------------------------------------------
-    def target_columns(self, tables, target: int) -> TargetColumns:
-        """Column bundle for *target*, cached (the ``shared`` protocol
-        :class:`SearchContext` consumes)."""
-        cols = self._targets.get(target)
-        if cols is None:
-            cols = self._build_columns(
-                tables.os_tau_col(target), tables.bs_tau_col(target), tables.bs_sigma_col(target)
-            )
-            self._remember(self._targets, target, cols)
-        return cols
-
-    def prime_targets(self, targets: Sequence[int]) -> None:
-        """Gather several targets' columns in one block each.
-
-        One ``*_cols`` fancy-index per matrix instead of one column slice
-        per (matrix, target) — the wave-priming entry the service layer
-        calls with a wave's distinct targets.
-        """
-        missing = sorted({int(t) for t in targets} - self._targets.keys())
-        if not missing:
-            return
-        nodes = np.asarray(missing, dtype=np.int64)
-        os_tau = self.tables.os_tau_cols(nodes)
-        bs_tau = self.tables.bs_tau_cols(nodes)
-        bs_sigma = self.tables.bs_sigma_cols(nodes)
-        for j, target in enumerate(missing):
-            cols = self._build_columns(os_tau[:, j], bs_tau[:, j], bs_sigma[:, j])
-            self._remember(self._targets, target, cols)
-
-    @staticmethod
-    def _build_columns(os_tau, bs_tau, bs_sigma) -> TargetColumns:
-        return TargetColumns(
-            os_tau=os_tau,
-            bs_tau=bs_tau,
-            bs_sigma=bs_sigma,
-            os_tau_list=os_tau.tolist(),
-            bs_tau_list=bs_tau.tolist(),
-            bs_sigma_list=bs_sigma.tolist(),
-        )
-
-    # -- Strategy 2 screens ---------------------------------------------
-    def strategy2_screens(self, key, build: Callable[[], tuple]) -> tuple:
-        """Cached ``(min_bs, min_os)`` detour screens (see
-        :meth:`SearchContext._prepare_strategy2`); *key* is
-        ``(rare keyword id, target)``."""
-        cached = self._screens.get(key)
-        if cached is None:
-            cached = build()
-            self._remember(self._screens, key, cached)
-        return cached
-
-    # -- keyword-bitmask candidate matrices ------------------------------
-    def node_masks(self, binding) -> np.ndarray:
-        """Dense per-node keyword-bitmask array for *binding* (int64).
-
-        ``masks[v] == binding.node_mask(v)`` for every node; built once
-        per distinct keyword tuple via one scatter-OR over the binding's
-        posting lists, then shared by every wave member binding the same
-        keywords.
-        """
-        key = tuple(binding.keyword_ids)
-        masks = self._masks.get(key)
-        if masks is None:
-            masks = np.zeros(self.graph.num_nodes, dtype=np.int64)
-            for bit, postings in enumerate(binding.nodes_with_bit):
-                if len(postings):
-                    np.bitwise_or.at(masks, postings, np.int64(1) << np.int64(bit))
-            self._remember(self._masks, key, masks)
-        return masks
-
-    # -- Strategy 1 uncovered-node unions --------------------------------
-    def uncovered_union(self, binding, missing_mask: int) -> np.ndarray:
-        """Sorted union of nodes carrying any keyword in *missing_mask*.
-
-        The wave twin of ``SearchContext._uncovered_nodes``: identical
-        values (same ``np.unique`` over the same posting lists), keyed by
-        the binding's keyword tuple so every member binding the same
-        keywords shares one array per missing-mask.
-        """
-        key = (tuple(binding.keyword_ids), missing_mask)
-        nodes = self._uncovered.get(key)
-        if nodes is None:
-            lists = [
-                postings
-                for bit, postings in enumerate(binding.nodes_with_bit)
-                if missing_mask & (1 << bit) and len(postings)
-            ]
-            nodes = (
-                np.unique(np.concatenate(lists)) if lists else np.empty(0, dtype=np.int64)
-            )
-            self._remember(self._uncovered, key, nodes)
-        return nodes
-
-    # -- adjacency blocks -------------------------------------------------
-    def out_block(self, node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Out-edges of *node* as ``(targets, objectives, budgets)`` arrays."""
-        block = self._out.get(node)
-        if block is None:
-            edges = self.graph.out_edges(node)
-            if edges:
-                v = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-                obj = np.fromiter((e[1] for e in edges), dtype=np.float64, count=len(edges))
-                bud = np.fromiter((e[2] for e in edges), dtype=np.float64, count=len(edges))
-            else:
-                v = np.empty(0, dtype=np.int64)
-                obj = np.empty(0, dtype=np.float64)
-                bud = np.empty(0, dtype=np.float64)
-            block = (v, obj, bud)
-            self._out[node] = block
-        return block
-
-    def scaled_block(self, node: int, scaling: ScalingContext) -> np.ndarray:
-        """Scaled objectives of *node*'s out-edges under *scaling*.
-
-        ``np.floor(obj / theta + slack)`` is elementwise-identical to the
-        scalar ``float(math.floor(o / theta + slack))`` (same float64
-        division, addition and floor), so kernel labels carry the same
-        scaled scores solo runs produce.
-        """
-        theta = scaling.theta
-        obj = self.out_block(node)[1]
-        if theta is None:
-            return obj
-        key = (theta, node)
-        scaled = self._scaled.get(key)
-        if scaled is None:
-            scaled = np.floor(obj / theta + _FLOOR_SLACK)
-            self._scaled[key] = scaled
-        return scaled
-
-    # -- bookkeeping ------------------------------------------------------
-    def _remember(self, cache: dict, key, value) -> None:
-        if len(cache) >= self._MAX_CACHED:
-            # pop(default=None): concurrent thread-pool waves may race to
-            # evict the same key; losing that race must not raise.
-            cache.pop(next(iter(cache)), None)
-        cache[key] = value
 
 
 class WaveOutcome(NamedTuple):
@@ -298,25 +59,6 @@ class WaveOutcome(NamedTuple):
     latency_seconds: float
 
 
-class _Member(NamedTuple):
-    index: int
-    query: KORQuery
-    binding: object
-
-
-def _make_search(engine, query: KORQuery, algorithm: str, params: dict, binding, shared):
-    graph, tables, index = engine.graph, engine.tables, engine.index
-    if algorithm == "bucketbound":
-        return _BucketBoundSearch(
-            graph, tables, index, query, binding=binding, shared=shared, **params
-        )
-    exact = algorithm == "exact" or bool(params.get("exact", False))
-    params = {k: v for k, v in params.items() if k != "exact"}
-    return _OSScalingSearch(
-        graph, tables, index, query, exact=exact, binding=binding, shared=shared, **params
-    )
-
-
 def run_wave(
     engine,
     queries: Sequence[KORQuery],
@@ -326,316 +68,41 @@ def run_wave(
     candidates: dict | None = None,
     deadline: Deadline | None = None,
     on_member: Callable[[int, KORQuery], None] | None = None,
-    kernel_context: KernelContext | None = None,
 ) -> list[WaveOutcome]:
     """Run one wave of same-``(algorithm, params)`` queries on *engine*.
 
-    Returns one :class:`WaveOutcome` per query, in order.  Eligible
-    algorithms advance in numpy lockstep (module docstring); the rest run
-    per member.  Failures are contained per member: ``on_member`` (the
-    fault-injection hook), binding, an expired *deadline* or a search
-    error poison only that slot.  A *deadline* expiring mid-lockstep
-    errors every unfinished member while finished members keep their
-    results — the wave-level twin of PR 7's mid-search 504 promptness,
-    checked once per lockstep step (a step is a bounded block of work,
-    like a checkpoint stride).
+    Returns one :class:`WaveOutcome` per query, in order.  ``candidates``
+    is a pre-resolved keyword map (see ``engine.candidate_sets``); left
+    ``None`` it is resolved here, once, over the union of the members'
+    keywords.  ``on_member(index, query)`` is the fault-injection hook,
+    called before each member runs.
+
+    A *deadline* is checked before each member starts and ticks inside
+    its search loop, so expiry mid-wave fails the running member within
+    a checkpoint stride and every later member immediately, while the
+    members that already finished keep their results.
     """
-    start = time.perf_counter()
     params = dict(params) if params else {}
     queries = list(queries)
-    outcomes: list[WaveOutcome | None] = [None] * len(queries)
-
     if candidates is None:
-        words: set[str] = set()
-        for query in queries:
-            words.update(query.keywords)
-        candidates = engine.candidate_sets(words)
+        candidates = engine.candidate_sets(
+            {word for query in queries for word in query.keywords}
+        )
 
-    members: list[_Member] = []
-    for i, query in enumerate(queries):
+    outcomes: list[WaveOutcome] = []
+    for index, query in enumerate(queries):
+        begin = time.perf_counter()
         try:
             if on_member is not None:
-                on_member(i, query)
+                on_member(index, query)
             if deadline is not None:
                 deadline.check()
             binding = engine.bind(query, candidates=candidates)
-        except Exception as exc:
-            outcomes[i] = WaveOutcome(None, exc, time.perf_counter() - start)
-            continue
-        members.append(_Member(i, query, binding))
-
-    kernel_ok = (
-        len(members) > 1
-        and algorithm in KERNEL_WAVE_ALGORITHMS
-        and set(params) <= _KERNEL_PARAMS[algorithm]
-        # The lockstep driver bypasses ``engine.run``, so it may only
-        # engage when ``run`` IS the stock label-correcting entry point.
-        # Proxy engines (test doubles that delay/count runs) and
-        # subclasses that override ``run`` must have it called — they
-        # fall through to the per-member loop below.
-        and isinstance(engine, KOREngine)
-        and type(engine).run is KOREngine.run
-        and all(m.binding.full_mask.bit_length() <= _MAX_MASK_BITS for m in members)
-    )
-    if not kernel_ok:
-        for m in members:
-            begin = time.perf_counter()
-            try:
-                result = engine.run(
-                    m.query, algorithm=algorithm, binding=m.binding, deadline=deadline, **params
-                )
-            except Exception as exc:
-                outcomes[m.index] = WaveOutcome(None, exc, time.perf_counter() - begin)
-            else:
-                outcomes[m.index] = WaveOutcome(result, None, time.perf_counter() - begin)
-        return outcomes  # type: ignore[return-value]
-
-    kctx = kernel_context if kernel_context is not None else KernelContext(engine.graph, engine.tables)
-    kctx.prime_targets([m.query.target for m in members])
-
-    entries: list[dict] = []
-    for m in members:
-        try:
-            search = _make_search(engine, m.query, algorithm, params, m.binding, kctx)
-        except Exception as exc:
-            outcomes[m.index] = WaveOutcome(None, exc, time.perf_counter() - start)
-            continue
-        entries.append(
-            {
-                "index": m.index,
-                "search": search,
-                "masks": kctx.node_masks(m.binding),
-                "delta": m.query.budget_limit,
-            }
-        )
-
-    _run_lockstep(kctx, entries, outcomes, deadline, start)
-    return outcomes  # type: ignore[return-value]
-
-
-def _bound_of(search) -> float:
-    """The search's current bound: ``U`` for OSScaling, ``L*`` for
-    BucketBound (both monotone non-increasing, both prune on
-    ``keep iff LOW < bound``)."""
-    return search.upper if isinstance(search, _OSScalingSearch) else search.best_low
-
-
-def jump_candidates_block(
-    kctx: KernelContext, jobs: Sequence[tuple]
-) -> list[tuple[int, float, float] | None]:
-    """Vector twin of ``SearchContext.jump_candidate`` for a whole wave.
-
-    *jobs* is a sequence of ``(search, label)`` pairs — one per popped
-    label.  Returns one candidate tuple (or ``None``) per job, exactly
-    what N independent ``jump_candidate`` calls would return:
-
-    * the per-member uncovered-node unions come from
-      :meth:`KernelContext.uncovered_union` (same ``np.unique`` values
-      the scalar memo holds);
-    * the ``BS(sigma_{i,j})`` gathers stack into one fancy-index when the
-      engine carries dense flat tables (element-identical to the scalar
-      row-then-gather — both copy the same float64 cells), falling back
-      to per-member row gathers on assembled/partitioned tables;
-    * feasibility ``(label.BS + seg + BS(sigma_{j,t})) <= Delta``
-      evaluates in one masked block with the scalar path's left-to-right
-      float association, and each member's winner is the first minimum
-      among its feasible candidates in node-sorted order — the scalar
-      ``np.argmin`` tie rule.
-    """
-    results: list[tuple[int, float, float] | None] = [None] * len(jobs)
-    meta: list[tuple[int, object, object, np.ndarray]] = []
-    for j, (search, label) in enumerate(jobs):
-        if not search.use_strategy1:
-            continue
-        ctx = search.ctx
-        missing = ctx.binding.full_mask & ~label.mask
-        if not missing:
-            continue
-        nodes = kctx.uncovered_union(ctx.binding, missing)
-        if len(nodes):
-            meta.append((j, ctx, label, nodes))
-    if not meta:
-        return results
-
-    lens = np.fromiter((len(nodes) for _, _, _, nodes in meta), dtype=np.int64, count=len(meta))
-    offsets = np.concatenate(([0], np.cumsum(lens)))
-
-    dense = getattr(kctx.tables, "bs_sigma", None)
-    if isinstance(dense, np.ndarray) and all(
-        ctx.tables is kctx.tables for _, ctx, _, _ in meta
-    ):
-        rows = np.repeat(
-            np.fromiter((label.node for _, _, label, _ in meta), dtype=np.int64, count=len(meta)),
-            lens,
-        )
-        cols = np.concatenate([nodes for _, _, _, nodes in meta])
-        seg_all = dense[rows, cols]
-    else:
-        seg_all = np.concatenate(
-            [ctx.tables.bs_sigma_row(label.node)[nodes] for _, ctx, label, nodes in meta]
-        )
-    bst_all = np.concatenate([ctx.bs_sigma_t[nodes] for _, ctx, _, nodes in meta])
-    bs_rep = np.repeat(
-        np.fromiter((label.bs for _, _, label, _ in meta), dtype=np.float64, count=len(meta)),
-        lens,
-    )
-    delta_rep = np.repeat(
-        np.fromiter((ctx.delta for _, ctx, _, _ in meta), dtype=np.float64, count=len(meta)),
-        lens,
-    )
-    feas_all = (bs_rep + seg_all + bst_all) <= delta_rep
-
-    for p, (j, ctx, label, nodes) in enumerate(meta):
-        lo, hi = offsets[p], offsets[p + 1]
-        feasible = feas_all[lo:hi]
-        if not feasible.any():
-            continue
-        seg = seg_all[lo:hi]
-        cand = np.flatnonzero(feasible)
-        seg_f = seg[cand]
-        best = int(np.argmin(seg_f))
-        vj = int(nodes[cand[best]])
-        seg_os = float(ctx.tables.os_sigma_at(label.node, vj))
-        results[j] = (vj, seg_os, float(seg_f[best]))
-    return results
-
-
-def _run_lockstep(
-    kctx: KernelContext,
-    entries: list[dict],
-    outcomes: list[WaveOutcome | None],
-    deadline: Deadline | None,
-    start: float,
-) -> None:
-    active = entries
-    while active:
-        if deadline is not None:
-            try:
-                deadline.check()
-            except DeadlineExceeded as exc:
-                elapsed = time.perf_counter() - start
-                for entry in active:
-                    outcomes[entry["index"]] = WaveOutcome(None, exc, elapsed)
-                return
-
-        # -- pop phase: one label per live search ----------------------
-        pops: list[tuple[dict, object]] = []
-        survivors_of_step: list[dict] = []
-        for entry in active:
-            try:
-                label = entry["search"].pop(tick=False)
-            except Exception as exc:  # pragma: no cover - defensive
-                outcomes[entry["index"]] = WaveOutcome(None, exc, time.perf_counter() - start)
-                continue
-            if label is None:
-                outcomes[entry["index"]] = _finish(entry["search"], start)
-                continue
-            pops.append((entry, label))
-            survivors_of_step.append(entry)
-        active = survivors_of_step
-        if not pops:
-            continue
-
-        # -- assemble the pooled edge block ----------------------------
-        count = len(pops)
-        seg_lens = np.empty(count, dtype=np.int64)
-        v_parts: list[np.ndarray] = []
-        obj_parts: list[np.ndarray] = []
-        bud_parts: list[np.ndarray] = []
-        sos_parts: list[np.ndarray] = []
-        mask_parts: list[np.ndarray] = []
-        bs_sig_parts: list[np.ndarray] = []
-        os_tau_parts: list[np.ndarray] = []
-        for p, (entry, label) in enumerate(pops):
-            search = entry["search"]
-            v, obj, bud = kctx.out_block(label.node)
-            seg_lens[p] = len(v)
-            if len(v) == 0:
-                continue
-            ctx = search.ctx
-            v_parts.append(v)
-            obj_parts.append(obj)
-            bud_parts.append(bud)
-            sos_parts.append(kctx.scaled_block(label.node, ctx.scaling))
-            mask_parts.append(entry["masks"][v])
-            bs_sig_parts.append(ctx.bs_sigma_t[v])
-            os_tau_parts.append(ctx.os_tau_t[v])
-
-        if v_parts:
-            v_all = np.concatenate(v_parts)
-            obj_all = np.concatenate(obj_parts)
-            bud_all = np.concatenate(bud_parts)
-            sos_all = np.concatenate(sos_parts)
-            mask_all = np.concatenate(mask_parts)
-            bs_sig_all = np.concatenate(bs_sig_parts)
-            os_tau_all = np.concatenate(os_tau_parts)
-
-            parent_os = np.repeat(
-                np.fromiter((l.os for _, l in pops), dtype=np.float64, count=count), seg_lens
+            result = engine.run(
+                query, algorithm=algorithm, binding=binding, deadline=deadline, **params
             )
-            parent_bs = np.repeat(
-                np.fromiter((l.bs for _, l in pops), dtype=np.float64, count=count), seg_lens
-            )
-            parent_sos = np.repeat(
-                np.fromiter((l.scaled_os for _, l in pops), dtype=np.float64, count=count),
-                seg_lens,
-            )
-            parent_mask = np.repeat(
-                np.fromiter((l.mask for _, l in pops), dtype=np.int64, count=count), seg_lens
-            )
-            delta_all = np.repeat(
-                np.fromiter((e["delta"] for e, _ in pops), dtype=np.float64, count=count),
-                seg_lens,
-            )
-            bound_all = np.repeat(
-                np.fromiter((_bound_of(e["search"]) for e, _ in pops), dtype=np.float64, count=count),
-                seg_lens,
-            )
-            seg_id = np.repeat(np.arange(count, dtype=np.int64), seg_lens)
-
-            # -- masked-array prunes (the kernel proper) ---------------
-            new_os = parent_os + obj_all
-            new_bs = parent_bs + bud_all
-            new_sos = parent_sos + sos_all
-            new_mask = parent_mask | mask_all
-            budget_kill = new_bs + bs_sig_all > delta_all
-            low = new_os + os_tau_all
-            bound_kill = ~budget_kill & (low >= bound_all)
-            killed = budget_kill | bound_kill
-
-            budget_counts = np.bincount(seg_id[budget_kill], minlength=count)
-            bound_counts = np.bincount(seg_id[bound_kill], minlength=count)
-            for p, (entry, _label) in enumerate(pops):
-                stats = entry["search"].stats
-                stats.labels_created += int(seg_lens[p])
-                stats.labels_pruned_budget += int(budget_counts[p])
-                stats.labels_pruned_bound += int(bound_counts[p])
-
-            keep = np.nonzero(~killed)[0]
-            if len(keep):
-                # Ascending order == grouped by segment, edge order within
-                # each segment — the exact scalar visit order per search.
-                seg_l = seg_id[keep].tolist()
-                node_l = v_all[keep].tolist()
-                mask_l = new_mask[keep].tolist()
-                os_l = new_os[keep].tolist()
-                bs_l = new_bs[keep].tolist()
-                sos_l = new_sos[keep].tolist()
-                for j in range(len(seg_l)):
-                    entry, label = pops[seg_l[j]]
-                    entry["search"].bound_and_treat(
-                        label, node_l[j], mask_l[j], os_l[j], bs_l[j], sos_l[j], VIA_EDGE
-                    )
-
-        # -- vectorized tail: Strategy 1 jumps --------------------------
-        jumps = jump_candidates_block(kctx, [(e["search"], l) for e, l in pops])
-        for (entry, label), jump in zip(pops, jumps):
-            entry["search"].jump_from(label, jump)
-
-
-def _finish(search, start: float) -> WaveOutcome:
-    try:
-        result = search.result()
-    except Exception as exc:  # pragma: no cover - defensive
-        return WaveOutcome(None, exc, time.perf_counter() - start)
-    return WaveOutcome(result, None, time.perf_counter() - start)
+        except Exception as exc:  # noqa: BLE001 - contained in the member's slot
+            outcomes.append(WaveOutcome(None, exc, time.perf_counter() - begin))
+        else:
+            outcomes.append(WaveOutcome(result, None, time.perf_counter() - begin))
+    return outcomes

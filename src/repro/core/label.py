@@ -36,12 +36,11 @@ def dominates_scores(
 ) -> bool:
     """Definition 6's score half: both scores no larger (``<=``, not ``<``).
 
-    This is *the* canonical comparator: every scalar domination site calls
-    it, and the vectorized kernels mirror it as
-    ``(sos_arr <= sos) & (bs_arr <= bs)``
-    (:func:`repro.core.kernels.dominates_scores_block`) — two independent
-    non-strict compares, no lexicographic short-circuit, so equal-score /
-    equal-budget labels tie-break identically on both paths.
+    This is *the* canonical comparator: every domination site calls it.
+    Two independent non-strict compares, no lexicographic short-circuit,
+    so a label with equal scaled score and equal budget dominates (and is
+    dominated by) its twin — neither the store nor a search can keep a
+    duplicate the other would drop.
     """
     return dominator_scaled_os <= scaled_os and dominator_bs <= bs
 

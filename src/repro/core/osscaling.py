@@ -21,13 +21,11 @@ With ``exact=True`` domination compares true objective scores, which turns
 the search into an exact branch-and-bound (used as the ground-truth
 baseline in :mod:`repro.core.bruteforce`).
 
-The search is implemented as a *stepwise* class so two drivers can share
-it: :func:`os_scaling` runs the classic one-label-at-a-time loop, and the
-batch kernels (:mod:`repro.core.kernels`) advance many searches in
-lockstep, vector-prefiltering each step's pooled edge block before
-handing survivors back to the exact scalar treatment below.  Both drivers
-execute the same prune sequence on the same floats, so their results —
-routes, scores *and* per-label statistics — are identical.
+The search state lives in a small class (:class:`_OSScalingSearch`) that
+:func:`os_scaling` drives one label at a time: ``pop`` the lowest-order
+label, ``step`` it (edges in adjacency order, then the Strategy-1 jump).
+Waves (:mod:`repro.core.kernels`) run their members through this same
+loop, one after another.
 """
 
 from __future__ import annotations
@@ -52,10 +50,9 @@ __all__ = ["os_scaling"]
 class _OSScalingSearch:
     """One OSScaling run, advanced label by label.
 
-    Drivers call :meth:`pop` for the next label to expand (``None`` once
-    the search is complete — including the trivial early exits, which are
-    resolved during construction) and :meth:`step` (or the finer-grained
-    :meth:`consider` / :meth:`bound_and_treat` / :meth:`jump`) to extend
+    The driver calls :meth:`pop` for the next label to expand (``None``
+    once the search is complete — including the trivial early exits,
+    which are resolved during construction) and :meth:`step` to extend
     it, then :meth:`result` for the :class:`KORResult`.
     """
 
@@ -75,7 +72,6 @@ class _OSScalingSearch:
         trace: SearchTrace | None = None,
         binding: QueryBinding | None = None,
         deadline: Deadline | None = None,
-        shared=None,
     ) -> None:
         self._start = time.perf_counter()
         self.algorithm = "exact" if exact else "osscaling"
@@ -95,7 +91,6 @@ class _OSScalingSearch:
             scaling,
             infrequent_threshold=infrequent_threshold,
             binding=binding,
-            shared=shared,
         )
         ctx = self.ctx
         self.delta = query.budget_limit
@@ -129,23 +124,17 @@ class _OSScalingSearch:
     # ------------------------------------------------------------------
     # driver protocol
     # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        """Whether :meth:`pop` can still yield work."""
-        return self._early is not None or not self._heap
-
-    def pop(self, tick: bool = True) -> Label | None:
+    def pop(self) -> Label | None:
         """Next label to expand (Algorithm 1 lines 5-7), or ``None``.
 
         Dead labels (evicted by domination) and stale labels (admissible
-        completion no longer under ``U``) are skipped here, with the same
-        deadline-tick cadence as the classic loop.  ``tick=False`` lets a
-        lockstep driver own the deadline checkpointing instead.
+        completion no longer under ``U``) are skipped here; the deadline
+        ticks once per heap pop.
         """
         if self._early is not None:
             return None
         while self._heap:
-            if tick and self.deadline is not None:
+            if self.deadline is not None:
                 self.deadline.tick()
             _key, label = heapq.heappop(self._heap)
             if not label.alive:
@@ -163,7 +152,7 @@ class _OSScalingSearch:
         return None
 
     def step(self, label: Label) -> None:
-        """Full scalar treatment of one dequeued label: edges then jump."""
+        """Treat one dequeued label: its out-edges in order, then the jump."""
         ctx = self.ctx
         for node, seg_os, seg_bs, seg_sos in ctx.scaled_out(label.node):
             self.consider(label, node, seg_os, seg_bs, seg_sos, VIA_EDGE)
@@ -173,15 +162,7 @@ class _OSScalingSearch:
         """Optimisation Strategy 1's extra extension for *label*."""
         if not self.use_strategy1 or label.mask == self.full_mask:
             return
-        self.jump_from(label, self.ctx.jump_candidate(label))
-
-    def jump_from(self, label: Label, jump: tuple[int, float, float] | None) -> None:
-        """Apply a precomputed Strategy-1 candidate (see ``jump``).
-
-        Split out so the batch kernels can evaluate candidates for a
-        whole wave in one vector block and feed each member's winner
-        back through the exact scalar bookkeeping.
-        """
+        jump = self.ctx.jump_candidate(label)
         if jump is not None:
             vj, seg_os, seg_bs = jump
             self.stats.jump_labels_created += 1
@@ -193,7 +174,7 @@ class _OSScalingSearch:
     def consider(
         self, parent: Label, node: int, seg_os: float, seg_bs: float, seg_sos: float, via: int
     ) -> None:
-        """Scalar treatment of one candidate extension, all checks inline."""
+        """Label treatment of one candidate extension, all checks inline."""
         ctx = self.ctx
         stats = self.stats
         stats.labels_created += 1
@@ -209,30 +190,6 @@ class _OSScalingSearch:
             if self.trace is not None:
                 self.trace.record("prune_budget", node, new_mask, new_sos, new_os, new_bs)
             return
-        self.bound_and_treat(parent, node, new_mask, new_os, new_bs, new_sos, via)
-
-    def bound_and_treat(
-        self,
-        parent: Label,
-        node: int,
-        new_mask: int,
-        new_os: float,
-        new_bs: float,
-        new_sos: float,
-        via: int,
-    ) -> None:
-        """Treatment from the U-prune onward, against the *live* bound.
-
-        This is the kernel re-entry point: the lockstep driver's vector
-        prefilter disposes of budget-infeasible labels exactly and of
-        labels that cannot beat the block-start bound snapshot (sound —
-        ``U`` only tightens), then routes every survivor through here so
-        the bound is re-checked against the current ``U`` and the rest of
-        the treatment runs scalar, in edge order, exactly as a solo run
-        would.
-        """
-        ctx = self.ctx
-        stats = self.stats
         if not (new_os + ctx.os_tau_t_list[node] < self.upper):
             stats.labels_pruned_bound += 1
             if self.trace is not None:

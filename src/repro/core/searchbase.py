@@ -35,7 +35,6 @@ class SearchContext:
         scaling: ScalingContext,
         infrequent_threshold: float = 0.01,
         binding: QueryBinding | None = None,
-        shared=None,
     ) -> None:
         self.graph = graph
         self.tables = tables
@@ -48,38 +47,22 @@ class SearchContext:
             binding if binding is not None else QueryBinding.bind(graph, index, query)
         )
         self.delta = query.budget_limit
-        # An optional wave-level cache (duck-typed; in practice a
-        # :class:`repro.core.kernels.KernelContext`) shares the per-target
-        # column gathers and Strategy-2 screens across the queries of one
-        # kernel wave.  The shared values are *identical* to the ones built
-        # here — same gathers, same reductions — so scalar runs and wave
-        # members see the same floats.
-        self._shared = shared
 
         target = query.target
-        columns = shared.target_columns(tables, target) if shared is not None else None
-        if columns is not None:
-            self.os_tau_t = columns.os_tau
-            self.bs_tau_t = columns.bs_tau
-            self.bs_sigma_t = columns.bs_sigma
-            self.os_tau_t_list = columns.os_tau_list
-            self.bs_tau_t_list = columns.bs_tau_list
-            self.bs_sigma_t_list = columns.bs_sigma_list
-        else:
-            #: OS(tau_{i,t}) for every i — the admissible completion bound
-            #: behind Lemma 3's LOW(.) and the U-pruning of Algorithm 1.
-            self.os_tau_t = tables.os_tau_col(target)
-            #: BS(tau_{i,t}) — budget of the objective-optimal completion.
-            self.bs_tau_t = tables.bs_tau_col(target)
-            #: BS(sigma_{i,t}) — the cheapest possible completion budget; a
-            #: label violating ``BS + BS(sigma) <= Delta`` can never be feasible.
-            self.bs_sigma_t = tables.bs_sigma_col(target)
-            # Plain-list twins of the columns above: scalar indexing of numpy
-            # arrays costs ~10x a list lookup, and label creation is the hot
-            # path (hundreds of thousands of lookups per query).
-            self.os_tau_t_list: list[float] = self.os_tau_t.tolist()
-            self.bs_tau_t_list: list[float] = self.bs_tau_t.tolist()
-            self.bs_sigma_t_list: list[float] = self.bs_sigma_t.tolist()
+        #: OS(tau_{i,t}) for every i — the admissible completion bound
+        #: behind Lemma 3's LOW(.) and the U-pruning of Algorithm 1.
+        self.os_tau_t = tables.os_tau_col(target)
+        #: BS(tau_{i,t}) — budget of the objective-optimal completion.
+        self.bs_tau_t = tables.bs_tau_col(target)
+        #: BS(sigma_{i,t}) — the cheapest possible completion budget; a
+        #: label violating ``BS + BS(sigma) <= Delta`` can never be feasible.
+        self.bs_sigma_t = tables.bs_sigma_col(target)
+        # Plain-list twins of the columns above: scalar indexing of numpy
+        # arrays costs ~10x a list lookup, and label creation is the hot
+        # path (hundreds of thousands of lookups per query).
+        self.os_tau_t_list: list[float] = self.os_tau_t.tolist()
+        self.bs_tau_t_list: list[float] = self.bs_tau_t.tolist()
+        self.bs_sigma_t_list: list[float] = self.bs_sigma_t.tolist()
 
         # Lazy caches ---------------------------------------------------
         self._scaled_out: dict[int, tuple[tuple[int, float, float, float], ...]] = {}
@@ -228,18 +211,10 @@ class SearchContext:
         # constraint, the label dies on a float compare instead of a numpy
         # reduction — that per-label reduction dominated BucketBound's
         # runtime before this cache existed.
-        def build() -> tuple[list[float], list[float]]:
-            bs_via = self.tables.bs_sigma_cols(nodes) + self._rare_bs_to_t[None, :]
-            os_via = self.tables.os_tau_cols(nodes) + self._rare_os_to_t[None, :]
-            return bs_via.min(axis=1).tolist(), os_via.min(axis=1).tolist()
-
-        if self._shared is not None:
-            # The reductions depend only on the rare keyword (its posting
-            # list) and the target column — cacheable across a wave.
-            key = (self.binding.keyword_ids[rare_bit], self.query.target)
-            self._rare_min_bs, self._rare_min_os = self._shared.strategy2_screens(key, build)
-        else:
-            self._rare_min_bs, self._rare_min_os = build()
+        bs_via = self.tables.bs_sigma_cols(nodes) + self._rare_bs_to_t[None, :]
+        os_via = self.tables.os_tau_cols(nodes) + self._rare_os_to_t[None, :]
+        self._rare_min_bs = bs_via.min(axis=1).tolist()
+        self._rare_min_os = os_via.min(axis=1).tolist()
 
     @property
     def strategy2_active(self) -> bool:

@@ -461,10 +461,6 @@ class PartitionedCostTables:
         """``OS(tau_{i,t})`` for every ``i`` and every ``t`` in *nodes*."""
         return self._gather_cols(nodes, self.os_tau_col)
 
-    def bs_tau_cols(self, nodes: np.ndarray) -> np.ndarray:
-        """``BS(tau_{i,t})`` for every ``i`` and every ``t`` in *nodes*."""
-        return self._gather_cols(nodes, self.bs_tau_col)
-
     def bs_sigma_cols(self, nodes: np.ndarray) -> np.ndarray:
         """``BS(sigma_{i,t})`` for every ``i`` and every ``t`` in *nodes*."""
         return self._gather_cols(nodes, self.bs_sigma_col)

@@ -143,14 +143,6 @@ class CostTables:
         """
         return self.os_tau[:, nodes]
 
-    def bs_tau_cols(self, nodes: np.ndarray) -> np.ndarray:
-        """``BS(tau_{i,t})`` for all ``i`` and every ``t`` in *nodes*.
-
-        Used by the batch kernels to prime a whole wave's target columns
-        in one gather.
-        """
-        return self.bs_tau[:, nodes]
-
     def bs_sigma_cols(self, nodes: np.ndarray) -> np.ndarray:
         """``BS(sigma_{i,t})`` for all ``i`` and every ``t`` in *nodes*."""
         return self.bs_sigma[:, nodes]

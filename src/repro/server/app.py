@@ -299,7 +299,7 @@ class KORApp:
             "endpoints": sorted(self._routes) + ["/topk/stream"],
             "pending": self._pending,
             "max_pending": self._max_pending,
-            "shed": self._front.snapshot().shed,
+            "shed": self._front.stats.shed,
         }
         epoch = self._front.epoch
         if epoch is not None:

@@ -29,8 +29,8 @@ Schemas defined here:
     the wrapped sync service's snapshot.  Additive optional fields:
     the snapshots carry a ``waves`` dict (wave-dispatch occupancy —
     ``formed`` / ``members`` / ``capacity`` / ``solo_fallbacks`` /
-    ``mean_members`` / ``fill_rate``) when the service formed kernel
-    waves, and scheduling meta carries ``wave_sizing`` (the adaptive
+    ``mean_members`` / ``fill_rate``) once the service dispatched any
+    wave, and scheduling meta carries ``wave_sizing`` (the adaptive
     wave-size controller's policy) when the wrapped tier has one.
 ``kor.route_topk.v1``
     The streaming top-k header line; each following NDJSON line is one

@@ -44,7 +44,12 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
-__all__ = ["StdlibServer"]
+__all__ = ["MAX_BODY_BYTES", "StdlibServer"]
+
+#: Largest request body the bridge will read — two orders of magnitude
+#: above a 64-query ``/batch`` body.  A larger ``Content-Length`` is
+#: refused with 413 before a byte of it is read.
+MAX_BODY_BYTES = 1 << 20
 
 #: How long one request handler waits for the app's next ASGI message
 #: before giving up on the response (covers the slowest engine waves).
@@ -74,9 +79,35 @@ class _BridgeHandler(BaseHTTPRequestHandler):
     def do_DELETE(self) -> None:
         self._relay()
 
+    def _read_body(self) -> bytes | None:
+        """The request body — or ``None`` once a bad ``Content-Length``
+        has been answered (400 malformed or negative, 413 too large).
+
+        Validated *before* reading: a non-numeric value used to raise in
+        this handler thread (the client saw a reset, not a 4xx) and a
+        negative one became ``rfile.read(-1)``, which blocks the thread
+        until the peer closes.
+        """
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self._send_error(
+                400, "BadRequest", f"Content-Length must be a non-negative integer, got {raw!r}"
+            )
+            return None
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self._send_error(
+                413,
+                "PayloadTooLarge",
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+            )
+            return None
+        return self.rfile.read(length) if length else b""
+
     def _relay(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
+        body = self._read_body()
+        if body is None:
+            return
         split = urlsplit(self.path)
         scope = {
             "type": "http",
@@ -125,7 +156,7 @@ class _BridgeHandler(BaseHTTPRequestHandler):
                 raise RuntimeError(f"expected http.response.start, got {start['type']!r}")
             first = self._next_message(messages, future)
         except Exception as error:  # noqa: BLE001 - transport boundary
-            self._send_bridge_error(error)
+            self._send_error(500, type(error).__name__, str(error))
             return
         status = start["status"]
         headers = [
@@ -183,14 +214,16 @@ class _BridgeHandler(BaseHTTPRequestHandler):
                         "timed out waiting for the ASGI app's next message"
                     )
 
-    def _send_bridge_error(self, error: BaseException) -> None:
-        payload = json.dumps(
-            {"error": {"type": type(error).__name__, "message": str(error)}}
-        ).encode()
+    def _send_error(self, status: int, kind: str, message: str) -> None:
+        """Answer in the app's JSON error shape and close the connection
+        (whatever the request still has on the wire is never read)."""
+        payload = json.dumps({"error": {"type": kind, "message": message}}).encode()
+        self.close_connection = True
         try:
-            self.send_response(500)
+            self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
+            self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(payload)
         except (BrokenPipeError, ConnectionResetError):

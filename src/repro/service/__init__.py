@@ -16,12 +16,13 @@ amortise most of that work.  This package adds one:
       optional total-route-size budget, hit/miss counters and
       epoch-based invalidation are exposed (:mod:`repro.service.cache`);
     * a **batch executor** — a list of :class:`repro.core.query.KORQuery`
-      objects is deduplicated against the cache and against itself, the
-      batch's *union* of keywords is resolved through the index exactly
-      once (``index.candidate_sets``), and the remaining unique queries
-      fan out over a pluggable execution backend.  Results come back in
-      submission order regardless of worker count, and one failing query
-      is reported per-slot without poisoning the cache or its neighbours
+      objects is deduplicated against the cache and against itself, and
+      the remaining unique queries are chunked into *waves* that fan out
+      over a pluggable execution backend; each wave resolves the *union*
+      of its members' keywords through the index exactly once
+      (``index.candidate_sets``).  Results come back in submission order
+      regardless of worker count, and one failing query is reported
+      per-slot without poisoning the cache or its neighbours
       (:mod:`repro.service.batch`);
     * **serving metrics** — p50/p95 latency, cache hit rate, throughput
       and per-shard task counters via
@@ -50,12 +51,12 @@ amortise most of that work.  This package adds one:
 
 ``ExecutionBackend``
     Where compute actually runs (:mod:`repro.service.backends`).  The
-    primitive is futures-based — ``submit_task(task) ->
-    Future[TaskOutcome]`` with bounded in-flight admission
-    (``max_in_flight``) — and the blocking batch APIs are shared
-    wrappers over it.  ``SerialBackend`` (reference/debugging),
-    ``ThreadBackend`` (persistent GIL-sharing pool, cheapest for
-    numpy-heavy work) and ``ProcessBackend`` (**warm-pinned**
+    one unit of work is the :class:`~repro.service.backends.WaveTask`
+    (a single query is a wave of one) and the primitive is futures-based
+    — ``submit_wave(task) -> Future[list[TaskOutcome]]`` with bounded
+    in-flight admission (``max_in_flight``).  ``SerialBackend``
+    (reference/debugging), ``ThreadBackend`` (persistent GIL-sharing
+    pool) and ``ProcessBackend`` (**warm-pinned**
     single-process lanes over picklable
     :class:`~repro.service.backends.EngineHandle` shard state: repeat
     traffic for a shard sticks to the worker that already materialised
@@ -98,7 +99,6 @@ from repro.service.backends import (
     ProcessBackend,
     RemoteTaskError,
     SerialBackend,
-    ShardTask,
     TaskOutcome,
     ThreadBackend,
     WaveTask,
@@ -132,7 +132,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceStats",
     "Shard",
-    "ShardTask",
     "ShardedQueryService",
     "StatsSnapshot",
     "TaskOutcome",

@@ -1,34 +1,26 @@
 """Pluggable execution backends for the serving layer.
 
-The serving layer describes compute work in one of two currencies:
+The serving layer describes compute work in exactly one currency: the
+**wave** (:class:`WaveTask`) — one or more same-``(algorithm, params)``
+queries addressed at the engine registered under one shard key, shipped
+as *one* submission and executed member after member through
+:func:`repro.core.kernels.run_wave` on that engine.  A single query is a
+wave of one.  What a wave buys is transport: one admission slot, one
+future and — on a process pool — one pickle + IPC round trip for all its
+members, plus one shared candidate-set pass over the index.
 
-* **in-process closures** — the batch executor's per-unit ``compute``
-  functions, which capture live engine objects and a shared candidate
-  map (cheap, but GIL-bound);
-* **shard tasks** — :class:`ShardTask`, a picklable description of "run
-  this query, with this algorithm and these parameters, against the
-  engine registered under this shard key".
-
-A third, coarser currency rides on top: **waves** (:class:`WaveTask`) —
-several same-``(algorithm, params)`` queries shipped as *one*
-submission and executed through one numpy lockstep kernel invocation
-(:func:`repro.core.kernels.run_wave`) on the shard's engine.
-:meth:`ExecutionBackend.submit_wave` resolves to one
-:class:`TaskOutcome` per member; a member's failure stays in its slot,
-and a wave-level failure degrades to the per-query path
-(worker-side in :func:`run_wave_on_engine`, parent-side by the batch
-executor resubmitting members as :class:`ShardTask` work).
-
-Since the async front-end landed, the *primitive* every backend
-implements is **futures-based submission**: :meth:`ExecutionBackend.\
-submit_task` hands one :class:`ShardTask` to the backend and immediately
-returns a ``concurrent.futures.Future`` resolving to its
-:class:`TaskOutcome`.  The blocking batch APIs (:meth:`run_tasks`,
-:meth:`map`) are thin shared wrappers over that primitive — submit,
-optionally windowed to a ``workers`` limit, then gather in submission
-order — so Serial/Thread/Process execute batches through one code path
-and a server can interleave request handling with shard fan-out by
-holding the futures instead.
+The primitive every backend implements is **futures-based submission**:
+:meth:`ExecutionBackend.submit_wave` hands one wave to the backend and
+immediately returns a ``concurrent.futures.Future`` resolving to one
+:class:`TaskOutcome` per member, in order.  A member's failure stays in
+its own outcome; the future itself only raises for submission-level
+faults (cancellation, a worker that died beyond retry), which the batch
+executor answers by resubmitting the members as waves of one
+(:func:`repro.service.batch.dispatch_waves`).
+:meth:`ExecutionBackend.submit_waves` is the windowed form — submit a
+list, at most ``workers`` unresolved at a time — and
+:meth:`ExecutionBackend.submit_call` is the in-process closure primitive
+the serial and thread backends run their waves on.
 
 Admission is bounded: construct any backend with ``max_in_flight=N`` and
 the (N+1)-th concurrent submission blocks until a slot frees.  The
@@ -38,38 +30,34 @@ exposed (:attr:`~ExecutionBackend.in_flight`,
 :attr:`~ExecutionBackend.admission_waits`) and surface in service
 snapshots as ``queue_depth_peak``.
 
-:class:`SerialBackend` and :class:`ThreadBackend` execute both kinds of
-work in the calling process.  :class:`ProcessBackend` executes shard
-tasks out of process — and is **warm-pinned**: instead of one anonymous
-pool it keeps ``workers`` single-process *lanes* and remembers which
-lane first served each shard, so repeat traffic for a cell lands on the
-worker that already materialised that cell's engine.  Worker-side,
-engines live in a per-worker LRU under an optional byte budget
+:class:`SerialBackend` and :class:`ThreadBackend` execute waves in the
+calling process, on the live engines behind the registered handles.
+:class:`ProcessBackend` executes them out of process — and is
+**warm-pinned**: instead of one anonymous pool it keeps ``workers``
+single-process *lanes* and remembers which lane first served each shard,
+so repeat traffic for a cell lands on the worker that already
+materialised that cell's engine.  Worker-side, engines live in a
+per-worker LRU under an optional byte budget
 (``max_worker_engine_bytes``); parent-side, pin hits/misses/assignments
 and dead-worker fallbacks are counted (:meth:`ProcessBackend.pin_stats`)
 and per-worker build/eviction counters are introspectable
 (:meth:`ProcessBackend.worker_stats`).  A pinned lane that is saturated
 (its queue runs ``spill_margin`` deeper than the least-loaded lane)
 spills to the least-loaded lane; a lane whose worker died is rebuilt and
-the task retried once, transparently.
+the wave retried once, transparently.
 
 Repeated deaths trip a per-lane **circuit breaker**: after
 ``breaker_threshold`` consecutive dead-worker retires the lane stops
 admitting work for ``breaker_backoff_seconds`` (pinned traffic spills to
-healthy lanes), then a single half-open probe task decides whether the
+healthy lanes), then a single half-open probe wave decides whether the
 lane re-admits or re-opens.  Breaker transitions are counted in
 :meth:`ProcessBackend.breaker_stats`.
 
 Deterministic fault injection (:mod:`repro.service.faults`) hooks both
-tiers: :func:`run_task_on_engine` applies task-side delay/error rules,
-and ``ProcessBackend`` applies dispatch-side worker-kill rules — both
-behind a single module-global None check, so the hot path pays nothing
-when no plan is installed.
-
-All backends return outcomes **in task submission order**, so callers
-get deterministic slot assignment no matter how many workers raced, and
-a task that raises is reported through its own :class:`TaskOutcome`
-without disturbing its neighbours.
+tiers: :func:`run_wave_on_engine` applies task-side delay/error rules
+before each member, and ``ProcessBackend`` applies dispatch-side
+worker-kill rules — both behind a single module-global None check, so
+the hot path pays nothing when no plan is installed.
 """
 
 from __future__ import annotations
@@ -79,7 +67,7 @@ import os
 import pickle
 import threading
 import time
-from abc import ABC, abstractmethod
+from abc import ABC
 from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -97,8 +85,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.core.deadline import Deadline
 from repro.core.engine import KOREngine
-from repro.core.kernels import KernelContext
-from repro.core.kernels import run_wave as _kernel_run_wave
+from repro.core.kernels import run_wave
 from repro.core.query import KORQuery
 from repro.core.results import KORResult
 from repro.exceptions import QueryError
@@ -113,7 +100,6 @@ __all__ = [
     "ProcessBackend",
     "RemoteTaskError",
     "SerialBackend",
-    "ShardTask",
     "TaskOutcome",
     "ThreadBackend",
     "WaveTask",
@@ -279,56 +265,24 @@ class PartPatch:
 
 
 @dataclass(frozen=True)
-class ShardTask:
-    """One picklable unit of work: a query against one registered shard.
-
-    ``params`` is a sorted tuple of ``(name, value)`` pairs rather than a
-    dict so tasks are hashable and their pickled form is deterministic.
-    """
-
-    shard: str
-    query: KORQuery
-    algorithm: str
-    params: tuple[tuple[str, object], ...] = ()
-    #: Out-of-band cancellation deadline.  Deliberately *not* part of
-    #: ``params``: cache keys and wave grouping must not see it, and its
-    #: identity hash keeps the frozen task hashable.
-    deadline: Deadline | None = None
-
-    @classmethod
-    def build(
-        cls,
-        shard: str,
-        query: KORQuery,
-        algorithm: str,
-        params: Mapping[str, object] | None = None,
-        deadline: Deadline | None = None,
-    ) -> "ShardTask":
-        """Normalise a params mapping into task form."""
-        items = tuple(sorted(params.items())) if params else ()
-        return cls(
-            shard=shard, query=query, algorithm=algorithm, params=items, deadline=deadline
-        )
-
-
-@dataclass(frozen=True)
 class WaveTask:
-    """One picklable *wave*: several same-``(algorithm, params)`` queries
-    against one registered shard, executed through a single
-    :func:`repro.core.kernels.run_wave` invocation.
+    """The one picklable unit of work: same-``(algorithm, params)``
+    queries against one registered shard, run member after member by a
+    single :func:`repro.core.kernels.run_wave` call.
 
-    Waves are the batch executor's fatter task currency: where a
-    :class:`ShardTask` round-trips one query, a wave ships B queries in
-    one submission and lets the kernel advance them in numpy lockstep.
-    Failures stay per member — the wave resolves to one
-    :class:`TaskOutcome` per query, in order.
+    A per-query task is a wave of one.  Failures stay per member — the
+    wave resolves to one :class:`TaskOutcome` per query, in order.
+    ``params`` is a sorted tuple of ``(name, value)`` pairs rather than a
+    dict so waves are hashable and their pickled form is deterministic.
     """
 
     shard: str
     queries: tuple[KORQuery, ...]
     algorithm: str
     params: tuple[tuple[str, object], ...] = ()
-    #: Out-of-band cancellation deadline (see :class:`ShardTask`).
+    #: Out-of-band cancellation deadline.  Deliberately *not* part of
+    #: ``params``: cache keys and wave grouping must not see it, and its
+    #: identity hash keeps the frozen task hashable.
     deadline: Deadline | None = None
 
     @classmethod
@@ -350,21 +304,15 @@ class WaveTask:
             deadline=deadline,
         )
 
-    def member_task(self, query: KORQuery) -> ShardTask:
-        """The :class:`ShardTask` one member would have been, solo —
-        what fault plans and per-query fallbacks see."""
-        return ShardTask(
-            shard=self.shard,
-            query=query,
-            algorithm=self.algorithm,
-            params=self.params,
-            deadline=self.deadline,
-        )
+    def failed(self, error: Exception) -> list["TaskOutcome"]:
+        """One outcome per member, each carrying *error* — the verdict
+        of a wave that could not run as a whole."""
+        return [TaskOutcome(error=error) for _ in self.queries]
 
 
 @dataclass
 class TaskOutcome:
-    """What one :class:`ShardTask` produced (result or error, never both)."""
+    """What one wave member produced (result or error, never both)."""
 
     result: KORResult | None = None
     error: Exception | None = None
@@ -381,92 +329,61 @@ class RemoteTaskError(QueryError):
     the process boundary; carries the original type name and message."""
 
 
-def run_task_on_engine(engine: KOREngine, task: ShardTask) -> TaskOutcome:
-    """Execute *task* against a live *engine*, capturing error and timing."""
-    begin = time.perf_counter()
-    try:
-        # Fault hook: one global load + None check when no plan is
-        # installed — the zero-overhead-when-off contract.
-        plan = faults._ACTIVE
-        if plan is not None:
-            plan.on_task(task)
-        params = dict(task.params)
-        if task.deadline is not None:
-            params["deadline"] = task.deadline
-        result = engine.run(task.query, algorithm=task.algorithm, **params)
-        return TaskOutcome(result=result, latency_seconds=time.perf_counter() - begin)
-    except Exception as error:  # noqa: BLE001 - reported per task
-        return TaskOutcome(error=error, latency_seconds=time.perf_counter() - begin)
-
-
 def run_wave_on_engine(
-    engine: KOREngine, task: WaveTask, kernel_context: KernelContext | None = None
+    engine: KOREngine, task: WaveTask, kernel_context=None
 ) -> list[TaskOutcome]:
     """Execute a wave against a live *engine*, one outcome per member.
 
-    Fault rules fire per member through the kernel's ``on_member`` hook —
-    each member presents to the plan as the :class:`ShardTask` it would
-    have been solo, so shard/query filters written for the per-query path
-    apply unchanged, and an injected error poisons only its own slot.
+    Fault rules fire per member through ``run_wave``'s ``on_member``
+    hook — every member presents to the plan as its wave (something with
+    a ``.shard``), so an injected error poisons only its own slot.
 
     A *wave-level* failure (anything :func:`repro.core.kernels.run_wave`
-    itself raises, as opposed to a member's contained error) degrades to
-    the per-query path: every member re-runs through
-    :func:`run_task_on_engine`, so survivors still get answers.
+    itself raises, as opposed to a member's contained error) still
+    yields one outcome per member, each carrying that error.
+
+    ``kernel_context`` is accepted and ignored: ``benchmarks/e2e`` still
+    passes the lockstep driver's cache object positionally.
     """
+    # Fault hook: one global load + None check when no plan is
+    # installed — the zero-overhead-when-off contract.
     plan = faults._ACTIVE
-    on_member = None
-    if plan is not None:
-
-        def on_member(_index: int, query: KORQuery, _plan=plan) -> None:
-            _plan.on_task(task.member_task(query))
-
+    on_member = None if plan is None else (lambda _index, _query: plan.on_task(task))
     try:
-        wave = _kernel_run_wave(
+        wave = run_wave(
             engine,
             task.queries,
             task.algorithm,
             dict(task.params),
             deadline=task.deadline,
             on_member=on_member,
-            kernel_context=kernel_context,
         )
-    except Exception:  # noqa: BLE001 - wave-level fault, degrade per query
-        return [run_task_on_engine(engine, task.member_task(q)) for q in task.queries]
+    except Exception as error:  # noqa: BLE001 - wave-level fault, reported per member
+        return task.failed(error)
     return [
         TaskOutcome(result=o.result, error=o.error, latency_seconds=o.latency_seconds)
         for o in wave
     ]
 
 
-def _completed_future(outcome: TaskOutcome) -> Future:
-    """A future that is already resolved to *outcome*."""
+def _completed_future(outcomes: list[TaskOutcome]) -> Future:
+    """A future that is already resolved to *outcomes*."""
     future: Future = Future()
-    future.set_result(outcome)
+    future.set_result(outcomes)
     return future
 
 
-def _try_resolve(future: Future, outcome: TaskOutcome | None, error: BaseException | None) -> None:
+def _try_resolve(
+    future: Future, outcomes: list[TaskOutcome] | None, error: BaseException | None
+) -> None:
     """Resolve *future* unless a racing cancellation already did."""
     try:
         if error is not None:
             future.set_exception(error)
         else:
-            future.set_result(outcome)
+            future.set_result(outcomes)
     except InvalidStateError:  # cancelled while the work ran
         pass
-
-
-def _outcome_of(future: Future) -> TaskOutcome:
-    """Collapse a submission future into a :class:`TaskOutcome`."""
-    try:
-        return future.result()
-    except CancelledError:
-        return TaskOutcome(
-            error=QueryError("task was cancelled before it started executing")
-        )
-    except Exception as error:  # noqa: BLE001 - per-task reporting
-        return TaskOutcome(error=error)
 
 
 def _engine_weight_bytes(engine: KOREngine) -> int:
@@ -496,7 +413,6 @@ _WORKER_STATE: dict = {
     "budget": None,
     "builds": {},  # shard key -> times materialised in this worker
     "evictions": 0,
-    "kernels": {},  # shard key -> KernelContext (wave-shared caches)
 }
 
 
@@ -509,7 +425,7 @@ def _process_worker_init(
 
     ``fault_rules`` ships the active fault plan's task-side rules into
     the worker, where the parent's module global is invisible; the
-    worker installs its own plan over them so ``run_task_on_engine``'s
+    worker installs its own plan over them so ``run_wave_on_engine``'s
     single hook covers every backend.
     """
     _WORKER_STATE["handles"] = {handle.key: handle for handle in handles}
@@ -518,7 +434,6 @@ def _process_worker_init(
     _WORKER_STATE["budget"] = engine_budget
     _WORKER_STATE["builds"] = {}
     _WORKER_STATE["evictions"] = 0
-    _WORKER_STATE["kernels"] = {}
     if fault_rules:
         faults.install(faults.FaultPlan(fault_rules))
     else:
@@ -550,28 +465,8 @@ def _worker_engine(key: str) -> KOREngine:
         while len(engines) > 1 and sum(weights.values()) > budget:
             evicted_key, _evicted = engines.popitem(last=False)
             weights.pop(evicted_key, None)
-            # The kernel context pins the evicted engine's graph and
-            # tables; drop it so the eviction actually frees memory.
-            _WORKER_STATE["kernels"].pop(evicted_key, None)
             _WORKER_STATE["evictions"] += 1
     return engine
-
-
-def _worker_kernel_context(key: str, engine: KOREngine) -> KernelContext:
-    """This worker's wave-shared :class:`KernelContext` for shard *key*.
-
-    One context per resident engine: waves on one worker run
-    sequentially, so the context's caches (target columns, bitmask
-    arrays, adjacency blocks) accumulate across waves without locking.
-    The graph-identity check rebuilds the context if the shard was
-    re-registered with different state under the same key.
-    """
-    contexts: dict = _WORKER_STATE["kernels"]
-    kctx = contexts.get(key)
-    if kctx is None or kctx.graph is not engine.graph:
-        kctx = KernelContext(engine.graph, engine.tables)
-        contexts[key] = kctx
-    return kctx
 
 
 def _portable_error(error: Exception) -> Exception:
@@ -583,33 +478,16 @@ def _portable_error(error: Exception) -> Exception:
         return RemoteTaskError(f"{type(error).__name__}: {error}")
 
 
-def _process_run_task(task: ShardTask) -> TaskOutcome:
-    """Worker-side task entry point (looks the engine up by shard key)."""
+def _process_run_wave(task: WaveTask) -> list[TaskOutcome]:
+    """Worker-side wave entry point (looks the engine up by shard key)."""
     if task.shard not in _WORKER_STATE["handles"]:
-        return TaskOutcome(
-            error=RemoteTaskError(
+        return task.failed(
+            RemoteTaskError(
                 f"shard {task.shard!r} is not registered in this worker; "
                 f"known shards: {sorted(_WORKER_STATE['handles'])}"
             )
         )
-    outcome = run_task_on_engine(_worker_engine(task.shard), task)
-    if outcome.error is not None:
-        outcome.error = _portable_error(outcome.error)
-    return outcome
-
-
-def _process_run_wave(task: WaveTask) -> list[TaskOutcome]:
-    """Worker-side wave entry point (engine + kernel context by key)."""
-    if task.shard not in _WORKER_STATE["handles"]:
-        error = RemoteTaskError(
-            f"shard {task.shard!r} is not registered in this worker; "
-            f"known shards: {sorted(_WORKER_STATE['handles'])}"
-        )
-        return [TaskOutcome(error=error) for _ in task.queries]
-    engine = _worker_engine(task.shard)
-    outcomes = run_wave_on_engine(
-        engine, task, kernel_context=_worker_kernel_context(task.shard, engine)
-    )
+    outcomes = run_wave_on_engine(_worker_engine(task.shard), task)
     for outcome in outcomes:
         if outcome.error is not None:
             outcome.error = _portable_error(outcome.error)
@@ -627,11 +505,10 @@ def _process_apply_patches(patches: tuple) -> bool:
         handle = _WORKER_STATE["handles"].get(patch.key)
         if handle is not None:
             patch.apply_to(handle)
-        # Materialised engines, weight estimates and kernel contexts all
-        # memoise the pre-patch parts; next use rebuilds from the handle.
+        # Materialised engines and weight estimates memoise the
+        # pre-patch parts; next use rebuilds from the handle.
         _WORKER_STATE["engines"].pop(patch.key, None)
         _WORKER_STATE["weights"].pop(patch.key, None)
-        _WORKER_STATE["kernels"].pop(patch.key, None)
     return True
 
 
@@ -659,13 +536,12 @@ def _worker_ping(_: int) -> bool:
 class ExecutionBackend(ABC):
     """Strategy for executing serving-layer work.
 
-    The primitive is :meth:`submit_task`; :meth:`run_tasks` and
-    :meth:`map` are shared submission-order wrappers over it (and over
-    :meth:`submit_call` for closures).  ``in_process`` backends
-    additionally support closures sharing parent memory (the batch
-    executor's shared-candidate fast path); out-of-process backends only
-    accept :class:`ShardTask` work, whose engines must first be made
-    known via :meth:`register`.
+    The primitive is :meth:`submit_wave` (:meth:`submit_waves` is its
+    windowed list form); waves name their engine by shard key, so the
+    engine must first be made known via :meth:`register`.  ``in_process``
+    backends run waves on the live registered engines and additionally
+    accept closures (:meth:`submit_call`); out-of-process backends only
+    accept :class:`WaveTask` work.
 
     ``max_in_flight`` bounds concurrent submissions: the backend admits
     at most that many unresolved futures, blocking further
@@ -681,11 +557,6 @@ class ExecutionBackend(ABC):
         if max_in_flight is not None and max_in_flight < 1:
             raise QueryError(f"max_in_flight must be >= 1 or None, got {max_in_flight}")
         self._handles: dict[str, EngineHandle] = {}
-        # Parent-side wave caches for in-process backends, one per shard.
-        # A KernelContext's caches are insert-only and every value is
-        # fully built before insertion, so concurrent thread-pool waves
-        # at worst recompute a value — they never observe a partial one.
-        self._kernel_contexts: dict[str, KernelContext] = {}
         self._max_in_flight = max_in_flight
         self._admission = (
             threading.Semaphore(max_in_flight) if max_in_flight is not None else None
@@ -702,7 +573,6 @@ class ExecutionBackend(ABC):
         if existing is handle:
             return handle
         self._handles[handle.key] = handle
-        self._kernel_contexts.pop(handle.key, None)
         self._on_register(handle)
         return handle
 
@@ -720,7 +590,6 @@ class ExecutionBackend(ABC):
         outcome they would have had; only *new* submissions see the
         shrunk registry.
         """
-        self._kernel_contexts.pop(key, None)
         if self._handles.pop(key, None) is not None:
             self._on_registry_change()
 
@@ -737,15 +606,12 @@ class ExecutionBackend(ABC):
         The caller is expected to have folded the new state into the
         registered handles first (:meth:`EngineHandle.reset` or
         :meth:`PartPatch.apply_to`) — in-process backends read engines
-        straight off those handles, so this method only drops the
-        parent-side derived state (kernel contexts) and lets
+        straight off those handles, so this method only lets
         out-of-process backends forward the patches to their workers via
         :meth:`_on_patch`.  Unknown keys are ignored: patching a shard
         that was unregistered mid-flight must not fail the update.
         """
         live = tuple(patch for patch in patches if patch.key in self._handles)
-        for patch in live:
-            self._kernel_contexts.pop(patch.key, None)
         if live:
             self._on_patch(live)
 
@@ -757,38 +623,20 @@ class ExecutionBackend(ABC):
         """Keys of every registered shard, sorted."""
         return tuple(sorted(self._handles))
 
-    def _handle_for(self, task: ShardTask) -> EngineHandle:
-        handle = self._handles.get(task.shard)
-        if handle is None:
-            raise QueryError(
+    def _unregistered(self, task: WaveTask) -> list[TaskOutcome]:
+        """The per-member verdict of a wave naming an unknown shard."""
+        return task.failed(
+            QueryError(
                 f"shard {task.shard!r} is not registered with this "
                 f"{type(self).__name__}; known shards: {sorted(self._handles)}"
             )
-        return handle
-
-    def _run_one(self, task: ShardTask) -> TaskOutcome:
-        try:
-            handle = self._handle_for(task)
-        except QueryError as error:
-            return TaskOutcome(error=error)
-        return run_task_on_engine(handle.engine(), task)
-
-    def _wave_context(self, handle: EngineHandle) -> KernelContext:
-        """The shard's parent-side :class:`KernelContext` (built lazily)."""
-        kctx = self._kernel_contexts.get(handle.key)
-        if kctx is None or kctx.graph is not handle.engine().graph:
-            kctx = KernelContext(handle.engine().graph, handle.engine().tables)
-            self._kernel_contexts[handle.key] = kctx
-        return kctx
+        )
 
     def _run_wave_one(self, task: WaveTask) -> list[TaskOutcome]:
-        try:
-            handle = self._handle_for(task)
-        except QueryError as error:
-            return [TaskOutcome(error=error) for _ in task.queries]
-        return run_wave_on_engine(
-            handle.engine(), task, kernel_context=self._wave_context(handle)
-        )
+        handle = self._handles.get(task.shard)
+        if handle is None:
+            return self._unregistered(task)
+        return run_wave_on_engine(handle.engine(), task)
 
     # -- admission -----------------------------------------------------
     @property
@@ -839,20 +687,6 @@ class ExecutionBackend(ABC):
         return future
 
     # -- submission primitives -----------------------------------------
-    @abstractmethod
-    def _submit(self, task: ShardTask) -> Future:
-        """Backend-specific task submission (no admission control)."""
-
-    def submit_task(self, task: ShardTask) -> Future:
-        """Submit one task, returning a ``Future[TaskOutcome]``.
-
-        The future resolves to the task's :class:`TaskOutcome` — query
-        failures are *inside* the outcome; the future itself only raises
-        for submission-level faults (cancellation, a worker process that
-        died beyond repair).  Blocks when ``max_in_flight`` is reached.
-        """
-        return self._admitted(lambda: self._submit(task))
-
     def _submit_wave(self, task: WaveTask) -> Future:
         """Backend-specific wave submission (no admission control).
 
@@ -867,10 +701,12 @@ class ExecutionBackend(ABC):
 
         One wave occupies one admission slot however many queries it
         carries — waves are the coarser scheduling unit by design.  The
-        future resolves to one outcome per member in order; it only
+        future resolves to one outcome per member in order — query
+        failures are *inside* the outcomes; the future itself only
         raises for submission-level faults (cancellation, a worker that
-        died beyond retry), in which case the caller should fall back to
-        per-query :meth:`submit_task` submissions.
+        died beyond retry), in which case the caller should resubmit the
+        members as waves of one.  Blocks when ``max_in_flight`` is
+        reached.
         """
         return self._admitted(lambda: self._submit_wave(task))
 
@@ -878,7 +714,7 @@ class ExecutionBackend(ABC):
         """Backend-specific closure submission (in-process backends)."""
         raise QueryError(
             f"{type(self).__name__} cannot execute in-process closures; "
-            "submit ShardTask work via submit_task()/run_tasks() instead"
+            "submit WaveTask work via submit_wave() instead"
         )
 
     def submit_call(self, fn: Callable, *args) -> Future:
@@ -886,75 +722,44 @@ class ExecutionBackend(ABC):
 
         Out-of-process backends raise :class:`QueryError` — closures
         cannot cross the process boundary; describe the work as
-        :class:`ShardTask` objects instead.
+        :class:`WaveTask` objects instead.
         """
         if not self.in_process:
             raise QueryError(
                 f"{type(self).__name__} cannot execute in-process closures; "
-                "submit ShardTask work via submit_task()/run_tasks() instead"
+                "submit WaveTask work via submit_wave() instead"
             )
         return self._admitted(lambda: self._submit_call(fn, *args))
 
-    # -- batch wrappers (shared across backends) -----------------------
+    # -- windowed submission (shared across backends) -------------------
     def _parallel_limit(self, workers: int | None) -> int | None:
         """Effective per-call submission window (None = unbounded)."""
         if workers is not None and workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
         return workers
 
-    def _submit_windowed(
-        self, submit: Callable[[object], Future], items: Sequence, limit: int | None
+    def submit_waves(
+        self, tasks: Sequence[WaveTask], workers: int | None = None
     ) -> list[Future]:
-        """Submit every item, at most *limit* unresolved at a time."""
-        futures: list[Future | None] = [None] * len(items)
-        if limit is None or limit >= len(items):
-            for position, item in enumerate(items):
-                futures[position] = submit(item)
-            return futures
-        pending: dict[Future, int] = {}
-        position = 0
-        while position < len(items) or pending:
-            while position < len(items) and len(pending) < limit:
-                future = submit(items[position])
-                futures[position] = future
-                pending[future] = position
-                position += 1
-            if pending:
-                done, _not_done = wait(set(pending), return_when=FIRST_COMPLETED)
-                for future in done:
-                    pending.pop(future)
-        return futures
+        """Submit every wave, at most ``workers`` unresolved at a time.
 
-    def run_tasks(
-        self, tasks: Sequence[ShardTask], workers: int | None = None
-    ) -> list[TaskOutcome]:
-        """Execute *tasks*, returning outcomes in submission order."""
-        if not tasks:
-            return []
-        futures = self._submit_windowed(
-            self.submit_task, list(tasks), self._parallel_limit(workers)
-        )
-        return [_outcome_of(future) for future in futures]
-
-    def map(
-        self,
-        fn: Callable[[object], object],
-        items: Sequence[object],
-        workers: int | None = None,
-    ) -> list[object]:
-        """Apply an in-process closure to every item (submission order).
-
-        Out-of-process backends raise :class:`QueryError` — closures
-        cannot cross the process boundary; describe the work as
-        :class:`ShardTask` objects instead.
+        Returns the futures in submission order.  ``workers`` narrows
+        the window below what the backend would run concurrently anyway
+        (a thread pool's width; a process pool ignores it — lane count
+        is fixed at construction).
         """
-        items = list(items)
-        if not items:
-            return []
-        futures = self._submit_windowed(
-            lambda item: self.submit_call(fn, item), items, self._parallel_limit(workers)
-        )
-        return [future.result() for future in futures]
+        limit = self._parallel_limit(workers)
+        if limit is None or limit >= len(tasks):
+            return [self.submit_wave(task) for task in tasks]
+        futures: list[Future] = []
+        pending: set[Future] = set()
+        for task in tasks:
+            if len(pending) >= limit:
+                _done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            future = self.submit_wave(task)
+            futures.append(future)
+            pending.add(future)
+        return futures
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -978,15 +783,12 @@ class SerialBackend(ExecutionBackend):
     """Everything in the calling thread — the reference implementation.
 
     Useful as the determinism baseline and for debugging (tracebacks
-    point straight at the failing query).  ``submit_task`` executes the
-    task *during submission* and returns an already-resolved future.
+    point straight at the failing query).  ``submit_wave`` executes the
+    wave *during submission* and returns an already-resolved future.
     """
 
     name = "serial"
     in_process = True
-
-    def _submit(self, task: ShardTask) -> Future:
-        return _completed_future(self._run_one(task))
 
     def _submit_call(self, fn: Callable, *args) -> Future:
         future: Future = Future()
@@ -1008,8 +810,8 @@ class ThreadBackend(ExecutionBackend):
     The pool is persistent (created lazily at first submission, sized
     ``workers``) so submitted futures survive between calls — the
     property the async front-end builds on.  A per-call ``workers``
-    argument on :meth:`run_tasks`/:meth:`map` narrows the submission
-    window below the pool width; it can no longer widen the pool.
+    argument on :meth:`submit_waves` narrows the submission window
+    below the pool width; it cannot widen the pool.
     """
 
     name = "thread"
@@ -1035,9 +837,6 @@ class ThreadBackend(ExecutionBackend):
     def _parallel_limit(self, workers: int | None) -> int | None:
         limit = super()._parallel_limit(workers)
         return limit if limit is not None else self._workers
-
-    def _submit(self, task: ShardTask) -> Future:
-        return self._pool().submit(self._run_one, task)
 
     def _submit_call(self, fn: Callable, *args) -> Future:
         return self._pool().submit(fn, *args)
@@ -1101,7 +900,7 @@ class ProcessBackend(ExecutionBackend):
     rebuilt pin, whose fresh worker rebuilds the engine on demand.
 
     ``workers=None`` sizes the lane count to the machine.  The per-call
-    ``workers`` argument of :meth:`run_tasks` is ignored (lane count is
+    ``workers`` argument of :meth:`submit_waves` is ignored (lane count is
     fixed at construction).
     """
 
@@ -1335,41 +1134,15 @@ class ProcessBackend(ExecutionBackend):
                 executor.shutdown(wait=True)
 
     # -- submission ----------------------------------------------------
-    def _submit(self, task: ShardTask) -> Future:
+    def _submit_wave(self, task: WaveTask) -> Future:
         if task.shard not in self._handles:
             # Fail fast in the parent: the workers would only echo this.
-            return _completed_future(
-                TaskOutcome(
-                    error=QueryError(
-                        f"shard {task.shard!r} is not registered with this "
-                        f"ProcessBackend; known shards: {sorted(self._handles)}"
-                    )
-                )
-            )
+            return _completed_future(self._unregistered(task))
         outer: Future = Future()
         self._dispatch(task, outer, retried=False)
         return outer
 
-    def _submit_wave(self, task: WaveTask) -> Future:
-        if task.shard not in self._handles:
-            error = QueryError(
-                f"shard {task.shard!r} is not registered with this "
-                f"ProcessBackend; known shards: {sorted(self._handles)}"
-            )
-            future: Future = Future()
-            future.set_result([TaskOutcome(error=error) for _ in task.queries])
-            return future
-        outer: Future = Future()
-        self._dispatch(task, outer, retried=False, entry=_process_run_wave)
-        return outer
-
-    def _dispatch(
-        self,
-        task: ShardTask | WaveTask,
-        outer: Future,
-        retried: bool,
-        entry: Callable = _process_run_task,
-    ) -> None:
+    def _dispatch(self, task: WaveTask, outer: Future, retried: bool) -> None:
         with self._route_lock:
             lane = self._route_locked(task.shard)
             executor = self._lane_executor_locked(lane)
@@ -1383,39 +1156,31 @@ class ProcessBackend(ExecutionBackend):
             # dead-worker retry (and, repeated, the breaker).
             plan.on_dispatch(lane.index, executor, task)
         try:
-            inner = executor.submit(entry, task)
+            inner = executor.submit(_process_run_wave, task)
         except (BrokenProcessPool, RuntimeError) as error:
             with self._route_lock:
                 if lane.generation == generation:
                     lane.pending -= 1
             if not retried:
                 self._retire_lane(lane, generation=generation, dead_worker=True)
-                self._dispatch(task, outer, retried=True, entry=entry)
+                self._dispatch(task, outer, retried=True)
                 return
             _try_resolve(outer, None, error)
             return
         inner.add_done_callback(
             lambda f, task=task, lane=lane, generation=generation: self._finish(
-                task, outer, lane, generation, f, retried, entry
+                task, outer, lane, generation, f, retried
             )
         )
 
-    @staticmethod
-    def _cancelled_outcome(task: ShardTask | WaveTask):
-        error = QueryError("task was cancelled in the worker pool")
-        if isinstance(task, WaveTask):
-            return [TaskOutcome(error=error) for _ in task.queries]
-        return TaskOutcome(error=error)
-
     def _finish(
         self,
-        task: ShardTask | WaveTask,
+        task: WaveTask,
         outer: Future,
         lane: _Lane,
         generation: int,
         inner: Future,
         retried: bool,
-        entry: Callable = _process_run_task,
     ) -> None:
         worked = not inner.cancelled() and inner.exception() is None
         with self._route_lock:
@@ -1431,7 +1196,8 @@ class ProcessBackend(ExecutionBackend):
                     lane.probing = False
         if inner.cancelled():
             if not outer.cancel():
-                _try_resolve(outer, self._cancelled_outcome(task), None)
+                error = QueryError("task was cancelled in the worker pool")
+                _try_resolve(outer, task.failed(error), None)
             return
         error = inner.exception()
         if isinstance(error, BrokenProcessPool) and not retried:
@@ -1439,7 +1205,7 @@ class ProcessBackend(ExecutionBackend):
             # (once — sibling victims of the same death find the
             # generation already moved on) and retry transparently.
             self._retire_lane(lane, generation=generation, dead_worker=True)
-            self._dispatch(task, outer, retried=True, entry=entry)
+            self._dispatch(task, outer, retried=True)
             return
         if error is not None:
             _try_resolve(outer, None, error)

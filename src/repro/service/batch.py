@@ -1,4 +1,4 @@
-"""Batch execution: dedup, shared candidate sets, pluggable fan-out.
+"""Batch execution: dedup, one wave dispatch path, slots in order.
 
 ``execute_batch`` is the engine room of ``QueryService.run_batch``:
 
@@ -6,54 +6,46 @@
    reordered keyword list still hits);
 2. the remaining misses are deduplicated *within* the batch — two slots
    with the same canonical key share one computation;
-3. the union of the miss queries' keywords is resolved through the
-   engine's index in a single ``candidate_sets`` call, so a keyword
-   shared by hundreds of queries costs one posting lookup;
-4. unique computations fan out over the caller's
-   :class:`repro.service.backends.ExecutionBackend` — an in-process
-   backend (serial / thread pool) runs closures sharing the engine and
-   the candidate map directly, while an out-of-process backend receives
-   picklable :class:`~repro.service.backends.ShardTask` work addressed
-   at the engine's registered handle (each worker process resolves its
-   own binding; candidate sharing is an in-process optimisation only);
-5. unique computations are grouped into **waves** of up to
-   ``wave_size`` queries (``wave_kernels=True``, the default) — one
-   kernel invocation (:func:`repro.core.kernels.run_wave`) per wave
-   instead of one submission per query — with bit-identical results and
-   per-member failure containment; a wave whose submission breaks
-   outright falls back to per-query tasks;
-6. results land back in their slots, so the report's order is the
+3. the unique computations go through :func:`dispatch_waves`, the one
+   dispatch path both sync tiers share: chunked into **waves** of up to
+   ``wave_size`` queries, each chunk shipped as one
+   :class:`~repro.service.backends.WaveTask` through the caller's
+   :class:`~repro.service.backends.ExecutionBackend` and addressed at the
+   engine's registered handle — one submission (on a process pool one
+   pickle + IPC round trip) per wave, one candidate-set pass over the
+   index per wave, then the members one after another through
+   ``engine.run``.  A batch of one is a wave of one; ``wave_size=1`` is
+   per-query dispatch;
+4. results land back in their slots, so the report's order is the
    submission order no matter how many workers raced.
 
 A slot whose computation raises is reported through its
 :class:`BatchItem.error`; nothing about it enters the cache and no other
-slot is disturbed.  Cache writes carry the epoch captured before the
-batch computed, so a cache invalidated mid-batch (engine swap) never
-receives stale routes.
+slot is disturbed.  A wave whose *submission* breaks outright (worker
+dead beyond retry, cancellation) is resubmitted member by member as
+waves of one.  Cache writes carry the epoch captured before the batch
+computed, so a cache invalidated mid-batch (engine swap) never receives
+stale routes.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import CancelledError
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from repro.core.deadline import Deadline
-from repro.core.engine import KOREngine
-from repro.core.kernels import KernelContext, run_wave
 from repro.core.query import KORQuery
 from repro.core.results import KORResult
 from repro.exceptions import QueryError
 from repro.service.backends import (
-    DEFAULT_WORKERS,
     EngineHandle,
     ExecutionBackend,
-    ShardTask,
-    ThreadBackend,
+    TaskOutcome,
     WaveTask,
 )
 from repro.service.cache import UNCACHEABLE_PARAMS, ResultCache, canonical_cache_key
-from repro.service import faults
 
 __all__ = [
     "BatchError",
@@ -62,21 +54,21 @@ __all__ = [
     "DEFAULT_WAVE_SIZE",
     "MAX_WAVE_SIZE",
     "WaveSizeController",
+    "dispatch_waves",
     "execute_batch",
 ]
 
-#: How many unique computations one kernel wave carries.  Bigger waves
-#: amortise numpy dispatch better (more pooled edges per lockstep step)
-#: but serialise more work behind one submission; 32 queries x mean
-#: degree ~3 keeps each step's block in the hundreds of lanes.
+#: How many unique computations one wave carries.  Bigger waves
+#: amortise one submission (one pickle + IPC round trip on a process
+#: pool) over more queries but serialise more work behind it.
 DEFAULT_WAVE_SIZE = 32
 
 #: Hard ceiling on adaptive growth: beyond this a wave serialises too
-#: much work behind one submission slot to be worth the wider blocks.
+#: much work behind one submission slot.
 MAX_WAVE_SIZE = 128
 
-#: Mean out-degree at which the base wave size already pools
-#: comfortably wide step blocks (road networks sit around 2-4).
+#: Mean out-degree at which the controller's grown size equals the base
+#: (road networks sit around 2-4).
 _REFERENCE_OUT_DEGREE = 4.0
 
 #: Arrival rate (queries/second, the micro-batcher's EWMA) above which
@@ -87,15 +79,16 @@ _GROWTH_QPS_THRESHOLD = 64.0
 
 
 class WaveSizeController:
-    """Adaptive wave sizing for the kernel dispatch paths.
+    """Adaptive wave sizing for :func:`dispatch_waves`.
 
     Replaces the fixed ``wave_size=32`` with a two-signal policy:
 
-    * **width** — how wide the pooled out-edge blocks get, proxied by the
-      graph's mean out-degree.  A denser graph pools more lanes per
-      member, so bigger waves keep amortising numpy dispatch instead of
-      just serialising work; the grown size scales the base by
-      ``degree / reference_degree``, clamped to ``[base, cap]``.
+    * **width** — the graph's mean out-degree; the grown size scales the
+      base by ``degree / reference_degree``, clamped to ``[base, cap]``.
+      (The signal was chosen for the lockstep kernels' pooled edge
+      blocks, which are gone; no benchmark workload feeds the controller
+      an arrival rate yet, so the policy is kept as it was until one can
+      judge it.)
     * **rate** — the arrival-rate EWMA the micro-batcher already tracks
       (:meth:`~repro.service.frontend.AsyncQueryService.tune` feeds it
       through ``tune_waves``).  Below the threshold the controller stays
@@ -290,48 +283,128 @@ def batch_keys(
     return False, [None] * len(queries)
 
 
+def dispatch_waves(
+    backend: ExecutionBackend,
+    attempts: Sequence[tuple[str, KORQuery]],
+    algorithm: str,
+    params: dict,
+    deadline: Deadline | None,
+    wave_size: int,
+    workers: int | None = None,
+    stats=None,
+) -> list[TaskOutcome]:
+    """Run every ``(shard key, query)`` attempt; outcomes in attempt order.
+
+    The one dispatch path of both sync tiers.  Attempts are grouped by
+    shard key, every group is chunked by *wave_size*, and each chunk
+    ships as one :class:`~repro.service.backends.WaveTask` through
+    ``backend.submit_waves`` (``workers`` narrows the submission window)
+    — a lone attempt is a wave of one.  Member-level failures arrive
+    inside the wave's outcome list; a multi-member wave whose
+    *submission* broke (future raised, was cancelled, or resolved to
+    something that is not one outcome per member) is resubmitted as
+    waves of one, and a wave of one whose submission broke reports that
+    error as its member's outcome.
+
+    ``stats``, when given, is a :class:`~repro.service.stats.ServiceStats`
+    (or anything with ``record_wave`` / ``record_wave_solo``) receiving
+    the occupancy counters: multi-member waves count as formed, lone
+    attempts and member-wise retries as solo.
+    """
+    groups: dict[str, list[int]] = {}
+    for position, (shard, _query) in enumerate(attempts):
+        groups.setdefault(shard, []).append(position)
+    chunks = [
+        positions[lo : lo + wave_size]
+        for positions in groups.values()
+        for lo in range(0, len(positions), wave_size)
+    ]
+    if stats is not None:
+        for chunk in chunks:
+            if len(chunk) > 1:
+                stats.record_wave(len(chunk), wave_size)
+            else:
+                stats.record_wave_solo()
+
+    outcomes: list[TaskOutcome | None] = [None] * len(attempts)
+
+    def run(chunks: list[list[int]]) -> list[tuple[list[int], Exception]]:
+        """Ship *chunks* as waves and file their outcomes; returns the
+        chunks whose submission broke, each with the reason."""
+        waves = [
+            WaveTask.build(
+                attempts[chunk[0]][0],
+                [attempts[position][1] for position in chunk],
+                algorithm,
+                params,
+                deadline=deadline,
+            )
+            for chunk in chunks
+        ]
+        broken: list[tuple[list[int], Exception]] = []
+        for chunk, future in zip(chunks, backend.submit_waves(waves, workers=workers)):
+            try:
+                members = future.result()
+                if not isinstance(members, list) or len(members) != len(chunk):
+                    raise QueryError("backend returned a malformed wave result")
+            except CancelledError:
+                error = QueryError("task was cancelled before it started executing")
+                broken.append((chunk, error))
+            except Exception as error:  # noqa: BLE001 - broken wave, retried below
+                broken.append((chunk, error))
+            else:
+                for position, outcome in zip(chunk, members):
+                    outcomes[position] = outcome
+        return broken
+
+    failed: list[tuple[list[int], Exception]] = []
+    singles: list[list[int]] = []
+    for chunk, error in run(chunks):
+        if len(chunk) == 1:
+            failed.append((chunk, error))  # a wave of one: nothing left to split
+        else:
+            singles.extend([position] for position in chunk)
+    if singles:
+        if stats is not None:
+            stats.record_wave_solo(len(singles))
+        failed.extend(run(singles))
+    for (position,), error in failed:
+        outcomes[position] = TaskOutcome(error=error)
+    return outcomes  # type: ignore[return-value]
+
+
 def execute_batch(
-    engine: KOREngine,
     cache: ResultCache,
     queries: Sequence[KORQuery],
     algorithm: str = "bucketbound",
     workers: int | None = None,
     params: dict | None = None,
-    backend: ExecutionBackend | None = None,
-    handle: EngineHandle | None = None,
+    *,
+    backend: ExecutionBackend,
+    handle: EngineHandle,
     deadline: Deadline | None = None,
-    wave_kernels: bool = True,
     wave_size: int = DEFAULT_WAVE_SIZE,
     stats=None,
 ) -> BatchReport:
-    """Run *queries* through *engine* with caching and shared candidates.
+    """Run *queries* on the engine behind *handle*, with caching.
 
-    ``backend`` picks the execution strategy (default: a transient
-    :class:`~repro.service.backends.ThreadBackend`, the pre-backend
-    behaviour).  An out-of-process backend additionally needs ``handle``
-    — the engine's registered :class:`EngineHandle` — so tasks can name
-    the engine across the process boundary.  ``deadline``, when given,
-    travels out-of-band into every unit's engine run (it never enters
-    cache keys); a slot whose search outlives it fails with
+    ``backend`` is the execution strategy and ``handle`` the engine's
+    :class:`EngineHandle`, registered with that backend — waves name
+    the engine by the handle's key, in process and out.  ``deadline``,
+    when given, travels out-of-band into every member's engine run (it
+    never enters cache keys); a slot whose search outlives it fails with
     :class:`~repro.exceptions.DeadlineExceeded` without disturbing its
     neighbours, and nothing about it is cached.
 
-    ``wave_kernels`` (default on) groups the batch's unique computations
-    into waves of up to ``wave_size`` queries, each executed through one
-    :func:`repro.core.kernels.run_wave` invocation — numpy lockstep for
-    the eligible label-correcting algorithms, per-member execution (with
-    shared candidates) otherwise.  Results are bit-identical to the
-    per-query path; a wave whose submission breaks outright is resubmitted
-    member by member, so containment matches the per-query path too.
-
-    ``stats``, when given, is a :class:`~repro.service.stats.ServiceStats`
-    (or anything with ``record_wave`` / ``record_wave_solo``) receiving
-    the wave-dispatch occupancy counters.
+    The batch's unique computations go through :func:`dispatch_waves` in
+    waves of up to ``wave_size`` queries; ``workers`` narrows how many
+    waves are in flight at once and ``stats`` receives the wave
+    occupancy counters (see there).
     """
     params = dict(params or {})
     if "binding" in params or "candidates" in params:
-        # A binding describes exactly one query and the executor builds its
-        # own shared candidate map, so a batch-wide value is always wrong.
+        # A binding describes exactly one query and every wave resolves
+        # its own candidate map, so a batch-wide value is always wrong.
         raise QueryError(
             "'binding'/'candidates' cannot be passed to a batch: they are "
             "per-query; use engine.run() directly to supply them"
@@ -342,6 +415,13 @@ def execute_batch(
         raise QueryError(
             "'deadline' is not a query parameter; pass deadline= to the "
             "service call instead"
+        )
+    if "trace" in params and not backend.in_process:
+        # The worker would fill a pickled *copy* of the caller's trace
+        # sink; refusing beats silently returning an empty trace.
+        raise QueryError(
+            "'trace' cannot cross the process boundary: run traced queries "
+            "on an in-process backend (serial/thread) or engine.run()"
         )
     if wave_size < 1:
         raise QueryError(f"wave_size must be >= 1, got {wave_size}")
@@ -354,256 +434,23 @@ def execute_batch(
     units = dedup_units(items, keys, cache, cacheable, epoch)
 
     if units:
-        owned: ThreadBackend | None = None
-        if backend is None:
-            # Pools are persistent now, so a transient default backend
-            # must be closed with the batch — and sized to the call's
-            # workers, preserving the old per-batch pool semantics.
-            backend = owned = ThreadBackend(workers if workers is not None else DEFAULT_WORKERS)
-        try:
-            if backend.in_process:
-                _compute_in_process(
-                    engine,
-                    units,
-                    algorithm,
-                    params,
-                    backend,
-                    workers,
-                    deadline,
-                    shard=handle.key if handle is not None else "local",
-                    wave_kernels=wave_kernels,
-                    wave_size=wave_size,
-                    stats=stats,
-                )
-            else:
-                _compute_on_backend(
-                    units,
-                    algorithm,
-                    params,
-                    backend,
-                    handle,
-                    workers,
-                    deadline,
-                    wave_kernels=wave_kernels,
-                    wave_size=wave_size,
-                    stats=stats,
-                )
-        finally:
-            if owned is not None:
-                owned.close()
-
-        shard_key = handle.key if handle is not None else None
-        for unit in units:
-            if unit.error is None and cacheable:
-                cache.put(unit.key, unit.result, epoch=epoch)
-            for slot in unit.slots:
-                items[slot].result = unit.result
-                items[slot].error = unit.error
-                items[slot].latency_seconds = unit.latency_seconds
-                items[slot].shard = shard_key
-
-    return BatchReport(items=items, wall_seconds=time.perf_counter() - begin)
-
-
-@dataclass(frozen=True)
-class _LocalTask:
-    """What an in-process unit looks like to a fault plan's task hook."""
-
-    shard: str
-    query: KORQuery
-
-
-def _chunked(units: list[_Unit], size: int) -> list[list[_Unit]]:
-    return [units[i : i + size] for i in range(0, len(units), size)]
-
-
-def _fill_unit(unit: _Unit, outcome) -> None:
-    unit.result = outcome.result
-    unit.error = outcome.error
-    unit.latency_seconds = outcome.latency_seconds
-
-
-def _compute_in_process(
-    engine: KOREngine,
-    units: list[_Unit],
-    algorithm: str,
-    params: dict,
-    backend: ExecutionBackend,
-    workers: int | None,
-    deadline: Deadline | None = None,
-    shard: str = "local",
-    wave_kernels: bool = True,
-    wave_size: int = DEFAULT_WAVE_SIZE,
-    stats=None,
-) -> None:
-    """Closure path: shared candidate map, live engine, backend.map."""
-    # One index pass for the whole batch: the union of every miss
-    # query's keywords, resolved to candidate node sets exactly once.
-    words = {word for unit in units for word in unit.query.keywords}
-    candidates = engine.candidate_sets(words) if words else {}
-    if wave_kernels and len(units) > 1:
-        _compute_waves_in_process(
-            engine, units, algorithm, params, backend, workers,
-            deadline, shard, candidates, wave_size, stats,
-        )
-        return
-    if deadline is not None:
-        params = {**params, "deadline": deadline}
-
-    def compute(unit: _Unit) -> None:
-        unit_begin = time.perf_counter()
-        try:
-            # Same fault hook as run_task_on_engine: one global load
-            # plus a None check when no plan is installed.
-            plan = faults._ACTIVE
-            if plan is not None:
-                plan.on_task(_LocalTask(shard, unit.query))
-            binding = engine.bind(unit.query, candidates=candidates)
-            unit.result = engine.run(
-                unit.query, algorithm=algorithm, binding=binding, **params
-            )
-        except Exception as error:  # noqa: BLE001 - reported per slot
-            unit.error = error
-        unit.latency_seconds = time.perf_counter() - unit_begin
-
-    backend.map(compute, units, workers=workers)
-
-
-def _compute_waves_in_process(
-    engine: KOREngine,
-    units: list[_Unit],
-    algorithm: str,
-    params: dict,
-    backend: ExecutionBackend,
-    workers: int | None,
-    deadline: Deadline | None,
-    shard: str,
-    candidates: dict,
-    wave_size: int,
-    stats=None,
-) -> None:
-    """Wave path on a live engine: chunk the unique computations into
-    waves and run each through one kernel invocation (waves themselves
-    still fan out over the backend)."""
-    kctx = KernelContext(engine.graph, engine.tables)
-    chunks = _chunked(units, wave_size)
-    if stats is not None:
-        for chunk in chunks:
-            if len(chunk) > 1:
-                stats.record_wave(len(chunk), wave_size)
-            else:
-                stats.record_wave_solo()
-
-    def compute(chunk: list[_Unit]) -> None:
-        # Same fault hook as the per-unit closure: members present to the
-        # plan as _LocalTask, one global load when no plan is installed.
-        plan = faults._ACTIVE
-        on_member = None
-        if plan is not None:
-
-            def on_member(_index: int, query: KORQuery, _plan=plan) -> None:
-                _plan.on_task(_LocalTask(shard, query))
-
-        outcomes = run_wave(
-            engine,
-            [unit.query for unit in chunk],
+        outcomes = dispatch_waves(
+            backend,
+            [(handle.key, unit.query) for unit in units],
             algorithm,
             params,
-            candidates=candidates,
-            deadline=deadline,
-            on_member=on_member,
-            kernel_context=kctx,
+            deadline,
+            wave_size,
+            workers=workers,
+            stats=stats,
         )
-        for unit, outcome in zip(chunk, outcomes):
-            _fill_unit(unit, outcome)
+        for unit, outcome in zip(units, outcomes):
+            if outcome.error is None and cacheable:
+                cache.put(unit.key, outcome.result, epoch=epoch)
+            for slot in unit.slots:
+                items[slot].result = outcome.result
+                items[slot].error = outcome.error
+                items[slot].latency_seconds = outcome.latency_seconds
+                items[slot].shard = handle.key
 
-    backend.map(compute, chunks, workers=workers)
-
-
-def _compute_on_backend(
-    units: list[_Unit],
-    algorithm: str,
-    params: dict,
-    backend: ExecutionBackend,
-    handle: EngineHandle | None,
-    workers: int | None,
-    deadline: Deadline | None = None,
-    wave_kernels: bool = True,
-    wave_size: int = DEFAULT_WAVE_SIZE,
-    stats=None,
-) -> None:
-    """Task path: picklable ShardTasks against the engine's handle."""
-    if handle is None:
-        raise QueryError(
-            f"{type(backend).__name__} needs the engine's EngineHandle to "
-            "address work across the process boundary; pass handle="
-        )
-    if "trace" in params:
-        # The worker would fill a pickled *copy* of the caller's trace
-        # sink; refusing beats silently returning an empty trace.
-        raise QueryError(
-            "'trace' cannot cross the process boundary: run traced queries "
-            "on an in-process backend (serial/thread) or engine.run()"
-        )
-    if wave_kernels and len(units) > 1:
-        leftovers = _compute_waves_on_backend(
-            units, algorithm, params, backend, handle, deadline, wave_size, stats
-        )
-        if not leftovers:
-            return
-        units = leftovers
-        if stats is not None:
-            stats.record_wave_solo(len(leftovers))
-    tasks = [
-        ShardTask.build(handle.key, unit.query, algorithm, params, deadline=deadline)
-        for unit in units
-    ]
-    outcomes = backend.run_tasks(tasks, workers=workers)
-    for unit, outcome in zip(units, outcomes):
-        _fill_unit(unit, outcome)
-
-
-def _compute_waves_on_backend(
-    units: list[_Unit],
-    algorithm: str,
-    params: dict,
-    backend: ExecutionBackend,
-    handle: EngineHandle,
-    deadline: Deadline | None,
-    wave_size: int,
-    stats=None,
-) -> list[_Unit]:
-    """Submit the units as :class:`WaveTask` work; return the units of
-    any wave whose *submission* broke (worker dead beyond retry,
-    cancellation) so the caller re-runs them as per-query tasks.
-
-    Member-level failures are not leftovers — they arrive inside the
-    wave's outcome list and land in their units like any task error.
-    """
-    chunks = _chunked(units, wave_size)
-    waves = [
-        WaveTask.build(
-            handle.key, [u.query for u in chunk], algorithm, params, deadline=deadline
-        )
-        for chunk in chunks
-    ]
-    if stats is not None:
-        for chunk in chunks:
-            if len(chunk) > 1:
-                stats.record_wave(len(chunk), wave_size)
-            else:
-                stats.record_wave_solo()
-    futures = [backend.submit_wave(wave) for wave in waves]
-    leftovers: list[_Unit] = []
-    for chunk, future in zip(chunks, futures):
-        try:
-            outcomes = future.result()
-        except Exception:  # noqa: BLE001 - broken wave, degrade per query
-            leftovers.extend(chunk)
-            continue
-        if not isinstance(outcomes, list) or len(outcomes) != len(chunk):
-            leftovers.extend(chunk)
-            continue
-        for unit, outcome in zip(chunk, outcomes):
-            _fill_unit(unit, outcome)
-    return leftovers
+    return BatchReport(items=items, wall_seconds=time.perf_counter() - begin)

@@ -2,8 +2,8 @@
 
 The three service tiers grew their own constructor-kwarg dialects:
 cache bounds on both sync services, backend objects on both, partition
-config only on the sharded one, wave kernels only on the flat one,
-micro-batching knobs only on the async one.  :class:`ServiceConfig`
+config only on the sharded one, micro-batching knobs only on the async
+one.  :class:`ServiceConfig`
 collects every knob in one frozen dataclass with the same defaults the
 constructors use, and :func:`build_service` turns ``(world, config)``
 into the right tier:
@@ -63,11 +63,11 @@ class ServiceConfig:
     ``"process"``, resolved via
     :func:`~repro.service.backends.backend_from_name` with ``workers``
     width), an :class:`~repro.service.backends.ExecutionBackend`
-    instance (shared, never closed by the service), or ``None`` for each
-    tier's historical default (flat: transient thread pools; sharded: an
-    owned thread backend).  ``wave_kernels`` toggles kernel-wave
-    dispatch on both sync tiers; ``wave_size`` fixes the wave size
-    (``None`` keeps the adaptive controller, see
+    instance (shared, never closed by the service), or ``None`` for the
+    sync tiers' default (a thread backend of ``workers`` threads, owned
+    and closed by the service).  ``wave_size`` fixes how many queries
+    share one submission (``1`` = per-query dispatch; ``None`` keeps the
+    adaptive controller, see
     :class:`~repro.service.batch.WaveSizeController`).
 
     The remaining fields mirror the constructor parameters of the same
@@ -81,7 +81,6 @@ class ServiceConfig:
     workers: int = DEFAULT_WORKERS
     cache_capacity: int = 1024
     max_cached_route_nodes: int | None = None
-    wave_kernels: bool = True
     wave_size: int | None = None
     # sharded tier
     num_cells: int | None = None
@@ -164,7 +163,6 @@ def build_service(
                 cache_capacity=config.cache_capacity,
                 default_workers=config.workers,
                 max_cached_route_nodes=config.max_cached_route_nodes,
-                wave_kernels=config.wave_kernels,
                 wave_size=config.wave_size,
             )
         else:
@@ -177,7 +175,6 @@ def build_service(
                 cache_capacity=config.cache_capacity,
                 default_workers=config.workers,
                 max_cached_route_nodes=config.max_cached_route_nodes,
-                wave_kernels=config.wave_kernels,
                 wave_size=config.wave_size,
             )
         if owns_backend:
@@ -196,7 +193,6 @@ def build_service(
             default_workers=config.workers,
             backend=backend,
             max_cached_route_nodes=config.max_cached_route_nodes,
-            wave_kernels=config.wave_kernels,
             wave_size=config.wave_size,
         )
         if owns_backend:

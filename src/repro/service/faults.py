@@ -6,8 +6,8 @@ shard*, *fail a task with an injected error*, *drop a lane* — installed
 process-wide with :func:`install` / :func:`injected`.  The hooks sit on
 the two choke points every backend shares:
 
-* :func:`repro.service.backends.run_task_on_engine` calls
-  :meth:`FaultPlan.on_task` before running the engine (covers the
+* :func:`repro.service.backends.run_wave_on_engine` calls
+  :meth:`FaultPlan.on_task` before running each wave member (covers the
   serial and thread backends in-process, and process-pool workers via
   rules shipped through the pool initializer);
 * ``ProcessBackend._dispatch`` calls :meth:`FaultPlan.on_dispatch`
@@ -48,7 +48,7 @@ __all__ = [
     "install",
 ]
 
-#: Rule kinds applied task-side (inside ``run_task_on_engine``).
+#: Rule kinds applied task-side (inside ``run_wave_on_engine``).
 TASK_KINDS = frozenset({"delay_task", "error_task"})
 #: Rule kinds applied parent-side at dispatch (``ProcessBackend``).
 DISPATCH_KINDS = frozenset({"kill_worker", "drop_lane"})

@@ -23,14 +23,14 @@ submit → coalesce → micro-batch → scatter
    shared candidate sets, and backend fan-out (thread pool, or
    warm-pinned process lanes).  Because flights are grouped by
    ``(algorithm, params)``, a micro-batch is exactly the shape the sync
-   tier's numpy kernel waves want (:mod:`repro.core.kernels`): the
-   flat ``QueryService`` executes the whole wave through one lockstep
-   kernel invocation by default.  The wave's report is scattered back
-   to each flight's awaiters.
+   tier's waves want (:class:`~repro.service.backends.WaveTask`): the
+   flat ``QueryService`` ships the whole micro-batch in
+   ``wave_size``-query submissions.  The wave's report is scattered
+   back to each flight's awaiters.
 
 Per-request **timeouts and cancellation** detach the awaiter
 immediately; when the *last* awaiter of a flight detaches before its
-wave dispatched, the flight is dropped and its shard tasks are never
+wave dispatched, the flight is dropped and its work is never
 submitted — cancellation propagates all the way down to the backend.
 Each flight also carries a cooperative
 :class:`~repro.core.deadline.Deadline` derived from the loosest awaiter
@@ -305,8 +305,7 @@ class AsyncQueryService:
     def _feed_wave_sizing(self) -> None:
         """Share the arrival-rate EWMA with the wrapped service's
         adaptive wave-size controller (when it has one): the same signal
-        that widens the batching window also justifies fatter kernel
-        waves."""
+        that widens the batching window also justifies fatter waves."""
         tune_waves = getattr(self._service, "tune_waves", None)
         if callable(tune_waves):
             tune_waves(self.arrival_qps)

@@ -3,9 +3,10 @@
 Single queries go through :meth:`QueryService.submit` (cache probe,
 compute on miss, record metrics); query lists go through
 :meth:`QueryService.run_batch` / :meth:`QueryService.execute`, which add
-in-batch dedup, one shared candidate-set pass over the index, and a
-fan-out over a pluggable execution backend (see
-:mod:`repro.service.batch` and :mod:`repro.service.backends`).
+in-batch dedup and dispatch the misses as waves — one shared
+candidate-set pass over the index per wave — over a pluggable execution
+backend (see :mod:`repro.service.batch` and
+:mod:`repro.service.backends`).
 
 The service never mutates its engine: the graph, cost tables and index
 are read-only at serve time, which is what makes the concurrent paths
@@ -20,9 +21,9 @@ the old graph must not survive the swap.
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from repro.core.deadline import Deadline
 from repro.core.engine import ALGORITHMS, KOREngine
@@ -30,26 +31,30 @@ from repro.core.query import KORQuery
 from repro.core.results import KORResult
 from repro.exceptions import QueryError
 from repro.graph.mutation import GraphMutator, resolve_ops
+from repro.service import faults
 from repro.service.backends import (
     DEFAULT_WORKERS,
     EngineHandle,
     ExecutionBackend,
     PartPatch,
 )
-from repro.service.batch import (
-    BatchReport,
-    WaveSizeController,
-    _LocalTask,
-    execute_batch,
-)
-from repro.service import faults
-from repro.service.cache import UNCACHEABLE_PARAMS, ResultCache, canonical_cache_key
-from repro.service.stats import ServiceStats, StatsSnapshot
+from repro.service.base import SyncServiceBase
+from repro.service.batch import BatchReport, execute_batch
+from repro.service.cache import UNCACHEABLE_PARAMS, canonical_cache_key
 
 __all__ = ["QueryService"]
 
 
-class QueryService:
+@dataclass(frozen=True)
+class _LocalTask:
+    """What :meth:`QueryService.submit`'s inline run looks like to a
+    fault plan's task hook."""
+
+    shard: str
+    query: KORQuery
+
+
+class QueryService(SyncServiceBase):
     """Batched, cached, concurrent serving over one :class:`KOREngine`.
 
     Parameters
@@ -63,24 +68,23 @@ class QueryService:
         one (in-process backends only — a process pool's width is fixed
         at backend construction).
     backend:
-        Execution strategy for batches.  ``None`` (default) keeps PR 1's
-        behaviour: a transient thread pool per batch.  Passing a
+        Execution strategy for batches; default a
+        :class:`~repro.service.backends.ThreadBackend` of
+        ``default_workers`` threads owned (and closed) by this service.
+        A caller-supplied backend is shared, not owned; passing a
         :class:`~repro.service.backends.ProcessBackend` moves the
-        compute out of the GIL; the service registers its engine with
-        the backend automatically.
+        compute out of the GIL.  Either way the service registers its
+        engine with the backend.
     max_cached_route_nodes:
         Optional total-route-size budget for the cache (results store
         full routes); see :class:`~repro.service.cache.ResultCache`.
-    wave_kernels:
-        Whether batches group their unique computations into numpy
-        kernel waves (default True; see :mod:`repro.core.kernels`).
-        Results are identical either way — turn off to force the
-        one-submission-per-query path (e.g. when profiling it).
     wave_size:
-        Fixed wave size, or ``None`` (default) for adaptive sizing: a
+        Fixed wave size — how many unique computations of a batch share
+        one submission; ``1`` is per-query dispatch — or ``None``
+        (default) for adaptive sizing: a
         :class:`~repro.service.batch.WaveSizeController` grows waves
-        from the default when the graph's out-edge blocks are wide and
-        the observed arrival rate is high (see :meth:`tune_waves`).
+        from the default when the graph is dense and the observed
+        arrival rate is high (see :meth:`tune_waves`).
     """
 
     def __init__(
@@ -90,32 +94,21 @@ class QueryService:
         default_workers: int = DEFAULT_WORKERS,
         backend: ExecutionBackend | None = None,
         max_cached_route_nodes: int | None = None,
-        wave_kernels: bool = True,
         wave_size: int | None = None,
     ) -> None:
-        if default_workers < 1:
-            raise QueryError(f"default_workers must be >= 1, got {default_workers}")
-        self._engine = engine
-        self._cache = ResultCache(cache_capacity, max_route_nodes=max_cached_route_nodes)
-        self._stats = ServiceStats()
-        self._default_workers = default_workers
-        self._wave_kernels = wave_kernels
-        self._wave_controller = (
-            WaveSizeController(wave_size, fixed=True)
-            if wave_size is not None
-            else WaveSizeController()
+        super().__init__(
+            engine.graph,
+            cache_capacity,
+            default_workers,
+            backend,
+            max_cached_route_nodes,
+            wave_size,
         )
-        self._wave_controller.retarget(engine.graph)
-        self._backend = backend
+        self._engine = engine
         self._handle = EngineHandle(engine)
         self._epoch = 0
-        self._update_lock = threading.Lock()
         self._mutator: GraphMutator | None = None
-        # Set by build_service when it constructed the backend itself;
-        # close() then owns the backend's lifecycle too.
-        self._owns_backend = False
-        if backend is not None:
-            backend.register(self._handle)
+        self._backend.register(self._handle)
 
     @classmethod
     def from_graph(cls, graph, **kwargs) -> "QueryService":
@@ -131,41 +124,6 @@ class QueryService:
         return self._engine
 
     @property
-    def backend(self) -> ExecutionBackend | None:
-        """The execution backend (None = transient thread pools)."""
-        return self._backend
-
-    @property
-    def cache(self) -> ResultCache:
-        """The canonicalizing LRU result cache."""
-        return self._cache
-
-    @property
-    def stats(self) -> ServiceStats:
-        """Serving metrics (latency percentiles, hit rate, throughput)."""
-        return self._stats
-
-    @property
-    def wave_size(self) -> int:
-        """The wave size the next batch dispatch will use."""
-        return self._wave_controller.wave_size
-
-    def tune_waves(self, arrival_qps: float) -> int:
-        """Feed the arrival-rate estimate into adaptive wave sizing.
-
-        Called by :class:`~repro.service.frontend.AsyncQueryService`
-        whenever its EWMA updates (and by ``/tune``); returns the wave
-        size now in effect.  A service built with an explicit
-        ``wave_size`` ignores the signal.
-        """
-        self._wave_controller.observe(arrival_qps)
-        return self._wave_controller.wave_size
-
-    def wave_policy(self) -> dict:
-        """The adaptive-sizing policy snapshot (``scheduling_stats``)."""
-        return self._wave_controller.describe()
-
-    @property
     def epoch(self) -> int:
         """Graph epoch: applied updates / engine swaps since construction.
 
@@ -174,31 +132,9 @@ class QueryService:
         """
         return self._epoch
 
-    def snapshot(self) -> StatsSnapshot:
-        """One frozen view of the serving story.
-
-        Beyond the raw :class:`ServiceStats` aggregates this folds in
-        the backend's live submission accounting (``queue_depth_peak``)
-        and, for a warm-pinned process backend, its pin counters
-        (``pinning``).
-        """
-        backend = self._backend
-        pinning = None
-        queue_depth = None
-        if backend is not None:
-            queue_depth = backend.peak_in_flight
-            pin_stats = getattr(backend, "pin_stats", None)
-            if callable(pin_stats):
-                pinning = pin_stats()
-        return self._stats.snapshot(pinning=pinning, queue_depth_peak=queue_depth)
-
     # ------------------------------------------------------------------
     # engine lifecycle
     # ------------------------------------------------------------------
-    def invalidate_cache(self) -> int:
-        """Drop every cached result and bump the cache epoch."""
-        return self._cache.invalidate()
-
     def replace_engine(self, engine: KOREngine) -> None:
         """Serve from *engine* from now on, invalidating the cache.
 
@@ -213,9 +149,8 @@ class QueryService:
         self._mutator = None
         self._wave_controller.retarget(engine.graph)
         self._epoch += 1
-        if self._backend is not None:
-            self._backend.unregister(retired.key)
-            self._backend.register(self._handle)
+        self._backend.unregister(retired.key)
+        self._backend.register(self._handle)
         self._cache.invalidate()
 
     def close(self) -> None:
@@ -223,20 +158,13 @@ class QueryService:
 
         On a shared backend the handle would otherwise stay registered —
         and keep shipping to new pool workers — for the backend's
-        lifetime.  The backend itself is only closed when
-        :func:`~repro.service.config.build_service` created it for this
-        service.
+        lifetime.  The backend itself is only closed when this service
+        (or :func:`~repro.service.config.build_service` on its behalf)
+        created it.
         """
-        if self._backend is not None:
-            self._backend.unregister(self._handle.key)
-            if self._owns_backend:
-                self._backend.close()
-
-    def __enter__(self) -> "QueryService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self._backend.unregister(self._handle.key)
+        if self._owns_backend:
+            self._backend.close()
 
     # ------------------------------------------------------------------
     # live mutation
@@ -262,76 +190,30 @@ class QueryService:
             engine = type(self._engine)(self._mutator.graph)
             self._engine = engine
             self._handle.reset(engine)
-            if self._backend is not None:
-                # A delta that interned new keywords must ship the full
-                # graph: the worker would intern in merged-delta order,
-                # not op order, and disagree with the shipped index on
-                # keyword ids.
-                structural_only = not delta.set_keywords
-                self._backend.apply_patches(
-                    [
-                        PartPatch(
-                            key=self._handle.key,
-                            graph=None if structural_only else engine.graph,
-                            graph_delta=delta if structural_only else None,
-                            tables=engine.tables,
-                            index=engine.index,
-                        )
-                    ]
-                )
+            # A delta that interned new keywords must ship the full
+            # graph: the worker would intern in merged-delta order,
+            # not op order, and disagree with the shipped index on
+            # keyword ids.
+            structural_only = not delta.set_keywords
+            self._backend.apply_patches(
+                [
+                    PartPatch(
+                        key=self._handle.key,
+                        graph=None if structural_only else engine.graph,
+                        graph_delta=delta if structural_only else None,
+                        tables=engine.tables,
+                        index=engine.index,
+                    )
+                ]
+            )
             self._wave_controller.retarget(engine.graph)
             self._epoch += 1
             self._cache.invalidate()
             return self._epoch
 
-    def update_edge_cost(
-        self,
-        u: int,
-        v: int,
-        objective: float | None = None,
-        budget: float | None = None,
-    ) -> int:
-        """Re-cost edge ``(u, v)``; returns the new epoch."""
-        op = {"op": "update_edge_cost", "u": u, "v": v}
-        if objective is not None:
-            op["objective"] = objective
-        if budget is not None:
-            op["budget"] = budget
-        return self.apply_ops([op])
-
-    def close_node(self, node: int) -> int:
-        """Take *node* out of service; returns the new epoch."""
-        return self.apply_ops([{"op": "close_node", "node": node}])
-
-    def open_node(self, node: int) -> int:
-        """Restore a closed node; returns the new epoch."""
-        return self.apply_ops([{"op": "open_node", "node": node}])
-
-    def update_keywords(self, node: int, keywords: Iterable[str]) -> int:
-        """Replace *node*'s keywords; returns the new epoch."""
-        return self.apply_ops(
-            [{"op": "update_keywords", "node": node, "keywords": list(keywords)}]
-        )
-
     # ------------------------------------------------------------------
     # single queries
     # ------------------------------------------------------------------
-    def query(
-        self,
-        source: int,
-        target: int,
-        keywords: Iterable[str],
-        budget_limit: float,
-        algorithm: str = "bucketbound",
-        **params,
-    ) -> KORResult:
-        """Answer one KOR query through the cache (mirrors ``engine.query``)."""
-        return self.submit(
-            KORQuery(source, target, tuple(keywords), budget_limit),
-            algorithm=algorithm,
-            **params,
-        )
-
     def submit(
         self,
         query: KORQuery,
@@ -416,7 +298,6 @@ class QueryService:
                 f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
             )
         report = execute_batch(
-            self._engine,
             self._cache,
             queries,
             algorithm=algorithm,
@@ -425,7 +306,6 @@ class QueryService:
             backend=self._backend,
             handle=self._handle,
             deadline=deadline,
-            wave_kernels=self._wave_kernels,
             wave_size=self._wave_controller.wave_size,
             stats=self._stats,
         )
@@ -436,24 +316,3 @@ class QueryService:
                 self._stats.record_error()
         self._stats.record_busy(report.wall_seconds)
         return report
-
-    def run_batch(
-        self,
-        queries: Sequence[KORQuery],
-        algorithm: str = "bucketbound",
-        workers: int | None = None,
-        deadline: Deadline | None = None,
-        **params,
-    ) -> list[KORResult]:
-        """Run a batch and return its results in submission order.
-
-        Raises :class:`repro.service.batch.BatchError` (carrying the full
-        report) when any slot failed.
-        """
-        return self.execute(
-            queries,
-            algorithm=algorithm,
-            workers=workers,
-            deadline=deadline,
-            **params,
-        ).results()

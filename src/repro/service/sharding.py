@@ -39,8 +39,11 @@ for bit.
 Execution
 ---------
 Shard work is described as picklable
-:class:`~repro.service.backends.ShardTask` objects and executed by any
-:class:`~repro.service.backends.ExecutionBackend` — serial, thread pool,
+:class:`~repro.service.backends.WaveTask` objects — the scatter plan's
+attempts grouped by shard key and chunked by the wave size
+(:func:`repro.service.batch.dispatch_waves`, the dispatch path the flat
+tier uses too) — and executed by any
+:class:`~repro.service.backends.ExecutionBackend`: serial, thread pool,
 or a process pool whose workers hold their own copies of the shard
 engines (finally escaping the GIL for CPU-bound batch fan-out).  The
 cross-cell engine ships to workers the same way: its
@@ -54,10 +57,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -74,22 +76,17 @@ from repro.service.backends import (
     EngineHandle,
     ExecutionBackend,
     PartPatch,
-    ShardTask,
     TaskOutcome,
-    ThreadBackend,
-    WaveTask,
-    _outcome_of,
 )
+from repro.service.base import SyncServiceBase
 from repro.service.batch import (
     BatchItem,
     BatchReport,
-    WaveSizeController,
     batch_keys,
     dedup_units,
+    dispatch_waves,
 )
-from repro.service.cache import ResultCache
 from repro.service.crosscell import BorderEngine
-from repro.service.stats import ServiceStats, StatsSnapshot
 from repro.world import CellState, MutableWorld, WorldUpdate
 
 __all__ = ["Shard", "ShardedQueryService"]
@@ -153,7 +150,7 @@ def default_num_cells(num_nodes: int) -> int:
     return max(1, min(num_nodes, max(2, int(math.sqrt(num_nodes) / 2))))
 
 
-class ShardedQueryService:
+class ShardedQueryService(SyncServiceBase):
     """Partition-routed, cached, backend-executed serving layer.
 
     Parameters
@@ -166,21 +163,18 @@ class ShardedQueryService:
     seed:
         Partition seed (farthest-point sampling is randomised).
     backend:
-        Execution backend for shard tasks; default a
+        Execution backend for shard waves; default a
         :class:`~repro.service.backends.ThreadBackend` owned (and closed)
         by this service.  A caller-supplied backend is shared, not owned.
     cache_capacity / max_cached_route_nodes:
         Result-cache bounds, as in the flat service.  Cached entries are
         already translated to global node ids.
-    wave_kernels:
-        Whether the scatter plan groups same-shard attempts into
-        :class:`~repro.service.backends.WaveTask` waves (default True) —
-        one submission and, on a process backend, one pickle+IPC round
-        trip per shard wave instead of one per attempt.  Results are
-        identical either way; waves that break outright fall back to
-        per-query tasks.
     wave_size:
-        Fixed wave size, or ``None`` (default) for adaptive sizing via
+        Fixed wave size — how many same-shard attempts of a scatter plan
+        share one :class:`~repro.service.backends.WaveTask` (one
+        submission and, on a process backend, one pickle+IPC round trip);
+        ``1`` is per-attempt dispatch — or ``None`` (default) for
+        adaptive sizing via
         :class:`~repro.service.batch.WaveSizeController`.
     """
 
@@ -194,11 +188,8 @@ class ShardedQueryService:
         default_workers: int = DEFAULT_WORKERS,
         max_cached_route_nodes: int | None = None,
         world: MutableWorld | None = None,
-        wave_kernels: bool = True,
         wave_size: int | None = None,
     ) -> None:
-        if default_workers < 1:
-            raise QueryError(f"default_workers must be >= 1, got {default_workers}")
         if world is None:
             if graph is None:
                 raise QueryError("ShardedQueryService needs a graph or a world")
@@ -208,22 +199,17 @@ class ShardedQueryService:
                 "pass either a graph or a world, not both: the world carries "
                 "its own graph"
             )
+        super().__init__(
+            world.graph,
+            cache_capacity,
+            default_workers,
+            backend,
+            max_cached_route_nodes,
+            wave_size,
+        )
         self._world = world
         self._graph = world.graph
         self._partition: GraphPartition = world.partition
-        self._owns_backend = backend is None
-        self._backend = backend if backend is not None else ThreadBackend(default_workers)
-        self._default_workers = default_workers
-        self._cache = ResultCache(cache_capacity, max_route_nodes=max_cached_route_nodes)
-        self._stats = ServiceStats()
-        self._update_lock = threading.Lock()
-        self._wave_kernels = wave_kernels
-        self._wave_controller = (
-            WaveSizeController(wave_size, fixed=True)
-            if wave_size is not None
-            else WaveSizeController()
-        )
-        self._wave_controller.retarget(self._graph)
 
         # The world already materialised every cell's subgraph, tables
         # and index — shard engines assemble from those parts and pay
@@ -298,25 +284,6 @@ class ShardedQueryService:
         return self._shards
 
     @property
-    def wave_size(self) -> int:
-        """The wave size the next scatter will chunk shard groups by."""
-        return self._wave_controller.wave_size
-
-    def tune_waves(self, arrival_qps: float) -> int:
-        """Feed the arrival-rate estimate into adaptive wave sizing.
-
-        Same contract as the flat service's ``tune_waves``: called by the
-        async front end whenever its EWMA updates; returns the wave size
-        now in effect.
-        """
-        self._wave_controller.observe(arrival_qps)
-        return self._wave_controller.wave_size
-
-    def wave_policy(self) -> dict:
-        """The adaptive-sizing policy snapshot (``scheduling_stats``)."""
-        return self._wave_controller.describe()
-
-    @property
     def num_shards(self) -> int:
         """Number of cells the graph was split into."""
         return len(self._shards)
@@ -325,34 +292,6 @@ class ShardedQueryService:
     def border_engine(self) -> BorderEngine:
         """The cross-cell tier: full-graph answers over border tables."""
         return self._border_engine
-
-    @property
-    def backend(self) -> ExecutionBackend:
-        """The execution backend shard tasks run on."""
-        return self._backend
-
-    @property
-    def cache(self) -> ResultCache:
-        """The canonicalizing LRU result cache (global-id results)."""
-        return self._cache
-
-    @property
-    def stats(self) -> ServiceStats:
-        """Serving metrics, including per-shard task counters."""
-        return self._stats
-
-    def snapshot(self) -> StatsSnapshot:
-        """One frozen view of the serving story.
-
-        Folds in the backend's submission accounting
-        (``queue_depth_peak``) and, for a warm-pinned process backend,
-        its pin counters (``pinning``).
-        """
-        pin_stats = getattr(self._backend, "pin_stats", None)
-        pinning = pin_stats() if callable(pin_stats) else None
-        return self._stats.snapshot(
-            pinning=pinning, queue_depth_peak=self._backend.peak_in_flight
-        )
 
     def memory_bytes(self) -> int:
         """Bytes of cost-table state resident in this service.
@@ -387,13 +326,6 @@ class ShardedQueryService:
         return total
 
     # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def invalidate_cache(self) -> int:
-        """Drop every cached result and bump the cache epoch."""
-        return self._cache.invalidate()
-
-    # ------------------------------------------------------------------
     # live mutation
     # ------------------------------------------------------------------
     def apply_ops(self, ops: Sequence[Mapping[str, object]]) -> int:
@@ -414,35 +346,6 @@ class ShardedQueryService:
             update = self._world.apply_ops(ops)
             self._integrate(update)
             return self._world.epoch
-
-    def update_edge_cost(
-        self,
-        u: int,
-        v: int,
-        objective: float | None = None,
-        budget: float | None = None,
-    ) -> int:
-        """Re-cost edge ``(u, v)``; returns the new epoch."""
-        op = {"op": "update_edge_cost", "u": u, "v": v}
-        if objective is not None:
-            op["objective"] = objective
-        if budget is not None:
-            op["budget"] = budget
-        return self.apply_ops([op])
-
-    def close_node(self, node: int) -> int:
-        """Take *node* out of service; returns the new epoch."""
-        return self.apply_ops([{"op": "close_node", "node": node}])
-
-    def open_node(self, node: int) -> int:
-        """Restore a closed node; returns the new epoch."""
-        return self.apply_ops([{"op": "open_node", "node": node}])
-
-    def update_keywords(self, node: int, keywords: Iterable[str]) -> int:
-        """Replace *node*'s keywords; returns the new epoch."""
-        return self.apply_ops(
-            [{"op": "update_keywords", "node": node, "keywords": list(keywords)}]
-        )
 
     def _integrate(self, update: WorldUpdate) -> None:
         """Land one applied :class:`~repro.world.WorldUpdate` in the
@@ -524,12 +427,6 @@ class ShardedQueryService:
         if self._owns_backend:
             self._backend.close()
 
-    def __enter__(self) -> "ShardedQueryService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
@@ -594,22 +491,6 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
     # single queries
     # ------------------------------------------------------------------
-    def query(
-        self,
-        source: int,
-        target: int,
-        keywords: Iterable[str],
-        budget_limit: float,
-        algorithm: str = "bucketbound",
-        **params,
-    ) -> KORResult:
-        """Answer one KOR query through routing and the cache."""
-        return self.submit(
-            KORQuery(source, target, tuple(keywords), budget_limit),
-            algorithm=algorithm,
-            **params,
-        )
-
     def submit(
         self,
         query: KORQuery,
@@ -714,37 +595,22 @@ class ShardedQueryService:
         if units:
             effective = workers if workers is not None else self._default_workers
             plans = [self._plan(unit.query) for unit in units]
-            wave: list[ShardTask] = []
+            attempts: list[tuple[str, KORQuery]] = []  # (shard key, query in its ids)
             owners: list[tuple[int, bool]] = []  # (unit position, is cell attempt)
             for position, (unit, plan) in enumerate(zip(units, plans)):
                 unit.plan = plan.reason
                 if plan.shard is not None:
-                    wave.append(
-                        ShardTask.build(
-                            plan.shard.key,
-                            self._localize(plan.shard, unit.query),
-                            algorithm,
-                            params,
-                            deadline=deadline,
-                        )
+                    attempts.append(
+                        (plan.shard.key, self._localize(plan.shard, unit.query))
                     )
                     owners.append((position, True))
                     if self.num_shards == 1:
                         # The single cell is the whole graph — the
                         # cross-cell twin would recompute the same answer.
                         continue
-                wave.append(
-                    ShardTask.build(
-                        self._crosscell_handle.key,
-                        unit.query,
-                        algorithm,
-                        params,
-                        deadline=deadline,
-                    )
-                )
+                attempts.append((self._crosscell_handle.key, unit.query))
                 owners.append((position, False))
-            outcomes = self._scatter(wave, algorithm, params, deadline, workers=effective)
-            self._record_tasks(wave, outcomes)
+            outcomes = self._scatter(attempts, algorithm, params, deadline, workers=effective)
 
             cell_outcomes: dict[int, TaskOutcome] = {}
             cross_outcomes: dict[int, TaskOutcome] = {}
@@ -778,113 +644,44 @@ class ShardedQueryService:
         self._stats.record_busy(report.wall_seconds)
         return report
 
-    def run_batch(
-        self,
-        queries: Sequence[KORQuery],
-        algorithm: str = "bucketbound",
-        workers: int | None = None,
-        deadline: Deadline | None = None,
-        **params,
-    ) -> list[KORResult]:
-        """Run a batch and return its results in submission order.
-
-        Raises :class:`repro.service.batch.BatchError` (carrying the full
-        report) when any slot failed.
-        """
-        return self.execute(
-            queries,
-            algorithm=algorithm,
-            workers=workers,
-            deadline=deadline,
-            **params,
-        ).results()
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _scatter(
         self,
-        tasks: list[ShardTask],
+        attempts: list[tuple[str, KORQuery]],
         algorithm: str,
         params: dict,
         deadline: Deadline | None,
         workers: int | None,
     ) -> list[TaskOutcome]:
-        """Dispatch the scatter plan, waving same-shard attempts together.
+        """Dispatch the scatter plan; outcomes return in attempt order.
 
-        Groups the plan's tasks by shard key (cell engines and the
-        cross-cell assembly alike), chunks each group by the adaptive
-        wave size, and ships every multi-member chunk as one
-        :class:`~repro.service.backends.WaveTask` through ``submit_wave``
-        — one submission (and, on a process pool, one pickle+IPC round
-        trip) per shard wave instead of one per attempt.  Singleton
-        chunks go per-query.  All three containment tiers are preserved:
-        a poisoned member errors its own slot inside the kernel, a
-        kernel-level failure re-runs the wave member by member worker-
-        side (:func:`~repro.service.backends.run_wave_on_engine`), and a
-        wave whose *submission* breaks outright is resubmitted here as
-        the original per-query ShardTasks.  Outcomes return in task
-        order regardless of dispatch shape.
+        :func:`~repro.service.batch.dispatch_waves` groups the plan's
+        attempts by shard key (cell engines and the cross-cell assembly
+        alike), chunks each group by the adaptive wave size and ships
+        every chunk as one :class:`~repro.service.backends.WaveTask` —
+        one submission (and, on a process pool, one pickle+IPC round
+        trip) per shard wave; a shard with a single attempt gets a wave
+        of one.  The containment tiers are that function's: a poisoned
+        member errors its own slot, a wave-level failure still yields
+        one outcome per member, and a wave whose *submission* breaks
+        outright is resubmitted as waves of one.  Every attempt is then
+        counted against its shard.
         """
-        if not (self._wave_kernels and len(tasks) > 1):
-            return self._backend.run_tasks(tasks, workers=workers)
-
-        groups: dict[str, list[int]] = {}
-        for position, task in enumerate(tasks):
-            groups.setdefault(task.shard, []).append(position)
-
-        capacity = self._wave_controller.wave_size
-        dispatches: list[tuple[list[int], object, bool]] = []
-        for shard_key, positions in groups.items():
-            for lo in range(0, len(positions), capacity):
-                chunk = positions[lo : lo + capacity]
-                if len(chunk) == 1:
-                    dispatches.append(
-                        ([chunk[0]], self._backend.submit_task(tasks[chunk[0]]), False)
-                    )
-                    self._stats.record_wave_solo()
-                else:
-                    wave = WaveTask.build(
-                        shard_key,
-                        [tasks[i].query for i in chunk],
-                        algorithm,
-                        params,
-                        deadline=deadline,
-                    )
-                    dispatches.append((chunk, self._backend.submit_wave(wave), True))
-                    self._stats.record_wave(len(chunk), capacity)
-
-        outcomes: list[TaskOutcome | None] = [None] * len(tasks)
-        broken: list[int] = []
-        for chunk, future, is_wave in dispatches:
-            if not is_wave:
-                outcomes[chunk[0]] = _outcome_of(future)
-                continue
-            try:
-                wave_outcomes = future.result()
-            except Exception:  # noqa: BLE001 - broken wave, degrade per query
-                broken.extend(chunk)
-                continue
-            if not isinstance(wave_outcomes, list) or len(wave_outcomes) != len(chunk):
-                broken.extend(chunk)
-                continue
-            for position, outcome in zip(chunk, wave_outcomes):
-                outcomes[position] = outcome
-
-        if broken:
-            self._stats.record_wave_solo(len(broken))
-            retried = self._backend.run_tasks(
-                [tasks[i] for i in broken], workers=workers
-            )
-            for position, outcome in zip(broken, retried):
-                outcomes[position] = outcome
-        return outcomes  # type: ignore[return-value]
-
-    def _record_tasks(
-        self, tasks: Sequence[ShardTask], outcomes: Sequence[TaskOutcome]
-    ) -> None:
-        for task, outcome in zip(tasks, outcomes):
-            self._stats.record_shard(task.shard, errors=0 if outcome.error is None else 1)
+        outcomes = dispatch_waves(
+            self._backend,
+            attempts,
+            algorithm,
+            params,
+            deadline,
+            self._wave_controller.wave_size,
+            workers=workers,
+            stats=self._stats,
+        )
+        for (shard, _query), outcome in zip(attempts, outcomes):
+            self._stats.record_shard(shard, errors=0 if outcome.error is None else 1)
+        return outcomes
 
     def _merge(
         self,

@@ -22,11 +22,15 @@ def percentile(samples: list[float], q: float) -> float:
     Matches ``numpy.percentile``'s default method but avoids forcing the
     hot recording path through array conversions.
     """
-    if not samples:
+    return _percentile_of_sorted(sorted(samples), q)
+
+
+def _percentile_of_sorted(ordered: list[float], q: float) -> float:
+    """:func:`percentile` over samples that are already sorted."""
+    if not ordered:
         return 0.0
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be within [0, 100], got {q}")
-    ordered = sorted(samples)
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -279,6 +283,14 @@ class ServiceStats:
         with self._lock:
             self._shed += 1
 
+    @property
+    def shed(self) -> int:
+        """Requests refused by front-door admission control so far —
+        the one counter ``/healthz`` polls, readable without building a
+        whole snapshot."""
+        with self._lock:
+            return self._shed
+
     def record_queue_depth(self, depth: int) -> None:
         """Track the deepest submission queue seen so far."""
         with self._lock:
@@ -315,19 +327,15 @@ class ServiceStats:
         stay intact for the service's own counters.  (A backend's peak
         is backend-lifetime; resetting the service cannot rewind it.)
         """
+        # Copy under the lock, sort outside it: ``record_query`` needs
+        # the lock, and sorting a full window is the expensive part.
         with self._lock:
             latencies = list(self._latencies)
-            return StatsSnapshot(
+            counters = dict(
                 queries=self._queries,
                 errors=self._errors,
                 cache_hits=self._hits,
                 cache_misses=self._misses,
-                p50_latency_seconds=percentile(latencies, 50.0),
-                p95_latency_seconds=percentile(latencies, 95.0),
-                p99_latency_seconds=percentile(latencies, 99.0),
-                mean_latency_seconds=(
-                    sum(latencies) / len(latencies) if latencies else 0.0
-                ),
                 busy_seconds=self._busy_seconds,
                 slo_seconds=self._slo_seconds,
                 slo_violations=self._slo_violations,
@@ -363,6 +371,16 @@ class ServiceStats:
                     else {}
                 ),
             )
+        ordered = sorted(latencies)
+        return StatsSnapshot(
+            p50_latency_seconds=_percentile_of_sorted(ordered, 50.0),
+            p95_latency_seconds=_percentile_of_sorted(ordered, 95.0),
+            p99_latency_seconds=_percentile_of_sorted(ordered, 99.0),
+            mean_latency_seconds=(
+                sum(latencies) / len(latencies) if latencies else 0.0
+            ),
+            **counters,
+        )
 
     def reset(self) -> None:
         """Zero every counter and drop all samples."""

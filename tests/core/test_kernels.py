@@ -1,37 +1,44 @@
-"""Differential sweep for the numpy batch kernels.
+"""Waves over the scalar engine: golden fingerprints and containment.
 
-The contract of :mod:`repro.core.kernels` is *fingerprint identity*: a
-wave run through the lockstep kernel must produce the same routes,
-scores, failure reasons **and per-label statistics** as N independent
-scalar runs — for every algorithm, on randomized instances.  These
-tests pin that, plus the two scalar/vector unification fixes that ride
-along: the canonical domination comparator (equal-score ties must
-resolve identically on both paths) and BucketBound's deterministic
-bucket-edge indexing.
+:func:`repro.core.kernels.run_wave` runs a wave's members one after
+another through ``engine.run``.  Before the lockstep numpy driver was
+deleted, what *it* produced for the seeded streams below — route nodes,
+scores, feasibility flags, failure reasons **and every per-label
+statistic** — was dumped to ``tests/golden/wave_fingerprints.json``;
+these tests pin that the surviving path reproduces the file (and that
+the sequential ``engine.run`` loop, the reference every differential
+suite compares against, does too), plus per-member containment,
+mid-wave deadlines, the canonical domination comparator and
+BucketBound's deterministic bucket-edge indexing.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bucketbound import BucketQueue
 from repro.core.engine import ALGORITHMS
-from repro.core.kernels import (
-    KERNEL_WAVE_ALGORITHMS,
-    KernelContext,
-    dominates_scores_block,
-    run_wave,
-)
+from repro.core.kernels import run_wave
 from repro.core.label import dominates_scores
-from repro.exceptions import QueryError
+from repro.exceptions import DeadlineExceeded, QueryError
 
-from tests.service.test_differential import fingerprint, random_instance
+from tests.service.test_differential import random_instance
 
-#: Stats fields the kernel must reproduce exactly (runtime excluded:
-#: wall time legitimately differs between the two paths).
+#: What the lockstep wave path produced at the commit that deleted it
+#: (``flat``: ``run_wave`` per stream; ``sharded``: a two-cell
+#: ``ShardedQueryService.execute`` per stream, identical on all three
+#: backends).  Stat counters are stored in ``stat_fields`` order.
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "golden" / "wave_fingerprints.json").read_text()
+)
+
+#: Stats fields a wave must reproduce exactly (runtime excluded: wall
+#: time legitimately differs from run to run).
 STAT_FIELDS = (
     "labels_created",
     "labels_enqueued",
@@ -46,76 +53,77 @@ STAT_FIELDS = (
     "buckets_opened",
 )
 
-ALGO_PARAMS = {
-    "osscaling": {},
-    "bucketbound": {},
-    "greedy": {},
-    "greedy2": {},
-    "exact": {},
-    "exhaustive": {},
-}
+assert tuple(GOLDEN["stat_fields"]) == STAT_FIELDS
+
+#: The algorithms the two optimisation strategies exist for.
+LABEL_ALGORITHMS = ("bucketbound", "exact", "osscaling")
+STRATEGIES_OFF = {"use_strategy1": False, "use_strategy2": False}
 
 
-def scalar_outcomes(engine, queries, algorithm, params):
-    outcomes = []
+def record(result) -> dict:
+    """One result in the golden file's shape."""
+    route = result.route
+    return {
+        "route": list(route.nodes) if route is not None else None,
+        "os": round(route.objective_score, 9) if route is not None else None,
+        "bs": round(route.budget_score, 9) if route is not None else None,
+        "feasible": result.feasible,
+        "covers_keywords": result.covers_keywords,
+        "within_budget": result.within_budget,
+        "failure_reason": result.failure_reason,
+        "stats": [getattr(result.stats, name) for name in STAT_FIELDS],
+    }
+
+
+def outcome_record(result, error) -> dict:
+    """One wave member / batch slot in the golden file's shape."""
+    return {"error": type(error).__name__} if error is not None else record(result)
+
+
+def scalar_records(engine, queries, algorithm, params):
+    """The sequential ``engine.run`` loop, one record per query."""
+    records = []
     for query in queries:
         try:
             result = engine.run(query, algorithm=algorithm, **params)
         except Exception as error:  # noqa: BLE001 - mirrored per slot
-            outcomes.append(("error", type(error).__name__))
+            records.append(outcome_record(None, error))
         else:
-            outcomes.append(
-                ("ok", fingerprint(result), tuple(getattr(result.stats, f) for f in STAT_FIELDS))
-            )
-    return outcomes
+            records.append(record(result))
+    return records
 
 
-def wave_outcomes(engine, queries, algorithm, params, **kwargs):
-    outcomes = []
-    for member in run_wave(engine, queries, algorithm, params, **kwargs):
-        if member.error is not None:
-            outcomes.append(("error", type(member.error).__name__))
-        else:
-            result = member.result
-            outcomes.append(
-                ("ok", fingerprint(result), tuple(getattr(result.stats, f) for f in STAT_FIELDS))
-            )
-    return outcomes
+def wave_records(members):
+    return [outcome_record(member.result, member.error) for member in members]
 
 
 class TestWaveDifferential:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_wave_matches_scalar(self, algorithm):
-        """Fingerprints and all per-label counters, 8 seeded instances."""
-        params = ALGO_PARAMS[algorithm]
+    def test_wave_reproduces_golden(self, algorithm):
+        """Fingerprints and all per-label counters, 8 seeded instances:
+        the wave and the sequential reference loop both equal what the
+        lockstep path produced."""
         for seed in range(8):
             engine, queries = random_instance(seed)
-            expected = scalar_outcomes(engine, queries, algorithm, params)
-            got = wave_outcomes(engine, queries, algorithm, params)
-            assert got == expected, f"seed={seed} algorithm={algorithm}"
+            golden = GOLDEN["flat"][f"{algorithm}/strategies-on/seed-{seed}"]
+            wave = wave_records(run_wave(engine, queries, algorithm))
+            assert wave == golden, f"seed={seed} algorithm={algorithm}"
+            loop = scalar_records(engine, queries, algorithm, {})
+            assert loop == golden, f"seed={seed} algorithm={algorithm}"
 
-    @pytest.mark.parametrize("algorithm", sorted(KERNEL_WAVE_ALGORITHMS))
-    def test_wave_matches_scalar_with_strategies_off(self, algorithm):
-        params = {"use_strategy1": False, "use_strategy2": False}
-        for seed in range(4):
+    @pytest.mark.parametrize("algorithm", LABEL_ALGORITHMS)
+    def test_wave_reproduces_golden_with_strategies_off(self, algorithm):
+        for seed in range(8):
             engine, queries = random_instance(seed)
-            expected = scalar_outcomes(engine, queries, algorithm, params)
-            got = wave_outcomes(engine, queries, algorithm, params)
-            assert got == expected, f"seed={seed} algorithm={algorithm}"
-
-    def test_warm_kernel_context_stays_identical(self):
-        """A reused KernelContext (warm caches) must change nothing."""
-        engine, queries = random_instance(2)
-        kctx = KernelContext(engine.graph, engine.tables)
-        first = wave_outcomes(engine, queries, "osscaling", {}, kernel_context=kctx)
-        second = wave_outcomes(engine, queries, "osscaling", {}, kernel_context=kctx)
-        assert first == second == scalar_outcomes(engine, queries, "osscaling", {})
+            golden = GOLDEN["flat"][f"{algorithm}/strategies-off/seed-{seed}"]
+            wave = wave_records(run_wave(engine, queries, algorithm, STRATEGIES_OFF))
+            assert wave == golden, f"seed={seed} algorithm={algorithm}"
 
     def test_single_member_wave_matches_scalar(self):
-        """One-query waves take the per-member path; still identical."""
+        """A wave of one is a solo run."""
         engine, queries = random_instance(3)
         for query in queries[:3]:
-            assert wave_outcomes(engine, [query], "bucketbound", {}) == scalar_outcomes(
+            assert wave_records(run_wave(engine, [query], "bucketbound")) == scalar_records(
                 engine, [query], "bucketbound", {}
             )
 
@@ -123,33 +131,10 @@ class TestWaveDifferential:
         """Parameter-surface parity: a bogus kwarg errors each member
         with the same exception type N solo runs would raise."""
         engine, queries = random_instance(1)
-        expected = scalar_outcomes(engine, queries, "osscaling", {"bogus": 1})
-        got = wave_outcomes(engine, queries, "osscaling", {"bogus": 1})
+        expected = scalar_records(engine, queries, "osscaling", {"bogus": 1})
+        got = wave_records(run_wave(engine, queries, "osscaling", {"bogus": 1}))
         assert got == expected
-        assert all(kind == "error" for kind, *_ in got)
-
-    def test_proxy_engine_runs_per_member(self):
-        """An engine whose ``run`` is overridden (test doubles, delay
-        wrappers) must have it *called*: the lockstep driver bypasses
-        ``run``, so such engines fall back to the per-member loop."""
-        engine, queries = random_instance(5)
-
-        class CountingEngine:
-            def __init__(self, inner):
-                self._inner = inner
-                self.runs = 0
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-            def run(self, *args, **kwargs):
-                self.runs += 1
-                return self._inner.run(*args, **kwargs)
-
-        proxy = CountingEngine(engine)
-        got = wave_outcomes(proxy, queries, "osscaling", {})
-        assert proxy.runs == len(queries)
-        assert got == scalar_outcomes(engine, queries, "osscaling", {})
+        assert all("error" in member for member in got)
 
     def test_poisoned_member_is_contained(self):
         """One unbindable query errors its slot; survivors are exact."""
@@ -160,101 +145,79 @@ class TestWaveDifferential:
         wave = list(queries[:3]) + [bad] + list(queries[3:6])
         outcomes = run_wave(engine, wave, "bucketbound", {})
         assert isinstance(outcomes[3].error, QueryError)
-        expected = scalar_outcomes(engine, queries[:3] + queries[3:6], "bucketbound", {})
+        expected = scalar_records(engine, queries[:3] + queries[3:6], "bucketbound", {})
         survivors = [o for i, o in enumerate(outcomes) if i != 3]
-        got = [
-            ("ok", fingerprint(o.result), tuple(getattr(o.result.stats, f) for f in STAT_FIELDS))
-            for o in survivors
-        ]
-        assert got == expected
+        assert wave_records(survivors) == expected
 
 
 class _CountdownDeadline:
-    """Deadline stub expiring on its Nth check — deterministic mid-wave
-    expiry, independent of wall clock."""
+    """Deadline double expiring on its Nth checkpoint — ``check()`` and
+    ``tick()`` alike, i.e. a stride of one — so mid-wave expiry is
+    deterministic, independent of the wall clock.  ``late`` counts the
+    checkpoints reached after expiry."""
 
     def __init__(self, checks: int) -> None:
         self.checks = checks
+        self.late = 0
 
     def check(self) -> None:
-        from repro.exceptions import DeadlineExceeded
-
         self.checks -= 1
         if self.checks < 0:
+            self.late += 1
             raise DeadlineExceeded("countdown expired")
 
-    def remaining(self) -> float:
-        return float("inf") if self.checks >= 0 else 0.0
+    tick = check
 
 
 class TestWaveDeadline:
-    def test_mid_wave_expiry_errors_unfinished_members_only(self):
-        """The lockstep driver checks the deadline once per step: expiry
-        mid-wave must error every *unfinished* member promptly while
-        members that already finished keep their results."""
-        from repro.exceptions import DeadlineExceeded
-
+    def test_mid_wave_expiry_fails_the_running_member_and_every_later_one(self):
+        """Expiry mid-wave: the members that finished keep their exact
+        results, the running member and every later one fail with
+        ``DeadlineExceeded`` — nothing else — and promptly: the running
+        member stops at its next checkpoint and each later member costs
+        one refused check."""
         engine, queries = random_instance(0)
-        # Generous budget first: count how many checks a full wave needs.
+        # Generous budget first: count the checkpoints a full wave passes.
         probe = _CountdownDeadline(10_000)
         clean = run_wave(engine, queries, "osscaling", {}, deadline=probe)
-        assert all(o.error is None or not isinstance(o.error, DeadlineExceeded) for o in clean)
+        assert all(o.error is None for o in clean)
         used = 10_000 - probe.checks
-        assert used > len(queries), "wave must check the deadline per lockstep step"
+        # Two checkpoints per member come before its search (run_wave's
+        # and engine.run's); the rest tick inside the search loops.
+        assert used > 2 * len(queries), "searches must tick the deadline"
 
-        # Now expire partway through the lockstep loop.
-        mid = _CountdownDeadline(len(queries) + (used - len(queries)) // 2)
+        mid = _CountdownDeadline(used // 2)
         outcomes = run_wave(engine, queries, "osscaling", {}, deadline=mid)
-        expired = [o for o in outcomes if isinstance(o.error, DeadlineExceeded)]
-        finished = [o for o in outcomes if o.error is None]
-        assert expired, "some member must have been cut off mid-wave"
-        assert len(expired) + len(finished) == len(outcomes)
-        # Finished members are still exact.
-        scalar = scalar_outcomes(engine, queries, "osscaling", {})
-        for i, o in enumerate(outcomes):
-            if o.error is None:
-                assert ("ok", fingerprint(o.result)) == scalar[i][:2]
+        finished = [i for i, o in enumerate(outcomes) if o.error is None]
+        expired = [i for i, o in enumerate(outcomes) if isinstance(o.error, DeadlineExceeded)]
+        assert finished and expired, "the countdown must run out mid-wave"
+        assert finished + expired == list(range(len(queries)))
+        scalar = scalar_records(engine, queries, "osscaling", {})
+        assert wave_records(outcomes[: len(finished)]) == scalar[: len(finished)]
+        assert mid.late == len(expired)
 
     def test_pre_expired_deadline_errors_every_member(self):
-        from repro.exceptions import DeadlineExceeded
-
         engine, queries = random_instance(1)
         outcomes = run_wave(engine, queries, "bucketbound", {}, deadline=_CountdownDeadline(0))
         assert all(isinstance(o.error, DeadlineExceeded) for o in outcomes)
 
 
 # ----------------------------------------------------------------------
-# Satellite 1: one canonical domination comparator, scalar == vector
+# the canonical domination comparator
 # ----------------------------------------------------------------------
 
 # A tiny float pool forces equal-score/equal-budget collisions — the
-# tie-breaking cases where a drifted comparator pair would diverge.
+# tie-breaking cases where a drifted comparator would diverge.
 TIE_FLOATS = st.sampled_from([0.0, 1.0, 1.5, 2.0, 2.0 + 1e-9, 3.0, float("inf")])
 
 
 class TestDominationComparator:
-    @given(
-        pairs=st.lists(st.tuples(TIE_FLOATS, TIE_FLOATS), min_size=1, max_size=16),
-        sos=TIE_FLOATS,
-        bs=TIE_FLOATS,
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_scalar_and_vector_agree(self, pairs, sos, bs):
-        sos_arr = np.array([p[0] for p in pairs], dtype=np.float64)
-        bs_arr = np.array([p[1] for p in pairs], dtype=np.float64)
-        vector = dominates_scores_block(sos_arr, bs_arr, sos, bs)
-        scalar = [dominates_scores(p[0], p[1], sos, bs) for p in pairs]
-        assert vector.tolist() == scalar
-
     @given(sos=TIE_FLOATS, bs=TIE_FLOATS)
     @settings(max_examples=50, deadline=None)
     def test_equal_scores_dominate_both_ways(self, sos, bs):
         """Non-strict comparator: exact ties dominate symmetrically, so
-        neither path can keep a duplicate the other would drop."""
+        a store can never keep a duplicate of a label it already holds."""
         assert dominates_scores(sos, bs, sos, bs)
-        assert dominates_scores_block(
-            np.array([sos]), np.array([bs]), sos, bs
-        ).tolist() == [True]
 
     def test_label_dominates_uses_the_canonical_comparator(self):
         from repro.core.label import Label, VIA_ROOT
@@ -266,7 +229,7 @@ class TestDominationComparator:
 
 
 # ----------------------------------------------------------------------
-# Satellite 2: BucketQueue edge-value determinism, scalar == vector
+# BucketQueue edge-value determinism
 # ----------------------------------------------------------------------
 
 
@@ -281,134 +244,15 @@ class TestBucketIndexDeterminism:
             assert queue.bucket_index(edge) == k, f"edge {k}"
             edge *= 1.2
 
-    def test_scalar_and_vector_indexing_agree(self):
-        queue = BucketQueue(base=0.25, beta=1.3)
-        rng = np.random.default_rng(7)
-        lows = np.concatenate(
-            [
-                rng.uniform(0.0, 50.0, size=200),
-                0.25 * 1.3 ** np.arange(20),  # the exact edges again
-            ]
-        )
-        vector = queue.bucket_indices(lows)
-        scalar = [queue.bucket_index(float(low)) for low in lows]
-        assert vector.tolist() == scalar
-
     def test_below_base_clamps_to_zero(self):
         queue = BucketQueue(base=1.0, beta=2.0)
         assert queue.bucket_index(0.0) == 0
         assert queue.bucket_index(-5.0) == 0
-        assert queue.bucket_indices(np.array([0.0, -5.0, 1.0])).tolist() == [0, 0, 0]
+        assert queue.bucket_index(1.0) == 0
 
     def test_non_finite_lows_are_rejected(self):
         queue = BucketQueue(base=1.0, beta=2.0)
         with pytest.raises(ValueError):
             queue.bucket_index(float("inf"))
         with pytest.raises(ValueError):
-            queue.bucket_indices(np.array([1.0, float("nan")]))
-
-
-# ----------------------------------------------------------------------
-# the vectorized Strategy-1 jump tail
-# ----------------------------------------------------------------------
-
-@st.composite
-def _tie_hammered_instance(draw):
-    """A small graph whose edge costs mostly collide (weights drawn from
-    ``{1.0, 2.0}`` with 1.0 twice as likely), plus 2-5 queries — the
-    nastiest regime for the jump argmin, where many candidates share the
-    exact same ``BS(sigma)`` and only the tie rule picks the winner."""
-    from repro.core.query import KORQuery
-    from repro.graph.builder import GraphBuilder
-
-    from tests.strategies import KEYWORD_POOL
-
-    n = draw(st.integers(3, 7))
-    builder = GraphBuilder()
-    for _ in range(n):
-        keywords = draw(
-            st.lists(st.sampled_from(KEYWORD_POOL), min_size=0, max_size=2, unique=True)
-        )
-        builder.add_node(keywords=keywords)
-    added = False
-    for u in range(n):
-        for v in range(n):
-            if u != v and draw(st.booleans()):
-                objective = draw(st.sampled_from((1.0, 1.0, 2.0)))
-                budget = draw(st.sampled_from((1.0, 1.0, 2.0)))
-                builder.add_edge(u, v, objective, budget)
-                added = True
-    if not added:
-        builder.add_edge(0, 1, 1.0, 1.0)
-    graph = builder.build()
-
-    present = sorted(set(graph.keyword_table.words))
-    queries = []
-    for _ in range(draw(st.integers(2, 5))):
-        keywords = (
-            tuple(
-                draw(
-                    st.lists(
-                        st.sampled_from(present), min_size=1, max_size=3, unique=True
-                    )
-                )
-            )
-            if present
-            else ()
-        )
-        queries.append(
-            KORQuery(
-                draw(st.integers(0, n - 1)),
-                draw(st.integers(0, n - 1)),
-                keywords,
-                draw(st.sampled_from((2.0, 4.0, 8.0))),
-            )
-        )
-    return graph, queries
-
-
-class TestJumpBlockDifferential:
-    """``jump_candidates_block`` must equal N independent
-    ``jump_candidate`` calls — for every job, at every lockstep step of a
-    real wave, under hammered ties."""
-
-    @given(instance=_tie_hammered_instance())
-    @settings(max_examples=40, deadline=None)
-    def test_block_equals_scalar_under_tie_hammering(self, instance):
-        from repro.core import kernels
-        from repro.core.engine import KOREngine
-
-        graph, queries = instance
-        engine = KOREngine(graph)
-        original = kernels.jump_candidates_block
-
-        def verifying(kctx, jobs):
-            block = original(kctx, jobs)
-            for (search, label), got in zip(jobs, block):
-                if not search.use_strategy1 or label.mask == search.full_mask:
-                    expected = None
-                else:
-                    expected = search.ctx.jump_candidate(label)
-                assert got == expected, (
-                    f"block jump diverged at node {label.node}: "
-                    f"{got} != {expected}"
-                )
-            return block
-
-        kernels.jump_candidates_block = verifying
-        try:
-            for algorithm in sorted(KERNEL_WAVE_ALGORITHMS):
-                got = wave_outcomes(engine, queries, algorithm, {})
-                assert got == scalar_outcomes(engine, queries, algorithm, {})
-        finally:
-            kernels.jump_candidates_block = original
-
-    def test_empty_and_ineligible_jobs_return_none_rows(self):
-        """Strategy-1-off members and fully-covered labels yield None
-        without touching the tables."""
-        from repro.core import kernels
-        from repro.core.engine import KOREngine
-
-        engine, queries = random_instance(0)
-        kctx = KernelContext(engine.graph, engine.tables)
-        assert kernels.jump_candidates_block(kctx, []) == []
+            queue.bucket_index(float("nan"))

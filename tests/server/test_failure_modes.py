@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.server import KORApp, asgi_request, http_request, serve
+from repro.server import KORApp, asgi_request, encode_route_result, http_request, serve
 from repro.service import AsyncQueryService, QueryService
 
 from tests.service.test_differential import random_instance
@@ -235,6 +235,61 @@ class TestDeadlines:
             assert all("error" in item for item in results)
 
         drive(scenario, slow)
+
+
+    def test_mid_wave_expiry_keeps_finished_members_and_stops_the_rest(self):
+        """One ``/batch``, one shared timeout, one wave of five stalled
+        members.  The deadline runs out mid-wave: every slot answers at
+        expiry (the envelope does not wait for the wave), the members
+        that had finished keep their results (they are in the cache,
+        exact), the running member fails once its stall ends and every
+        later member is refused before its engine run starts."""
+        engine, queries = random_instance(0)
+        members = list(dict.fromkeys(queries))[:5]
+        delay, timeout = 0.2, 0.5
+        slow = SlowEngine(engine, delay_seconds=delay)
+
+        async def main():
+            service = QueryService(slow, cache_capacity=64)
+            front = AsyncQueryService(service)
+            app = KORApp(front)
+            try:
+                begin = time.monotonic()
+                response = await asgi_request(
+                    app,
+                    "POST",
+                    "/batch",
+                    {"timeout": timeout, "queries": [query_payload(q) for q in members]},
+                )
+                elapsed = time.monotonic() - begin
+                assert response.status == 200
+                results = response.json()["results"]
+                assert [item["error"]["type"] for item in results] == ["TimeoutError"] * 5
+                # Promptness: answered at expiry, not after 5 stalls.
+                assert elapsed < timeout + delay
+
+                # The wave winds down within one stall of expiry.
+                await asyncio.sleep(2 * delay)
+                finished = len(service.cache)
+                assert 1 <= finished < len(members)
+                assert slow.runs == finished + 1  # + the member expiry caught running
+                snapshot = service.snapshot()
+                assert (snapshot.queries, snapshot.errors) == (finished, len(members) - finished)
+
+                # The finished members' results survived, exact.
+                again = await asgi_request(
+                    app,
+                    "POST",
+                    "/batch",
+                    {"queries": [query_payload(q) for q in members[:finished]]},
+                )
+                assert slow.runs == finished + 1  # served from the cache
+                for item, query in zip(again.json()["results"], members):
+                    assert item == encode_route_result(engine.run(query), epoch=front.epoch)
+            finally:
+                await front.close()
+
+        asyncio.run(main())
 
 
 class TestShedding:

@@ -227,6 +227,30 @@ class TestOperationalSurface:
         stats = over_http(server, "GET", "/stats").json()
         assert stats["frontend"]["endpoints"]["/query"]["errors"] >= 2
 
+    def test_healthz_and_stats_payload_shapes(self, instance, server):
+        """/healthz reads its shed counter without a snapshot and
+        snapshots sort their window once: neither changes a payload."""
+        health = over_http(server, "GET", "/healthz").json()
+        assert set(health) == {"status", "endpoints", "pending", "max_pending", "shed", "epoch"}
+        assert health["status"] == "ok"
+        assert health["shed"] == 0 and isinstance(health["shed"], int)
+        stats = over_http(server, "GET", "/stats").json()
+        assert set(stats) == {"schema", "frontend", "scheduling", "epoch", "service"}
+        for tier in ("frontend", "service"):
+            assert {
+                "queries",
+                "errors",
+                "cache_hits",
+                "cache_misses",
+                "p50_latency_seconds",
+                "p95_latency_seconds",
+                "p99_latency_seconds",
+                "mean_latency_seconds",
+                "shed",
+                "waves",
+            } <= set(stats[tier])
+            assert stats[tier]["shed"] == health["shed"]
+
     def test_request_timeout_maps_to_504(self, instance):
         engine, queries = instance
         server = serve(QueryService(SlowEngine(engine, delay_seconds=0.5), cache_capacity=0))
@@ -256,6 +280,85 @@ class TestOperationalSurface:
             assert payload["window_seconds"] == pytest.approx(0.008)
         finally:
             server.close()
+
+
+def raw_exchange(server, head: bytes) -> tuple[int, dict, dict]:
+    """Send raw request bytes over a real socket; parse the answer."""
+    import json
+    import socket
+
+    with socket.create_connection(server.address, timeout=10.0) as sock:
+        sock.sendall(head)
+        data = b""
+        while chunk := sock.recv(65536):  # the server must close, not wait for a body
+            data += chunk
+    header_block, _, body = data.partition(b"\r\n\r\n")
+    lines = header_block.decode("latin-1").split("\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in lines[1:])
+    }
+    return int(lines[0].split()[1]), headers, json.loads(body)
+
+
+class TestContentLengthValidation:
+    """The stdlib bridge validates ``Content-Length`` before reading a
+    byte of body: a 4xx in the app's JSON error shape plus
+    ``Connection: close``, never a reset or a blocked handler thread."""
+
+    def request(self, server, content_length: str):
+        return raw_exchange(
+            server,
+            (
+                "POST /query HTTP/1.1\r\n"
+                "Host: test\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {content_length}\r\n"
+                "\r\n"
+            ).encode("latin-1"),
+        )
+
+    def test_non_numeric_content_length_is_a_400(self, server):
+        status, headers, payload = self.request(server, "twelve")
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert payload["error"]["type"] == "BadRequest"
+        assert "twelve" in payload["error"]["message"]
+
+    def test_negative_content_length_is_a_400(self, server):
+        """``rfile.read(-1)`` would block until the peer closes; the
+        answer must arrive while this socket is still open."""
+        status, headers, payload = self.request(server, "-1")
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert payload["error"]["type"] == "BadRequest"
+
+    def test_oversized_content_length_is_a_413(self, server):
+        from repro.server.stdlib import MAX_BODY_BYTES
+
+        status, headers, payload = self.request(server, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert headers["connection"] == "close"
+        assert payload["error"]["type"] == "PayloadTooLarge"
+        # The limit itself is still served: a body of exactly
+        # MAX_BODY_BYTES is read (and then fails JSON parsing, a 400).
+        body = b" " * MAX_BODY_BYTES
+        status, _headers, payload = raw_exchange(
+            server,
+            (
+                "POST /query HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode("latin-1")
+            + body,
+        )
+        assert status == 400
+        assert payload["error"]["type"] == "WireError"
+
+    def test_the_server_keeps_serving_afterwards(self, instance, server):
+        _engine, queries = instance
+        self.request(server, "nonsense")
+        ok = over_http(server, "POST", "/query", query_payload(queries[0], "bucketbound"))
+        assert ok.status == 200
 
 
 class TestAdminUpdate:

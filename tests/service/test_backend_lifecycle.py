@@ -17,11 +17,10 @@ from repro.exceptions import QueryError
 from repro.service import (
     ProcessBackend,
     SerialBackend,
-    ShardTask,
     ThreadBackend,
 )
 
-from tests.service.test_backends import BACKEND_FACTORIES
+from tests.service.test_backends import BACKEND_FACTORIES, run_waves_of_one, wave_of_one
 from tests.service.test_differential import random_instance
 
 
@@ -32,12 +31,12 @@ class TestCloseIdempotency:
         engine, queries = random_instance(0)
         backend = dict(BACKEND_FACTORIES)[name]()
         handle = backend.register_engine(engine, key="reuse")
-        task = ShardTask.build(handle.key, queries[0], "bucketbound", {})
-        assert backend.run_tasks([task])[0].ok
+        task = wave_of_one(handle.key, queries[0])
+        assert run_waves_of_one(backend, [task])[0].ok
         backend.close()
         backend.close()
         # Pools are rebuilt lazily: the backend serves again after close.
-        assert backend.run_tasks([task])[0].ok
+        assert run_waves_of_one(backend, [task])[0].ok
         backend.close()
 
     def test_close_before_any_use_is_a_noop(self):
@@ -58,12 +57,10 @@ class TestUnregisterInFlight:
             backend.register_engine(engine_b, key="goes")
             gate = threading.Event()
             blocker = backend.submit_call(gate.wait, 5.0)
-            queued = backend.submit_task(
-                ShardTask.build(handle_a.key, queries_a[0], "bucketbound", {})
-            )
+            queued = backend.submit_wave(wave_of_one(handle_a.key, queries_a[0]))
             backend.unregister("goes")
             gate.set()
-            outcome = queued.result(timeout=10.0)
+            (outcome,) = queued.result(timeout=10.0)
             assert outcome.ok
             assert blocker.result(timeout=10.0)
             assert backend.shard_keys == ("stays",)
@@ -79,12 +76,10 @@ class TestUnregisterInFlight:
             handle = backend.register_engine(engine, key="vanishing")
             gate = threading.Event()
             backend.submit_call(gate.wait, 5.0)
-            queued = backend.submit_task(
-                ShardTask.build(handle.key, queries[0], "bucketbound", {})
-            )
+            queued = backend.submit_wave(wave_of_one(handle.key, queries[0]))
             backend.unregister("vanishing")
             gate.set()
-            outcome = queued.result(timeout=10.0)
+            (outcome,) = queued.result(timeout=10.0)
             assert not outcome.ok
             assert isinstance(outcome.error, QueryError)
             assert "not registered" in str(outcome.error)
@@ -101,21 +96,17 @@ class TestUnregisterInFlight:
             handle_a = backend.register_engine(engine_a, key="proc-a")
             handle_b = backend.register_engine(engine_b, key="proc-b")
             futures = [
-                backend.submit_task(
-                    ShardTask.build(handle_a.key, queries_a[i % len(queries_a)], "bucketbound", {})
-                )
+                backend.submit_wave(wave_of_one(handle_a.key, queries_a[i % len(queries_a)]))
                 for i in range(4)
             ]
             backend.unregister(handle_b.key)
-            outcomes = [future.result(timeout=60.0) for future in futures]
+            outcomes = [future.result(timeout=60.0)[0] for future in futures]
             # Every future resolved; tasks either ran before the retire
             # or failed cleanly — none may hang or crash the backend.
             assert all(
                 outcome.ok or isinstance(outcome.error, Exception) for outcome in outcomes
             )
-            after = backend.run_tasks(
-                [ShardTask.build(handle_a.key, queries_a[0], "bucketbound", {})]
-            )
+            after = run_waves_of_one(backend, [wave_of_one(handle_a.key, queries_a[0])])
             assert after[0].ok
             assert backend.shard_keys == (handle_a.key,)
         finally:
@@ -132,9 +123,7 @@ class TestCancellation:
             handle = backend.register_engine(engine, key="cancellable")
             gate = threading.Event()
             blocker = backend.submit_call(gate.wait, 5.0)
-            queued = backend.submit_task(
-                ShardTask.build(handle.key, queries[0], "bucketbound", {})
-            )
+            queued = backend.submit_wave(wave_of_one(handle.key, queries[0]))
             assert queued.cancel(), "an unstarted pool task must cancel"
             gate.set()
             assert queued.cancelled()
@@ -144,29 +133,6 @@ class TestCancellation:
             while backend.in_flight and time.time() < deadline:
                 time.sleep(0.01)
             assert backend.in_flight == 0
-        finally:
-            backend.close()
-
-    def test_run_tasks_reports_cancelled_slots_as_errors(self):
-        """The batch wrapper folds a cancelled future into a per-slot
-        QueryError outcome instead of raising out of the batch."""
-        from repro.service.backends import _outcome_of
-
-        engine, queries = random_instance(0)
-        backend = ThreadBackend(workers=1)
-        try:
-            handle = backend.register_engine(engine, key="slots")
-            gate = threading.Event()
-            backend.submit_call(gate.wait, 5.0)
-            queued = backend.submit_task(
-                ShardTask.build(handle.key, queries[0], "bucketbound", {})
-            )
-            assert queued.cancel()
-            gate.set()
-            outcome = _outcome_of(queued)
-            assert not outcome.ok
-            assert isinstance(outcome.error, QueryError)
-            assert "cancelled" in str(outcome.error)
         finally:
             backend.close()
 
@@ -208,8 +174,8 @@ class TestBoundedAdmission:
         backend = SerialBackend(max_in_flight=1)
         try:
             handle = backend.register_engine(engine, key="serial-depth")
-            outcomes = backend.run_tasks(
-                [ShardTask.build(handle.key, q, "bucketbound", {}) for q in queries[:3]]
+            outcomes = run_waves_of_one(
+                backend, [wave_of_one(handle.key, q) for q in queries[:3]]
             )
             assert all(outcome.ok for outcome in outcomes)
             # Serial tasks resolve at submission: depth never exceeds 1
@@ -217,6 +183,22 @@ class TestBoundedAdmission:
             assert backend.peak_in_flight == 1
             assert backend.in_flight == 0
             assert backend.admission_waits == 0
+        finally:
+            backend.close()
+
+    def test_per_call_workers_narrow_the_submission_window(self):
+        """submit_waves(workers=k) keeps at most k waves unresolved, in
+        submission order, however wide the pool is."""
+        engine, queries = random_instance(0)
+        backend = ThreadBackend(workers=4)
+        try:
+            handle = backend.register_engine(engine, key="window")
+            waves = [wave_of_one(handle.key, query) for query in queries]
+            futures = backend.submit_waves(waves, workers=1)
+            assert [future.result(timeout=10.0)[0].ok for future in futures] == [True] * len(waves)
+            assert backend.peak_in_flight == 1
+            with pytest.raises(QueryError):
+                backend.submit_waves(waves, workers=0)
         finally:
             backend.close()
 
@@ -234,19 +216,17 @@ class TestBoundedAdmission:
             backend.close()
 
 
-class TestSubmitTaskProtocol:
+class TestSubmitWaveProtocol:
     @pytest.mark.parametrize("name", [name for name, _ in BACKEND_FACTORIES])
-    def test_submit_task_future_resolves_to_the_batch_answer(self, name):
-        """The futures primitive and the batch wrapper agree exactly."""
+    def test_submit_wave_future_resolves_to_the_windowed_answer(self, name):
+        """The futures primitive and its windowed list form agree exactly."""
         engine, queries = random_instance(3)
         backend = dict(BACKEND_FACTORIES)[name]()
         try:
             handle = backend.register_engine(engine, key="proto")
-            tasks = [
-                ShardTask.build(handle.key, query, "bucketbound", {}) for query in queries
-            ]
-            via_futures = [backend.submit_task(task).result(timeout=60.0) for task in tasks]
-            batch = backend.run_tasks(tasks)
+            tasks = [wave_of_one(handle.key, query) for query in queries]
+            via_futures = [backend.submit_wave(task).result(timeout=60.0)[0] for task in tasks]
+            batch = run_waves_of_one(backend, tasks)
             for single, batched in zip(via_futures, batch):
                 assert single.ok == batched.ok
                 if single.ok:

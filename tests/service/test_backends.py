@@ -18,9 +18,9 @@ from repro.service import (
     ProcessBackend,
     QueryService,
     SerialBackend,
-    ShardTask,
     ShardedQueryService,
     ThreadBackend,
+    WaveTask,
     backend_from_name,
 )
 
@@ -32,6 +32,16 @@ BACKEND_FACTORIES = (
     ("thread", lambda: ThreadBackend(workers=3)),
     ("process", lambda: ProcessBackend(workers=2)),
 )
+
+
+def wave_of_one(shard: str, query) -> WaveTask:
+    """One query as the unit of work the backends speak."""
+    return WaveTask.build(shard, [query], "bucketbound")
+
+
+def run_waves_of_one(backend, waves) -> list:
+    """Submit every wave of one, then gather the members in order."""
+    return [future.result()[0] for future in backend.submit_waves(waves)]
 
 
 def run_on_every_backend(run):
@@ -220,7 +230,7 @@ class TestProcessBackendMechanics:
     def test_closures_are_rejected(self):
         backend = ProcessBackend(workers=1)
         with pytest.raises(QueryError):
-            backend.map(lambda unit: unit, [1, 2, 3])
+            backend.submit_call(lambda unit: unit, 1)
         backend.close()
 
     def test_unknown_shard_fails_only_its_own_task(self):
@@ -228,9 +238,9 @@ class TestProcessBackendMechanics:
         backend = ProcessBackend(workers=1)
         try:
             handle = backend.register_engine(engine)
-            good = ShardTask.build(handle.key, queries[0], "bucketbound", {})
-            ghost = ShardTask.build("no-such-shard", queries[1], "bucketbound", {})
-            outcomes = backend.run_tasks([good, ghost, good])
+            good = wave_of_one(handle.key, queries[0])
+            ghost = wave_of_one("no-such-shard", queries[1])
+            outcomes = run_waves_of_one(backend, [good, ghost, good])
             assert outcomes[0].ok and outcomes[2].ok
             assert not outcomes[1].ok
             assert isinstance(outcomes[1].error, QueryError)
@@ -243,16 +253,15 @@ class TestProcessBackendMechanics:
         backend = ProcessBackend(workers=1)
         try:
             handle_a = backend.register_engine(engine_a)
-            first = backend.run_tasks(
-                [ShardTask.build(handle_a.key, queries_a[0], "bucketbound", {})]
-            )
+            first = run_waves_of_one(backend, [wave_of_one(handle_a.key, queries_a[0])])
             assert first[0].ok
             handle_b = backend.register_engine(engine_b)
-            second = backend.run_tasks(
+            second = run_waves_of_one(
+                backend,
                 [
-                    ShardTask.build(handle_a.key, queries_a[0], "bucketbound", {}),
-                    ShardTask.build(handle_b.key, queries_b[0], "bucketbound", {}),
-                ]
+                    wave_of_one(handle_a.key, queries_a[0]),
+                    wave_of_one(handle_b.key, queries_b[0]),
+                ],
             )
             assert second[0].ok and second[1].ok
         finally:
@@ -263,9 +272,7 @@ class TestProcessBackendMechanics:
         backend = ProcessBackend(workers=2)
         handle = backend.register_engine(engine)
         backend.warm_up()
-        outcomes = backend.run_tasks(
-            [ShardTask.build(handle.key, queries[0], "bucketbound", {})]
-        )
+        outcomes = run_waves_of_one(backend, [wave_of_one(handle.key, queries[0])])
         assert outcomes[0].ok
         backend.close()
         backend.close()

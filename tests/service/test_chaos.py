@@ -291,10 +291,10 @@ class TestChaosDifferential:
 
 
 class TestChaosMidWave:
-    """Fault plans against the kernel-wave dispatch path.
+    """Fault plans against the wave dispatch path.
 
-    Batches ship as :class:`~repro.service.backends.WaveTask` kernel
-    waves by default, so these plans hit the wave machinery head-on:
+    Batches ship as :class:`~repro.service.backends.WaveTask` waves,
+    so these plans hit the wave machinery head-on:
     parent-side kills land while a whole wave is in flight on one lane
     (the dead-worker retry must replay the *wave*), and task-side rules
     fire per member through the wave's ``on_member`` hook mid-batch.
@@ -303,7 +303,7 @@ class TestChaosMidWave:
     """
 
     def test_kill_worker_mid_wave_is_survived(self):
-        """SIGKILL under an in-flight kernel wave: the lane rebuild
+        """SIGKILL under an in-flight wave: the lane rebuild
         replays the whole wave and every slot still answers exactly."""
         engine, queries = random_instance(7)
         baseline = [fingerprint(engine.run(q)) for q in queries]
@@ -311,7 +311,7 @@ class TestChaosMidWave:
         backend = ProcessBackend(workers=2)
         try:
             service = QueryService(engine, cache_capacity=0, backend=backend)
-            report = service.execute(queries)  # wave kernels on by default
+            report = service.execute(queries)  # one wave of eight
             assert report.ok
             assert [fingerprint(item.result) for item in report.items] == baseline
             assert plan.fired() == {0: 1}

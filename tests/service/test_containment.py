@@ -48,13 +48,17 @@ class TestServiceDeadline:
         from repro.service.batch import execute_batch
         from repro.service.cache import ResultCache
 
+        from repro.service import SerialBackend
+
         engine, queries = random_instance(0)
+        backend = SerialBackend()
         with pytest.raises(Exception, match="not a query parameter"):
             execute_batch(
-                engine,
                 ResultCache(8),
                 queries[:1],
                 params={"deadline": Deadline.after(60.0)},
+                backend=backend,
+                handle=backend.register_engine(engine),
             )
 
     def test_deadline_is_rejected_on_the_wire(self):

@@ -66,6 +66,30 @@ class TestPercentile:
 
 
 class TestServiceStats:
+    def test_snapshot_percentiles_equal_percentile_on_the_same_samples(self):
+        """snapshot() sorts its window once; the three percentiles must
+        still be exactly what percentile() gives for each."""
+        import random
+
+        rng = random.Random(7)
+        samples = [rng.expovariate(100.0) for _ in range(500)]
+        stats = ServiceStats()
+        for sample in samples:
+            stats.record_query(sample, cached=False)
+        snapshot = stats.snapshot()
+        assert snapshot.p50_latency_seconds == percentile(samples, 50.0)
+        assert snapshot.p95_latency_seconds == percentile(samples, 95.0)
+        assert snapshot.p99_latency_seconds == percentile(samples, 99.0)
+        assert snapshot.mean_latency_seconds == sum(samples) / len(samples)
+        assert ServiceStats().snapshot().p99_latency_seconds == 0.0
+
+    def test_shed_counter_reads_without_a_snapshot(self):
+        stats = ServiceStats()
+        assert stats.shed == 0
+        stats.record_shed()
+        stats.record_shed()
+        assert stats.shed == 2 == stats.snapshot().shed
+
     def test_snapshot_aggregates(self):
         stats = ServiceStats()
         for latency in (0.010, 0.020, 0.030, 0.040):

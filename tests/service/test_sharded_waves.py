@@ -1,13 +1,14 @@
-"""Shard-aware wave routing: differential, observability and chaos.
+"""Shard-aware wave routing: golden results, observability and chaos.
 
-The sharded scatter now groups same-shard attempts into
+The sharded scatter groups same-shard attempts into
 :class:`~repro.service.backends.WaveTask` waves (one submission per
-shard wave instead of one per attempt).  The contract is the same as
-the flat tier's kernel waves: **fingerprint identity** — routes,
-scores, failure reasons and per-label search statistics must match the
-per-query ShardTask path exactly, for all six algorithms, on every
-backend — plus the three containment tiers (poisoned member / kernel
-fallback / broken-wave per-query resubmission) and the new wave
+shard wave; a shard with one attempt gets a wave of one).  The contract
+is **fingerprint identity** with ``tests/golden/wave_fingerprints.json``
+— what the deleted lockstep path produced for the same seeded streams:
+routes, scores, failure reasons, per-label search statistics and the
+shard/merge accounting, for all six algorithms, on serial, thread and
+process backends — plus the containment tiers (poisoned member /
+wave-level failure / broken-wave member-wise resubmission) and the wave
 occupancy counters in ``ServiceStats``.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import ALGORITHMS
-from repro.service import ProcessBackend
+from repro.service import ProcessBackend, backend_from_name
 from repro.service.batch import (
     DEFAULT_WAVE_SIZE,
     MAX_WAVE_SIZE,
@@ -25,7 +26,7 @@ from repro.service.batch import (
 from repro.service.faults import FaultPlan, FaultRule, injected
 from repro.service.sharding import ShardedQueryService
 
-from tests.core.test_kernels import STAT_FIELDS
+from tests.core.test_kernels import GOLDEN, STAT_FIELDS, outcome_record
 from tests.service.test_differential import fingerprint, random_instance
 
 pytestmark = pytest.mark.timeout(300)
@@ -61,33 +62,62 @@ def _report_view(report):
     return view
 
 
+def _golden_view(service, report) -> dict:
+    """A sharded batch in the golden file's shape."""
+    shard_tasks, shard_errors, merge_wins = _snapshot_view(service)
+    return {
+        "items": [
+            outcome_record(item.result, item.error)
+            if item.error is not None
+            else {**outcome_record(item.result, None), "degraded": item.result.degraded}
+            for item in report.items
+        ],
+        "shard_tasks": shard_tasks,
+        "shard_errors": shard_errors,
+        "merge_wins": merge_wins,
+    }
+
+
 class TestShardedWaveDifferential:
+    @pytest.mark.parametrize("backend_name", ("serial", "thread", "process"))
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_waved_scatter_matches_per_query_scatter(self, algorithm, service_backend):
-        """Wave-routed results == per-query ShardTask results, down to
-        the per-label statistics and the shard/merge accounting."""
-        for seed in (0, 1):
-            engine, queries = random_instance(seed)
-            waved = ShardedQueryService(
-                engine.graph, num_cells=2, backend=service_backend, cache_capacity=0
-            )
-            per_query = ShardedQueryService(
-                engine.graph,
-                num_cells=2,
-                backend=service_backend,
-                cache_capacity=0,
-                wave_kernels=False,
-            )
-            try:
-                waved_report = waved.execute(queries, algorithm=algorithm, workers=3)
-                per_query_report = per_query.execute(
-                    queries, algorithm=algorithm, workers=3
-                )
-                assert _report_view(waved_report) == _report_view(per_query_report)
-                assert _snapshot_view(waved) == _snapshot_view(per_query)
-            finally:
-                waved.close()
-                per_query.close()
+    def test_scatter_reproduces_golden(self, algorithm, backend_name):
+        """Wave-routed results == the golden file, down to the per-label
+        statistics and the shard/merge accounting."""
+        with backend_from_name(backend_name, workers=2) as backend:
+            for seed in (0, 1):
+                engine, queries = random_instance(seed)
+                with ShardedQueryService(
+                    engine.graph, num_cells=2, backend=backend, cache_capacity=0
+                ) as service:
+                    report = service.execute(queries, algorithm=algorithm, workers=3)
+                    assert (
+                        _golden_view(service, report)
+                        == GOLDEN["sharded"][f"{algorithm}/seed-{seed}"]
+                    ), f"seed={seed}"
+
+    def test_per_attempt_and_default_scatter_are_identical(self, service_backend):
+        """``wave_size=1`` (one submission per attempt) vs the default:
+        same report, same shard/merge accounting."""
+        engine, queries = random_instance(0)
+        waved = ShardedQueryService(
+            engine.graph, num_cells=2, backend=service_backend, cache_capacity=0
+        )
+        per_attempt = ShardedQueryService(
+            engine.graph,
+            num_cells=2,
+            backend=service_backend,
+            cache_capacity=0,
+            wave_size=1,
+        )
+        try:
+            waved_report = waved.execute(queries, workers=3)
+            per_attempt_report = per_attempt.execute(queries, workers=3)
+            assert _report_view(waved_report) == _report_view(per_attempt_report)
+            assert _snapshot_view(waved) == _snapshot_view(per_attempt)
+        finally:
+            waved.close()
+            per_attempt.close()
 
     def test_single_cell_waves_match_flat_engine(self, service_backend):
         """``num_cells=1``: the waved scatter still answers exactly like
@@ -129,18 +159,21 @@ class TestWaveObservability:
         finally:
             service.close()
 
-    def test_per_query_mode_forms_no_waves(self, service_backend):
+    def test_wave_size_one_forms_no_waves(self, service_backend):
         engine, queries = random_instance(2)
         service = ShardedQueryService(
             engine.graph,
             num_cells=2,
             backend=service_backend,
             cache_capacity=0,
-            wave_kernels=False,
+            wave_size=1,
         )
         try:
             service.execute(queries, workers=3)
-            assert service.stats.snapshot().waves == {}
+            snapshot = service.stats.snapshot()
+            assert snapshot.waves["formed"] == 0
+            # Every attempt went out as a wave of one.
+            assert snapshot.waves["solo_fallbacks"] == sum(snapshot.shard_tasks.values())
         finally:
             service.close()
 
@@ -205,7 +238,7 @@ class TestAdaptiveWaveSizing:
 class TestWaveChaos:
     def test_kill_worker_mid_shard_wave_degraded_or_identical(self):
         """SIGKILL under a shard wave: the dead-worker retry (and, past
-        it, the per-query resubmission tier) must deliver every slot an
+        it, the member-wise resubmission tier) must deliver every slot an
         answer that is fingerprint-identical or flagged degraded."""
         engine, queries = random_instance(3)
         baseline = [fingerprint(engine.run(q)) for q in queries]

@@ -15,8 +15,9 @@ import time
 import pytest
 
 from repro.exceptions import QueryError
-from repro.service import ProcessBackend, ShardTask, ShardedQueryService
+from repro.service import ProcessBackend, ShardedQueryService
 
+from tests.service.test_backends import run_waves_of_one, wave_of_one
 from tests.service.test_differential import random_instance
 
 
@@ -37,14 +38,10 @@ class TestAffinity:
             handle_a = backend.register_engine(engine_a, key="shard-a")
             handle_b = backend.register_engine(engine_b, key="shard-b")
             tasks = [
-                ShardTask.build(handle_a.key, queries_a[i % len(queries_a)], "bucketbound", {})
-                for i in range(6)
-            ] + [
-                ShardTask.build(handle_b.key, queries_b[i % len(queries_b)], "bucketbound", {})
-                for i in range(6)
-            ]
+                wave_of_one(handle_a.key, queries_a[i % len(queries_a)]) for i in range(6)
+            ] + [wave_of_one(handle_b.key, queries_b[i % len(queries_b)]) for i in range(6)]
             for _ in range(2):  # two rounds of repeat traffic
-                outcomes = backend.run_tasks(tasks)
+                outcomes = run_waves_of_one(backend, tasks)
                 assert all(outcome.ok for outcome in outcomes)
 
             pins = backend.pin_stats()
@@ -93,12 +90,10 @@ class TestAffinity:
             # A burst submitted without waiting: the pinned lane's queue
             # grows, and with margin 0 later tasks must spill.
             futures = [
-                backend.submit_task(
-                    ShardTask.build(handle.key, queries[i % len(queries)], "bucketbound", {})
-                )
+                backend.submit_wave(wave_of_one(handle.key, queries[i % len(queries)]))
                 for i in range(8)
             ]
-            outcomes = [future.result() for future in futures]
+            outcomes = [future.result()[0] for future in futures]
             assert all(outcome.ok for outcome in outcomes)
             pins = backend.pin_stats()
             assert pins["assignments"] == 1
@@ -120,11 +115,11 @@ class TestWorkerEngineLRU:
             handle_a = backend.register_engine(engine_a, key="lru-a")
             handle_b = backend.register_engine(engine_b, key="lru-b")
             plan = [
-                ShardTask.build(handle_a.key, queries_a[0], "bucketbound", {}),
-                ShardTask.build(handle_b.key, queries_b[0], "bucketbound", {}),
-                ShardTask.build(handle_a.key, queries_a[0], "bucketbound", {}),
+                wave_of_one(handle_a.key, queries_a[0]),
+                wave_of_one(handle_b.key, queries_b[0]),
+                wave_of_one(handle_a.key, queries_a[0]),
             ]
-            outcomes = backend.run_tasks(plan)
+            outcomes = run_waves_of_one(backend, plan)
             assert all(outcome.ok for outcome in outcomes)
             assert outcomes[0].result.objective_score == expected_a.objective_score
             assert outcomes[1].result.objective_score == expected_b.objective_score
@@ -144,12 +139,13 @@ class TestWorkerEngineLRU:
         try:
             handle_a = backend.register_engine(engine_a, key="res-a")
             handle_b = backend.register_engine(engine_b, key="res-b")
-            outcomes = backend.run_tasks(
+            outcomes = run_waves_of_one(
+                backend,
                 [
-                    ShardTask.build(handle_a.key, queries_a[0], "bucketbound", {}),
-                    ShardTask.build(handle_b.key, queries_b[0], "bucketbound", {}),
-                    ShardTask.build(handle_a.key, queries_a[0], "bucketbound", {}),
-                ]
+                    wave_of_one(handle_a.key, queries_a[0]),
+                    wave_of_one(handle_b.key, queries_b[0]),
+                    wave_of_one(handle_a.key, queries_a[0]),
+                ],
             )
             assert all(outcome.ok for outcome in outcomes)
             (stats,) = backend.worker_stats().values()
@@ -167,9 +163,7 @@ class TestDeadWorkerFallback:
         backend = build_backend(workers=2)
         try:
             handle = backend.register_engine(engine, key="fragile")
-            first = backend.run_tasks(
-                [ShardTask.build(handle.key, queries[0], "bucketbound", {})]
-            )
+            first = run_waves_of_one(backend, [wave_of_one(handle.key, queries[0])])
             assert first[0].ok
 
             # Kill the pinned worker out from under the backend.
@@ -181,9 +175,7 @@ class TestDeadWorkerFallback:
             # Traffic for the shard must keep flowing: the dead lane is
             # detected (at submit or completion), rebuilt, and the task
             # retried transparently.
-            second = backend.run_tasks(
-                [ShardTask.build(handle.key, queries[0], "bucketbound", {})]
-            )
+            second = run_waves_of_one(backend, [wave_of_one(handle.key, queries[0])])
             assert second[0].ok, f"fallback failed: {second[0].error!r}"
             assert second[0].result.objective_score == expected.objective_score
             assert backend.pin_stats()["dead_worker_fallbacks"] >= 1
@@ -198,9 +190,7 @@ class TestDeadWorkerFallback:
         backend = build_backend(workers=2)
         try:
             handle = backend.register_engine(engine, key="burst")
-            warm = backend.run_tasks(
-                [ShardTask.build(handle.key, queries[0], "bucketbound", {})]
-            )
+            warm = run_waves_of_one(backend, [wave_of_one(handle.key, queries[0])])
             assert warm[0].ok
 
             workers = backend.worker_stats()
@@ -209,12 +199,10 @@ class TestDeadWorkerFallback:
             time.sleep(0.1)
 
             futures = [
-                backend.submit_task(
-                    ShardTask.build(handle.key, queries[i % len(queries)], "bucketbound", {})
-                )
+                backend.submit_wave(wave_of_one(handle.key, queries[i % len(queries)]))
                 for i in range(4)
             ]
-            outcomes = [future.result(timeout=60.0) for future in futures]
+            outcomes = [future.result(timeout=60.0)[0] for future in futures]
             assert all(outcome.ok for outcome in outcomes), [o.error for o in outcomes]
             # One dead worker == one fallback, however many tasks it sank.
             assert backend.pin_stats()["dead_worker_fallbacks"] == 1
@@ -239,7 +227,7 @@ class TestConstructionGuards:
 class TestAdmissionSlots:
     """``max_in_flight`` accounting across dead-worker rebuild+retry.
 
-    Regression guard: the admission slot taken at ``submit_task`` must
+    Regression guard: the admission slot taken at ``submit_wave`` must
     be released exactly once per task even when the task's worker is
     SIGKILLed and the backend rebuilds the lane and retries — a leaked
     slot would shrink admission until it deadlocks.
@@ -252,9 +240,7 @@ class TestAdmissionSlots:
         backend = build_backend(workers=2, max_in_flight=2)
         try:
             handle = backend.register_engine(engine, key="slots")
-            warm = backend.run_tasks(
-                [ShardTask.build(handle.key, queries[0], "bucketbound", {})]
-            )
+            warm = run_waves_of_one(backend, [wave_of_one(handle.key, queries[0])])
             assert warm[0].ok
             assert backend.in_flight == 0
 
@@ -264,14 +250,10 @@ class TestAdmissionSlots:
                 os.kill(workers[pinned_lane]["pid"], signal.SIGKILL)
                 time.sleep(0.1)
                 futures = [
-                    backend.submit_task(
-                        ShardTask.build(
-                            handle.key, queries[i % len(queries)], "bucketbound", {}
-                        )
-                    )
+                    backend.submit_wave(wave_of_one(handle.key, queries[i % len(queries)]))
                     for i in range(2)
                 ]
-                outcomes = [future.result(timeout=60.0) for future in futures]
+                outcomes = [future.result(timeout=60.0)[0] for future in futures]
                 assert all(outcome.ok for outcome in outcomes), [
                     outcome.error for outcome in outcomes
                 ]
@@ -288,11 +270,7 @@ class TestAdmissionSlots:
 
             def submit_burst():
                 box["futures"] = [
-                    backend.submit_task(
-                        ShardTask.build(
-                            handle.key, queries[i % len(queries)], "bucketbound", {}
-                        )
-                    )
+                    backend.submit_wave(wave_of_one(handle.key, queries[i % len(queries)]))
                     for i in range(5)
                 ]
 
@@ -300,7 +278,7 @@ class TestAdmissionSlots:
             submitter.start()
             submitter.join(timeout=30.0)
             assert not submitter.is_alive(), "admission gate deadlocked: slot leak"
-            assert all(f.result(timeout=60.0).ok for f in box["futures"])
+            assert all(f.result(timeout=60.0)[0].ok for f in box["futures"])
             assert backend.in_flight == 0
             assert backend.peak_in_flight <= 2
         finally:
