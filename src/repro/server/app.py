@@ -5,7 +5,7 @@ callable over one :class:`~repro.service.frontend.AsyncQueryService`.
 No web framework is imported: the protocol is three dict shapes
 (``scope`` / ``receive`` / ``send``), and speaking it directly keeps the
 serving tier dependency-free while remaining hostable by any ASGI server
-— including this package's own stdlib bridge
+— including this package's own stdlib host
 (:class:`repro.server.stdlib.StdlibServer`), so the demo runs with zero
 extra deps.
 
@@ -17,8 +17,10 @@ Endpoints (all JSON, schema-stamped per :mod:`repro.server.schema`):
                               scheduling meta, wrapped-service snapshot
 ``POST /query``       200     one ``kor.route_query.v1`` in, one validated
                               ``kor.route_result.v1`` out
-``POST /batch``       200     ``{"queries": [...]}`` in, ``kor.route_batch.v1``
-                              out (per-slot results or error objects)
+``POST /batch``       200     ``{"queries": [...]}`` in (at most
+                              ``MAX_BATCH_QUERIES``, else 413),
+                              ``kor.route_batch.v1`` out (per-slot results
+                              or error objects)
 ``POST /topk/stream`` 200     KkR top-k as streaming NDJSON: a
                               ``kor.route_topk.v1`` header line, then one
                               ranked route per line (chunked transfer)
@@ -99,6 +101,11 @@ DEFAULT_MAX_PENDING = 256
 
 #: What a shed response tells the client to wait before retrying.
 RETRY_AFTER_SECONDS = 1
+
+#: Most queries one ``/batch`` may carry (16x the front-end's default
+#: ``max_batch``); a longer list is refused with 413 before any slot is
+#: parsed, so one request cannot queue unbounded engine work.
+MAX_BATCH_QUERIES = 1024
 
 
 class KORApp:
@@ -349,6 +356,12 @@ class KORApp:
         payload = _loads(body)
         if not isinstance(payload, dict) or not isinstance(payload.get("queries"), list):
             raise WireError("route_batch: body must carry a 'queries' list")
+        if len(payload["queries"]) > MAX_BATCH_QUERIES:
+            message = (
+                f"route_batch: {len(payload['queries'])} queries exceed the "
+                f"{MAX_BATCH_QUERIES}-query limit"
+            )
+            return 413, {"error": {"type": "PayloadTooLarge", "message": message}}
         defaults = {
             key: payload[key]
             for key in ("algorithm", "params", "explain", "timeout")

@@ -14,8 +14,9 @@ Schemas defined here:
 
 ``kor.route_query.v1``
     A single query request (``/query`` body): required ``source`` /
-    ``target`` / ``keywords`` / ``budget_limit``, optional ``algorithm``
-    / ``params`` / ``explain`` / ``timeout``.
+    ``target`` / ``keywords`` (at most ``MAX_QUERY_KEYWORDS``) /
+    ``budget_limit``, optional ``algorithm`` / ``params`` / ``explain``
+    / ``timeout``.
 ``kor.route_result.v1``
     One answered query: the echoed query, the algorithm, the four
     feasibility verdicts, a ``score`` breakdown (objective + budget, or
@@ -70,6 +71,7 @@ __all__ = [
     "ROUTE_TOPK_SCHEMA",
     "GRAPH_UPDATE_SCHEMA",
     "GRAPH_UPDATE_ACK_SCHEMA",
+    "MAX_QUERY_KEYWORDS",
     "WireError",
     "encode_route_result",
     "validate_route_result",
@@ -88,6 +90,11 @@ SERVICE_STATS_SCHEMA = "kor.service_stats.v1"
 ROUTE_TOPK_SCHEMA = "kor.route_topk.v1"
 GRAPH_UPDATE_SCHEMA = "kor.graph_update.v1"
 GRAPH_UPDATE_ACK_SCHEMA = "kor.graph_update_ack.v1"
+
+#: Most keywords one ``kor.route_query.v1`` may carry.  Search cost is
+#: exponential in the keyword count (the paper stops at 10), so a longer
+#: list is a malformed request, not a query to attempt.
+MAX_QUERY_KEYWORDS = 64
 
 #: Required top-level fields of a ``kor.route_result.v1`` document and
 #: the python types each must carry.  ``route`` and ``failure_reason``
@@ -160,6 +167,10 @@ def parse_route_query(payload: object) -> dict:
             f"route_query: unsupported schema {schema!r}; expected {ROUTE_QUERY_SCHEMA!r}"
         )
     keywords = payload["keywords"]
+    if len(keywords) > MAX_QUERY_KEYWORDS:
+        raise WireError(
+            f"route_query: {len(keywords)} keywords exceed the {MAX_QUERY_KEYWORDS}-keyword limit"
+        )
     if not all(isinstance(word, str) for word in keywords):
         raise WireError("route_query: 'keywords' must be a list of strings")
     budget = float(payload["budget_limit"])

@@ -11,17 +11,29 @@ protocol) and pins the failure-containment contract of the HTTP tier:
   ``Retry-After`` before any engine work, counted in ``shed``;
 * :meth:`~repro.server.app.KORApp.begin_drain` refuses new work while
   ``/healthz`` reports ``draining`` and read endpoints stay up;
-* ``/healthz`` reports ``degraded`` while a lane breaker is open.
+* ``/healthz`` reports ``degraded`` while a lane breaker is open;
+* a client that hangs up mid-request gives its admission slot back at
+  once, and the host stays silent about it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
+import struct
 import time
 
 import pytest
 
-from repro.server import KORApp, asgi_request, encode_route_result, http_request, serve
+from repro.server import (
+    KORApp,
+    StdlibServer,
+    asgi_request,
+    encode_route_result,
+    http_request,
+    serve,
+)
 from repro.service import AsyncQueryService, QueryService
 
 from tests.service.test_differential import random_instance
@@ -38,6 +50,16 @@ def query_payload(query, **extra) -> dict:
         "budget_limit": query.budget_limit,
         **extra,
     }
+
+
+def wait_until(predicate, timeout: float) -> bool:
+    """Poll *predicate* (every 5 ms) until it holds or *timeout* runs out."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 def drive(coro_factory, engine, **front_kwargs):
@@ -58,8 +80,6 @@ def drive(coro_factory, engine, **front_kwargs):
 
 async def request_with_headers(app, payload: dict, headers: list) -> "object":
     """Like ``asgi_request`` but with caller-controlled headers."""
-    import json
-
     body = json.dumps(payload).encode()
     scope = {
         "type": "http",
@@ -385,6 +405,47 @@ class TestDraining:
             assert health.json()["status"] == "draining"
         finally:
             server.close()
+
+
+class TestClientHangUp:
+    """A peer that resets mid-request used to keep its admission slot
+    (and a handler thread) for the whole search, after which
+    ``socketserver`` printed a ``ConnectionResetError`` traceback."""
+
+    @pytest.mark.parametrize(
+        "window_seconds, reset",
+        [(0.3, True), (0.0, True), (0.3, False)],
+        ids=("reset-while-queued", "reset-while-dispatched", "plain-close-while-queued"),
+    )
+    def test_a_peer_that_hangs_up_frees_its_slot_at_once_and_silently(
+        self, window_seconds, reset, capfd
+    ):
+        engine, queries = random_instance(0)
+        slow = SlowEngine(engine, delay_seconds=1.0)
+        front = AsyncQueryService(
+            QueryService(slow, cache_capacity=0), window_seconds=window_seconds
+        )
+        app = KORApp(front)
+        body = json.dumps(query_payload(queries[0])).encode()
+        with StdlibServer(app, frontend=front) as server:
+            sock = socket.create_connection(server.address, timeout=10.0)
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+            )
+            assert wait_until(lambda: app.pending == 1, 5.0)
+            if reset:  # SO_LINGER 0: close() sends a RST, not a FIN
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            assert wait_until(lambda: app.pending == 0, 0.5)  # well inside the 1 s search alone
+            queued = window_seconds > 0
+            # An undispatched flight nobody awaits is abandoned, never searched.
+            assert front.scheduling_stats()["abandoned_flights"] == (1 if queued else 0)
+            time.sleep(0.35)
+            assert slow.runs == (0 if queued else 1)
+            # The server is none the worse for it.
+            assert asyncio.run(http_request(*server.address, "GET", "/healthz")).status == 200
+        captured = capfd.readouterr()
+        assert captured.err == "" and captured.out == ""
 
 
 class _OpenBreakerBackend:

@@ -1,7 +1,7 @@
 """End-to-end: the HTTP front door vs direct ``AsyncQueryService`` calls.
 
 The acceptance bar for the network tier: results served over HTTP (real
-sockets through the stdlib bridge, and the raw ASGI callable) must be
+sockets through the stdlib host, and the raw ASGI callable) must be
 **byte-identical** to what a direct in-process ``AsyncQueryService``
 awaiter gets, for all six algorithms — the transport adds nothing and
 loses nothing.  Plus the rest of the surface: batch, streaming top-k,
@@ -227,6 +227,38 @@ class TestOperationalSurface:
         stats = over_http(server, "GET", "/stats").json()
         assert stats["frontend"]["endpoints"]["/query"]["errors"] >= 2
 
+    def test_input_limits_are_4xx_and_counted_as_endpoint_errors(self, instance):
+        """ROADMAP item E: ``/batch`` size and keyword count each have a
+        limit, a 4xx and a counter (the endpoint's ``errors``)."""
+        from repro.server.app import MAX_BATCH_QUERIES
+        from repro.server.schema import MAX_QUERY_KEYWORDS
+
+        engine, queries = instance
+        slot = query_payload(queries[0], "greedy")
+        wordy = {**slot, "keywords": [f"w{index}" for index in range(MAX_QUERY_KEYWORDS + 1)]}
+        server = serve(QueryService(engine, cache_capacity=0))
+        try:
+            full = over_http(server, "POST", "/batch", {"queries": [slot] * MAX_BATCH_QUERIES})
+            assert full.status == 200 and full.json()["count"] == MAX_BATCH_QUERIES
+            oversized = over_http(
+                server, "POST", "/batch", {"queries": [slot] * (MAX_BATCH_QUERIES + 1)}
+            )
+            assert oversized.status == 413
+            error = oversized.json()["error"]
+            assert error["type"] == "PayloadTooLarge"
+            assert "1025 queries exceed the 1024-query limit" in error["message"]
+            too_wordy = over_http(server, "POST", "/query", wordy)
+            assert too_wordy.status == 400
+            assert too_wordy.json()["error"]["type"] == "WireError"
+            assert "64-keyword limit" in too_wordy.json()["error"]["message"]
+            # One bad slot fails the batch's parse, like any malformed slot.
+            assert over_http(server, "POST", "/batch", {"queries": [slot, wordy]}).status == 400
+            endpoints = over_http(server, "GET", "/stats").json()["frontend"]["endpoints"]
+            assert endpoints["/batch"] == {"requests": 3, "errors": 2}
+            assert endpoints["/query"] == {"requests": 1, "errors": 1}
+        finally:
+            server.close()
+
     def test_healthz_and_stats_payload_shapes(self, instance, server):
         """/healthz reads its shed counter without a snapshot and
         snapshots sort their window once: neither changes a payload."""
@@ -302,9 +334,9 @@ def raw_exchange(server, head: bytes) -> tuple[int, dict, dict]:
 
 
 class TestContentLengthValidation:
-    """The stdlib bridge validates ``Content-Length`` before reading a
-    byte of body: a 4xx in the app's JSON error shape plus
-    ``Connection: close``, never a reset or a blocked handler thread."""
+    """The stdlib host validates ``Content-Length`` before using a byte
+    of body: a 4xx in the app's JSON error shape plus ``Connection:
+    close``, never a reset or a connection left waiting for the body."""
 
     def request(self, server, content_length: str):
         return raw_exchange(
@@ -326,8 +358,8 @@ class TestContentLengthValidation:
         assert "twelve" in payload["error"]["message"]
 
     def test_negative_content_length_is_a_400(self, server):
-        """``rfile.read(-1)`` would block until the peer closes; the
-        answer must arrive while this socket is still open."""
+        """The answer must arrive while this socket is still open (the
+        old bridge's ``rfile.read(-1)`` blocked until the peer closed)."""
         status, headers, payload = self.request(server, "-1")
         assert status == 400
         assert headers["connection"] == "close"

@@ -207,6 +207,14 @@ class TestParseRouteQuery:
         with pytest.raises(WireError, match="params"):
             parse_route_query(self.payload(params=[1, 2]))
 
+    def test_keyword_count_is_capped(self):
+        from repro.server.schema import MAX_QUERY_KEYWORDS
+
+        words = [f"w{index}" for index in range(MAX_QUERY_KEYWORDS + 1)]
+        assert len(parse_route_query(self.payload(keywords=words[:-1]))["query"].keywords) == 64
+        with pytest.raises(WireError, match="65 keywords exceed the 64-keyword limit"):
+            parse_route_query(self.payload(keywords=words))
+
 
 class TestEnvelopes:
     def test_batch_envelope(self):
