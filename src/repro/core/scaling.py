@@ -57,6 +57,14 @@ class ScalingContext:
         theta = epsilon * graph.min_objective * graph.min_budget / budget_limit
         if not (theta > 0.0) or not math.isfinite(theta):
             raise QueryError(f"degenerate scaling factor theta={theta}")
+        # The largest score a search scales is an edge's or a simple
+        # sigma path's objective; its quotient must stay a float that
+        # ``floor`` can take.
+        if not math.isfinite(graph.num_nodes * graph.max_objective / theta):
+            raise QueryError(
+                f"budget limit {budget_limit} is too large to scale objectives "
+                f"by (theta={theta})"
+            )
         return cls(epsilon=epsilon, theta=theta)
 
     @property

@@ -66,11 +66,13 @@ class SearchContext:
 
         # Lazy caches ---------------------------------------------------
         self._scaled_out: dict[int, tuple[tuple[int, float, float, float], ...]] = {}
-        self._uncovered_union: dict[int, np.ndarray] = {}
+        #: missing mask -> (uncovered keyword nodes, sigma-row reader at them).
+        self._uncovered_union: dict[int, tuple[np.ndarray, object]] = {}
 
         # Optimisation Strategy 2 state ----------------------------------
         self._rare_bit: int | None = None
-        self._rare_nodes: np.ndarray | None = None
+        self._rare_os_rows = None
+        self._rare_bs_rows = None
         self._rare_os_to_t: np.ndarray | None = None
         self._rare_bs_to_t: np.ndarray | None = None
         self._rare_min_bs: list[float] | None = None
@@ -145,28 +147,26 @@ class SearchContext:
         missing = self.binding.full_mask & ~label.mask
         if not missing:
             return None
-        nodes = self._uncovered_nodes(missing)
+        nodes, sigma_rows = self._uncovered(missing)
         if len(nodes) == 0:
             return None
-        bs_row = self.tables.bs_sigma_row(label.node)
-        seg_bs = bs_row[nodes]
+        seg_bs = sigma_rows.primary(label.node)
         feasible = (label.bs + seg_bs + self.bs_sigma_t[nodes]) <= self.delta
         if not feasible.any():
             return None
-        candidates = nodes[feasible]
-        seg_bs = seg_bs[feasible]
-        best = int(np.argmin(seg_bs))
-        vj = int(candidates[best])
-        seg_os = float(self.tables.os_sigma_at(label.node, vj))
-        return vj, seg_os, float(seg_bs[best])
+        best = int(np.where(feasible, seg_bs, np.inf).argmin())
+        seg_os = sigma_rows.secondary_at(label.node, best)
+        return int(nodes[best]), seg_os, float(seg_bs[best])
 
-    #: Cap on memoised uncovered-node unions per search context.  A
-    #: query with |kw| keywords has up to ``2^|kw| - 1`` distinct missing
-    #: masks; without a bound an adversarial many-keyword query could
-    #: pin that many live arrays for the lifetime of the search.
+    #: Cap on memoised uncovered-node unions (and the row readers kept
+    #: beside them) per search context.  A query with |kw| keywords has
+    #: up to ``2^|kw| - 1`` distinct missing masks; without a bound an
+    #: adversarial many-keyword query could pin that many live arrays
+    #: for the lifetime of the search.
     MAX_UNCOVERED_MEMO = 64
 
-    def _uncovered_nodes(self, missing_mask: int) -> np.ndarray:
+    def _uncovered(self, missing_mask: int) -> tuple[np.ndarray, object]:
+        """Nodes carrying a missing keyword, and the sigma rows at them."""
         cached = self._uncovered_union.get(missing_mask)
         if cached is None:
             lists = [
@@ -174,9 +174,10 @@ class SearchContext:
                 for bit, postings in enumerate(self.binding.nodes_with_bit)
                 if missing_mask & (1 << bit) and len(postings)
             ]
-            cached = (
+            nodes = (
                 np.unique(np.concatenate(lists)) if lists else np.empty(0, dtype=np.int64)
             )
+            cached = (nodes, self.tables.row_reader(nodes, "sigma"))
             if len(self._uncovered_union) >= self.MAX_UNCOVERED_MEMO:
                 self._uncovered_union.pop(next(iter(self._uncovered_union)), None)
             self._uncovered_union[missing_mask] = cached
@@ -201,7 +202,8 @@ class SearchContext:
             return
         nodes = self.binding.nodes_with_bit[rare_bit]
         self._rare_bit = rare_bit
-        self._rare_nodes = nodes
+        self._rare_os_rows = self.tables.row_reader(nodes, "tau")
+        self._rare_bs_rows = self.tables.row_reader(nodes, "sigma")
         self._rare_os_to_t = self.os_tau_t[nodes]
         self._rare_bs_to_t = self.bs_sigma_t[nodes]
 
@@ -244,9 +246,8 @@ class SearchContext:
             return False
         if os + self._rare_min_os[node] > upper:
             return True
-        nodes = self._rare_nodes
-        os_via = os + self.tables.os_tau_row(node)[nodes] + self._rare_os_to_t
-        bs_via = bs + self.tables.bs_sigma_row(node)[nodes] + self._rare_bs_to_t
+        os_via = os + self._rare_os_rows.primary(node) + self._rare_os_to_t
+        bs_via = bs + self._rare_bs_rows.primary(node) + self._rare_bs_to_t
         keeps = (os_via <= upper) & (bs_via <= self.delta)
         return not bool(keeps.any())
 

@@ -9,8 +9,8 @@ secondary score of every chosen path without walking paths one by one:
 1. scipy returns, per source block, the primary distances and the
    predecessor matrix ``P``.
 2. ``step[j] = secondary(P[j], j)`` is gathered in one fancy-indexing shot.
-3. ``log2(n)`` rounds of ``S += S[P]; P = P[P]`` accumulate the secondary
-   weight along every predecessor chain simultaneously.
+3. At most ``log2(n)`` rounds of ``S += S[P]; P = P[P]`` accumulate the
+   secondary weight along every predecessor chain simultaneously.
 
 Sources are processed in row blocks to bound peak memory, so graphs with
 tens of thousands of nodes remain tractable.
@@ -46,10 +46,10 @@ def _dense_secondary_lookup(graph: SpatialKeywordGraph, which: str) -> np.ndarra
     entries at true predecessor edges.
     """
     n = graph.num_nodes
+    indptr, indices, objectives, budgets = graph.to_csr()
     lookup = np.zeros((n, n), dtype=np.float64)
-    for edge in graph.iter_edges():
-        value = edge.budget if which == "objective" else edge.objective
-        lookup[edge.u, edge.v] = value
+    tails = np.repeat(np.arange(n), np.diff(indptr))
+    lookup[tails, indices] = budgets if which == "objective" else objectives
     return lookup
 
 
@@ -82,6 +82,10 @@ def _secondary_by_pointer_doubling(
     for _ in range(hops):
         total = total + np.take_along_axis(total, chain, axis=1)
         chain = np.take_along_axis(chain, chain, axis=1)
+        # Every chain has reached its source after log2(longest path)
+        # rounds; the rest would add the terminal's 0.0.
+        if (chain == source_col).all():
+            break
     return total
 
 

@@ -25,16 +25,28 @@ quantifies build time and memory against the flat tables.
 
 :class:`PartitionedCostTables` implements the full access protocol of
 :class:`repro.prep.tables.CostTables` — scalar lookups, row/column
-views, multi-column gathers, and (when built with ``predecessors=True``)
-``tau_path`` / ``sigma_path`` materialisation that stitches the in-cell
-legs (via each cell's predecessor matrices) to the border leg (via one
-stored full-graph predecessor row per border node).  That is what lets
+views, multi-column gathers, rows restricted to a node set, and (when
+built with ``predecessors=True``) ``tau_path`` / ``sigma_path``
+materialisation that stitches the in-cell legs (via each cell's
+predecessor matrices) to the border leg (via one stored full-graph
+predecessor row per border node).  That is what lets
 :class:`repro.service.crosscell.BorderEngine` run every search algorithm
 over a partitioned graph with flat-engine semantics.
+
+Float addition is not associative, so *which* two legs are summed first
+is part of each access path's contract.  Rows and restricted rows
+(``_rows``, ``row_reader``) share one exit-side stage, the cached border
+leg of the source, and associate ``(leg1 + border) + leg3``; columns
+(``_columns``) and the scalar/path lookups (``_assemble_pair``) minimise
+over the entry side first and associate ``leg1 + (border + leg3)``.
+Within a family values are bitwise equal (a restricted read *is*
+``row(i)[nodes]``; a scalar lookup *is* ``col(j)[i]``); across families
+the same entry can differ in its last ulp.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,9 +222,10 @@ def _lex_argmin(primary: np.ndarray, secondary: np.ndarray) -> int:
     return int(np.argmin(tied))
 
 
-#: Byte budget per assembled-row/column cache side.  Each entry holds two
-#: length-n float64 arrays; without a bound a long-lived engine serving
-#: varied targets would quietly regrow the very ``O(n^2)`` footprint the
+#: Byte budget per cache (columns, rows, border legs, and each per-query
+#: reader's memo).  Each entry holds two float64 arrays of the cache's
+#: entry length; without a bound a long-lived engine serving varied
+#: targets would quietly regrow the very ``O(n^2)`` footprint the
 #: partitioned tables exist to eliminate.
 _CACHE_BYTE_BUDGET = 2_000_000
 #: Entry floor so tiny graphs / huge graphs still keep enough locality
@@ -221,25 +234,37 @@ _CACHE_MIN_ENTRIES = 16
 
 
 class _LRUPairCache:
-    """Tiny LRU for ``(node, kind) -> (primary, secondary)`` pairs."""
+    """Tiny LRU for ``key -> (primary, secondary)`` pairs of one length.
 
-    def __init__(self, num_nodes: int) -> None:
-        per_entry = 2 * 8 * max(num_nodes, 1)
+    Thread workers share one tables object, so every compound step runs
+    under a lock; a pickled or copied cache arrives empty (caches are
+    derived state, and shipping them would bloat every worker pickle
+    with whatever the parent happened to look up).
+    """
+
+    def __init__(self, entry_length: int) -> None:
+        self._entry_length = entry_length
+        per_entry = 2 * 8 * max(entry_length, 1)
         self.capacity = max(_CACHE_MIN_ENTRIES, _CACHE_BYTE_BUDGET // per_entry)
         self._data: dict = {}
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        return type(self), (self._entry_length,)
 
     def get(self, key):
-        value = self._data.get(key)
-        if value is not None:
-            # Re-insert to mark recency (dicts preserve insertion order).
-            del self._data[key]
-            self._data[key] = value
-        return value
+        with self._lock:
+            value = self._data.pop(key, None)
+            if value is not None:
+                # Re-insert to mark recency (dicts preserve insertion order).
+                self._data[key] = value
+            return value
 
     def put(self, key, value) -> None:
-        if key not in self._data and len(self._data) >= self.capacity:
-            self._data.pop(next(iter(self._data)))
-        self._data[key] = value
+        with self._lock:
+            if key not in self._data and len(self._data) >= self.capacity:
+                self._data.pop(next(iter(self._data)))
+            self._data[key] = value
 
     def __len__(self) -> int:
         return len(self._data)
@@ -251,10 +276,105 @@ class _LRUPairCache:
 
     def nbytes(self) -> int:
         """Bytes held by the cached arrays."""
-        return sum(
-            primary.nbytes + secondary.nbytes
-            for primary, secondary in self._data.values()
+        with self._lock:
+            return sum(
+                primary.nbytes + secondary.nbytes
+                for primary, secondary in self._data.values()
+            )
+
+
+def _prefer_in_cell(
+    best: tuple[np.ndarray, np.ndarray], stitched: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise lexicographic minimum; ties keep *best* (the in-cell path)."""
+    best_prim, best_sec = best
+    cand_prim, cand_sec = stitched
+    better = (cand_prim < best_prim) | ((cand_prim == best_prim) & (cand_sec < best_sec))
+    return np.where(better, cand_prim, best_prim), np.where(better, cand_sec, best_sec)
+
+
+class _RowReader:
+    """The *kind* rows of a :class:`PartitionedCostTables` at fixed *nodes*.
+
+    The query-time half of the row assembly, for a search that reads
+    ``row(i)[nodes]`` from many sources ``i``: everything that depends on
+    the node set alone is gathered here once — per column the entries
+    ``b2`` of the node's cell and ``in_cell(b2 -> node)``, padded to the
+    tallest cell with ``inf`` — so one read is the source's cached border
+    leg plus that slab under one ``_lex_min``, then the in-cell compare
+    for the nodes of ``cell(i)``.  Same ``(leg1 + border) + leg3``
+    association, same ``_lex_min``, same tie rule as ``_rows``: every
+    value is bitwise the one ``*_row(i)[nodes]`` holds.  Reads are
+    memoised per source (bounded like every cache here) for the life of
+    the reader, which belongs to one query.
+    """
+
+    def __init__(self, tables: "PartitionedCostTables", nodes: np.ndarray, kind: str) -> None:
+        nodes = np.asarray(nodes, dtype=np.int64).ravel()
+        if len(nodes) and not 0 <= nodes.min() <= nodes.max() < tables.num_nodes:
+            raise PrepError(f"node set reaches outside 0..{tables.num_nodes - 1}")
+        self._tables = tables
+        self._kind = kind
+        self._width = len(nodes)
+        self._memo = _LRUPairCache(self._width)
+        node_cells = tables.partition.cell_of[nodes]
+        node_locals = tables.local_index[nodes]
+        #: cell -> (columns holding that cell's nodes, their local ids).
+        self._cell_columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for cell in np.unique(node_cells).tolist():
+            columns = np.flatnonzero(node_cells == cell)
+            self._cell_columns[cell] = (columns, node_locals[columns])
+        height = max(
+            (len(tables._cell_borders[cell]) for cell in self._cell_columns), default=0
         )
+        #: Per column: rows of ``border_nodes`` entering the node's cell.
+        #: Padding points at row 0 and is silenced by the ``inf`` below it.
+        self._entries = np.zeros((height, self._width), dtype=np.int64)
+        self._leg3_prim = np.full((height, self._width), np.inf)
+        self._leg3_sec = np.full((height, self._width), np.inf)
+        for cell, (columns, locals_) in self._cell_columns.items():
+            entries = tables._cell_borders[cell]
+            if not len(entries):
+                continue
+            prim_m, sec_m = tables._in_cell(kind, cell)
+            block = np.ix_(tables._cell_border_locals[cell], locals_)
+            self._entries[: len(entries), columns] = entries[:, None]
+            self._leg3_prim[: len(entries), columns] = prim_m[block]
+            self._leg3_sec[: len(entries), columns] = sec_m[block]
+
+    def primary(self, i: int) -> np.ndarray:
+        """The primary score of row *i* at every node of the set."""
+        return self._read(i)[0]
+
+    def secondary_at(self, i: int, position: int) -> float:
+        """The secondary score of row *i* at ``nodes[position]``."""
+        return float(self._read(i)[1][position])
+
+    def _read(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        cached = self._memo.get(i)
+        if cached is not None:
+            return cached
+        tables, kind = self._tables, self._kind
+        leg = tables._leg(i, kind)  # validates i
+        best = (np.full(self._width, np.inf), np.full(self._width, np.inf))
+        cell = int(tables.partition.cell_of[i])
+        own = self._cell_columns.get(cell)
+        if own is not None:
+            columns, locals_ = own
+            prim_m, sec_m = tables._in_cell(kind, cell)
+            li = int(tables.local_index[i])
+            best[0][columns] = prim_m[li, locals_]
+            best[1][columns] = sec_m[li, locals_]
+        if leg is not None and len(self._entries):
+            leg_prim, leg_sec = leg
+            stitched = _lex_min(
+                leg_prim[self._entries] + self._leg3_prim,
+                leg_sec[self._entries] + self._leg3_sec,
+                axis=0,
+            )
+            best = _prefer_in_cell(best, stitched)
+        self._memo.put(i, best)
+        return best
 
 
 @dataclass
@@ -266,11 +386,13 @@ class PartitionedCostTables:
     ``predecessors=True``) path materialisation.  Assembled scores are
     **exact** (see the module docstring): in-cell whenever the optimal
     path stays inside one cell, stitched through the best border-node
-    pair otherwise.  Row/column results are cached per node — queries
-    hit the same target repeatedly — in LRU caches bounded to
-    ``_CACHE_BYTE_BUDGET`` bytes each (reported by :meth:`cache_bytes`),
-    so long-lived instances amortise assembly cost without ever
-    regrowing an ``O(n^2)`` resident footprint.
+    pair otherwise.  Column, row and border-leg results are cached per
+    node — queries hit the same target, and a search the same sources,
+    repeatedly — in LRU caches bounded to ``_CACHE_BYTE_BUDGET`` bytes
+    each (reported by :meth:`cache_bytes`), so long-lived instances
+    amortise assembly cost without ever regrowing an ``O(n^2)`` resident
+    footprint.  A structural update builds a new tables object, which is
+    what fences every cache to its epoch.
     """
 
     partition: GraphPartition
@@ -286,16 +408,32 @@ class PartitionedCostTables:
     #: Full-graph predecessor rows, one per border node (optional).
     border_pred_tau: np.ndarray | None = None
     border_pred_sigma: np.ndarray | None = None
+    # Derived state below is not part of ``__init__``, so
+    # ``dataclasses.replace`` — how a pool worker folds a repair patch
+    # in — always starts from empty caches: the old ones memoise the old
+    # tables.
     #: Cached per-target columns (queries hit the same target repeatedly).
-    _column_cache: _LRUPairCache | None = field(default=None, repr=False)
+    _column_cache: _LRUPairCache = field(init=False, repr=False)
     #: Cached per-source rows (greedy expansion walks one node at a time).
-    _row_cache: _LRUPairCache | None = field(default=None, repr=False)
+    _row_cache: _LRUPairCache = field(init=False, repr=False)
+    #: Cached per-source border legs (see :meth:`_leg`): length k, not n.
+    _leg_cache: _LRUPairCache = field(init=False, repr=False)
+    #: Per cell: its border nodes as rows of ``border_nodes`` and as local
+    #: ids inside the cell (same order), fixed by the partition.
+    _cell_borders: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _cell_border_locals: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self._column_cache is None:
-            self._column_cache = _LRUPairCache(self.num_nodes)
-        if self._row_cache is None:
-            self._row_cache = _LRUPairCache(self.num_nodes)
+        part = self.partition
+        self._column_cache = _LRUPairCache(self.num_nodes)
+        self._row_cache = _LRUPairCache(self.num_nodes)
+        self._leg_cache = _LRUPairCache(len(part.border_nodes))
+        borders = [part.border_index[nodes] for nodes in part.cells]
+        self._cell_borders = tuple(positions[positions >= 0] for positions in borders)
+        self._cell_border_locals = tuple(
+            self.local_index[part.border_nodes[positions]]
+            for positions in self._cell_borders
+        )
 
     # ------------------------------------------------------------------
     # construction
@@ -387,20 +525,6 @@ class PartitionedCostTables:
         )
 
     # ------------------------------------------------------------------
-    # pickling (handles ship these to process-pool workers)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # Caches are derived state: shipping them would bloat every
-        # worker pickle with whatever the parent happened to look up.
-        state["_column_cache"] = _LRUPairCache(self.num_nodes)
-        state["_row_cache"] = _LRUPairCache(self.num_nodes)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    # ------------------------------------------------------------------
     # basic protocol
     # ------------------------------------------------------------------
     @property
@@ -484,9 +608,14 @@ class PartitionedCostTables:
         """Assembled ``BS(sigma_{i,j})`` for every ``j``."""
         return self._rows(i, "sigma")[0]
 
-    def os_sigma_at(self, i: int, j: int) -> float:
-        """``OS(sigma_{i,j})`` as a scalar, without assembling a row."""
-        return self.os_sigma(i, j)
+    def row_reader(self, nodes: np.ndarray, kind: str) -> _RowReader:
+        """The ``kind`` (``"tau"`` / ``"sigma"``) rows restricted to *nodes*.
+
+        ``reader.primary(i)`` equals ``os_tau_row(i)[nodes]`` (tau) or
+        ``bs_sigma_row(i)[nodes]`` (sigma) bit for bit, at the cost of the
+        nodes read instead of all n; the reader is per query, not cached.
+        """
+        return _RowReader(self, nodes, kind)
 
     # ------------------------------------------------------------------
     # path materialisation (protocol shared with CostTables)
@@ -531,8 +660,12 @@ class PartitionedCostTables:
         return total
 
     def cache_bytes(self) -> int:
-        """Bytes currently held by the bounded row/column LRU caches."""
-        return self._column_cache.nbytes() + self._row_cache.nbytes()
+        """Bytes currently held by the bounded column/row/leg LRU caches."""
+        return (
+            self._column_cache.nbytes()
+            + self._row_cache.nbytes()
+            + self._leg_cache.nbytes()
+        )
 
     @staticmethod
     def flat_memory_bytes(num_nodes: int, dtype_bytes: int = 8) -> int:
@@ -555,12 +688,6 @@ class PartitionedCostTables:
             return self.border_os_tau, self.border_bs_tau
         return self.border_bs_sigma, self.border_os_sigma
 
-    def _cell_border_positions(self, cell: int) -> np.ndarray:
-        """Rows of ``border_nodes`` belonging to *cell*."""
-        nodes = self.partition.cells[cell]
-        positions = self.partition.border_index[nodes]
-        return positions[positions >= 0]
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise PrepError(f"node {node} outside 0..{self.num_nodes - 1}")
@@ -577,8 +704,10 @@ class PartitionedCostTables:
         The decomposition is ``None`` when the in-cell path wins (or
         nothing is reachable) and ``(b1, b2)`` — global border node ids —
         when the stitched path wins.  Ties prefer the in-cell path, then
-        the lexicographically smaller ``(primary, secondary)`` combo,
-        exactly mirroring the vectorised row/column assembly.
+        the lexicographically smaller ``(primary, secondary)`` combo.
+        The legs associate as ``leg1 + (border + leg3)``: bitwise the
+        value ``_columns`` holds, and within an ulp of the one ``_rows``
+        and the restricted read hold (they associate the other way).
         """
         self._check_node(i)
         self._check_node(j)
@@ -592,20 +721,18 @@ class PartitionedCostTables:
             best_secondary = float(sec_m[li, lj])
         combo: tuple[int, int] | None = None
 
-        exits = self._cell_border_positions(ci)
-        entries = self._cell_border_positions(cj)
+        exits = self._cell_borders[ci]
+        entries = self._cell_borders[cj]
         if len(exits) and len(entries):
             prim_i, sec_i = self._in_cell(kind, ci)
             prim_j, sec_j = self._in_cell(kind, cj)
             border_prim, border_sec = self._border_matrices(kind)
-            exit_nodes = part.border_nodes[exits]
-            entry_nodes = part.border_nodes[entries]
             # legs: i -> exit (in cell), exit -> entry (border), entry -> j,
             # associated as leg1 + (border + leg3) to match _columns.
-            leg1_prim = prim_i[li, self.local_index[exit_nodes]]
-            leg1_sec = sec_i[li, self.local_index[exit_nodes]]
-            leg3_prim = prim_j[self.local_index[entry_nodes], lj]
-            leg3_sec = sec_j[self.local_index[entry_nodes], lj]
+            leg1_prim = prim_i[li, self._cell_border_locals[ci]]
+            leg1_sec = sec_i[li, self._cell_border_locals[ci]]
+            leg3_prim = prim_j[self._cell_border_locals[cj], lj]
+            leg3_sec = sec_j[self._cell_border_locals[cj], lj]
             mid_prim_all = border_prim[np.ix_(exits, entries)] + leg3_prim[None, :]
             mid_sec_all = border_sec[np.ix_(exits, entries)] + leg3_sec[None, :]
             mid_prim, mid_sec = _lex_min(mid_prim_all, mid_sec_all, axis=1)
@@ -617,7 +744,10 @@ class PartitionedCostTables:
             if (cand_prim, cand_sec) < (best_primary, best_secondary):
                 best_primary, best_secondary = cand_prim, cand_sec
                 entry_pick = _lex_argmin(mid_prim_all[pick], mid_sec_all[pick])
-                combo = (int(exit_nodes[pick]), int(entry_nodes[entry_pick]))
+                combo = (
+                    int(part.border_nodes[exits[pick]]),
+                    int(part.border_nodes[entries[entry_pick]]),
+                )
         return best_primary, best_secondary, combo
 
     def _columns(self, t: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -634,13 +764,12 @@ class PartitionedCostTables:
         prim_col = np.full(n, np.inf)
         sec_col = np.full(n, np.inf)
 
-        entries = self._cell_border_positions(ct)
+        entries = self._cell_borders[ct]
         have_mid = len(entries) > 0
         if have_mid:
             prim_t, sec_t = self._in_cell(kind, ct)
-            entry_nodes = part.border_nodes[entries]
-            leg3_prim = prim_t[self.local_index[entry_nodes], lt]
-            leg3_sec = sec_t[self.local_index[entry_nodes], lt]
+            leg3_prim = prim_t[self._cell_border_locals[ct], lt]
+            leg3_sec = sec_t[self._cell_border_locals[ct], lt]
             border_prim, border_sec = self._border_matrices(kind)
             # mid[b1] = best (border(b1 -> b2) + in-cell(b2 -> t)) over
             # all entries b2 of cell(t): one (k,)-vector for the column.
@@ -654,29 +783,51 @@ class PartitionedCostTables:
             nodes = part.cells[cell]
             prim_m, sec_m = self._in_cell(kind, cell)
             if cell == ct:
-                best_prim = prim_m[:, lt].copy()
-                best_sec = sec_m[:, lt].copy()
+                best = (prim_m[:, lt], sec_m[:, lt])
             else:
-                best_prim = np.full(len(nodes), np.inf)
-                best_sec = np.full(len(nodes), np.inf)
-            exits = self._cell_border_positions(cell)
+                best = (np.full(len(nodes), np.inf), np.full(len(nodes), np.inf))
+            exits = self._cell_borders[cell]
             if have_mid and len(exits):
-                exit_locals = self.local_index[part.border_nodes[exits]]
-                cand_prim, cand_sec = _lex_min(
+                exit_locals = self._cell_border_locals[cell]
+                stitched = _lex_min(
                     prim_m[:, exit_locals] + mid_prim[exits][None, :],
                     sec_m[:, exit_locals] + mid_sec[exits][None, :],
                     axis=1,
                 )
-                better = (cand_prim < best_prim) | (
-                    (cand_prim == best_prim) & (cand_sec < best_sec)
-                )
-                best_prim = np.where(better, cand_prim, best_prim)
-                best_sec = np.where(better, cand_sec, best_sec)
-            prim_col[nodes] = best_prim
-            sec_col[nodes] = best_sec
+                best = _prefer_in_cell(best, stitched)
+            prim_col[nodes], sec_col[nodes] = best
 
         self._column_cache.put(key, (prim_col, sec_col))
         return prim_col, sec_col
+
+    def _leg(self, i: int, kind: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """The border leg of source *i*: ``(primary, secondary)`` k-vectors.
+
+        ``leg[b2]`` is the best ``in_cell(i -> b1) + border(b1 -> b2)``
+        over all exits ``b1`` of ``cell(i)`` — everything a row assembly
+        needs from its source, at ``2 * 8 * k`` bytes instead of a row's
+        ``2 * 8 * n``.  ``None`` when ``cell(i)`` has no border node.
+        """
+        key = (i, kind)
+        cached = self._leg_cache.get(key)
+        if cached is not None:
+            return cached
+        self._check_node(i)
+        ci = int(self.partition.cell_of[i])
+        exits = self._cell_borders[ci]
+        if not len(exits):
+            return None
+        prim_i, sec_i = self._in_cell(kind, ci)
+        li = int(self.local_index[i])
+        exit_locals = self._cell_border_locals[ci]
+        border_prim, border_sec = self._border_matrices(kind)
+        leg = _lex_min(
+            prim_i[li, exit_locals][:, None] + border_prim[exits, :],
+            sec_i[li, exit_locals][:, None] + border_sec[exits, :],
+            axis=0,
+        )
+        self._leg_cache.put(key, leg)
+        return leg
 
     def _rows(self, i: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """Assembled ``(primary, secondary)`` rows for source *i*."""
@@ -684,7 +835,7 @@ class PartitionedCostTables:
         cached = self._row_cache.get(key)
         if cached is not None:
             return cached
-        self._check_node(i)
+        leg = self._leg(i, kind)  # validates i
         part = self.partition
         n = self.num_nodes
         ci = int(part.cell_of[i])
@@ -692,46 +843,23 @@ class PartitionedCostTables:
         prim_row = np.full(n, np.inf)
         sec_row = np.full(n, np.inf)
 
-        exits = self._cell_border_positions(ci)
-        have_mid = len(exits) > 0
-        if have_mid:
-            prim_i, sec_i = self._in_cell(kind, ci)
-            exit_locals = self.local_index[part.border_nodes[exits]]
-            leg1_prim = prim_i[li, exit_locals]
-            leg1_sec = sec_i[li, exit_locals]
-            border_prim, border_sec = self._border_matrices(kind)
-            # mid[b2] = best (in-cell(i -> b1) + border(b1 -> b2)) over
-            # all exits b1 of cell(i): one (k,)-vector for the row.
-            mid_prim, mid_sec = _lex_min(
-                leg1_prim[:, None] + border_prim[exits, :],
-                leg1_sec[:, None] + border_sec[exits, :],
-                axis=0,
-            )
-
         for cell in range(part.num_cells):
             nodes = part.cells[cell]
             prim_m, sec_m = self._in_cell(kind, cell)
             if cell == ci:
-                best_prim = prim_m[li, :].copy()
-                best_sec = sec_m[li, :].copy()
+                best = (prim_m[li, :], sec_m[li, :])
             else:
-                best_prim = np.full(len(nodes), np.inf)
-                best_sec = np.full(len(nodes), np.inf)
-            entries = self._cell_border_positions(cell)
-            if have_mid and len(entries):
-                entry_locals = self.local_index[part.border_nodes[entries]]
-                cand_prim, cand_sec = _lex_min(
-                    mid_prim[entries][:, None] + prim_m[entry_locals, :],
-                    mid_sec[entries][:, None] + sec_m[entry_locals, :],
+                best = (np.full(len(nodes), np.inf), np.full(len(nodes), np.inf))
+            entries = self._cell_borders[cell]
+            if leg is not None and len(entries):
+                entry_locals = self._cell_border_locals[cell]
+                stitched = _lex_min(
+                    leg[0][entries][:, None] + prim_m[entry_locals, :],
+                    leg[1][entries][:, None] + sec_m[entry_locals, :],
                     axis=0,
                 )
-                better = (cand_prim < best_prim) | (
-                    (cand_prim == best_prim) & (cand_sec < best_sec)
-                )
-                best_prim = np.where(better, cand_prim, best_prim)
-                best_sec = np.where(better, cand_sec, best_sec)
-            prim_row[nodes] = best_prim
-            sec_row[nodes] = best_sec
+                best = _prefer_in_cell(best, stitched)
+            prim_row[nodes], sec_row[nodes] = best
 
         self._row_cache.put(key, (prim_row, sec_row))
         return prim_row, sec_row

@@ -163,9 +163,18 @@ class CostTables:
         """``BS(sigma_{i,j})`` for all ``j``."""
         return self.bs_sigma[i, :]
 
-    def os_sigma_at(self, i: int, j: int) -> float:
-        """``OS(sigma_{i,j})`` as a scalar, without materialising a row."""
-        return float(self.os_sigma[i, j])
+    def row_reader(self, nodes: np.ndarray, kind: str) -> "_RowReader":
+        """The ``kind`` (``"tau"`` / ``"sigma"``) rows restricted to *nodes*.
+
+        What a search reads per popped label: ``reader.primary(i)`` is
+        ``OS(tau_{i,j})`` (tau) or ``BS(sigma_{i,j})`` (sigma) for every
+        ``j`` in *nodes*, ``reader.secondary_at(i, position)`` the path's
+        other score at ``nodes[position]``.  The partitioned tables
+        assemble exactly those entries instead of a full row.
+        """
+        if kind == "tau":
+            return _RowReader(self.os_tau, self.bs_tau, nodes)
+        return _RowReader(self.bs_sigma, self.os_sigma, nodes)
 
     def reachable(self, i: int, j: int) -> bool:
         """Whether any path ``i -> j`` exists."""
@@ -256,3 +265,22 @@ class CostTables:
                 "tables were built with predecessors=False; "
                 "path materialisation is unavailable"
             )
+
+
+class _RowReader:
+    """Rows of one dense ``(primary, secondary)`` matrix pair at fixed nodes."""
+
+    def __init__(self, primary: np.ndarray, secondary: np.ndarray, nodes: np.ndarray) -> None:
+        self._primary = primary
+        self._secondary = secondary
+        self._nodes = nodes
+
+    def primary(self, i: int) -> np.ndarray:
+        """The primary score of row *i* at every node of the set."""
+        # A row view, then one 1-D take: a third of the cost of the
+        # mixed ``[i, nodes]`` form, which broadcasts ``i`` first.
+        return self._primary[i][self._nodes]
+
+    def secondary_at(self, i: int, position: int) -> float:
+        """The secondary score of row *i* at ``nodes[position]``."""
+        return float(self._secondary[i, self._nodes[position]])

@@ -53,6 +53,7 @@ are ``null``), so payloads stay valid strict JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 from typing import Mapping
 
@@ -173,7 +174,13 @@ def parse_route_query(payload: object) -> dict:
         )
     if not all(isinstance(word, str) for word in keywords):
         raise WireError("route_query: 'keywords' must be a list of strings")
-    budget = float(payload["budget_limit"])
+    try:
+        budget = float(payload["budget_limit"])
+    except OverflowError:  # an integer literal beyond float range
+        budget = math.inf
+    if not math.isfinite(budget):
+        # json.loads accepts the non-JSON literals Infinity / NaN.
+        raise WireError("route_query: 'budget_limit' must be a finite number")
     algorithm = payload.get("algorithm", "bucketbound")
     if algorithm not in ALGORITHMS:
         raise WireError(

@@ -248,14 +248,10 @@ class PartPatch:
             cells = list(tables.cell_tables)
             for cell, cell_table in self.cell_tables:
                 cells[cell] = cell_table
-            # Passing the caches as None makes __post_init__ rebuild
-            # them empty — the old caches memoise the old tables.
+            # replace() re-runs __post_init__, which starts every cache
+            # empty — the old caches memoise the old tables.
             tables = _dataclass_replace(
-                tables,
-                cell_tables=tuple(cells),
-                **dict(self.border),
-                _column_cache=None,
-                _row_cache=None,
+                tables, cell_tables=tuple(cells), **dict(self.border)
             )
         handle._graph = graph
         handle._tables = tables

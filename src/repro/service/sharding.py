@@ -56,7 +56,6 @@ node ids to global ids before anything downstream sees them.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -141,15 +140,6 @@ class _Plan:
     shard: Shard | None = None  # the local candidate, when reason == LOCAL
 
 
-def default_num_cells(num_nodes: int) -> int:
-    """Default cell count: ``~sqrt(n)/2`` cells of ``~2*sqrt(n)`` nodes.
-
-    Matches :class:`repro.prep.partition.PartitionedCostTables`'s
-    heuristic, clamped to the node count.
-    """
-    return max(1, min(num_nodes, max(2, int(math.sqrt(num_nodes) / 2))))
-
-
 class ShardedQueryService(SyncServiceBase):
     """Partition-routed, cached, backend-executed serving layer.
 
@@ -158,7 +148,7 @@ class ShardedQueryService(SyncServiceBase):
     graph:
         The full spatial-keyword graph to serve.
     num_cells:
-        Partition granularity (default :func:`default_num_cells`).
+        Partition granularity (default :func:`repro.world.default_num_cells`).
         ``num_cells=1`` degenerates to the flat service exactly.
     seed:
         Partition seed (farthest-point sampling is randomised).

@@ -31,6 +31,18 @@ class TestTheta:
         with pytest.raises(QueryError, match="epsilon"):
             ScalingContext.for_query(graph, 10.0, eps)
 
+    def test_budget_too_large_to_scale_by_is_rejected(self, graph):
+        """theta underflows towards 0 as Delta grows; once a path's
+        objective over theta is no longer a finite float, ``scale`` could
+        only raise OverflowError from ``floor(inf)`` mid-search."""
+        with pytest.raises(QueryError, match="too large to scale"):
+            ScalingContext.for_query(graph, 1e308, 0.5)
+        # A merely enormous budget is accepted, and scaling the longest
+        # conceivable path under it does not raise.
+        scaling = ScalingContext.for_query(graph, 1e290, 0.5)
+        assert math.isfinite(scaling.scale(graph.num_nodes * graph.max_objective))
+        assert ScalingContext.for_query(graph, 1e308, 0.5, exact=True).exact
+
     def test_scale_is_floor(self, graph):
         scaling = ScalingContext.for_query(graph, 10.0, 0.5)  # theta = 0.05
         assert scaling.scale(0.07) == 1.0

@@ -144,3 +144,115 @@ class TestMaterialize:
         assert route.budget_score == pytest.approx(
             seg_bs + fig1_engine.tables.bs_tau[5, 7]
         )
+
+
+class TestCrossCellReads:
+    """Over partitioned tables the two strategies read what the full
+    rows hold, and the search loop never assembles a full row or a
+    scalar pair to get it."""
+
+    @pytest.fixture(scope="class")
+    def border_engine(self):
+        from repro.datasets import RoadConfig, build_road_graph
+        from repro.prep.partition import PartitionedCostTables
+        from repro.service import BorderEngine
+
+        graph = build_road_graph(RoadConfig(num_nodes=150, seed=7))
+        tables = PartitionedCostTables.from_graph(graph, num_cells=3, predecessors=True)
+        return BorderEngine(graph, tables=tables)
+
+    @pytest.fixture(scope="class")
+    def queries(self, border_engine):
+        from repro.datasets import QuerySetConfig, generate_query_set
+
+        config = QuerySetConfig(num_queries=6, num_keywords=3, budget_limit=8.0, seed=5)
+        return generate_query_set(
+            border_engine.graph, border_engine.index, config, tables=border_engine.tables
+        )
+
+    @staticmethod
+    def jump_from_full_rows(ctx, label):
+        """Strategy 1 as it read the tables before the restricted read."""
+        missing = ctx.binding.full_mask & ~label.mask
+        lists = [
+            postings
+            for bit, postings in enumerate(ctx.binding.nodes_with_bit)
+            if missing & (1 << bit) and len(postings)
+        ]
+        if not lists:
+            return None
+        nodes = np.unique(np.concatenate(lists))
+        bs_row = ctx.tables.bs_sigma_row(label.node)
+        feasible = (label.bs + bs_row[nodes] + ctx.bs_sigma_t[nodes]) <= ctx.delta
+        if not feasible.any():
+            return None
+        candidates = nodes[feasible]
+        vj = int(candidates[int(np.argmin(bs_row[candidates]))])
+        return vj, float(ctx.tables.os_sigma_row(label.node)[vj]), float(bs_row[vj])
+
+    def test_jump_candidate_equals_full_row_computation(self, border_engine, queries):
+        jumps = 0
+        for query in queries:
+            ctx = make_context(border_engine, query)
+            for node in range(0, border_engine.graph.num_nodes, 7):
+                for bs in (0.0, 1.0, 4.0):
+                    label = Label(node, ctx.binding.node_mask(node), 0.0, 0.0, bs)
+                    got = ctx.jump_candidate(label)
+                    assert got == self.jump_from_full_rows(ctx, label)
+                    jumps += got is not None
+        assert jumps > 50  # the comparison is not vacuous
+
+    def test_strategy2_joint_test_equals_full_row_computation(self, border_engine, queries):
+        exercised = 0
+        for query in queries:
+            ctx = make_context(border_engine, query, threshold=0.2)
+            assert ctx.strategy2_active
+            rare = ctx.binding.nodes_with_bit[ctx._rare_bit]
+            for node in range(0, border_engine.graph.num_nodes, 11):
+                os_via = ctx.tables.os_tau_row(node)[rare] + ctx.os_tau_t[rare]
+                bs_via = ctx.tables.bs_sigma_row(node)[rare] + ctx.bs_sigma_t[rare]
+                # Nudged off the exact values: the scalar screens in front
+                # of the joint test come from columns, an ulp away from rows.
+                for upper in np.quantile(os_via, (0.0, 0.5, 1.0)) * (1 + 1e-9):
+                    keeps = ((os_via <= upper) & (bs_via <= ctx.delta)).any()
+                    assert ctx.strategy2_rejects(node, 0, 0.0, 0.0, upper) == (not keeps)
+                    exercised += 1
+        assert exercised > 50
+
+    @pytest.mark.parametrize("algorithm", ("bucketbound", "osscaling"))
+    def test_search_loop_assembles_no_full_row_and_no_pair(
+        self, border_engine, queries, algorithm, monkeypatch
+    ):
+        from repro.core.bucketbound import _BucketBoundSearch
+        from repro.core.osscaling import _OSScalingSearch
+        from repro.prep.partition import PartitionedCostTables
+
+        calls = {"_assemble_pair": 0, "_rows": 0}
+        for name in calls:
+            original = getattr(PartitionedCostTables, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(PartitionedCostTables, name, counting)
+
+        search_class = _BucketBoundSearch if algorithm == "bucketbound" else _OSScalingSearch
+        popped = found = 0
+        for query in queries:
+            search = search_class(
+                border_engine.graph,
+                border_engine.tables,
+                border_engine.index,
+                query,
+                infrequent_threshold=0.2,
+            )
+            before = dict(calls)
+            while (label := search.pop()) is not None:
+                search.step(label)
+                popped += 1
+            assert calls == before, f"{query}: the loop fell back to a full assembly"
+            # Materialising the answer is where pairs are still assembled.
+            found += search.result().found
+        assert popped > 50 and found
+        assert calls["_rows"] == 0 and calls["_assemble_pair"] > 0

@@ -71,3 +71,64 @@ class TestPathReconstruction:
         _primary, _secondary, pred = all_pairs_two_criteria(graph, "objective")
         with pytest.raises(ValueError):
             reconstruct_path(pred[2], 2, 0)
+
+
+class TestSecondaryAccumulation:
+    """The vectorised lookup and the early-stopping pointer doubling give
+    bit-for-bit what the loops they replaced gave (kept here as the
+    reference: the arithmetic did not change, only how much of it runs)."""
+
+    @staticmethod
+    def reference_lookup(graph, which):
+        lookup = np.zeros((graph.num_nodes, graph.num_nodes), dtype=np.float64)
+        for edge in graph.iter_edges():
+            lookup[edge.u, edge.v] = edge.budget if which == "objective" else edge.objective
+        return lookup
+
+    @staticmethod
+    def reference_doubling(pred, sources, sec_lookup):
+        rows, n = pred.shape
+        cols = np.broadcast_to(np.arange(n, dtype=np.int64), (rows, n))
+        source_col = sources.astype(np.int64)[:, None]
+        valid = pred >= 0
+        chain = np.where(valid, pred.astype(np.int64), source_col)
+        step = np.zeros((rows, n), dtype=np.float64)
+        step[valid] = sec_lookup[chain[valid], cols[valid]]
+        row_idx = np.arange(rows)
+        chain[row_idx, sources] = sources
+        step[row_idx, sources] = 0.0
+        total = step
+        for _ in range(max(1, int(np.ceil(np.log2(max(n, 2)))))):
+            total = total + np.take_along_axis(total, chain, axis=1)
+            chain = np.take_along_axis(chain, chain, axis=1)
+        return total
+
+    @staticmethod
+    def graphs():
+        from repro.graph.generators import line_graph
+
+        return {
+            "figure1": figure_1_graph(),  # unreachable pairs
+            "road": build_road_graph(RoadConfig(num_nodes=120, seed=3)),
+            # The longest chain a graph of its size can have: no early stop.
+            "line": line_graph(33),
+        }
+
+    @pytest.mark.parametrize("name", ["figure1", "road", "line"])
+    @pytest.mark.parametrize("which", ["objective", "budget"])
+    def test_lookup_and_doubling_match_the_loops(self, name, which):
+        from scipy.sparse.csgraph import dijkstra
+
+        from repro.prep import dijkstra as module
+
+        graph = self.graphs()[name]
+        lookup = module._dense_secondary_lookup(graph, which)
+        np.testing.assert_array_equal(lookup, self.reference_lookup(graph, which))
+        for sources in (np.arange(graph.num_nodes), np.array([graph.num_nodes - 1, 0])):
+            _dist, pred = dijkstra(
+                module._csr_weight_matrix(graph, which), indices=sources, return_predecessors=True
+            )
+            np.testing.assert_array_equal(
+                module._secondary_by_pointer_doubling(pred, sources, lookup),
+                self.reference_doubling(pred, sources, lookup),
+            )

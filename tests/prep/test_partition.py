@@ -186,17 +186,28 @@ class TestPathMaterialisation:
         with pytest.raises(PrepError):
             partitioned.tau_path(0, 1)
 
-    def test_row_column_caches_stay_bounded(self, grid):
+    def test_row_column_caches_stay_bounded(self, grid, monkeypatch):
         """The LRU caches can never regrow an O(n^2) footprint."""
+        # A budget small enough that 49 sources overflow every cache.
+        monkeypatch.setattr("repro.prep.partition._CACHE_BYTE_BUDGET", 1)
         tables = PartitionedCostTables.from_graph(grid, num_cells=4, seed=1)
-        for t in range(grid.num_nodes):
-            tables.os_tau_col(t)
-            tables.os_tau_row(t)
+        for kind in ("tau", "sigma"):
+            reader = tables.row_reader(np.arange(grid.num_nodes), kind)
+            for t in range(grid.num_nodes):
+                tables.os_tau_col(t)
+                tables.bs_sigma_col(t)
+                tables.os_tau_row(t)
+                tables.bs_sigma_row(t)
+                reader.primary(t)
+            assert len(reader._memo) == reader._memo.capacity
         capacity = tables._column_cache.capacity
-        assert len(tables._column_cache) <= capacity
-        assert len(tables._row_cache) <= capacity
+        assert capacity == tables._leg_cache.capacity < 2 * grid.num_nodes
+        assert len(tables._column_cache) == capacity
+        assert len(tables._row_cache) == capacity
+        assert len(tables._leg_cache) == capacity
         per_entry = 2 * 8 * grid.num_nodes
-        assert tables.cache_bytes() <= 2 * capacity * per_entry
+        per_leg = 2 * 8 * len(tables.partition.border_nodes)
+        assert tables.cache_bytes() == capacity * (2 * per_entry + per_leg)
         # Hot entries survive (LRU, not clear-on-full): the last target
         # touched is still cached.
         last = grid.num_nodes - 1
@@ -206,7 +217,7 @@ class TestPathMaterialisation:
         from repro.prep.partition import _CACHE_BYTE_BUDGET, _LRUPairCache
 
         # A graph large enough that the byte budget forces the entry floor.
-        cache = _LRUPairCache(num_nodes=_CACHE_BYTE_BUDGET)
+        cache = _LRUPairCache(entry_length=_CACHE_BYTE_BUDGET)
         capacity = cache.capacity
         empty = (np.empty(0), np.empty(0))
         for key in range(capacity):
@@ -218,14 +229,112 @@ class TestPathMaterialisation:
         assert cache.get(0) is not None
         assert cache.get(capacity) is not None
 
+    def test_lru_cache_survives_concurrent_readers_and_writers(self):
+        """Thread workers share one tables object: interleaved get/put on
+        a full cache must neither raise (the unlocked version lost keys
+        between its check and its delete) nor overshoot the capacity."""
+        import random
+        import sys
+        import threading
+
+        from repro.prep.partition import _CACHE_BYTE_BUDGET, _LRUPairCache
+
+        cache = _LRUPairCache(entry_length=_CACHE_BYTE_BUDGET)  # the 16-entry floor
+        pair = (np.empty(0), np.empty(0))
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(30_000):
+                    key = rng.randrange(cache.capacity + 8)
+                    if cache.get(key) is None:
+                        cache.put(key, pair)
+                    assert len(cache) <= cache.capacity
+            except Exception as exc:  # surfaced below, in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) == cache.capacity
+
     def test_pickle_round_trip_drops_caches_keeps_answers(self, grid, with_paths):
         import pickle
 
-        with_paths.os_tau_col(24)  # populate a cache entry
+        with_paths.os_tau_col(24)  # populate a cache entry of each kind
+        with_paths.os_tau_row(24)
+        assert len(with_paths._leg_cache) > 0
         clone = pickle.loads(pickle.dumps(with_paths))
         assert clone._column_cache == {}
+        assert clone._row_cache == {}
+        assert clone._leg_cache == {}
+        assert clone.cache_bytes() == 0
+        np.testing.assert_array_equal(clone.os_tau_row(24), with_paths.os_tau_row(24))
         np.testing.assert_array_equal(clone.os_tau_col(24), with_paths.os_tau_col(24))
         assert clone.tau_path(0, 48) == with_paths.tau_path(0, 48)
+
+    def test_dataclass_replace_starts_with_empty_caches(self, with_paths):
+        """How a pool worker folds a repair patch in (``PartPatch.apply_to``):
+        nothing computed from the old border tier may survive it."""
+        import dataclasses
+
+        with_paths.os_tau_row(24)
+        with_paths.os_tau_col(24)
+        patched = dataclasses.replace(
+            with_paths, border_os_tau=with_paths.border_os_tau + 1.0
+        )
+        for name in ("_column_cache", "_row_cache", "_leg_cache"):
+            assert len(getattr(with_paths, name)) > 0
+            assert getattr(patched, name) == {}
+
+    def test_out_of_range_reads_raise(self, partitioned):
+        n = partitioned.num_nodes
+        for nodes in ([n], [-1], [0, n + 3]):
+            with pytest.raises(PrepError):
+                partitioned.row_reader(np.array(nodes), "sigma")
+        reader = partitioned.row_reader(np.array([0, 1]), "sigma")
+        for source in (n, -1):
+            with pytest.raises(PrepError):
+                reader.primary(source)
+            with pytest.raises(PrepError):
+                reader.secondary_at(source, 0)
+
+    def test_cell_without_exits_reads_in_cell_only(self):
+        """Two islands, one cell each: no border node anywhere, so a read
+        is the in-cell table inside the island and ``inf`` across."""
+        from repro.graph.builder import GraphBuilder
+        from repro.prep.partition import GraphPartition
+
+        builder = GraphBuilder()
+        for _ in range(4):
+            builder.add_node(keywords=())
+        builder.add_edge(0, 1, 1.5, 2.5)
+        builder.add_edge(2, 3, 0.5, 0.25)
+        graph = builder.build()
+        partition = GraphPartition(
+            cell_of=np.array([0, 0, 1, 1]),
+            cells=(np.array([0, 1]), np.array([2, 3])),
+            border_nodes=np.empty(0, dtype=np.int64),
+            border_index=np.full(4, -1, dtype=np.int64),
+        )
+        tables = PartitionedCostTables.from_graph(graph, partition=partition)
+        reader = tables.row_reader(np.arange(4), "sigma")
+        np.testing.assert_array_equal(reader.primary(0), [0.0, 2.5, np.inf, np.inf])
+        np.testing.assert_array_equal(reader.primary(2), [np.inf, np.inf, 0.0, 0.25])
+        assert reader.secondary_at(0, 1) == 1.5
+        assert reader.secondary_at(0, 2) == np.inf
+        np.testing.assert_array_equal(reader.primary(0), tables.bs_sigma_row(0))
+        assert tables.cache_bytes() == 2 * 8 * 4  # one row pair, no leg to keep
 
     def test_shared_cell_tables_are_validated(self, grid):
         partition = partition_graph(grid, 2, seed=0)

@@ -493,3 +493,75 @@ class TestHealthz:
             assert payload["pending"] == 0
 
         drive(scenario, engine)
+
+
+class TestPathologicalBudgets:
+    """ROADMAP item E: a budget no search can scale by is the client's
+    error (400), never a 500 — ``1e308`` made ``floor(o / theta)``
+    overflow under the scaling algorithms, and ``json.loads`` lets the
+    non-JSON literal ``Infinity`` (and integers beyond float range) in."""
+
+    HUGE = {"1e308": 1e308, "Infinity": float("inf"), "10**400": 10**400, "NaN": float("nan")}
+
+    @staticmethod
+    def assert_refused(status, payload, name):
+        assert status == 400, (name, payload)
+        assert set(payload) == {"error"} and set(payload["error"]) == {"type", "message"}
+        assert payload["error"]["type"] == ("QueryError" if name == "1e308" else "WireError")
+        assert "budget" in payload["error"]["message"]
+
+    def test_asgi_answers_400_counts_the_error_and_frees_the_slot(self):
+        engine, queries = random_instance(0)
+
+        async def scenario(app):
+            for algorithm in ("bucketbound", "osscaling"):
+                for name, budget in self.HUGE.items():
+                    body = {**query_payload(queries[0]), "budget_limit": budget}
+                    status, payload = await request_with_headers(
+                        app, {**body, "algorithm": algorithm}, []
+                    )
+                    self.assert_refused(status, payload, name)
+                    assert app.pending == 0
+            # The algorithms that never scale keep answering such a budget.
+            for algorithm in ("greedy", "exact"):
+                body = {**query_payload(queries[0]), "budget_limit": 1e308}
+                status, payload = await request_with_headers(
+                    app, {**body, "algorithm": algorithm}, []
+                )
+                assert status == 200 and payload["schema"] == "kor.route_result.v1"
+            return app.frontend.snapshot().endpoints["/query"]
+
+        assert drive(scenario, engine) == {"requests": 10, "errors": 8}
+
+    def test_socket_answers_400_counts_the_error_and_frees_the_slot(self):
+        from tests.server.test_stdlib_host import read_response  # imports this module
+
+        engine, queries = random_instance(0)
+        with serve(QueryService(engine, cache_capacity=0)) as server:
+            for name, budget in self.HUGE.items():
+                body = json.dumps({**query_payload(queries[0]), "budget_limit": budget}).encode()
+                with socket.create_connection(server.address, timeout=10.0) as sock:
+                    sock.sendall(
+                        b"POST /query HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+                        b"Content-Length: %d\r\n\r\n" % len(body) + body
+                    )
+                    status, headers, answer = read_response(sock.makefile("rb"))
+                assert headers["content-type"] == "application/json"
+                self.assert_refused(status, json.loads(answer), name)
+            health = asyncio.run(http_request(*server.address, "GET", "/healthz")).json()
+            assert health["status"] == "ok" and health["pending"] == 0
+            stats = asyncio.run(http_request(*server.address, "GET", "/stats")).json()
+            assert stats["frontend"]["endpoints"]["/query"] == {"requests": 4, "errors": 4}
+
+    def test_library_callers_get_the_same_refusal(self):
+        from repro.core.query import KORQuery
+        from repro.exceptions import QueryError
+
+        engine, queries = random_instance(0)
+        query = queries[0]
+        huge = KORQuery(query.source, query.target, query.keywords, 1e308)
+        for algorithm in ("bucketbound", "osscaling"):
+            with pytest.raises(QueryError, match="too large to scale"):
+                engine.run(huge, algorithm=algorithm)
+        for algorithm in ("greedy", "exact"):
+            assert engine.run(huge, algorithm=algorithm).query is huge

@@ -207,6 +207,11 @@ class TestParseRouteQuery:
         with pytest.raises(WireError, match="params"):
             parse_route_query(self.payload(params=[1, 2]))
 
+    @pytest.mark.parametrize("budget", (float("inf"), float("-inf"), float("nan"), 10**400))
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(WireError, match="'budget_limit' must be a finite number"):
+            parse_route_query(self.payload(budget_limit=budget))
+
     def test_keyword_count_is_capped(self):
         from repro.server.schema import MAX_QUERY_KEYWORDS
 

@@ -122,3 +122,59 @@ def test_border_engine_memory_is_sublinear_in_flat():
     assert border.tables.memory_bytes() < flat_scores
     assert border.num_border_nodes > 0
     assert border.partition.num_cells == 4
+
+
+@pytest.mark.timeout(120)
+def test_thread_workers_share_the_bounded_table_caches(monkeypatch):
+    """Four threads answering 64 cross-cell queries over one tables
+    object — its row, column and leg caches shrunk to 16 entries so every
+    worker keeps evicting what another is about to read, the switch
+    interval shortened so they interleave mid-lookup — return exactly
+    the serial answers, and the caches end within their bound."""
+    import sys
+
+    from repro.datasets import QuerySetConfig, RoadConfig, build_road_graph, generate_query_set
+    from repro.service import SerialBackend, ShardedQueryService, ThreadBackend
+    from repro.world import MutableWorld
+
+    monkeypatch.setattr("repro.prep.partition._CACHE_BYTE_BUDGET", 1)
+    graph = build_road_graph(RoadConfig(num_nodes=150, seed=7))
+    world = MutableWorld(graph, num_cells=3, seed=0)
+    cell_of = world.partition.cell_of
+    queries = [
+        query
+        for keywords, seed in ((2, 5), (3, 6))
+        for query in generate_query_set(
+            graph,
+            world.index,
+            QuerySetConfig(num_queries=80, num_keywords=keywords, budget_limit=8.0, seed=seed),
+            tables=world.tables,
+        )
+        if cell_of[query.source] != cell_of[query.target]
+    ][:64]
+    assert len(queries) == 64
+
+    def answers(service):
+        with service:
+            return [
+                fingerprint(result)
+                for algorithm in ("bucketbound", "greedy")
+                for result in service.run_batch(queries, algorithm=algorithm, workers=4)
+            ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadBackend(workers=4) as backend:
+            threaded = answers(
+                ShardedQueryService(world=world, backend=backend, cache_capacity=0, wave_size=1)
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    tables = world.tables
+    for cache in (tables._column_cache, tables._row_cache, tables._leg_cache):
+        assert 0 < len(cache) <= cache.capacity == 16
+    serial = answers(
+        ShardedQueryService(world=world.rebuilt(), backend=SerialBackend(), cache_capacity=0)
+    )
+    assert threaded == serial

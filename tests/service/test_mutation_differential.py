@@ -383,3 +383,65 @@ class TestEpochFence:
         # The pre-update answer went through a strictly costlier edge.
         if before.found and after.found:
             assert after.budget_score <= before.budget_score
+
+
+def test_cross_cell_jumps_follow_a_recosted_cell(service_backend):
+    """Cross-cell ``bucketbound``/``osscaling`` answers read the border
+    tier through cached legs and per-query readers: none may outlive its
+    epoch.  A cell-interior edge on an answer's own route is re-costed
+    and restored; at each step the served answers equal a world rebuilt
+    from scratch, and after the restore they equal the first answers."""
+    from repro.datasets import QuerySetConfig, RoadConfig, build_road_graph, generate_query_set
+
+    graph = build_road_graph(RoadConfig(num_nodes=150, seed=7))
+    world = MutableWorld(graph, num_cells=3, seed=0)
+    service = ShardedQueryService(world=world, backend=service_backend)
+    config = QuerySetConfig(num_queries=24, num_keywords=3, budget_limit=8.0, seed=5)
+    cell_of = world.partition.cell_of
+    queries = [
+        query
+        for query in generate_query_set(graph, world.index, config, tables=world.tables)
+        if cell_of[query.source] != cell_of[query.target]
+    ][:8]
+    assert len(queries) == 8
+
+    def served():
+        return {
+            algorithm: [fingerprint(r) for r in service.run_batch(queries, algorithm=algorithm)]
+            for algorithm in ("bucketbound", "osscaling")
+        }
+
+    def rebuilt():
+        oracle = ShardedQueryService(world=world.rebuilt())
+        try:
+            return {
+                algorithm: [fingerprint(r) for r in oracle.run_batch(queries, algorithm=algorithm)]
+                for algorithm in ("bucketbound", "osscaling")
+            }
+        finally:
+            oracle.close()
+
+    before = served()
+    assert before == rebuilt()
+    # An edge inside a cell other than the source's, on a served route:
+    # the jump that produced the route crossed into that cell.
+    u, v = next(
+        (u, v)
+        for query, answer in zip(queries, before["bucketbound"])
+        if answer[4] is not None
+        for u, v in zip(answer[4], answer[4][1:])
+        if cell_of[u] == cell_of[v] != cell_of[query.source]
+    )
+    objective, budget = next((o, b) for w, o, b in graph.out_edges(u) if w == v)
+    old_tables = service.border_engine.tables
+    assert len(old_tables._leg_cache) > 0
+
+    service.update_edge_cost(u, v, objective=objective * 8, budget=budget * 8)
+    assert service.border_engine.tables is not old_tables
+    during = served()
+    assert during == rebuilt()
+    assert during != before  # the re-cost moved at least one answer
+
+    service.update_edge_cost(u, v, objective=objective, budget=budget)
+    assert served() == before
+    service.close()

@@ -130,3 +130,36 @@ def test_served_answers_still_sound_on_every_granularity(long_grid):
                     assert result.objective_score == pytest.approx(
                         reference.objective_score
                     )
+
+
+def test_warm_caches_are_counted_and_stay_below_the_flat_footprint():
+    """After serving, ``memory_bytes()`` includes every bounded cache of
+    the assembled tables — the border-leg cache among them.  Cold, the
+    total is non-increasing in the cell count (above); warm, what a
+    search leaves behind is one length-k leg per source it popped, not a
+    length-n row, so a split service stays below the one-cell footprint
+    (with cached rows the 4-cell service used to end up above it)."""
+    from repro.core.query import KORQuery
+
+    graph = grid_graph(4, 48, keywords={0: ["a"], 95: ["b"], 190: ["c"]})
+    queries = [
+        KORQuery(0, 191, ("a", "b"), 80.0),
+        KORQuery(5, 100, ("c",), 200.0),
+        KORQuery(47, 150, ("a", "c"), 250.0),
+    ]
+    sizes = {}
+    for num_cells in CELL_COUNTS:
+        with service_for(graph, num_cells) as service:
+            cold = service.memory_bytes()
+            service.run_batch(queries, algorithm="bucketbound")
+            assembled = service.border_engine.tables
+            legs = assembled._leg_cache
+            # One cell has no border node, hence no leg worth keeping.
+            assert (legs.nbytes() > 0) == (num_cells > 1)
+            per_leg = 2 * 8 * len(assembled.partition.border_nodes)
+            assert legs.nbytes() == len(legs) * per_leg <= legs.capacity * per_leg
+            assert assembled._row_cache.nbytes() == 0  # the search reads no full row
+            assert legs.nbytes() <= assembled.cache_bytes()
+            assert service.memory_bytes() == cold + assembled.cache_bytes()
+            sizes[num_cells] = service.memory_bytes()
+    assert max(sizes[4], sizes[8]) < 0.6 * sizes[1], sizes
