@@ -25,7 +25,7 @@ import time
 from bisect import bisect_right
 
 from repro.core.deadline import Deadline
-from repro.core.label import VIA_EDGE, VIA_JUMP, Label, LabelStore, label_sort_key
+from repro.core.label import VIA_JUMP, Label, LabelStore, label_sort_key
 from repro.core.query import KORQuery, QueryBinding
 from repro.core.results import KORResult, SearchStats, SearchTrace
 from repro.core.scaling import ScalingContext
@@ -257,9 +257,9 @@ class _BucketBoundSearch:
 
     def step(self, label: Label) -> None:
         """Treat one dequeued label: its out-edges in order, then the jump."""
-        ctx = self.ctx
-        for node, seg_os, seg_bs, seg_sos in ctx.scaled_out(label.node):
-            self.consider(label, node, seg_os, seg_bs, seg_sos, VIA_EDGE)
+        self.ctx.expand(
+            label, self.best_low, self.stats, self.consider, per_edge=self.trace is not None
+        )
         self.jump(label)
 
     def jump(self, label: Label) -> None:
@@ -301,6 +301,8 @@ class _BucketBoundSearch:
             return
         if self.use_strategy2 and ctx.strategy2_rejects(node, new_mask, new_os, new_bs, self.best_low):
             stats.labels_pruned_strategy2 += 1
+            if self.trace is not None:
+                self.trace.record("prune_strategy2", node, new_mask, new_sos, new_os, new_bs)
             return
 
         label = Label(node, new_mask, new_sos, new_os, new_bs, parent=parent, via=via)

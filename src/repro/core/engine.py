@@ -168,8 +168,15 @@ class KOREngine:
         algorithm: str = "bucketbound",
         **params,
     ) -> KkRResult:
-        """Answer one KkR (top-k) query with either approximation algorithm."""
+        """Answer one KkR (top-k) query with either approximation algorithm.
+
+        ``params`` may carry ``deadline=``; like :meth:`run`, an already
+        expired one refuses the search before it starts.
+        """
         query = KORQuery(source, target, tuple(keywords), budget_limit)
+        deadline = params.get("deadline")
+        if deadline is not None:
+            deadline.check()
         if algorithm == "osscaling":
             return os_scaling_top_k(self._graph, self._tables, self._index, query, k, **params)
         if algorithm == "bucketbound":

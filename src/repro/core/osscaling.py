@@ -34,7 +34,7 @@ import heapq
 import time
 
 from repro.core.deadline import Deadline
-from repro.core.label import VIA_EDGE, VIA_JUMP, Label, LabelStore, label_sort_key
+from repro.core.label import VIA_JUMP, Label, LabelStore, label_sort_key
 from repro.core.query import KORQuery, QueryBinding
 from repro.core.results import KORResult, SearchStats, SearchTrace
 from repro.core.route import Route
@@ -153,9 +153,9 @@ class _OSScalingSearch:
 
     def step(self, label: Label) -> None:
         """Treat one dequeued label: its out-edges in order, then the jump."""
-        ctx = self.ctx
-        for node, seg_os, seg_bs, seg_sos in ctx.scaled_out(label.node):
-            self.consider(label, node, seg_os, seg_bs, seg_sos, VIA_EDGE)
+        self.ctx.expand(
+            label, self.upper, self.stats, self.consider, per_edge=self.trace is not None
+        )
         self.jump(label)
 
     def jump(self, label: Label) -> None:

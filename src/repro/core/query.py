@@ -123,8 +123,10 @@ class QueryBinding:
                 postings = index.postings(kid)
             nodes_with_bit.append(postings)
             bit_value = 1 << bit
-            for node in postings:
-                node_masks[int(node)] = node_masks.get(int(node), 0) | bit_value
+            # ``tolist`` first: iterating the array yields numpy scalars,
+            # each converted again by ``int()``.
+            for node in postings.tolist():
+                node_masks[node] = node_masks.get(node, 0) | bit_value
 
         return cls(
             query=query,

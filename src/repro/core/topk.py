@@ -24,8 +24,9 @@ from __future__ import annotations
 import heapq
 import time
 
-from repro.core.label import VIA_EDGE, VIA_JUMP, Label, LabelStore, label_sort_key
 from repro.core.bucketbound import BucketQueue
+from repro.core.deadline import Deadline
+from repro.core.label import VIA_JUMP, Label, LabelStore, label_sort_key
 from repro.core.query import KORQuery, QueryBinding
 from repro.core.results import KkRResult, SearchStats
 from repro.core.route import Route
@@ -97,8 +98,12 @@ def os_scaling_top_k(
     use_strategy1: bool = True,
     use_strategy2: bool = True,
     binding: QueryBinding | None = None,
+    deadline: Deadline | None = None,
 ) -> KkRResult:
-    """OSScaling extended to the KkR query with k-domination."""
+    """OSScaling extended to the KkR query with k-domination.
+
+    ``deadline`` ticks once per heap pop, as in the top-1 search.
+    """
     start = time.perf_counter()
     stats = SearchStats()
     scaling = ScalingContext.for_query(graph, query.budget_limit, epsilon)
@@ -153,14 +158,15 @@ def os_scaling_top_k(
         stats.labels_enqueued += 1
 
     while heap:
+        if deadline is not None:
+            deadline.tick()
         _key, label = heapq.heappop(heap)
         if not label.alive:
             continue
         stats.loops += 1
         if label.os + ctx.os_tau_t_list[label.node] > collector.upper_bound:
             continue
-        for node, seg_os, seg_bs, seg_sos in ctx.scaled_out(label.node):
-            consider(label, node, seg_os, seg_bs, seg_sos, VIA_EDGE)
+        ctx.expand(label, collector.upper_bound, stats, consider)
         if use_strategy1 and label.mask != full_mask:
             jump = ctx.jump_candidate(label)
             if jump is not None:
@@ -185,11 +191,13 @@ def bucket_bound_top_k(
     use_strategy1: bool = True,
     use_strategy2: bool = True,
     binding: QueryBinding | None = None,
+    deadline: Deadline | None = None,
 ) -> KkRResult:
     """BucketBound extended to the KkR query.
 
     Stops once ``k`` feasible routes have been collected from the lowest
-    non-empty bucket (Section 3.5).
+    non-empty bucket (Section 3.5).  ``deadline`` ticks once per pop, as
+    in the top-1 search.
     """
     start = time.perf_counter()
     stats = SearchStats()
@@ -254,6 +262,8 @@ def bucket_bound_top_k(
         stats.labels_enqueued += 1
 
     while True:
+        if deadline is not None:
+            deadline.tick()
         frontier = queue.peek_bucket()
         if frontier is None:
             break
@@ -266,8 +276,7 @@ def bucket_bound_top_k(
         stats.loops += 1
         if label.os + ctx.os_tau_t_list[label.node] >= collector.upper_bound:
             continue  # filed before the k-th candidate existed; stale now
-        for node, seg_os, seg_bs, seg_sos in ctx.scaled_out(label.node):
-            consider(label, node, seg_os, seg_bs, seg_sos, VIA_EDGE)
+        ctx.expand(label, collector.upper_bound, stats, consider)
         if use_strategy1 and label.mask != full_mask:
             jump = ctx.jump_candidate(label)
             if jump is not None:

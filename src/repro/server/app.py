@@ -71,9 +71,11 @@ import json
 from dataclasses import asdict
 from typing import Awaitable, Callable
 
+from repro.core.deadline import Deadline
 from repro.exceptions import DeadlineExceeded, QueryError, ServiceClosed
 from repro.graph.mutation import MutationError
 from repro.server.schema import (
+    MAX_TOPK,
     ROUTE_TOPK_SCHEMA,
     SERVICE_STATS_SCHEMA,
     WireError,
@@ -337,13 +339,10 @@ class KORApp:
 
     async def _query(self, scope, body: bytes) -> tuple[int, dict]:
         spec = parse_route_query(_loads(body))
-        timeout = spec["timeout"]
-        if timeout is None:
-            timeout = _header_timeout(scope)
         result = await self._front.submit(
             spec["query"],
             algorithm=spec["algorithm"],
-            timeout=timeout,
+            timeout=_request_timeout(spec, scope),
             **spec["params"],
         )
         return 200, validate_route_result(
@@ -443,6 +442,10 @@ class KORApp:
         is written — top-k has no incremental API — but the response is
         still streamed line by line so large answers never materialise
         as one document and clients can consume ranks as they arrive.
+        The request deadline follows ``/query``'s rules (body ``timeout``
+        / ``timeout_ms`` over the ``x-kor-timeout-ms`` header) and ticks
+        inside the search loop, which is what stops the worker thread:
+        nothing else can cancel it.
         """
         body = await self._read_body(receive)
         try:
@@ -453,6 +456,10 @@ class KORApp:
             k = payload.get("k")
             if isinstance(k, bool) or not isinstance(k, int) or k < 1:
                 raise WireError("route_topk: 'k' must be a positive integer")
+            if k > MAX_TOPK:
+                raise WireError(f"route_topk: k={k} exceeds the limit of {MAX_TOPK}")
+            timeout = _request_timeout(spec, scope)
+            deadline = Deadline.after(timeout) if timeout is not None else None
             loop = asyncio.get_running_loop()
             answer = await loop.run_in_executor(
                 None,
@@ -463,9 +470,14 @@ class KORApp:
                     spec["query"].budget_limit,
                     k,
                     algorithm=spec["algorithm"],
+                    deadline=deadline,
                     **spec["params"],
                 ),
             )
+        except DeadlineExceeded as error:
+            # Before the QueryError arm, as in ``__call__``.
+            await self._finish(send, "/topk/stream", 504, encode_error(error))
+            return
         except (WireError, QueryError) as error:
             await self._finish(send, "/topk/stream", 400, encode_error(error))
             return
@@ -589,6 +601,12 @@ def _header_timeout(scope) -> float | None:
                 raise WireError("x-kor-timeout-ms header must be positive")
             return ms / 1000.0
     return None
+
+
+def _request_timeout(spec: dict, scope) -> float | None:
+    """One request's deadline in seconds: the body's, else the header's."""
+    timeout = spec["timeout"]
+    return timeout if timeout is not None else _header_timeout(scope)
 
 
 def _line(payload: dict) -> bytes:

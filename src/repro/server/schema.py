@@ -73,6 +73,7 @@ __all__ = [
     "GRAPH_UPDATE_SCHEMA",
     "GRAPH_UPDATE_ACK_SCHEMA",
     "MAX_QUERY_KEYWORDS",
+    "MAX_TOPK",
     "WireError",
     "encode_route_result",
     "validate_route_result",
@@ -96,6 +97,12 @@ GRAPH_UPDATE_ACK_SCHEMA = "kor.graph_update_ack.v1"
 #: exponential in the keyword count (the paper stops at 10), so a longer
 #: list is a malformed request, not a query to attempt.
 MAX_QUERY_KEYWORDS = 64
+
+#: Largest ``k`` a ``/topk/stream`` request may ask for.  k-domination
+#: discards a label only once ``k`` stored labels dominate it, so a huge
+#: ``k`` switches the prune off and the search enumerates routes; the
+#: Fig. 16 reproduction sweeps ``k`` over 1..5.
+MAX_TOPK = 100
 
 #: Required top-level fields of a ``kor.route_result.v1`` document and
 #: the python types each must carry.  ``route`` and ``failure_reason``

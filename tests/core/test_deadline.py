@@ -183,3 +183,36 @@ class TestEngineCancellation:
         # Checkpoints are a stride of queue pops (microseconds); allow
         # lavish CI slack while still proving the search did not run on.
         assert elapsed < budget_seconds + 1.0
+
+
+class TestTopKCancellation:
+    """The KkR searches carry the same checkpoints as the top-1 ones."""
+
+    @pytest.mark.parametrize("algorithm", ("osscaling", "bucketbound"))
+    def test_expired_deadline_refuses_to_start(self, algorithm):
+        engine, query = _search_instance()
+        with pytest.raises(DeadlineExceeded):
+            engine.top_k(
+                query.source, query.target, query.keywords, query.budget_limit, 3,
+                algorithm=algorithm, deadline=expired_deadline(),
+            )
+
+    @pytest.mark.parametrize("algorithm", ("osscaling", "bucketbound"))
+    def test_search_loop_ticks_once_per_pop(self, algorithm):
+        engine, query = _search_instance()
+        deadline = _TripsAfterEntry()
+        with pytest.raises(DeadlineExceeded):
+            engine.top_k(
+                query.source, query.target, query.keywords, query.budget_limit, 3,
+                algorithm=algorithm, deadline=deadline,
+            )
+        assert deadline.checks == 2  # the entry check, then the first pop
+
+    @pytest.mark.parametrize("algorithm", ("osscaling", "bucketbound"))
+    def test_generous_deadline_is_semantically_invisible(self, algorithm):
+        engine, query = _search_instance()
+        args = (query.source, query.target, query.keywords, query.budget_limit, 3)
+        plain = engine.top_k(*args, algorithm=algorithm)
+        bounded = engine.top_k(*args, algorithm=algorithm, deadline=Deadline.after(3600.0))
+        assert [route.nodes for route in bounded.routes] == [r.nodes for r in plain.routes]
+        assert bounded.stats.loops == plain.stats.loops > 0

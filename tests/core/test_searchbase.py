@@ -1,12 +1,22 @@
 """Tests for the shared search machinery (repro.core.searchbase)."""
 
+import collections
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.core import searchbase
+from repro.core.engine import KOREngine
 from repro.core.label import VIA_JUMP, Label
+from repro.core.osscaling import _OSScalingSearch
 from repro.core.query import KORQuery
+from repro.core.results import SearchTrace
 from repro.core.scaling import ScalingContext
-from repro.core.searchbase import SearchContext
+from repro.core.searchbase import SCREEN_MIN_DEGREE, SearchContext
+from repro.graph.builder import GraphBuilder
+
+from tests.core.test_kernels import STAT_FIELDS
 
 
 def make_context(engine, query, epsilon=0.5, threshold=0.01):
@@ -256,3 +266,243 @@ class TestCrossCellReads:
             found += search.result().found
         assert popped > 50 and found
         assert calls["_rows"] == 0 and calls["_assemble_pair"] > 0
+
+
+@contextlib.contextmanager
+def screen_from(degree):
+    """Run the body with :data:`SCREEN_MIN_DEGREE` set to *degree*."""
+    saved = searchbase.SCREEN_MIN_DEGREE
+    searchbase.SCREEN_MIN_DEGREE = degree
+    try:
+        yield
+    finally:
+        searchbase.SCREEN_MIN_DEGREE = saved
+
+
+#: Above every out-degree: the per-edge loop, the screen's reference.
+NEVER = 10**9
+
+def counters(stats):
+    return {name: getattr(stats, name) for name in STAT_FIELDS}
+
+
+def fingerprint(result):
+    """Everything a KOR / KkR answer pins except wall time."""
+    routes = result.routes if hasattr(result, "routes") else [result.route]
+    return (
+        [
+            None if route is None else (route.nodes, route.objective_score, route.budget_score)
+            for route in routes
+        ],
+        getattr(result, "failure_reason", None),
+        counters(result.stats),
+    )
+
+
+def two_hub_graph(fan=SCREEN_MIN_DEGREE + 6):
+    """``s -> relay -> {leaves} -> t`` and ``s -> {leaves}`` directly.
+
+    Every leaf carries the keyword.  From ``s`` the cheapest leaf comes
+    first in adjacency order, the other leaves cost more; three leaves
+    complete only over a budget-busting edge and two cannot reach ``t``
+    at all (``inf`` in both completion columns).  ``relay`` (no keyword)
+    is the last of ``s``'s out-edges and fans out to every leaf again.
+    """
+    builder = GraphBuilder()
+    s = builder.add_node(name="s")
+    t = builder.add_node(name="t")
+    relay = builder.add_node(name="relay")
+    leaves = [builder.add_node(["kw"], name=f"leaf{i}") for i in range(fan)]
+    for i, leaf in enumerate(leaves):
+        builder.add_edge(s, leaf, 1.0 + 0.125 * i, 1.0)
+        builder.add_edge(relay, leaf, 0.25 + 0.125 * (fan - i), 1.0)
+        if i in (3, 4, 5):
+            builder.add_edge(leaf, t, 1.0, 100.0)
+        elif i not in (6, 7):
+            builder.add_edge(leaf, t, 1.0, 1.0)
+    builder.add_edge(s, relay, 0.25, 1.0)
+    return builder.build(), s, t, relay
+
+
+class TestExpand:
+    """The masked out-edge screen against the per-edge loop it replaces."""
+
+    @pytest.fixture(scope="class")
+    def hubs(self):
+        graph, s, t, relay = two_hub_graph()
+        return KOREngine(graph), KORQuery(s, t, ("kw",), 10.0), relay
+
+    @staticmethod
+    def search(engine, query, **params):
+        return _OSScalingSearch(
+            engine.graph, engine.tables, engine.index, query, use_strategy1=False, **params
+        )
+
+    @staticmethod
+    def drain(search):
+        while (label := search.pop()) is not None:
+            search.step(label)
+        return search.result()
+
+    def test_consider_and_scale_see_survivors_only(self, hubs, monkeypatch):
+        engine, query, _relay = hubs
+        graph = engine.graph
+        search = self.search(engine, query)
+        ctx = search.ctx
+
+        scaled = []
+        original_scale = ScalingContext.scale
+        monkeypatch.setattr(
+            ScalingContext, "scale", lambda self, o: scaled.append(o) or original_scale(self, o)
+        )
+        considered = []
+        original_consider = search.consider
+        search.consider = lambda *args: considered.append(args) or original_consider(*args)
+
+        expected = []
+        original_expand = ctx.expand
+
+        def expand(label, bound, stats, consider, per_edge=False):
+            assert not per_edge
+            assert graph.out_degree(label.node) >= SCREEN_MIN_DEGREE
+            expected.extend(
+                (label, head, objective, budget)
+                for head, objective, budget in graph.out_edges(label.node)
+                if (label.bs + budget) + ctx.bs_sigma_t_list[head] <= ctx.delta
+                and (label.os + objective) + ctx.os_tau_t_list[head] < bound
+            )
+            original_expand(label, bound, stats, consider)
+
+        ctx.expand = expand
+        result = self.drain(search)
+
+        assert result.feasible and search.stats.loops == 2  # s, then relay
+        assert [args[:4] for args in considered] == expected
+        assert 0 < len(considered) < search.stats.labels_created
+        assert all(args[4] == original_scale(ctx.scaling, args[2]) for args in considered)
+        assert scaled == [args[2] for args in considered]
+
+    def test_bound_tightened_inside_a_block_kills_later_survivors(self, hubs):
+        engine, query, _relay = hubs
+        with screen_from(NEVER):
+            reference = self.drain(self.search(engine, query)).stats
+
+        search = self.search(engine, query)
+        in_consider = {"bound": 0, "budget": 0}
+        original_consider = search.consider
+
+        def consider(*args):
+            before = search.stats.labels_pruned_bound, search.stats.labels_pruned_budget
+            original_consider(*args)
+            in_consider["bound"] += search.stats.labels_pruned_bound - before[0]
+            in_consider["budget"] += search.stats.labels_pruned_budget - before[1]
+
+        search.consider = consider
+        stats = self.drain(search).stats
+
+        # From s the snapshot bound is inf: every reachable, affordable leaf
+        # survives the screen, the first one becomes the incumbent and
+        # ``consider`` then bound-prunes the rest of the block itself; the
+        # relay's block meets a finite snapshot and dies in the screen.
+        assert stats.bound_updates >= 1
+        assert in_consider["bound"] > 0
+        assert stats.labels_pruned_bound - in_consider["bound"] > 0
+        assert in_consider["budget"] == 0 < stats.labels_pruned_budget
+        assert counters(stats) == counters(reference)
+
+    def test_budget_compare_keeps_scalar_association_and_direction(self):
+        """``(parent.bs + seg_bs) + BS(sigma)``, pruned only when ``> Delta``."""
+        delta = 0.6
+        # Lands on the limit (kept) under the scalar path's association
+        # and one ulp over it (pruned) under the other one.
+        assert (0.3 + 0.2) + 0.1 == delta < 0.3 + (0.2 + 0.1)
+        builder = GraphBuilder()
+        s, t, relay = (builder.add_node(name=name) for name in ("s", "t", "relay"))
+        builder.add_edge(s, relay, 1.0, 0.3)
+        # Keeps BS(sigma_{relay,t}) at 0.1, so the label at the relay exists.
+        builder.add_edge(relay, t, 50.0, 0.1)
+        for i in range(SCREEN_MIN_DEGREE):
+            leaf = builder.add_node(["kw"])
+            builder.add_edge(relay, leaf, 1.0 + i, 0.2 if i == 0 else 0.25)
+            builder.add_edge(leaf, t, 1.0, 0.1)
+        engine = KOREngine(builder.build())
+        query = KORQuery(s, t, ("kw",), delta)
+        screened = self.drain(self.search(engine, query))
+        with screen_from(NEVER):
+            per_edge = self.drain(self.search(engine, query))
+        assert fingerprint(screened) == fingerprint(per_edge)
+        assert screened.stats.labels_pruned_budget == SCREEN_MIN_DEGREE - 1
+        assert screened.route.nodes == (s, relay, relay + 1, t)
+
+    def test_traced_search_takes_the_per_edge_loop(self, hubs):
+        engine, query, _relay = hubs
+        untraced = self.drain(self.search(engine, query))
+        trace = SearchTrace()
+        traced = self.drain(self.search(engine, query, trace=trace))
+        assert fingerprint(traced) == fingerprint(untraced)
+        assert len(trace.created_labels()) == traced.stats.labels_created
+
+    @pytest.mark.parametrize("algorithm", ("osscaling", "bucketbound", "exact"))
+    def test_border_engine_over_partitioned_tables(self, small_flickr, algorithm):
+        from repro.datasets import QuerySetConfig, generate_query_set
+        from repro.prep.partition import PartitionedCostTables
+        from repro.service import BorderEngine
+
+        graph = small_flickr.graph
+        tables = PartitionedCostTables.from_graph(graph, num_cells=3, predecessors=True)
+        engine = BorderEngine(graph, tables=tables)
+        config = QuerySetConfig(num_queries=4, num_keywords=2, budget_limit=3.0, seed=11)
+        queries = generate_query_set(graph, engine.index, config, tables=tables)
+        screened = [fingerprint(engine.run(query, algorithm=algorithm)) for query in queries]
+        with screen_from(NEVER):
+            per_edge = [fingerprint(engine.run(query, algorithm=algorithm)) for query in queries]
+        assert screened == per_edge
+        assert any(routes[0] is not None for routes, _reason, _stats in screened)
+        assert sum(stats["labels_pruned_budget"] for _r, _f, stats in screened) > 100
+
+    def test_thread_backend_batch_equals_serial(self, small_flickr_engine):
+        from repro.datasets import QuerySetConfig, generate_query_set
+        from repro.service import QueryService, ThreadBackend
+
+        engine = small_flickr_engine
+        config = QuerySetConfig(num_queries=12, num_keywords=2, budget_limit=3.0, seed=3)
+        queries = generate_query_set(engine.graph, engine.index, config, tables=engine.tables)
+        serial = [fingerprint(engine.run(query, algorithm="osscaling")) for query in queries]
+        with ThreadBackend(workers=4) as backend:
+            with QueryService(engine, cache_capacity=0, backend=backend) as service:
+                results = service.run_batch(queries, algorithm="osscaling")
+        assert [fingerprint(result) for result in results] == serial
+
+
+class TestTraceMatchesStats:
+    """Every counted prune / enqueue / bound update is a trace event."""
+
+    KINDS = {
+        "create": "labels_created",
+        "enqueue": "labels_enqueued",
+        "prune_budget": "labels_pruned_budget",
+        "prune_bound": "labels_pruned_bound",
+        "prune_dominated": "labels_pruned_dominated",
+        "prune_strategy2": "labels_pruned_strategy2",
+        "bound_update": "bound_updates",
+    }
+
+    @pytest.mark.parametrize("algorithm", ("osscaling", "bucketbound"))
+    def test_event_counts_equal_counters(self, small_flickr_engine, algorithm):
+        from repro.datasets import QuerySetConfig, generate_query_set
+
+        engine = small_flickr_engine
+        config = QuerySetConfig(num_queries=6, num_keywords=3, budget_limit=3.0, seed=5)
+        queries = generate_query_set(engine.graph, engine.index, config, tables=engine.tables)
+        strategy2 = 0
+        for query in queries:
+            trace = SearchTrace()
+            # A threshold that makes one query keyword "infrequent".
+            result = engine.run(query, algorithm=algorithm, trace=trace, infrequent_threshold=0.2)
+            events = collections.Counter(event.kind for event in trace.events)
+            # The root is enqueued without an event of its own.
+            events["enqueue"] += result.stats.labels_enqueued > 0
+            for kind, counter in self.KINDS.items():
+                assert events[kind] == getattr(result.stats, counter), (algorithm, kind)
+            strategy2 += result.stats.labels_pruned_strategy2
+        assert strategy2 > 0

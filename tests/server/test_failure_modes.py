@@ -78,7 +78,7 @@ def drive(coro_factory, engine, **front_kwargs):
     return asyncio.run(main())
 
 
-async def request_with_headers(app, payload: dict, headers: list) -> "object":
+async def request_with_headers(app, payload: dict, headers: list, path: str = "/query") -> "object":
     """Like ``asgi_request`` but with caller-controlled headers."""
     body = json.dumps(payload).encode()
     scope = {
@@ -87,8 +87,8 @@ async def request_with_headers(app, payload: dict, headers: list) -> "object":
         "http_version": "1.1",
         "method": "POST",
         "scheme": "http",
-        "path": "/query",
-        "raw_path": b"/query",
+        "path": path,
+        "raw_path": path.encode(),
         "query_string": b"",
         "root_path": "",
         "headers": [(b"content-type", b"application/json")] + headers,
@@ -112,7 +112,9 @@ async def request_with_headers(app, payload: dict, headers: list) -> "object":
     await app(scope, receive, send)
     status = messages[0]["status"]
     payload_bytes = b"".join(m.get("body", b"") for m in messages[1:])
-    return status, json.loads(payload_bytes or b"null")
+    # One JSON document, or the lines of an NDJSON stream.
+    documents = [json.loads(line) for line in payload_bytes.splitlines()]
+    return status, documents[0] if len(documents) == 1 else documents or None
 
 
 class TestDeadlines:
@@ -310,6 +312,96 @@ class TestDeadlines:
                 await front.close()
 
         asyncio.run(main())
+
+
+class TestTopKStream:
+    """``/topk/stream`` honours deadlines and bounds ``k`` (a huge ``k``
+    switches k-domination off; nothing can cancel the worker thread but
+    the search loop's own checkpoint)."""
+
+    @staticmethod
+    def long_topk():
+        """A complete graph whose k=100 search takes >1 000 pops (~0.1 s)."""
+        import random
+
+        from repro.core.engine import KOREngine
+        from repro.core.query import KORQuery
+        from repro.graph.builder import GraphBuilder
+
+        rng = random.Random(1)
+        builder = GraphBuilder()
+        builder.add_node(keywords=["rare"])
+        for _ in range(9):
+            builder.add_node()
+        for u in range(10):
+            for v in range(10):
+                if u != v:
+                    builder.add_edge(u, v, rng.uniform(1, 2), rng.uniform(1, 2))
+        return KOREngine(builder.build()), KORQuery(1, 2, ("rare",), 12.0)
+
+    def test_asgi_deadline_is_a_504_from_every_spelling(self):
+        from repro.server.schema import MAX_TOPK
+
+        engine, query = self.long_topk()
+        plain = engine.top_k(1, 2, ("rare",), 12.0, MAX_TOPK, algorithm="osscaling")
+        assert plain.stats.loops > 1000  # far beyond a checkpoint stride
+
+        async def scenario(app):
+            base = {**query_payload(query, algorithm="osscaling"), "k": MAX_TOPK}
+            header = [(b"x-kor-timeout-ms", b"1")]
+            for body, headers, expected in (
+                ({**base, "timeout_ms": 1}, [], 504),
+                ({**base, "timeout": 0.001}, [], 504),
+                (base, header, 504),
+                # The body wins over the header; both body forms are a 400.
+                ({**base, "timeout": 60.0}, header, 200),
+                ({**base, "timeout": 1.0, "timeout_ms": 5}, [], 400),
+            ):
+                begin = time.monotonic()
+                status, _payload = await request_with_headers(
+                    app, body, headers, "/topk/stream"
+                )
+                assert status == expected, body
+                assert time.monotonic() - begin < 5.0
+                assert app.pending == 0
+            return app.frontend.snapshot().endpoints["/topk/stream"]
+
+        assert drive(scenario, engine) == {"requests": 5, "errors": 4}
+
+    def test_oversized_k_is_a_400(self):
+        from repro.server.schema import MAX_TOPK
+
+        engine, query = self.long_topk()
+
+        async def scenario(app):
+            body = {**query_payload(query), "k": MAX_TOPK + 1}
+            status, payload = await request_with_headers(app, body, [], "/topk/stream")
+            assert status == 400 and payload["error"]["type"] == "WireError"
+            assert str(MAX_TOPK) in payload["error"]["message"]
+            assert app.pending == 0
+            return app.frontend.snapshot().endpoints["/topk/stream"]
+
+        assert drive(scenario, engine) == {"requests": 1, "errors": 1}
+
+    def test_socket_answers_504_and_400_and_frees_the_slot(self):
+        from repro.server.schema import MAX_TOPK
+
+        engine, query = self.long_topk()
+        base = query_payload(query, algorithm="bucketbound")
+        with serve(QueryService(engine, cache_capacity=0)) as server:
+            def post(body):
+                return asyncio.run(http_request(*server.address, "POST", "/topk/stream", body))
+
+            begin = time.monotonic()
+            late = post({**base, "k": MAX_TOPK, "timeout_ms": 1})
+            assert late.status == 504 and time.monotonic() - begin < 5.0
+            assert late.json()["error"]["type"] == "DeadlineExceeded"
+            assert post({**base, "k": 2000, "timeout_ms": 1}).status == 400
+            assert post({**base, "k": 3}).status == 200
+            health = asyncio.run(http_request(*server.address, "GET", "/healthz")).json()
+            assert health["status"] == "ok" and health["pending"] == 0
+            stats = asyncio.run(http_request(*server.address, "GET", "/stats")).json()
+            assert stats["frontend"]["endpoints"]["/topk/stream"] == {"requests": 3, "errors": 2}
 
 
 class TestShedding:
