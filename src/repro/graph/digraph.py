@@ -14,7 +14,7 @@ pre-processing and search layers rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +50,31 @@ class GraphStats:
     mean_keywords_per_node: float
 
 
+_Row = tuple[tuple[int, float, float], ...]
+
+
+def _frozen_row(u: int, out: Sequence[tuple[int, float, float]], n: int) -> _Row:
+    """The out-edges of *u*, validated and frozen (the one edge check)."""
+    seen_targets: set[int] = set()
+    for v, obj, bud in out:
+        if not (0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) points outside the node range")
+        if v in seen_targets:
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        seen_targets.add(v)
+        if not (obj > 0.0) or not np.isfinite(obj):
+            raise GraphError(f"edge ({u}, {v}) objective must be finite and > 0, got {obj}")
+        if not (bud > 0.0) or not np.isfinite(bud):
+            raise GraphError(f"edge ({u}, {v}) budget must be finite and > 0, got {bud}")
+    return tuple((int(v), float(o), float(b)) for v, o, b in out)
+
+
+def _weight_bounds(adj: Sequence[_Row], position: int) -> tuple[float, float]:
+    """``(min, max)`` of one edge weight over every row; ``(inf, -inf)`` if edgeless."""
+    weights = [edge[position] for out in adj for edge in out]
+    return (min(weights), max(weights)) if weights else (np.inf, -np.inf)
+
+
 class SpatialKeywordGraph:
     """Immutable directed graph with per-node keywords and two edge weights.
 
@@ -82,6 +107,7 @@ class SpatialKeywordGraph:
         "_budget_bounds",
         "_csr_cache",
         "_edge_lookup",
+        "_edge_scans",
     )
 
     def __init__(
@@ -105,34 +131,6 @@ class SpatialKeywordGraph:
         if xs is not None and (len(xs) != n or len(ys) != n):
             raise GraphError("coordinate arrays must have one entry per node")
 
-        num_edges = 0
-        o_min, o_max = np.inf, -np.inf
-        b_min, b_max = np.inf, -np.inf
-        frozen_adj: list[tuple[tuple[int, float, float], ...]] = []
-        for u, out in enumerate(adjacency):
-            seen_targets: set[int] = set()
-            for v, obj, bud in out:
-                if not (0 <= v < n):
-                    raise GraphError(f"edge ({u}, {v}) points outside the node range")
-                if v in seen_targets:
-                    raise GraphError(f"duplicate edge ({u}, {v})")
-                seen_targets.add(v)
-                if not (obj > 0.0) or not np.isfinite(obj):
-                    raise GraphError(
-                        f"edge ({u}, {v}) objective must be finite and > 0, got {obj}"
-                    )
-                if not (bud > 0.0) or not np.isfinite(bud):
-                    raise GraphError(
-                        f"edge ({u}, {v}) budget must be finite and > 0, got {bud}"
-                    )
-                num_edges += 1
-                o_min = min(o_min, obj)
-                o_max = max(o_max, obj)
-                b_min = min(b_min, bud)
-                b_max = max(b_max, bud)
-            frozen_adj.append(tuple((int(v), float(o), float(b)) for v, o, b in out))
-
-        self._adj: tuple[tuple[tuple[int, float, float], ...], ...] = tuple(frozen_adj)
         self._node_keywords: tuple[frozenset[int], ...] = tuple(
             frozenset(ks) for ks in node_keywords
         )
@@ -142,11 +140,48 @@ class SpatialKeywordGraph:
         )
         self._xs = None if xs is None else np.asarray(xs, dtype=np.float64)
         self._ys = None if ys is None else np.asarray(ys, dtype=np.float64)
-        self._num_edges = num_edges
-        self._objective_bounds = (float(o_min), float(o_max))
-        self._budget_bounds = (float(b_min), float(b_max))
+        self._set_rows(tuple(_frozen_row(u, out, n) for u, out in enumerate(adjacency)))
+
+    def _set_rows(self, adj: tuple[_Row, ...]) -> None:
+        """Adopt validated rows; everything derived from them starts over."""
+        self._adj = adj
+        self._num_edges = sum(map(len, adj))
+        self._objective_bounds = _weight_bounds(adj, 1)
+        self._budget_bounds = _weight_bounds(adj, 2)
         self._csr_cache: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._edge_lookup: dict[tuple[int, int], tuple[float, float]] | None = None
+        self._edge_scans = 0
+
+    def with_rows(
+        self,
+        rows: Mapping[int, Sequence[tuple[int, float, float]]],
+        node_keywords: Mapping[int, frozenset[int]] | None = None,
+    ) -> "SpatialKeywordGraph":
+        """A copy-on-write sibling: *rows* replace the out-edges of the
+        nodes they name, *node_keywords* their keyword sets.
+
+        A replaced row passes the constructor's full edge validation; every
+        other row is this graph's own (already validated) tuple, shared, as
+        are the names, coordinates and keyword table.  Edge count and weight
+        bounds are recomputed over all rows, so the result equals the graph
+        the constructor would build from the same adjacency.
+        """
+        n = self.num_nodes
+        for u in (*rows, *(node_keywords or ())):
+            if not 0 <= u < n:
+                raise GraphError(f"node {u} is outside the node range")
+        adj = list(self._adj)
+        for u, out in rows.items():
+            adj[u] = _frozen_row(u, out, n)
+        keywords = list(self._node_keywords)
+        for u, ks in (node_keywords or {}).items():
+            keywords[u] = frozenset(ks)
+        sibling = object.__new__(type(self))
+        sibling._node_keywords = tuple(keywords)
+        sibling._keyword_table = self._keyword_table
+        sibling._names, sibling._xs, sibling._ys = self._names, self._xs, self._ys
+        sibling._set_rows(tuple(adj))
+        return sibling
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -237,28 +272,36 @@ class SpatialKeywordGraph:
     def edge(self, u: int, v: int) -> tuple[float, float]:
         """Return ``(objective, budget)`` of edge ``(u, v)``.
 
-        Raises :class:`GraphError` when the edge does not exist.  Lookups are
-        backed by a lazily built hash map so repeated scoring of explicit
-        routes (Definition 3) is O(1) per edge.
+        Raises :class:`GraphError` when the edge does not exist.  A fresh
+        graph answers by scanning the out-row of *u*; once the rows scanned
+        add up to the ``|E|`` entries a hash map costs to build, the map is
+        built and repeated scoring of explicit routes (Definition 3) is
+        O(1) per edge.  A mutator asking about one edge of a graph that the
+        next update replaces therefore never pays for the map.
         """
-        if self._edge_lookup is None:
-            lookup: dict[tuple[int, int], tuple[float, float]] = {}
-            for u_, out in enumerate(self._adj):
-                for v_, obj, bud in out:
-                    lookup[(u_, v_)] = (obj, bud)
-            self._edge_lookup = lookup
+        lookup = self._edge_lookup
+        if lookup is None:
+            out = self._adj[u] if 0 <= u < len(self._adj) else ()
+            self._edge_scans += len(out)
+            if self._edge_scans <= self._num_edges:
+                for target, obj, bud in out:
+                    if target == v:
+                        return obj, bud
+                raise GraphError(f"no edge ({u}, {v})")
+            lookup = self._edge_lookup = {
+                (u_, v_): (obj, bud)
+                for u_, row in enumerate(self._adj)
+                for v_, obj, bud in row
+            }
         try:
-            return self._edge_lookup[(u, v)]
+            return lookup[(u, v)]
         except KeyError:
             raise GraphError(f"no edge ({u}, {v})") from None
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether the directed edge ``(u, v)`` exists."""
-        try:
-            self.edge(u, v)
-        except GraphError:
-            return False
-        return True
+        """Whether the directed edge ``(u, v)`` exists (one out-row scan)."""
+        out = self._adj[u] if 0 <= u < len(self._adj) else ()
+        return any(target == v for target, _obj, _bud in out)
 
     def iter_edges(self) -> Iterator[Edge]:
         """Iterate over every directed edge."""

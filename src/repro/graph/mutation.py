@@ -52,6 +52,19 @@ __all__ = [
 #: Operation names accepted by :func:`resolve_ops` (the wire-level set).
 OP_NAMES = ("update_edge_cost", "close_node", "open_node", "update_keywords")
 
+#: The range a re-costed edge weight must stay in.  The paper's scaling
+#: factor is ``theta = eps * o_min * b_min / Delta`` (Section 3.2) and a
+#: scaled objective reaches ``n * o_max / theta``; both must be
+#: representable or every OSScaling / BucketBound query on the graph is
+#: refused for a state an admin op created.  With weights in
+#: [1e-9, 1e9], ``eps >= 1e-3``, ``Delta <= 1e9`` and ``n <= 1e6``:
+#: ``theta >= 1e-3 * 1e-18 / 1e9 = 1e-30`` (far from the 5e-324
+#: underflow) and ``n * o_max / theta <= 1e6 * 1e9 / 1e-30 = 1e45`` (far
+#: from the 1.8e308 overflow).  Every dataset generator in the repo draws
+#: weights well inside it.
+MIN_EDGE_WEIGHT = 1e-9
+MAX_EDGE_WEIGHT = 1e9
+
 
 class MutationError(GraphError):
     """An invalid mutation request (unknown edge, double close, ...)."""
@@ -95,6 +108,29 @@ class GraphDelta:
             nodes.add(node)
         return frozenset(nodes)
 
+    def induced(self, mapping: Mapping[int, int]) -> "GraphDelta":
+        """The slice of this delta inside the node set *mapping* covers,
+        re-indexed by it — the delta twin of
+        :meth:`SpatialKeywordGraph.induced_subgraph` (entry order kept, so
+        applying it reproduces the induced subgraph's adjacency order)."""
+        return GraphDelta(
+            set_edges=tuple(
+                (mapping[u], mapping[v], obj, bud)
+                for u, v, obj, bud in self.set_edges
+                if u in mapping and v in mapping
+            ),
+            drop_edges=tuple(
+                (mapping[u], mapping[v])
+                for u, v in self.drop_edges
+                if u in mapping and v in mapping
+            ),
+            set_keywords=tuple(
+                (mapping[node], words)
+                for node, words in self.set_keywords
+                if node in mapping
+            ),
+        )
+
     def merge(self, later: "GraphDelta") -> "GraphDelta":
         """The delta equivalent to applying ``self`` then *later*.
 
@@ -130,8 +166,11 @@ def apply_graph_delta(
 ) -> SpatialKeywordGraph:
     """A new graph with *delta* applied (lenient, idempotent).
 
-    Shares the graph's (append-only) keyword table, names and
-    coordinates.  Adjacency order is stable: an updated edge keeps its
+    Copy-on-write (:meth:`SpatialKeywordGraph.with_rows`): only the
+    out-rows and keyword sets the delta names are rebuilt — and pass the
+    constructor's edge validation — while every other row, the
+    (append-only) keyword table, names and coordinates are shared with
+    *graph*.  Adjacency order is stable: an updated edge keeps its
     position, a re-created edge appends — so replaying the same delta
     sequence always reproduces the same adjacency (and therefore the
     same search tie-breaking) on every replica.
@@ -139,39 +178,32 @@ def apply_graph_delta(
     if delta.is_empty:
         return graph
     n = graph.num_nodes
-    adjacency: list[list[tuple[int, float, float]]] = [
-        list(graph.out_edges(u)) for u in range(n)
-    ]
+    rows: dict[int, list[tuple[int, float, float]]] = {}
     for u, v in delta.drop_edges:
         _check_node(n, u)
         _check_node(n, v)
-        adjacency[u] = [edge for edge in adjacency[u] if edge[0] != v]
+        out = rows[u] if u in rows else graph.out_edges(u)
+        rows[u] = [edge for edge in out if edge[0] != v]
     for u, v, obj, bud in delta.set_edges:
         _check_node(n, u)
         _check_node(n, v)
-        out = adjacency[u]
+        if u not in rows:
+            rows[u] = list(graph.out_edges(u))
+        out = rows[u]
         for position, (target, _o, _b) in enumerate(out):
             if target == v:
                 out[position] = (v, obj, bud)
                 break
         else:
             out.append((v, obj, bud))
-    node_keywords = [graph.node_keywords(u) for u in range(n)]
+    node_keywords: dict[int, frozenset[int]] = {}
     table = graph.keyword_table
     for node, words in delta.set_keywords:
         _check_node(n, node)
         # Interning in the delta's (sorted, deduplicated) word order keeps
         # fresh ids identical across every replica applying this delta.
         node_keywords[node] = table.intern_many(words)
-    coordinates = graph.coordinate_arrays
-    return SpatialKeywordGraph(
-        adjacency,
-        node_keywords,
-        table,
-        names=[graph.name_of(u) for u in range(n)],
-        xs=None if coordinates is None else coordinates[0],
-        ys=None if coordinates is None else coordinates[1],
-    )
+    return graph.with_rows(rows, node_keywords)
 
 
 def _check_node(n: int, node: int) -> None:
@@ -255,6 +287,11 @@ class GraphMutator:
             if not (value > 0.0) or not math.isfinite(value):
                 raise MutationError(
                     f"edge ({u}, {v}) {name} must be finite and > 0, got {value}"
+                )
+            if not MIN_EDGE_WEIGHT <= value <= MAX_EDGE_WEIGHT:
+                raise MutationError(
+                    f"edge ({u}, {v}) {name} must lie in "
+                    f"[{MIN_EDGE_WEIGHT}, {MAX_EDGE_WEIGHT}], got {value}"
                 )
         self._edge_costs[(u, v)] = (obj, bud)
         return self._resolve(GraphDelta(set_edges=((u, v, obj, bud),)))
@@ -340,6 +377,13 @@ class GraphMutator:
         self._graph = apply_graph_delta(self._graph, delta)
         return delta
 
+    def _snapshot(self) -> tuple:
+        """Everything an operation can change (graphs are immutable)."""
+        return self._graph, set(self._closed), dict(self._edge_costs), dict(self._keywords)
+
+    def _restore(self, snapshot: tuple) -> None:
+        self._graph, self._closed, self._edge_costs, self._keywords = snapshot
+
     def _incident_base_edges(self, node: int):
         for v, obj, bud in self._base.out_edges(node):
             if v != node:
@@ -357,11 +401,16 @@ def resolve_ops(
 
     Validation is sequential (each op sees its predecessors applied);
     the merged result is equivalent to applying the ops in order because
-    every delta entry is absolute.  On a validation error, ops already
-    resolved *stay applied* to the mutator — callers wanting all-or-
-    nothing semantics should validate the batch first.
+    every delta entry is absolute.  All or nothing: when any op is
+    refused the mutator is put back exactly as the batch found it, so the
+    graph never runs ahead of tables that were not repaired.
     """
+    before = mutator._snapshot()
     merged = GraphDelta()
-    for op in ops:
-        merged = merged.merge(mutator.apply_op(op))
+    try:
+        for op in ops:
+            merged = merged.merge(mutator.apply_op(op))
+    except BaseException:
+        mutator._restore(before)
+        raise
     return merged

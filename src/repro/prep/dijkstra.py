@@ -29,6 +29,7 @@ __all__ = [
     "all_pairs_two_criteria",
     "multi_source_two_criteria",
     "single_source_two_criteria",
+    "sweep_two_criteria",
 ]
 
 
@@ -89,6 +90,32 @@ def _secondary_by_pointer_doubling(
     return total
 
 
+def sweep_two_criteria(
+    weights: csr_matrix, sec_lookup: np.ndarray, sources: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The matrix-level sweep: ``(primary_cost, secondary_cost, predecessors)``.
+
+    One row per entry of *sources* over the ``m`` nodes of *weights* (the
+    primary edge weights, CSR); ``sec_lookup[u, v]`` is the secondary
+    weight of edge ``(u, v)`` and is only read at predecessor edges.
+    This is the one Dijkstra + pointer-doubling implementation: the graph
+    fronts below feed it a graph's edges, the partitioned border tier
+    (:mod:`repro.prep.partition`) the overlay of border nodes.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    if sources.size == 0:
+        m = weights.shape[0]
+        return (
+            np.empty((0, m), dtype=np.float64),
+            np.empty((0, m), dtype=np.float64),
+            np.empty((0, m), dtype=np.int32),
+        )
+    dist, pred = _csgraph_dijkstra(weights, indices=sources, return_predecessors=True)
+    secondary = _secondary_by_pointer_doubling(pred, sources, sec_lookup)
+    secondary[~np.isfinite(dist)] = np.inf
+    return dist, secondary, pred.astype(np.int32, copy=False)
+
+
 def all_pairs_two_criteria(
     graph: SpatialKeywordGraph,
     primary: str = "objective",
@@ -118,13 +145,9 @@ def all_pairs_two_criteria(
 
     for start in range(0, n, block_size):
         sources = np.arange(start, min(start + block_size, n))
-        dist, pred = _csgraph_dijkstra(weights, indices=sources, return_predecessors=True)
-        secondary = _secondary_by_pointer_doubling(pred, sources, sec_lookup)
-        unreachable = ~np.isfinite(dist)
-        secondary[unreachable] = np.inf
-        prim_out[sources] = dist
-        sec_out[sources] = secondary
-        pred_out[sources] = pred
+        prim_out[sources], sec_out[sources], pred_out[sources] = sweep_two_criteria(
+            weights, sec_lookup, sources
+        )
 
     return prim_out, sec_out, pred_out
 
@@ -141,20 +164,11 @@ def multi_source_two_criteria(
     are built once and every source shares a single compiled Dijkstra
     sweep — the setup cost is what dominates repeated one-source calls.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    if sources.size == 0:
-        n = graph.num_nodes
-        return (
-            np.empty((0, n), dtype=np.float64),
-            np.empty((0, n), dtype=np.float64),
-            np.empty((0, n), dtype=np.int32),
-        )
-    weights = _csr_weight_matrix(graph, primary)
-    sec_lookup = _dense_secondary_lookup(graph, primary)
-    dist, pred = _csgraph_dijkstra(weights, indices=sources, return_predecessors=True)
-    secondary = _secondary_by_pointer_doubling(pred, sources, sec_lookup)
-    secondary[~np.isfinite(dist)] = np.inf
-    return dist, secondary, pred.astype(np.int32)
+    return sweep_two_criteria(
+        _csr_weight_matrix(graph, primary),
+        _dense_secondary_lookup(graph, primary),
+        sources,
+    )
 
 
 def single_source_two_criteria(

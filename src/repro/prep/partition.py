@@ -13,23 +13,56 @@ This assembly is **exact**, not merely an upper bound.  Crossing a cell
 boundary is only possible along an edge whose endpoints are both border
 nodes, so any optimal path from ``i`` decomposes at its *first* border
 node ``b1`` (the prefix can never have left ``cell(i)``) and its *last*
-border node ``b2`` (the suffix can never leave ``cell(j)``), while the
-middle ``b1 -> b2`` leg is measured on the **full** graph.  Minimising
-over every ``(b1, b2)`` combination therefore recovers the flat table's
-value for both path families (``tau`` and ``sigma``), and a path that
-never touches a border node is covered by the in-cell term.  What the
+border node ``b2`` (the suffix can never leave ``cell(j)``), with an
+optimal ``b1 -> b2`` leg of the whole graph in between.  Minimising over
+every ``(b1, b2)`` combination therefore recovers the flat table's value
+for both path families (``tau`` and ``sigma``), and a path that never
+touches a border node is covered by the in-cell term.  What the
 partitioned tables trade away is not accuracy but *pre-processing
 shape*: ``O(sum n_c^2 + k^2)`` floats instead of ``O(n^2)``, with per-pair
 assembly work at query time.  The accompanying ablation benchmark
 quantifies build time and memory against the flat tables.
 
+**The border tier is swept on an overlay, not on the graph.**  The same
+observation applies to the middle leg itself: between two boundary
+crossings a path runs inside one cell from a border node to a border
+node, and may as well run along that cell's optimal in-cell path.  So
+``border(b1 -> b2)`` is a shortest path on the overlay **H** whose nodes
+are the ``k`` border nodes and whose edges are, per kind,
+
+* every **cut edge** (an edge of the graph joining two cells) at its own
+  two weights, and
+* per cell a **shortcut** ``b -> b'`` for every ordered pair of its
+  border nodes that can reach each other in-cell, weighted with the
+  ``(primary, secondary)`` entry of that cell's already resident
+  :class:`~repro.prep.tables.CostTables`.
+
+Every walk of H expands to a walk of the graph with the same two sums,
+and every graph path contracts to an H walk that is no longer — hence
+exact.  :func:`_sweep_overlay` builds H as a ``k x k`` weight pair and
+runs the one two-criteria sweep (:func:`repro.prep.dijkstra.
+sweep_two_criteria`) over it: ``k`` sources on ``k`` nodes instead of on
+``n``, which is what a structural update pays per kind.  Two things
+differ from a sweep of the full graph, deliberately: a border primary is
+a sum over shortcuts, each itself a sum over edges, so it can differ
+from the edge-by-edge sum in its **last ulp** (``allclose``, never
+bitwise — routes are always re-scored from edges); and among paths that
+**tie** on the primary, the stored secondary is that of the walk H's
+predecessors describe, which need not be the one a full-graph sweep
+would have kept (either is the secondary of a real primary-optimal
+path, exactly as :func:`~repro.prep.dijkstra.all_pairs_two_criteria`
+already says of its own ties).
+
 :class:`PartitionedCostTables` implements the full access protocol of
 :class:`repro.prep.tables.CostTables` — scalar lookups, row/column
 views, multi-column gathers, rows restricted to a node set, and (when
 built with ``predecessors=True``) ``tau_path`` / ``sigma_path``
-materialisation that stitches the in-cell legs (via each cell's
-predecessor matrices) to the border leg (via one stored full-graph
-predecessor row per border node).  That is what lets
+materialisation.  A path is expanded leg by leg: the two in-cell legs
+through their cell's predecessor matrices, the border leg by walking the
+``k x k`` overlay predecessors (positions in ``border_nodes``) hop by
+hop — a hop inside one cell is a shortcut and expands through *that*
+cell's predecessor matrix, a hop between cells is a cut edge and stands
+for itself.  That is what lets
 :class:`repro.service.crosscell.BorderEngine` run every search algorithm
 over a partitioned graph with flat-engine semantics.
 
@@ -50,10 +83,11 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.exceptions import PrepError
 from repro.graph.digraph import SpatialKeywordGraph
-from repro.prep.dijkstra import multi_source_two_criteria, reconstruct_path
+from repro.prep.dijkstra import reconstruct_path, sweep_two_criteria
 from repro.prep.tables import CostTables
 
 __all__ = ["GraphPartition", "partition_graph", "PartitionedCostTables"]
@@ -293,6 +327,68 @@ def _prefer_in_cell(
     return np.where(better, cand_prim, best_prim), np.where(better, cand_sec, best_sec)
 
 
+def _in_cell_matrices(tables: CostTables, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(primary, secondary) score matrices of one cell's tables for *kind*."""
+    if kind == "tau":
+        return tables.os_tau, tables.bs_tau
+    return tables.bs_sigma, tables.os_sigma
+
+
+def _cell_border_layout(
+    partition: GraphPartition, local_index: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per cell: its border nodes as rows of ``border_nodes`` and as local
+    ids inside the cell (same order) — fixed by the partition."""
+    positions = tuple(
+        rows[rows >= 0] for rows in (partition.border_index[nodes] for nodes in partition.cells)
+    )
+    return positions, tuple(local_index[partition.border_nodes[rows]] for rows in positions)
+
+
+def _sweep_overlay(
+    graph: SpatialKeywordGraph,
+    partition: GraphPartition,
+    cell_tables: tuple[CostTables, ...],
+    local_index: np.ndarray,
+    kind: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Border-to-border ``(primary, secondary, predecessors)``, all k x k.
+
+    Assembles the overlay **H** of the module docstring for *kind* — per
+    cell the border-to-border block of its tables, plus every cut edge at
+    its own two weights — and sweeps it from every border node.
+    Predecessors are positions in ``border_nodes``, not node ids.
+    """
+    border = partition.border_nodes
+    k = len(border)
+    primary = np.full((k, k), np.inf)
+    secondary = np.zeros((k, k))
+    for tables, rows, locals_ in zip(cell_tables, *_cell_border_layout(partition, local_index)):
+        prim_m, sec_m = _in_cell_matrices(tables, kind)
+        block = np.ix_(locals_, locals_)
+        primary[np.ix_(rows, rows)] = prim_m[block]
+        secondary[np.ix_(rows, rows)] = sec_m[block]
+    np.fill_diagonal(primary, np.inf)
+
+    indptr, heads, objectives, budgets = graph.to_csr()
+    tails = np.repeat(np.arange(graph.num_nodes), np.diff(indptr))
+    cut = partition.cell_of[tails] != partition.cell_of[heads]
+    cut_tails, cut_heads = partition.border_index[tails[cut]], partition.border_index[heads[cut]]
+    if (cut_tails < 0).any() or (cut_heads < 0).any():
+        raise PrepError("the partition's border inventory misses an edge that crosses cells")
+    prim_w, sec_w = (objectives, budgets) if kind == "tau" else (budgets, objectives)
+    primary[cut_tails, cut_heads] = prim_w[cut]
+    secondary[cut_tails, cut_heads] = sec_w[cut]
+
+    # An unreachable shortcut is no edge: left out of the CSR weights, and
+    # zeroed in the lookup so no ``inf`` can reach the secondary sums.
+    is_edge = np.isfinite(primary)
+    edge_tails, edge_heads = np.nonzero(is_edge)
+    weights = csr_matrix((primary[is_edge], (edge_tails, edge_heads)), shape=(k, k))
+    secondary[~is_edge] = 0.0
+    return sweep_two_criteria(weights, secondary, np.arange(k))
+
+
 class _RowReader:
     """The *kind* rows of a :class:`PartitionedCostTables` at fixed *nodes*.
 
@@ -400,12 +496,13 @@ class PartitionedCostTables:
     cell_tables: tuple[CostTables, ...]
     #: Local position of each node inside its cell.
     local_index: np.ndarray
-    #: Border x border score matrices on the full graph.
+    #: Border x border score matrices (exact full-graph scores, swept on
+    #: the overlay — see the module docstring).
     border_os_tau: np.ndarray
     border_bs_tau: np.ndarray
     border_os_sigma: np.ndarray
     border_bs_sigma: np.ndarray
-    #: Full-graph predecessor rows, one per border node (optional).
+    #: Overlay predecessors, k x k positions in ``border_nodes`` (optional).
     border_pred_tau: np.ndarray | None = None
     border_pred_sigma: np.ndarray | None = None
     # Derived state below is not part of ``__init__``, so
@@ -428,11 +525,8 @@ class PartitionedCostTables:
         self._column_cache = _LRUPairCache(self.num_nodes)
         self._row_cache = _LRUPairCache(self.num_nodes)
         self._leg_cache = _LRUPairCache(len(part.border_nodes))
-        borders = [part.border_index[nodes] for nodes in part.cells]
-        self._cell_borders = tuple(positions[positions >= 0] for positions in borders)
-        self._cell_border_locals = tuple(
-            self.local_index[part.border_nodes[positions]]
-            for positions in self._cell_borders
+        self._cell_borders, self._cell_border_locals = _cell_border_layout(
+            part, self.local_index
         )
 
     # ------------------------------------------------------------------
@@ -456,8 +550,8 @@ class PartitionedCostTables:
         :class:`CostTables` per cell over its induced subgraph, in cell
         order) can be supplied to share state with an existing sharded
         deployment instead of re-pre-processing every cell.
-        ``predecessors=True`` keeps one full-graph predecessor row per
-        border node (and requires path-capable cell tables), enabling
+        ``predecessors=True`` keeps the border tier's ``k x k`` overlay
+        predecessors (and requires path-capable cell tables), enabling
         ``tau_path`` / ``sigma_path``.
         """
         n = graph.num_nodes
@@ -495,33 +589,24 @@ class PartitionedCostTables:
                         "path materialisation needs predecessors=True cells"
                     )
 
-        border = partition.border_nodes
-        # One batched sweep per criterion: the per-call setup (CSR build,
-        # dense secondary lookup) dominates a per-node loop on graphs of
-        # this size, and the border tier is the shared term between full
-        # rebuilds and incremental repair.
-        os_tau, bs_tau, pred_tau = multi_source_two_criteria(
-            graph, border, "objective"
+        # One sweep of the k-node overlay per criterion; the border tier
+        # is the shared term between full rebuilds and incremental repair.
+        os_tau, bs_tau, pred_tau = _sweep_overlay(
+            graph, partition, cell_tables, local_index, "tau"
         )
-        bs_sigma, os_sigma, pred_sigma = multi_source_two_criteria(
-            graph, border, "budget"
+        bs_sigma, os_sigma, pred_sigma = _sweep_overlay(
+            graph, partition, cell_tables, local_index, "sigma"
         )
-        border_os_tau = os_tau[:, border]
-        border_bs_tau = bs_tau[:, border]
-        border_os_sigma = os_sigma[:, border]
-        border_bs_sigma = bs_sigma[:, border]
-        border_pred_tau = pred_tau if predecessors else None
-        border_pred_sigma = pred_sigma if predecessors else None
         return cls(
             partition=partition,
             cell_tables=cell_tables,
             local_index=local_index,
-            border_os_tau=border_os_tau,
-            border_bs_tau=border_bs_tau,
-            border_os_sigma=border_os_sigma,
-            border_bs_sigma=border_bs_sigma,
-            border_pred_tau=border_pred_tau,
-            border_pred_sigma=border_pred_sigma,
+            border_os_tau=os_tau,
+            border_bs_tau=bs_tau,
+            border_os_sigma=os_sigma,
+            border_bs_sigma=bs_sigma,
+            border_pred_tau=pred_tau if predecessors else None,
+            border_pred_sigma=pred_sigma if predecessors else None,
         )
 
     # ------------------------------------------------------------------
@@ -677,10 +762,7 @@ class PartitionedCostTables:
     # ------------------------------------------------------------------
     def _in_cell(self, kind: str, cell: int) -> tuple[np.ndarray, np.ndarray]:
         """(primary, secondary) in-cell matrices for *kind*."""
-        tables = self.cell_tables[cell]
-        if kind == "tau":
-            return tables.os_tau, tables.bs_tau
-        return tables.bs_sigma, tables.os_sigma
+        return _in_cell_matrices(self.cell_tables[cell], kind)
 
     def _border_matrices(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """(primary, secondary) border-to-border matrices for *kind*."""
@@ -891,11 +973,29 @@ class PartitionedCostTables:
         if combo is None:
             return self._cell_path(int(part.cell_of[i]), i, j, kind)
         b1, b2 = combo
-        pred = self.border_pred_tau if kind == "tau" else self.border_pred_sigma
-        try:
-            middle = reconstruct_path(pred[int(part.border_index[b1])], b1, b2)
-        except ValueError as exc:  # pragma: no cover - scores imply reachability
-            raise PrepError(str(exc)) from exc
         first = self._cell_path(int(part.cell_of[i]), i, b1, kind)
         last = self._cell_path(int(part.cell_of[j]), b2, j, kind)
-        return first[:-1] + middle + last[1:]
+        return first[:-1] + self._border_path(b1, b2, kind) + last[1:]
+
+    def _border_path(self, b1: int, b2: int, kind: str) -> list[int]:
+        """The stored border leg ``b1 -> b2`` as a walk of the full graph.
+
+        The leg is a walk on the overlay: a hop inside one cell is a
+        shortcut, expanded through that cell's own predecessor matrix; a
+        hop between cells is a cut edge and stands for itself.
+        """
+        part = self.partition
+        pred = self.border_pred_tau if kind == "tau" else self.border_pred_sigma
+        row1, row2 = int(part.border_index[b1]), int(part.border_index[b2])
+        try:
+            hops = part.border_nodes[reconstruct_path(pred[row1], row1, row2)].tolist()
+        except ValueError as exc:  # pragma: no cover - scores imply reachability
+            raise PrepError(str(exc)) from exc
+        path = [b1]
+        for u, v in zip(hops, hops[1:]):
+            cell = int(part.cell_of[u])
+            if cell == int(part.cell_of[v]):
+                path += self._cell_path(cell, u, v, kind)[1:]
+            else:
+                path.append(v)
+        return path

@@ -8,7 +8,7 @@ completes the partition architecture instead: a :class:`BorderEngine`
 answers any KOR/KkR query over the **full** graph, but its cost tables
 are a :class:`repro.prep.partition.PartitionedCostTables` — per-cell
 all-pairs tables (shared with the cell engines, not duplicated) plus
-border-to-border tables measured on the full graph.
+border-to-border tables holding exact full-graph scores.
 
 Why this is exact
 -----------------
@@ -20,9 +20,10 @@ leaves ``cell(j)``); minimising ``in_cell(i -> b1) + border(b1 -> b2) +
 in_cell(b2 -> j)`` over every border pair recovers the flat table's
 value, and in-cell paths are covered by the cell term.  Route legs are
 materialised the same way — in-cell legs through each cell's predecessor
-matrices, the border leg through one stored full-graph predecessor row
-per border node — so every route a :class:`BorderEngine` returns is a
-real walk of the full graph with exactly the scores the search saw.
+matrices, the border leg hop by hop through the border tier's overlay
+predecessors (cut edges, and in-cell shortcuts expanded through their
+cell) — so every route a :class:`BorderEngine` returns is a real walk of
+the full graph with exactly the scores the search saw.
 
 Because the search algorithms consume tables only through the shared
 access protocol, a :class:`BorderEngine` *is* a

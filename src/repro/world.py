@@ -20,13 +20,22 @@ keyword change at v    v's cell's subgraph + index, and the full index —
 close/open node v      both of the above (edges and keywords change together)
 =====================  ==========================================================
 
-The border tier is recomputed *wholesale* on any structural change: its
-legs are full-graph shortest paths, so a single re-costed edge can
-reroute any border-to-border leg — there is no sound border-local
-repair.  That is still the win the partition buys: ``k`` Dijkstras plus
-one cell's tables instead of every cell's tables plus partitioning from
-scratch (see ``benchmarks/bench_update_latency.py`` for the measured
-gap).
+The border tier is swept again on any structural change — a single
+re-costed edge can reroute any border-to-border leg — but on the
+**overlay** of :mod:`repro.prep.partition`, not on the graph: ``k``
+sources over the ``k`` border nodes, whose edges are the cut edges plus
+each cell's border-to-border shortcut block, read straight from the cell
+tables (the repaired cell's fresh ones, every other cell's resident
+ones).  Border scores are exact; a leg's last ulp and its secondary
+under a primary tie follow the overlay (see that module's docstring).
+What an update pays is therefore what it changed: the named rows of the
+graph and of the touched cells' subgraphs (both derived copy-on-write
+from the delta — :func:`repro.graph.mutation.apply_graph_delta`), the
+repaired cells' all-pairs tables, and the k-node sweep — never the other
+cells' tables, the untouched adjacency rows or an n-node Dijkstra per
+border node (see ``benchmarks/bench_update_latency.py`` and the README's
+"What an update costs" for the measured gap).  Repairing only the border
+sources a changed shortcut can affect is the next step (ROADMAP item A).
 
 The **frozen-partition invariant** makes all of this sound: mutations
 never add nodes or novel edges (closures drop base edges, re-opens
@@ -48,7 +57,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.graph.digraph import SpatialKeywordGraph
-from repro.graph.mutation import GraphDelta, GraphMutator, resolve_ops
+from repro.graph.mutation import (
+    GraphDelta,
+    GraphMutator,
+    apply_graph_delta,
+    resolve_ops,
+)
 from repro.index.inverted import InvertedIndex
 from repro.prep.partition import (
     GraphPartition,
@@ -242,7 +256,8 @@ class MutableWorld:
         The ops resolve sequentially (each validated against its
         predecessors' effects) but repair runs once over the merged
         delta — one epoch bump, one border-tier recompute, however many
-        ops arrived.
+        ops arrived.  A batch with a refused op raises and changes
+        nothing: graph, closure set, tables and epoch stay as they were.
         """
         return self._apply(resolve_ops(self._mutator, ops))
 
@@ -280,9 +295,10 @@ class MutableWorld:
         cells = list(self._cells)
         for cell in sorted(refresh):
             old = cells[cell]
-            subgraph, _to_local = graph.induced_subgraph(
-                [int(v) for v in old.to_global]
-            )
+            # The delta's in-cell slice, in local ids, applied to the old
+            # subgraph: row for row the subgraph the new graph induces
+            # (same adjacency order, by apply_graph_delta's own contract).
+            subgraph = apply_graph_delta(old.subgraph, delta.induced(old.to_local))
             cells[cell] = CellState(
                 cell=cell,
                 subgraph=subgraph,
@@ -306,9 +322,9 @@ class MutableWorld:
 
         border_rebuilt = delta.structural
         if border_rebuilt:
-            # Any edge change can reroute any border-to-border leg (the
-            # legs are full-graph shortest paths), so the whole tier
-            # recomputes — but over *reused* cell tables for every cell
+            # Any edge change can reroute any border-to-border leg, so the
+            # tier is swept again — on the k-node overlay, whose shortcut
+            # blocks are read from *reused* cell tables for every cell
             # outside the repair set.
             self._tables = PartitionedCostTables.from_graph(
                 graph,

@@ -19,6 +19,8 @@ import pytest
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.mutation import (
+    MAX_EDGE_WEIGHT,
+    MIN_EDGE_WEIGHT,
     GraphDelta,
     GraphMutator,
     MutationError,
@@ -154,6 +156,41 @@ class TestApplyGraphDelta:
         assert "zoo" in set(graph.keyword_table.words)
 
 
+class TestInducedDelta:
+    def test_slice_keeps_in_set_entries_in_order_and_relabels(self):
+        delta = GraphDelta(
+            set_edges=((5, 7, 1.0, 2.0), (5, 6, 3.0, 4.0), (7, 5, 5.0, 6.0)),
+            drop_edges=((7, 9), (9, 5), (5, 7)),
+            set_keywords=((6, ("pub",)), (7, ())),
+        )
+        local = delta.induced({5: 0, 7: 1, 9: 2})
+        assert local.set_edges == ((0, 1, 1.0, 2.0), (1, 0, 5.0, 6.0))
+        assert local.drop_edges == ((1, 2), (2, 0), (0, 1))
+        assert local.set_keywords == ((1, ()),)
+        assert delta.induced({}).is_empty
+
+    def test_world_cell_subgraphs_track_the_induced_subgraph(self):
+        """Over the seeded 50-op sequence, every cell subgraph the world
+        derives from a delta is row for row the subgraph the new graph
+        induces on that cell (adjacency order, keywords, bounds, CSR)."""
+        from repro.world import MutableWorld
+        from tests.properties.test_cow_graph_properties import assert_same_graph
+        from tests.service.test_differential import random_instance
+        from tests.service.test_mutation_differential import chunked, mutation_sequence
+
+        for seed in (0, 1, 2):
+            engine, _queries = random_instance(seed)
+            world = MutableWorld(engine.graph, num_cells=2, seed=0)
+            for batch in chunked(mutation_sequence(engine.graph, seed), seed):
+                before = world.cells
+                update = world.apply_ops(batch)
+                for cell, state in enumerate(world.cells):
+                    induced, _mapping = world.graph.induced_subgraph(state.to_global.tolist())
+                    assert_same_graph(state.subgraph, induced)
+                    if cell not in update.refreshed_cells:
+                        assert state is before[cell]
+
+
 class TestGraphMutator:
     def test_update_edge_cost_partial_weights_persist(self):
         mutator = GraphMutator(small_graph())
@@ -174,6 +211,40 @@ class TestGraphMutator:
             mutator.update_edge_cost(0, 1, budget=float("inf"))
         with pytest.raises(MutationError, match="outside the graph"):
             mutator.update_edge_cost(0, 99, objective=1.0)
+
+    @pytest.mark.parametrize("weight", [5e-324, 1e-300, 1e-10, 1.1e9, 1e308])
+    def test_update_edge_cost_refuses_unscalable_weights(self, weight):
+        """theta = eps * o_min * b_min / Delta must stay representable:
+        an out-of-range weight is refused, named bound and all, and
+        nothing is applied or remembered."""
+        mutator = GraphMutator(small_graph())
+        graph = mutator.graph
+        for kwargs in ({"objective": weight}, {"budget": weight}, {"objective": weight, "budget": weight}):
+            with pytest.raises(MutationError, match=r"must lie in \[1e-09, 1000000000\.0\]"):
+                mutator.update_edge_cost(0, 1, **kwargs)
+        assert mutator.graph is graph
+        mutator.close_node(1)
+        mutator.open_node(1)
+        assert mutator.graph.edge(0, 1) == (1.0, 1.0)  # no override was recorded
+
+    def test_update_edge_cost_accepts_the_boundary_weights(self):
+        mutator = GraphMutator(small_graph())
+        mutator.update_edge_cost(0, 1, objective=MIN_EDGE_WEIGHT, budget=MAX_EDGE_WEIGHT)
+        assert mutator.graph.edge(0, 1) == (1e-9, 1e9)
+        mutator.update_edge_cost(0, 1, objective=MAX_EDGE_WEIGHT, budget=MIN_EDGE_WEIGHT)
+        assert mutator.graph.edge(0, 1) == (1e9, 1e-9)
+
+    def test_lookups_never_build_the_edge_map_of_a_fresh_graph(self):
+        """One update asks about one edge (a close about one column) of a
+        graph the next update replaces: an |E|-entry map is never built."""
+        mutator = GraphMutator(small_graph())
+        for _round in range(3):
+            mutator.update_edge_cost(0, 1, objective=2.0)
+            assert mutator.graph._edge_lookup is None
+            mutator.close_node(2)
+            assert mutator.graph._edge_lookup is None
+            mutator.open_node(2)
+            assert mutator.graph._edge_lookup is None
 
     def test_close_strips_edges_and_keywords(self):
         mutator = GraphMutator(small_graph())
@@ -265,12 +336,31 @@ class TestResolveOps:
         assert edge_map(replayed) == edge_map(mutator.graph)
         assert keyword_map(replayed) == keyword_map(mutator.graph)
 
-    def test_error_mid_sequence_keeps_earlier_ops_applied(self):
+    def test_error_mid_sequence_restores_the_mutator(self):
+        """All or nothing: a refused batch leaves graph, closure set and
+        both override maps exactly as it found them."""
         mutator = GraphMutator(small_graph())
+        mutator.update_edge_cost(0, 1, objective=4.0)
+        mutator.update_keywords(3, ["park"])
+        mutator.close_node(3)
+        graph = mutator.graph
         ops = [
+            {"op": "update_edge_cost", "u": 0, "v": 1, "objective": 9.0},
+            {"op": "update_keywords", "node": 0, "keywords": ["zoo"]},
+            {"op": "open_node", "node": 3},
             {"op": "close_node", "node": 1},
             {"op": "close_node", "node": 1},  # invalid: already closed
         ]
         with pytest.raises(MutationError, match="already closed"):
             resolve_ops(mutator, ops)
-        assert mutator.closed_nodes == frozenset({1})
+        assert mutator.graph is graph
+        assert mutator.closed_nodes == frozenset({3})
+        # The overrides the batch wrote are gone too: a re-open restores
+        # the pre-batch cost and keywords, not the refused ones.
+        mutator.open_node(3)
+        assert mutator.graph.edge(0, 1) == (4.0, 1.0)
+        assert set(mutator.graph.node_keyword_strings(0)) == {"pub"}
+        assert set(mutator.graph.node_keyword_strings(3)) == {"park"}
+        mutator.close_node(1)
+        mutator.open_node(1)
+        assert mutator.graph.edge(0, 1) == (4.0, 1.0)

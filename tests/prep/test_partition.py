@@ -171,6 +171,70 @@ class TestPathMaterialisation:
             assert route.budget_score == pytest.approx(with_paths.bs_sigma(i, j))
             assert route.objective_score == pytest.approx(with_paths.os_sigma(i, j))
 
+    def test_paths_across_three_cells_rescore_to_table_entries(self):
+        """Float-weight road graph, six cells: long paths cross several
+        cells, so the middle leg alternates cut edges with shortcuts that
+        each expand through a different cell's predecessor matrix."""
+        from repro.core.route import Route
+        from repro.datasets import RoadConfig, build_road_graph
+
+        graph = build_road_graph(RoadConfig(num_nodes=150, seed=7))
+        tables = PartitionedCostTables.from_graph(
+            graph, num_cells=6, seed=0, predecessors=True
+        )
+        cell_of = tables.partition.cell_of
+        long_paths = 0
+        for i in range(0, graph.num_nodes, 7):
+            for j in range(3, graph.num_nodes, 11):
+                for path, objective, budget in (
+                    (tables.tau_path(i, j), tables.os_tau(i, j), tables.bs_tau(i, j)),
+                    (tables.sigma_path(i, j), tables.os_sigma(i, j), tables.bs_sigma(i, j)),
+                ):
+                    assert path[0] == i and path[-1] == j
+                    route = Route.from_nodes(graph, path)
+                    assert route.objective_score == pytest.approx(objective, rel=1e-12)
+                    assert route.budget_score == pytest.approx(budget, rel=1e-12)
+                    long_paths += len({int(cell_of[v]) for v in path}) >= 3
+        assert long_paths >= 50
+
+    def test_border_predecessors_are_overlay_sized(self, with_paths, partitioned):
+        """k x k positions in ``border_nodes``, not k full-graph rows; and
+        ``predecessors=False`` still means no path state at all."""
+        k = len(with_paths.partition.border_nodes)
+        assert 0 < k < with_paths.num_nodes
+        for pred in (with_paths.border_pred_tau, with_paths.border_pred_sigma):
+            assert pred.shape == (k, k)
+            assert pred.max() < k
+        assert with_paths.has_paths
+        assert partitioned.border_pred_tau is None
+        assert partitioned.border_pred_sigma is None
+        assert not partitioned.has_paths
+        cell_preds = sum(
+            t.pred_tau.nbytes + t.pred_sigma.nbytes for t in with_paths.cell_tables
+        )
+        assert (
+            with_paths.memory_bytes(include_paths=True) - with_paths.memory_bytes()
+            == cell_preds + 2 * 4 * k * k
+        )
+
+    def test_border_inventory_missing_a_cut_edge_is_refused(self, grid):
+        """The overlay is only exact when every crossing edge joins two
+        border nodes; a partition that says otherwise is an error, not a
+        silently wrong tier."""
+        import dataclasses
+
+        partition = partition_graph(grid, 2, seed=0)
+        dropped = int(partition.border_nodes[0])
+        border_nodes = partition.border_nodes[1:]
+        border_index = np.full(grid.num_nodes, -1, dtype=np.int64)
+        border_index[border_nodes] = np.arange(len(border_nodes))
+        broken = dataclasses.replace(
+            partition, border_nodes=border_nodes, border_index=border_index
+        )
+        assert not broken.is_border(dropped)
+        with pytest.raises(PrepError, match="crosses cells"):
+            PartitionedCostTables.from_graph(grid, partition=broken)
+
     def test_unreachable_pair_raises(self):
         from repro.graph.generators import line_graph
 

@@ -498,6 +498,147 @@ class TestAdminUpdate:
         assert semantic.json()["error"]["type"] == "MutationError"
         assert world.epoch == 0  # nothing was applied
 
+    def test_refused_batch_is_not_half_applied(self):
+        """A batch refused at its second op answers 400 and leaves no
+        trace: the next accepted update serves exactly a rebuilt world."""
+        app, world, queries = self._fresh()
+        graph = world.graph
+        u, v = next(
+            (u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u)
+        )
+
+        async def drive():
+            refused = await asgi_request(
+                app,
+                "POST",
+                "/admin/update",
+                {"ops": [{"op": "close_node", "node": u}, {"op": "close_node", "node": u}]},
+            )
+            epoch_after_refusal, graph_after_refusal = world.epoch, world.graph
+            accepted = await asgi_request(
+                app,
+                "POST",
+                "/admin/update",
+                {"ops": [{"op": "update_keywords", "node": v, "keywords": ["pub"]}]},
+            )
+            answers = [
+                await asgi_request(app, "POST", "/query", query_payload(q, "exact"))
+                for q in queries
+            ]
+            stats = await asgi_request(app, "GET", "/stats")
+            await app.frontend.close()
+            return refused, epoch_after_refusal, graph_after_refusal, accepted, answers, stats
+
+        refused, epoch, seen_graph, accepted, answers, stats = asyncio.run(drive())
+        assert refused.status == 400
+        assert refused.json()["error"]["type"] == "MutationError"
+        assert epoch == 0 and seen_graph is graph
+        assert accepted.status == 200 and accepted.json()["epoch"] == 1
+        assert world.closed_nodes == frozenset()
+        assert world.graph.out_edges(u) == graph.out_edges(u)
+        endpoints = stats.json()["frontend"]["endpoints"]
+        assert endpoints["/admin/update"] == {"requests": 2, "errors": 1}
+        from repro.service import ShardedQueryService
+
+        oracle = ShardedQueryService(world=world.rebuilt())
+        try:
+            for query, response in zip(queries, answers):
+                assert response.status == 200
+                expected = oracle.run_batch([query], algorithm="exact")[0]
+                assert fingerprint(decode_route_result(response.json())) == fingerprint(
+                    expected
+                )
+        finally:
+            oracle.close()
+
+    @pytest.mark.parametrize("tier", ["flat", "sharded"])
+    def test_refused_batch_keeps_process_workers_in_step(self, tier):
+        """Pool workers replay only accepted deltas: after a refused batch
+        and a valid update through the front door, a process-backed
+        service answers like a serial one that never saw the refusal."""
+        engine, queries = random_instance(0)
+        graph = engine.graph
+        u, v = next(
+            (u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u)
+        )
+        refused = {"ops": [{"op": "close_node", "node": u}, {"op": "close_node", "node": u}]}
+        valid = {"ops": [{"op": "update_edge_cost", "u": u, "v": v, "objective": 9.0}]}
+        batch = {"queries": [query_payload(query, "exact") for query in queries]}
+
+        async def serve(backend, updates):
+            subject = graph if tier == "flat" else MutableWorld(graph, num_cells=2)
+            front = build_service(subject, tier="async", backend=backend, workers=2)
+            app = KORApp(front)
+            try:
+                warm = await asgi_request(app, "POST", "/batch", batch)  # start the pool
+                statuses = [
+                    (await asgi_request(app, "POST", "/admin/update", update)).status
+                    for update in updates
+                ]
+                answer = await asgi_request(app, "POST", "/batch", batch)
+                assert warm.status == answer.status == 200
+                return statuses, [
+                    fingerprint(decode_route_result(result))
+                    for result in answer.json()["results"]
+                ]
+            finally:
+                await front.close()
+
+        statuses, served = asyncio.run(serve("process", [refused, valid]))
+        assert statuses == [400, 200]
+        _statuses, expected = asyncio.run(serve("serial", [valid]))
+        assert served == expected
+
+    def test_unscalable_weights_are_refused_and_scaled_queries_keep_serving(self):
+        """theta = eps * o_min * b_min / Delta: a weight that would zero
+        or overflow it is the admin op's error (400, nothing applied) —
+        never a reason to refuse every later osscaling/bucketbound query."""
+        from repro.graph.mutation import MAX_EDGE_WEIGHT, MIN_EDGE_WEIGHT
+
+        app, world, queries = self._fresh()
+        graph = world.graph
+        u, v = next(
+            (u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u)
+        )
+
+        def recost(objective, budget):
+            op = {"op": "update_edge_cost", "u": u, "v": v, "objective": objective, "budget": budget}
+            return asgi_request(app, "POST", "/admin/update", {"ops": [op]})
+
+        async def drive():
+            refused = [
+                await recost(5e-324, 5e-324),
+                await recost(1e-300, 1.0),
+                await recost(1.0, 1e308),
+            ]
+            state = world.epoch, world.graph
+            edges = [
+                await recost(MIN_EDGE_WEIGHT, MIN_EDGE_WEIGHT),
+                await recost(MAX_EDGE_WEIGHT, MAX_EDGE_WEIGHT),
+            ]
+            scaled = [
+                await asgi_request(app, "POST", "/query", query_payload(query, algorithm))
+                for algorithm in ("osscaling", "bucketbound")
+                for query in queries
+            ]
+            stats = await asgi_request(app, "GET", "/stats")
+            await app.frontend.close()
+            return refused, state, edges, scaled, stats
+
+        refused, state, edges, scaled, stats = asyncio.run(drive())
+        for response in refused:
+            assert response.status == 400
+            error = response.json()["error"]
+            assert error["type"] == "MutationError"
+            assert "must lie in [1e-09, 1000000000.0]" in error["message"]
+        assert state == (0, graph)
+        assert [response.status for response in edges] == [200, 200]
+        assert world.epoch == 2
+        assert world.graph.edge(u, v) == (MAX_EDGE_WEIGHT, MAX_EDGE_WEIGHT)
+        assert [response.status for response in scaled] == [200] * len(scaled)
+        endpoints = stats.json()["frontend"]["endpoints"]
+        assert endpoints["/admin/update"] == {"requests": 5, "errors": 3}
+
     def test_updates_pass_while_the_app_drains(self):
         """Operators must be able to push updates during drain: the
         endpoint is deliberately outside the work-admission budget."""
