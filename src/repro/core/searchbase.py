@@ -91,6 +91,9 @@ class SearchContext:
         #: missing mask -> (uncovered keyword nodes, sigma-row reader at
         #: them, BS(sigma_{j,t}) at them).
         self._uncovered_union: dict[int, tuple[np.ndarray, object, np.ndarray]] = {}
+        #: (node, missing mask) -> (nearest uncovered keyword node vj,
+        #: OS(sigma_{node,vj}), BS(sigma_{node,vj}), BS(sigma_{vj,t})).
+        self._nearest: dict[tuple[int, int], tuple[int, float, float, float]] = {}
 
         # Optimisation Strategy 2 state ----------------------------------
         self._rare_bit: int | None = None
@@ -229,16 +232,38 @@ class SearchContext:
         missing = self.binding.full_mask & ~label.mask
         if not missing:
             return None
+        # The nearest candidate regardless of budget depends on (node,
+        # missing) alone.  When it is feasible for this label it *is* the
+        # masked argmin below (the first index of the overall minimum),
+        # and the scalar test associates exactly as the vector one does.
+        key = (label.node, missing)
+        nearest = self._nearest.get(key)
+        if nearest is not None and (label.bs + nearest[2]) + nearest[3] <= self.delta:
+            return nearest[:3]
         nodes, sigma_rows, bs_to_t = self._uncovered(missing)
         if len(nodes) == 0:
             return None
         seg_bs = sigma_rows.primary(label.node)
+        if nearest is None:
+            first = int(seg_bs.argmin())
+            first_bs, first_to_t = float(seg_bs[first]), float(bs_to_t[first])
+            if (label.bs + first_bs) + first_to_t <= self.delta:
+                found = (int(nodes[first]), sigma_rows.secondary_at(label.node, first), first_bs)
+                if len(self._nearest) >= self.MAX_JUMP_MEMO:
+                    self._nearest.pop(next(iter(self._nearest)))
+                self._nearest[key] = found + (first_to_t,)
+                return found
         feasible = (label.bs + seg_bs + bs_to_t) <= self.delta
         if not feasible.any():
             return None
         best = int(np.where(feasible, seg_bs, np.inf).argmin())
         seg_os = sigma_rows.secondary_at(label.node, best)
         return int(nodes[best]), seg_os, float(seg_bs[best])
+
+    #: Cap on memoised nearest jump candidates per search context, evicted
+    #: oldest first like the unions below: a long search over a large graph
+    #: meets up to ``n * (2^|kw| - 1)`` distinct ``(node, missing)`` pairs.
+    MAX_JUMP_MEMO = 4096
 
     #: Cap on memoised uncovered-node unions (and the row readers kept
     #: beside them) per search context.  A query with |kw| keywords has

@@ -237,13 +237,19 @@ def _bfs_hops(neighbours: list[set[int]], source: int) -> np.ndarray:
     return hops
 
 
-def _lex_min(primary: np.ndarray, secondary: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+def _lex_min(
+    primary: np.ndarray, secondary: np.ndarray | None, axis: int
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Minimise *primary* along *axis*; break ties by smallest *secondary*.
 
     Unreachable entries (``inf`` primary) yield ``inf`` in both outputs.
+    With ``secondary=None`` only the primary is wanted: the primary of a
+    lexicographic minimum is the plain minimum.
     """
     best = primary.min(axis=axis)
-    expanded = np.expand_dims(best, axis)
+    if secondary is None:
+        return best, None
+    expanded = best[None] if axis == 0 else best[:, None]
     tied_secondary = np.where(primary == expanded, secondary, np.inf)
     best_secondary = tied_secondary.min(axis=axis)
     return best, np.where(np.isfinite(best), best_secondary, np.inf)
@@ -257,8 +263,8 @@ def _lex_argmin(primary: np.ndarray, secondary: np.ndarray) -> int:
 
 
 #: Byte budget per cache (columns, rows, border legs, and each per-query
-#: reader's memo).  Each entry holds two float64 arrays of the cache's
-#: entry length; without a bound a long-lived engine serving varied
+#: reader's memo).  Each entry holds at most two float64 arrays of the
+#: cache's entry length; without a bound a long-lived engine serving varied
 #: targets would quietly regrow the very ``O(n^2)`` footprint the
 #: partitioned tables exist to eliminate.
 _CACHE_BYTE_BUDGET = 2_000_000
@@ -268,7 +274,8 @@ _CACHE_MIN_ENTRIES = 16
 
 
 class _LRUPairCache:
-    """Tiny LRU for ``key -> (primary, secondary)`` pairs of one length.
+    """Tiny LRU for ``key -> (primary, secondary)`` pairs of one length
+    (a primary-only column keeps ``None`` for its secondary).
 
     Thread workers share one tables object, so every compound step runs
     under a lock; a pickled or copied cache arrives empty (caches are
@@ -312,7 +319,7 @@ class _LRUPairCache:
         """Bytes held by the cached arrays."""
         with self._lock:
             return sum(
-                primary.nbytes + secondary.nbytes
+                primary.nbytes + (0 if secondary is None else secondary.nbytes)
                 for primary, secondary in self._data.values()
             )
 
@@ -320,9 +327,14 @@ class _LRUPairCache:
 def _prefer_in_cell(
     best: tuple[np.ndarray, np.ndarray], stitched: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise lexicographic minimum; ties keep *best* (the in-cell path)."""
+    """Elementwise lexicographic minimum; ties keep *best* (the in-cell path).
+
+    A primary-only *stitched* (secondary ``None``) yields a primary-only result.
+    """
     best_prim, best_sec = best
     cand_prim, cand_sec = stitched
+    if cand_sec is None:
+        return np.minimum(best_prim, cand_prim), None
     better = (cand_prim < best_prim) | ((cand_prim == best_prim) & (cand_sec < best_sec))
     return np.where(better, cand_prim, best_prim), np.where(better, cand_sec, best_sec)
 
@@ -396,13 +408,14 @@ class _RowReader:
     ``row(i)[nodes]`` from many sources ``i``: everything that depends on
     the node set alone is gathered here once — per column the entries
     ``b2`` of the node's cell and ``in_cell(b2 -> node)``, padded to the
-    tallest cell with ``inf`` — so one read is the source's cached border
-    leg plus that slab under one ``_lex_min``, then the in-cell compare
-    for the nodes of ``cell(i)``.  Same ``(leg1 + border) + leg3``
-    association, same ``_lex_min``, same tie rule as ``_rows``: every
-    value is bitwise the one ``*_row(i)[nodes]`` holds.  Reads are
-    memoised per source (bounded like every cache here) for the life of
-    the reader, which belongs to one query.
+    tallest cell with ``inf`` — so a primary read is the source's cached
+    border leg plus that slab under one plain ``min`` (the primary of a
+    lexicographic minimum), then the in-cell compare for the nodes of
+    ``cell(i)``; a secondary is assembled for the one column asked, under
+    ``_lex_min``.  Same ``(leg1 + border) + leg3`` association and tie
+    rule as ``_rows``: every value is bitwise the one ``*_row(i)[nodes]``
+    holds.  Primary rows are memoised per source (bounded like every
+    cache here) for the life of the reader, which belongs to one query.
     """
 
     def __init__(self, tables: "PartitionedCostTables", nodes: np.ndarray, kind: str) -> None:
@@ -412,9 +425,11 @@ class _RowReader:
         self._tables = tables
         self._kind = kind
         self._width = len(nodes)
-        self._memo = _LRUPairCache(self._width)
-        node_cells = tables.partition.cell_of[nodes]
-        node_locals = tables.local_index[nodes]
+        # An entry is one primary row plus the source's border leg (two
+        # k-vectors, pinned even if ``_leg_cache`` drops them).
+        self._memo = _LRUPairCache(self._width // 2 + len(tables.partition.border_nodes))
+        self._node_cells = node_cells = tables.partition.cell_of[nodes]
+        self._node_locals = node_locals = tables.local_index[nodes]
         #: cell -> (columns holding that cell's nodes, their local ids).
         self._cell_columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for cell in np.unique(node_cells).tolist():
@@ -440,37 +455,47 @@ class _RowReader:
 
     def primary(self, i: int) -> np.ndarray:
         """The primary score of row *i* at every node of the set."""
-        return self._read(i)[0]
+        return self._row(i)[0]
 
     def secondary_at(self, i: int, position: int) -> float:
-        """The secondary score of row *i* at ``nodes[position]``."""
-        return float(self._read(i)[1][position])
+        """The secondary score of row *i* at ``nodes[position]``, assembled
+        for that one column from the leg :meth:`primary` fetched."""
+        leg = self._row(i)[1]
+        tables, kind = self._tables, self._kind
+        best = (np.inf, np.inf)
+        cell = int(tables.partition.cell_of[i])
+        if self._node_cells[position] == cell:
+            prim_m, sec_m = tables._in_cell(kind, cell)
+            at = int(tables.local_index[i]), self._node_locals[position]
+            best = (prim_m[at], sec_m[at])
+        if leg is not None and len(self._entries):
+            entries = self._entries[:, position]
+            stitched = _lex_min(
+                leg[0][entries] + self._leg3_prim[:, position],
+                leg[1][entries] + self._leg3_sec[:, position],
+                axis=0,
+            )
+            if stitched < best:  # lexicographic; a tie keeps the in-cell path
+                best = stitched
+        return float(best[1])
 
-    def _read(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+    def _row(self, i: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+        """Row *i*'s primaries at the node set, and the border leg of *i*."""
         cached = self._memo.get(i)
         if cached is not None:
             return cached
         tables, kind = self._tables, self._kind
         leg = tables._leg(i, kind)  # validates i
-        best = (np.full(self._width, np.inf), np.full(self._width, np.inf))
+        best = np.full(self._width, np.inf)
         cell = int(tables.partition.cell_of[i])
         own = self._cell_columns.get(cell)
         if own is not None:
             columns, locals_ = own
-            prim_m, sec_m = tables._in_cell(kind, cell)
-            li = int(tables.local_index[i])
-            best[0][columns] = prim_m[li, locals_]
-            best[1][columns] = sec_m[li, locals_]
+            best[columns] = tables._in_cell(kind, cell)[0][int(tables.local_index[i]), locals_]
         if leg is not None and len(self._entries):
-            leg_prim, leg_sec = leg
-            stitched = _lex_min(
-                leg_prim[self._entries] + self._leg3_prim,
-                leg_sec[self._entries] + self._leg3_sec,
-                axis=0,
-            )
-            best = _prefer_in_cell(best, stitched)
-        self._memo.put(i, best)
-        return best
+            best = np.minimum(best, (leg[0][self._entries] + self._leg3_prim).min(axis=0))
+        self._memo.put(i, (best, leg))
+        return best, leg
 
 
 @dataclass
@@ -664,15 +689,15 @@ class PartitionedCostTables:
 
     def bs_sigma_col(self, t: int) -> np.ndarray:
         """Assembled ``BS(sigma_{i,t})`` for every ``i``."""
-        return self._columns(t, "sigma")[0]
+        return self._columns(t, "sigma", pair=False)[0]
 
     def os_tau_cols(self, nodes: np.ndarray) -> np.ndarray:
         """``OS(tau_{i,t})`` for every ``i`` and every ``t`` in *nodes*."""
-        return self._gather_cols(nodes, self.os_tau_col)
+        return self._gather_cols(nodes, "tau")
 
     def bs_sigma_cols(self, nodes: np.ndarray) -> np.ndarray:
         """``BS(sigma_{i,t})`` for every ``i`` and every ``t`` in *nodes*."""
-        return self._gather_cols(nodes, self.bs_sigma_col)
+        return self._gather_cols(nodes, "sigma")
 
     # ------------------------------------------------------------------
     # row access (protocol shared with CostTables)
@@ -832,11 +857,18 @@ class PartitionedCostTables:
                 )
         return best_primary, best_secondary, combo
 
-    def _columns(self, t: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-        """Assembled ``(primary, secondary)`` columns for target *t*."""
+    def _columns(
+        self, t: int, kind: str, pair: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Assembled ``(primary, secondary)`` columns for target *t*.
+
+        ``pair=False`` asks for the primary alone: its cache entry holds
+        ``None`` for the secondary until a caller wants both, and is then
+        replaced in place by the full pair.
+        """
         key = (t, kind)
         cached = self._column_cache.get(key)
-        if cached is not None:
+        if cached is not None and not (pair and cached[1] is None):
             return cached
         self._check_node(t)
         part = self.partition
@@ -844,20 +876,19 @@ class PartitionedCostTables:
         ct = int(part.cell_of[t])
         lt = int(self.local_index[t])
         prim_col = np.full(n, np.inf)
-        sec_col = np.full(n, np.inf)
+        sec_col = np.full(n, np.inf) if pair else None
 
         entries = self._cell_borders[ct]
         have_mid = len(entries) > 0
         if have_mid:
             prim_t, sec_t = self._in_cell(kind, ct)
-            leg3_prim = prim_t[self._cell_border_locals[ct], lt]
-            leg3_sec = sec_t[self._cell_border_locals[ct], lt]
+            entry_locals = self._cell_border_locals[ct]
             border_prim, border_sec = self._border_matrices(kind)
             # mid[b1] = best (border(b1 -> b2) + in-cell(b2 -> t)) over
             # all entries b2 of cell(t): one (k,)-vector for the column.
             mid_prim, mid_sec = _lex_min(
-                border_prim[:, entries] + leg3_prim[None, :],
-                border_sec[:, entries] + leg3_sec[None, :],
+                border_prim[:, entries] + prim_t[entry_locals, lt][None, :],
+                border_sec[:, entries] + sec_t[entry_locals, lt][None, :] if pair else None,
                 axis=1,
             )
 
@@ -873,11 +904,13 @@ class PartitionedCostTables:
                 exit_locals = self._cell_border_locals[cell]
                 stitched = _lex_min(
                     prim_m[:, exit_locals] + mid_prim[exits][None, :],
-                    sec_m[:, exit_locals] + mid_sec[exits][None, :],
+                    sec_m[:, exit_locals] + mid_sec[exits][None, :] if pair else None,
                     axis=1,
                 )
                 best = _prefer_in_cell(best, stitched)
-            prim_col[nodes], sec_col[nodes] = best
+            prim_col[nodes] = best[0]
+            if pair:
+                sec_col[nodes] = best[1]
 
         self._column_cache.put(key, (prim_col, sec_col))
         return prim_col, sec_col
@@ -946,11 +979,12 @@ class PartitionedCostTables:
         self._row_cache.put(key, (prim_row, sec_row))
         return prim_row, sec_row
 
-    def _gather_cols(self, nodes: np.ndarray, column) -> np.ndarray:
+    def _gather_cols(self, nodes: np.ndarray, kind: str) -> np.ndarray:
+        """The primary columns of *kind* at *nodes*, side by side."""
         targets = [int(t) for t in np.asarray(nodes).ravel()]
         if not targets:
             return np.empty((self.num_nodes, 0))
-        return np.stack([column(t) for t in targets], axis=1)
+        return np.stack([self._columns(t, kind, pair=False)[0] for t in targets], axis=1)
 
     def _cell_path(self, cell: int, u: int, v: int, kind: str) -> list[int]:
         """In-cell optimal path ``u -> v`` translated to global ids."""

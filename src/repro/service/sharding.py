@@ -458,8 +458,15 @@ class ShardedQueryService(SyncServiceBase):
             query.budget_limit,
         )
 
-    def _globalize(self, shard: Shard, query: KORQuery, result: KORResult) -> KORResult:
-        """Translate a cell-engine result back to global node ids."""
+    def _globalize(
+        self, shard: Shard | None, query: KORQuery, result: KORResult
+    ) -> KORResult:
+        """Translate a cell-engine result back to global node ids.
+
+        ``shard=None`` is the cross-cell engine, whose ids already are.
+        """
+        if shard is None:
+            return result
         route = result.route
         if route is not None:
             route = Route(
@@ -709,27 +716,22 @@ class ShardedQueryService(SyncServiceBase):
         if cross is not None:
             candidates.append((self._crosscell_handle.key, cross, None))
 
-        best: tuple[str, KORResult] | None = None
-        for key, outcome, shard in candidates:
-            if not (outcome.ok and outcome.result.feasible):
-                continue
-            result = (
-                self._globalize(shard, unit.query, outcome.result)
-                if shard is not None
-                else outcome.result
-            )
-            if best is None or result.objective_score < best[1].objective_score:
-                best = (key, result)
-        if best is not None:
-            unit.shard, unit.result = best
+        # Scores are the same in either id space, so the candidates are
+        # compared as they came back and only the winner is translated.
+        # ``min`` keeps the first of equals: the cell candidate.
+        feasible = [c for c in candidates if c[1].ok and c[1].result.feasible]
+        if feasible:
+            key, outcome, shard = min(feasible, key=lambda c: c[1].result.objective_score)
+            unit.shard = key
+            unit.result = self._globalize(shard, unit.query, outcome.result)
             unit.error = None
             cross_died = cross is not None and cross.error is not None
-            if cross_died and best[0] != self._crosscell_handle.key:
+            if cross_died and key != self._crosscell_handle.key:
                 unit.result = replace(unit.result, degraded=True)
                 self._stats.record_merge("degraded")
             else:
                 self._stats.record_merge(
-                    "crosscell" if best[0] == self._crosscell_handle.key else "cell"
+                    "crosscell" if key == self._crosscell_handle.key else "cell"
                 )
             return
 
@@ -742,11 +744,7 @@ class ShardedQueryService(SyncServiceBase):
             unit.result = None
             self._stats.record_merge("error")
         elif outcome.result is not None:
-            unit.result = (
-                self._globalize(shard, unit.query, outcome.result)
-                if shard is not None
-                else outcome.result
-            )
+            unit.result = self._globalize(shard, unit.query, outcome.result)
             self._stats.record_merge("infeasible")
         else:  # pragma: no cover - backends always set one of the two
             unit.error = QueryError("backend returned an empty task outcome")

@@ -271,6 +271,21 @@ class TestPathMaterialisation:
         assert len(tables._leg_cache) == capacity
         per_entry = 2 * 8 * grid.num_nodes
         per_leg = 2 * 8 * len(tables.partition.border_nodes)
+        # The loop read the sigma columns' primaries only: such an entry
+        # holds one array, counted as one, until ``os_sigma_col`` asks for
+        # the pair and the entry is replaced in place.
+        primary_only = [
+            key for key, (_prim, sec) in tables._column_cache._data.items() if sec is None
+        ]
+        assert primary_only and all(kind == "sigma" for _t, kind in primary_only)
+        assert tables.cache_bytes() == (
+            capacity * (2 * per_entry + per_leg) - len(primary_only) * per_entry // 2
+        )
+        for t, _kind in primary_only:
+            primary = tables.bs_sigma_col(t)
+            tables.os_sigma_col(t)
+            np.testing.assert_array_equal(tables.bs_sigma_col(t), primary)
+        assert len(tables._column_cache) == capacity
         assert tables.cache_bytes() == capacity * (2 * per_entry + per_leg)
         # Hot entries survive (LRU, not clear-on-full): the last target
         # touched is still cached.

@@ -148,6 +148,47 @@ class TestRestrictedRowReads:
                     assert reader.secondary_at(i, j) == np.inf
 
     @SLOW
+    @given(partitioned_instances())
+    def test_secondary_reads_need_no_earlier_primary_read(self, instance):
+        """One column's secondary is assembled on demand: asked first, on
+        a reader that has read nothing, it is the float the row holds."""
+        _graph, tables = instance
+        nodes = np.arange(tables.num_nodes)[::-1]
+        for kind, (_primary_row, secondary_row) in ROWS.items():
+            for i in range(tables.num_nodes):
+                reader = tables.row_reader(nodes, kind)
+                secondary = [reader.secondary_at(i, position) for position in range(len(nodes))]
+                np.testing.assert_array_equal(secondary, getattr(tables, secondary_row)(i)[nodes])
+
+    def test_primary_tie_inside_the_source_cell(self):
+        """The in-cell path and a detour through the other cell tie on the
+        primary: the smaller secondary wins, whichever path holds it."""
+        builder = GraphBuilder()
+        for _ in range(5):
+            builder.add_node(keywords=())
+        # Cell {0, 1, 3, 4} with borders 0 and 1; node 2 is the other cell.
+        # tau 3 -> 4: OS 4.0 directly (BS 9.0) and via 0, 2, 1 (BS 4.0).
+        # sigma 4 -> 3: BS 4.0 directly (OS 3.0) and via 1, 2, 0 (OS 6.0).
+        unit = ((3, 0), (0, 2), (2, 1), (1, 4), (4, 1), (0, 3))
+        for u, v, objective, budget in (
+            (3, 4, 4.0, 9.0),
+            (4, 3, 3.0, 4.0),
+            (1, 2, 2.0, 1.0),
+            (2, 0, 2.0, 1.0),
+            *((u, v, 1.0, 1.0) for u, v in unit),
+        ):
+            builder.add_edge(u, v, objective, budget)
+        graph = builder.build()
+        partition = _partition_of(graph, [0, 0, 1, 0, 0])
+        tables = PartitionedCostTables.from_graph(graph, partition=partition)
+        nodes = np.arange(5)
+        for kind, source, position, secondary in (("tau", 3, 4, 4.0), ("sigma", 4, 3, 3.0)):
+            reader = tables.row_reader(nodes, kind)
+            assert reader.secondary_at(source, position) == secondary  # before any primary read
+            assert reader.primary(source)[position] == 4.0
+        assert_reads_equal_rows(tables, nodes)
+
+    @SLOW
     @given(small_graphs(min_nodes=2, max_nodes=7), st.data())
     def test_flat_reader_equals_row_slices(self, graph, data):
         tables = CostTables.from_graph(graph, predecessors=False)
