@@ -339,6 +339,10 @@ class KORApp:
 
     async def _query(self, scope, body: bytes) -> tuple[int, dict]:
         spec = parse_route_query(_loads(body))
+        # Read before the await: an update landing while the search runs
+        # must not stamp its epoch on an answer computed before it (a
+        # raced stamp may read one epoch old, never new).
+        epoch = self._front.epoch
         result = await self._front.submit(
             spec["query"],
             algorithm=spec["algorithm"],
@@ -346,9 +350,7 @@ class KORApp:
             **spec["params"],
         )
         return 200, validate_route_result(
-            encode_route_result(
-                result, explain=spec["explain"], epoch=self._front.epoch
-            )
+            encode_route_result(result, explain=spec["explain"], epoch=epoch)
         )
 
     async def _batch(self, scope, body: bytes) -> tuple[int, dict]:
@@ -373,6 +375,7 @@ class KORApp:
             # Batch-level defaults apply unless the slot overrides them.
             specs.append(parse_route_query({**defaults, **item}))
         header_timeout = _header_timeout(scope)
+        epoch = self._front.epoch  # before the await, as in _query
         outcomes = await asyncio.gather(
             *(
                 self._front.submit(
@@ -388,7 +391,6 @@ class KORApp:
             return_exceptions=True,
         )
         items = []
-        epoch = self._front.epoch
         for spec, outcome in zip(specs, outcomes):
             if isinstance(outcome, BaseException):
                 items.append(encode_error(outcome))

@@ -12,7 +12,8 @@ context-manager protocol — is the same code and lives here.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Sequence
+import time
+from typing import Hashable, Iterable, Sequence
 
 from repro.core.deadline import Deadline
 from repro.core.query import KORQuery
@@ -173,6 +174,21 @@ class SyncServiceBase:
             algorithm=algorithm,
             **params,
         )
+
+    def serve_cached(self, key: Hashable) -> KORResult | None:
+        """The cached answer under canonical *key*, or None on a miss.
+
+        A hit is booked as ``execute`` books a cached slot; a miss books
+        nothing and is left to the ``execute`` that follows.  Never
+        waits on a computation: the async front-end calls it on the
+        event loop, ahead of building a flight.
+        """
+        begin = time.perf_counter()
+        result = self._cache.hit(key)
+        if result is not None:
+            self._stats.record_query(0.0, cached=True)
+            self._stats.record_busy(time.perf_counter() - begin)
+        return result
 
     def run_batch(
         self,

@@ -211,16 +211,32 @@ class ResultCache:
         carrying a superseded epoch is a guaranteed miss.
         """
         with self._lock:
-            if epoch is not None and epoch != self._epoch:
-                self._stats.misses += 1
-                return None
-            result = self._entries.get(key)
+            stale = epoch is not None and epoch != self._epoch
+            result = None if stale else self._found(key)
             if result is None:
                 self._stats.misses += 1
-                return None
+            return result
+
+    def hit(self, key: Hashable) -> KORResult | None:
+        """The current epoch's result under *key*, counted only if found.
+
+        For a caller that falls through to :meth:`get` on a miss (the
+        async front-end ahead of ``execute``): that later probe counts
+        the miss, so a request still moves ``hits + misses`` by one.
+        Shares :meth:`invalidate`'s lock: once that has returned, no
+        entry of the retired epoch is handed out.
+        """
+        with self._lock:
+            return self._found(key)
+
+    def _found(self, key: Hashable) -> KORResult | None:
+        """The entry under *key*, refreshed and counted as a hit (caller
+        holds the lock); None, uncounted, when there is none."""
+        result = self._entries.get(key)
+        if result is not None:
             self._entries.move_to_end(key)
             self._stats.hits += 1
-            return result
+        return result
 
     def put(self, key: Hashable, result: KORResult, epoch: int | None = None) -> None:
         """Store *result* under *key*, evicting LRU entries while full.

@@ -8,7 +8,10 @@ adds the request-shaped tier:
 
 submit → coalesce → micro-batch → scatter
 -----------------------------------------
-``await service.submit(query)`` parks the request in three stages:
+``await service.submit(query)`` first asks the wrapped service for a
+cached answer under the request's canonical key and, on a hit, returns
+it from the loop thread without allocating anything (``loop_hits``).  A
+miss parks the request in three stages:
 
 1. **coalesce** — requests are keyed by the sync cache's canonical key
    (:func:`repro.service.cache.canonical_cache_key`); a request whose
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Hashable, Iterable, Sequence
 
@@ -101,17 +104,11 @@ class _WaveStats:
     """Counters the front-end keeps about its own scheduling."""
 
     requests: int = 0
+    #: Requests answered from the result cache before a flight existed.
+    loop_hits: int = 0
     flights: int = 0
     waves: int = 0
     abandoned_flights: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "flights": self.flights,
-            "waves": self.waves,
-            "abandoned_flights": self.abandoned_flights,
-        }
 
 
 class AsyncQueryService:
@@ -183,6 +180,10 @@ class AsyncQueryService:
         if max_window_seconds < 0.0:
             raise QueryError(f"max_window_seconds must be >= 0, got {max_window_seconds}")
         self._service = service
+        # Duck-typed like apply_ops / tune_waves: without a cache probe
+        # every request takes the flight path.
+        serve_cached = getattr(service, "serve_cached", None)
+        self._serve_cached = serve_cached if callable(serve_cached) else None
         self._window = window_seconds
         self._max_batch = max_batch
         self._executor = executor
@@ -244,9 +245,10 @@ class AsyncQueryService:
         return self._stats.snapshot()
 
     def scheduling_stats(self) -> dict:
-        """Wave-level accounting: requests vs flights vs execute waves,
-        plus the live batching window and arrival-rate estimate."""
-        stats = self._wave_stats.as_dict()
+        """Wave-level accounting: requests vs loop hits vs flights vs
+        execute waves (flights and waves count cache misses only), plus
+        the live batching window and arrival-rate estimate."""
+        stats = asdict(self._wave_stats)
         stats["window_seconds"] = self._window
         stats["arrival_qps"] = self.arrival_qps
         stats["adaptive"] = self._adaptive_target is not None
@@ -356,7 +358,8 @@ class AsyncQueryService:
     ) -> KORResult:
         """Answer *query*, awaiting the micro-batched serving pipeline.
 
-        Identical concurrent submissions share one flight; distinct
+        A cached answer returns at once, without suspending.  Otherwise
+        identical concurrent submissions share one flight and distinct
         concurrent submissions share one ``execute`` wave.  ``timeout``
         (seconds) raises :class:`asyncio.TimeoutError` for *this*
         awaiter only — see the module docstring for what the shared
@@ -377,8 +380,21 @@ class AsyncQueryService:
         self._wave_stats.requests += 1
         if self._adaptive_target is not None:
             self._observe_arrival(begin)
+        # batch_keys owns the cacheability rules (uncacheable params,
+        # unhashable values): the coalescing key IS the sync cache key.
+        _cacheable, (key,) = batch_keys([query], algorithm, params)
+        if key is not None and self._serve_cached is not None:
+            hit = self._serve_cached(key)
+            if hit is not None:
+                # No flight, future, flush handle or executor hop exists
+                # yet — and no await, so ``timeout`` has nothing to bound.
+                self._wave_stats.loop_hits += 1
+                elapsed = time.perf_counter() - begin
+                self._stats.record_query(elapsed, cached=True)
+                self._stats.record_busy(elapsed)
+                return hit
         deadline = Deadline.after(timeout) if timeout is not None else None
-        flight, joined = self._enlist(query, algorithm, params, deadline)
+        flight, joined = self._enlist(query, algorithm, params, key, deadline)
         flight.waiters += 1
         self._stats.record_queue_depth(len(self._pending) + len(self._waves))
         try:
@@ -411,9 +427,9 @@ class AsyncQueryService:
             raise
         elapsed = time.perf_counter() - begin
         flight.waiters -= 1
-        # "cached" at the front-end means "this awaiter rode someone
-        # else's flight"; the sync tier's own hit rate lives in the
-        # wrapped service's snapshot.
+        # "cached" at the front-end means "started no flight of its
+        # own" (a loop hit above, a joiner here); the sync tier's own
+        # hit rate lives in the wrapped service's snapshot.
         self._stats.record_query(elapsed, cached=joined)
         self._stats.record_busy(elapsed)
         return result
@@ -449,12 +465,10 @@ class AsyncQueryService:
         query: KORQuery,
         algorithm: str,
         params: dict,
+        key: Hashable | None,
         deadline: Deadline | None,
     ) -> tuple[_Flight, bool]:
         """The live flight for this request (joined=True), or a new one."""
-        # batch_keys owns the cacheability rules (uncacheable params,
-        # unhashable values): the coalescing key IS the sync cache key.
-        _cacheable, (key,) = batch_keys([query], algorithm, params)
         if key is not None:
             live = self._pending.get(key)
             if live is not None and not live.future.done():

@@ -148,10 +148,12 @@ class QueryService(SyncServiceBase):
         # The mutation history described the retired graph.
         self._mutator = None
         self._wave_controller.retarget(engine.graph)
-        self._epoch += 1
         self._backend.unregister(retired.key)
         self._backend.register(self._handle)
+        # Cache first, epoch second: whoever reads the new epoch can no
+        # longer be handed an entry of the old one.
         self._cache.invalidate()
+        self._epoch += 1
 
     def close(self) -> None:
         """Retire this service's engine from the backend (idempotent).
@@ -207,8 +209,8 @@ class QueryService(SyncServiceBase):
                 ]
             )
             self._wave_controller.retarget(engine.graph)
-            self._epoch += 1
             self._cache.invalidate()
+            self._epoch += 1
             return self._epoch
 
     # ------------------------------------------------------------------

@@ -198,6 +198,7 @@ class ShardedQueryService(SyncServiceBase):
             wave_size,
         )
         self._world = world
+        self._epoch = world.epoch
         self._graph = world.graph
         self._partition: GraphPartition = world.partition
 
@@ -265,8 +266,13 @@ class ShardedQueryService(SyncServiceBase):
 
     @property
     def epoch(self) -> int:
-        """Graph epoch: number of updates applied since construction."""
-        return self._world.epoch
+        """Graph epoch in force: the world epoch this service serves.
+
+        Published once an update's parts are installed and the cache is
+        invalidated, so whoever reads epoch N is answered from state at
+        least that new (the world's own counter moves before the repair).
+        """
+        return self._epoch
 
     @property
     def shards(self) -> tuple[Shard, ...]:
@@ -335,7 +341,7 @@ class ShardedQueryService(SyncServiceBase):
         with self._update_lock:
             update = self._world.apply_ops(ops)
             self._integrate(update)
-            return self._world.epoch
+            return self._epoch
 
     def _integrate(self, update: WorldUpdate) -> None:
         """Land one applied :class:`~repro.world.WorldUpdate` in the
@@ -401,6 +407,7 @@ class ShardedQueryService(SyncServiceBase):
         )
         self._backend.apply_patches(patches)
         self._cache.invalidate()
+        self._epoch = world.epoch
 
     def close(self) -> None:
         """Retire this service's engines from the backend (idempotent).

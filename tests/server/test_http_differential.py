@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -436,6 +437,56 @@ class TestAdminUpdate:
         assert health.json()["epoch"] == 1
         assert stats.json()["epoch"] == 1
         assert world.epoch == 1
+
+    @pytest.mark.parametrize("path", ["/query", "/batch"])
+    @pytest.mark.parametrize("tier", ["flat", "sharded"])
+    def test_an_answer_is_stamped_with_the_epoch_it_was_computed_against(self, tier, path):
+        """Regression: the stamp was read *after* the awaited search, so
+        an update landing while ``execute`` ran relabelled an epoch-0
+        answer as epoch 1 — schema-valid, and wrong."""
+        engine, queries = random_instance(0)
+        graph = engine.graph
+        subject = graph if tier == "flat" else MutableWorld(graph, num_cells=2)
+        front = build_service(subject, tier="async")
+        app = KORApp(front)
+        service = front.service
+        computed, release = threading.Event(), threading.Event()
+        execute = service.execute
+
+        def held(*args, **kwargs):
+            report = execute(*args, **kwargs)  # the whole search, at epoch 0
+            computed.set()
+            assert release.wait(30.0)
+            return report
+
+        service.execute = held
+        payload = query_payload(queries[0], "exact")
+        if path == "/batch":
+            payload = {"queries": [payload]}
+        u, v = next(
+            (u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u)
+        )
+        update = {"ops": [{"op": "update_edge_cost", "u": u, "v": v, "objective": 9.0}]}
+
+        async def drive():
+            try:
+                answer = asyncio.ensure_future(asgi_request(app, "POST", path, payload))
+                while not computed.is_set():
+                    await asyncio.sleep(0.002)
+                try:
+                    ack = await asgi_request(app, "POST", "/admin/update", update)
+                finally:
+                    release.set()
+                return await answer, ack
+            finally:
+                await front.close()
+
+        answer, ack = asyncio.run(drive())
+        assert ack.status == 200 and ack.json()["epoch"] == 1
+        assert answer.status == 200
+        document = answer.json()
+        result = document["results"][0] if path == "/batch" else document
+        assert result["epoch"] == 0
 
     def test_post_update_results_match_a_rebuilt_world(self):
         app, world, queries = self._fresh()

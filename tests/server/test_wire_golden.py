@@ -7,7 +7,9 @@ header name/value set and body bytes of a fixed request list over a
 real socket.  The host must reproduce every byte of it except the two
 headers ``http.server`` stamped on each response — ``Date`` and ``Server``
 — which were retired with it (see CHANGES.md, PR 19).  ``/stats`` carries
-latencies, so only its shape (keys and value kinds) is pinned.
+latencies, so only its shape (keys and value kinds) is pinned — and, the
+document being additive, only the keys the golden recorded: a counter
+added since (``scheduling.loop_hits``) must not need a new recording.
 """
 
 from __future__ import annotations
@@ -78,6 +80,17 @@ def shape(value: object) -> object:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return "number"
     return type(value).__name__
+
+
+def recorded_keys(value: object, golden: object) -> object:
+    """*value* without the dict keys *golden* does not have, at any depth."""
+    if isinstance(value, dict) and isinstance(golden, dict):
+        return {
+            key: recorded_keys(item, golden[key])
+            for key, item in value.items()
+            if key in golden
+        }
+    return value
 
 
 def capture() -> dict:
@@ -186,7 +199,10 @@ def test_no_response_carries_a_retired_header(captured):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_host_reproduces_the_golden_wire(name, golden, captured):
-    assert captured["cases"][name] == golden["cases"][name]
+    got, want = captured["cases"][name], golden["cases"][name]
+    if "shape" in want:
+        got = {**got, "shape": recorded_keys(got["shape"], want["shape"])}
+    assert got == want
 
 
 if __name__ == "__main__":
