@@ -1,35 +1,13 @@
-"""Shared fixtures of the benchmark suite.
+"""Notes for the benchmark suite.
 
 Each ``bench_figXX`` module exposes pytest-benchmark cells for the
 figure's representative measurements plus one ``test_emit_figure`` that
-regenerates and saves the complete series (cheap for cells already
-benchmarked in the same session — the experiment layer caches them).
+regenerates and saves the complete series through
+``_helpers.emit_figure`` (cheap for cells already benchmarked in the same
+session — the experiment layer caches them).
 
 Suite-wide knobs (see :mod:`repro.bench.workloads`):
 
 * ``KOR_BENCH_QUERIES`` — queries per set (default 12, paper uses 50);
 * ``KOR_BENCH_SCALE``   — small | default | paper.
 """
-
-from __future__ import annotations
-
-from pathlib import Path
-
-import pytest
-
-from repro.bench.experiments import ExperimentResult
-
-
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    """Where figure series land (benchmarks/results/)."""
-    directory = Path(__file__).parent / "results"
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
-def emit_figure(benchmark, experiment, results_dir: Path) -> ExperimentResult:
-    """Benchmark one experiment function and persist its series."""
-    result = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    result.save(results_dir)
-    return result

@@ -37,6 +37,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     wanted = [token for token in args.only.split(",") if token]
+    experiments = all_experiments()
+    names = [experiment.__name__ for experiment in experiments]
+    unmatched = [p for p in wanted if not any(n.startswith(p) for n in names)]
+    if unmatched:
+        print(
+            f"--only {','.join(unmatched)} matches no figure; valid names:\n  "
+            + "\n  ".join(names),
+            file=sys.stderr,
+        )
+        return 2
 
     if args.results is not None:
         results_dir = Path(args.results)
@@ -47,8 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     results_dir.mkdir(parents=True, exist_ok=True)
 
     total_begin = time.perf_counter()
-    for experiment in all_experiments():
-        name = experiment.__name__
+    for experiment, name in zip(experiments, names):
         if wanted and not any(name.startswith(prefix) for prefix in wanted):
             continue
         begin = time.perf_counter()

@@ -14,8 +14,14 @@ The package splits into four layers:
   emitters for the result series.
 
 ``python benchmarks/run_all.py`` regenerates every figure into
-``results/``; ``pytest benchmarks/ --benchmark-only`` runs the
-pytest-benchmark harness over representative cells.
+``results/``; ``pytest -o python_files='bench_*.py' benchmarks/
+--benchmark-only`` runs the pytest-benchmark harness over representative
+cells.
+
+The package measures the paper's algorithms only.  The serving stack
+(HTTP host, front-end, cache, backends, sharding, live updates) has one
+benchmark of its own, ``benchmarks/e2e`` (declared in ``BENCHMARK.json``),
+which imports nothing from here.
 """
 
 from repro.bench.experiments import ExperimentResult

@@ -62,14 +62,8 @@ __all__ = [
     "fig19_road_runtime_vs_budget",
     "ablation_opt_strategies",
     "ablation_epsilon_labels",
-    "kernel_throughput",
-    "sharded_wave_throughput",
-    "service_throughput",
-    "sharded_throughput",
-    "border_heavy_throughput",
-    "async_throughput",
-    "sharded_memory",
-    "update_latency",
+    "ablation_partition",
+    "ablation_disk_index",
     "all_experiments",
     "clear_cell_cache",
 ]
@@ -857,887 +851,6 @@ def ablation_disk_index() -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# serving layer: batched + cached throughput (beyond the paper)
-# ----------------------------------------------------------------------
-
-def service_throughput(
-    repeats: int = 5, workers: int = 4, num_queries: int | None = None
-) -> ExperimentResult:
-    """Serving-mode throughput on repeat-heavy streams.
-
-    Models the workload the paper's Flickr query logs motivate: a stream
-    that repeats a base query set *repeats* times.  Three serving modes
-    per dataset (Figure-1 graph and the Flickr-like workload):
-
-    * ``Engine-sequential`` — one ``engine.run`` per stream query, no
-      reuse (today's baseline);
-    * ``Service-cold`` — one batch through a fresh ``QueryService``
-      (in-batch dedup + one shared candidate-set pass + thread fan-out);
-    * ``Service-warm`` — the same stream again on the now-warm cache.
-
-    Values are mean milliseconds per stream query; ``meta`` records the
-    warm-over-sequential speedup per dataset.
-    """
-    import time as _time
-
-    from repro.core.engine import KOREngine
-    from repro.core.query import KORQuery
-    from repro.graph.generators import figure_1_graph
-    from repro.service import QueryService
-
-    datasets: list[tuple[str, KOREngine, list[KORQuery]]] = []
-
-    fig1_engine = KOREngine(figure_1_graph())
-    fig1_queries = [
-        KORQuery(0, 7, ("t1", "t2", "t3"), 8.0),
-        KORQuery(0, 7, ("t1", "t2"), 8.0),
-        KORQuery(0, 6, ("t2", "t4"), 10.0),
-        KORQuery(1, 7, ("t3",), 9.0),
-        KORQuery(0, 5, ("t1", "t4"), 12.0),
-        KORQuery(2, 7, ("t2", "t3"), 9.0),
-    ]
-    datasets.append(("figure1", fig1_engine, fig1_queries))
-
-    workload = flickr_workload()
-    flickr_queries = workload.query_set(3, num_queries=num_queries)
-    datasets.append(("flickr", workload.engine, flickr_queries))
-
-    xs: list[str] = []
-    sequential_ms: list[float] = []
-    cold_ms: list[float] = []
-    warm_ms: list[float] = []
-    meta: dict = {"repeats": repeats, "workers": workers, "speedup_warm": {}}
-
-    for name, engine, base_queries in datasets:
-        stream = list(base_queries) * repeats
-
-        begin = _time.perf_counter()
-        for query in stream:
-            engine.run(query, algorithm="bucketbound")
-        sequential = _time.perf_counter() - begin
-
-        service = QueryService(engine, cache_capacity=4096)
-        begin = _time.perf_counter()
-        service.run_batch(stream, algorithm="bucketbound", workers=workers)
-        cold = _time.perf_counter() - begin
-
-        begin = _time.perf_counter()
-        service.run_batch(stream, algorithm="bucketbound", workers=workers)
-        warm = _time.perf_counter() - begin
-
-        per_query = 1000.0 / len(stream)
-        xs.append(name)
-        sequential_ms.append(sequential * per_query)
-        cold_ms.append(cold * per_query)
-        warm_ms.append(warm * per_query)
-        meta["speedup_warm"][name] = sequential / warm if warm > 0 else float("inf")
-        meta.setdefault("hit_rate", {})[name] = service.snapshot().hit_rate
-
-    return ExperimentResult(
-        figure="service_throughput",
-        title="Serving-layer throughput on repeat-heavy query streams",
-        x_name="dataset",
-        xs=xs,
-        series={
-            "Engine-sequential": sequential_ms,
-            "Service-cold": cold_ms,
-            "Service-warm": warm_ms,
-        },
-        y_name="mean ms / stream query",
-        notes=(
-            f"stream = base query set x{repeats}; service uses {workers} workers, "
-            "canonicalizing LRU cache; warm pass serves the whole stream from cache"
-        ),
-        meta=meta,
-    )
-
-
-def sharded_throughput(
-    workers: int = 4,
-    num_queries: int | None = None,
-    num_cells: int | None = None,
-    backend_names: tuple[str, ...] | None = None,
-) -> ExperimentResult:
-    """Sharded serving: batch throughput per execution backend.
-
-    Runs one batch of *distinct* queries (cache disabled — this measures
-    compute fan-out, not the cache) through a
-    :class:`~repro.service.sharding.ShardedQueryService` on each backend:
-
-    * ``SerialBackend`` — the single-thread floor;
-    * ``ThreadBackend`` — PR 1's concurrency (GIL-bound);
-    * ``ProcessBackend`` — process-pool fan-out over picklable shard
-      handles, the backend that escapes the GIL.
-
-    Two datasets: the Figure-1 toy graph (queries are microseconds, so
-    process IPC overhead is visible) and the Flickr-like workload (the
-    multi-shard batch workload the process pool is *for*).  Values are
-    batch throughput in queries/second; ``meta`` records each backend's
-    speedup over serial per dataset.  Every backend is warmed with one
-    un-timed pass so pool spin-up and worker-side engine assembly are
-    not billed to the timed batch.
-    """
-    import time as _time
-
-    from repro.core.query import KORQuery
-    from repro.graph.generators import figure_1_graph
-    from repro.service import ProcessBackend, SerialBackend, ShardedQueryService, ThreadBackend
-
-    fig1_queries = []
-    for spread, delta in enumerate((8.0, 9.0, 10.0, 11.0, 12.0, 13.0)):
-        for keywords in (("t1", "t2", "t3"), ("t1", "t2"), ("t2", "t4"), ("t3",)):
-            fig1_queries.append(KORQuery(0, 7, keywords, delta + 0.1 * spread))
-    datasets: list[tuple[str, object, list[KORQuery], int]] = [
-        ("figure1", figure_1_graph(), fig1_queries, 2)
-    ]
-
-    workload = flickr_workload()
-    flickr_queries: list[KORQuery] = []
-    for kw in (2, 3, 4):
-        flickr_queries.extend(
-            workload.query_set(kw, 6.0, num_queries=num_queries)
-        )
-    datasets.append(("flickr", workload.graph, flickr_queries, num_cells or 0))
-
-    backends = (
-        ("SerialBackend", lambda: SerialBackend()),
-        ("ThreadBackend", lambda: ThreadBackend(workers=workers)),
-        ("ProcessBackend", lambda: ProcessBackend(workers=workers)),
-    )
-    if backend_names is not None:
-        # Callers that cannot use a backend's numbers (e.g. the CI
-        # regression gate, which never gates the core-count-dependent
-        # process pool) skip measuring it entirely.
-        backends = tuple(
-            (name, factory) for name, factory in backends if name in backend_names
-        )
-        if "SerialBackend" not in dict(backends):
-            raise ValueError("backend_names must include SerialBackend (the baseline)")
-    import os
-
-    try:
-        usable_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        usable_cpus = os.cpu_count() or 1
-
-    xs = [name for name, _graph, _queries, _cells in datasets]
-    series: dict[str, list[float]] = {name: [] for name, _factory in backends}
-    meta: dict = {
-        "workers": workers,
-        #: Process fan-out can only beat serial when this is > 1.
-        "usable_cpus": usable_cpus,
-        "batch_sizes": {name: len(queries) for name, _g, queries, _c in datasets},
-        "num_cells": {},
-        "speedup_over_serial": {},
-    }
-
-    for dataset_name, graph, queries, cells in datasets:
-        walls: dict[str, float] = {}
-        for backend_name, factory in backends:
-            backend = factory()
-            try:
-                service = ShardedQueryService(
-                    graph,
-                    num_cells=cells or None,
-                    backend=backend,
-                    cache_capacity=0,
-                )
-                meta["num_cells"][dataset_name] = service.num_shards
-                # Warm pass: pool spin-up + worker engine assembly.
-                service.run_batch(queries, algorithm="bucketbound", workers=workers)
-                begin = _time.perf_counter()
-                service.run_batch(queries, algorithm="bucketbound", workers=workers)
-                walls[backend_name] = _time.perf_counter() - begin
-            finally:
-                backend.close()
-            series[backend_name].append(len(queries) / walls[backend_name])
-        meta["speedup_over_serial"][dataset_name] = {
-            backend_name: walls["SerialBackend"] / walls[backend_name]
-            for backend_name, _factory in backends
-        }
-
-    return ExperimentResult(
-        figure="sharded_throughput",
-        title="Sharded serving throughput per execution backend",
-        x_name="dataset",
-        xs=xs,
-        series=series,
-        y_name="queries / second",
-        notes=(
-            f"one batch of distinct queries, cache disabled, {workers} workers; "
-            "one-wave scatter (cell attempt + cross-cell border assembly); "
-            "warm pass excluded from timing"
-        ),
-        meta=meta,
-    )
-
-
-def border_heavy_throughput(
-    workers: int = 4,
-    num_queries: int | None = None,
-    backend_names: tuple[str, ...] | None = None,
-) -> ExperimentResult:
-    """Sharded serving under a border-heavy (cross-cell) query mix.
-
-    The ``sharded_throughput`` figure measures a natural mix, which
-    leans cell-local; this one forces every query's endpoints into
-    *different* cells, so (almost) every miss skips the cell attempt and
-    runs on the cross-cell :class:`~repro.service.crosscell.BorderEngine`
-    alone — the regime the border-table assembly is for, and the one the
-    CI regression gate watches so cross-cell latency cannot silently
-    rot.  Values are batch throughput in queries/second per execution
-    backend; ``meta`` records the achieved cross-cell fraction (should
-    read ~1.0) and the scatter-merge win mix.
-    """
-    import time as _time
-
-    from repro.core.query import KORQuery
-    from repro.graph.generators import figure_1_graph
-    from repro.service import ProcessBackend, SerialBackend, ShardedQueryService, ThreadBackend
-
-    fig1_queries = []
-    for spread, delta in enumerate((8.0, 9.0, 10.0, 11.0, 12.0, 13.0)):
-        for keywords in (("t1", "t2", "t3"), ("t1", "t2"), ("t2", "t4"), ("t3",)):
-            fig1_queries.append(KORQuery(0, 7, keywords, delta + 0.1 * spread))
-    datasets: list[tuple[str, object, list[KORQuery], int]] = [
-        ("figure1", figure_1_graph(), fig1_queries, 2)
-    ]
-
-    workload = flickr_workload()
-    flickr_queries: list[KORQuery] = []
-    for kw in (2, 3, 4):
-        flickr_queries.extend(workload.query_set(kw, 6.0, num_queries=num_queries))
-    datasets.append(("flickr", workload.graph, flickr_queries, 0))
-
-    backends = (
-        ("SerialBackend", lambda: SerialBackend()),
-        ("ThreadBackend", lambda: ThreadBackend(workers=workers)),
-        ("ProcessBackend", lambda: ProcessBackend(workers=workers)),
-    )
-    if backend_names is not None:
-        backends = tuple(
-            (name, factory) for name, factory in backends if name in backend_names
-        )
-
-    xs = [name for name, _graph, _queries, _cells in datasets]
-    series: dict[str, list[float]] = {name: [] for name, _factory in backends}
-    meta: dict = {
-        "workers": workers,
-        "num_cells": {},
-        "cross_cell_fraction": {},
-        "merge_wins": {},
-    }
-
-    for dataset_name, graph, base_queries, cells in datasets:
-        # Derive the cross-cell mix once per dataset: the partition is
-        # seed-deterministic, so every backend's service agrees on it.
-        probe = ShardedQueryService(
-            graph, num_cells=cells or None, backend=SerialBackend(), cache_capacity=0
-        )
-        partition = probe.partition
-        num_cells = probe.num_shards
-        queries: list[KORQuery] = []
-        for query in base_queries:
-            src_cell = int(partition.cell_of[query.source])
-            if num_cells > 1 and int(partition.cell_of[query.target]) == src_cell:
-                other = (src_cell + 1) % num_cells
-                target = int(partition.cells[other][0])
-                query = KORQuery(query.source, target, query.keywords, query.budget_limit)
-            queries.append(query)
-        crossing = sum(1 for q in queries if probe.plan_of(q) != "local")
-        meta["cross_cell_fraction"][dataset_name] = crossing / max(len(queries), 1)
-        meta["num_cells"][dataset_name] = num_cells
-        probe.close()
-
-        for backend_name, factory in backends:
-            backend = factory()
-            try:
-                service = ShardedQueryService(
-                    graph, num_cells=cells or None, backend=backend, cache_capacity=0
-                )
-                # Warm pass: pool spin-up + worker engine assembly.
-                service.run_batch(queries, algorithm="bucketbound", workers=workers)
-                begin = _time.perf_counter()
-                service.run_batch(queries, algorithm="bucketbound", workers=workers)
-                wall = _time.perf_counter() - begin
-                meta["merge_wins"].setdefault(dataset_name, {})[backend_name] = dict(
-                    service.snapshot().merge_wins
-                )
-                service.close()
-            finally:
-                backend.close()
-            series[backend_name].append(len(queries) / wall)
-
-    return ExperimentResult(
-        figure="border_heavy_throughput",
-        title="Sharded serving throughput on a border-heavy query mix",
-        x_name="dataset",
-        xs=xs,
-        series=series,
-        y_name="queries / second",
-        notes=(
-            "every query's endpoints forced into different cells (cross-cell "
-            f"fraction in meta); cache disabled, {workers} workers; "
-            "cross-cell answers come from the border-table assembly alone"
-        ),
-        meta=meta,
-    )
-
-
-def async_throughput(
-    repeats: int = 4,
-    num_queries: int | None = None,
-    window_seconds: float = 0.0,
-    max_batch: int = 256,
-) -> ExperimentResult:
-    """Sync batch vs asyncio front-end under concurrent load.
-
-    The same repeat-heavy stream is served two ways on a fresh
-    :class:`~repro.service.service.QueryService` each:
-
-    * ``Sync-batch`` — one blocking ``run_batch`` call (the PR 1 shape);
-    * ``Async-frontend`` — every stream query awaited *concurrently*
-      through an :class:`~repro.service.frontend.AsyncQueryService`,
-      which coalesces the duplicates (single-flight) and aggregates the
-      distinct queries into micro-batched ``execute`` waves.
-
-    Values are stream queries/second; ``meta`` records how much the
-    front-end collapsed (requests vs flights vs waves, coalesced count).
-    The interesting reading is the *ratio*: the front-end should stay
-    within small overhead of the batch path while turning a
-    many-concurrent-awaiters workload into the same few engine runs.
-    """
-    import asyncio
-    import time as _time
-
-    from repro.core.engine import KOREngine
-    from repro.core.query import KORQuery
-    from repro.graph.generators import figure_1_graph
-    from repro.service import AsyncQueryService, QueryService
-
-    datasets: list[tuple[str, KOREngine, list[KORQuery]]] = []
-
-    fig1_engine = KOREngine(figure_1_graph())
-    fig1_queries = [
-        KORQuery(0, 7, ("t1", "t2", "t3"), 8.0),
-        KORQuery(0, 7, ("t1", "t2"), 8.0),
-        KORQuery(0, 6, ("t2", "t4"), 10.0),
-        KORQuery(1, 7, ("t3",), 9.0),
-        KORQuery(0, 5, ("t1", "t4"), 12.0),
-        KORQuery(2, 7, ("t2", "t3"), 9.0),
-    ]
-    datasets.append(("figure1", fig1_engine, fig1_queries))
-
-    workload = flickr_workload()
-    datasets.append(
-        ("flickr", workload.engine, workload.query_set(3, num_queries=num_queries))
-    )
-
-    xs: list[str] = []
-    sync_qps: list[float] = []
-    async_qps: list[float] = []
-    meta: dict = {
-        "repeats": repeats,
-        "window_seconds": window_seconds,
-        "max_batch": max_batch,
-        "coalesced": {},
-        "scheduling": {},
-    }
-
-    for name, engine, base_queries in datasets:
-        stream = list(base_queries) * repeats
-
-        sync_service = QueryService(engine, cache_capacity=4096)
-        begin = _time.perf_counter()
-        sync_service.run_batch(stream, algorithm="bucketbound")
-        sync_wall = _time.perf_counter() - begin
-
-        async_service = QueryService(engine, cache_capacity=4096)
-
-        async def drive(service=async_service):
-            front = AsyncQueryService(
-                service, window_seconds=window_seconds, max_batch=max_batch
-            )
-            async with front:
-                await front.run_batch(stream, algorithm="bucketbound")
-                return front.snapshot(), front.scheduling_stats()
-
-        begin = _time.perf_counter()
-        snapshot, scheduling = asyncio.run(drive())
-        async_wall = _time.perf_counter() - begin
-
-        xs.append(name)
-        sync_qps.append(len(stream) / sync_wall if sync_wall > 0 else float("inf"))
-        async_qps.append(len(stream) / async_wall if async_wall > 0 else float("inf"))
-        meta["coalesced"][name] = snapshot.coalesced
-        meta["scheduling"][name] = scheduling
-
-    return ExperimentResult(
-        figure="async_throughput",
-        title="Sync batch vs asyncio front-end on a concurrent stream",
-        x_name="dataset",
-        xs=xs,
-        series={"Sync-batch": sync_qps, "Async-frontend": async_qps},
-        y_name="queries / second",
-        notes=(
-            f"stream = base query set x{repeats}, all stream queries awaited "
-            "concurrently through the async front-end (coalescing + "
-            "micro-batching); fresh service and cold cache per mode"
-        ),
-        meta=meta,
-    )
-
-
-def kernel_throughput(
-    repeats: int = 8,
-    workers: int = 2,
-    wave_size: int | None = None,
-    backend_names: tuple[str, ...] | None = None,
-) -> ExperimentResult:
-    """Batch-wave dispatch vs one submission per query, per backend.
-
-    The batch executor ships a figure-1 stream through the same
-    :class:`~repro.service.backends.ExecutionBackend` at two wave sizes:
-
-    * ``Per-query-tasks`` — ``wave_size=1``: one
-      :class:`~repro.service.backends.WaveTask` per unique query;
-    * ``Batch-wave`` — ``wave_size`` queries per wave (default 32).
-
-    Values are batch queries/second per backend.  The interesting number
-    is the **ProcessBackend** pair: per-query dispatch pays pickle + IPC
-    + future bookkeeping per query, a wave pays it once per ``wave_size``
-    queries — this is the scatter overhead that capped sharded serving
-    at ~2.8k qps while the flat loop did ~42k.  ``meta["speedup"]``
-    records wave/per-query per backend; the searches themselves are the
-    same ``engine.run`` loop on both sides, so the ratio *is* the
-    transport amortisation.
-
-    The stream perturbs each base query's budget per repeat so the batch
-    deduplicator keeps every slot as a distinct unique computation —
-    otherwise ``repeats`` identical queries collapse into one wave member
-    and both modes would measure a six-query batch.
-    """
-    import time as _time
-
-    from repro.core.engine import KOREngine
-    from repro.core.query import KORQuery
-    from repro.graph.generators import figure_1_graph
-    from repro.service import ProcessBackend, SerialBackend, ThreadBackend
-    from repro.service.batch import DEFAULT_WAVE_SIZE, execute_batch
-    from repro.service.cache import ResultCache
-
-    engine = KOREngine(figure_1_graph())
-    base_queries = [
-        KORQuery(0, 7, ("t1", "t2", "t3"), 8.0),
-        KORQuery(0, 7, ("t1", "t2"), 8.0),
-        KORQuery(0, 6, ("t2", "t4"), 10.0),
-        KORQuery(1, 7, ("t3",), 9.0),
-        KORQuery(0, 5, ("t1", "t4"), 12.0),
-        KORQuery(2, 7, ("t2", "t3"), 9.0),
-    ]
-    stream = [
-        KORQuery(q.source, q.target, q.keywords, q.budget_limit + 0.001 * i)
-        for i in range(repeats)
-        for q in base_queries
-    ]
-    effective_wave = wave_size if wave_size is not None else DEFAULT_WAVE_SIZE
-
-    backends = (
-        ("SerialBackend", lambda: SerialBackend()),
-        ("ThreadBackend", lambda: ThreadBackend(workers=workers)),
-        ("ProcessBackend", lambda: ProcessBackend(workers=workers)),
-    )
-    if backend_names is not None:
-        # The CI regression gate never gates the core-count-dependent
-        # process pool; let it skip measuring one entirely.
-        backends = tuple(
-            (name, factory) for name, factory in backends if name in backend_names
-        )
-
-    def timed_batch(backend, handle, wave_size: int) -> float:
-        """Best-of-3 wall seconds for one batch at the given wave size."""
-        best = float("inf")
-        for _ in range(3):
-            begin = _time.perf_counter()
-            report = execute_batch(
-                ResultCache(0),
-                stream,
-                backend=backend,
-                handle=handle,
-                wave_size=wave_size,
-            )
-            best = min(best, _time.perf_counter() - begin)
-            if not report.ok:
-                raise RuntimeError(f"benchmark batch failed: {report.errors}")
-        return best
-
-    xs: list[str] = []
-    per_query_qps: list[float] = []
-    wave_qps: list[float] = []
-    meta: dict = {
-        "num_queries": len(stream),
-        "wave_size": effective_wave,
-        "workers": workers,
-        "speedup": {},
-    }
-
-    for name, factory in backends:
-        backend = factory()
-        try:
-            handle = backend.register_engine(engine, key="kernel-bench")
-            # Warm both sizes un-timed: pool spin-up and worker engine
-            # assembly (on every lane a size reaches) are not billed.
-            for size in (1, effective_wave):
-                execute_batch(
-                    ResultCache(0),
-                    stream,
-                    backend=backend,
-                    handle=handle,
-                    wave_size=size,
-                )
-            solo = timed_batch(backend, handle, 1)
-            waved = timed_batch(backend, handle, effective_wave)
-        finally:
-            backend.close()
-        xs.append(name)
-        per_query_qps.append(len(stream) / solo if solo > 0 else float("inf"))
-        wave_qps.append(len(stream) / waved if waved > 0 else float("inf"))
-        meta["speedup"][name] = (
-            wave_qps[-1] / per_query_qps[-1] if per_query_qps[-1] > 0 else float("inf")
-        )
-
-    return ExperimentResult(
-        figure="kernel_throughput",
-        title="Batch-wave dispatch vs per-query tasks (figure1)",
-        x_name="backend",
-        xs=xs,
-        series={"Per-query-tasks": per_query_qps, "Batch-wave": wave_qps},
-        y_name="queries / second",
-        notes=(
-            f"figure1 stream of {len(stream)} distinct queries (budgets "
-            f"perturbed per repeat), wave_size={effective_wave}, best of 3 "
-            "batches per mode after an un-timed warm pass; same backend and "
-            "engine either side, only the wave size changes"
-        ),
-        meta=meta,
-    )
-
-
-def sharded_wave_throughput(
-    repeats: int = 8,
-    workers: int = 2,
-    num_cells: int = 2,
-    backend_names: tuple[str, ...] | None = None,
-) -> ExperimentResult:
-    """Shard-aware wave scatter vs per-attempt dispatch, per backend.
-
-    The sharded tier's scatter groups same-(cell, algorithm, params)
-    attempts into :class:`~repro.service.backends.WaveTask` waves — one
-    submission per shard wave.  This experiment measures the same
-    figure-1 query stream through two otherwise-identical
-    :class:`ShardedQueryService` instances (adaptive wave size vs
-    ``wave_size=1``, i.e. one submission per attempt; cache disabled)
-    and reports batch queries/second per backend.
-
-    As with :func:`kernel_throughput`, the ProcessBackend pair is the
-    headline: per-attempt dispatch pays pickle + IPC + future
-    bookkeeping *per attempt per tier* (cell-local, cross-cell, border
-    repair), a shard wave pays it once per wave.  ``meta["speedup"]``
-    records wave/per-query per backend.
-    """
-    import time as _time
-
-    from repro.core.query import KORQuery
-    from repro.graph.generators import figure_1_graph
-    from repro.service import ProcessBackend, SerialBackend, ThreadBackend
-    from repro.service.sharding import ShardedQueryService
-
-    graph = figure_1_graph()
-    base_queries = [
-        KORQuery(0, 7, ("t1", "t2", "t3"), 8.0),
-        KORQuery(0, 7, ("t1", "t2"), 8.0),
-        KORQuery(0, 6, ("t2", "t4"), 10.0),
-        KORQuery(1, 7, ("t3",), 9.0),
-        KORQuery(0, 5, ("t1", "t4"), 12.0),
-        KORQuery(2, 7, ("t2", "t3"), 9.0),
-    ]
-    stream = [
-        KORQuery(q.source, q.target, q.keywords, q.budget_limit + 0.001 * i)
-        for i in range(repeats)
-        for q in base_queries
-    ]
-
-    backends = (
-        ("SerialBackend", lambda: SerialBackend()),
-        ("ThreadBackend", lambda: ThreadBackend(workers=workers)),
-        ("ProcessBackend", lambda: ProcessBackend(workers=workers)),
-    )
-    if backend_names is not None:
-        backends = tuple(
-            (name, factory) for name, factory in backends if name in backend_names
-        )
-
-    def timed_batch(service) -> float:
-        """Best-of-3 wall seconds for the stream through *service*."""
-        best = float("inf")
-        for _ in range(3):
-            begin = _time.perf_counter()
-            report = service.execute(stream, workers=workers)
-            best = min(best, _time.perf_counter() - begin)
-            if not report.ok:
-                raise RuntimeError(f"benchmark batch failed: {report.errors}")
-        return best
-
-    xs: list[str] = []
-    per_query_qps: list[float] = []
-    wave_qps: list[float] = []
-    meta: dict = {
-        "num_queries": len(stream),
-        "num_cells": num_cells,
-        "workers": workers,
-        "speedup": {},
-    }
-
-    for name, factory in backends:
-        backend = factory()
-        try:
-            walls = {}
-            for use_waves in (False, True):
-                service = ShardedQueryService(
-                    graph,
-                    num_cells=num_cells,
-                    backend=backend,
-                    cache_capacity=0,
-                    wave_size=None if use_waves else 1,
-                )
-                try:
-                    # Warm un-timed: pool spin-up and worker shard
-                    # assembly are not billed.
-                    service.execute(stream, workers=workers)
-                    walls[use_waves] = timed_batch(service)
-                finally:
-                    service.close()
-        finally:
-            backend.close()
-        xs.append(name)
-        per_query_qps.append(
-            len(stream) / walls[False] if walls[False] > 0 else float("inf")
-        )
-        wave_qps.append(len(stream) / walls[True] if walls[True] > 0 else float("inf"))
-        meta["speedup"][name] = (
-            wave_qps[-1] / per_query_qps[-1] if per_query_qps[-1] > 0 else float("inf")
-        )
-
-    return ExperimentResult(
-        figure="sharded_wave_throughput",
-        title="Shard-aware wave scatter vs per-query tasks (figure1)",
-        x_name="backend",
-        xs=xs,
-        series={"Per-query-tasks": per_query_qps, "Shard-waves": wave_qps},
-        y_name="queries / second",
-        notes=(
-            f"figure1 stream of {len(stream)} distinct queries (budgets "
-            f"perturbed per repeat) over {num_cells} cells, best of 3 "
-            "batches per mode after an un-timed warm pass; same backend "
-            "either side, only the scatter currency changes"
-        ),
-        meta=meta,
-    )
-
-
-def sharded_memory(cell_counts: tuple[int, ...] = (1, 2, 4, 8)) -> ExperimentResult:
-    """Memory vs cell count for the sharded service (no global tier).
-
-    The point of the border-table architecture: per-service cost-table
-    bytes *shrink* as ``num_cells`` grows, because cross-cell answers are
-    assembled from the cells' own tables plus a ``k x k`` border tier
-    instead of a retained flat ``O(n^2)`` engine.  Reports the resident
-    table bytes of a :class:`~repro.service.sharding.ShardedQueryService`
-    per cell count next to the flat score tables it replaces; ``meta``
-    records the border-node count per granularity.
-
-    Measured on the road workload — the regime partitioning is *for*:
-    spatial networks with small separators.  (A dense Flickr-like
-    similarity graph partitions into cells whose border sets approach
-    the whole node set, and the border tier then erases the savings —
-    the same caveat every separator-based index carries.)
-    """
-    from repro.prep.partition import PartitionedCostTables
-    from repro.service import SerialBackend, ShardedQueryService
-
-    workload = road_workload(road_sizes()[0])
-    graph = workload.graph
-    flat_mb = PartitionedCostTables.flat_memory_bytes(graph.num_nodes) / 1e6
-
-    xs: list[int] = []
-    sharded_mb: list[float] = []
-    meta: dict = {"num_nodes": graph.num_nodes, "border_nodes": {}}
-    backend = SerialBackend()
-    try:
-        for requested in cell_counts:
-            cells = min(requested, graph.num_nodes)
-            service = ShardedQueryService(
-                graph, num_cells=cells, backend=backend, cache_capacity=0
-            )
-            try:
-                xs.append(cells)
-                sharded_mb.append(service.memory_bytes() / 1e6)
-                meta["border_nodes"][cells] = len(
-                    service.border_engine.tables.partition.border_nodes
-                )
-            finally:
-                service.close()
-    finally:
-        backend.close()
-
-    return ExperimentResult(
-        figure="sharded_memory",
-        title="Sharded service table memory vs cell count",
-        x_name="num_cells",
-        xs=xs,
-        series={
-            "sharded service tables (MB)": sharded_mb,
-            "flat score tables (MB)": [flat_mb] * len(xs),
-        },
-        y_name="MB",
-        notes=(
-            f"graph {workload.name} ({graph.num_nodes} nodes); sharded bytes "
-            "count every score + predecessor matrix across cell engines and "
-            "the cross-cell border tier, deduplicated (the border engine "
-            "shares the cell tables)"
-        ),
-        meta=meta,
-    )
-
-
-def update_latency(
-    cell_counts: tuple[int, ...] = (1, 4, 8),
-    num_updates: int = 12,
-    num_clusters: int = 8,
-    cluster_size: int = 24,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Incremental repair latency vs full world rebuild, per cell count.
-
-    The dynamic-world acceptance figure: a single-cell edge-cost update
-    repairs one cell's tables plus the border tier, so as the cell count
-    grows the repaired fraction of the world shrinks and repair must
-    pull away from a from-scratch rebuild.  Series are milliseconds —
-    ``Repair-p50`` / ``Repair-p95`` over *num_updates* single-edge
-    updates, and ``Full-rebuild`` for ``world.rebuilt()`` on the same
-    partition.  ``meta["speedup_p50"]`` records rebuild/p50 per cell
-    count; the committed bench asserts it exceeds 1 at 8 cells.
-
-    The world is a ring of densely connected clusters joined by single
-    bridge edges — the community structure partitioned serving targets
-    (and the one ``sharded_memory`` measures): per-cell tables carry
-    most of the pre-processing weight while the border tier stays thin.
-    On a graph with no locality every node is a border node and the
-    shared border recompute hides the per-cell saving; here it cannot.
-    """
-    import random as _random
-    import time as _time
-
-    from repro.graph.builder import GraphBuilder
-    from repro.world import MutableWorld
-
-    rng = _random.Random(seed)
-    builder = GraphBuilder()
-    pool = ("pub", "mall", "cafe", "park", "imax")
-    num_nodes = num_clusters * cluster_size
-    for cluster in range(num_clusters):
-        for position in range(cluster_size):
-            builder.add_node(
-                keywords=rng.sample(pool, rng.randint(0, 2)),
-                x=float(cluster * 10 + position % 5),
-                y=float(position // 5),
-            )
-    edges = set()
-
-    def link(u: int, v: int) -> None:
-        if u != v and (u, v) not in edges:
-            edges.add((u, v))
-            edges.add((v, u))
-            obj = 1.0 + 3.0 * rng.random()
-            bud = 1.0 + 3.0 * rng.random()
-            builder.add_edge(u, v, obj, bud)
-            builder.add_edge(v, u, obj, bud)
-
-    for cluster in range(num_clusters):
-        base = cluster * cluster_size
-        # A ring inside the cluster keeps it connected, then random
-        # chords make the intra-cluster tables the dominant prep cost.
-        for position in range(cluster_size):
-            link(base + position, base + (position + 1) % cluster_size)
-        for _ in range(cluster_size * 3):
-            link(base + rng.randrange(cluster_size), base + rng.randrange(cluster_size))
-        # One bridge to the next cluster: the only border crossing.
-        link(base, ((cluster + 1) % num_clusters) * cluster_size)
-    graph = builder.build()
-
-    xs: list[int] = []
-    p50_ms: list[float] = []
-    p95_ms: list[float] = []
-    rebuild_ms: list[float] = []
-    meta: dict = {
-        "num_nodes": num_nodes,
-        "num_updates": num_updates,
-        "speedup_p50": {},
-    }
-    for cells in cell_counts:
-        world = MutableWorld(graph, num_cells=cells, seed=0)
-        cell_of = world.partition.cell_of
-        intra = [
-            (u, v)
-            for u in range(num_nodes)
-            for v, _obj, _bud in world.graph.out_edges(u)
-            if cell_of[u] == cell_of[v]
-        ]
-        durations = []
-        for _ in range(num_updates):
-            u, v = intra[rng.randrange(len(intra))]
-            cost = 1.0 + 3.0 * rng.random()
-            begin = _time.perf_counter()
-            world.update_edge_cost(u, v, objective=cost, budget=cost)
-            durations.append((_time.perf_counter() - begin) * 1000.0)
-        durations.sort()
-        p50 = durations[len(durations) // 2]
-        p95 = durations[min(len(durations) - 1, int(0.95 * len(durations)))]
-
-        begin = _time.perf_counter()
-        world.rebuilt()
-        rebuild = (_time.perf_counter() - begin) * 1000.0
-
-        xs.append(cells)
-        p50_ms.append(p50)
-        p95_ms.append(p95)
-        rebuild_ms.append(rebuild)
-        meta["speedup_p50"][str(cells)] = rebuild / p50 if p50 > 0 else float("inf")
-
-    return ExperimentResult(
-        figure="update_latency",
-        title="Graph-update repair latency vs full rebuild",
-        x_name="num_cells",
-        xs=xs,
-        series={
-            "Repair-p50": p50_ms,
-            "Repair-p95": p95_ms,
-            "Full-rebuild": rebuild_ms,
-        },
-        y_name="ms / update",
-        notes=(
-            f"{num_clusters} clusters x {cluster_size} nodes, single bridge "
-            "edges ({} nodes total); each update re-costs one intra-cell "
-            "edge (one cell's tables + the border tier repaired); "
-            "Full-rebuild is world.rebuilt() on the same partition".format(
-                num_nodes
-            )
-        ),
-        meta=meta,
-    )
-
-
-# ----------------------------------------------------------------------
 # everything, for run_all.py
 # ----------------------------------------------------------------------
 
@@ -1764,12 +877,4 @@ def all_experiments() -> list:
         ablation_epsilon_labels,
         ablation_partition,
         ablation_disk_index,
-        service_throughput,
-        sharded_throughput,
-        border_heavy_throughput,
-        async_throughput,
-        kernel_throughput,
-        sharded_wave_throughput,
-        sharded_memory,
-        update_latency,
     ]

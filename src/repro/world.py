@@ -33,9 +33,12 @@ graph and of the touched cells' subgraphs (both derived copy-on-write
 from the delta — :func:`repro.graph.mutation.apply_graph_delta`), the
 repaired cells' all-pairs tables, and the k-node sweep — never the other
 cells' tables, the untouched adjacency rows or an n-node Dijkstra per
-border node (see ``benchmarks/bench_update_latency.py`` and the README's
-"What an update costs" for the measured gap).  Repairing only the border
-sources a changed shortcut can affect is the next step (ROADMAP item A).
+border node (``tests/graph/test_mutation.py::TestRepairLocality`` pins
+which tables a repair rebuilds; the ``sharded_mutating`` rows
+``world.update_p50_ms`` / ``world.rebuild_ms`` of ``benchmarks/e2e`` and
+the README's "What an update costs" show the gap).  Repairing only the
+border sources a changed shortcut can affect is the next step (ROADMAP
+item A).
 
 The **frozen-partition invariant** makes all of this sound: mutations
 never add nodes or novel edges (closures drop base edges, re-opens

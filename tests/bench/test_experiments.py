@@ -80,29 +80,13 @@ class TestExperimentStructure:
         result = experiments.fig06_runtime_vs_epsilon()
         assert "fig06" in result.to_table()
 
-    def test_sharded_memory_structure(self):
-        result = experiments.sharded_memory(cell_counts=(1, 2, 4))
-        assert result.figure == "sharded_memory"
-        assert result.xs == [1, 2, 4]
-        sharded = result.series["sharded service tables (MB)"]
-        flat = result.series["flat score tables (MB)"]
-        assert all(mb > 0 for mb in sharded)
-        assert len(set(flat)) == 1  # the flat reference is a constant line
-        # Multi-cell deployments must undercut both the flat score
-        # tables and the single-cell footprint (no global tier left).
-        assert all(mb < flat[0] for mb in sharded[1:])
-        assert all(mb < sharded[0] for mb in sharded[1:])
-        assert result.meta["border_nodes"][1] == 0
-
-    def test_sharded_throughput_structure(self):
-        result = experiments.sharded_throughput(workers=2)
-        assert result.figure == "sharded_throughput"
-        assert result.xs == ["figure1", "flickr"]
-        for name in ("SerialBackend", "ThreadBackend", "ProcessBackend"):
-            assert len(result.series[name]) == 2
-            assert all(qps > 0 for qps in result.series[name])
-        assert result.meta["usable_cpus"] >= 1
-        assert result.meta["num_cells"]["flickr"] >= 2
-        for dataset in result.xs:
-            speedups = result.meta["speedup_over_serial"][dataset]
-            assert speedups["SerialBackend"] == pytest.approx(1.0)
+    def test_all_experiments_are_the_paper_figures_in_order(self):
+        names = [experiment.__name__ for experiment in experiments.all_experiments()]
+        assert [name[:5] for name in names[:16]] == [f"fig{i:02d}" for i in range(4, 20)]
+        assert names[16:] == [
+            "ablation_opt_strategies",
+            "ablation_epsilon_labels",
+            "ablation_partition",
+            "ablation_disk_index",
+        ]
+        assert set(names) <= set(experiments.__all__)

@@ -191,6 +191,36 @@ class TestInducedDelta:
                         assert state is before[cell]
 
 
+class TestRepairLocality:
+    def test_intra_cell_recost_repairs_one_cell_of_eight(self):
+        """Why repair beats a rebuild: re-costing an edge inside cell ``c``
+        rebuilds ``c``'s tables and sweeps the border tier, and every other
+        cell keeps its table object.  The cost of the two paths is the e2e
+        ``sharded_mutating`` rows ``world.update_p50_ms`` / ``world.rebuild_ms``."""
+        from repro.graph.generators import grid_graph
+        from repro.world import MutableWorld
+
+        world = MutableWorld(grid_graph(4, 48), num_cells=8)
+        cell_of = world.partition.cell_of
+        u, v, objective, budget = next(
+            (u, v, obj, bud)
+            for u in range(world.graph.num_nodes)
+            for v, obj, bud in world.graph.out_edges(u)
+            if cell_of[u] == cell_of[v]
+        )
+        c = int(cell_of[u])
+        before = [state.tables for state in world.cells]
+
+        update = world.update_edge_cost(u, v, objective=2 * objective, budget=budget)
+
+        assert update.repaired_cells == (c,)
+        assert update.border_rebuilt
+        assert world.cells[c].tables is not before[c]
+        for d, state in enumerate(world.cells):
+            if d != c:
+                assert state.tables is before[d]
+
+
 class TestGraphMutator:
     def test_update_edge_cost_partial_weights_persist(self):
         mutator = GraphMutator(small_graph())
