@@ -48,14 +48,13 @@ class KOREngine:
         graph: SpatialKeywordGraph,
         tables: CostTables | None = None,
         index: InvertedIndex | None = None,
-        prep_method: str = "auto",
         predecessors: bool = True,
     ) -> None:
         self._graph = graph
         self._tables = (
             tables
             if tables is not None
-            else CostTables.from_graph(graph, method=prep_method, predecessors=predecessors)
+            else CostTables.from_graph(graph, predecessors=predecessors)
         )
         self._index = index if index is not None else InvertedIndex.from_graph(graph)
 

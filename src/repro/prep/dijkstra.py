@@ -1,8 +1,9 @@
-"""All-pairs two-criteria shortest paths via repeated Dijkstra.
+"""All-pairs two-criteria shortest paths: the one table builder.
 
 The paper runs Floyd-Warshall, which is Theta(V^3) — fine in VC++ on 5k
-nodes, hopeless in pure Python.  On sparse graphs the same tables fall out
-of one compiled Dijkstra sweep per source (:func:`scipy.sparse.csgraph.
+nodes, hopeless in pure Python, and slower than this sweep on road graphs
+from 20 nodes up.  On sparse graphs the same tables fall out of one
+compiled Dijkstra sweep per source (:func:`scipy.sparse.csgraph.
 dijkstra`), plus a vectorised *pointer-doubling* pass that recovers the
 secondary score of every chosen path without walking paths one by one:
 
@@ -14,6 +15,10 @@ secondary score of every chosen path without walking paths one by one:
 
 Sources are processed in row blocks to bound peak memory, so graphs with
 tens of thousands of nodes remain tractable.
+
+Among paths that tie on the primary, the stored path is the one scipy's
+predecessors describe — not the lexicographic ``(primary, secondary)``
+minimum — and its secondary is that path's own.
 """
 
 from __future__ import annotations
@@ -23,14 +28,17 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.graph.digraph import SpatialKeywordGraph
-from repro.prep.floyd_warshall import NO_PREDECESSOR
 
 __all__ = [
+    "NO_PREDECESSOR",
     "all_pairs_two_criteria",
     "multi_source_two_criteria",
     "single_source_two_criteria",
     "sweep_two_criteria",
 ]
+
+#: Sentinel used in predecessor matrices (matches scipy.sparse.csgraph).
+NO_PREDECESSOR = -9999
 
 
 def _csr_weight_matrix(graph: SpatialKeywordGraph, which: str) -> csr_matrix:
@@ -123,11 +131,12 @@ def all_pairs_two_criteria(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return ``(primary_cost, secondary_cost, predecessors)`` matrices.
 
-    Same contract as
-    :func:`repro.prep.floyd_warshall.floyd_warshall_two_criteria`, except
-    ties between primary-optimal paths follow scipy's internal order rather
-    than the lexicographic rule; the three matrices still describe one
-    consistent path per pair.
+    ``primary="objective"`` computes the ``tau`` tables (objective-optimal
+    paths with their budget scores); ``primary="budget"`` the ``sigma``
+    tables.  ``predecessors[i, j]`` is the node preceding ``j`` on the
+    stored ``i -> j`` path (``NO_PREDECESSOR`` on the diagonal and for
+    unreachable pairs); the three matrices describe one consistent path
+    per pair, chosen among primary ties by scipy's internal order.
     """
     if primary not in ("objective", "budget"):
         raise ValueError(f"primary must be 'objective' or 'budget', got {primary!r}")

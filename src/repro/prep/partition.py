@@ -42,16 +42,13 @@ and every graph path contracts to an H walk that is no longer — hence
 exact.  :func:`_sweep_overlay` builds H as a ``k x k`` weight pair and
 runs the one two-criteria sweep (:func:`repro.prep.dijkstra.
 sweep_two_criteria`) over it: ``k`` sources on ``k`` nodes instead of on
-``n``, which is what a structural update pays per kind.  Two things
-differ from a sweep of the full graph, deliberately: a border primary is
-a sum over shortcuts, each itself a sum over edges, so it can differ
-from the edge-by-edge sum in its **last ulp** (``allclose``, never
-bitwise — routes are always re-scored from edges); and among paths that
-**tie** on the primary, the stored secondary is that of the walk H's
-predecessors describe, which need not be the one a full-graph sweep
-would have kept (either is the secondary of a real primary-optimal
-path, exactly as :func:`~repro.prep.dijkstra.all_pairs_two_criteria`
-already says of its own ties).
+``n``, which is what a structural update pays per kind.  A border
+primary is a sum over shortcuts, each itself a sum over edges, so it can
+differ from a full-graph sweep's edge-by-edge sum in its **last ulp**
+(``allclose``, never bitwise — routes are always re-scored from edges).
+**Ties:** one sweep, scipy ties, everywhere — a cell's tables, a flat
+graph's and H all keep the secondary of the walk their predecessors
+describe.
 
 :class:`PartitionedCostTables` implements the full access protocol of
 :class:`repro.prep.tables.CostTables` — scalar lookups, row/column

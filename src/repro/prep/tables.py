@@ -11,7 +11,9 @@ Only these four numbers per pair are consulted by the search algorithms;
 the predecessor matrices are kept (optionally) so that final routes can be
 materialised (Algorithm 1 line 22 "obtain the route utilizing LL").
 
-:class:`CostTables` is the flat O(V^2) realisation the paper uses.  The
+:class:`CostTables` is the flat O(V^2) realisation the paper uses, built
+by the one Dijkstra sweep of :mod:`repro.prep.dijkstra` whatever the
+graph's size (the paper's Floyd-Warshall is slower from ~20 nodes up).  The
 partition-based variant sketched in the paper's future-work section lives
 in :mod:`repro.prep.partition` and implements the same access protocol.
 """
@@ -26,13 +28,8 @@ import numpy as np
 from repro.exceptions import PrepError
 from repro.graph.digraph import SpatialKeywordGraph
 from repro.prep.dijkstra import all_pairs_two_criteria, reconstruct_path
-from repro.prep.floyd_warshall import floyd_warshall_two_criteria
 
 __all__ = ["CostTables"]
-
-#: Below this node count Floyd-Warshall is competitive and exactly follows
-#: the paper; above it the Dijkstra backend is used.
-_AUTO_FW_THRESHOLD = 256
 
 
 @dataclass
@@ -48,7 +45,8 @@ class CostTables:
         Objective and budget score of the budget-optimal path
         ``sigma_{i,j}``.
     pred_tau, pred_sigma:
-        Optional predecessor matrices for path materialisation.
+        Optional predecessor matrices for path materialisation: both
+        ``(n, n)`` integer matrices, or both absent.
     """
 
     os_tau: np.ndarray
@@ -62,34 +60,10 @@ class CostTables:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(
-        cls,
-        graph: SpatialKeywordGraph,
-        method: str = "auto",
-        predecessors: bool = True,
-        block_size: int | None = None,
-    ) -> "CostTables":
-        """Compute the tables for *graph*.
-
-        ``method`` is ``"floyd-warshall"`` (the paper's choice, Theta(V^3)),
-        ``"dijkstra"`` (sparse-friendly), or ``"auto"``.
-        """
-        if method == "auto":
-            method = (
-                "floyd-warshall" if graph.num_nodes <= _AUTO_FW_THRESHOLD else "dijkstra"
-            )
-        if method == "floyd-warshall":
-            os_tau, bs_tau, pred_tau = floyd_warshall_two_criteria(graph, "objective")
-            bs_sigma, os_sigma, pred_sigma = floyd_warshall_two_criteria(graph, "budget")
-        elif method == "dijkstra":
-            os_tau, bs_tau, pred_tau = all_pairs_two_criteria(
-                graph, "objective", block_size=block_size
-            )
-            bs_sigma, os_sigma, pred_sigma = all_pairs_two_criteria(
-                graph, "budget", block_size=block_size
-            )
-        else:
-            raise PrepError(f"unknown pre-processing method: {method!r}")
+    def from_graph(cls, graph: SpatialKeywordGraph, predecessors: bool = True) -> "CostTables":
+        """Compute the tables for *graph*: one sweep per path family."""
+        os_tau, bs_tau, pred_tau = all_pairs_two_criteria(graph, "objective")
+        bs_sigma, os_sigma, pred_sigma = all_pairs_two_criteria(graph, "budget")
         return cls(
             os_tau=os_tau,
             bs_tau=bs_tau,
@@ -101,10 +75,16 @@ class CostTables:
 
     def __post_init__(self) -> None:
         n = self.os_tau.shape[0]
-        for name in ("os_tau", "bs_tau", "os_sigma", "bs_sigma"):
+        if (self.pred_tau is None) != (self.pred_sigma is None):
+            raise PrepError("pred_tau and pred_sigma must be given together or not at all")
+        for name in ("os_tau", "bs_tau", "os_sigma", "bs_sigma", "pred_tau", "pred_sigma"):
             matrix = getattr(self, name)
+            if matrix is None:
+                continue
             if matrix.shape != (n, n):
                 raise PrepError(f"{name} has shape {matrix.shape}, expected {(n, n)}")
+            if name.startswith("pred") and not np.issubdtype(matrix.dtype, np.integer):
+                raise PrepError(f"{name} has dtype {matrix.dtype}, expected an integer type")
 
     @property
     def num_nodes(self) -> int:
@@ -260,7 +240,7 @@ class CostTables:
     # internals
     # ------------------------------------------------------------------
     def _require_paths(self) -> None:
-        if self.pred_tau is None or self.pred_sigma is None:
+        if self.pred_tau is None:
             raise PrepError(
                 "tables were built with predecessors=False; "
                 "path materialisation is unavailable"

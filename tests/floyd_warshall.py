@@ -1,20 +1,20 @@
-"""All-pairs two-criteria shortest paths via Floyd-Warshall.
+"""All-pairs two-criteria shortest paths via Floyd-Warshall: the test reference.
 
 This is the pre-processing method the paper prescribes (Section 3.1): for
 every node pair ``(vi, vj)`` find the path ``tau_{i,j}`` minimising the
 objective score and the path ``sigma_{i,j}`` minimising the budget score,
 recording *both* scores of each.
 
-We minimise the *primary* weight and, among primary-optimal paths, the
+It minimises the *primary* weight and, among primary-optimal paths, the
 *secondary* weight (lexicographic order).  The lexicographic pair forms a
 semiring, so the classic FW recurrence remains correct and — unlike
-arbitrary tie-breaking — produces a canonical, implementation-independent
-answer that the Dijkstra backend (:mod:`repro.prep.dijkstra`) is tested
-against.
+scipy's tie rule, which the one builder
+(:func:`repro.prep.dijkstra.all_pairs_two_criteria`) keeps — produces a
+canonical, implementation-independent answer.  The builder is tested
+against it: primaries equal, and no builder secondary below the
+lexicographic one.
 
-Complexity is Theta(V^3) with vectorised numpy inner updates; use it for
-graphs up to a few hundred nodes (tests, worked examples) and the Dijkstra
-backend beyond that.
+Theta(V^3) with vectorised numpy inner updates; for test-sized graphs.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.digraph import SpatialKeywordGraph
+from repro.prep.dijkstra import NO_PREDECESSOR
 
-__all__ = ["floyd_warshall_two_criteria", "NO_PREDECESSOR"]
-
-#: Sentinel used in predecessor matrices (matches scipy.sparse.csgraph).
-NO_PREDECESSOR = -9999
+__all__ = ["floyd_warshall_two_criteria"]
 
 
 def floyd_warshall_two_criteria(

@@ -20,7 +20,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def tables(graph):
-    return CostTables.from_graph(graph, method="floyd-warshall")
+    return CostTables.from_graph(graph)
 
 
 class TestPaperFacts:

@@ -1,4 +1,4 @@
-"""The Dijkstra backend must agree exactly with Floyd-Warshall."""
+"""The one table builder against the lexicographic Floyd-Warshall reference."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,20 @@ from repro.prep.dijkstra import (
     reconstruct_path,
     single_source_two_criteria,
 )
-from repro.prep.floyd_warshall import floyd_warshall_two_criteria
+from repro.world import MutableWorld
+
+from tests.floyd_warshall import floyd_warshall_two_criteria
+
+
+@pytest.fixture(scope="module", params=["road-120", "road-1000-cell-1"])
+def road_graph(request):
+    if request.param == "road-120":
+        return build_road_graph(RoadConfig(num_nodes=120, seed=3))
+    # A default-sized cell of the sharded road world (road-1000, 4 cells).
+    world = MutableWorld(build_road_graph(RoadConfig(num_nodes=1000, seed=1000)), num_cells=4)
+    subgraph = world.cells[1].subgraph
+    assert subgraph.num_nodes == 239
+    return subgraph
 
 
 class TestBackendEquivalence:
@@ -23,12 +36,15 @@ class TestBackendEquivalence:
         np.testing.assert_allclose(dj_secondary, fw_secondary)
 
     @pytest.mark.parametrize("which", ["objective", "budget"])
-    def test_random_road_graph_scores_match(self, which):
-        graph = build_road_graph(RoadConfig(num_nodes=120, seed=3))
-        fw_primary, fw_secondary, _p1 = floyd_warshall_two_criteria(graph, which)
-        dj_primary, dj_secondary, _p2 = all_pairs_two_criteria(graph, which)
+    def test_random_road_graph_scores_match(self, which, road_graph):
+        """On road graphs the builder keeps the very paths the lexicographic
+        reference keeps: equal predecessors are what let every table come
+        from the one builder without moving an answer."""
+        fw_primary, fw_secondary, fw_pred = floyd_warshall_two_criteria(road_graph, which)
+        dj_primary, dj_secondary, dj_pred = all_pairs_two_criteria(road_graph, which)
         np.testing.assert_allclose(dj_primary, fw_primary, rtol=1e-9)
         np.testing.assert_allclose(dj_secondary, fw_secondary, rtol=1e-9)
+        np.testing.assert_array_equal(dj_pred, fw_pred)
 
     def test_blocked_computation_matches_unblocked(self):
         graph = grid_graph(5, 5)

@@ -1,4 +1,4 @@
-"""Tests for the Floyd-Warshall pre-processing backend (paper §3.1)."""
+"""Tests for the Floyd-Warshall reference the table builder is checked against (paper §3.1)."""
 
 import networkx as nx
 import numpy as np
@@ -6,7 +6,8 @@ import pytest
 
 from repro.graph.generators import figure_1_graph, grid_graph, line_graph
 from repro.graph.interop import to_networkx
-from repro.prep.floyd_warshall import floyd_warshall_two_criteria
+
+from tests.floyd_warshall import floyd_warshall_two_criteria
 
 
 @pytest.fixture(scope="module")

@@ -7,27 +7,29 @@ from repro.exceptions import PrepError
 from repro.graph.generators import figure_1_graph, grid_graph
 from repro.prep.tables import CostTables
 
+from tests.floyd_warshall import floyd_warshall_two_criteria
+
 
 @pytest.fixture(scope="module")
 def tables():
-    return CostTables.from_graph(figure_1_graph(), method="floyd-warshall")
+    return CostTables.from_graph(figure_1_graph())
 
 
 class TestConstruction:
-    def test_methods_agree(self):
+    def test_builder_matches_reference(self, tables):
         graph = figure_1_graph()
-        fw = CostTables.from_graph(graph, method="floyd-warshall")
-        dj = CostTables.from_graph(graph, method="dijkstra")
-        for name in ("os_tau", "bs_tau", "os_sigma", "bs_sigma"):
-            np.testing.assert_allclose(getattr(dj, name), getattr(fw, name))
-
-    def test_auto_picks_a_method(self):
-        tables = CostTables.from_graph(figure_1_graph(), method="auto")
-        assert tables.num_nodes == 8
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(PrepError, match="unknown pre-processing"):
-            CostTables.from_graph(figure_1_graph(), method="magic")
+        os_tau, bs_tau, pred_tau = floyd_warshall_two_criteria(graph, "objective")
+        bs_sigma, os_sigma, pred_sigma = floyd_warshall_two_criteria(graph, "budget")
+        reference = dict(
+            os_tau=os_tau,
+            bs_tau=bs_tau,
+            os_sigma=os_sigma,
+            bs_sigma=bs_sigma,
+            pred_tau=pred_tau,
+            pred_sigma=pred_sigma,
+        )
+        for name, expected in reference.items():
+            np.testing.assert_array_equal(getattr(tables, name), expected)
 
     def test_predecessors_optional(self):
         tables = CostTables.from_graph(figure_1_graph(), predecessors=False)
@@ -42,6 +44,17 @@ class TestConstruction:
                 bs_tau=tables.bs_tau[:4, :4],
                 os_sigma=tables.os_sigma,
                 bs_sigma=tables.bs_sigma,
+            )
+
+    def test_float_predecessors_rejected(self, tables):
+        with pytest.raises(PrepError, match="integer"):
+            CostTables(
+                os_tau=tables.os_tau,
+                bs_tau=tables.bs_tau,
+                os_sigma=tables.os_sigma,
+                bs_sigma=tables.bs_sigma,
+                pred_tau=tables.pred_tau.astype(np.float64),
+                pred_sigma=tables.pred_sigma,
             )
 
 
@@ -112,4 +125,27 @@ class TestPersistence:
         path = tmp_path / "partial.npz"
         np.savez(path, os_tau=np.zeros((2, 2)))
         with pytest.raises(PrepError, match="misses arrays"):
+            CostTables.load(path)
+
+    @staticmethod
+    def save_with(path, tables, **predecessors):
+        np.savez(
+            path,
+            os_tau=tables.os_tau,
+            bs_tau=tables.bs_tau,
+            os_sigma=tables.os_sigma,
+            bs_sigma=tables.bs_sigma,
+            **predecessors,
+        )
+
+    def test_predecessors_of_the_wrong_shape_raise_on_load(self, tables, tmp_path):
+        path = tmp_path / "small_pred.npz"
+        self.save_with(path, tables, pred_tau=tables.pred_tau[:4, :4], pred_sigma=tables.pred_sigma)
+        with pytest.raises(PrepError, match="pred_tau has shape"):
+            CostTables.load(path)
+
+    def test_one_predecessor_matrix_alone_raises_on_load(self, tables, tmp_path):
+        path = tmp_path / "tau_pred_only.npz"
+        self.save_with(path, tables, pred_tau=tables.pred_tau)
+        with pytest.raises(PrepError, match="together"):
             CostTables.load(path)

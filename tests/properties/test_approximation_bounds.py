@@ -29,7 +29,7 @@ SLOW = settings(
 
 
 def prepared(graph):
-    return CostTables.from_graph(graph, method="floyd-warshall"), InvertedIndex.from_graph(graph)
+    return CostTables.from_graph(graph), InvertedIndex.from_graph(graph)
 
 
 class TestAgainstExactOptimum:

@@ -22,7 +22,7 @@ class TestTopKInvariants:
     @given(graph_and_query(), st.integers(1, 4))
     def test_osscaling_topk_routes_valid(self, instance, k):
         graph, source, target, keywords, delta = instance
-        tables = CostTables.from_graph(graph, method="floyd-warshall")
+        tables = CostTables.from_graph(graph)
         index = InvertedIndex.from_graph(graph)
         result = os_scaling_top_k(
             graph, tables, index, KORQuery(source, target, keywords, delta), k=k
@@ -40,7 +40,7 @@ class TestTopKInvariants:
     @given(graph_and_query(), st.integers(1, 4))
     def test_bucketbound_topk_routes_valid(self, instance, k):
         graph, source, target, keywords, delta = instance
-        tables = CostTables.from_graph(graph, method="floyd-warshall")
+        tables = CostTables.from_graph(graph)
         index = InvertedIndex.from_graph(graph)
         result = bucket_bound_top_k(
             graph, tables, index, KORQuery(source, target, keywords, delta), k=k
@@ -56,7 +56,7 @@ class TestTopKInvariants:
         from repro.core.osscaling import os_scaling
 
         graph, source, target, keywords, delta = instance
-        tables = CostTables.from_graph(graph, method="floyd-warshall")
+        tables = CostTables.from_graph(graph)
         index = InvertedIndex.from_graph(graph)
         query = KORQuery(source, target, keywords, delta)
         top1 = os_scaling(graph, tables, index, query)
