@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.datasets.checks import check_nonnegative, check_probability, check_range
 from repro.datasets.tags import TagVocabulary
 from repro.exceptions import DatasetError
 
@@ -81,8 +82,7 @@ def generate_photo_stream(
     config: PhotoStreamConfig,
 ) -> tuple[list[Photo], list[Hotspot], TagVocabulary]:
     """Generate photos, the hotspots behind them, and the tag vocabulary."""
-    if config.num_users < 1 or config.num_hotspots < 2:
-        raise DatasetError("need at least one user and two hotspots")
+    _validate(config)
     rng = np.random.default_rng(config.seed)
     vocabulary = (
         config.vocabulary
@@ -95,6 +95,7 @@ def generate_photo_stream(
     popularity = popularity / popularity.sum()
     centers = np.asarray([[h.x, h.y] for h in hotspots])
 
+    hop_cdfs: dict[int, np.ndarray | None] = {}
     photos: list[Photo] = []
     lo, hi = config.photos_per_user
     for user in range(config.num_users):
@@ -120,9 +121,23 @@ def generate_photo_stream(
                 timestamp += float(rng.uniform(1.5, 5.0)) * DAY_SECONDS
             else:
                 timestamp += float(rng.uniform(600.0, 0.4 * DAY_SECONDS))
-            current = _next_hotspot(current, centers, popularity, rng)
+            current = _next_hotspot(current, hop_cdfs, centers, popularity, rng)
     photos.sort(key=lambda p: (p.user_id, p.timestamp))
     return photos, hotspots, vocabulary
+
+
+def _validate(config: PhotoStreamConfig) -> None:
+    if config.num_users < 1 or config.num_hotspots < 2:
+        raise DatasetError("need at least one user and two hotspots")
+    check_range("photos_per_user", config.photos_per_user, 0)
+    # A photo takes at least one of its hotspot's topic tags.
+    check_range("topic_tags_per_hotspot", config.topic_tags_per_hotspot, 1)
+    check_range("tags_per_photo", config.tags_per_photo, 0)
+    for extent in config.extent_km:
+        check_nonnegative("extent_km", extent)
+    check_nonnegative("hotspot_sigma_km", config.hotspot_sigma_km)
+    check_probability("noise_tag_probability", config.noise_tag_probability)
+    check_probability("session_break_probability", config.session_break_probability)
 
 
 def _make_hotspots(
@@ -170,10 +185,31 @@ def _photo_tags(
 
 def _next_hotspot(
     current: int,
+    hop_cdfs: dict[int, np.ndarray | None],
     centers: np.ndarray,
     popularity: np.ndarray,
     rng: np.random.Generator,
 ) -> int:
+    """Draw the hotspot a user visits after *current*.
+
+    The hop distribution of a hotspot never changes, so its CDF is built
+    once, into *hop_cdfs*, the first time a user stands on it.  A draw is
+    what ``rng.choice(len(centers), p=p)`` does after validating ``p``:
+    one double, located in the normalised cumulative sum.
+    """
+    if current not in hop_cdfs:
+        hop_cdfs[current] = _hop_cdf(current, centers, popularity)
+    cdf = hop_cdfs[current]
+    if cdf is None:
+        return int(rng.integers(len(centers)))
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _hop_cdf(
+    current: int, centers: np.ndarray, popularity: np.ndarray
+) -> np.ndarray | None:
+    """CDF of the hop out of *current*, or ``None`` when every weight
+    underflows (the hop is then uniform)."""
     deltas = centers - centers[current]
     distance = np.sqrt((deltas**2).sum(axis=1))
     # Distance decay: hotspots ~2km away are an order of magnitude more
@@ -182,5 +218,7 @@ def _next_hotspot(
     weights[current] = 0.0
     total = weights.sum()
     if total <= 0:
-        return int(rng.integers(len(centers)))
-    return int(rng.choice(len(centers), p=weights / total))
+        return None
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf

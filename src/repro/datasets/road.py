@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.datasets.checks import check_nonnegative, check_probability, check_range
 from repro.datasets.tags import TagVocabulary
 from repro.exceptions import DatasetError
 from repro.graph.builder import GraphBuilder
@@ -52,6 +53,10 @@ def build_road_graph(config: RoadConfig | None = None) -> SpatialKeywordGraph:
     config = config if config is not None else RoadConfig()
     if config.num_nodes < 4:
         raise DatasetError(f"need at least 4 nodes, got {config.num_nodes}")
+    check_nonnegative("block_km", config.block_km)
+    check_nonnegative("jitter", config.jitter)
+    check_probability("diagonal_probability", config.diagonal_probability)
+    check_range("tags_per_node", config.tags_per_node, 0)
     rng = np.random.default_rng(config.seed)
     vocabulary = (
         config.vocabulary

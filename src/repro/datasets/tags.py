@@ -48,6 +48,10 @@ class TagVocabulary:
         ranks = np.arange(1, num_tags + 1, dtype=np.float64)
         weights = ranks**-exponent
         self._probabilities = weights / weights.sum()
+        # The CDF numpy's ``choice(p=...)`` rebuilds on every call; built
+        # once, with the same arithmetic, so a draw is one searchsorted.
+        self._cdf = self._probabilities.cumsum()
+        self._cdf /= self._cdf[-1]
         self._rng = np.random.default_rng(seed)
 
     @property
@@ -64,18 +68,32 @@ class TagVocabulary:
         return len(self._words)
 
     def sample(self, count: int, rng: np.random.Generator | None = None) -> list[str]:
-        """Draw *count* distinct tags, popularity-weighted."""
+        """Draw *count* distinct tags, popularity-weighted.
+
+        The tags, and the generator's state afterwards, are those of
+        ``rng.choice(len(self), size=count, replace=False, p=self.probabilities)``,
+        whose first round draws *count* doubles from the CDF.
+        """
+        if count < 0:
+            raise DatasetError(f"cannot sample a negative number of tags, got {count}")
         rng = rng if rng is not None else self._rng
         count = min(count, len(self._words))
-        chosen = rng.choice(
-            len(self._words), size=count, replace=False, p=self._probabilities
-        )
-        return [self._words[int(i)] for i in chosen]
+        state = rng.bit_generator.state
+        chosen = self._cdf.searchsorted(rng.random(count), side="right").tolist()
+        if len(set(chosen)) < count:
+            # A repeat: numpy redraws from the mass left over, in rounds;
+            # replay the whole call from the same state.
+            rng.bit_generator.state = state
+            chosen = rng.choice(
+                len(self._words), size=count, replace=False, p=self._probabilities
+            ).tolist()
+        return [self._words[i] for i in chosen]
 
     def sample_one(self, rng: np.random.Generator | None = None) -> str:
-        """Draw a single popularity-weighted tag."""
+        """Draw a single popularity-weighted tag (what ``rng.choice(len(self),
+        p=self.probabilities)`` draws)."""
         rng = rng if rng is not None else self._rng
-        return self._words[int(rng.choice(len(self._words), p=self._probabilities))]
+        return self._words[int(self._cdf.searchsorted(rng.random(), side="right"))]
 
 
 def _generate_words(num_tags: int) -> tuple[str, ...]:

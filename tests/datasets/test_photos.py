@@ -60,7 +60,20 @@ class TestStream:
         ]
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(DatasetError):
-            generate_photo_stream(PhotoStreamConfig(num_users=0))
-        with pytest.raises(DatasetError):
-            generate_photo_stream(PhotoStreamConfig(num_hotspots=1))
+        """Every bad knob fails as DatasetError before the first draw."""
+        for knobs in (
+            {"num_users": 0},
+            {"num_hotspots": 1},
+            {"photos_per_user": (5, 2)},
+            {"photos_per_user": (-1, 2)},
+            {"topic_tags_per_hotspot": (0, 0)},
+            {"tags_per_photo": (3, 1)},
+            {"extent_km": (4.0, -1.0)},
+            {"hotspot_sigma_km": -1.0},
+            {"noise_tag_probability": -0.1},
+            {"session_break_probability": 2.0},
+            {"session_break_probability": float("nan")},
+        ):
+            config = PhotoStreamConfig(**{"num_users": 2, "num_hotspots": 4, **knobs})
+            with pytest.raises(DatasetError):
+                generate_photo_stream(config)

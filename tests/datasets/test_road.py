@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.datasets.road import RoadConfig, build_road_graph
+from repro.exceptions import DatasetError
 from repro.graph.validation import is_strongly_connected
 
 
@@ -53,6 +54,19 @@ class TestRoadGraph:
         assert [e.objective for e in a.iter_edges()] != [
             e.objective for e in b.iter_edges()
         ]
+
+    def test_invalid_config_rejected(self):
+        """Every bad knob fails as DatasetError before the first draw."""
+        for knobs in (
+            {"num_nodes": 3},
+            {"tags_per_node": (3, 1)},
+            {"tags_per_node": (-1, 2)},
+            {"block_km": -0.25},
+            {"jitter": -0.1},
+            {"diagonal_probability": 1.5},
+        ):
+            with pytest.raises(DatasetError):
+                build_road_graph(RoadConfig(**{"num_nodes": 16, **knobs}))
 
     def test_scales(self):
         small = build_road_graph(RoadConfig(num_nodes=100, seed=1))
