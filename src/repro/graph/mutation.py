@@ -95,17 +95,14 @@ class GraphDelta:
         """Whether the delta changes edges (vs keywords only)."""
         return bool(self.set_edges or self.drop_edges)
 
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge ``(u, v)`` the delta sets or drops."""
+        return tuple((u, v) for u, v, _obj, _bud in self.set_edges) + self.drop_edges
+
     def touched_nodes(self) -> frozenset[int]:
         """Every node an applied change is anchored at."""
-        nodes: set[int] = set()
-        for u, v, _obj, _bud in self.set_edges:
-            nodes.add(u)
-            nodes.add(v)
-        for u, v in self.drop_edges:
-            nodes.add(u)
-            nodes.add(v)
-        for node, _words in self.set_keywords:
-            nodes.add(node)
+        nodes = {node for edge in self.edges() for node in edge}
+        nodes.update(node for node, _words in self.set_keywords)
         return frozenset(nodes)
 
     def induced(self, mapping: Mapping[int, int]) -> "GraphDelta":

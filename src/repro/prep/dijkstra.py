@@ -19,6 +19,19 @@ tens of thousands of nodes remain tractable.
 Among paths that tie on the primary, the stored path is the one scipy's
 predecessors describe — not the lexicographic ``(primary, secondary)``
 minimum — and its secondary is that path's own.
+
+**Row repair.**  After an edge change, :func:`repair_two_criteria`
+re-sweeps only the source rows the change can move and copies the rest
+— bitwise what a full sweep of the new graph stores, with no tie rule.
+The licence: scipy relaxes on a strict improvement and resets its state
+per source, so when a row's finite distances are pairwise distinct,
+extract-min never chooses between equal keys and each node's
+predecessor is its tight in-neighbour of smallest distance.  Such a row
+is a function of the weighted graph (not of adjacency order or of the
+other sources swept alongside), and it survives an edge change unless
+the edge is in its tree or can now tie or beat a stored distance.  A row
+with two reachable nodes at a bitwise-equal distance is always
+re-swept, over the same CSR a rebuild would sweep.
 """
 
 from __future__ import annotations
@@ -33,6 +46,8 @@ __all__ = [
     "NO_PREDECESSOR",
     "all_pairs_two_criteria",
     "multi_source_two_criteria",
+    "repair_all_pairs",
+    "repair_two_criteria",
     "single_source_two_criteria",
     "sweep_two_criteria",
 ]
@@ -71,31 +86,32 @@ def _secondary_by_pointer_doubling(
     global id of the node preceding ``j`` on the path from ``sources[r]``.
     """
     rows, n = pred.shape
-    cols = np.broadcast_to(np.arange(n, dtype=np.int64), (rows, n))
-
-    # Redirect invalid predecessors (diagonal, unreachable) to the source of
-    # the row, which acts as the absorbing chain terminal with step 0.
+    # Redirect invalid predecessors (the source's own, unreachable nodes)
+    # to the source of the row: the absorbing chain terminal, whose step
+    # is 0 and which points at itself, so repeated jumps add nothing.
     source_col = sources.astype(np.int64)[:, None]
     valid = pred >= 0
-    chain = np.where(valid, pred.astype(np.int64), source_col)
+    chain = np.where(valid, pred, source_col)
+    # One flat gather of ``sec_lookup[chain, j]``; the entries it reads at
+    # invalid predecessors are masked off, not relied on.
+    step = np.where(valid, sec_lookup.ravel()[chain * n + np.arange(n)], 0.0)
 
-    step = np.zeros((rows, n), dtype=np.float64)
-    step[valid] = sec_lookup[chain[valid], cols[valid]]
-    # The terminal must point at itself so repeated jumps add nothing.
-    row_idx = np.arange(rows)
-    chain[row_idx, sources] = sources
-    step[row_idx, sources] = 0.0
-
-    total = step
+    # Jump on the raveled arrays: ``chain`` shifted by each row's offset
+    # indexes ``total`` flat, which is ``take_along_axis`` without its
+    # per-call index broadcasting — the same sums, in the same order.
+    offsets = np.arange(rows, dtype=np.int64)[:, None] * n
+    flat = (chain + offsets).ravel()
+    terminal = source_col + offsets
+    total = step.ravel()
     hops = max(1, int(np.ceil(np.log2(max(n, 2)))))
     for _ in range(hops):
-        total = total + np.take_along_axis(total, chain, axis=1)
-        chain = np.take_along_axis(chain, chain, axis=1)
+        total = total + total[flat]
+        flat = flat[flat]
         # Every chain has reached its source after log2(longest path)
         # rounds; the rest would add the terminal's 0.0.
-        if (chain == source_col).all():
+        if (flat.reshape(rows, n) == terminal).all():
             break
-    return total
+    return total.reshape(rows, n)
 
 
 def sweep_two_criteria(
@@ -122,6 +138,62 @@ def sweep_two_criteria(
     secondary = _secondary_by_pointer_doubling(pred, sources, sec_lookup)
     secondary[~np.isfinite(dist)] = np.inf
     return dist, secondary, pred.astype(np.int32, copy=False)
+
+
+def repair_two_criteria(
+    previous: tuple[np.ndarray, np.ndarray, np.ndarray],
+    weights: csr_matrix,
+    sec_lookup: np.ndarray,
+    changed: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Repair an all-sources sweep after the edges *changed* were re-costed.
+
+    *previous* is ``(primary, secondary, predecessors)`` of
+    :func:`sweep_two_criteria` over every node as a source, on the graph
+    before the change; *weights* and *sec_lookup* describe the graph
+    after it, and *changed* lists every ``(tail, head)`` pair the change
+    set or dropped (re-costed, closed or re-opened; listing a pair whose
+    weights stayed put only costs rows).  Returns the new ``(primary,
+    secondary, predecessors, swept)``: bitwise the full sweep of the new
+    graph (module docstring), where ``swept`` holds the rows that were
+    swept again — those in which
+
+    * a changed edge ``(x, y)`` is in the stored tree (``pred[s, y] ==
+      x``): an increase, a drop, a secondary-only re-cost;
+    * the new ``dist[s, x] + w(x, y)`` is finite and ``<= dist[s, y]``: a
+      decrease or a re-opened edge that ties or beats the stored path;
+    * two reachable nodes sit at a bitwise-equal distance.
+
+    Every other row is copied, so the previous arrays are never written
+    and readers holding them keep a consistent table.
+    """
+    dist, secondary, pred = previous
+    changed = np.asarray(changed, dtype=np.int64).reshape(-1, 2)
+    if not len(changed):
+        # Nothing set or dropped: the same CSR, so a sweep stores the same.
+        return dist, secondary, pred, np.empty(0, dtype=np.int64)
+    tails, heads = changed[:, 0], changed[:, 1]
+    # A pair missing from the new CSR reads 0, which no edge weighs.
+    stored = np.asarray(weights[tails, heads]).ravel()
+    fresh = np.where(stored > 0, stored, np.inf)
+
+    in_tree = (pred[:, heads] == tails).any(axis=1)
+    candidate = dist[:, tails] + fresh
+    improves = (np.isfinite(candidate) & (candidate <= dist[:, heads])).any(axis=1)
+    stale = in_tree | improves
+    kept = np.flatnonzero(~stale)
+    ordered = np.sort(dist[kept], axis=1)
+    tied = (ordered[:, 1:] == ordered[:, :-1]) & np.isfinite(ordered[:, 1:])
+    stale[kept[tied.any(axis=1)]] = True
+    swept = np.flatnonzero(stale)
+    if not len(swept):
+        return dist, secondary, pred, swept
+    repaired = []
+    for table, rows in zip(previous, sweep_two_criteria(weights, sec_lookup, swept)):
+        table = table.copy()
+        table[swept] = rows
+        repaired.append(table)
+    return (*repaired, swept)
 
 
 def all_pairs_two_criteria(
@@ -159,6 +231,26 @@ def all_pairs_two_criteria(
         )
 
     return prim_out, sec_out, pred_out
+
+
+def repair_all_pairs(
+    graph: SpatialKeywordGraph,
+    previous: tuple[np.ndarray, np.ndarray, np.ndarray],
+    changed: np.ndarray,
+    primary: str = "objective",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`all_pairs_two_criteria` of *graph*, repaired from *previous*.
+
+    *previous* is that function's output on the graph before the edges
+    *changed* were set or dropped; the result is :func:`repair_two_criteria`'s
+    ``(primary, secondary, predecessors, swept)``.
+    """
+    return repair_two_criteria(
+        previous,
+        _csr_weight_matrix(graph, primary),
+        _dense_secondary_lookup(graph, primary),
+        changed,
+    )
 
 
 def multi_source_two_criteria(

@@ -39,12 +39,16 @@ are the ``k`` border nodes and whose edges are, per kind,
 
 Every walk of H expands to a walk of the graph with the same two sums,
 and every graph path contracts to an H walk that is no longer — hence
-exact.  :func:`_sweep_overlay` builds H as a ``k x k`` weight pair and
-runs the one two-criteria sweep (:func:`repro.prep.dijkstra.
-sweep_two_criteria`) over it: ``k`` sources on ``k`` nodes instead of on
-``n``, which is what a structural update pays per kind.  A border
-primary is a sum over shortcuts, each itself a sum over edges, so it can
-differ from a full-graph sweep's edge-by-edge sum in its **last ulp**
+exact.  :func:`_overlay` builds H as a ``k x k`` weight pair and the one
+two-criteria sweep (:func:`repro.prep.dijkstra.sweep_two_criteria`) runs
+over it: ``k`` sources on ``k`` nodes instead of on ``n``.  A structural
+update sweeps fewer still (:meth:`PartitionedCostTables.repaired`): H's
+changed edges are the update's cut edges plus the shortcuts of repaired
+cells whose entry moved, and only the border rows those can move are
+swept again — bitwise the full sweep, by the distinct-distance licence of
+:mod:`repro.prep.dijkstra`.  A border primary is a sum over shortcuts,
+each itself a sum over edges, so it can differ from a full-graph sweep's
+edge-by-edge sum in its **last ulp**
 (``allclose``, never bitwise — routes are always re-scored from edges).
 **Ties:** one sweep, scipy ties, everywhere — a cell's tables, a flat
 graph's and H all keep the secondary of the walk their predecessors
@@ -84,7 +88,7 @@ from scipy.sparse import csr_matrix
 
 from repro.exceptions import PrepError
 from repro.graph.digraph import SpatialKeywordGraph
-from repro.prep.dijkstra import reconstruct_path, sweep_two_criteria
+from repro.prep.dijkstra import reconstruct_path, repair_two_criteria, sweep_two_criteria
 from repro.prep.tables import CostTables
 
 __all__ = ["GraphPartition", "partition_graph", "PartitionedCostTables"]
@@ -354,19 +358,20 @@ def _cell_border_layout(
     return positions, tuple(local_index[partition.border_nodes[rows]] for rows in positions)
 
 
-def _sweep_overlay(
+def _overlay(
     graph: SpatialKeywordGraph,
     partition: GraphPartition,
     cell_tables: tuple[CostTables, ...],
     local_index: np.ndarray,
     kind: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Border-to-border ``(primary, secondary, predecessors)``, all k x k.
+) -> tuple[csr_matrix, np.ndarray]:
+    """The overlay **H** of the module docstring for *kind*, as sweep input.
 
-    Assembles the overlay **H** of the module docstring for *kind* — per
-    cell the border-to-border block of its tables, plus every cut edge at
-    its own two weights — and sweeps it from every border node.
-    Predecessors are positions in ``border_nodes``, not node ids.
+    Per cell the border-to-border block of its tables, plus every cut
+    edge at its own two weights: the primary weights as a k x k CSR and
+    the dense secondary lookup of :func:`repro.prep.dijkstra.
+    sweep_two_criteria`, whose predecessors are then positions in
+    ``border_nodes``, not node ids.
     """
     border = partition.border_nodes
     k = len(border)
@@ -395,7 +400,20 @@ def _sweep_overlay(
     edge_tails, edge_heads = np.nonzero(is_edge)
     weights = csr_matrix((primary[is_edge], (edge_tails, edge_heads)), shape=(k, k))
     secondary[~is_edge] = 0.0
-    return sweep_two_criteria(weights, secondary, np.arange(k))
+    return weights, secondary
+
+
+def _changed_shortcuts(
+    rows: np.ndarray, locals_: np.ndarray, old: CostTables, new: CostTables, kind: str
+) -> np.ndarray:
+    """``(tail, head)`` overlay positions of one cell's shortcuts whose
+    primary or secondary differs bitwise between two of its tables."""
+    block = np.ix_(locals_, locals_)
+    old_prim, old_sec = _in_cell_matrices(old, kind)
+    new_prim, new_sec = _in_cell_matrices(new, kind)
+    differs = (old_prim[block] != new_prim[block]) | (old_sec[block] != new_sec[block])
+    tails, heads = np.nonzero(differs)
+    return np.column_stack((rows[tails], rows[heads]))
 
 
 class _RowReader:
@@ -611,13 +629,14 @@ class PartitionedCostTables:
                         "path materialisation needs predecessors=True cells"
                     )
 
-        # One sweep of the k-node overlay per criterion; the border tier
-        # is the shared term between full rebuilds and incremental repair.
-        os_tau, bs_tau, pred_tau = _sweep_overlay(
-            graph, partition, cell_tables, local_index, "tau"
+        # One sweep of the k-node overlay per criterion (``repaired``
+        # re-sweeps only the rows an update can move).
+        sources = np.arange(len(partition.border_nodes))
+        os_tau, bs_tau, pred_tau = sweep_two_criteria(
+            *_overlay(graph, partition, cell_tables, local_index, "tau"), sources
         )
-        bs_sigma, os_sigma, pred_sigma = _sweep_overlay(
-            graph, partition, cell_tables, local_index, "sigma"
+        bs_sigma, os_sigma, pred_sigma = sweep_two_criteria(
+            *_overlay(graph, partition, cell_tables, local_index, "sigma"), sources
         )
         return cls(
             partition=partition,
@@ -630,6 +649,55 @@ class PartitionedCostTables:
             border_pred_tau=pred_tau if predecessors else None,
             border_pred_sigma=pred_sigma if predecessors else None,
         )
+
+    def repaired(
+        self,
+        graph: SpatialKeywordGraph,
+        cell_tables: tuple[CostTables, ...],
+        cut_edges: list[tuple[int, int]],
+    ) -> tuple["PartitionedCostTables", tuple[int, int]]:
+        """These tables after an edge change, the border tier repaired.
+
+        *graph* is the graph after the change, *cell_tables* the cells'
+        tables over it (a cell the change left alone keeps its object) and
+        *cut_edges* the change's set or dropped edges between cells.  The
+        overlay's changed edges are those cut edges plus every shortcut
+        of a replaced cell whose entry moved; only the border rows they
+        can move are swept again (:func:`repro.prep.dijkstra.
+        repair_two_criteria`), so the result is bitwise
+        ``from_graph(graph, partition=..., cell_tables=cell_tables,
+        predecessors=True)``.  Returned with the number of overlay rows
+        swept per kind, ``(tau, sigma)``.  Needs the overlay predecessors.
+        """
+        if not self.has_paths:
+            raise PrepError("repairing the border tier needs its overlay predecessors")
+        part = self.partition
+        cuts = part.border_index[np.asarray(cut_edges, dtype=np.int64).reshape(-1, 2)]
+        if (cuts < 0).any():
+            raise PrepError("the partition's border inventory misses an edge that crosses cells")
+        border, swept = {}, []
+        for kind, names in (
+            ("tau", ("border_os_tau", "border_bs_tau", "border_pred_tau")),
+            ("sigma", ("border_bs_sigma", "border_os_sigma", "border_pred_sigma")),
+        ):
+            changed = [cuts] + [
+                _changed_shortcuts(rows, locals_, old, new, kind)
+                for rows, locals_, old, new in zip(
+                    self._cell_borders, self._cell_border_locals, self.cell_tables, cell_tables
+                )
+                if new is not old
+            ]
+            *arrays, rows = repair_two_criteria(
+                tuple(getattr(self, name) for name in names),
+                *_overlay(graph, part, cell_tables, self.local_index, kind),
+                np.concatenate(changed),
+            )
+            border.update(zip(names, arrays))
+            swept.append(len(rows))
+        tables = type(self)(
+            partition=part, cell_tables=tuple(cell_tables), local_index=self.local_index, **border
+        )
+        return tables, tuple(swept)
 
     # ------------------------------------------------------------------
     # basic protocol

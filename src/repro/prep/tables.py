@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.exceptions import PrepError
 from repro.graph.digraph import SpatialKeywordGraph
-from repro.prep.dijkstra import all_pairs_two_criteria, reconstruct_path
+from repro.prep.dijkstra import all_pairs_two_criteria, reconstruct_path, repair_all_pairs
 
 __all__ = ["CostTables"]
 
@@ -72,6 +72,34 @@ class CostTables:
             pred_tau=pred_tau if predecessors else None,
             pred_sigma=pred_sigma if predecessors else None,
         )
+
+    def repaired(
+        self, graph: SpatialKeywordGraph, changed: np.ndarray
+    ) -> tuple["CostTables", tuple[int, int]]:
+        """These tables after the edges *changed* were set or dropped.
+
+        *graph* is the graph after the change.  Only the source rows the
+        change can move are swept again (:func:`repro.prep.dijkstra.
+        repair_two_criteria`), so the result is bitwise
+        ``from_graph(graph)``; returned with the number of rows swept
+        per family, ``(tau, sigma)``.  Needs the predecessor matrices.
+        """
+        self._require_paths()
+        os_tau, bs_tau, pred_tau, tau_rows = repair_all_pairs(
+            graph, (self.os_tau, self.bs_tau, self.pred_tau), changed, "objective"
+        )
+        bs_sigma, os_sigma, pred_sigma, sigma_rows = repair_all_pairs(
+            graph, (self.bs_sigma, self.os_sigma, self.pred_sigma), changed, "budget"
+        )
+        tables = CostTables(
+            os_tau=os_tau,
+            bs_tau=bs_tau,
+            os_sigma=os_sigma,
+            bs_sigma=bs_sigma,
+            pred_tau=pred_tau,
+            pred_sigma=pred_sigma,
+        )
+        return tables, (len(tau_rows), len(sigma_rows))
 
     def __post_init__(self) -> None:
         n = self.os_tau.shape[0]

@@ -7,8 +7,9 @@ partition, per-cell :class:`~repro.prep.tables.CostTables` and indexes,
 the partitioned border tier and the full-graph inverted index — behind
 the mutation API of :class:`~repro.graph.mutation.GraphMutator` and
 performs **incremental repair**: the partition is the unit of repair, so
-a change confined to cell ``C`` recomputes only ``C``'s tables plus the
-border tier, never the other cells.
+a change confined to cell ``C`` repairs only ``C``'s tables plus the
+border tier, never the other cells — and within those, only the source
+rows the change can move.
 
 What each operation actually invalidates:
 
@@ -20,25 +21,30 @@ keyword change at v    v's cell's subgraph + index, and the full index —
 close/open node v      both of the above (edges and keywords change together)
 =====================  ==========================================================
 
-The border tier is swept again on any structural change — a single
-re-costed edge can reroute any border-to-border leg — but on the
-**overlay** of :mod:`repro.prep.partition`, not on the graph: ``k``
-sources over the ``k`` border nodes, whose edges are the cut edges plus
-each cell's border-to-border shortcut block, read straight from the cell
-tables (the repaired cell's fresh ones, every other cell's resident
-ones).  Border scores are exact; a leg's last ulp and its secondary
-under a primary tie follow the overlay (see that module's docstring).
-What an update pays is therefore what it changed: the named rows of the
-graph and of the touched cells' subgraphs (both derived copy-on-write
-from the delta — :func:`repro.graph.mutation.apply_graph_delta`), the
-repaired cells' all-pairs tables, and the k-node sweep — never the other
-cells' tables, the untouched adjacency rows or an n-node Dijkstra per
-border node (``tests/graph/test_mutation.py::TestRepairLocality`` pins
-which tables a repair rebuilds; the ``sharded_mutating`` rows
-``world.update_p50_ms`` / ``world.rebuild_ms`` of ``benchmarks/e2e`` and
-the README's "What an update costs" show the gap).  Repairing only the
-border sources a changed shortcut can affect is the next step (ROADMAP
-item A).
+A repaired table re-sweeps a source row only when a changed edge is in
+its stored tree, when the edge's new weight ties or beats a stored
+distance, or when the row holds two nodes at a bitwise-equal distance;
+every other row is copied (:func:`repro.prep.dijkstra.
+repair_two_criteria`).  The result is bitwise a rebuild — scores,
+secondaries and predecessors — with no tie rule.  The border tier is
+repaired the same way on the **overlay** of :mod:`repro.prep.partition`,
+not on the graph: ``k`` sources over the ``k`` border nodes, whose edges
+are the cut edges plus each cell's border-to-border shortcut block, read
+straight from the cell tables (the repaired cell's fresh ones, every
+other cell's resident ones); its changed edges are the delta's cut edges
+and the repaired cells' shortcuts whose entry moved.  Border scores are
+exact; a leg's last ulp and its secondary under a primary tie follow the
+overlay (see that module's docstring).  What an update pays is therefore
+what it changed: the named rows of the graph and of the touched cells'
+subgraphs (both derived copy-on-write from the delta —
+:func:`repro.graph.mutation.apply_graph_delta`), the swept rows of the
+repaired cells' tables and of the overlay (``WorldUpdate.swept_rows``) —
+never the other cells' tables, the untouched adjacency rows or an n-node
+Dijkstra per border node (``tests/graph/test_mutation.py::
+TestRepairLocality`` pins which tables and rows a repair sweeps; the
+``sharded_mutating`` rows ``world.update_p50_ms`` / ``world.rebuild_ms``
+of ``benchmarks/e2e`` and the README's "What an update costs" show the
+gap).
 
 The **frozen-partition invariant** makes all of this sound: mutations
 never add nodes or novel edges (closures drop base edges, re-opens
@@ -108,9 +114,11 @@ class WorldUpdate:
     ``refreshed_cells`` lists cells whose subgraph (and possibly index)
     was refreshed for any reason — always a superset of
     ``repaired_cells``.  ``border_rebuilt`` / ``index_rebuilt`` flag the
-    border tier and the full-graph inverted index.  The serving layer
-    turns this receipt into minimal per-shard patches for its execution
-    backend.
+    border tier and the full-graph inverted index.  ``swept_rows`` maps
+    each kind (``"tau"``, ``"sigma"``) to the source rows the repair
+    swept again: ``(cell rows, summed over the repaired cells, overlay
+    rows)``; every other row was copied.  The serving layer turns this
+    receipt into minimal per-shard patches for its execution backend.
     """
 
     epoch: int
@@ -119,6 +127,7 @@ class WorldUpdate:
     refreshed_cells: tuple[int, ...]
     border_rebuilt: bool
     index_rebuilt: bool
+    swept_rows: Mapping[str, tuple[int, int]]
 
 
 class MutableWorld:
@@ -284,37 +293,40 @@ class MutableWorld:
         cell_of = self._partition.cell_of
         repair: set[int] = set()  # cells whose cost tables are stale
         refresh: set[int] = set()  # cells whose subgraph/index are stale
-        for u, v, _obj, _bud in delta.set_edges:
+        cut_edges: list[tuple[int, int]] = []  # the delta's edges between cells
+        for u, v in delta.edges():
             if int(cell_of[u]) == int(cell_of[v]):
                 repair.add(int(cell_of[u]))
-        for u, v in delta.drop_edges:
-            if int(cell_of[u]) == int(cell_of[v]):
-                repair.add(int(cell_of[u]))
+            else:
+                cut_edges.append((u, v))
         for node, _words in delta.set_keywords:
             refresh.add(int(cell_of[node]))
         refresh |= repair
 
         graph = self.graph
         cells = list(self._cells)
+        cell_rows = [0, 0]
         for cell in sorted(refresh):
             old = cells[cell]
             # The delta's in-cell slice, in local ids, applied to the old
             # subgraph: row for row the subgraph the new graph induces
             # (same adjacency order, by apply_graph_delta's own contract).
-            subgraph = apply_graph_delta(old.subgraph, delta.induced(old.to_local))
+            local = delta.induced(old.to_local)
+            subgraph = apply_graph_delta(old.subgraph, local)
+            # Edges unchanged -> the old tables still describe the new
+            # subgraph (same nodes, same edges); otherwise only the rows
+            # the changed edges can move are swept again.
+            tables = old.tables
+            if cell in repair:
+                tables, rows = old.tables.repaired(subgraph, local.edges())
+                cell_rows = [total + count for total, count in zip(cell_rows, rows)]
             cells[cell] = CellState(
                 cell=cell,
                 subgraph=subgraph,
                 to_local=old.to_local,
                 to_global=old.to_global,
-                # Edges unchanged -> the old tables still describe the new
-                # subgraph (same nodes, same edges); keywords unchanged ->
-                # the old postings still describe it.
-                tables=(
-                    CostTables.from_graph(subgraph, predecessors=True)
-                    if cell in repair
-                    else old.tables
-                ),
+                tables=tables,
+                # Keywords unchanged -> the old postings still describe it.
                 index=(
                     InvertedIndex.from_graph(subgraph)
                     if any(int(cell_of[node]) == cell for node, _ in delta.set_keywords)
@@ -324,16 +336,15 @@ class MutableWorld:
         self._cells = tuple(cells)
 
         border_rebuilt = delta.structural
+        overlay_rows = (0, 0)
         if border_rebuilt:
-            # Any edge change can reroute any border-to-border leg, so the
-            # tier is swept again — on the k-node overlay, whose shortcut
-            # blocks are read from *reused* cell tables for every cell
-            # outside the repair set.
-            self._tables = PartitionedCostTables.from_graph(
-                graph,
-                partition=self._partition,
-                cell_tables=tuple(state.tables for state in self._cells),
-                predecessors=True,
+            # Any edge change can reroute a border-to-border leg: the tier
+            # is repaired on the k-node overlay, whose shortcut blocks are
+            # read from *reused* cell tables for every cell outside the
+            # repair set, re-sweeping the border rows a changed cut edge
+            # or shortcut can move.
+            self._tables, overlay_rows = self._tables.repaired(
+                graph, tuple(state.tables for state in self._cells), cut_edges
             )
 
         index_rebuilt = bool(delta.set_keywords)
@@ -352,4 +363,8 @@ class MutableWorld:
             refreshed_cells=tuple(sorted(refresh)),
             border_rebuilt=border_rebuilt,
             index_rebuilt=index_rebuilt,
+            swept_rows={
+                kind: (cell, overlay)
+                for kind, cell, overlay in zip(("tau", "sigma"), cell_rows, overlay_rows)
+            },
         )

@@ -194,8 +194,8 @@ class TestInducedDelta:
 class TestRepairLocality:
     def test_intra_cell_recost_repairs_one_cell_of_eight(self):
         """Why repair beats a rebuild: re-costing an edge inside cell ``c``
-        rebuilds ``c``'s tables and sweeps the border tier, and every other
-        cell keeps its table object.  The cost of the two paths is the e2e
+        repairs ``c``'s tables and the border tier, and every other cell
+        keeps its table object.  The cost of the two paths is the e2e
         ``sharded_mutating`` rows ``world.update_p50_ms`` / ``world.rebuild_ms``."""
         from repro.graph.generators import grid_graph
         from repro.world import MutableWorld
@@ -219,6 +219,39 @@ class TestRepairLocality:
         for d, state in enumerate(world.cells):
             if d != c:
                 assert state.tables is before[d]
+
+    def test_a_recost_resweeps_only_the_rows_whose_tree_uses_the_edge(self):
+        """Within the repaired cell, rows are the unit: raising an edge's
+        weights on a road graph (no two nodes of a row at one distance)
+        sweeps exactly the sources whose stored tree runs through the edge
+        — never the edge head's own row, so fewer rows than the cell has —
+        and copies the rest."""
+        from repro.datasets import RoadConfig, build_road_graph
+        from repro.world import MutableWorld
+
+        from tests.properties.test_repair_properties import assert_repair_equals_rebuild
+
+        world = MutableWorld(build_road_graph(RoadConfig(num_nodes=150, seed=7)), num_cells=3)
+        cell_of = world.partition.cell_of
+        u, v, objective, budget = next(
+            (u, v, obj, bud)
+            for u in range(world.graph.num_nodes)
+            for v, obj, bud in world.graph.out_edges(u)
+            if cell_of[u] == cell_of[v]
+        )
+        state = world.cells[int(cell_of[u])]
+        lu, lv = state.to_local[u], state.to_local[v]
+        users = {
+            kind: int((pred[:, lv] == lu).sum())
+            for kind, pred in (("tau", state.tables.pred_tau), ("sigma", state.tables.pred_sigma))
+        }
+
+        update = world.update_edge_cost(u, v, objective=2 * objective, budget=2 * budget)
+
+        for kind, (cell_rows, overlay_rows) in update.swept_rows.items():
+            assert 0 < cell_rows == users[kind] < len(state.to_global), kind
+            assert overlay_rows < len(world.partition.border_nodes), kind
+        assert_repair_equals_rebuild(world)
 
 
 class TestGraphMutator:

@@ -29,6 +29,7 @@ from repro.service.cache import ResultCache
 from repro.service.faults import FaultPlan, FaultRule, injected
 from repro.world import MutableWorld
 
+from tests.properties.test_repair_properties import assert_repair_equals_rebuild
 from tests.service.test_differential import (
     KEYWORD_POOL,
     WEIGHTS,
@@ -225,8 +226,10 @@ def test_convenience_methods_equal_wire_ops(service_backend):
 
 def test_world_level_incremental_repair_equals_rebuild():
     """``MutableWorld`` repair bookkeeping: repaired/refreshed cells are
-    reported, the epoch counts batches, and the repaired tables match a
-    from-scratch build on the same partition."""
+    reported, the epoch counts batches, and the repaired tables — all six
+    cell arrays and all six border arrays, secondaries and predecessors
+    included — equal a from-scratch build on the same partition bit for
+    bit."""
     engine, _ = random_instance(1)
     world = MutableWorld(engine.graph, num_cells=2, seed=0)
     ops = mutation_sequence(engine.graph, 9)
@@ -238,12 +241,7 @@ def test_world_level_incremental_repair_equals_rebuild():
     rebuilt = world.rebuilt()
     assert rebuilt.epoch == 0
     assert rebuilt.partition is world.partition
-    for cell in range(world.num_cells):
-        lhs, rhs = world.cells[cell].tables, rebuilt.cells[cell].tables
-        assert (lhs.os_tau == rhs.os_tau).all()
-        assert (lhs.bs_sigma == rhs.bs_sigma).all()
-    assert (world.tables.border_os_tau == rebuilt.tables.border_os_tau).all()
-    assert (world.tables.border_bs_sigma == rebuilt.tables.border_bs_sigma).all()
+    assert_repair_equals_rebuild(world)
 
 
 class TestUpdateWhileServing:
