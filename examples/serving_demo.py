@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Serving demo: batched, cached, concurrent KOR over a Flickr-like city.
+"""Serving demo: batched, cached KOR over a Flickr-like city.
 
 Simulates the workload the paper's query logs motivate — a stream of
 trip-planning queries with heavy keyword and whole-query repetition —
@@ -7,7 +7,7 @@ and serves it three ways:
 
 1. the baseline: one ``KOREngine.run`` per query, no reuse;
 2. a cold ``QueryService`` batch: in-batch dedup, one shared
-   candidate-set pass over the inverted index, thread-pool fan-out;
+   candidate-set pass over the inverted index per wave;
 3. the same stream again on the warm cache.
 
 Run:  PYTHONPATH=src python examples/serving_demo.py
@@ -54,12 +54,12 @@ def main():
 
     service = QueryService(engine, cache_capacity=1024)
     begin = time.perf_counter()
-    results = service.run_batch(stream, algorithm="bucketbound", workers=4)
+    results = service.run_batch(stream, algorithm="bucketbound")
     cold = time.perf_counter() - begin
     print(f"service, cold batch: {cold * 1000:8.1f} ms")
 
     begin = time.perf_counter()
-    service.run_batch(stream, algorithm="bucketbound", workers=4)
+    service.run_batch(stream, algorithm="bucketbound")
     warm = time.perf_counter() - begin
     print(f"service, warm batch: {warm * 1000:8.1f} ms "
           f"({sequential / warm:.0f}x the sequential loop)\n")

@@ -9,8 +9,8 @@ Walks through the full ShardedQueryService story:
    global engine anywhere;
 2. show the routing rule at work — which queries get a cell-local
    attempt, which go straight to the cross-cell assembly, and why;
-3. run the same batch on all three execution backends (serial, thread
-   pool, process pool) and compare wall clock;
+3. run the same batch on both execution backends (serial: waves inline;
+   process: warm-pinned worker lanes) and compare wall clock;
 4. read the per-shard task counters and scatter-merge wins off the
    service stats.
 
@@ -24,12 +24,7 @@ from repro.datasets.flickr import FlickrConfig, build_flickr_graph
 from repro.datasets.photos import PhotoStreamConfig
 from repro.datasets.queries import QuerySetConfig, generate_query_set
 from repro.prep.partition import PartitionedCostTables
-from repro.service import (
-    ProcessBackend,
-    SerialBackend,
-    ShardedQueryService,
-    ThreadBackend,
-)
+from repro.service import ProcessBackend, SerialBackend, ShardedQueryService
 
 
 def build_city():
@@ -76,14 +71,13 @@ def main():
 
     backends = (
         ("serial ", SerialBackend()),
-        ("threads", ThreadBackend(workers=4)),
-        ("procs  ", ProcessBackend(workers=4)),
+        ("process", ProcessBackend(workers=2)),
     )
     for name, backend in backends:
         svc = ShardedQueryService(graph, backend=backend, cache_capacity=0)
         svc.run_batch(batch[:4], algorithm="bucketbound")  # warm pools/engines
         begin = time.perf_counter()
-        results = svc.run_batch(batch, algorithm="bucketbound", workers=4)
+        results = svc.run_batch(batch, algorithm="bucketbound")
         wall = time.perf_counter() - begin
         feasible = sum(result.feasible for result in results)
         print(
@@ -91,7 +85,7 @@ def main():
             f"({len(batch) / wall:6.0f} qps, {feasible}/{len(batch)} feasible)"
         )
         backend.close()
-    print("\n(on a single-CPU box the pools cannot beat serial — the point of\n"
+    print("\n(on a single-CPU box the lanes cannot beat serial — the point of\n"
           " the process pool is multi-core batch fan-out past the GIL)\n")
 
     service.run_batch(batch, algorithm="bucketbound")

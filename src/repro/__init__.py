@@ -62,7 +62,6 @@ from repro.service import (
     SerialBackend,
     ServiceStats,
     ShardedQueryService,
-    ThreadBackend,
     canonical_cache_key,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "ServiceStats",
     "ShardedQueryService",
     "SpatialKeywordGraph",
-    "ThreadBackend",
     "StorageError",
     "Vocabulary",
     "branch_and_bound",

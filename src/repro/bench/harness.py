@@ -125,7 +125,6 @@ def run_service_query_set(
     service,
     queries: list[KORQuery],
     algorithm: str,
-    workers: int | None = None,
     **params,
 ) -> ServiceRunSummary:
     """Serve *queries* as one batch through a ``QueryService``.
@@ -135,7 +134,7 @@ def run_service_query_set(
     misses — so a ``RunSummary`` of a warm service shows what repeat
     traffic actually costs.
     """
-    report = service.execute(queries, algorithm=algorithm, workers=workers, **params)
+    report = service.execute(queries, algorithm=algorithm, **params)
     outcomes = []
     for item in report.items:
         if not item.ok:

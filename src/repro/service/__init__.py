@@ -39,7 +39,8 @@ amortise most of that work.  This package adds one:
 ``AsyncQueryService``
     The request-shaped asyncio tier (:mod:`repro.service.frontend`):
     ``await service.submit(query)`` coalesces duplicate in-flight
-    requests (single-flight on the cache's canonical key), aggregates
+    requests (the stack's one single-flight table, keyed by the cache's
+    canonical key), aggregates
     concurrent awaiters into one micro-batched ``execute`` wave, and
     supports per-request timeouts whose cancellation propagates down to
     undispatched shard tasks.  Wraps either sync service; results are
@@ -50,9 +51,9 @@ amortise most of that work.  This package adds one:
     one unit of work is the :class:`~repro.service.backends.WaveTask`
     (a single query is a wave of one) and the primitive is futures-based
     — ``submit_wave(task) -> Future[list[TaskOutcome]]`` with bounded
-    in-flight admission (``max_in_flight``).  ``SerialBackend``
-    (reference/debugging), ``ThreadBackend`` (persistent GIL-sharing
-    pool) and ``ProcessBackend`` (**warm-pinned**
+    in-flight admission (``max_in_flight``).  ``SerialBackend`` (the
+    in-process backend and the default: waves run inline on the live
+    engines) and ``ProcessBackend`` (**warm-pinned**
     single-process lanes over picklable
     :class:`~repro.service.backends.EngineHandle` shard state: repeat
     traffic for a shard sticks to the worker that already materialised
@@ -80,7 +81,7 @@ Guarantees (backed by ``tests/service/``):
   than the exact optimum, and ``num_cells=1`` reproduces the flat
   engine exactly.
 * **Backend-deterministic** — the same batch yields byte-identical
-  result lists on serial, thread and process backends, any worker count.
+  result lists on the serial and process backends, any lane count.
 * **Isolated failures** — a query that raises marks only its own slot;
   nothing about it enters the cache, on any backend.
 * **No stale serving** — rebuilding/replacing an engine bumps the cache
@@ -96,7 +97,6 @@ from repro.service.backends import (
     RemoteTaskError,
     SerialBackend,
     TaskOutcome,
-    ThreadBackend,
     WaveTask,
     backend_from_name,
     run_wave_on_engine,
@@ -131,7 +131,6 @@ __all__ = [
     "ShardedQueryService",
     "StatsSnapshot",
     "TaskOutcome",
-    "ThreadBackend",
     "WaveTask",
     "backend_from_name",
     "build_service",

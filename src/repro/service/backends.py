@@ -17,10 +17,6 @@ its own outcome; the future itself only raises for submission-level
 faults (cancellation, a worker that died beyond retry), which the batch
 executor answers by resubmitting the members as waves of one
 (:func:`repro.service.batch.dispatch_waves`).
-:meth:`ExecutionBackend.submit_waves` is the windowed form — submit a
-list, at most ``workers`` unresolved at a time — and
-:meth:`ExecutionBackend.submit_call` is the in-process closure primitive
-the serial and thread backends run their waves on.
 
 Admission is bounded: construct any backend with ``max_in_flight=N`` and
 the (N+1)-th concurrent submission blocks until a slot frees.  The
@@ -30,10 +26,13 @@ exposed (:attr:`~ExecutionBackend.in_flight`,
 :attr:`~ExecutionBackend.admission_waits`) and surface in service
 snapshots as ``queue_depth_peak``.
 
-:class:`SerialBackend` and :class:`ThreadBackend` execute waves in the
-calling process, on the live engines behind the registered handles.
-:class:`ProcessBackend` executes them out of process — and is
-**warm-pinned**: instead of one anonymous pool it keeps ``workers``
+:class:`SerialBackend` executes waves inline, in the calling thread, on
+the live engines behind the registered handles; concurrency in process
+comes from concurrent callers (the async front end's executor threads).
+There is no thread-pool backend: the label searches hold the GIL, so a
+pool cannot run two waves at once, and it measured slower than inline on
+every batch shape tried.  :class:`ProcessBackend` executes waves out of
+process — and is **warm-pinned**: instead of one anonymous pool it keeps ``workers``
 single-process *lanes* and remembers which lane first served each shard,
 so repeat traffic for a cell lands on the worker that already
 materialised that cell's engine.  Worker-side, engines live in a
@@ -67,16 +66,13 @@ import os
 import pickle
 import threading
 import time
-from abc import ABC
+from abc import ABC, abstractmethod
 from collections import OrderedDict
 from concurrent.futures import (
-    FIRST_COMPLETED,
     CancelledError,
     Future,
     InvalidStateError,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -101,13 +97,13 @@ __all__ = [
     "RemoteTaskError",
     "SerialBackend",
     "TaskOutcome",
-    "ThreadBackend",
     "WaveTask",
     "backend_from_name",
     "run_wave_on_engine",
 ]
 
-#: Fan-out width when the caller does not pick one.
+#: Process-lane count :class:`~repro.service.config.ServiceConfig` asks
+#: for when the caller does not pick one.
 DEFAULT_WORKERS = 4
 
 #: How much deeper a pinned lane's queue may run than the least-loaded
@@ -532,21 +528,21 @@ def _worker_ping(_: int) -> bool:
 class ExecutionBackend(ABC):
     """Strategy for executing serving-layer work.
 
-    The primitive is :meth:`submit_wave` (:meth:`submit_waves` is its
-    windowed list form); waves name their engine by shard key, so the
-    engine must first be made known via :meth:`register`.  ``in_process``
-    backends run waves on the live registered engines and additionally
-    accept closures (:meth:`submit_call`); out-of-process backends only
-    accept :class:`WaveTask` work.
+    The primitive is :meth:`submit_wave`; waves name their engine by
+    shard key, so the engine must first be made known via
+    :meth:`register`.  ``in_process`` backends run waves on the live
+    registered engines; out-of-process backends run them on worker-side
+    copies.
 
     ``max_in_flight`` bounds concurrent submissions: the backend admits
     at most that many unresolved futures, blocking further
-    ``submit_*`` calls until one completes.
+    ``submit_wave`` calls until one completes.
     """
 
     #: Stable name used by benchmarks, stats and ``backend_from_name``.
     name: str = "?"
-    #: Whether closures sharing parent memory can run on this backend.
+    #: Whether waves run on the live engines, sharing parent memory (a
+    #: caller's ``trace`` sink is only filled then).
     in_process: bool = True
 
     def __init__(self, max_in_flight: int | None = None) -> None:
@@ -628,12 +624,6 @@ class ExecutionBackend(ABC):
             )
         )
 
-    def _run_wave_one(self, task: WaveTask) -> list[TaskOutcome]:
-        handle = self._handles.get(task.shard)
-        if handle is None:
-            return self._unregistered(task)
-        return run_wave_on_engine(handle.engine(), task)
-
     # -- admission -----------------------------------------------------
     @property
     def max_in_flight(self) -> int | None:
@@ -682,15 +672,10 @@ class ExecutionBackend(ABC):
         future.add_done_callback(self._release_slot)
         return future
 
-    # -- submission primitives -----------------------------------------
+    # -- submission ----------------------------------------------------
+    @abstractmethod
     def _submit_wave(self, task: WaveTask) -> Future:
-        """Backend-specific wave submission (no admission control).
-
-        The in-process default executes :func:`run_wave_on_engine` on the
-        backend's own closure machinery; :class:`ProcessBackend`
-        overrides this to dispatch the picklable wave through its lanes.
-        """
-        return self._submit_call(self._run_wave_one, task)
+        """Backend-specific wave submission (no admission control)."""
 
     def submit_wave(self, task: WaveTask) -> Future:
         """Submit one wave, returning a ``Future[list[TaskOutcome]]``.
@@ -705,57 +690,6 @@ class ExecutionBackend(ABC):
         reached.
         """
         return self._admitted(lambda: self._submit_wave(task))
-
-    def _submit_call(self, fn: Callable, *args) -> Future:
-        """Backend-specific closure submission (in-process backends)."""
-        raise QueryError(
-            f"{type(self).__name__} cannot execute in-process closures; "
-            "submit WaveTask work via submit_wave() instead"
-        )
-
-    def submit_call(self, fn: Callable, *args) -> Future:
-        """Submit an in-process closure, returning its ``Future``.
-
-        Out-of-process backends raise :class:`QueryError` — closures
-        cannot cross the process boundary; describe the work as
-        :class:`WaveTask` objects instead.
-        """
-        if not self.in_process:
-            raise QueryError(
-                f"{type(self).__name__} cannot execute in-process closures; "
-                "submit WaveTask work via submit_wave() instead"
-            )
-        return self._admitted(lambda: self._submit_call(fn, *args))
-
-    # -- windowed submission (shared across backends) -------------------
-    def _parallel_limit(self, workers: int | None) -> int | None:
-        """Effective per-call submission window (None = unbounded)."""
-        if workers is not None and workers < 1:
-            raise QueryError(f"workers must be >= 1, got {workers}")
-        return workers
-
-    def submit_waves(
-        self, tasks: Sequence[WaveTask], workers: int | None = None
-    ) -> list[Future]:
-        """Submit every wave, at most ``workers`` unresolved at a time.
-
-        Returns the futures in submission order.  ``workers`` narrows
-        the window below what the backend would run concurrently anyway
-        (a thread pool's width; a process pool ignores it — lane count
-        is fixed at construction).
-        """
-        limit = self._parallel_limit(workers)
-        if limit is None or limit >= len(tasks):
-            return [self.submit_wave(task) for task in tasks]
-        futures: list[Future] = []
-        pending: set[Future] = set()
-        for task in tasks:
-            if len(pending) >= limit:
-                _done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            future = self.submit_wave(task)
-            futures.append(future)
-            pending.add(future)
-        return futures
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -776,72 +710,29 @@ class ExecutionBackend(ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """Everything in the calling thread — the reference implementation.
+    """Every wave inline, in the calling thread — the in-process backend.
 
-    Useful as the determinism baseline and for debugging (tracebacks
-    point straight at the failing query).  ``submit_wave`` executes the
-    wave *during submission* and returns an already-resolved future.
+    ``submit_wave`` executes the wave *during submission* on the live
+    registered engine and returns an already-resolved future, so
+    tracebacks point straight at the failing query.  Concurrent callers
+    (the async front end's executor threads) each run their own waves;
+    ``max_in_flight`` then blocks the callers beyond the bound.
     """
 
     name = "serial"
     in_process = True
 
-    def _submit_call(self, fn: Callable, *args) -> Future:
+    def _submit_wave(self, task: WaveTask) -> Future:
         future: Future = Future()
+        handle = self._handles.get(task.shard)
         try:
-            future.set_result(fn(*args))
+            if handle is None:
+                future.set_result(self._unregistered(task))
+            else:
+                future.set_result(run_wave_on_engine(handle.engine(), task))
         except BaseException as error:  # noqa: BLE001 - surfaces via future
             future.set_exception(error)
         return future
-
-
-class ThreadBackend(ExecutionBackend):
-    """``ThreadPoolExecutor`` fan-out — PR 1's concurrency, as a backend.
-
-    Threads share the parent's engines directly (no pickling), which
-    makes this the cheapest concurrent backend for I/O-ish or
-    numpy-heavy work, but CPU-bound pure-python search loops still share
-    the GIL; see :class:`ProcessBackend` for those.
-
-    The pool is persistent (created lazily at first submission, sized
-    ``workers``) so submitted futures survive between calls — the
-    property the async front-end builds on.  A per-call ``workers``
-    argument on :meth:`submit_waves` narrows the submission window
-    below the pool width; it cannot widen the pool.
-    """
-
-    name = "thread"
-    in_process = True
-
-    def __init__(self, workers: int = DEFAULT_WORKERS, max_in_flight: int | None = None) -> None:
-        super().__init__(max_in_flight=max_in_flight)
-        if workers < 1:
-            raise QueryError(f"thread backend workers must be >= 1, got {workers}")
-        self._workers = workers
-        self._executor: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._workers,
-                    thread_name_prefix="repro-backend",
-                )
-            return self._executor
-
-    def _parallel_limit(self, workers: int | None) -> int | None:
-        limit = super()._parallel_limit(workers)
-        return limit if limit is not None else self._workers
-
-    def _submit_call(self, fn: Callable, *args) -> Future:
-        return self._pool().submit(fn, *args)
-
-    def close(self) -> None:
-        with self._pool_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
 
 
 @dataclass
@@ -895,9 +786,7 @@ class ProcessBackend(ExecutionBackend):
     once (a ``dead_worker_fallbacks`` count); the retry prefers the
     rebuilt pin, whose fresh worker rebuilds the engine on demand.
 
-    ``workers=None`` sizes the lane count to the machine.  The per-call
-    ``workers`` argument of :meth:`submit_waves` is ignored (lane count is
-    fixed at construction).
+    ``workers=None`` sizes the lane count to the machine.
     """
 
     name = "process"
@@ -1208,11 +1097,6 @@ class ProcessBackend(ExecutionBackend):
         else:
             _try_resolve(outer, inner.result(), None)
 
-    def _parallel_limit(self, workers: int | None) -> int | None:
-        # Lane count is fixed at construction; the per-call argument is
-        # accepted for interface compatibility and ignored.
-        return None
-
     # -- introspection -------------------------------------------------
     def pin_stats(self) -> dict[str, int]:
         """Parent-side warm-pinning counters (see class docstring)."""
@@ -1281,19 +1165,14 @@ def backend_from_name(
 ) -> ExecutionBackend:
     """Build a backend from its :attr:`~ExecutionBackend.name`.
 
-    Recognised names: ``serial``, ``thread``, ``process``.  This is what
-    the test suite and CI matrix use to honour the ``REPRO_BACKEND``
-    environment variable.
+    Recognised names: ``serial`` (``workers`` is ignored: waves run
+    inline) and ``process`` (``workers`` lanes).  This is what the test
+    suite and CI matrix use to honour the ``REPRO_BACKEND`` environment
+    variable.
     """
     normalized = name.strip().lower()
     if normalized == "serial":
         return SerialBackend(**kwargs)
-    if normalized == "thread":
-        return ThreadBackend(
-            workers=workers if workers is not None else DEFAULT_WORKERS, **kwargs
-        )
     if normalized == "process":
         return ProcessBackend(workers=workers, **kwargs)
-    raise QueryError(
-        f"unknown execution backend {name!r}; expected serial, thread or process"
-    )
+    raise QueryError(f"unknown execution backend {name!r}; expected serial or process")

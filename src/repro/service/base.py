@@ -44,8 +44,8 @@ from repro.service.backends import (
     EngineHandle,
     ExecutionBackend,
     PartPatch,
+    SerialBackend,
     TaskOutcome,
-    ThreadBackend,
 )
 from repro.service.batch import (
     BatchItem,
@@ -119,28 +119,23 @@ class RoutedService:
     """Cached, routed, backend-executed serving over a mutable world.
 
     ``backend=None`` resolves here, once, to a
-    :class:`~repro.service.backends.ThreadBackend` of ``default_workers``
-    threads that the service owns (``close()`` closes it); a
-    caller-supplied backend is shared, not owned.  ``engine``, when
-    given, is served as the one cell's engine until the first update
-    (the flat tier's own engine object).
+    :class:`~repro.service.backends.SerialBackend` that the service owns
+    (``close()`` closes it); a caller-supplied backend is shared, not
+    owned.  ``engine``, when given, is served as the one cell's engine
+    until the first update (the flat tier's own engine object).
     """
 
     def __init__(
         self,
         world: MutableWorld,
         cache_capacity: int,
-        default_workers: int,
         backend: ExecutionBackend | None,
         max_cached_route_nodes: int | None,
         wave_size: int | None,
         engine: KOREngine | None = None,
     ) -> None:
-        if default_workers < 1:
-            raise QueryError(f"default_workers must be >= 1, got {default_workers}")
         self._owns_backend = backend is None
-        self._backend = backend if backend is not None else ThreadBackend(default_workers)
-        self._default_workers = default_workers
+        self._backend = backend if backend is not None else SerialBackend()
         self._cache = ResultCache(cache_capacity, max_route_nodes=max_cached_route_nodes)
         self._stats = ServiceStats()
         self._update_lock = threading.Lock()
@@ -509,47 +504,27 @@ class RoutedService:
         deadline: Deadline | None = None,
         **params,
     ) -> KORResult:
-        """Answer a pre-built query: a batch of one, sharing all paths.
+        """Answer a pre-built query: ``execute([query])``, returning the
+        slot's result or raising its error.
 
-        Cacheable submissions are single-flight protected: concurrent
-        identical misses fold into one wave, with the waiters served the
-        leader's (already cached) result.  Calls carrying uncacheable
-        parameters (``trace``, see
+        Calls carrying uncacheable parameters (``trace``, see
         :data:`repro.service.cache.UNCACHEABLE_PARAMS`) bypass the cache
         in both directions.  ``deadline`` travels out-of-band: it bounds
         the wave but never enters the cache key, so a search that
         outlives it fails with :class:`~repro.exceptions.DeadlineExceeded`
-        and caches nothing.
+        and caches nothing.  Concurrent identical requests are coalesced
+        by the async front end
+        (:class:`~repro.service.frontend.AsyncQueryService`), not here.
         """
-        begin = time.perf_counter()
-        cacheable, keys = batch_keys([query], algorithm, dict(params))
-
-        def compute() -> KORResult:
-            item = self.execute([query], algorithm=algorithm, deadline=deadline, **params).items[0]
-            if item.error is not None:
-                raise item.error
-            return item.result
-
-        if not cacheable:
-            return compute()
-        # The leader's execute() writes the cache (epoch-guarded);
-        # get_or_compute only adds the coalescing.
-        result, how = self._cache.get_or_compute(keys[0], compute)
-        if how != "computed":
-            # The leader's stats were recorded inside execute(); hits
-            # and coalesced waiters are accounted here instead.
-            elapsed = time.perf_counter() - begin
-            if how == "coalesced":
-                self._stats.record_coalesced()
-            self._stats.record_query(elapsed, cached=True)
-            self._stats.record_busy(elapsed)
-        return result
+        item = self.execute([query], algorithm=algorithm, deadline=deadline, **params).items[0]
+        if item.error is not None:
+            raise item.error
+        return item.result
 
     def run_batch(
         self,
         queries: Sequence[KORQuery],
         algorithm: str = "bucketbound",
-        workers: int | None = None,
         deadline: Deadline | None = None,
         **params,
     ) -> list[KORResult]:
@@ -558,19 +533,12 @@ class RoutedService:
         Raises :class:`repro.service.batch.BatchError` (carrying the full
         report) when any slot failed.
         """
-        return self.execute(
-            queries,
-            algorithm=algorithm,
-            workers=workers,
-            deadline=deadline,
-            **params,
-        ).results()
+        return self.execute(queries, algorithm=algorithm, deadline=deadline, **params).results()
 
     def execute(
         self,
         queries: Sequence[KORQuery],
         algorithm: str = "bucketbound",
-        workers: int | None = None,
         deadline: Deadline | None = None,
         **params,
     ) -> BatchReport:
@@ -581,9 +549,9 @@ class RoutedService:
         backend work: its cell attempt (when the plan addresses a cell)
         *and*, with more than one cell, its cross-cell attempt,
         concurrently; feasible outcomes merge by objective score, ties
-        preferring the cell.  Slot order is submission order regardless
-        of ``workers`` or backend; one failing query marks only its own
-        slot and nothing about it is cached.
+        preferring the cell.  Slot order is submission order on every
+        backend; one failing query marks only its own slot and nothing
+        about it is cached.
 
         ``deadline`` (out-of-band, never in cache keys) bounds every
         attempt.  When the cross-cell attempt dies (deadline, injected
@@ -621,7 +589,7 @@ class RoutedService:
                 # trace.
                 raise QueryError(
                     "'trace' cannot cross the process boundary: run traced queries "
-                    "on an in-process backend (serial/thread) or engine.run()"
+                    "on the serial backend or engine.run()"
                 )
         begin = time.perf_counter()
         queries = list(queries)
@@ -643,13 +611,7 @@ class RoutedService:
                 if crosscell is not None:
                     attempts.append((crosscell.key, unit.query))
                     owners.append((position, False))
-            outcomes = self._scatter(
-                attempts,
-                algorithm,
-                params,
-                deadline,
-                workers=workers if workers is not None else self._default_workers,
-            )
+            outcomes = self._scatter(attempts, algorithm, params, deadline)
 
             cell_outcomes: dict[int, TaskOutcome] = {}
             cross_outcomes: dict[int, TaskOutcome] = {}
@@ -685,7 +647,6 @@ class RoutedService:
         algorithm: str,
         params: dict,
         deadline: Deadline | None,
-        workers: int | None,
     ) -> list[TaskOutcome]:
         """Dispatch the scatter plan; outcomes return in attempt order.
 
@@ -706,7 +667,6 @@ class RoutedService:
             params,
             deadline,
             self._wave_controller.wave_size,
-            workers=workers,
             stats=self._stats,
         )
         for (shard, _query), outcome in zip(attempts, outcomes):
@@ -736,9 +696,9 @@ class RoutedService:
         authoritative, so its waves never degrade.
         """
         # Attempt seconds are summed: that is the compute the query cost,
-        # and on a serial (or saturated) backend also its wall clock.  On
-        # a concurrent backend the attempts overlap, so batch wall time
-        # is tracked separately by BatchReport.wall_seconds.
+        # and on the serial (or a saturated) backend also its wall clock.
+        # On process lanes the attempts overlap, so batch wall time is
+        # tracked separately by BatchReport.wall_seconds.
         unit.latency_seconds = sum(
             outcome.latency_seconds for outcome in (cell, cross) if outcome is not None
         )

@@ -18,8 +18,7 @@ these:
    wave, then the members one after another through ``engine.run``.  A
    batch of one is a wave of one; ``wave_size=1`` is per-query dispatch;
 3. results land back in their slots (:class:`BatchReport`), so the
-   report's order is the submission order no matter how many workers
-   raced.
+   report's order is the submission order on every backend.
 
 A slot whose computation raises is reported through its
 :class:`BatchItem.error`; nothing about it enters the cache and no other
@@ -282,7 +281,6 @@ def dispatch_waves(
     params: dict,
     deadline: Deadline | None,
     wave_size: int,
-    workers: int | None = None,
     stats=None,
 ) -> list[TaskOutcome]:
     """Run every ``(shard key, query)`` attempt; outcomes in attempt order.
@@ -290,13 +288,13 @@ def dispatch_waves(
     The sync service's one dispatch path.  Attempts are grouped by
     shard key, every group is chunked by *wave_size*, and each chunk
     ships as one :class:`~repro.service.backends.WaveTask` through
-    ``backend.submit_waves`` (``workers`` narrows the submission window)
-    — a lone attempt is a wave of one.  Member-level failures arrive
-    inside the wave's outcome list; a multi-member wave whose
-    *submission* broke (future raised, was cancelled, or resolved to
-    something that is not one outcome per member) is resubmitted as
-    waves of one, and a wave of one whose submission broke reports that
-    error as its member's outcome.
+    ``backend.submit_wave`` — every wave is submitted before any is
+    awaited, so process lanes run them side by side; a lone attempt is a
+    wave of one.  Member-level failures arrive inside the wave's outcome
+    list; a multi-member wave whose *submission* broke (future raised,
+    was cancelled, or resolved to something that is not one outcome per
+    member) is resubmitted as waves of one, and a wave of one whose
+    submission broke reports that error as its member's outcome.
 
     ``stats``, when given, is a :class:`~repro.service.stats.ServiceStats`
     (or anything with ``record_wave`` / ``record_wave_solo``) receiving
@@ -334,7 +332,8 @@ def dispatch_waves(
             for chunk in chunks
         ]
         broken: list[tuple[list[int], Exception]] = []
-        for chunk, future in zip(chunks, backend.submit_waves(waves, workers=workers)):
+        futures = [backend.submit_wave(wave) for wave in waves]
+        for chunk, future in zip(chunks, futures):
             try:
                 members = future.result()
                 if not isinstance(members, list) or len(members) != len(chunk):

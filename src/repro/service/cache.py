@@ -25,16 +25,10 @@ every entry.  Readers and writers capture the epoch when a computation
 against the old engine is silently discarded instead of poisoning the
 new epoch with a stale route.
 
-The store is a plain ``OrderedDict`` LRU guarded by a lock so batch
-workers can probe it concurrently.
-
-The cache also hosts the serving layer's **single-flight** table
-(:meth:`ResultCache.get_or_compute`): concurrent identical misses — same
-canonical key, different threads — fold into *one* computation, with the
-waiters handed the leader's result (or its exception) instead of
-recomputing.  The async front-end reuses the very same key for its own
-awaiter coalescing, so "one key, at most one computation in flight" is
-one invariant across the whole stack.
+The store is a plain ``OrderedDict`` LRU guarded by a lock so
+concurrent ``execute`` calls can probe it.  Concurrent identical misses
+are coalesced one level up, by the async front end's flight table, which
+is keyed by the very same canonical key.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping
+from typing import Hashable, Mapping
 
 from repro.core.query import KORQuery
 from repro.core.results import KORResult
@@ -121,9 +115,6 @@ class CacheStats:
     stale_writes: int = 0
     #: Times :meth:`ResultCache.invalidate` wiped the store.
     invalidations: int = 0
-    #: ``get_or_compute`` callers served off another caller's in-flight
-    #: computation instead of computing themselves (single-flight).
-    coalesced: int = 0
 
     @property
     def lookups(self) -> int:
@@ -134,17 +125,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         """Hits per probe, 0.0 when never probed."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-
-class _InFlight:
-    """One computation other callers of the same key can wait on."""
-
-    __slots__ = ("done", "result", "error")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.result: KORResult | None = None
-        self.error: BaseException | None = None
 
 
 class ResultCache:
@@ -171,7 +151,6 @@ class ResultCache:
         self._epoch = 0
         self._lock = threading.Lock()
         self._stats = CacheStats()
-        self._in_flight: dict[Hashable, _InFlight] = {}
 
     @property
     def capacity(self) -> int:
@@ -221,9 +200,8 @@ class ResultCache:
         """The current epoch's result under *key*, counted only if found.
 
         For a caller that falls through to :meth:`get` on a miss (the
-        async front-end ahead of ``execute``, :meth:`get_or_compute`
-        ahead of its *compute*): that later probe counts the miss, so a
-        request still moves ``hits + misses`` by one.  ``epoch`` follows
+        async front-end ahead of ``execute``): that later probe counts
+        the miss, so a request still moves ``hits + misses`` by one.  ``epoch`` follows
         the :meth:`get` contract.  Shares :meth:`invalidate`'s lock: once
         that has returned, no entry of the retired epoch is handed out.
         """
@@ -274,73 +252,6 @@ class ResultCache:
                 _evicted_key, evicted = self._entries.popitem(last=False)
                 self._route_nodes -= _route_size(evicted)
                 self._stats.evictions += 1
-
-    def get_or_compute(
-        self,
-        key: Hashable,
-        compute: Callable[[], KORResult],
-        epoch: int | None = None,
-    ) -> tuple[KORResult, str]:
-        """Serve *key* with single-flight miss protection.
-
-        Probes the cache first; on a miss, exactly one caller per key
-        runs *compute* while concurrent callers of the same key block on
-        its outcome.  Returns ``(result, how)`` with ``how`` one of
-        ``"hit"`` (served from the store), ``"computed"`` (this caller
-        was the leader) or ``"coalesced"`` (another caller's computation
-        answered).  A leader whose *compute* raises propagates the
-        exception to every waiter.  Nothing is written and no miss is
-        counted here: *compute* probes and stores for itself (the sync
-        service's batch path counts the miss and caches the result,
-        epoch-guarded, before returning).
-
-        ``epoch`` follows the :meth:`get` contract for the probe.  The
-        flight table is **epoch-scoped**: flights are registered under
-        the *caller's* captured epoch (falling back to the current epoch
-        when none is given), so a caller arriving after an
-        :meth:`invalidate` never coalesces onto a computation that
-        started against the retired engine — it starts a fresh one.
-        Keying by the caller's epoch rather than the table's current
-        epoch matters when the capture itself raced the invalidate: a
-        leader that captured the retired epoch computes against the
-        retired engine, and its flight must not collect waiters who
-        captured the new one.
-        """
-        while True:
-            hit = self.hit(key, epoch=epoch)
-            if hit is not None:
-                return hit, "hit"
-            with self._lock:
-                flight_key = (key, self._epoch if epoch is None else epoch)
-                flight = self._in_flight.get(flight_key)
-                if flight is None:
-                    flight = _InFlight()
-                    self._in_flight[flight_key] = flight
-                    leader = True
-                else:
-                    leader = False
-                    self._stats.coalesced += 1
-            if leader:
-                break
-            flight.done.wait()
-            if flight.error is not None:
-                raise flight.error
-            if flight.result is not None:
-                return flight.result, "coalesced"
-            # The leader was abandoned (its wait raised through a level
-            # that never set result/error); retry from the cache probe.
-        try:
-            result = compute()
-        except BaseException as error:
-            flight.error = error
-            raise
-        else:
-            flight.result = result
-            return result, "computed"
-        finally:
-            with self._lock:
-                self._in_flight.pop(flight_key, None)
-            flight.done.set()
 
     def invalidate(self) -> int:
         """Drop every entry and bump the epoch (returns the new epoch).

@@ -59,15 +59,14 @@ class ServiceConfig:
 
     Execution
     ---------
-    ``backend`` is a backend *name* (``"serial"``/``"thread"``/
-    ``"process"``, resolved via
-    :func:`~repro.service.backends.backend_from_name` with ``workers``
-    width), an :class:`~repro.service.backends.ExecutionBackend`
-    instance (shared, never closed by the service), or ``None`` for the
-    sync tiers' default (a thread backend of ``workers`` threads, owned
-    and closed by the service).  ``wave_size`` fixes how many queries
-    share one submission (``1`` = per-query dispatch; ``None`` keeps the
-    adaptive controller, see
+    ``backend`` is a backend *name* (``"serial"``/``"process"``,
+    resolved via :func:`~repro.service.backends.backend_from_name`;
+    ``workers`` is the process lane count), an
+    :class:`~repro.service.backends.ExecutionBackend` instance (shared,
+    never closed by the service), or ``None`` for the sync tiers'
+    default (a serial backend, owned and closed by the service).
+    ``wave_size`` fixes how many queries share one submission (``1`` =
+    per-query dispatch; ``None`` keeps the adaptive controller, see
     :class:`~repro.service.batch.WaveSizeController`).
 
     The remaining fields mirror the constructor parameters of the same
@@ -168,7 +167,6 @@ def build_service(
         **served,
         backend=backend,
         cache_capacity=config.cache_capacity,
-        default_workers=config.workers,
         max_cached_route_nodes=config.max_cached_route_nodes,
         wave_size=config.wave_size,
     )

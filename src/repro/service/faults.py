@@ -8,8 +8,8 @@ the two choke points every backend shares:
 
 * :func:`repro.service.backends.run_wave_on_engine` calls
   :meth:`FaultPlan.on_task` before running each wave member (covers the
-  serial and thread backends in-process, and process-pool workers via
-  rules shipped through the pool initializer);
+  serial backend in-process, and process-pool workers via rules shipped
+  through the pool initializer);
 * ``ProcessBackend._dispatch`` calls :meth:`FaultPlan.on_dispatch`
   after routing, parent-side — where a worker pid is known and can be
   SIGKILLed at an exact dispatch count.

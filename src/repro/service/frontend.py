@@ -16,15 +16,18 @@ miss parks the request in three stages:
 1. **coalesce** — requests are keyed by the sync cache's canonical key
    (:func:`repro.service.cache.canonical_cache_key`); a request whose
    key is already in flight joins that flight instead of queueing a
-   duplicate (single-flight, counted in ``snapshot().coalesced``);
+   duplicate (single-flight, counted in ``snapshot().coalesced``) — the
+   stack's one coalescer: the sync services run every call they get.  A
+   flight is joined only under the epoch it was created in: after an
+   update or engine swap, a repeat request starts a flight of its own;
 2. **micro-batch** — new flights collect for one batching window
    (``window_seconds``; 0 = the current event-loop tick) or until
    ``max_batch`` of them are waiting, whichever first;
 3. **scatter** — the collected wave becomes *one*
    ``service.execute(...)`` call on a worker thread, which reuses
    everything the sync tier already has: result cache, in-batch dedup,
-   shared candidate sets, and backend fan-out (thread pool, or
-   warm-pinned process lanes).  Because flights are grouped by
+   shared candidate sets, and its backend (waves inline on that thread,
+   or on warm-pinned process lanes).  Because flights are grouped by
    ``(algorithm, params)``, a micro-batch is exactly the shape the sync
    tier's waves want (:class:`~repro.service.backends.WaveTask`): the
    flat ``QueryService`` ships the whole micro-batch in
@@ -54,6 +57,7 @@ suite in ``tests/service/test_frontend.py``).
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -82,6 +86,9 @@ class _Flight:
     #: joiner without a timeout relaxes the whole flight, because the
     #: shared computation must satisfy its most patient awaiter).
     deadline: Deadline | None = None
+    #: The wrapped service's epoch when the flight was created: a
+    #: request arriving under a newer one must not join it.
+    epoch: int | None = None
     waiters: int = 0
     dispatched: bool = False
     abandoned: bool = False
@@ -280,10 +287,12 @@ class AsyncQueryService:
 
         Returns the window now in force.  Only meaningful with
         ``adaptive_target_batch`` set — without it the call updates the
-        rate estimate but leaves the fixed window alone.
+        rate estimate but leaves the fixed window alone.  A negative or
+        non-finite rate (``NaN``, ``Infinity``) raises
+        :class:`~repro.exceptions.QueryError`.
         """
-        if arrival_qps < 0.0:
-            raise QueryError(f"arrival_qps must be >= 0, got {arrival_qps}")
+        if not (math.isfinite(arrival_qps) and arrival_qps >= 0.0):
+            raise QueryError(f"arrival_qps must be a finite number >= 0, got {arrival_qps}")
         self._arrival_interval_ewma = (1.0 / arrival_qps) if arrival_qps > 0.0 else None
         self._retune_window()
         self._feed_wave_sizing()
@@ -476,9 +485,10 @@ class AsyncQueryService:
         deadline: Deadline | None,
     ) -> tuple[_Flight, bool]:
         """The live flight for this request (joined=True), or a new one."""
+        epoch = self.epoch
         if key is not None:
             live = self._pending.get(key)
-            if live is not None and not live.future.done():
+            if live is not None and not live.future.done() and live.epoch == epoch:
                 # Joining extends (or unbounds) the shared deadline —
                 # the flight must outlive its most patient awaiter.
                 live.deadline = Deadline.latest(live.deadline, deadline)
@@ -492,6 +502,7 @@ class AsyncQueryService:
             key=key,
             future=loop.create_future(),
             deadline=deadline,
+            epoch=epoch,
         )
         self._wave_stats.flights += 1
         if key is not None:

@@ -1,7 +1,7 @@
 """``QueryService`` — the serving layer's front door over one engine.
 
 Single queries go through :meth:`~repro.service.base.RoutedService.submit`
-(a batch of one, single-flight protected); query lists go through
+(a batch of one); query lists go through
 ``run_batch`` / ``execute``, which add in-batch dedup and dispatch the
 misses as waves — one shared candidate-set pass over the index per wave —
 over a pluggable execution backend (see :mod:`repro.service.batch` and
@@ -26,7 +26,7 @@ not survive the swap.
 from __future__ import annotations
 
 from repro.core.engine import KOREngine
-from repro.service.backends import DEFAULT_WORKERS, ExecutionBackend
+from repro.service.backends import ExecutionBackend
 from repro.service.base import RoutedService
 from repro.world import MutableWorld
 
@@ -34,7 +34,7 @@ __all__ = ["QueryService"]
 
 
 class QueryService(RoutedService):
-    """Batched, cached, concurrent serving over one :class:`KOREngine`.
+    """Batched, cached serving over one :class:`KOREngine`.
 
     Parameters
     ----------
@@ -42,15 +42,11 @@ class QueryService(RoutedService):
         The pre-processed engine to serve from.
     cache_capacity:
         LRU result-cache size in entries; 0 disables caching.
-    default_workers:
-        Fan-out width :meth:`run_batch` uses when the call does not pick
-        one (in-process backends only — a process pool's width is fixed
-        at backend construction).
     backend:
         Execution strategy for batches; default a
-        :class:`~repro.service.backends.ThreadBackend` of
-        ``default_workers`` threads owned (and closed) by this service.
-        A caller-supplied backend is shared, not owned; passing a
+        :class:`~repro.service.backends.SerialBackend` (waves run inline)
+        owned (and closed) by this service.  A caller-supplied backend is
+        shared, not owned; passing a
         :class:`~repro.service.backends.ProcessBackend` moves the
         compute out of the GIL.  Either way the service registers its
         engine with the backend.
@@ -70,7 +66,6 @@ class QueryService(RoutedService):
         self,
         engine: KOREngine,
         cache_capacity: int = 1024,
-        default_workers: int = DEFAULT_WORKERS,
         backend: ExecutionBackend | None = None,
         max_cached_route_nodes: int | None = None,
         wave_size: int | None = None,
@@ -78,7 +73,6 @@ class QueryService(RoutedService):
         super().__init__(
             MutableWorld.from_engine(engine),
             cache_capacity,
-            default_workers,
             backend,
             max_cached_route_nodes,
             wave_size,

@@ -35,8 +35,8 @@ Execution
 ---------
 Attempts ship as picklable :class:`~repro.service.backends.WaveTask`
 objects through any :class:`~repro.service.backends.ExecutionBackend`:
-serial, thread pool, or a process pool whose workers hold their own
-copies of the shard engines.  The cross-cell engine ships the same way:
+inline on the serial backend, or on a process pool whose workers hold
+their own copies of the shard engines.  The cross-cell engine ships the same way:
 its :class:`~repro.service.backends.EngineHandle` pickles the
 partitioned border tables and re-materialises a ``BorderEngine``
 worker-side.  Results coming back from a cell engine are translated from
@@ -50,7 +50,7 @@ from repro.core.query import KORQuery
 from repro.exceptions import QueryError
 from repro.graph.digraph import SpatialKeywordGraph
 from repro.prep.partition import GraphPartition
-from repro.service.backends import DEFAULT_WORKERS, ExecutionBackend
+from repro.service.backends import ExecutionBackend
 from repro.service.base import BORDER_ARRAYS, RoutedService, Shard
 from repro.service.crosscell import BorderEngine
 from repro.world import MutableWorld
@@ -75,7 +75,7 @@ class ShardedQueryService(RoutedService):
         Partition seed (farthest-point sampling is randomised).
     backend:
         Execution backend for shard waves; default a
-        :class:`~repro.service.backends.ThreadBackend` owned (and closed)
+        :class:`~repro.service.backends.SerialBackend` owned (and closed)
         by this service.  A caller-supplied backend is shared, not owned.
     cache_capacity / max_cached_route_nodes:
         Result-cache bounds, as in the flat service.  Cached entries are
@@ -98,7 +98,6 @@ class ShardedQueryService(RoutedService):
         seed: int = 0,
         backend: ExecutionBackend | None = None,
         cache_capacity: int = 1024,
-        default_workers: int = DEFAULT_WORKERS,
         max_cached_route_nodes: int | None = None,
         world: MutableWorld | None = None,
         wave_size: int | None = None,
@@ -115,7 +114,6 @@ class ShardedQueryService(RoutedService):
         super().__init__(
             world,
             cache_capacity,
-            default_workers,
             backend,
             max_cached_route_nodes,
             wave_size,

@@ -90,7 +90,7 @@ class TestRunServiceQuerySet:
             KORQuery(0, 7, ("t5",), 6.0),  # infeasible
         ]
         service = QueryService(fig1_engine, cache_capacity=32)
-        served = run_service_query_set(service, queries, "bucketbound", workers=2)
+        served = run_service_query_set(service, queries, "bucketbound")
         direct = run_query_set(fig1_engine, queries, "bucketbound")
         assert served.summary.total == direct.total
         assert served.summary.feasible_count == direct.feasible_count

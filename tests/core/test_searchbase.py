@@ -460,17 +460,24 @@ class TestExpand:
         assert any(routes[0] is not None for routes, _reason, _stats in screened)
         assert sum(stats["labels_pruned_budget"] for _r, _f, stats in screened) > 100
 
-    def test_thread_backend_batch_equals_serial(self, small_flickr_engine):
+    @pytest.mark.parametrize("algorithm", ("osscaling", "bucketbound", "greedy2"))
+    def test_concurrent_callers_equal_serial(self, small_flickr_engine, algorithm):
+        """Four threads submitting to one service share the engine's
+        search caches, as the async front end's executor threads do."""
+        from concurrent.futures import ThreadPoolExecutor
+
         from repro.datasets import QuerySetConfig, generate_query_set
-        from repro.service import QueryService, ThreadBackend
+        from repro.service import QueryService
 
         engine = small_flickr_engine
         config = QuerySetConfig(num_queries=12, num_keywords=2, budget_limit=3.0, seed=3)
         queries = generate_query_set(engine.graph, engine.index, config, tables=engine.tables)
-        serial = [fingerprint(engine.run(query, algorithm="osscaling")) for query in queries]
-        with ThreadBackend(workers=4) as backend:
-            with QueryService(engine, cache_capacity=0, backend=backend) as service:
-                results = service.run_batch(queries, algorithm="osscaling")
+        serial = [fingerprint(engine.run(query, algorithm=algorithm)) for query in queries]
+        with QueryService(engine, cache_capacity=0) as service:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(
+                    pool.map(lambda query: service.submit(query, algorithm=algorithm), queries)
+                )
         assert [fingerprint(result) for result in results] == serial
 
 

@@ -73,9 +73,7 @@ class TestServicePipeline:
         self, small_flickr_engine, small_flickr_service, query_battery
     ):
         for algorithm in ("osscaling", "bucketbound"):
-            batch = small_flickr_service.run_batch(
-                query_battery, algorithm=algorithm, workers=4
-            )
+            batch = small_flickr_service.run_batch(query_battery, algorithm=algorithm)
             for query, served in zip(query_battery, batch):
                 direct = small_flickr_engine.run(query, algorithm=algorithm)
                 assert served.feasible == direct.feasible
@@ -89,8 +87,8 @@ class TestServicePipeline:
 
     def test_serving_metrics_flow_end_to_end(self, small_flickr_engine, query_battery):
         service = QueryService(small_flickr_engine, cache_capacity=128)
-        service.run_batch(query_battery, algorithm="bucketbound", workers=2)
-        service.run_batch(query_battery, algorithm="bucketbound", workers=2)
+        service.run_batch(query_battery, algorithm="bucketbound")
+        service.run_batch(query_battery, algorithm="bucketbound")
         snapshot = service.snapshot()
         assert snapshot.queries == 2 * len(query_battery)
         assert snapshot.cache_hits >= len(query_battery)  # whole second pass
@@ -125,7 +123,7 @@ class TestRoadPipeline:
         queries = generate_query_set(
             graph, service.engine.index, config, tables=service.engine.tables
         )
-        batch = service.run_batch(queries, algorithm="bucketbound", workers=3)
+        batch = service.run_batch(queries, algorithm="bucketbound")
         feasible = sum(result.feasible for result in batch)
         for query, result in zip(queries, batch):
             if result.feasible:

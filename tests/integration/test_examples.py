@@ -42,3 +42,9 @@ class TestExamples:
         assert "coalesced" in output
         assert "impatient client timed out" in output
         assert "sharded async burst" in output
+
+    def test_sharded_demo(self):
+        output = run_example("sharded_demo.py")
+        assert "serial  backend:" in output
+        assert "process backend:" in output
+        assert "scatter-merge wins" in output

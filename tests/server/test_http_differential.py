@@ -341,6 +341,32 @@ class TestOperationalSurface:
         finally:
             server.close()
 
+    @pytest.mark.parametrize("literal", (b"NaN", b"Infinity"))
+    def test_tune_rejects_non_finite_rates(self, instance, literal):
+        """Python's JSON reader accepts these literals; ``/tune`` must
+        not: a 400, and the window tuned before is still in force."""
+        engine, _queries = instance
+        server = serve(
+            QueryService(engine, cache_capacity=16),
+            adaptive_target_batch=8,
+            max_window_seconds=0.05,
+        )
+        try:
+            assert over_http(server, "POST", "/tune", {"arrival_qps": 1000.0}).status == 200
+            body = b'{"arrival_qps": ' + literal + b"}"
+            status, _headers, payload = raw_exchange(
+                server,
+                b"POST /tune HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body,
+            )
+            assert status == 400
+            assert "arrival_qps" in str(payload)
+            scheduling = over_http(server, "GET", "/stats").json()["scheduling"]
+            assert scheduling["window_seconds"] == pytest.approx(0.008)
+        finally:
+            server.close()
+
 
 def raw_exchange(server, head: bytes) -> tuple[int, dict, dict]:
     """Send raw request bytes over a real socket; parse the answer."""

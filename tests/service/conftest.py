@@ -1,10 +1,10 @@
 """Fixtures for the serving-layer tests.
 
 The CI matrix runs this directory once per execution backend by
-exporting ``REPRO_BACKEND`` (``serial`` / ``thread`` / ``process``);
-tests that take the ``service_backend`` fixture are transparently
-re-pointed at the selected backend.  Unset, the default is ``thread`` —
-the backend the flat service uses out of the box.
+exporting ``REPRO_BACKEND`` (``serial`` / ``process``); tests that take
+the ``service_backend`` fixture are transparently re-pointed at the
+selected backend.  Unset, the default is ``serial`` — the backend both
+sync services use out of the box.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from repro.service import backend_from_name
 
 
 def configured_backend_name() -> str:
-    """The backend name the environment selected (default ``thread``)."""
-    return os.environ.get("REPRO_BACKEND", "thread")
+    """The backend name the environment selected (default ``serial``)."""
+    return os.environ.get("REPRO_BACKEND", "serial")
 
 
 @pytest.fixture

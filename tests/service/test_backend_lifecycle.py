@@ -3,7 +3,9 @@ cancellation of queued work, and bounded admission accounting.
 
 These are the contracts the async front-end leans on: futures must
 resolve (or cancel) cleanly whatever the registry and pools do around
-them.
+them.  The serial backend runs each wave inline in its caller, so its
+in-flight cases are built from concurrent callers parked inside a
+search (:class:`GatedEngine`).
 """
 
 from __future__ import annotations
@@ -14,14 +16,37 @@ import time
 import pytest
 
 from repro.exceptions import QueryError
-from repro.service import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro.service import ProcessBackend, SerialBackend
+from repro.service.faults import FaultPlan, FaultRule, injected
 
 from tests.service.test_backends import BACKEND_FACTORIES, run_waves_of_one, wave_of_one
 from tests.service.test_differential import random_instance
+
+
+class GatedEngine:
+    """Engine proxy whose searches park on ``gate`` while it is cleared;
+    ``running`` is released once per search that entered."""
+
+    def __init__(self, engine) -> None:
+        self._engine = engine
+        self.gate = threading.Event()
+        self.running = threading.Semaphore(0)
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def run(self, *args, **kwargs):
+        self.running.release()
+        assert self.gate.wait(10.0), "the test never released the search"
+        return self._engine.run(*args, **kwargs)
+
+
+def submit_in_thread(backend, task) -> tuple[threading.Thread, list]:
+    """Submit *task* from a fresh thread; its outcomes land in the list."""
+    box: list = []
+    thread = threading.Thread(target=lambda: box.append(backend.submit_wave(task).result()))
+    thread.start()
+    return thread, box
 
 
 class TestCloseIdempotency:
@@ -48,43 +73,42 @@ class TestCloseIdempotency:
 
 class TestUnregisterInFlight:
     def test_unregister_other_shard_does_not_disturb_running_task(self):
-        """A task in flight survives registry changes to *other* shards."""
+        """A wave running inline survives registry changes to *other* shards."""
         engine_a, queries_a = random_instance(0)
         engine_b, _ = random_instance(7)
-        backend = ThreadBackend(workers=1)
-        try:
-            handle_a = backend.register_engine(engine_a, key="stays")
-            backend.register_engine(engine_b, key="goes")
-            gate = threading.Event()
-            blocker = backend.submit_call(gate.wait, 5.0)
-            queued = backend.submit_wave(wave_of_one(handle_a.key, queries_a[0]))
-            backend.unregister("goes")
-            gate.set()
-            (outcome,) = queued.result(timeout=10.0)
-            assert outcome.ok
-            assert blocker.result(timeout=10.0)
-            assert backend.shard_keys == ("stays",)
-        finally:
-            backend.close()
+        gated = GatedEngine(engine_a)
+        backend = SerialBackend()
+        handle_a = backend.register_engine(gated, key="stays")
+        backend.register_engine(engine_b, key="goes")
+        thread, box = submit_in_thread(backend, wave_of_one(handle_a.key, queries_a[0]))
+        assert gated.running.acquire(timeout=10.0)
+        backend.unregister("goes")
+        gated.gate.set()
+        thread.join(timeout=10.0)
+        ((outcome,),) = box
+        assert outcome.ok
+        assert backend.shard_keys == ("stays",)
 
-    def test_unregister_own_shard_fails_the_queued_task_cleanly(self):
-        """A task whose shard vanishes before execution reports a
-        QueryError outcome — no hang, no crash, no poisoned future."""
+    def test_unregister_own_shard_mid_wave_finishes_it_and_refuses_the_next(self):
+        """The running wave finishes on the engine it already holds; the
+        next wave naming the vanished key reports a QueryError outcome —
+        no hang, no crash, no poisoned future."""
         engine, queries = random_instance(0)
-        backend = ThreadBackend(workers=1)
-        try:
-            handle = backend.register_engine(engine, key="vanishing")
-            gate = threading.Event()
-            backend.submit_call(gate.wait, 5.0)
-            queued = backend.submit_wave(wave_of_one(handle.key, queries[0]))
-            backend.unregister("vanishing")
-            gate.set()
-            (outcome,) = queued.result(timeout=10.0)
-            assert not outcome.ok
-            assert isinstance(outcome.error, QueryError)
-            assert "not registered" in str(outcome.error)
-        finally:
-            backend.close()
+        gated = GatedEngine(engine)
+        backend = SerialBackend()
+        handle = backend.register_engine(gated, key="vanishing")
+        thread, box = submit_in_thread(backend, wave_of_one(handle.key, queries[0]))
+        assert gated.running.acquire(timeout=10.0)
+        backend.unregister("vanishing")
+        gated.gate.set()
+        thread.join(timeout=10.0)
+        ((running,),) = box
+        assert running.ok
+        (late,) = backend.submit_wave(wave_of_one(handle.key, queries[0])).result()
+        assert not late.ok
+        assert isinstance(late.error, QueryError)
+        assert "not registered" in str(late.error)
+        assert backend.in_flight == 0
 
     def test_process_backend_unregister_with_tasks_in_flight(self):
         """Registry changes retire lanes; in-flight futures still
@@ -115,59 +139,77 @@ class TestUnregisterInFlight:
 
 class TestCancellation:
     def test_cancel_submitted_but_unstarted_task(self):
-        """A queued task can be cancelled before a worker picks it up;
-        the admission slot is returned."""
+        """A wave queued behind a busy lane can be cancelled before the
+        worker picks it up; the admission slot is returned and the lane
+        keeps serving."""
         engine, queries = random_instance(0)
-        backend = ThreadBackend(workers=1)
-        try:
-            handle = backend.register_engine(engine, key="cancellable")
-            gate = threading.Event()
-            blocker = backend.submit_call(gate.wait, 5.0)
-            queued = backend.submit_wave(wave_of_one(handle.key, queries[0]))
-            assert queued.cancel(), "an unstarted pool task must cancel"
-            gate.set()
-            assert queued.cancelled()
-            assert blocker.result(timeout=10.0)
-            # The done-callback released the cancelled task's slot.
-            deadline = time.time() + 5.0
-            while backend.in_flight and time.time() < deadline:
-                time.sleep(0.01)
-            assert backend.in_flight == 0
-        finally:
-            backend.close()
+        plan = FaultPlan([FaultRule(kind="delay_task", shard="blocker", seconds=0.5)])
+        with injected(plan):
+            backend = ProcessBackend(workers=1)
+            try:
+                backend.register_engine(engine, key="blocker")
+                backend.register_engine(engine, key="cancellable")
+                blocker = backend.submit_wave(wave_of_one("blocker", queries[0]))
+                queued = backend.submit_wave(wave_of_one("cancellable", queries[0]))
+                assert queued.cancel(), "an unstarted wave must cancel"
+                assert queued.cancelled()
+                assert blocker.result(timeout=60.0)[0].ok
+                (after,) = run_waves_of_one(backend, [wave_of_one("cancellable", queries[1])])
+                assert after.ok
+                # The done-callbacks released every slot, the cancelled one's too.
+                deadline = time.time() + 5.0
+                while backend.in_flight and time.time() < deadline:
+                    time.sleep(0.01)
+                assert backend.in_flight == 0
+            finally:
+                backend.close()
 
 
 class TestBoundedAdmission:
     def test_submissions_block_at_max_in_flight(self):
-        backend = ThreadBackend(workers=2, max_in_flight=2)
+        """An inline wave holds its slot while it runs: with two callers
+        parked inside their searches, a third caller blocks at admission."""
+        engine, queries = random_instance(0)
+        gated = GatedEngine(engine)
+        backend = SerialBackend(max_in_flight=2)
+        handle = backend.register_engine(gated, key="gated")
+        callers = [submit_in_thread(backend, wave_of_one(handle.key, q)) for q in queries[:3]]
         try:
-            gate = threading.Event()
-            first = backend.submit_call(gate.wait, 10.0)
-            second = backend.submit_call(gate.wait, 10.0)
-            assert backend.in_flight == 2
-
-            third_admitted = threading.Event()
-            third_result: list = []
-
-            def oversubscribe():
-                future = backend.submit_call(lambda: "ran")
-                third_admitted.set()
-                third_result.append(future.result(timeout=10.0))
-
-            thread = threading.Thread(target=oversubscribe)
-            thread.start()
+            for _ in range(2):
+                assert gated.running.acquire(timeout=10.0)
+            deadline = time.time() + 5.0
+            while backend.admission_waits < 1 and time.time() < deadline:
+                time.sleep(0.01)
             # The third submission must be *blocked*, not admitted.
-            assert not third_admitted.wait(0.2)
-            gate.set()
-            thread.join(timeout=10.0)
-            assert third_admitted.is_set()
-            assert third_result == ["ran"]
-            assert first.result(timeout=10.0) and second.result(timeout=10.0)
-
-            assert backend.peak_in_flight == 2
-            assert backend.admission_waits >= 1
+            assert backend.admission_waits == 1
+            assert backend.in_flight == 2
+            assert not gated.running.acquire(timeout=0.2)
         finally:
-            backend.close()
+            gated.gate.set()
+            for thread, _box in callers:
+                thread.join(timeout=10.0)
+        assert [box[0][0].ok for _thread, box in callers] == [True] * 3
+        assert backend.peak_in_flight == 2
+        assert backend.in_flight == 0
+
+    def test_unbounded_admission_counts_every_parked_caller(self):
+        """Without a bound, concurrent inline callers are all admitted at
+        once; the depth gauge (``queue_depth_peak``) counts each."""
+        engine, queries = random_instance(0)
+        gated = GatedEngine(engine)
+        backend = SerialBackend()
+        handle = backend.register_engine(gated, key="gated")
+        callers = [submit_in_thread(backend, wave_of_one(handle.key, q)) for q in queries[:3]]
+        try:
+            for _ in range(3):
+                assert gated.running.acquire(timeout=10.0)
+            assert backend.in_flight == 3
+        finally:
+            gated.gate.set()
+            for thread, _box in callers:
+                thread.join(timeout=10.0)
+        assert [box[0][0].ok for _thread, box in callers] == [True] * 3
+        assert (backend.peak_in_flight, backend.admission_waits, backend.in_flight) == (3, 0, 0)
 
     def test_serial_backend_counts_depth_without_blocking(self):
         engine, queries = random_instance(0)
@@ -186,27 +228,11 @@ class TestBoundedAdmission:
         finally:
             backend.close()
 
-    def test_per_call_workers_narrow_the_submission_window(self):
-        """submit_waves(workers=k) keeps at most k waves unresolved, in
-        submission order, however wide the pool is."""
-        engine, queries = random_instance(0)
-        backend = ThreadBackend(workers=4)
-        try:
-            handle = backend.register_engine(engine, key="window")
-            waves = [wave_of_one(handle.key, query) for query in queries]
-            futures = backend.submit_waves(waves, workers=1)
-            assert [future.result(timeout=10.0)[0].ok for future in futures] == [True] * len(waves)
-            assert backend.peak_in_flight == 1
-            with pytest.raises(QueryError):
-                backend.submit_waves(waves, workers=0)
-        finally:
-            backend.close()
-
     def test_service_snapshot_surfaces_queue_depth(self):
         from repro.service import QueryService
 
         engine, queries = random_instance(0)
-        backend = ThreadBackend(workers=2, max_in_flight=8)
+        backend = SerialBackend(max_in_flight=8)
         try:
             service = QueryService(engine, cache_capacity=0, backend=backend)
             service.run_batch(queries, algorithm="bucketbound")
@@ -218,8 +244,9 @@ class TestBoundedAdmission:
 
 class TestSubmitWaveProtocol:
     @pytest.mark.parametrize("name", [name for name, _ in BACKEND_FACTORIES])
-    def test_submit_wave_future_resolves_to_the_windowed_answer(self, name):
-        """The futures primitive and its windowed list form agree exactly."""
+    def test_one_by_one_and_all_at_once_submission_agree(self, name):
+        """Awaiting each wave before the next and submitting them all
+        before awaiting any give the same answers."""
         engine, queries = random_instance(3)
         backend = dict(BACKEND_FACTORIES)[name]()
         try:
@@ -234,13 +261,5 @@ class TestSubmitWaveProtocol:
                         single.result.objective_score == batched.result.objective_score
                     )
                     assert single.result.route == batched.result.route
-        finally:
-            backend.close()
-
-    def test_submit_call_rejected_out_of_process(self):
-        backend = ProcessBackend(workers=1)
-        try:
-            with pytest.raises(QueryError, match="closures"):
-                backend.submit_call(lambda: 1)
         finally:
             backend.close()

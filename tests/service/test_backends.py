@@ -1,8 +1,8 @@
 """Execution-backend contract tests.
 
 The backend is an implementation detail: the same query batch must come
-back **byte-identical** from ``SerialBackend``, ``ThreadBackend`` and
-``ProcessBackend`` — through the flat ``QueryService`` and the
+back **byte-identical** from ``SerialBackend`` and ``ProcessBackend``
+— through the flat ``QueryService`` and the
 ``ShardedQueryService`` alike — and one poisoned slot must never sink
 its batch, whichever backend executed it.
 """
@@ -19,7 +19,6 @@ from repro.service import (
     QueryService,
     SerialBackend,
     ShardedQueryService,
-    ThreadBackend,
     WaveTask,
     backend_from_name,
 )
@@ -29,7 +28,6 @@ from tests.service.test_differential import random_instance
 
 BACKEND_FACTORIES = (
     ("serial", lambda: SerialBackend()),
-    ("thread", lambda: ThreadBackend(workers=3)),
     ("process", lambda: ProcessBackend(workers=2)),
 )
 
@@ -41,11 +39,12 @@ def wave_of_one(shard: str, query) -> WaveTask:
 
 def run_waves_of_one(backend, waves) -> list:
     """Submit every wave of one, then gather the members in order."""
-    return [future.result()[0] for future in backend.submit_waves(waves)]
+    futures = [backend.submit_wave(wave) for wave in waves]
+    return [future.result()[0] for future in futures]
 
 
 def run_on_every_backend(run):
-    """Map a callback over fresh instances of all three backends."""
+    """Map a callback over fresh instances of both backends."""
     outputs = {}
     for name, factory in BACKEND_FACTORIES:
         backend = factory()
@@ -67,7 +66,7 @@ class TestBackendEquivalence:
             return result_bytes(service.run_batch(queries, algorithm=algorithm))
 
         outputs = run_on_every_backend(run)
-        assert outputs["serial"] == outputs["thread"] == outputs["process"]
+        assert outputs["serial"] == outputs["process"]
 
     @pytest.mark.parametrize("num_cells", (1, 2))
     def test_sharded_service_byte_identical_across_backends(self, num_cells):
@@ -81,7 +80,7 @@ class TestBackendEquivalence:
             return result_bytes(service.run_batch(queries, algorithm="osscaling"))
 
         outputs = run_on_every_backend(run)
-        assert outputs["serial"] == outputs["thread"] == outputs["process"]
+        assert outputs["serial"] == outputs["process"]
 
     def test_uncached_batches_stay_identical(self):
         """cache_capacity=0 forces every backend down the compute path."""
@@ -92,7 +91,7 @@ class TestBackendEquivalence:
             return result_bytes(service.run_batch(queries, algorithm="bucketbound"))
 
         outputs = run_on_every_backend(run)
-        assert outputs["serial"] == outputs["thread"] == outputs["process"]
+        assert outputs["serial"] == outputs["process"]
 
 
 class TestFailureInjection:
@@ -233,12 +232,6 @@ class TestRegistryHygiene:
 
 
 class TestProcessBackendMechanics:
-    def test_closures_are_rejected(self):
-        backend = ProcessBackend(workers=1)
-        with pytest.raises(QueryError):
-            backend.submit_call(lambda unit: unit, 1)
-        backend.close()
-
     def test_unknown_shard_fails_only_its_own_task(self):
         engine, queries = random_instance(0)
         backend = ProcessBackend(workers=1)
@@ -297,9 +290,23 @@ class TestProcessBackendMechanics:
 
 
 def test_backend_from_name_matrix():
-    for name, expected in (("serial", SerialBackend), ("thread", ThreadBackend), ("process", ProcessBackend)):
+    for name, expected in (("serial", SerialBackend), ("process", ProcessBackend)):
         backend = backend_from_name(name)
         assert isinstance(backend, expected)
         backend.close()
     with pytest.raises(QueryError):
         backend_from_name("gpu")
+
+
+def test_the_thread_backend_is_retired():
+    """The thread pool was slower than inline waves on every batch
+    measured (the searches hold the GIL); its name is refused, pointing
+    at the two that remain."""
+    with pytest.raises(QueryError, match="serial or process"):
+        backend_from_name("thread")
+    import repro
+    import repro.service
+
+    assert "ThreadBackend" not in repro.__all__
+    assert "ThreadBackend" not in repro.service.__all__
+    assert not hasattr(repro.service, "ThreadBackend")

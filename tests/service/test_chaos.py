@@ -20,7 +20,7 @@ import pytest
 from repro.core.deadline import Deadline
 from repro.core.engine import ALGORITHMS
 from repro.exceptions import DeadlineExceeded
-from repro.service import ProcessBackend, QueryService, SerialBackend, ThreadBackend
+from repro.service import ProcessBackend, QueryService, SerialBackend
 from repro.service.cache import ResultCache
 from repro.service.faults import (
     FaultInjected,
@@ -107,23 +107,23 @@ class TestTaskFaults:
         injected error; every other slot matches the flat engine."""
         engine, queries = random_instance(0)
         baseline = [fingerprint(engine.run(q, algorithm=algorithm)) for q in queries]
-        for backend in (SerialBackend(), ThreadBackend(workers=3)):
-            plan = FaultPlan([FaultRule(kind="error_task", after=1, times=2)])
-            service = QueryService(engine, cache_capacity=0, backend=backend)
-            try:
-                with injected(plan):
-                    report = service.execute(queries, algorithm=algorithm)
-            finally:
-                backend.close()
-            failed = _assert_survivors_match(report, baseline)
-            assert failed == len(report.errors)
-            assert all(
-                isinstance(error, FaultInjected) for error in report.errors.values()
-            )
-            assert sum(plan.fired().values()) == 2
-            # Slots can share a unit (coalescing): at least the fired
-            # units failed, and nothing else did.
-            assert failed >= 2
+        backend = SerialBackend()
+        plan = FaultPlan([FaultRule(kind="error_task", after=1, times=2)])
+        service = QueryService(engine, cache_capacity=0, backend=backend)
+        try:
+            with injected(plan):
+                report = service.execute(queries, algorithm=algorithm)
+        finally:
+            backend.close()
+        failed = _assert_survivors_match(report, baseline)
+        assert failed == len(report.errors)
+        assert all(
+            isinstance(error, FaultInjected) for error in report.errors.values()
+        )
+        assert sum(plan.fired().values()) == 2
+        # Slots can share a unit (coalescing): at least the fired
+        # units failed, and nothing else did.
+        assert failed >= 2
 
     def test_delay_fault_trips_the_deadline(self):
         """A slow-lane fault pushes the search past its deadline: the
@@ -232,26 +232,26 @@ class TestLaneBreaker:
 class TestChaosDifferential:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_mixed_plan_in_process(self, algorithm):
-        """Delay + error chaos, serial and thread: zero silent wrongs."""
+        """Delay + error chaos on the serial backend: zero silent wrongs."""
         engine, queries = random_instance(4)
         baseline = [fingerprint(engine.run(q, algorithm=algorithm)) for q in queries]
-        for backend in (SerialBackend(), ThreadBackend(workers=3)):
-            plan = FaultPlan(
-                [
-                    FaultRule(kind="delay_task", seconds=0.005, times=2),
-                    FaultRule(kind="error_task", after=3, times=2),
-                ]
-            )
-            service = QueryService(engine, cache_capacity=0, backend=backend)
-            try:
-                with injected(plan):
-                    report = service.execute(queries, algorithm=algorithm)
-            finally:
-                backend.close()
-            _assert_survivors_match(report, baseline)
-            assert all(
-                isinstance(error, FaultInjected) for error in report.errors.values()
-            )
+        backend = SerialBackend()
+        plan = FaultPlan(
+            [
+                FaultRule(kind="delay_task", seconds=0.005, times=2),
+                FaultRule(kind="error_task", after=3, times=2),
+            ]
+        )
+        service = QueryService(engine, cache_capacity=0, backend=backend)
+        try:
+            with injected(plan):
+                report = service.execute(queries, algorithm=algorithm)
+        finally:
+            backend.close()
+        _assert_survivors_match(report, baseline)
+        assert all(
+            isinstance(error, FaultInjected) for error in report.errors.values()
+        )
 
     def test_mixed_plan_process_backend_all_algorithms(self):
         """Worker-side chaos on one process backend, all six algorithms.
@@ -328,20 +328,20 @@ class TestChaosMidWave:
         ``times`` units fail, survivors of the same wave stay exact."""
         engine, queries = random_instance(8)
         baseline = [fingerprint(engine.run(q, algorithm=algorithm)) for q in queries]
-        for backend in (SerialBackend(), ThreadBackend(workers=3)):
-            plan = FaultPlan([FaultRule(kind="error_task", after=2, times=2)])
-            service = QueryService(engine, cache_capacity=0, backend=backend)
-            try:
-                with injected(plan):
-                    report = service.execute(queries, algorithm=algorithm)
-            finally:
-                backend.close()
-            failed = _assert_survivors_match(report, baseline)
-            assert failed == len(report.errors) >= 2
-            assert all(
-                isinstance(error, FaultInjected) for error in report.errors.values()
-            )
-            assert sum(plan.fired().values()) == 2
+        backend = SerialBackend()
+        plan = FaultPlan([FaultRule(kind="error_task", after=2, times=2)])
+        service = QueryService(engine, cache_capacity=0, backend=backend)
+        try:
+            with injected(plan):
+                report = service.execute(queries, algorithm=algorithm)
+        finally:
+            backend.close()
+        failed = _assert_survivors_match(report, baseline)
+        assert failed == len(report.errors) >= 2
+        assert all(
+            isinstance(error, FaultInjected) for error in report.errors.values()
+        )
+        assert sum(plan.fired().values()) == 2
 
     def test_delay_fault_mid_wave_trips_the_wave_deadline(self):
         """A delayed member admission burns the wave's deadline: slots

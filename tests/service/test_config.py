@@ -15,10 +15,11 @@ from repro.core.engine import KOREngine
 from repro.exceptions import QueryError
 from repro.service import (
     AsyncQueryService,
+    ProcessBackend,
     QueryService,
+    SerialBackend,
     ServiceConfig,
     ShardedQueryService,
-    ThreadBackend,
     build_service,
 )
 from repro.world import MutableWorld
@@ -89,28 +90,37 @@ class TestTierSelection:
 
 
 class TestBackendOwnership:
-    def test_string_backend_is_owned_and_closed(self, graph):
-        service = build_service(graph, backend="thread", workers=2)
+    def test_default_backend_is_an_owned_serial_backend(self, graph):
+        """``backend=None`` runs waves inline on a backend the service
+        made, so the service's ``close()`` closes it."""
+        service = build_service(graph)
         backend = service.backend
-        assert isinstance(backend, ThreadBackend)
-        service.run_batch([], algorithm="exact")  # force the pool alive
-        backend.submit_call(lambda: None).result()
-        assert backend._executor is not None
+        assert type(backend) is SerialBackend
+        closed = []
+        backend.close = lambda: closed.append(True)
+        assert service.run_batch(random_instance(0)[1][:2], algorithm="bucketbound")
         service.close()
-        # Closing a factory-owned backend shuts its pool down.
-        assert backend._executor is None
+        assert closed == [True]
+
+    def test_string_backend_is_owned_and_closed(self, graph):
+        service = build_service(graph, backend="process", workers=1)
+        backend = service.backend
+        assert isinstance(backend, ProcessBackend)
+        service.run_batch(random_instance(0)[1][:1], algorithm="exact")  # start the lane
+        assert backend._lanes[0].executor is not None
+        service.close()
+        # Closing a factory-owned backend shuts its lanes down.
+        assert backend._lanes[0].executor is None
 
     def test_backend_instance_is_shared_and_left_open(self, graph):
-        backend = ThreadBackend(workers=2)
-        try:
-            backend.submit_call(lambda: None).result()
-            service = build_service(graph, backend=backend)
-            assert service.backend is backend
-            service.close()
-            # A caller-supplied backend is never closed by the service.
-            assert backend._executor is not None
-        finally:
-            backend.close()
+        backend = SerialBackend()
+        closed = []
+        backend.close = lambda: closed.append(True)
+        service = build_service(graph, backend=backend)
+        assert service.backend is backend
+        service.close()
+        # A caller-supplied backend is never closed by the service.
+        assert closed == []
 
 
 class TestFactoryEquivalence:

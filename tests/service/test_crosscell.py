@@ -126,15 +126,18 @@ def test_border_engine_memory_is_sublinear_in_flat():
 
 @pytest.mark.timeout(120)
 def test_thread_workers_share_the_bounded_table_caches(monkeypatch):
-    """Four threads answering 64 cross-cell queries over one tables
-    object — its row, column and leg caches shrunk to 16 entries so every
-    worker keeps evicting what another is about to read, the switch
-    interval shortened so they interleave mid-lookup — return exactly
-    the serial answers, and the caches end within their bound."""
+    """Four threads submitting 64 cross-cell queries to one service — the
+    async front end's shape: concurrent callers, each running its waves
+    inline over one tables object — with its row, column and leg caches
+    shrunk to 16 entries so every caller keeps evicting what another is
+    about to read, the switch interval shortened so they interleave
+    mid-lookup, return exactly the one-caller answers, and the caches end
+    within their bound."""
     import sys
+    from concurrent.futures import ThreadPoolExecutor
 
     from repro.datasets import QuerySetConfig, RoadConfig, build_road_graph, generate_query_set
-    from repro.service import SerialBackend, ShardedQueryService, ThreadBackend
+    from repro.service import ShardedQueryService
     from repro.world import MutableWorld
 
     monkeypatch.setattr("repro.prep.partition._CACHE_BYTE_BUDGET", 1)
@@ -154,27 +157,22 @@ def test_thread_workers_share_the_bounded_table_caches(monkeypatch):
     ][:64]
     assert len(queries) == 64
 
-    def answers(service):
-        with service:
-            return [
-                fingerprint(result)
-                for algorithm in ("bucketbound", "greedy")
-                for result in service.run_batch(queries, algorithm=algorithm, workers=4)
-            ]
+    jobs = [(query, algorithm) for algorithm in ("bucketbound", "greedy") for query in queries]
+
+    def answers(service, callers):
+        with service, ThreadPoolExecutor(max_workers=callers) as pool:
+            return list(
+                pool.map(lambda job: fingerprint(service.submit(job[0], algorithm=job[1])), jobs)
+            )
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with ThreadBackend(workers=4) as backend:
-            threaded = answers(
-                ShardedQueryService(world=world, backend=backend, cache_capacity=0, wave_size=1)
-            )
+        threaded = answers(ShardedQueryService(world=world, cache_capacity=0), callers=4)
     finally:
         sys.setswitchinterval(interval)
     tables = world.tables
     for cache in (tables._column_cache, tables._row_cache, tables._leg_cache):
         assert 0 < len(cache) <= cache.capacity == 16
-    serial = answers(
-        ShardedQueryService(world=world.rebuilt(), backend=SerialBackend(), cache_capacity=0)
-    )
+    serial = answers(ShardedQueryService(world=world.rebuilt(), cache_capacity=0), callers=1)
     assert threaded == serial

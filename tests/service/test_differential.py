@@ -84,7 +84,7 @@ def test_batch_matches_sequential(seed, algorithm):
     sequential = [fingerprint(engine.run(q, algorithm=algorithm)) for q in queries]
 
     service = QueryService(engine, cache_capacity=256)
-    batch = service.run_batch(queries, algorithm=algorithm, workers=3)
+    batch = service.run_batch(queries, algorithm=algorithm)
     assert [fingerprint(r) for r in batch] == sequential
 
 
@@ -96,8 +96,8 @@ def test_cached_batch_matches_sequential(seed, algorithm):
     sequential = [fingerprint(engine.run(q, algorithm=algorithm)) for q in queries]
 
     service = QueryService(engine, cache_capacity=256)
-    service.run_batch(queries, algorithm=algorithm, workers=3)
-    warm = service.run_batch(queries, algorithm=algorithm, workers=3)
+    service.run_batch(queries, algorithm=algorithm)
+    warm = service.run_batch(queries, algorithm=algorithm)
     assert [fingerprint(r) for r in warm] == sequential
     snapshot = service.snapshot()
     assert snapshot.cache_hits >= len(queries)  # whole second pass from cache

@@ -97,7 +97,7 @@ class TestAsyncDifferential:
                 queries, algorithm="bucketbound"
             )
         )
-        assert outputs["serial"] == outputs["thread"] == outputs["process"] == sync
+        assert outputs["serial"] == outputs["process"] == sync
 
 
 class TestCoalescing:
@@ -492,6 +492,22 @@ class TestAdaptiveMicroBatching:
         front = AsyncQueryService(service)
         with pytest.raises(QueryError, match="arrival_qps"):
             front.tune(-1.0)
+
+    @pytest.mark.parametrize("rate", (float("nan"), float("inf")))
+    def test_non_finite_rates_rejected(self, rate):
+        """``NaN`` / ``Infinity`` are refused and leave the tuned state as
+        it was (they used to reset the window and report 0 qps)."""
+        engine, _queries = random_instance(0)
+        front = AsyncQueryService(
+            QueryService(engine, cache_capacity=16),
+            adaptive_target_batch=8,
+            max_window_seconds=0.05,
+        )
+        window = front.tune(1000.0)
+        with pytest.raises(QueryError, match="finite"):
+            front.tune(rate)
+        assert front.window_seconds == window == pytest.approx(0.008)
+        assert front.arrival_qps == pytest.approx(1000.0)
 
     def test_slo_violations_surface_in_frontend_snapshot(self):
         engine, queries = random_instance(0)

@@ -44,10 +44,10 @@ class GatedBackend(SerialBackend):
         self.gate.set()
         self.entered = threading.Event()
 
-    def _submit_call(self, fn, *args):
+    def _submit_wave(self, task):
         self.entered.set()
         assert self.gate.wait(30.0), "the test never released the wave"
-        return super()._submit_call(fn, *args)
+        return super()._submit_wave(task)
 
 
 def build(tier: str, graph, **kwargs):

@@ -24,12 +24,12 @@ import pytest
 from repro.core.engine import ALGORITHMS, KOREngine
 from repro.core.query import KORQuery
 from repro.graph.mutation import GraphMutator, resolve_ops
-from repro.service import QueryService, ShardedQueryService
-from repro.service.cache import ResultCache
+from repro.service import QueryService, SerialBackend, ShardedQueryService
 from repro.service.faults import FaultPlan, FaultRule, injected
 from repro.world import MutableWorld
 
 from tests.properties.test_repair_properties import assert_repair_equals_rebuild
+from tests.service.test_backend_lifecycle import GatedEngine
 from tests.service.test_differential import (
     KEYWORD_POOL,
     WEIGHTS,
@@ -332,35 +332,28 @@ class TestUpdateWhileServing:
 
 class TestEpochFence:
     def test_leader_from_old_epoch_cannot_poison_new_epoch(self):
-        """Regression (satellite c): a ``get_or_compute`` leader that
-        resolves after a mid-flight ``invalidate()`` must not populate
-        the new epoch's cache."""
-        cache = ResultCache(capacity=8)
-        computing = threading.Event()
-        release = threading.Event()
+        """Regression: an ``execute`` that straddles ``invalidate()``
+        still answers its caller, but its write-back is dropped — the new
+        epoch's cache stays empty and the drop is counted."""
+        engine, queries = random_instance(0)
+        gated = GatedEngine(engine)
+        service = QueryService(gated, cache_capacity=8, backend=SerialBackend())
         outcome = {}
-
-        def slow_compute():
-            computing.set()
-            assert release.wait(5.0)
-            return "stale-answer"
-
-        def leader():
-            outcome["value"], outcome["status"] = cache.get_or_compute(
-                "key", slow_compute
-            )
-
-        worker = threading.Thread(target=leader)
+        worker = threading.Thread(
+            target=lambda: outcome.update(report=service.execute([queries[0]]))
+        )
         worker.start()
-        assert computing.wait(5.0)
-        cache.invalidate()  # the engine swap lands mid-flight
-        release.set()
-        worker.join(5.0)
+        assert gated.running.acquire(timeout=5.0)
+        service.invalidate_cache()  # the engine swap lands mid-flight
+        gated.gate.set()
+        worker.join(10.0)
 
-        # The leader still gets its (old-world) answer...
-        assert outcome["value"] == "stale-answer"
+        # The caller still gets its (old-world) answer...
+        (item,) = outcome["report"].items
+        assert fingerprint(item.result) == fingerprint(engine.run(queries[0]))
         # ...but the new epoch's cache never saw it.
-        assert cache.get("key") is None
+        assert len(service.cache) == 0
+        assert service.cache.stats.stale_writes == 1
 
     def test_apply_ops_drops_inflight_old_epoch_writes(self, service_backend):
         """A query computed against the old graph must not be served

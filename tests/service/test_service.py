@@ -8,7 +8,13 @@ from repro.core.engine import ALGORITHMS, KOREngine
 from repro.core.query import KORQuery
 from repro.core.results import SearchTrace
 from repro.exceptions import QueryError
-from repro.service import QueryService, ResultCache, ShardedQueryService, canonical_cache_key
+from repro.service import (
+    BatchError,
+    QueryService,
+    ResultCache,
+    ShardedQueryService,
+    canonical_cache_key,
+)
 from repro.service.stats import ServiceStats, percentile
 
 
@@ -214,9 +220,23 @@ class TestQueryService:
             service.submit(query)
             assert (service.cache.stats.hits, service.cache.stats.misses) == (1, 1)
 
-    def test_default_workers_validated(self, fig1_engine):
-        with pytest.raises(QueryError):
-            QueryService(fig1_engine, default_workers=0)
+    def test_a_stray_workers_argument_is_refused(self, fig1_engine):
+        """There is no per-call fan-out width any more: ``workers=`` is
+        passed on to the search like any other parameter, which refuses
+        it, instead of being silently dropped."""
+        service = QueryService(fig1_engine)
+        with pytest.raises(BatchError) as excinfo:
+            service.run_batch([KORQuery(0, 7, ("t1", "t2"), 8.0)], workers=2)
+        (error,) = excinfo.value.report.errors.values()
+        assert "workers" in str(error)
+        assert len(service.cache) == 0
+
+    def test_a_stray_workers_argument_is_refused_by_submit(self, fig1_engine):
+        """``submit`` is a batch of one: it raises the slot's error."""
+        service = QueryService(fig1_engine)
+        with pytest.raises(TypeError, match="workers"):
+            service.submit(KORQuery(0, 7, ("t1", "t2"), 8.0), workers=2)
+        assert len(service.cache) == 0
 
     def test_empty_batch(self, fig1_service):
         report = fig1_service.execute([], algorithm="bucketbound")

@@ -61,7 +61,7 @@ def test_sharded_matches_flat_contract(algorithm, num_cells, service_backend):
         optima = [engine.run(q, algorithm="exact") for q in queries]
 
         service = ShardedQueryService(graph, num_cells=cells, backend=service_backend)
-        report = service.execute(queries, algorithm=algorithm, workers=3)
+        report = service.execute(queries, algorithm=algorithm)
         assert [item.query for item in report.items] == queries
 
         for item, flat_result, optimum, query in zip(
@@ -93,8 +93,8 @@ def test_sharded_warm_cache_stays_identical(num_cells, service_backend):
     service = ShardedQueryService(
         engine.graph, num_cells=cells, backend=service_backend
     )
-    cold = service.run_batch(queries, algorithm="bucketbound", workers=3)
-    warm = service.run_batch(queries, algorithm="bucketbound", workers=3)
+    cold = service.run_batch(queries, algorithm="bucketbound")
+    warm = service.run_batch(queries, algorithm="bucketbound")
     assert [fingerprint(r) for r in warm] == [fingerprint(r) for r in cold]
     assert service.snapshot().cache_hits >= len(queries)
 
@@ -109,7 +109,7 @@ def test_single_submits_match_batches(service_backend):
     single_service = ShardedQueryService(
         engine.graph, num_cells=cells, seed=1, backend=service_backend
     )
-    batched = batch_service.run_batch(queries, algorithm="osscaling", workers=3)
+    batched = batch_service.run_batch(queries, algorithm="osscaling")
     for query, expected in zip(queries, batched):
         got = single_service.submit(query, algorithm="osscaling")
         assert fingerprint(got) == fingerprint(expected)
@@ -139,7 +139,7 @@ def test_routing_stats_cover_every_computed_query(service_backend):
     engine, queries = random_instance(1)
     cells = min(2, engine.graph.num_nodes)
     service = ShardedQueryService(engine.graph, num_cells=cells, backend=service_backend)
-    report = service.execute(queries, algorithm="bucketbound", workers=3)
+    report = service.execute(queries, algorithm="bucketbound")
     computed = sum(1 for item in report.items if not item.cached)
     snapshot = service.snapshot()
     total_tasks = sum(snapshot.shard_tasks.values())

@@ -6,8 +6,8 @@ shard wave; a shard with one attempt gets a wave of one).  The contract
 is **fingerprint identity** with ``tests/golden/wave_fingerprints.json``
 — what the deleted lockstep path produced for the same seeded streams:
 routes, scores, failure reasons, per-label search statistics and the
-shard/merge accounting, for all six algorithms, on serial, thread and
-process backends — plus the containment tiers (poisoned member /
+shard/merge accounting, for all six algorithms, on the serial and
+process backends and through the async front end — plus the containment tiers (poisoned member /
 wave-level failure / broken-wave member-wise resubmission) and the wave
 occupancy counters in ``ServiceStats``.
 """
@@ -28,6 +28,7 @@ from repro.service.sharding import ShardedQueryService
 
 from tests.core.test_kernels import GOLDEN, STAT_FIELDS, outcome_record
 from tests.service.test_differential import fingerprint, random_instance
+from tests.service.test_waves import served_outcomes
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -62,15 +63,16 @@ def _report_view(report):
     return view
 
 
-def _golden_view(service, report) -> dict:
-    """A sharded batch in the golden file's shape."""
+def _golden_view(service, outcomes) -> dict:
+    """A sharded batch's ``(result, error)`` slots in the golden file's
+    shape."""
     shard_tasks, shard_errors, merge_wins = _snapshot_view(service)
     return {
         "items": [
-            outcome_record(item.result, item.error)
-            if item.error is not None
-            else {**outcome_record(item.result, None), "degraded": item.result.degraded}
-            for item in report.items
+            outcome_record(result, error)
+            if error is not None
+            else {**outcome_record(result, None), "degraded": result.degraded}
+            for result, error in outcomes
         ],
         "shard_tasks": shard_tasks,
         "shard_errors": shard_errors,
@@ -79,7 +81,7 @@ def _golden_view(service, report) -> dict:
 
 
 class TestShardedWaveDifferential:
-    @pytest.mark.parametrize("backend_name", ("serial", "thread", "process"))
+    @pytest.mark.parametrize("backend_name", ("serial", "process"))
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_scatter_reproduces_golden(self, algorithm, backend_name):
         """Wave-routed results == the golden file, down to the per-label
@@ -90,11 +92,24 @@ class TestShardedWaveDifferential:
                 with ShardedQueryService(
                     engine.graph, num_cells=2, backend=backend, cache_capacity=0
                 ) as service:
-                    report = service.execute(queries, algorithm=algorithm, workers=3)
+                    report = service.execute(queries, algorithm=algorithm)
                     assert (
-                        _golden_view(service, report)
+                        _golden_view(service, [(item.result, item.error) for item in report.items])
                         == GOLDEN["sharded"][f"{algorithm}/seed-{seed}"]
                     ), f"seed={seed}"
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_served_path_reproduces_golden(self, algorithm):
+        """The async front end's coalesced micro-batch scatters exactly
+        as the sync batch does: same records, same accounting."""
+        for seed in (0, 1):
+            engine, queries = random_instance(seed)
+            with ShardedQueryService(engine.graph, num_cells=2, cache_capacity=0) as service:
+                outcomes = served_outcomes(service, queries, algorithm)
+                assert (
+                    _golden_view(service, outcomes)
+                    == GOLDEN["sharded"][f"{algorithm}/seed-{seed}"]
+                ), f"seed={seed}"
 
     def test_per_attempt_and_default_scatter_are_identical(self, service_backend):
         """``wave_size=1`` (one submission per attempt) vs the default:
@@ -111,8 +126,8 @@ class TestShardedWaveDifferential:
             wave_size=1,
         )
         try:
-            waved_report = waved.execute(queries, workers=3)
-            per_attempt_report = per_attempt.execute(queries, workers=3)
+            waved_report = waved.execute(queries)
+            per_attempt_report = per_attempt.execute(queries)
             assert _report_view(waved_report) == _report_view(per_attempt_report)
             assert _snapshot_view(waved) == _snapshot_view(per_attempt)
         finally:
@@ -127,7 +142,7 @@ class TestShardedWaveDifferential:
             engine.graph, num_cells=1, backend=service_backend, cache_capacity=0
         )
         try:
-            report = service.execute(queries, workers=3)
+            report = service.execute(queries)
             for item in report.items:
                 assert item.error is None
                 assert fingerprint(item.result) == fingerprint(
@@ -144,7 +159,7 @@ class TestWaveObservability:
             engine.graph, num_cells=2, backend=service_backend, cache_capacity=0
         )
         try:
-            service.execute(queries, workers=3)
+            service.execute(queries)
             waves = service.stats.snapshot().waves
             # 8 queries over 2 cells + crosscell: at least the crosscell
             # group (every unit has a cross attempt) forms a real wave.
@@ -169,7 +184,7 @@ class TestWaveObservability:
             wave_size=1,
         )
         try:
-            service.execute(queries, workers=3)
+            service.execute(queries)
             snapshot = service.stats.snapshot()
             assert snapshot.waves["formed"] == 0
             # Every attempt went out as a wave of one.
@@ -249,7 +264,7 @@ class TestWaveChaos:
             )
             plan = FaultPlan([FaultRule(kind="kill_worker", times=1)])
             with injected(plan):
-                report = service.execute(queries, workers=3)
+                report = service.execute(queries)
             assert plan.fired() == {0: 1}
             for item, expected in zip(report.items, baseline):
                 assert item.error is None

@@ -1,153 +1,37 @@
-"""Single-flight miss protection in the sync services.
+"""Single-flight: the async front end's flight table is the one coalescer.
 
-Concurrent identical misses used to all compute; now exactly one caller
-per canonical key runs the engine while the rest wait for its result —
-the same coalescing key (and counter surface) the async front-end uses.
+Concurrent identical requests join one flight
+(:class:`~repro.service.frontend.AsyncQueryService`); the sync services
+run every call they are given.  These tests pin the flight table's
+hygiene — a failed flight leaves nothing behind, distinct keys never
+share a flight, a sharded service scatters a coalesced request once,
+and a flight computing against a retired epoch collects no new
+awaiters — plus the cache's epoch guard every computation relies on: a
+result computed against a retired epoch is handed to its caller but
+never stored.
 """
 
 from __future__ import annotations
 
-import threading
-import time
+import asyncio
+from functools import partial
 
 import pytest
 
+from repro.core.engine import KOREngine
+from repro.core.query import KORQuery
 from repro.exceptions import QueryError
-from repro.service import QueryService, ResultCache, ShardedQueryService
+from repro.service import AsyncQueryService, QueryService, ResultCache, ShardedQueryService
 
+from tests.service.test_backend_lifecycle import GatedEngine
 from tests.service.test_differential import fingerprint, random_instance
+from tests.service.test_frontend import SlowEngine
 
 
-class CountingEngine:
-    """Engine proxy that counts (and can delay) ``run`` calls."""
-
-    def __init__(self, engine, delay_seconds: float = 0.0):
-        self._engine = engine
-        self._delay = delay_seconds
-        self._lock = threading.Lock()
-        self.runs = 0
-
-    def __getattr__(self, name):
-        return getattr(self._engine, name)
-
-    def run(self, *args, **kwargs):
-        with self._lock:
-            self.runs += 1
-        if self._delay:
-            time.sleep(self._delay)
-        return self._engine.run(*args, **kwargs)
-
-
-def hammer(fn, threads: int):
-    """Run *fn* from *threads* threads at once; return results/errors."""
-    barrier = threading.Barrier(threads)
-    results: list = [None] * threads
-    errors: list = [None] * threads
-
-    def body(slot: int) -> None:
-        barrier.wait()
-        try:
-            results[slot] = fn()
-        except Exception as error:  # noqa: BLE001 - inspected by the test
-            errors[slot] = error
-
-    workers = [threading.Thread(target=body, args=(slot,)) for slot in range(threads)]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join(timeout=30.0)
-    return results, errors
-
-
-class TestResultCacheGetOrCompute:
-    def test_concurrent_identical_misses_compute_once(self):
-        cache = ResultCache(capacity=16)
-        calls = []
-        gate = threading.Event()
-
-        def compute():
-            calls.append(1)
-            gate.wait(5.0)
-            return object()
-
-        def one():
-            # Release the leader once everyone is inside get_or_compute.
-            threading.Timer(0.05, gate.set).start()
-            return cache.get_or_compute("key", compute)
-
-        results, errors = hammer(one, threads=6)
-        assert not any(errors)
-        assert len(calls) == 1
-        values = {id(result[0]) for result in results}
-        assert len(values) == 1  # everyone got the same object
-        hows = sorted(result[1] for result in results)
-        assert hows.count("computed") == 1
-        assert hows.count("coalesced") == 5
-        assert cache.stats.coalesced == 5
-
-    def test_leader_error_propagates_and_nothing_is_cached(self):
-        cache = ResultCache(capacity=16)
-        boom = QueryError("boom")
-
-        def compute():
-            time.sleep(0.05)
-            raise boom
-
-        results, errors = hammer(lambda: cache.get_or_compute("key", compute), threads=4)
-        assert all(result is None for result in results)
-        assert all(error is boom for error in errors)
-        assert len(cache) == 0
-        # A later call recomputes (the failed flight is gone).
-        recovered = cache.get_or_compute("key", lambda: ("ok", 1))
-        assert recovered == (("ok", 1), "computed")
-
-    def test_hit_path_skips_the_flight_table(self):
-        cache = ResultCache(capacity=16)
-        cache.put("key", "value")
-        result, how = cache.get_or_compute("key", lambda: pytest.fail("must not compute"))
-        assert (result, how) == ("value", "hit")
-
-    def test_leader_result_is_not_written_back(self):
-        """Coalescing only: the caller's *compute* caches its own result
-        (the service's batch path does, epoch-guarded)."""
-        cache = ResultCache(capacity=16)
-        result, how = cache.get_or_compute("key", lambda: "computed-value")
-        assert (result, how) == ("computed-value", "computed")
-        assert "key" not in cache
-
-    def test_invalidate_mid_flight_stops_new_coalescing(self):
-        """A caller arriving after invalidate() must not be handed a
-        computation that started against the retired engine."""
-        cache = ResultCache(capacity=16)
-        leader_started = threading.Event()
-        leader_gate = threading.Event()
-
-        def slow_compute():
-            leader_started.set()
-            leader_gate.wait(10.0)
-            return "old-engine-result"
-
-        leader_box: list = []
-        leader = threading.Thread(
-            target=lambda: leader_box.append(cache.get_or_compute("key", slow_compute))
-        )
-        leader.start()
-        assert leader_started.wait(5.0)
-
-        cache.invalidate()  # the engine was swapped while the leader runs
-        # A post-invalidate caller starts its own flight instead of
-        # coalescing onto the old-engine computation.
-        fresh = cache.get_or_compute("key", lambda: "new-engine-result")
-        assert fresh == ("new-engine-result", "computed")
-
-        leader_gate.set()
-        leader.join(timeout=10.0)
-        assert leader_box == [("old-engine-result", "computed")]
-        assert cache.stats.coalesced == 0
-
+class TestStaleWriteBack:
     def test_epoch_guard_drops_stale_write_but_serves_result(self):
         cache = ResultCache(capacity=16)
-        epoch = cache.epoch
+        epoch = cache.epoch  # captured as the batch path captures it
 
         def compute():
             cache.invalidate()  # the engine was swapped mid-computation
@@ -155,170 +39,173 @@ class TestResultCacheGetOrCompute:
             cache.put("key", result, epoch=epoch)  # as the batch path stores
             return result
 
-        result, how = cache.get_or_compute("key", compute, epoch=epoch)
-        assert result == "stale-but-correct-for-the-caller"
-        assert how == "computed"
+        assert compute() == "stale-but-correct-for-the-caller"
         assert "key" not in cache  # the epoch guard dropped the write
         assert cache.stats.stale_writes == 1
 
 
-class TestServiceSingleFlight:
-    def test_flat_service_concurrent_submits_run_engine_once(self):
+class TestFlightTable:
+    def test_failed_flight_fails_every_awaiter_and_caches_nothing(self):
         engine, queries = random_instance(0)
-        counting = CountingEngine(engine, delay_seconds=0.05)
-        service = QueryService(counting, cache_capacity=64)
-        n = 6
-
-        results, errors = hammer(
-            lambda: service.submit(queries[0], algorithm="bucketbound"), threads=n
-        )
-        assert not any(errors)
-        assert counting.runs == 1
-        assert all(result is results[0] for result in results)
-        snapshot = service.snapshot()
-        assert snapshot.coalesced == n - 1
-        assert snapshot.cache_misses == 1
-        assert snapshot.cache_hits == n - 1
-        assert service.cache.stats.coalesced == n - 1
-        # Differential sanity: the shared answer is the engine's answer.
-        assert fingerprint(results[0]) == fingerprint(
-            engine.run(queries[0], algorithm="bucketbound")
-        )
-
-    def test_flat_service_error_does_not_poison_followups(self):
-        engine, queries = random_instance(0)
-        from repro.core.query import KORQuery
-
         bad = KORQuery(engine.graph.num_nodes + 7, 0, (), 4.0)
         service = QueryService(engine, cache_capacity=64)
-        results, errors = hammer(
-            lambda: service.submit(bad, algorithm="bucketbound"), threads=3
-        )
-        assert all(result is None for result in results)
-        assert all(isinstance(error, QueryError) for error in errors)
-        assert len(service.cache) == 0
-        good = service.submit(queries[0], algorithm="bucketbound")
-        assert fingerprint(good) == fingerprint(
-            engine.run(queries[0], algorithm="bucketbound")
-        )
 
-    def test_sharded_service_concurrent_submits_share_one_wave(self):
+        async def drive():
+            async with AsyncQueryService(service) as front:
+                outcomes = await asyncio.gather(
+                    *(front.submit(bad, algorithm="bucketbound") for _ in range(3)),
+                    return_exceptions=True,
+                )
+                return front.snapshot(), outcomes
+
+        snapshot, outcomes = asyncio.run(drive())
+        assert all(isinstance(outcome, QueryError) for outcome in outcomes)
+        assert snapshot.coalesced == 2
+        assert snapshot.errors == 3
+        assert len(service.cache) == 0
+
+    def test_failed_flight_leaves_no_entry_behind(self):
+        """A later identical request starts a flight of its own instead
+        of joining (or waiting on) the dead one, and a follow-up good
+        request is answered as the engine answers it."""
+        engine, queries = random_instance(0)
+        bad = KORQuery(engine.graph.num_nodes + 7, 0, (), 4.0)
+        service = QueryService(engine, cache_capacity=64)
+
+        async def drive():
+            async with AsyncQueryService(service) as front:
+                for _ in range(2):
+                    with pytest.raises(QueryError):
+                        await front.submit(bad, algorithm="bucketbound")
+                    assert front._pending == {}  # noqa: SLF001 - regression introspection
+                good = await front.submit(queries[0], algorithm="bucketbound")
+                return front.scheduling_stats(), front.snapshot(), good
+
+        scheduling, snapshot, good = asyncio.run(drive())
+        assert scheduling["flights"] == 3
+        assert snapshot.coalesced == 0
+        assert fingerprint(good) == fingerprint(engine.run(queries[0], algorithm="bucketbound"))
+
+    def test_cached_request_never_enters_the_flight_table(self):
+        engine, queries = random_instance(0)
+        slow = SlowEngine(engine)
+        service = QueryService(slow, cache_capacity=64)
+        first = service.submit(queries[0], algorithm="bucketbound")
+
+        async def drive():
+            async with AsyncQueryService(service) as front:
+                again = await front.submit(queries[0], algorithm="bucketbound")
+                return front.scheduling_stats(), again
+
+        scheduling, again = asyncio.run(drive())
+        assert again is first
+        assert (scheduling["loop_hits"], scheduling["flights"]) == (1, 0)
+        assert slow.runs == 1
+
+    def test_distinct_keys_each_get_one_flight(self):
+        """Every distinct key computes exactly once; only its own
+        duplicates join its flight."""
+        engine, queries = random_instance(2)
+        slow = SlowEngine(engine)
+        service = QueryService(slow, cache_capacity=64)
+        distinct = list(dict.fromkeys(queries[:4]))
+
+        async def drive():
+            async with AsyncQueryService(service) as front:
+                results = await asyncio.gather(
+                    *(front.submit(query, algorithm="bucketbound") for query in distinct * 2)
+                )
+                return front.scheduling_stats(), front.snapshot(), results
+
+        scheduling, snapshot, results = asyncio.run(drive())
+        n = len(distinct)
+        assert slow.runs == n
+        assert scheduling["flights"] == n
+        assert snapshot.coalesced == n
+        assert all(results[i] is results[i + n] for i in range(n))
+        assert [fingerprint(r) for r in results[:n]] == [
+            fingerprint(engine.run(query, algorithm="bucketbound")) for query in distinct
+        ]
+
+    def test_sharded_identical_awaiters_share_one_scatter(self):
         engine, queries = random_instance(1)
         service = ShardedQueryService(
             engine.graph, num_cells=min(2, engine.graph.num_nodes), seed=4
         )
+        n = 6
+
+        async def drive():
+            async with AsyncQueryService(service) as front:
+                results = await asyncio.gather(
+                    *(front.submit(queries[0], algorithm="bucketbound") for _ in range(n))
+                )
+                return front.snapshot(), results
+
         try:
-            n = 6
-            results, errors = hammer(
-                lambda: service.submit(queries[0], algorithm="bucketbound"), threads=n
-            )
-            assert not any(errors)
+            snapshot, results = asyncio.run(drive())
             assert all(result is results[0] for result in results)
-            snapshot = service.snapshot()
-            # The hard guarantee: one scatter wave total (at most one
-            # task per attempt kind) — nothing recomputed, whether a
-            # waiter coalesced onto the flight or arrived just after it
-            # landed and hit the cache (both are timing-dependent).
-            assert sum(snapshot.shard_tasks.values()) <= 2
-            assert snapshot.cache_misses == 1
-            assert snapshot.cache_hits == n - 1
+            assert snapshot.coalesced == n - 1
+            sync = service.snapshot()
+            # One scatter: at most one task per attempt kind, one miss.
+            assert sum(sync.shard_tasks.values()) <= 2
+            assert (sync.cache_misses, sync.cache_hits) == (1, 0)
             assert fingerprint(results[0]) == fingerprint(
                 service.submit(queries[0], algorithm="bucketbound")
             )
         finally:
             service.close()
 
-    def test_distinct_keys_do_not_coalesce(self):
-        engine, queries = random_instance(2)
-        counting = CountingEngine(engine)
-        service = QueryService(counting, cache_capacity=64)
-        distinct = [q for q in queries[:4]]
-        results, errors = hammer(
-            lambda: [
-                service.submit(query, algorithm="bucketbound") for query in distinct
-            ],
-            threads=2,
-        )
-        assert not any(errors)
-        # Every distinct key computed at least once, at most once per
-        # key (coalescing or cache hits absorb the second thread).
-        assert counting.runs == len(set(distinct))
-
 
 class TestEpochScopedFlights:
-    """Regressions: dead flights are removed, and the flight table is
-    keyed by the *caller's* captured epoch, not the table's current one."""
+    """A flight dispatched before an engine swap or a graph update still
+    answers its own awaiters, but a request arriving after the new epoch
+    is published starts a flight of its own: joining the old one would
+    hand it an answer from the retired state."""
 
-    def test_failed_leader_leaves_no_flight_entry_behind(self):
-        cache = ResultCache(capacity=16)
+    @pytest.mark.parametrize("retire", ("replace_engine", "apply_update"))
+    def test_a_flight_from_a_retired_epoch_collects_no_new_awaiters(self, retire):
+        engine, queries = random_instance(0)
+        gated = GatedEngine(engine)
+        service = QueryService(gated, cache_capacity=64)
+        query = queries[0]
 
-        def boom():
-            raise QueryError("dead flight")
+        async def drive():
+            loop = asyncio.get_running_loop()
+            async with AsyncQueryService(service) as front:
+                old = asyncio.ensure_future(front.submit(query, algorithm="bucketbound"))
+                assert await loop.run_in_executor(
+                    None, partial(gated.running.acquire, timeout=10.0)
+                )
+                if retire == "replace_engine":
+                    service.replace_engine(engine)
+                else:
+                    u, (v, _objective, _budget) = next(
+                        (node, edge)
+                        for node in range(engine.graph.num_nodes)
+                        for edge in engine.graph.out_edges(node)
+                    )
+                    await front.apply_update(
+                        [{"op": "update_edge_cost", "u": u, "v": v, "objective": 0.25}]
+                    )
+                try:
+                    fresh = await asyncio.wait_for(
+                        front.submit(query, algorithm="bucketbound"), 5.0
+                    )
+                finally:
+                    gated.gate.set()
+                stale = await old
+                again = await front.submit(query, algorithm="bucketbound")
+                return front.scheduling_stats(), front.snapshot(), stale, fresh, again
 
-        with pytest.raises(QueryError, match="dead flight"):
-            cache.get_or_compute("key", boom)
-        # The flight table is empty: a later caller computes immediately
-        # instead of waiting on (or coalescing onto) the dead flight.
-        assert cache._in_flight == {}  # noqa: SLF001 - regression introspection
-        assert cache.get_or_compute("key", lambda: "ok") == ("ok", "computed")
-        assert cache.stats.coalesced == 0
-
-    def test_failed_leader_with_captured_epoch_also_cleans_up(self):
-        cache = ResultCache(capacity=16)
-        epoch = cache.epoch
-
-        def boom():
-            raise QueryError("epoch flight died")
-
-        with pytest.raises(QueryError):
-            cache.get_or_compute("key", boom, epoch=epoch)
-        assert cache._in_flight == {}  # noqa: SLF001 - regression introspection
-        recovered = cache.get_or_compute("key", lambda: "fresh", epoch=cache.epoch)
-        assert recovered == ("fresh", "computed")
-
-    def test_leader_that_captured_retired_epoch_does_not_collect_fresh_waiters(self):
-        """The capture-races-invalidate edge: a leader holding a retired
-        epoch must register its flight under *that* epoch, so callers
-        who captured the new epoch start their own computation instead
-        of coalescing onto the stale engine's answer."""
-        cache = ResultCache(capacity=16)
-        stale_epoch = cache.epoch
-        cache.invalidate()  # the leader's epoch capture raced this
-
-        entered = threading.Event()
-        release = threading.Event()
-
-        def stale_compute():
-            entered.set()
-            release.wait(10.0)
-            cache.put("key", "stale-engine-answer", epoch=stale_epoch)
-            return "stale-engine-answer"
-
-        def fresh_compute():
-            cache.put("key", "fresh-engine-answer", epoch=fresh_epoch)
-            return "fresh-engine-answer"
-
-        leader_box: list = []
-        leader = threading.Thread(
-            target=lambda: leader_box.append(
-                cache.get_or_compute("key", stale_compute, epoch=stale_epoch)
-            )
-        )
-        leader.start()
-        assert entered.wait(5.0)
-
-        # A fresh-epoch caller must become its own leader immediately —
-        # before the fix it coalesced onto the stale flight (and would
-        # block here until the stale leader finished).
-        fresh_epoch = cache.epoch
-        fresh = cache.get_or_compute("key", fresh_compute, epoch=fresh_epoch)
-        assert fresh == ("fresh-engine-answer", "computed")
-        assert cache.stats.coalesced == 0
-
-        release.set()
-        leader.join(timeout=10.0)
-        assert leader_box == [("stale-engine-answer", "computed")]
-        # The stale leader's write-back was epoch-dropped: the store
-        # serves the fresh engine's answer.
-        assert cache.get("key") == "fresh-engine-answer"
-        assert cache.stats.stale_writes == 1
+        scheduling, snapshot, stale, fresh, again = asyncio.run(drive())
+        assert scheduling["flights"] == 2
+        assert snapshot.coalesced == 0
+        # The new flight never touched the retired (gated) engine.
+        assert not gated.running.acquire(timeout=0.0)
+        oracle = KOREngine(service.engine.graph)
+        assert fingerprint(fresh) == fingerprint(oracle.run(query, algorithm="bucketbound"))
+        assert fingerprint(stale) == fingerprint(engine.run(query, algorithm="bucketbound"))
+        # The retired flight's write-back was epoch-dropped: the cache
+        # serves the fresh answer.
+        assert again is fresh
+        assert service.cache.stats.stale_writes == 1

@@ -4,11 +4,12 @@ Every unique computation of a batch ships inside a :class:`WaveTask`
 (:func:`repro.service.batch.dispatch_waves`; a batch of one is a wave of
 one).  These tests pin:
 
-* **golden fingerprints** — on serial, thread and process backends a
+* **golden fingerprints** — on the serial and process backends a
   batch reproduces ``tests/golden/wave_fingerprints.json``, what the
   deleted lockstep path produced for the same seeded streams, per-label
-  statistics included; chunking (``wave_size=1`` vs default vs 2) never
-  changes a slot;
+  statistics included, and so does the served path (the async front
+  end, whatever its micro-batch size); chunking (``wave_size=1`` vs
+  default vs 2) never changes a slot;
 * the three containment tiers:
 
   1. a poisoned member (unbindable query, injected fault) errors only
@@ -22,6 +23,7 @@ one).  These tests pin:
 
 from __future__ import annotations
 
+import asyncio
 from concurrent.futures import Future
 
 import pytest
@@ -30,6 +32,7 @@ from repro.core.engine import ALGORITHMS
 from repro.core.query import KORQuery
 from repro.exceptions import QueryError
 from repro.service import (
+    AsyncQueryService,
     ProcessBackend,
     QueryService,
     SerialBackend,
@@ -49,7 +52,24 @@ from tests.service.test_differential import fingerprint, random_instance
 
 pytestmark = pytest.mark.timeout(300)
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
+
+
+def served_outcomes(service, queries, algorithm: str, max_batch: int = 64, **params) -> list:
+    """Every query awaited concurrently through the async front end: one
+    ``(result, error)`` pair per slot."""
+
+    async def drive():
+        async with AsyncQueryService(service, max_batch=max_batch) as front:
+            return await asyncio.gather(
+                *(front.submit(query, algorithm=algorithm, **params) for query in queries),
+                return_exceptions=True,
+            )
+
+    return [
+        (None, outcome) if isinstance(outcome, Exception) else (outcome, None)
+        for outcome in asyncio.run(drive())
+    ]
 
 
 def _report_view(report):
@@ -86,6 +106,29 @@ class TestWaveBatchGolden:
             report = service.execute(queries, algorithm=algorithm, **STRATEGIES_OFF)
         assert [
             outcome_record(item.result, item.error) for item in report.items
+        ] == GOLDEN["flat"][f"{algorithm}/strategies-off/seed-0"]
+
+    @pytest.mark.parametrize("max_batch", (1, 64))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_served_path_reproduces_golden(self, algorithm, max_batch):
+        """Through the async front end, one micro-batch per request
+        (``max_batch=1``: concurrent inline waves on executor threads)
+        or one for all of them."""
+        for seed in (0, 1):
+            engine, queries = random_instance(seed)
+            with QueryService(engine, cache_capacity=0) as service:
+                outcomes = served_outcomes(service, queries, algorithm, max_batch=max_batch)
+                assert [
+                    outcome_record(result, error) for result, error in outcomes
+                ] == GOLDEN["flat"][f"{algorithm}/strategies-on/seed-{seed}"], f"seed={seed}"
+
+    @pytest.mark.parametrize("algorithm", LABEL_ALGORITHMS)
+    def test_served_path_reproduces_golden_with_strategies_off(self, algorithm):
+        engine, queries = random_instance(0)
+        with QueryService(engine, cache_capacity=0) as service:
+            outcomes = served_outcomes(service, queries, algorithm, **STRATEGIES_OFF)
+        assert [
+            outcome_record(result, error) for result, error in outcomes
         ] == GOLDEN["flat"][f"{algorithm}/strategies-off/seed-0"]
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
