@@ -5,12 +5,14 @@ Usage::
 
     python benchmarks/run_all.py [--only fig04,fig09] [--results DIR]
 
-Environment knobs (see repro.bench.workloads): KOR_BENCH_QUERIES sets the
-queries per set (default 12; the paper uses 50), KOR_BENCH_SCALE one of
-small / default / paper.
+Runs each row of the figure table (``repro.bench.experiments.
+all_experiments()``) through ``run_figure``; ``--only`` keeps the rows
+whose name starts with one of the given prefixes.  Environment knobs (see
+repro.bench.workloads): KOR_BENCH_QUERIES sets the queries per set
+(default 12; the paper uses 50), KOR_BENCH_SCALE one of small / default /
+paper.
 
-Each experiment saves <figure>.json + <figure>.txt and prints its table;
-the paper-vs-measured comparison lives in EXPERIMENTS.md.
+Each figure saves <figure>.json + <figure>.txt and prints its table.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.bench.experiments import all_experiments
+from repro.bench.experiments import all_experiments, run_figure
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,8 +39,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     wanted = [token for token in args.only.split(",") if token]
-    experiments = all_experiments()
-    names = [experiment.__name__ for experiment in experiments]
+    rows = all_experiments()
+    names = [row.name for row in rows]
     unmatched = [p for p in wanted if not any(n.startswith(p) for n in names)]
     if unmatched:
         print(
@@ -57,15 +59,15 @@ def main(argv: list[str] | None = None) -> int:
     results_dir.mkdir(parents=True, exist_ok=True)
 
     total_begin = time.perf_counter()
-    for experiment, name in zip(experiments, names):
-        if wanted and not any(name.startswith(prefix) for prefix in wanted):
+    for row in rows:
+        if wanted and not any(row.name.startswith(prefix) for prefix in wanted):
             continue
         begin = time.perf_counter()
-        result = experiment()
+        result = run_figure(row)
         elapsed = time.perf_counter() - begin
         result.save(results_dir)
         print(result.to_table())
-        print(f"[{name}: {elapsed:.1f}s]\n")
+        print(f"[{row.name}: {elapsed:.1f}s]\n")
     print(f"total: {time.perf_counter() - total_begin:.1f}s -> {results_dir}")
     return 0
 

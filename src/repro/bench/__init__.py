@@ -7,16 +7,18 @@ The package splits into four layers:
   every experiment shares one copy);
 * :mod:`repro.bench.harness` — timing/aggregation primitives: run one
   algorithm over one query set, compute relative ratios and failure rates;
-* :mod:`repro.bench.experiments` — one function per paper figure
-  (Figures 4-19) plus the ablations called out in DESIGN.md, each
-  returning an :class:`~repro.bench.experiments.ExperimentResult`;
-* :mod:`repro.bench.reporting` — fixed-width text / markdown / JSON
-  emitters for the result series.
+* :mod:`repro.bench.experiments` — the figures as one table: a
+  :class:`~repro.bench.experiments.Figure` row per paper figure
+  (Figures 4-19) and per ablation (the optimisation strategies, epsilon
+  vs label volume, partitioned tables, the disk index), and one runner,
+  :func:`~repro.bench.experiments.run_figure`, returning an
+  :class:`~repro.bench.experiments.ExperimentResult`;
+* :mod:`repro.bench.reporting` — fixed-width text / JSON emitters for
+  the result series.
 
-``python benchmarks/run_all.py`` regenerates every figure into
-``results/``; ``pytest -o python_files='bench_*.py' benchmarks/
---benchmark-only`` runs the pytest-benchmark harness over representative
-cells.
+``python benchmarks/run_all.py`` runs every row into ``results/``;
+``pytest -o python_files='bench_*.py' benchmarks/bench_figures.py``
+benchmarks each row with pytest-benchmark and asserts its check.
 
 The package measures the paper's algorithms only.  The serving stack
 (HTTP host, front-end, cache, backends, sharding, live updates) has one

@@ -1,11 +1,19 @@
-"""One function per figure of the paper's evaluation (Section 4).
+"""The paper's evaluation (Section 4) as one table of figures.
 
-Every function returns an :class:`ExperimentResult` holding the x-axis,
-the per-algorithm series and provenance notes; ``result.to_table()``
-renders the same rows the paper plots.  Heavy work (running an algorithm
-over a query set) goes through a module-level cell cache so that figures
-sharing measurements (e.g. Figure 4 and Figure 10 both consume the
-keyword-sweep grid) never recompute them.
+Every figure is a :class:`Figure` row: an x-axis sweep, one series per
+paper legend name, a metric and the check its result must pass.  A
+series maps each x to the measurement *cells* behind that point — one
+``(algorithm, keywords, delta, params)`` run over one cached query set —
+and :func:`run_figure` reports the mean of the metric over those cells.
+Four figures are not such grids (top-k, the strategy ablation with its
+own query set, the partitioned tables and the disk index); their rows
+carry a short ``measure`` function instead.  ``all_experiments()`` is
+the table; ``run_figure(row).to_table()`` renders the rows the paper
+plots.
+
+Cells go through a module-level cache, so figures sharing measurements
+(e.g. Figure 4 and Figure 10 both consume the keyword-sweep grid) never
+recompute them.
 
 Conventions carried over from the paper:
 
@@ -14,15 +22,18 @@ Conventions carried over from the paper:
   (Section 4.2.2's protocol — the exact optimum is intractable);
 * Figure 12/13's x-axis follows the paper's *experimental* reading of
   alpha (larger alpha = more budget-driven = fewer failures), which
-  contradicts Equation 1 as printed; we map ``alpha_figure =
-  1 - alpha_eq1`` and document the discrepancy in DESIGN.md.
+  contradicts Equation 1 as printed (it weighs the objective by alpha);
+  the engine receives ``alpha_eq1 = 1 - alpha_figure``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Any, Callable
 
 from repro.bench.harness import (
     RunSummary,
@@ -34,8 +45,10 @@ from repro.bench.reporting import render_table, save_json
 from repro.bench.workloads import (
     FLICKR_DELTAS,
     KEYWORD_COUNTS,
+    ROAD_DEFAULT_DELTA,
     ROAD_DELTAS,
     Workload,
+    bench_num_queries,
     flickr_workload,
     road_default_size,
     road_sizes,
@@ -43,29 +56,14 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
+    "LEGEND",
     "ExperimentResult",
-    "fig04_runtime_vs_keywords",
-    "fig05_runtime_vs_budget",
-    "fig06_runtime_vs_epsilon",
-    "fig07_ratio_vs_epsilon",
-    "fig08_runtime_vs_beta",
-    "fig09_ratio_vs_beta",
-    "fig10_ratio_vs_keywords",
-    "fig11_ratio_vs_budget",
-    "fig12_ratio_vs_alpha",
-    "fig13_failure_vs_alpha",
-    "fig14_runtime_equal_bound",
-    "fig15_ratio_equal_bound",
-    "fig16_topk_runtime",
-    "fig17_scalability",
-    "fig18_road_runtime_vs_keywords",
-    "fig19_road_runtime_vs_budget",
-    "ablation_opt_strategies",
-    "ablation_epsilon_labels",
-    "ablation_partition",
-    "ablation_disk_index",
+    "Figure",
     "all_experiments",
+    "cell",
+    "cell_summary",
     "clear_cell_cache",
+    "run_figure",
 ]
 
 #: Default knobs shared across experiments (paper Section 4.2.1).
@@ -75,8 +73,21 @@ DEFAULT_ALPHA = 0.5
 #: Ratio base (Section 4.2.2): OSScaling at eps = 0.1.
 BASE_EPSILON = 0.1
 
+#: Paper legend name -> engine algorithm and its default parameters.
+LEGEND: dict[str, tuple[str, dict]] = {
+    "OSScaling": ("osscaling", {"epsilon": DEFAULT_EPSILON}),
+    "BucketBound": ("bucketbound", {"epsilon": DEFAULT_EPSILON, "beta": DEFAULT_BETA}),
+    "Greedy-1": ("greedy", {"alpha": DEFAULT_ALPHA}),
+    "Greedy-2": ("greedy2", {"alpha": DEFAULT_ALPHA}),
+}
+
 #: The four algorithms of every runtime figure, in the paper's legend order.
 RUNTIME_ALGORITHMS = ("OSScaling", "BucketBound", "Greedy-2", "Greedy-1")
+#: The fast algorithms whose accuracy Figures 10-11 plot.
+RATIO_ALGORITHMS = ("BucketBound", "Greedy-2", "Greedy-1")
+
+#: One algorithm over one query set: ``(algorithm, keywords, delta, params)``.
+Cell = tuple[str, int, float, dict]
 
 
 @dataclass
@@ -87,8 +98,8 @@ class ExperimentResult:
     title: str
     x_name: str
     xs: list
+    y_name: str
     series: dict[str, list[float]]
-    y_name: str = "value"
     notes: str = ""
     meta: dict = field(default_factory=dict)
 
@@ -107,17 +118,7 @@ class ExperimentResult:
         """Write ``<figure>.json`` and ``<figure>.txt`` under *directory*."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "figure": self.figure,
-            "title": self.title,
-            "x_name": self.x_name,
-            "xs": self.xs,
-            "y_name": self.y_name,
-            "series": self.series,
-            "notes": self.notes,
-            "meta": self.meta,
-        }
-        save_json(directory / f"{self.figure}.json", payload)
+        save_json(directory / f"{self.figure}.json", asdict(self))
         (directory / f"{self.figure}.txt").write_text(self.to_table())
         return directory / f"{self.figure}.json"
 
@@ -157,31 +158,34 @@ def cell_summary(
     return cached
 
 
-def base_cell(workload: Workload, num_keywords: int, delta: float) -> RunSummary:
-    """The ratio base: OSScaling at eps = 0.1 on the same query set."""
-    return cell_summary(workload, "osscaling", num_keywords, delta, epsilon=BASE_EPSILON)
+def cell(name: str, num_keywords: int, delta: float, **overrides) -> Cell:
+    """Legend *name*'s cell: its default params with *overrides* on top."""
+    algorithm, params = LEGEND[name]
+    return algorithm, num_keywords, delta, {**params, **overrides}
 
 
-def named_cell(
-    workload: Workload, name: str, num_keywords: int, delta: float
-) -> RunSummary:
-    """Dispatch a paper legend name to an engine call with default knobs."""
-    if name == "OSScaling":
-        return cell_summary(workload, "osscaling", num_keywords, delta, epsilon=DEFAULT_EPSILON)
-    if name == "BucketBound":
-        return cell_summary(
-            workload,
-            "bucketbound",
-            num_keywords,
-            delta,
-            epsilon=DEFAULT_EPSILON,
-            beta=DEFAULT_BETA,
-        )
-    if name == "Greedy-1":
-        return cell_summary(workload, "greedy", num_keywords, delta, alpha=DEFAULT_ALPHA)
-    if name == "Greedy-2":
-        return cell_summary(workload, "greedy2", num_keywords, delta, alpha=DEFAULT_ALPHA)
-    raise ValueError(f"unknown algorithm name {name!r}")
+def _summary(workload: Workload, c: Cell) -> RunSummary:
+    algorithm, num_keywords, delta, params = c
+    return cell_summary(workload, algorithm, num_keywords, delta, **params)
+
+
+def _base(workload: Workload, c: Cell) -> RunSummary:
+    """The ratio base: OSScaling at eps = 0.1 on the cell's query set."""
+    return cell_summary(workload, "osscaling", c[1], c[2], epsilon=BASE_EPSILON)
+
+
+def _labels_per_query(workload: Workload, c: Cell) -> float:
+    summary = _summary(workload, c)
+    return sum(o.labels_created for o in summary.outcomes) / max(summary.total, 1)
+
+
+#: Metric name -> the value of one cell.
+METRICS: dict[str, Callable[[Workload, Cell], float]] = {
+    "runtime": lambda w, c: _summary(w, c).mean_runtime_ms,
+    "ratio": lambda w, c: relative_ratio(_summary(w, c), _base(w, c)),
+    "failure": lambda w, c: failure_percentage(_summary(w, c), _base(w, c)),
+    "labels/query": _labels_per_query,
+}
 
 
 def _mean(values: list[float]) -> float:
@@ -190,468 +194,130 @@ def _mean(values: list[float]) -> float:
 
 
 # ----------------------------------------------------------------------
-# Figures 4-5: runtime on the Flickr graph
+# the table and its runner
 # ----------------------------------------------------------------------
 
-def fig04_runtime_vs_keywords(workload: Workload | None = None) -> ExperimentResult:
-    """Figure 4: runtime vs #keywords, averaged over the Delta sweep."""
-    workload = workload or flickr_workload()
-    series = {
-        name: [
-            _mean(
-                [
-                    named_cell(workload, name, kw, delta).mean_runtime_ms
-                    for delta in FLICKR_DELTAS
-                ]
-            )
-            for kw in KEYWORD_COUNTS
-        ]
-        for name in RUNTIME_ALGORITHMS
-    }
-    return ExperimentResult(
-        figure="fig04",
-        title="Runtime (Flickr) vs number of query keywords",
-        x_name="number of query keywords",
-        xs=list(KEYWORD_COUNTS),
-        series=series,
-        y_name="runtime (ms)",
-        notes=f"each point averages over Delta in {FLICKR_DELTAS} km, "
-        f"dataset {workload.name}",
-    )
+
+def _flickr(_x) -> Workload:
+    return flickr_workload()
 
 
-def fig05_runtime_vs_budget(workload: Workload | None = None) -> ExperimentResult:
-    """Figure 5: runtime vs Delta, averaged over the keyword sweep."""
-    workload = workload or flickr_workload()
-    series = {
-        name: [
-            _mean(
-                [
-                    named_cell(workload, name, kw, delta).mean_runtime_ms
-                    for kw in KEYWORD_COUNTS
-                ]
-            )
-            for delta in FLICKR_DELTAS
-        ]
-        for name in RUNTIME_ALGORITHMS
-    }
-    return ExperimentResult(
-        figure="fig05",
-        title="Runtime (Flickr) vs budget limit Delta",
-        x_name="Delta (km)",
-        xs=list(FLICKR_DELTAS),
-        series=series,
-        y_name="runtime (ms)",
-        notes=f"each point averages over keyword counts {KEYWORD_COUNTS}, "
-        f"dataset {workload.name}",
-    )
+def _passes(_result: ExperimentResult) -> bool:
+    return True
 
 
-# ----------------------------------------------------------------------
-# Figures 6-7: the epsilon knob of OSScaling
-# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Figure:
+    """One figure of the evaluation: a sweep, its series, metric and check.
 
-EPSILONS = (0.1, 0.3, 0.5, 0.7, 0.9)
-
-
-def fig06_runtime_vs_epsilon(workload: Workload | None = None) -> ExperimentResult:
-    """Figure 6: OSScaling runtime vs eps (Delta=6, 6 keywords)."""
-    workload = workload or flickr_workload()
-    runtimes = [
-        cell_summary(workload, "osscaling", 6, 6.0, epsilon=eps).mean_runtime_ms
-        for eps in EPSILONS
-    ]
-    return ExperimentResult(
-        figure="fig06",
-        title="OSScaling runtime vs epsilon",
-        x_name="epsilon",
-        xs=list(EPSILONS),
-        series={"OSScaling": runtimes},
-        y_name="runtime (ms)",
-        notes="Delta = 6 km, 6 query keywords",
-    )
-
-
-def fig07_ratio_vs_epsilon(workload: Workload | None = None) -> ExperimentResult:
-    """Figure 7: OSScaling relative ratio vs eps (base eps=0.1)."""
-    workload = workload or flickr_workload()
-    base = base_cell(workload, 6, 6.0)
-    ratios = [
-        relative_ratio(cell_summary(workload, "osscaling", 6, 6.0, epsilon=eps), base)
-        for eps in EPSILONS
-    ]
-    return ExperimentResult(
-        figure="fig07",
-        title="OSScaling relative ratio vs epsilon",
-        x_name="epsilon",
-        xs=list(EPSILONS),
-        series={"OSScaling": ratios},
-        y_name="relative ratio",
-        notes="base: OSScaling eps=0.1; Delta = 6 km, 6 query keywords",
-    )
-
-
-# ----------------------------------------------------------------------
-# Figures 8-9: the beta knob of BucketBound
-# ----------------------------------------------------------------------
-
-BETAS = (1.2, 1.4, 1.6, 1.8, 2.0)
-
-
-def fig08_runtime_vs_beta(workload: Workload | None = None) -> ExperimentResult:
-    """Figure 8: BucketBound runtime vs beta (eps=0.5, Delta=6, 6 kw)."""
-    workload = workload or flickr_workload()
-    runtimes = [
-        cell_summary(
-            workload, "bucketbound", 6, 6.0, epsilon=DEFAULT_EPSILON, beta=beta
-        ).mean_runtime_ms
-        for beta in BETAS
-    ]
-    return ExperimentResult(
-        figure="fig08",
-        title="BucketBound runtime vs beta",
-        x_name="beta",
-        xs=list(BETAS),
-        series={"BucketBound": runtimes},
-        y_name="runtime (ms)",
-        notes="eps = 0.5, Delta = 6 km, 6 query keywords",
-    )
-
-
-def fig09_ratio_vs_beta(workload: Workload | None = None) -> ExperimentResult:
-    """Figure 9: BucketBound relative ratio vs beta (must stay < beta)."""
-    workload = workload or flickr_workload()
-    base = base_cell(workload, 6, 6.0)
-    ratios = [
-        relative_ratio(
-            cell_summary(workload, "bucketbound", 6, 6.0, epsilon=DEFAULT_EPSILON, beta=beta),
-            base,
-        )
-        for beta in BETAS
-    ]
-    return ExperimentResult(
-        figure="fig09",
-        title="BucketBound relative ratio vs beta",
-        x_name="beta",
-        xs=list(BETAS),
-        series={"BucketBound": ratios},
-        y_name="relative ratio",
-        notes="base: OSScaling eps=0.1; eps = 0.5, Delta = 6 km, 6 query keywords",
-    )
-
-
-# ----------------------------------------------------------------------
-# Figures 10-11: accuracy of the fast algorithms
-# ----------------------------------------------------------------------
-
-RATIO_ALGORITHMS = ("BucketBound", "Greedy-2", "Greedy-1")
-
-
-def fig10_ratio_vs_keywords(workload: Workload | None = None) -> ExperimentResult:
-    """Figure 10: relative ratio vs #keywords (Delta = 6 km)."""
-    workload = workload or flickr_workload()
-    series: dict[str, list[float]] = {name: [] for name in RATIO_ALGORITHMS}
-    for kw in KEYWORD_COUNTS:
-        base = base_cell(workload, kw, 6.0)
-        for name in RATIO_ALGORITHMS:
-            series[name].append(relative_ratio(named_cell(workload, name, kw, 6.0), base))
-    return ExperimentResult(
-        figure="fig10",
-        title="Relative ratio vs number of query keywords",
-        x_name="number of query keywords",
-        xs=list(KEYWORD_COUNTS),
-        series=series,
-        y_name="relative ratio",
-        notes="base: OSScaling eps=0.1; Delta = 6 km; greedy ratios measured "
-        "on the queries each greedy solves (paper protocol)",
-    )
-
-
-def fig11_ratio_vs_budget(workload: Workload | None = None) -> ExperimentResult:
-    """Figure 11: relative ratio vs Delta (6 keywords)."""
-    workload = workload or flickr_workload()
-    series: dict[str, list[float]] = {name: [] for name in RATIO_ALGORITHMS}
-    for delta in FLICKR_DELTAS:
-        base = base_cell(workload, 6, delta)
-        for name in RATIO_ALGORITHMS:
-            series[name].append(
-                relative_ratio(named_cell(workload, name, 6, delta), base)
-            )
-    return ExperimentResult(
-        figure="fig11",
-        title="Relative ratio vs budget limit Delta",
-        x_name="Delta (km)",
-        xs=list(FLICKR_DELTAS),
-        series=series,
-        y_name="relative ratio",
-        notes="base: OSScaling eps=0.1; 6 query keywords",
-    )
-
-
-# ----------------------------------------------------------------------
-# Figures 12-13: the alpha knob of Greedy
-# ----------------------------------------------------------------------
-
-ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-def _alpha_cells(
-    workload: Workload, figure_alpha: float
-) -> tuple[list[RunSummary], list[RunSummary], list[RunSummary]]:
-    """Greedy-1/Greedy-2 runs plus base runs over the keyword battery.
-
-    ``figure_alpha`` follows the paper's experimental semantics (1 =
-    budget-driven); Equation 1 as printed weighs the objective by alpha,
-    so the engine receives ``1 - figure_alpha`` (see module docstring).
+    ``name`` is what ``run_all.py --only`` matches; ``figure`` names the
+    saved files.  ``notes`` is formatted with ``w`` (the workload of the
+    first x) and the note fields a ``measure`` function returns.
     """
-    eq1_alpha = 1.0 - figure_alpha
-    greedy1 = [
-        cell_summary(workload, "greedy", kw, 6.0, alpha=eq1_alpha) for kw in KEYWORD_COUNTS
-    ]
-    greedy2 = [
-        cell_summary(workload, "greedy2", kw, 6.0, alpha=eq1_alpha) for kw in KEYWORD_COUNTS
-    ]
-    bases = [base_cell(workload, kw, 6.0) for kw in KEYWORD_COUNTS]
-    return greedy1, greedy2, bases
+
+    name: str
+    figure: str
+    title: str
+    x_name: str
+    xs: tuple
+    y_name: str
+    notes: str
+    #: Legend name -> (x -> the cells averaged into that point).
+    series: dict[str, Callable[[Any], list[Cell]]] = field(default_factory=dict)
+    #: A key of :data:`METRICS`.
+    metric: str = "runtime"
+    workload: Callable[[Any], Workload] = _flickr
+    #: Non-grid rows: ``(workload, xs) -> (series, note fields)``.
+    measure: Callable[[Workload, list], tuple[dict, dict]] | None = None
+    #: What the paper (or the construction) guarantees of the result.
+    check: Callable[[ExperimentResult], bool] = _passes
+
+    def holds(self, result: ExperimentResult) -> bool:
+        """The row's check, plus one value per x in every declared series."""
+        return (
+            result.xs == list(self.xs)
+            and (not self.series or list(result.series) == list(self.series))
+            and all(len(values) == len(self.xs) for values in result.series.values())
+            and self.check(result)
+        )
 
 
-def fig12_ratio_vs_alpha(workload: Workload | None = None) -> ExperimentResult:
-    """Figure 12: greedy relative ratio vs alpha (Delta = 6 km)."""
-    workload = workload or flickr_workload()
-    series: dict[str, list[float]] = {"Greedy-1": [], "Greedy-2": []}
-    for alpha in ALPHAS:
-        greedy1, greedy2, bases = _alpha_cells(workload, alpha)
-        series["Greedy-1"].append(
-            _mean([relative_ratio(run, base) for run, base in zip(greedy1, bases)])
-        )
-        series["Greedy-2"].append(
-            _mean([relative_ratio(run, base) for run, base in zip(greedy2, bases)])
-        )
+def run_figure(row: Figure) -> ExperimentResult:
+    """Measure one row: each point is its metric's mean over its cells."""
+    xs = list(row.xs)
+    workload = row.workload(xs[0])
+    if row.measure is not None:
+        series, fields = row.measure(workload, xs)
+    else:
+        metric = METRICS[row.metric]
+        series, fields = {}, {}
+        for name, cells in row.series.items():
+            series[name] = [_mean([metric(row.workload(x), c) for c in cells(x)]) for x in xs]
     return ExperimentResult(
-        figure="fig12",
-        title="Greedy relative ratio vs alpha",
-        x_name="alpha",
-        xs=list(ALPHAS),
+        figure=row.figure,
+        title=row.title,
+        x_name=row.x_name,
+        xs=xs,
+        y_name=row.y_name,
         series=series,
-        y_name="relative ratio",
-        notes="Delta = 6 km, averaged over keyword counts; alpha follows the "
-        "paper's experimental semantics (engine gets 1 - alpha, see DESIGN.md)",
+        notes=row.notes.format(w=workload, **fields),
     )
 
 
-def fig13_failure_vs_alpha(workload: Workload | None = None) -> ExperimentResult:
-    """Figure 13: greedy failure percentage vs alpha (Delta = 6 km)."""
-    workload = workload or flickr_workload()
-    series: dict[str, list[float]] = {"Greedy-1": [], "Greedy-2": []}
-    for alpha in ALPHAS:
-        greedy1, greedy2, bases = _alpha_cells(workload, alpha)
-        series["Greedy-1"].append(
-            _mean([failure_percentage(run, base) for run, base in zip(greedy1, bases)])
-        )
-        series["Greedy-2"].append(
-            _mean([failure_percentage(run, base) for run, base in zip(greedy2, bases)])
-        )
-    return ExperimentResult(
-        figure="fig13",
-        title="Greedy failure percentage vs alpha",
-        x_name="alpha",
-        xs=list(ALPHAS),
-        series=series,
-        y_name="failure (%)",
-        notes="failures counted over queries with feasible solutions "
-        "(certified by OSScaling eps=0.1), as in the paper",
-    )
+def _legend(names: tuple[str, ...], cells: Callable[[str, Any], list[Cell]]) -> dict:
+    """One series per legend name; ``cells(name, x)`` lists a point's cells."""
+    return {name: partial(cells, name) for name in names}
+
+
+def _below(name: str, bound: Callable[[Any], float]) -> Callable[[ExperimentResult], bool]:
+    """Every defined point of series *name* stays under ``bound(x)``."""
+
+    def check(result: ExperimentResult) -> bool:
+        points = zip(result.xs, result.series[name])
+        # NaN (no query feasible under both runs) has no ratio to bound.
+        return all(value < bound(x) + 1e-6 for x, value in points if value == value)
+
+    return check
+
+
+def _percentages(result: ExperimentResult) -> bool:
+    return all(0.0 <= v <= 100.0 for values in result.series.values() for v in values)
 
 
 # ----------------------------------------------------------------------
-# Figures 14-15: equal theoretical approximation bounds
+# the rows that are not grids
 # ----------------------------------------------------------------------
 
-EQUAL_BOUNDS = (2.0, 4.0, 6.0, 8.0, 10.0)
 
-
-def _equal_bound_params(bound: float) -> tuple[float, float, float]:
-    """(eps_osscaling, eps_bucketbound, beta) achieving ratio *bound*.
-
-    OSScaling's bound is ``1/(1-eps)``; BucketBound's is ``beta/(1-eps)``
-    with ``beta`` fixed at 1.2, so its eps solves ``beta/(1-eps) = bound``.
-    """
-    eps_os = 1.0 - 1.0 / bound
-    eps_bb = 1.0 - DEFAULT_BETA / bound
-    return eps_os, eps_bb, DEFAULT_BETA
-
-
-def fig14_runtime_equal_bound(workload: Workload | None = None) -> ExperimentResult:
-    """Figure 14: runtime at matched theoretical bounds."""
-    workload = workload or flickr_workload()
-    os_times, bb_times = [], []
-    for bound in EQUAL_BOUNDS:
-        eps_os, eps_bb, beta = _equal_bound_params(bound)
-        os_times.append(
-            cell_summary(workload, "osscaling", 6, 6.0, epsilon=eps_os).mean_runtime_ms
-        )
-        bb_times.append(
-            cell_summary(
-                workload, "bucketbound", 6, 6.0, epsilon=eps_bb, beta=beta
-            ).mean_runtime_ms
-        )
-    return ExperimentResult(
-        figure="fig14",
-        title="Runtime at equal theoretical approximation bound",
-        x_name="theoretical bound",
-        xs=list(EQUAL_BOUNDS),
-        series={"OSScaling": os_times, "BucketBound": bb_times},
-        y_name="runtime (ms)",
-        notes="OSScaling eps = 1 - 1/bound; BucketBound beta = 1.2, "
-        "eps = 1 - beta/bound; Delta = 6 km, 6 keywords",
-    )
-
-
-def fig15_ratio_equal_bound(workload: Workload | None = None) -> ExperimentResult:
-    """Figure 15: relative ratio at matched theoretical bounds."""
-    workload = workload or flickr_workload()
-    base = base_cell(workload, 6, 6.0)
-    os_ratios, bb_ratios = [], []
-    for bound in EQUAL_BOUNDS:
-        eps_os, eps_bb, beta = _equal_bound_params(bound)
-        os_ratios.append(
-            relative_ratio(cell_summary(workload, "osscaling", 6, 6.0, epsilon=eps_os), base)
-        )
-        bb_ratios.append(
-            relative_ratio(
-                cell_summary(workload, "bucketbound", 6, 6.0, epsilon=eps_bb, beta=beta), base
-            )
-        )
-    return ExperimentResult(
-        figure="fig15",
-        title="Relative ratio at equal theoretical approximation bound",
-        x_name="theoretical bound",
-        xs=list(EQUAL_BOUNDS),
-        series={"OSScaling": os_ratios, "BucketBound": bb_ratios},
-        y_name="relative ratio",
-        notes="base: OSScaling eps=0.1; same parameters as fig14",
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 16: the KkR top-k extension
-# ----------------------------------------------------------------------
-
-TOPK_KS = (1, 2, 3, 4, 5)
-
-
-def fig16_topk_runtime(workload: Workload | None = None) -> ExperimentResult:
-    """Figure 16: KkR runtime vs k (eps=0.5, beta=1.2, Delta=6)."""
-    import time as _time
-
-    workload = workload or flickr_workload()
+def _topk_runtime(workload: Workload, ks: list) -> tuple[dict, dict]:
+    """Figure 16: KkR wall clock per query over the keyword battery."""
     series: dict[str, list[float]] = {"OSScaling": [], "BucketBound": []}
-    for k in TOPK_KS:
-        for name, algorithm in (("OSScaling", "osscaling"), ("BucketBound", "bucketbound")):
+    for k in ks:
+        for name, values in series.items():
+            algorithm, params = LEGEND[name]
             total = 0.0
             count = 0
-            for kw in KEYWORD_COUNTS:
-                for query in workload.query_set(kw, 6.0):
-                    begin = _time.perf_counter()
-                    workload.engine.top_k(
-                        query.source,
-                        query.target,
-                        query.keywords,
-                        query.budget_limit,
-                        k=k,
-                        algorithm=algorithm,
-                        epsilon=DEFAULT_EPSILON,
-                        **({"beta": DEFAULT_BETA} if algorithm == "bucketbound" else {}),
-                    )
-                    total += _time.perf_counter() - begin
+            for num_keywords in KEYWORD_COUNTS:
+                for q in workload.query_set(num_keywords, 6.0):
+                    args = (q.source, q.target, q.keywords, q.budget_limit)
+                    begin = time.perf_counter()
+                    workload.engine.top_k(*args, k=k, algorithm=algorithm, **params)
+                    total += time.perf_counter() - begin
                     count += 1
-            series[name].append(1000.0 * total / count)
-    return ExperimentResult(
-        figure="fig16",
-        title="KkR runtime vs k",
-        x_name="k",
-        xs=list(TOPK_KS),
-        series=series,
-        y_name="runtime (ms)",
-        notes="eps = 0.5, beta = 1.2, Delta = 6 km, averaged over keyword counts",
-    )
+            values.append(1000.0 * total / count)
+    return series, {}
 
 
-# ----------------------------------------------------------------------
-# Figures 17-19: road-network datasets
-# ----------------------------------------------------------------------
-
-def fig17_scalability() -> ExperimentResult:
-    """Figure 17: runtime vs graph size on road networks (6 keywords)."""
-    sizes = road_sizes()
-    series: dict[str, list[float]] = {name: [] for name in RUNTIME_ALGORITHMS}
-    for size in sizes:
-        workload = road_workload(size)
-        for name in RUNTIME_ALGORITHMS:
-            series[name].append(
-                named_cell(
-                    workload, name, 6, workload.default_delta
-                ).mean_runtime_ms
-            )
-    return ExperimentResult(
-        figure="fig17",
-        title="Scalability: runtime vs road-network size",
-        x_name="number of nodes",
-        xs=list(sizes),
-        series=series,
-        y_name="runtime (ms)",
-        notes="6 query keywords; Delta = 20 km (paper: 30 km on 5k-20k "
-        "DIMACS subgraphs; see DESIGN.md substitutions)",
-    )
+#: The strategy ablation's configurations, by x label.
+STRATEGY_CONFIGS = {
+    "both strategies": {"use_strategy1": True, "use_strategy2": True},
+    "strategy 1 only": {"use_strategy1": True, "use_strategy2": False},
+    "strategy 2 only": {"use_strategy1": False, "use_strategy2": True},
+    "no strategies": {"use_strategy1": False, "use_strategy2": False},
+}
 
 
-def fig18_road_runtime_vs_keywords() -> ExperimentResult:
-    """Figure 18: runtime vs #keywords on the default road graph."""
-    workload = road_workload(road_default_size())
-    series = {
-        name: [
-            named_cell(workload, name, kw, workload.default_delta).mean_runtime_ms
-            for kw in KEYWORD_COUNTS
-        ]
-        for name in RUNTIME_ALGORITHMS
-    }
-    return ExperimentResult(
-        figure="fig18",
-        title="Runtime (road network) vs number of query keywords",
-        x_name="number of query keywords",
-        xs=list(KEYWORD_COUNTS),
-        series=series,
-        y_name="runtime (ms)",
-        notes=f"dataset {workload.name}, Delta = {workload.default_delta} km",
-    )
-
-
-def fig19_road_runtime_vs_budget() -> ExperimentResult:
-    """Figure 19: runtime vs Delta on the default road graph."""
-    workload = road_workload(road_default_size())
-    series = {
-        name: [
-            named_cell(workload, name, 6, delta).mean_runtime_ms
-            for delta in ROAD_DELTAS
-        ]
-        for name in RUNTIME_ALGORITHMS
-    }
-    return ExperimentResult(
-        figure="fig19",
-        title="Runtime (road network) vs budget limit Delta",
-        x_name="Delta (km)",
-        xs=list(ROAD_DELTAS),
-        series=series,
-        y_name="runtime (ms)",
-        notes=f"dataset {workload.name}, 6 query keywords",
-    )
-
-
-# ----------------------------------------------------------------------
-# Ablations (DESIGN.md A1-A3)
-# ----------------------------------------------------------------------
-
-def ablation_opt_strategies(workload: Workload | None = None) -> ExperimentResult:
+def _strategy_runtime(workload: Workload, configs: list) -> tuple[dict, dict]:
     """A1: Section 4.2.1 claims the optimisation strategies buy 3-5x.
 
     The strategies target queries with *infrequent* keywords (Strategy 2
@@ -660,10 +326,8 @@ def ablation_opt_strategies(workload: Workload | None = None) -> ExperimentResul
     uses a dedicated query set drawn without the default common-word
     screen: keywords sampled uniformly over the vocabulary with df >= 2.
     """
-    from repro.bench.workloads import bench_num_queries
     from repro.datasets.queries import QuerySetConfig, generate_query_set
 
-    workload = workload or flickr_workload()
     config = QuerySetConfig(
         num_queries=bench_num_queries(),
         num_keywords=6,
@@ -673,70 +337,18 @@ def ablation_opt_strategies(workload: Workload | None = None) -> ExperimentResul
         frequency_weighted=False,
         seed=1735,
     )
-    queries = generate_query_set(
-        workload.graph, workload.engine.index, config, tables=workload.engine.tables
-    )
-
-    configs = (
-        ("both strategies", {"use_strategy1": True, "use_strategy2": True}),
-        ("strategy 1 only", {"use_strategy1": True, "use_strategy2": False}),
-        ("strategy 2 only", {"use_strategy1": False, "use_strategy2": True}),
-        ("no strategies", {"use_strategy1": False, "use_strategy2": False}),
-    )
+    engine = workload.engine
+    queries = generate_query_set(workload.graph, engine.index, config, tables=engine.tables)
     series: dict[str, list[float]] = {"OSScaling": [], "BucketBound": []}
-    xs = [name for name, _params in configs]
-    for _name, params in configs:
-        series["OSScaling"].append(
-            run_query_set(
-                workload.engine, queries, "osscaling", epsilon=DEFAULT_EPSILON, **params
-            ).mean_runtime_ms
-        )
-        series["BucketBound"].append(
-            run_query_set(
-                workload.engine,
-                queries,
-                "bucketbound",
-                epsilon=DEFAULT_EPSILON,
-                beta=DEFAULT_BETA,
-                **params,
-            ).mean_runtime_ms
-        )
-    return ExperimentResult(
-        figure="ablation_opt_strategies",
-        title="Optimisation strategies on/off (Section 4.2.1 text)",
-        x_name="configuration",
-        xs=xs,
-        series=series,
-        y_name="runtime (ms)",
-        notes="Delta = 6 km, 6 uniformly-drawn (rare-leaning) keywords; the "
-        "paper reports 3-5x slowdown with both strategies disabled",
-    )
+    for x in configs:
+        for name, values in series.items():
+            algorithm, params = LEGEND[name]
+            summary = run_query_set(engine, queries, algorithm, **params, **STRATEGY_CONFIGS[x])
+            values.append(summary.mean_runtime_ms)
+    return series, {}
 
 
-def ablation_epsilon_labels(workload: Workload | None = None) -> ExperimentResult:
-    """Companion to Figure 6: label volume, not just runtime, vs eps."""
-    workload = workload or flickr_workload()
-    labels = []
-    for eps in EPSILONS:
-        summary = cell_summary(workload, "osscaling", 6, 6.0, epsilon=eps)
-        labels.append(
-            sum(o.labels_created for o in summary.outcomes) / max(summary.total, 1)
-        )
-    return ExperimentResult(
-        figure="ablation_epsilon_labels",
-        title="OSScaling labels created vs epsilon",
-        x_name="epsilon",
-        xs=list(EPSILONS),
-        series={"labels created / query": labels},
-        y_name="labels",
-        notes="mechanism probe for Figure 6: eps coarsens scaled scores so "
-        "domination *can* merge more labels; on this workload objectives "
-        "are near-discrete log trip-counts, collisions stay rare, and the "
-        "label volume barely reacts (see EXPERIMENTS.md)",
-    )
-
-
-def ablation_partition() -> ExperimentResult:
+def _partition_tables(workload: Workload, _metrics: list) -> tuple[dict, dict]:
     """A2: flat vs partitioned pre-processing (paper future work, §6).
 
     Reports build time, score memory and the mean relative deviation of
@@ -744,72 +356,48 @@ def ablation_partition() -> ExperimentResult:
     :mod:`repro.prep.partition`), so the deviation column doubles as an
     end-to-end verification and should read ~0.
     """
-    import time as _time
-
     import numpy as np
 
     from repro.prep.partition import PartitionedCostTables
     from repro.prep.tables import CostTables
 
-    workload = road_workload(road_sizes()[0])
     graph = workload.graph
-
-    begin = _time.perf_counter()
+    begin = time.perf_counter()
     flat = CostTables.from_graph(graph, predecessors=False)
-    flat_seconds = _time.perf_counter() - begin
-
-    begin = _time.perf_counter()
+    flat_seconds = time.perf_counter() - begin
+    begin = time.perf_counter()
     partitioned = PartitionedCostTables.from_graph(graph)
-    part_seconds = _time.perf_counter() - begin
+    part_seconds = time.perf_counter() - begin
 
     rng = np.random.default_rng(7)
-    targets = rng.integers(0, graph.num_nodes, size=8)
     inflations = []
-    for t in targets:
+    for t in rng.integers(0, graph.num_nodes, size=8):
         reference = flat.bs_sigma_col(int(t))
         assembled = partitioned.bs_sigma_col(int(t))
         finite = np.isfinite(reference) & (reference > 0)
-        inflations.append(
-            float(np.mean((assembled[finite] - reference[finite]) / reference[finite]))
-        )
-    flat_bytes = sum(
-        getattr(flat, name).nbytes
-        for name in ("os_tau", "bs_tau", "os_sigma", "bs_sigma")
-    )
-    return ExperimentResult(
-        figure="ablation_partition",
-        title="Flat vs partitioned pre-processing (future work §6)",
-        x_name="metric",
-        xs=["build time (s)", "score memory (MB)", "mean BS(sigma) inflation"],
-        series={
-            "flat": [flat_seconds, flat_bytes / 1e6, 0.0],
-            "partitioned": [
-                part_seconds,
-                partitioned.memory_bytes() / 1e6,
-                _mean(inflations),  # exact assembly: expect ~0
-            ],
-        },
-        y_name="see metric",
-        notes=f"graph {workload.name} ({graph.num_nodes} nodes, "
-        f"{partitioned.partition.num_cells} cells, "
-        f"{len(partitioned.partition.border_nodes)} border nodes)",
-    )
+        deviation = (assembled[finite] - reference[finite]) / reference[finite]
+        inflations.append(float(np.mean(deviation)))
+    names = ("os_tau", "bs_tau", "os_sigma", "bs_sigma")
+    flat_bytes = sum(getattr(flat, name).nbytes for name in names)
+    series = {
+        "flat": [flat_seconds, flat_bytes / 1e6, 0.0],
+        # Exact assembly: the inflation reads ~0.
+        "partitioned": [part_seconds, partitioned.memory_bytes() / 1e6, _mean(inflations)],
+    }
+    partition = partitioned.partition
+    return series, {"cells": partition.num_cells, "borders": len(partition.border_nodes)}
 
 
-def ablation_disk_index() -> ExperimentResult:
+def _index_lookups(workload: Workload, _metrics: list) -> tuple[dict, dict]:
     """A3: in-memory vs disk-resident B+-tree inverted file lookups."""
     import tempfile
-    import time as _time
-    from pathlib import Path as _Path
 
     import numpy as np
 
     from repro.index.diskindex import DiskInvertedIndex
 
-    workload = flickr_workload()
     graph = workload.graph
     memory_index = workload.engine.index
-
     keyword_ids = [
         kid
         for kid in range(len(graph.keyword_table))
@@ -819,62 +407,183 @@ def ablation_disk_index() -> ExperimentResult:
     probes = [int(k) for k in rng.choice(keyword_ids, size=2000, replace=True)]
 
     with tempfile.TemporaryDirectory() as tmp:
-        disk_index = DiskInvertedIndex.build(
-            graph, _Path(tmp) / "index.pages", buffer_capacity=64
-        )
-
-        begin = _time.perf_counter()
-        for kid in probes:
-            memory_index.postings(kid)
-        memory_us = 1e6 * (_time.perf_counter() - begin) / len(probes)
-
-        begin = _time.perf_counter()
-        for kid in probes:
-            disk_index.postings(kid)
-        disk_us = 1e6 * (_time.perf_counter() - begin) / len(probes)
+        disk_index = DiskInvertedIndex.build(graph, Path(tmp) / "index.pages", buffer_capacity=64)
+        microseconds = []
+        for index in (memory_index, disk_index):
+            begin = time.perf_counter()
+            for kid in probes:
+                index.postings(kid)
+            microseconds.append(1e6 * (time.perf_counter() - begin) / len(probes))
         hit_rate = disk_index.buffer_pool.stats.hit_rate
         disk_index.close()
 
-    return ExperimentResult(
-        figure="ablation_index",
-        title="Inverted file back ends: in-memory vs disk B+-tree",
-        x_name="metric",
-        xs=["lookup latency (us)", "buffer hit rate (%)"],
-        series={
-            "in-memory": [memory_us, 100.0],
-            "disk B+-tree": [disk_us, 100.0 * hit_rate],
-        },
-        y_name="see metric",
-        notes=f"{len(probes)} random postings lookups over "
-        f"{len(keyword_ids)} terms, 64-page LRU buffer pool",
+    series = {
+        "in-memory": [microseconds[0], 100.0],
+        "disk B+-tree": [microseconds[1], 100.0 * hit_rate],
+    }
+    return series, {"probes": len(probes), "terms": len(keyword_ids)}
+
+
+def _partition_is_smaller_and_exact(result: ExperimentResult) -> bool:
+    # Less table memory is the point of the design; the exact assembly
+    # neither undercuts nor inflates the flat optimum.
+    flat, partitioned = result.series["flat"], result.series["partitioned"]
+    return partitioned[1] < flat[1] and abs(partitioned[2]) < 1e-9
+
+
+def _index_measured(result: ExperimentResult) -> bool:
+    memory, disk = result.series["in-memory"], result.series["disk B+-tree"]
+    return memory[0] > 0 and disk[0] > 0 and 0.0 <= disk[1] <= 100.0
+
+
+# ----------------------------------------------------------------------
+# the table
+# ----------------------------------------------------------------------
+
+
+def all_experiments() -> list[Figure]:
+    """Every figure of the evaluation in paper order, then the ablations.
+
+    Built on each call: the road sweep's sizes follow ``KOR_BENCH_SCALE``.
+    """
+    epsilons = (0.1, 0.3, 0.5, 0.7, 0.9)
+    betas = (1.2, 1.4, 1.6, 1.8, 2.0)
+    alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
+    equal_bounds = (2.0, 4.0, 6.0, 8.0, 10.0)
+
+    def osscaling_at(eps):
+        return [cell("OSScaling", 6, 6.0, epsilon=eps)]
+
+    def bucketbound_at(beta):
+        return [cell("BucketBound", 6, 6.0, beta=beta)]
+
+    def road(_x) -> Workload:
+        return road_workload(road_default_size())
+
+    # Figures 12-13: x is the paper's experimental alpha; the engine gets 1 - x.
+    greedy_alpha = _legend(
+        ("Greedy-1", "Greedy-2"),
+        lambda n, a: [cell(n, kw, 6.0, alpha=1.0 - a) for kw in KEYWORD_COUNTS],
     )
-
-
-# ----------------------------------------------------------------------
-# everything, for run_all.py
-# ----------------------------------------------------------------------
-
-def all_experiments() -> list:
-    """The callables regenerating every figure, in paper order."""
+    # Figures 14-15, for a theoretical bound r: OSScaling at 1/(1-eps) = r,
+    # BucketBound (beta = 1.2) at beta/(1-eps) = r.
+    equal_bound = {
+        "OSScaling": lambda r: osscaling_at(1.0 - 1.0 / r),
+        "BucketBound": lambda r: [cell("BucketBound", 6, 6.0, epsilon=1.0 - DEFAULT_BETA / r)],
+    }
+    # One row per figure, its columns in Figure's field order:
+    # name, figure, title / x_name, xs, y_name / notes / series, metric, ...
+    # fmt: off
     return [
-        fig04_runtime_vs_keywords,
-        fig05_runtime_vs_budget,
-        fig06_runtime_vs_epsilon,
-        fig07_ratio_vs_epsilon,
-        fig08_runtime_vs_beta,
-        fig09_ratio_vs_beta,
-        fig10_ratio_vs_keywords,
-        fig11_ratio_vs_budget,
-        fig12_ratio_vs_alpha,
-        fig13_failure_vs_alpha,
-        fig14_runtime_equal_bound,
-        fig15_ratio_equal_bound,
-        fig16_topk_runtime,
-        fig17_scalability,
-        fig18_road_runtime_vs_keywords,
-        fig19_road_runtime_vs_budget,
-        ablation_opt_strategies,
-        ablation_epsilon_labels,
-        ablation_partition,
-        ablation_disk_index,
+        Figure("fig04_runtime_vs_keywords", "fig04", "Runtime (Flickr) vs number of query keywords",
+               "number of query keywords", KEYWORD_COUNTS, "runtime (ms)",
+               f"each point averages over Delta in {FLICKR_DELTAS} km, dataset {{w.name}}",
+               _legend(RUNTIME_ALGORITHMS, lambda n, kw: [cell(n, kw, d) for d in FLICKR_DELTAS])),
+        Figure("fig05_runtime_vs_budget", "fig05", "Runtime (Flickr) vs budget limit Delta",
+               "Delta (km)", FLICKR_DELTAS, "runtime (ms)",
+               f"each point averages over keyword counts {KEYWORD_COUNTS}, dataset {{w.name}}",
+               _legend(RUNTIME_ALGORITHMS, lambda n, d: [cell(n, kw, d) for kw in KEYWORD_COUNTS])),
+        Figure("fig06_runtime_vs_epsilon", "fig06", "OSScaling runtime vs epsilon",
+               "epsilon", epsilons, "runtime (ms)",
+               "Delta = 6 km, 6 query keywords",
+               {"OSScaling": osscaling_at}),
+        Figure("fig07_ratio_vs_epsilon", "fig07", "OSScaling relative ratio vs epsilon",
+               "epsilon", epsilons, "relative ratio",
+               "base: OSScaling eps=0.1; Delta = 6 km, 6 query keywords",
+               {"OSScaling": osscaling_at}, "ratio",
+               # Theorem 2, for this run and for the eps = 0.1 base.
+               check=_below("OSScaling", lambda eps: 1 / (1 - eps) / (1 - BASE_EPSILON))),
+        Figure("fig08_runtime_vs_beta", "fig08", "BucketBound runtime vs beta",
+               "beta", betas, "runtime (ms)",
+               "eps = 0.5, Delta = 6 km, 6 query keywords",
+               {"BucketBound": bucketbound_at}),
+        Figure("fig09_ratio_vs_beta", "fig09", "BucketBound relative ratio vs beta",
+               "beta", betas, "relative ratio",
+               "base: OSScaling eps=0.1; eps = 0.5, Delta = 6 km, 6 query keywords",
+               {"BucketBound": bucketbound_at}, "ratio",
+               # Theorem 3: beta/(1-eps).
+               check=_below("BucketBound", lambda beta: beta / (1 - DEFAULT_EPSILON))),
+        Figure("fig10_ratio_vs_keywords", "fig10", "Relative ratio vs number of query keywords",
+               "number of query keywords", KEYWORD_COUNTS, "relative ratio",
+               "base: OSScaling eps=0.1; Delta = 6 km; greedy ratios measured "
+               "on the queries each greedy solves (paper protocol)",
+               _legend(RATIO_ALGORITHMS, lambda n, kw: [cell(n, kw, 6.0)]), "ratio",
+               check=_below("BucketBound", lambda _kw: DEFAULT_BETA / (1 - DEFAULT_EPSILON))),
+        Figure("fig11_ratio_vs_budget", "fig11", "Relative ratio vs budget limit Delta",
+               "Delta (km)", FLICKR_DELTAS, "relative ratio",
+               "base: OSScaling eps=0.1; 6 query keywords",
+               _legend(RATIO_ALGORITHMS, lambda n, d: [cell(n, 6, d)]), "ratio"),
+        Figure("fig12_ratio_vs_alpha", "fig12", "Greedy relative ratio vs alpha",
+               "alpha", alphas, "relative ratio",
+               "Delta = 6 km, averaged over keyword counts; alpha follows the "
+               "paper's experimental semantics (engine gets 1 - alpha: Equation 1 "
+               "as printed weighs the objective by alpha)",
+               greedy_alpha, "ratio"),
+        Figure("fig13_failure_vs_alpha", "fig13", "Greedy failure percentage vs alpha",
+               "alpha", alphas, "failure (%)",
+               "failures counted over queries with feasible solutions "
+               "(certified by OSScaling eps=0.1), as in the paper",
+               greedy_alpha, "failure", check=_percentages),
+        Figure("fig14_runtime_equal_bound", "fig14",
+               "Runtime at equal theoretical approximation bound",
+               "theoretical bound", equal_bounds, "runtime (ms)",
+               "OSScaling eps = 1 - 1/bound; BucketBound beta = 1.2, "
+               "eps = 1 - beta/bound; Delta = 6 km, 6 keywords",
+               equal_bound),
+        Figure("fig15_ratio_equal_bound", "fig15",
+               "Relative ratio at equal theoretical approximation bound",
+               "theoretical bound", equal_bounds, "relative ratio",
+               "base: OSScaling eps=0.1; same parameters as fig14",
+               equal_bound, "ratio"),
+        Figure("fig16_topk_runtime", "fig16", "KkR runtime vs k",
+               "k", (1, 2, 3, 4, 5), "runtime (ms)",
+               "eps = 0.5, beta = 1.2, Delta = 6 km, averaged over keyword counts",
+               measure=_topk_runtime),
+        Figure("fig17_scalability", "fig17", "Scalability: runtime vs road-network size",
+               "number of nodes", road_sizes(), "runtime (ms)",
+               "6 query keywords; Delta = 20 km (paper: 30 km on 5k-20k DIMACS "
+               "subgraphs; here synthetic road networks sized by KOR_BENCH_SCALE)",
+               _legend(RUNTIME_ALGORITHMS, lambda n, _size: [cell(n, 6, ROAD_DEFAULT_DELTA)]),
+               workload=road_workload),
+        Figure("fig18_road_runtime_vs_keywords", "fig18",
+               "Runtime (road network) vs number of query keywords",
+               "number of query keywords", KEYWORD_COUNTS, "runtime (ms)",
+               "dataset {w.name}, Delta = {w.default_delta} km",
+               _legend(RUNTIME_ALGORITHMS, lambda n, kw: [cell(n, kw, ROAD_DEFAULT_DELTA)]),
+               workload=road),
+        Figure("fig19_road_runtime_vs_budget", "fig19",
+               "Runtime (road network) vs budget limit Delta",
+               "Delta (km)", ROAD_DELTAS, "runtime (ms)",
+               "dataset {w.name}, 6 query keywords",
+               _legend(RUNTIME_ALGORITHMS, lambda n, d: [cell(n, 6, d)]),
+               workload=road),
+        Figure("ablation_opt_strategies", "ablation_opt_strategies",
+               "Optimisation strategies on/off (Section 4.2.1 text)",
+               "configuration", tuple(STRATEGY_CONFIGS), "runtime (ms)",
+               "Delta = 6 km, 6 uniformly-drawn (rare-leaning) keywords; the "
+               "paper reports 3-5x slowdown with both strategies disabled",
+               measure=_strategy_runtime,
+               check=lambda result: list(result.series) == ["OSScaling", "BucketBound"]),
+        Figure("ablation_epsilon_labels", "ablation_epsilon_labels",
+               "OSScaling labels created vs epsilon",
+               "epsilon", epsilons, "labels",
+               "mechanism probe for Figure 6: eps coarsens scaled scores so "
+               "domination *can* merge more labels; on this workload objectives "
+               "are near-discrete log trip-counts, collisions stay rare, and the "
+               "label volume barely reacts",
+               {"labels created / query": osscaling_at}, "labels/query"),
+        Figure("ablation_partition", "ablation_partition",
+               "Flat vs partitioned pre-processing (future work §6)",
+               "metric", ("build time (s)", "score memory (MB)", "mean BS(sigma) inflation"),
+               "see metric",
+               "graph {w.name} ({w.graph.num_nodes} nodes, {cells} cells, {borders} border nodes)",
+               workload=lambda _x: road_workload(road_sizes()[0]),
+               measure=_partition_tables,
+               check=_partition_is_smaller_and_exact),
+        Figure("ablation_disk_index", "ablation_index",
+               "Inverted file back ends: in-memory vs disk B+-tree",
+               "metric", ("lookup latency (us)", "buffer hit rate (%)"), "see metric",
+               "{probes} random postings lookups over {terms} terms, 64-page LRU buffer pool",
+               measure=_index_lookups, check=_index_measured),
     ]
+    # fmt: on

@@ -11,12 +11,6 @@ them from the same per-query records:
   (Figures 7, 9-12, 15);
 * **failure percentage** — share of queries with a feasible solution on
   which a heuristic failed to find one (Figure 13).
-
-Beyond the paper, :func:`run_service_query_set` times the serving layer
-(:class:`repro.service.QueryService`) over the same query sets, pairing
-the per-query outcomes with the service's p50/p95/hit-rate/throughput
-snapshot so benchmarks can report serving-mode numbers next to the
-single-query ones.
 """
 
 from __future__ import annotations
@@ -30,9 +24,7 @@ from repro.core.query import KORQuery
 __all__ = [
     "QueryOutcome",
     "RunSummary",
-    "ServiceRunSummary",
     "run_query_set",
-    "run_service_query_set",
     "relative_ratio",
     "failure_percentage",
 ]
@@ -98,63 +90,6 @@ def run_query_set(
             )
         )
     return RunSummary(algorithm=algorithm, outcomes=tuple(outcomes))
-
-
-@dataclass(frozen=True)
-class ServiceRunSummary:
-    """A :class:`RunSummary` plus the serving-layer metrics behind it.
-
-    ``wall_seconds`` is the whole batch's wall clock (what a client
-    waiting on the batch observed); ``snapshot`` carries p50/p95 latency,
-    cache hit rate and throughput as the service recorded them.
-    """
-
-    summary: RunSummary
-    wall_seconds: float
-    snapshot: "object"  # repro.service.stats.StatsSnapshot
-
-    @property
-    def throughput_qps(self) -> float:
-        """Completed queries per second of batch wall time."""
-        if self.wall_seconds <= 0.0:
-            return float("inf") if self.summary.total else 0.0
-        return self.summary.total / self.wall_seconds
-
-
-def run_service_query_set(
-    service,
-    queries: list[KORQuery],
-    algorithm: str,
-    **params,
-) -> ServiceRunSummary:
-    """Serve *queries* as one batch through a ``QueryService``.
-
-    The per-query runtimes in the returned summary are the service's
-    recorded latencies: near-zero for cache hits, compute time for
-    misses — so a ``RunSummary`` of a warm service shows what repeat
-    traffic actually costs.
-    """
-    report = service.execute(queries, algorithm=algorithm, **params)
-    outcomes = []
-    for item in report.items:
-        if not item.ok:
-            raise item.error
-        result = item.result
-        outcomes.append(
-            QueryOutcome(
-                query=item.query,
-                feasible=result.feasible,
-                objective_score=result.objective_score,
-                budget_score=result.budget_score,
-                runtime_seconds=item.latency_seconds,
-                labels_created=result.stats.labels_created,
-            )
-        )
-    return ServiceRunSummary(
-        summary=RunSummary(algorithm=algorithm, outcomes=tuple(outcomes)),
-        wall_seconds=report.wall_seconds,
-        snapshot=service.snapshot(),
-    )
 
 
 def relative_ratio(summary: RunSummary, base: RunSummary) -> float:

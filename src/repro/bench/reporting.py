@@ -1,9 +1,9 @@
-"""Plain-text / markdown / JSON emitters for experiment series.
+"""Plain-text / JSON emitters for experiment series.
 
 The paper presents line charts; a reproduction without a display renders
 the same series as fixed-width tables (one row per x value, one column
 per algorithm).  ``render_table`` is deliberately dependency-free so the
-output lands verbatim in EXPERIMENTS.md and terminal logs.
+output lands verbatim in terminal logs and the saved ``<figure>.txt``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import math
 from pathlib import Path
 
-__all__ = ["render_table", "render_markdown", "save_json", "format_value"]
+__all__ = ["render_table", "save_json", "format_value"]
 
 
 def format_value(value: float | str) -> str:
@@ -61,29 +61,6 @@ def render_table(
         )
     if notes:
         lines.append(f"note: {notes}")
-    return "\n".join(lines) + "\n"
-
-
-def render_markdown(
-    title: str,
-    x_name: str,
-    xs: list,
-    series: dict[str, list[float]],
-    notes: str = "",
-) -> str:
-    """The same table as GitHub-flavoured markdown."""
-    headers = [x_name] + list(series)
-    lines = [f"**{title}**", ""]
-    lines.append("| " + " | ".join(headers) + " |")
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row, x in enumerate(xs):
-        cells = [format_value(x)] + [
-            format_value(values[row]) for values in series.values()
-        ]
-        lines.append("| " + " | ".join(cells) + " |")
-    if notes:
-        lines.append("")
-        lines.append(f"_{notes}_")
     return "\n".join(lines) + "\n"
 
 

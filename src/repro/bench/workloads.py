@@ -36,6 +36,7 @@ __all__ = [
     "clear_caches",
     "KEYWORD_COUNTS",
     "FLICKR_DELTAS",
+    "ROAD_DEFAULT_DELTA",
     "ROAD_DELTAS",
 ]
 
@@ -45,6 +46,8 @@ KEYWORD_COUNTS: tuple[int, ...] = (2, 4, 6, 8, 10)
 FLICKR_DELTAS: tuple[float, ...] = (3.0, 6.0, 9.0, 12.0, 15.0)
 #: Budget sweep on the road graphs; the paper uses Delta = 30 km there.
 ROAD_DELTAS: tuple[float, ...] = (10.0, 15.0, 20.0, 25.0, 30.0)
+#: Delta of the road experiments that fix the budget (km).
+ROAD_DEFAULT_DELTA = 20.0
 
 
 def bench_num_queries() -> int:
@@ -83,9 +86,9 @@ class Workload:
         """The cached query set for ``(num_keywords, delta)``.
 
         Follows the paper's generation recipe (random endpoints, keywords
-        from the dataset vocabulary) with the feasibility screens described
-        in DESIGN.md so benchmark numbers measure the search, not trivially
-        impossible draws.
+        from the dataset vocabulary) with the feasibility screens of
+        :class:`~repro.datasets.queries.QuerySetConfig`, so benchmark numbers
+        measure the search, not trivially impossible draws.
         """
         delta = self.default_delta if delta is None else float(delta)
         num_queries = bench_num_queries() if num_queries is None else num_queries
@@ -141,7 +144,7 @@ def road_workload(num_nodes: int, scale: str | None = None) -> Workload:
             name=f"road-{num_nodes}",
             graph=graph,
             engine=engine,
-            default_delta=20.0,
+            default_delta=ROAD_DEFAULT_DELTA,
         )
         _ROAD_CACHE[key] = cached
     return cached

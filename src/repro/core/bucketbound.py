@@ -9,12 +9,12 @@ route provably shares a bucket with OSScaling's answer (Lemma 5), so the
 algorithm stops immediately with approximation ratio ``beta / (1 - eps)``
 (Theorem 3).
 
-Deviations from the pseudocode, both documented in DESIGN.md: budget
-comparisons use ``<= Delta`` (Definition 4's semantics), and the Lemma-5
-termination test also runs when an all-covering label is *dequeued* from
-the current bucket (the pseudocode only tests at generation time; by then
-its bucket may not yet have been the lowest non-empty one, and the lemma's
-precondition holds at dequeue just as well).
+Two deviations from the pseudocode: budget comparisons use ``<= Delta``
+(Definition 4's semantics), and the Lemma-5 termination test also runs
+when an all-covering label is *dequeued* from the current bucket (the
+pseudocode only tests at generation time; by then its bucket may not yet
+have been the lowest non-empty one, and the lemma's precondition holds
+at dequeue just as well).
 """
 
 from __future__ import annotations

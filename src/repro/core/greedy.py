@@ -20,7 +20,7 @@ intermediate nodes of a ``tau`` segment are covered but, read literally,
 never credited during the search, and the walk makes explicit detours to
 keywords it already passed.  ``credit_path_keywords=True`` (default)
 credits them, which materially lowers budget overruns on dense graphs;
-``False`` gives the literal pseudocode behaviour (see DESIGN.md).
+``False`` gives the literal pseudocode behaviour.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Pipeline, exactly as the paper describes it:
 
-1. collect geo-tagged photos (synthesised — see
-   :mod:`repro.datasets.photos` and DESIGN.md's substitution table);
+1. collect geo-tagged photos (synthesised by :mod:`repro.datasets.photos`,
+   which reproduces the generative shape of the paper's Flickr crawl);
 2. cluster photos into locations, aggregating tags and dropping tags
    contributed by a single user;
 3. sort each user's photos by time; two consecutive photos at different

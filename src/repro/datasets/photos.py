@@ -61,7 +61,7 @@ class PhotoStreamConfig:
     #: The default city is spatially *compressed* relative to NYC so that
     #: ~400-600 locations reach the paper's keyword density (5,199 NYC
     #: locations); this keeps the paper's Delta = 3..15 km sweep in the
-    #: same feasibility regime (see EXPERIMENTS.md).
+    #: same feasibility regime.
     extent_km: tuple[float, float] = (4.0, 4.0)
     #: Photo scatter around a hotspot centre (km).
     hotspot_sigma_km: float = 0.08

@@ -8,7 +8,6 @@ from repro.bench.harness import (
     failure_percentage,
     relative_ratio,
     run_query_set,
-    run_service_query_set,
 )
 from repro.core.query import KORQuery
 
@@ -79,33 +78,3 @@ class TestRunQuerySet:
         assert summary.feasible_count == 1
         assert summary.outcomes[0].runtime_seconds > 0
         assert summary.outcomes[1].objective_score == float("inf")
-
-
-class TestRunServiceQuerySet:
-    def test_serving_summary_matches_engine_outcomes(self, fig1_engine):
-        from repro.service import QueryService
-
-        queries = [
-            KORQuery(0, 7, ("t1", "t2"), 10.0),
-            KORQuery(0, 7, ("t5",), 6.0),  # infeasible
-        ]
-        service = QueryService(fig1_engine, cache_capacity=32)
-        served = run_service_query_set(service, queries, "bucketbound")
-        direct = run_query_set(fig1_engine, queries, "bucketbound")
-        assert served.summary.total == direct.total
-        assert served.summary.feasible_count == direct.feasible_count
-        assert [o.objective_score for o in served.summary.outcomes] == [
-            o.objective_score for o in direct.outcomes
-        ]
-        assert served.wall_seconds > 0
-        assert served.throughput_qps > 0
-        assert served.snapshot.queries >= 2
-
-    def test_warm_pass_is_all_hits(self, fig1_engine):
-        from repro.service import QueryService
-
-        queries = [KORQuery(0, 7, ("t1", "t2"), 10.0)] * 3
-        service = QueryService(fig1_engine, cache_capacity=32)
-        run_service_query_set(service, queries, "bucketbound")
-        warm = run_service_query_set(service, queries, "bucketbound")
-        assert warm.snapshot.cache_hits >= 3

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.bench.reporting import format_value, render_markdown, render_table, save_json
+from repro.bench.reporting import format_value, render_table, save_json
 
 
 class TestFormatValue:
@@ -41,15 +41,6 @@ class TestRenderTable:
         text = render_table("t", "x", [10], {"verylongname": [1.0]})
         header, rule = text.splitlines()[2:4]
         assert len(header) == len(rule)
-
-
-class TestRenderMarkdown:
-    def test_pipe_table_shape(self):
-        text = render_markdown("T", "x", [1], {"A": [2.0]})
-        lines = text.splitlines()
-        assert lines[2].startswith("| x | A |")
-        assert lines[3].startswith("|---")
-        assert "| 1 | 2.000 |" in lines[4]
 
 
 class TestSaveJson:
