@@ -201,7 +201,7 @@ class _BucketBoundSearch:
         self.queue: BucketQueue | None = None
         self._store = LabelStore(graph.num_nodes)
 
-        reason = ctx.impossibility_reason()
+        reason = ctx.impossibility_reason(self.deadline)
         if reason is not None:
             self._early = self._package(None, failure_reason=reason)
             return

@@ -172,18 +172,16 @@ class LabelStore:
                 if (mask & stored_mask) != stored_mask:
                     continue
                 labels = groups[stored_mask]
-                kept = [
-                    stored
-                    for stored in labels
-                    if not dominates_scores(label.scaled_os, label.bs, stored.scaled_os, stored.bs)
-                ]
+                kept = []
+                for stored in labels:
+                    if dominates_scores(label.scaled_os, label.bs, stored.scaled_os, stored.bs):
+                        stored.alive = False
+                        self._size -= 1
+                        if on_evict is not None:
+                            on_evict(stored)
+                    else:
+                        kept.append(stored)
                 if len(kept) != len(labels):
-                    for stored in labels:
-                        if stored not in kept:
-                            stored.alive = False
-                            self._size -= 1
-                            if on_evict is not None:
-                                on_evict(stored)
                     if kept:
                         groups[stored_mask] = kept
                     else:

@@ -102,7 +102,7 @@ class _OSScalingSearch:
         self._heap: list[tuple[tuple[int, float, float, int], Label]] = []
         self._store = LabelStore(graph.num_nodes)
 
-        reason = ctx.impossibility_reason()
+        reason = ctx.impossibility_reason(self.deadline)
         if reason is not None:
             self._early = self._package(None, failure_reason=reason)
             return

@@ -9,11 +9,13 @@ that state so each algorithm module only contains its control flow.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable
 
 import numpy as np
 
+from repro.core.deadline import Deadline
 from repro.core.label import VIA_EDGE, VIA_JUMP, VIA_ROOT, Label
 from repro.core.query import KORQuery, QueryBinding
 from repro.core.results import SearchStats
@@ -39,6 +41,18 @@ __all__ = ["SearchContext", "SCREEN_MIN_DEGREE"]
 #: the constant swept 4..32 reads 231-241 ms per pass throughout (378 ms
 #: with the pass off; 254 ms at 48), so the hub break-even sets it.
 SCREEN_MIN_DEGREE = 24
+
+#: Relative slack of the keyword-order budget proof
+#: (:meth:`SearchContext.impossibility_reason`): a query is declared
+#: infeasible only when its bound exceeds ``Delta * (1 + _PROOF_SLACK)``.
+#: The bound sums sigma legs left to right, ``((BS(sigma_{s,l1}) +
+#: BS(sigma_{l1,l2})) + ...) + BS(sigma_{lm,t})``, while a search sums the
+#: same route edge by edge and leg by leg in label order; the two
+#: associate differently, so a route whose budget is exactly Delta can
+#: read a few ulps above it in one and at it in the other.  1e-9 is far
+#: above that rounding (~1e-16 per add over any realistic route length)
+#: and far below any genuine gap between a budget limit and a route.
+_PROOF_SLACK = 1e-9
 
 
 class SearchContext:
@@ -89,8 +103,9 @@ class SearchContext:
         #: gathered the first time the query pops a wide node.
         self._blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         #: missing mask -> (uncovered keyword nodes, sigma-row reader at
-        #: them, BS(sigma_{j,t}) at them).
-        self._uncovered_union: dict[int, tuple[np.ndarray, object, np.ndarray]] = {}
+        #: them, BS(sigma_{j,t}) at them, the missing keyword bits each
+        #: carries).
+        self._uncovered_union: dict[int, tuple[np.ndarray, object, np.ndarray, np.ndarray]] = {}
         #: (node, missing mask) -> (nearest uncovered keyword node vj,
         #: OS(sigma_{node,vj}), BS(sigma_{node,vj}), BS(sigma_{vj,t})).
         self._nearest: dict[tuple[int, int], tuple[int, float, float, float]] = {}
@@ -108,11 +123,15 @@ class SearchContext:
     # ------------------------------------------------------------------
     # feasibility screens run before any search loop
     # ------------------------------------------------------------------
-    def impossibility_reason(self) -> str | None:
-        """A human-readable reason the query is trivially infeasible, or None.
+    def impossibility_reason(self, deadline: Deadline | None = None) -> str | None:
+        """A human-readable reason the query is infeasible, or None.
 
-        Checks vocabulary coverage, target reachability and the cheapest
-        conceivable budget ``BS(sigma_{s,t})``.
+        Checks vocabulary coverage, target reachability, the cheapest
+        conceivable budget ``BS(sigma_{s,t})`` and last the cheapest budget
+        of any route that covers the keywords
+        (:meth:`_keyword_orders_bust_budget`), whose proof answers "no
+        feasible route exists" before a search pops a label.  *deadline*
+        ticks once per state of that proof's subset DP.
         """
         missing = self.binding.missing_keywords
         if missing:
@@ -125,7 +144,93 @@ class SearchContext:
                 f"cheapest route budget {self.bs_sigma_t[source]:.4g} "
                 f"exceeds the limit {self.delta:.4g}"
             )
+        if self._keyword_orders_bust_budget(deadline):
+            return "no feasible route exists"
         return None
+
+    def _keyword_orders_bust_budget(self, deadline: Deadline | None) -> bool:
+        """Whether every route covering the query provably busts Delta.
+
+        A route a search returns visits, for each keyword neither endpoint
+        carries, some node carrying it, and between consecutive such nodes
+        it pays at least the sigma leg's budget.  Its budget is therefore
+        at least ``BS(sigma_{s,l1}) + BS(sigma_{l1,l2}) + ... +
+        BS(sigma_{lm,t})`` minimised over every visiting order and every
+        choice of nodes — the minimum-budget sequenced route, taken over
+        all orders.  When that bound exceeds Delta by more than
+        :data:`_PROOF_SLACK` no route is feasible.  Three stages, cheapest
+        first, all over the sigma reader of the root's Strategy-1 jump:
+
+        1. a witness, the nearest-uncovered chain (the root's jump,
+           repeated).  It is one of the sequences the bound minimises over,
+           so when it fits the bound does, and the search runs as before;
+        2. a filter: keyword node ``l`` stays only if ``BS(sigma_{s,l}) +
+           BS(sigma_{l,t})`` fits;
+        3. an exact subset DP ``f[S][l]`` over the nodes kept, one state per
+           covered mask ``S`` in increasing order (a step only adds bits,
+           so a state is final when popped).  A state whose cheapest
+           completion busts the budget is dropped; the first state that
+           covers every keyword means the bound fits.
+        """
+        binding = self.binding
+        source = self.query.source
+        start = binding.node_mask(source)
+        need = binding.full_mask & ~start & ~binding.node_mask(self.query.target)
+        if not need:
+            return False  # the bound is BS(sigma_{s,t}), screened already
+        nodes, rows, bs_to_t, bits = self._uncovered(binding.full_mask & ~start)
+        limit = self.delta * (1.0 + _PROOF_SLACK)
+
+        # 1. The witness.  Every step covers a needed bit or stops.
+        node, covered, spent = source, 0, 0.0
+        while covered != need:
+            row = np.where((bits & (need & ~covered)) != 0, rows.primary(node), np.inf)
+            position = int(row.argmin())
+            spent += float(row[position])
+            if not spent + float(bs_to_t[position]) <= limit:
+                break  # also when no open keyword node is reachable (inf)
+            node, covered = int(nodes[position]), covered | (int(bits[position]) & need)
+        else:
+            return False
+
+        # 2. The filter.
+        first = rows.primary(source)
+        keep = np.flatnonzero(((bits & need) != 0) & (first + bs_to_t <= limit))
+        bits, bs_to_t = bits[keep] & need, bs_to_t[keep]
+        reach = 0
+        for carried in bits.tolist():
+            reach |= carried
+        if reach != need:
+            return True  # some keyword has no node within budget
+
+        # 3. The subset DP; ``arrive`` is the cheapest budget into each
+        # kept node from the state just popped.
+        legs: dict[int, np.ndarray] = {}  # kept position -> its row at the kept nodes
+        states: dict[int, np.ndarray] = {}
+        pending: list[int] = []
+        covered, arrive = 0, first[keep]
+        while True:
+            masks = bits | covered
+            fresh = (masks != covered) & (arrive + bs_to_t <= limit)
+            for mask in np.unique(masks[fresh]).tolist():
+                if mask == need:
+                    return False
+                best = states.get(mask)
+                if best is None:
+                    best = states[mask] = np.full(len(keep), np.inf)
+                    heapq.heappush(pending, mask)
+                np.minimum(best, np.where(fresh & (masks == mask), arrive, np.inf), out=best)
+            if not pending:
+                return True
+            if deadline is not None:
+                deadline.tick()
+            covered = heapq.heappop(pending)
+            best = states.pop(covered)
+            live = np.flatnonzero(best < np.inf).tolist()
+            for position in live:
+                if position not in legs:
+                    legs[position] = rows.primary(int(nodes[keep[position]]))[keep]
+            arrive = (best[live, None] + np.array([legs[at] for at in live])).min(axis=0)
 
     def root_label(self) -> Label:
         """The initial label at the source (Algorithm 1 line 3)."""
@@ -240,7 +345,7 @@ class SearchContext:
         nearest = self._nearest.get(key)
         if nearest is not None and (label.bs + nearest[2]) + nearest[3] <= self.delta:
             return nearest[:3]
-        nodes, sigma_rows, bs_to_t = self._uncovered(missing)
+        nodes, sigma_rows, bs_to_t, _bits = self._uncovered(missing)
         if len(nodes) == 0:
             return None
         seg_bs = sigma_rows.primary(label.node)
@@ -272,20 +377,23 @@ class SearchContext:
     #: for the lifetime of the search.
     MAX_UNCOVERED_MEMO = 64
 
-    def _uncovered(self, missing_mask: int) -> tuple[np.ndarray, object, np.ndarray]:
-        """Nodes carrying a missing keyword, the sigma rows at them and
-        their ``BS(sigma_{j,t})``."""
+    def _uncovered(self, missing_mask: int) -> tuple[np.ndarray, object, np.ndarray, np.ndarray]:
+        """Nodes carrying a missing keyword, the sigma rows at them, their
+        ``BS(sigma_{j,t})`` and the missing keyword bits each carries."""
         cached = self._uncovered_union.get(missing_mask)
         if cached is None:
-            lists = [
-                postings
-                for bit, postings in enumerate(self.binding.nodes_with_bit)
-                if missing_mask & (1 << bit) and len(postings)
-            ]
-            nodes = (
-                np.unique(np.concatenate(lists)) if lists else np.empty(0, dtype=np.int64)
-            )
-            cached = (nodes, self.tables.row_reader(nodes, "sigma"), self.bs_sigma_t[nodes])
+            # ORing the postings into one dense per-node mask yields the
+            # sorted union and each node's bits in one pass; it costs less
+            # than ``np.unique`` over the concatenated postings it replaced.
+            # Keyword masks fit int64 below 64 keywords; Python ints beyond.
+            dtype = np.int64 if self.binding.full_mask < (1 << 63) else object
+            carried = np.zeros(self.graph.num_nodes, dtype=dtype)
+            for bit, postings in enumerate(self.binding.nodes_with_bit):
+                if missing_mask & (1 << bit):
+                    carried[postings] |= 1 << bit
+            nodes = np.flatnonzero(carried)
+            bits = carried[nodes]
+            cached = (nodes, self.tables.row_reader(nodes, "sigma"), self.bs_sigma_t[nodes], bits)
             if len(self._uncovered_union) >= self.MAX_UNCOVERED_MEMO:
                 self._uncovered_union.pop(next(iter(self._uncovered_union)), None)
             self._uncovered_union[missing_mask] = cached

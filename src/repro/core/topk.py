@@ -110,7 +110,7 @@ def os_scaling_top_k(
     ctx = SearchContext(graph, tables, index, query, scaling, binding=binding)
     collector = TopKCollector(k)
 
-    if ctx.impossibility_reason() is not None:
+    if ctx.impossibility_reason(deadline) is not None:
         stats.runtime_seconds = time.perf_counter() - start
         return KkRResult(query=query, algorithm="osscaling-topk", k=k, routes=[], stats=stats)
 
@@ -205,7 +205,7 @@ def bucket_bound_top_k(
     ctx = SearchContext(graph, tables, index, query, scaling, binding=binding)
     collector = TopKCollector(k)
 
-    if ctx.impossibility_reason() is not None:
+    if ctx.impossibility_reason(deadline) is not None:
         stats.runtime_seconds = time.perf_counter() - start
         return KkRResult(query=query, algorithm="bucketbound-topk", k=k, routes=[], stats=stats)
 

@@ -2,11 +2,14 @@
 
 import collections
 import contextlib
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import searchbase
+from repro.core.bucketbound import bucket_bound
+from repro.core.deadline import Deadline
 from repro.core.engine import KOREngine
 from repro.core.label import VIA_JUMP, Label
 from repro.core.osscaling import _OSScalingSearch
@@ -14,6 +17,7 @@ from repro.core.query import KORQuery
 from repro.core.results import SearchTrace
 from repro.core.scaling import ScalingContext
 from repro.core.searchbase import SCREEN_MIN_DEGREE, SearchContext
+from repro.exceptions import DeadlineExceeded
 from repro.graph.builder import GraphBuilder
 
 from tests.core.test_kernels import STAT_FIELDS
@@ -62,6 +66,123 @@ class TestImpossibilityScreens:
     def test_budget_screen(self, fig1_engine):
         ctx = make_context(fig1_engine, KORQuery(0, 7, ("t1",), 2.0))
         assert "exceeds the limit" in ctx.impossibility_reason()
+
+
+PROOF = "no feasible route exists"
+
+
+class TestInfeasibilityProof:
+    """The keyword-order budget proof on Figure 1: every tour through the
+    only ``t5`` node costs at least 7, so Delta = 6 is proven hopeless
+    before a label is popped."""
+
+    QUERY = (0, 7, ("t5",), 6.0)
+
+    def test_proof_fires(self, fig1_engine):
+        assert make_context(fig1_engine, KORQuery(*self.QUERY)).impossibility_reason() == PROOF
+        fits = make_context(fig1_engine, KORQuery(0, 7, ("t5",), 7.0))
+        assert fits.impossibility_reason() is None
+
+    @pytest.mark.parametrize("algorithm", ("osscaling", "bucketbound", "exact"))
+    def test_searches_answer_the_unchanged_text_with_zero_counters(self, fig1_engine, algorithm):
+        result = fig1_engine.query(*self.QUERY, algorithm=algorithm)
+        assert result.route is None and result.failure_reason == PROOF
+        assert [getattr(result.stats, name) for name in STAT_FIELDS] == [0] * len(STAT_FIELDS)
+
+    @pytest.mark.parametrize("algorithm", ("osscaling", "bucketbound"))
+    def test_top_k_returns_no_route_and_pops_nothing(self, fig1_engine, algorithm):
+        result = fig1_engine.top_k(*self.QUERY, k=3, algorithm=algorithm)
+        assert result.routes == []
+        assert result.stats.loops == 0 and result.stats.labels_created == 0
+
+    @pytest.mark.parametrize("algorithm", ("greedy", "greedy2"))
+    def test_greedy_still_returns_its_over_budget_route(self, fig1_engine, algorithm):
+        result = fig1_engine.query(*self.QUERY, algorithm=algorithm)
+        assert result.route.nodes == (0, 3, 1, 4, 7)
+        assert result.route.budget_score == 14.0
+        assert result.covers_keywords and not result.within_budget
+        assert result.failure_reason is None
+
+    def test_exhaustive_still_enumerates(self, fig1_engine):
+        result = fig1_engine.query(*self.QUERY, algorithm="exhaustive")
+        assert result.failure_reason == PROOF
+        assert result.stats.loops == 11
+
+
+def keyword_clique(m: int) -> KOREngine:
+    """Source 0, target 1 and *m* nodes carrying one keyword each, every
+    pair one unit apart: covering the query costs exactly ``m + 1``."""
+    builder = GraphBuilder()
+    builder.add_node(keywords=())
+    builder.add_node(keywords=())
+    for i in range(m):
+        builder.add_node(keywords=(f"k{i}",))
+    for i in range(2, m + 2):
+        builder.add_edge(0, i, 1.0, 1.0)
+        builder.add_edge(i, 1, 1.0, 1.0)
+        for j in range(2, m + 2):
+            if i != j:
+                builder.add_edge(i, j, 1.0, 1.0)
+    return KOREngine(builder.build())
+
+
+class CountingDeadline(Deadline):
+    """A deadline that counts its ticks."""
+
+    def __init__(self, expires_at: float, tick_stride: int) -> None:
+        super().__init__(expires_at, tick_stride=tick_stride)
+        self.ticks = 0
+
+    def tick(self) -> None:
+        self.ticks += 1
+        super().tick()
+
+
+class TestManyKeywordProof:
+    """Twelve keywords, Delta half a unit short: the witness fails, every
+    keyword node passes the filter, and the subset DP walks ~2^12 states
+    before it proves the query hopeless."""
+
+    M = 12
+    KEYWORDS = tuple(f"k{i}" for i in range(M))
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return keyword_clique(self.M)
+
+    def test_tight_query_finishes_its_proof(self, engine):
+        result = engine.query(0, 1, self.KEYWORDS, self.M + 0.5, algorithm="bucketbound")
+        assert result.failure_reason == PROOF and result.stats.loops == 0
+        fits = make_context(engine, KORQuery(0, 1, self.KEYWORDS, self.M + 1.0))
+        assert fits.impossibility_reason() is None
+
+    @pytest.mark.parametrize("stride", (1, 8, 32))
+    def test_an_expired_deadline_ends_the_proof_within_its_tick_stride(self, engine, stride):
+        query = KORQuery(0, 1, self.KEYWORDS, self.M + 0.5)
+        deadline = CountingDeadline(time.monotonic() - 1.0, tick_stride=stride)
+        with pytest.raises(DeadlineExceeded):
+            bucket_bound(engine.graph, engine.tables, engine.index, query, deadline=deadline)
+        assert deadline.ticks == stride
+
+    def test_masks_past_63_keywords(self):
+        """64 keywords on node 1 plus ``x`` at 2 and ``y`` at 3: the masks
+        outgrow int64.  The witness takes 1 first (one unit away) and then
+        pays 5 to leave it; the DP finds 0 -> 2 -> 3 -> 1 -> 4 at 5."""
+        wide = tuple(f"w{i}" for i in range(64))
+        builder = GraphBuilder()
+        for keywords in ((), wide, ("x",), ("y",), ()):
+            builder.add_node(keywords=keywords)
+        for u, v, budget in (
+            (0, 1, 1.0), (0, 2, 2.0), (0, 3, 2.0), (1, 4, 1.0), (2, 4, 1.0), (3, 4, 1.0),
+            (1, 2, 5.0), (1, 3, 5.0), (2, 1, 5.0), (3, 2, 5.0), (2, 3, 1.0), (3, 1, 1.0),
+        ):  # fmt: skip
+            builder.add_edge(u, v, 1.0, budget)
+        engine = KOREngine(builder.build())
+        keywords = wide + ("x", "y")
+        busts = engine.query(0, 4, keywords, 4.9, algorithm="bucketbound")
+        assert busts.failure_reason == PROOF and busts.stats.loops == 0
+        fits = engine.query(0, 4, keywords, 5.0, algorithm="bucketbound")
+        assert fits.route.nodes == (0, 2, 3, 1, 4)
 
 
 class TestJumpCandidate:
