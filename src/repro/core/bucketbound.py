@@ -208,7 +208,7 @@ class _BucketBoundSearch:
 
         source = query.source
         root = ctx.root_label()
-        if root.mask == self.full_mask and ctx.bs_tau_t_list[source] <= self.delta:
+        if root.mask == self.full_mask and ctx.bs_tau_t[source] <= self.delta:
             self._early = self._package(root, trivial=True)
             return
 
@@ -312,7 +312,7 @@ class _BucketBoundSearch:
                 self.trace.record("prune_dominated", node, new_mask, new_sos, new_os, new_bs)
             return
 
-        if new_mask == self.full_mask and new_bs + ctx.bs_tau_t_list[node] <= self.delta:
+        if new_mask == self.full_mask and new_bs + ctx.bs_tau_t[node] <= self.delta:
             # Feasible tau-completion: a new best candidate (low < best_low
             # is guaranteed by the prune above).
             self.best_candidate, self.best_low = label, low

@@ -99,6 +99,7 @@ def greedy(
     os_tau_t = tables.os_tau_col(target)
     bs_tau_t = tables.bs_tau_col(target)
     bs_sigma_t = tables.bs_sigma_col(target)
+    os_sigma_t = tables.os_sigma_entries(target)  # per node: the sigma fallback's score
 
     def fail(reason: str) -> KORResult:
         stats.runtime_seconds = time.perf_counter() - start
@@ -154,7 +155,7 @@ def greedy(
                 _Leaf(
                     waypoints,
                     mask,
-                    os + float(tables.os_sigma_col(target)[current]),
+                    os + float(os_sigma_t[current]),
                     bs + float(bs_sigma_t[current]),
                     "sigma",
                 )

@@ -109,7 +109,7 @@ class _OSScalingSearch:
 
         source = query.source
         root = ctx.root_label()
-        if root.mask == self.full_mask and ctx.bs_tau_t_list[source] <= self.delta:
+        if root.mask == self.full_mask and ctx.bs_tau_t[source] <= self.delta:
             # The source (plus the target, via tau's endpoints) already
             # covers every keyword and the objective-optimal completion
             # fits the budget: tau_{s,t} is globally objective-optimal, so
@@ -209,7 +209,7 @@ class _OSScalingSearch:
             return
 
         if new_mask == self.full_mask:
-            if new_bs + ctx.bs_tau_t_list[node] <= self.delta:
+            if new_bs + ctx.bs_tau_t[node] <= self.delta:
                 # Feasible completion via tau_{j,t}: update the upper bound
                 # and the incumbent (lines 17-19); the label is consumed —
                 # tau is its best possible completion (Lemma 3), so no

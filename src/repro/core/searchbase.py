@@ -84,17 +84,19 @@ class SearchContext:
         #: OS(tau_{i,t}) for every i — the admissible completion bound
         #: behind Lemma 3's LOW(.) and the U-pruning of Algorithm 1.
         self.os_tau_t = tables.os_tau_col(target)
-        #: BS(tau_{i,t}) — budget of the objective-optimal completion.
-        self.bs_tau_t = tables.bs_tau_col(target)
         #: BS(sigma_{i,t}) — the cheapest possible completion budget; a
         #: label violating ``BS + BS(sigma) <= Delta`` can never be feasible.
         self.bs_sigma_t = tables.bs_sigma_col(target)
-        # Plain-list twins of the columns above: scalar indexing of numpy
-        # arrays costs ~10x a list lookup, and label creation is the hot
-        # path (hundreds of thousands of lookups per query).
+        # Plain-list twins of the two columns every created label reads:
+        # scalar indexing of numpy arrays costs ~10x a list lookup, and
+        # label creation is the hot path (hundreds of thousands of lookups
+        # per query).
         self.os_tau_t_list: list[float] = self.os_tau_t.tolist()
-        self.bs_tau_t_list: list[float] = self.bs_tau_t.tolist()
         self.bs_sigma_t_list: list[float] = self.bs_sigma_t.tolist()
+        #: BS(tau_{i,t}) — budget of the objective-optimal completion, read
+        #: per node (``bs_tau_t[i]``) and only for labels covering every
+        #: keyword, so no table assembles or copies the whole column.
+        self.bs_tau_t = tables.bs_tau_entries(target)
 
         # Lazy caches ---------------------------------------------------
         self._scaled_out: dict[int, tuple[tuple[int, float, float, float], ...]] = {}

@@ -122,7 +122,7 @@ def os_scaling_top_k(
     root = ctx.root_label()
     heapq.heappush(heap, (label_sort_key(root), root))
     store.insert(root)
-    if root.mask == full_mask and ctx.bs_tau_t_list[query.source] <= delta:
+    if root.mask == full_mask and ctx.bs_tau_t[query.source] <= delta:
         collector.add(ctx.materialize(root))
         stats.bound_updates += 1
 
@@ -148,7 +148,7 @@ def os_scaling_top_k(
         if store.is_dominated(label):
             stats.labels_pruned_dominated += 1
             return
-        if new_mask == full_mask and new_bs + ctx.bs_tau_t_list[node] <= delta:
+        if new_mask == full_mask and new_bs + ctx.bs_tau_t[node] <= delta:
             # Feasible tau-completion: one candidate route.  The label stays
             # in play — its other completions may rank among the k best.
             if collector.add(ctx.materialize(label)):
@@ -221,7 +221,7 @@ def bucket_bound_top_k(
     root = ctx.root_label()
     queue.push(root, root.os + ctx.os_tau_t_list[source])
     store.insert(root)
-    if root.mask == full_mask and ctx.bs_tau_t_list[source] <= delta:
+    if root.mask == full_mask and ctx.bs_tau_t[source] <= delta:
         collector.add(ctx.materialize(root))
 
     def on_evict(_victim: Label) -> None:
@@ -251,7 +251,7 @@ def bucket_bound_top_k(
         if store.is_dominated(label):
             stats.labels_pruned_dominated += 1
             return
-        if new_mask == full_mask and new_bs + ctx.bs_tau_t_list[node] <= delta:
+        if new_mask == full_mask and new_bs + ctx.bs_tau_t[node] <= delta:
             # Feasible tau-completion: one candidate route.  Unlike the
             # top-1 algorithm the label still enters the queue — its
             # *other* completions may rank among the k answers.

@@ -71,8 +71,10 @@ Float addition is not associative, so *which* two legs are summed first
 is part of each access path's contract.  Rows and restricted rows
 (``_rows``, ``row_reader``) share one exit-side stage, the cached border
 leg of the source, and associate ``(leg1 + border) + leg3``; columns
-(``_columns``) and the scalar/path lookups (``_assemble_pair``) minimise
-over the entry side first and associate ``leg1 + (border + leg3)``.
+(``_columns``) and the scalar/path lookups (``_assemble_pair``, also
+behind the per-node entries ``bs_tau_entries`` / ``os_sigma_entries``)
+read one cached entry side per target, ``_mid``, and associate ``leg1 +
+(border + leg3)``.
 Within a family values are bitwise equal (a restricted read *is*
 ``row(i)[nodes]``; a scalar lookup *is* ``col(j)[i]``); across families
 the same entry can differ in its last ulp.
@@ -271,66 +273,91 @@ def _lex_argmin(primary: np.ndarray, secondary: np.ndarray) -> int:
     return int(np.argmin(tied))
 
 
-#: Byte budget per cache (columns, rows, border legs, and each per-query
-#: reader's memo).  Each entry holds at most two float64 arrays of the
-#: cache's entry length; without a bound a long-lived engine serving varied
-#: targets would quietly regrow the very ``O(n^2)`` footprint the
-#: partitioned tables exist to eliminate.
+#: Byte budget per cache (columns, rows, border legs, target mids, and the
+#: shared row readers with their memoised rows).  Without a bound a
+#: long-lived engine serving varied targets would quietly regrow the very
+#: ``O(n^2)`` footprint the partitioned tables exist to eliminate.
 _CACHE_BYTE_BUDGET = 2_000_000
 #: Entry floor so tiny graphs / huge graphs still keep enough locality
 #: for one query's worth of repeated lookups.
 _CACHE_MIN_ENTRIES = 16
 
 
-class _LRUPairCache:
-    """Tiny LRU for ``key -> (primary, secondary)`` pairs of one length
-    (a primary-only column keeps ``None`` for its secondary).
+class _ByteLRU:
+    """LRU of ``key -> value`` entries, each charged its bytes.
 
-    Thread workers share one tables object, so every compound step runs
-    under a lock; a pickled or copied cache arrives empty (caches are
-    derived state, and shipping them would bloat every worker pickle
-    with whatever the parent happened to look up).
+    ``put`` makes room oldest first while the entries would pass
+    :data:`_CACHE_BYTE_BUDGET`, keeping at least :data:`_CACHE_MIN_ENTRIES`
+    whatever their size.  Thread workers share one tables object, so every
+    compound step runs under a lock; a pickled or copied cache arrives
+    empty (caches are derived state, and shipping them would bloat every
+    worker pickle with whatever the parent happened to look up).
     """
 
-    def __init__(self, entry_length: int) -> None:
-        self._entry_length = entry_length
-        per_entry = 2 * 8 * max(entry_length, 1)
-        self.capacity = max(_CACHE_MIN_ENTRIES, _CACHE_BYTE_BUDGET // per_entry)
-        self._data: dict = {}
+    def __init__(self) -> None:
+        self._data: dict = {}  # key -> (value, nbytes)
+        self._bytes = 0
         self._lock = threading.Lock()
 
     def __reduce__(self):
-        return type(self), (self._entry_length,)
+        return type(self), ()
 
     def get(self, key):
         with self._lock:
-            value = self._data.pop(key, None)
-            if value is not None:
-                # Re-insert to mark recency (dicts preserve insertion order).
-                self._data[key] = value
-            return value
+            entry = self._data.pop(key, None)
+            if entry is None:
+                return None
+            # Re-insert to mark recency (dicts preserve insertion order).
+            self._data[key] = entry
+            return entry[0]
 
-    def put(self, key, value) -> None:
+    def put(self, key, value, nbytes: int) -> None:
         with self._lock:
-            if key not in self._data and len(self._data) >= self.capacity:
-                self._data.pop(next(iter(self._data)))
-            self._data[key] = value
+            old = self._data.pop(key, None)
+            if old is not None:
+                self._bytes -= old[1]
+            while (
+                self._bytes + nbytes > _CACHE_BYTE_BUDGET
+                and len(self._data) >= _CACHE_MIN_ENTRIES
+            ):
+                self._bytes -= self._data.pop(next(iter(self._data)))[1]
+            self._data[key] = (value, nbytes)
+            self._bytes += nbytes
 
     def __len__(self) -> int:
         return len(self._data)
 
     def __eq__(self, other) -> bool:  # tests compare against {} after pickling
-        if isinstance(other, _LRUPairCache):
+        if isinstance(other, _ByteLRU):
             return self._data == other._data
         return self._data == other
 
     def nbytes(self) -> int:
-        """Bytes held by the cached arrays."""
-        with self._lock:
-            return sum(
-                primary.nbytes + (0 if secondary is None else secondary.nbytes)
-                for primary, secondary in self._data.values()
-            )
+        """Bytes held by the cached entries."""
+        return self._bytes
+
+
+class _LRUPairCache(_ByteLRU):
+    """:class:`_ByteLRU` of ``key -> (primary, secondary)`` array pairs,
+    each charged its arrays' bytes (a primary-only entry keeps ``None``
+    for its secondary and is charged the primary alone)."""
+
+    def put(self, key, value) -> None:
+        primary, secondary = value
+        super().put(key, value, primary.nbytes + (0 if secondary is None else secondary.nbytes))
+
+
+class _Blocks(dict):
+    """``(side, kind, cell, secondary) -> array``: the contiguous per-cell
+    copies of :meth:`PartitionedCostTables._block`.  At most one per key,
+    so bounded by the partition; pickled (and copied) empty."""
+
+    def __reduce__(self):
+        return type(self), ()
+
+    def nbytes(self) -> int:
+        """Bytes held by the blocks built so far."""
+        return sum(block.nbytes for block in list(self.values()))
 
 
 def _prefer_in_cell(
@@ -429,87 +456,93 @@ class _RowReader:
 
     The query-time half of the row assembly, for a search that reads
     ``row(i)[nodes]`` from many sources ``i``: everything that depends on
-    the node set alone is gathered here once — per column the entries
-    ``b2`` of the node's cell and ``in_cell(b2 -> node)``, padded to the
+    the node set alone (the *slab*, :meth:`gather`) is gathered once per
+    tables epoch while it stays cached — per column the entries ``b2`` of
+    the node's cell and the primary ``in_cell(b2 -> node)``, padded to the
     tallest cell with ``inf`` — so a primary read is the source's cached
     border leg plus that slab under one plain ``min`` (the primary of a
     lexicographic minimum), then the in-cell compare for the nodes of
-    ``cell(i)``; a secondary is assembled for the one column asked, under
+    ``cell(i)``.  A secondary is assembled for the one column asked, from
+    the in-cell secondaries at that column's entries alone, under
     ``_lex_min``.  Same ``(leg1 + border) + leg3`` association and tie
     rule as ``_rows``: every value is bitwise the one ``*_row(i)[nodes]``
-    holds.  Primary rows are memoised per source (bounded like every
-    cache here) for the life of the reader, which belongs to one query.
+    holds.  The slab and the primary rows read are shared by every reader
+    of the same node set and kind (:meth:`PartitionedCostTables.
+    row_reader`), in one byte-bounded cache of the tables; a reader itself
+    holds no state of its own.
     """
 
-    def __init__(self, tables: "PartitionedCostTables", nodes: np.ndarray, kind: str) -> None:
-        nodes = np.asarray(nodes, dtype=np.int64).ravel()
+    def __init__(self, tables: "PartitionedCostTables", key: tuple, slab: tuple) -> None:
+        self._tables = tables
+        self._key = key
+        self._kind = key[0]
+        self._node_cells, self._node_locals, self._cell_columns = slab[:3]
+        self._entries, self._leg3_prim = slab[3:]
+
+    @staticmethod
+    def gather(tables: "PartitionedCostTables", nodes: np.ndarray, kind: str) -> tuple[tuple, int]:
+        """The slab of *nodes* — ``(node cells, node locals, cell -> (its
+        columns, their local ids), padded entries, padded leg3 primaries)``
+        — and the bytes its arrays and its cache key (the node ids) hold."""
         if len(nodes) and not 0 <= nodes.min() <= nodes.max() < tables.num_nodes:
             raise PrepError(f"node set reaches outside 0..{tables.num_nodes - 1}")
-        self._tables = tables
-        self._kind = kind
-        self._width = len(nodes)
-        # An entry is one primary row plus the source's border leg (two
-        # k-vectors, pinned even if ``_leg_cache`` drops them).
-        self._memo = _LRUPairCache(self._width // 2 + len(tables.partition.border_nodes))
-        self._node_cells = node_cells = tables.partition.cell_of[nodes]
-        self._node_locals = node_locals = tables.local_index[nodes]
-        #: cell -> (columns holding that cell's nodes, their local ids).
-        self._cell_columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        node_cells = tables.partition.cell_of[nodes]
+        node_locals = tables.local_index[nodes]
+        cell_columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for cell in np.unique(node_cells).tolist():
             columns = np.flatnonzero(node_cells == cell)
-            self._cell_columns[cell] = (columns, node_locals[columns])
-        height = max(
-            (len(tables._cell_borders[cell]) for cell in self._cell_columns), default=0
-        )
-        #: Per column: rows of ``border_nodes`` entering the node's cell.
-        #: Padding points at row 0 and is silenced by the ``inf`` below it.
-        self._entries = np.zeros((height, self._width), dtype=np.int64)
-        self._leg3_prim = np.full((height, self._width), np.inf)
-        self._leg3_sec = np.full((height, self._width), np.inf)
-        for cell, (columns, locals_) in self._cell_columns.items():
-            entries = tables._cell_borders[cell]
-            if not len(entries):
-                continue
-            prim_m, sec_m = tables._in_cell(kind, cell)
-            block = np.ix_(tables._cell_border_locals[cell], locals_)
-            self._entries[: len(entries), columns] = entries[:, None]
-            self._leg3_prim[: len(entries), columns] = prim_m[block]
-            self._leg3_sec[: len(entries), columns] = sec_m[block]
+            cell_columns[cell] = (columns, node_locals[columns])
+        height = max((len(tables._cell_borders[cell]) for cell in cell_columns), default=0)
+        # Padding points at row 0 and is silenced by the ``inf`` below it.
+        entries = np.zeros((height, len(nodes)), dtype=np.int64)
+        leg3_prim = np.full((height, len(nodes)), np.inf)
+        for cell, (columns, locals_) in cell_columns.items():
+            cell_entries = tables._cell_borders[cell]
+            if len(cell_entries):
+                block = tables._block("entry", kind, cell)
+                entries[: len(cell_entries), columns] = cell_entries[:, None]
+                leg3_prim[: len(cell_entries), columns] = block[:, locals_]
+        nbytes = sum(array.nbytes for array in (nodes, node_cells, node_locals, entries, leg3_prim))
+        nbytes += sum(columns.nbytes + locals_.nbytes for columns, locals_ in cell_columns.values())
+        return (node_cells, node_locals, cell_columns, entries, leg3_prim), nbytes
 
     def primary(self, i: int) -> np.ndarray:
         """The primary score of row *i* at every node of the set."""
-        return self._row(i)[0]
+        return self._row(i)
 
     def secondary_at(self, i: int, position: int) -> float:
         """The secondary score of row *i* at ``nodes[position]``, assembled
-        for that one column from the leg :meth:`primary` fetched."""
-        leg = self._row(i)[1]
+        for that one column from the source's border leg."""
         tables, kind = self._tables, self._kind
+        leg = tables._leg(i, kind)  # validates i
         best = (np.inf, np.inf)
         cell = int(tables.partition.cell_of[i])
-        if self._node_cells[position] == cell:
+        node_cell, node_local = int(self._node_cells[position]), self._node_locals[position]
+        if node_cell == cell:
             prim_m, sec_m = tables._in_cell(kind, cell)
-            at = int(tables.local_index[i]), self._node_locals[position]
+            at = int(tables.local_index[i]), node_local
             best = (prim_m[at], sec_m[at])
-        if leg is not None and len(self._entries):
-            entries = self._entries[:, position]
+        entries = tables._cell_borders[node_cell]
+        if leg is not None and len(entries):
             stitched = _lex_min(
-                leg[0][entries] + self._leg3_prim[:, position],
-                leg[1][entries] + self._leg3_sec[:, position],
+                leg[0][entries] + tables._block("entry", kind, node_cell)[:, node_local],
+                leg[1][entries] + tables._block("entry", kind, node_cell, True)[:, node_local],
                 axis=0,
             )
             if stitched < best:  # lexicographic; a tie keeps the in-cell path
                 best = stitched
         return float(best[1])
 
-    def _row(self, i: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-        """Row *i*'s primaries at the node set, and the border leg of *i*."""
-        cached = self._memo.get(i)
+    def _row(self, i: int) -> np.ndarray:
+        """Row *i*'s primaries at the node set (memoised in the tables)."""
+        tables = self._tables
+        key = (self._key, i)
+        cached = tables._readers.get(key)
         if cached is not None:
             return cached
-        tables, kind = self._tables, self._kind
+        kind = self._kind
         leg = tables._leg(i, kind)  # validates i
-        best = np.full(self._width, np.inf)
+        best = np.full(len(self._node_cells), np.inf)
         cell = int(tables.partition.cell_of[i])
         own = self._cell_columns.get(cell)
         if own is not None:
@@ -517,8 +550,30 @@ class _RowReader:
             best[columns] = tables._in_cell(kind, cell)[0][int(tables.local_index[i]), locals_]
         if leg is not None and len(self._entries):
             best = np.minimum(best, (leg[0][self._entries] + self._leg3_prim).min(axis=0))
-        self._memo.put(i, (best, leg))
-        return best, leg
+        best.flags.writeable = False  # shared by every reader of the node set
+        tables._readers.put(key, best, best.nbytes)
+        return best
+
+
+class _ColumnEntries:
+    """The secondary scores of one *kind* column, read one entry at a time.
+
+    ``entries[i]`` is the scalar lookup ``_pair(i, t, kind)[1]`` —
+    ``BS(tau_{i,t})`` (tau) or ``OS(sigma_{i,t})`` (sigma), bit for bit
+    ``_columns(t, kind)[1][i]`` — made on its first read, for a search
+    that reads a handful of entries of a column it never needs whole.
+    """
+
+    def __init__(self, tables: "PartitionedCostTables", t: int, kind: str) -> None:
+        tables._check_node(t)
+        self._tables, self._t, self._kind = tables, t, kind
+        self._memo: dict[int, float] = {}
+
+    def __getitem__(self, i: int) -> float:
+        value = self._memo.get(i)
+        if value is None:
+            value = self._memo[i] = self._tables._pair(i, self._t, self._kind)[1]
+        return value
 
 
 @dataclass
@@ -530,11 +585,13 @@ class PartitionedCostTables:
     ``predecessors=True``) path materialisation.  Assembled scores are
     **exact** (see the module docstring): in-cell whenever the optimal
     path stays inside one cell, stitched through the best border-node
-    pair otherwise.  Column, row and border-leg results are cached per
-    node — queries hit the same target, and a search the same sources,
-    repeatedly — in LRU caches bounded to ``_CACHE_BYTE_BUDGET`` bytes
-    each (reported by :meth:`cache_bytes`), so long-lived instances
-    amortise assembly cost without ever regrowing an ``O(n^2)`` resident
+    pair otherwise.  Column, row, border-leg and target-mid results are
+    cached per node — queries hit the same target, and a search the same
+    sources, repeatedly — and row readers per node set, in LRU caches
+    bounded to ``_CACHE_BYTE_BUDGET`` bytes each; each cell's slices of
+    the in-cell matrices are copied contiguous once.  All of it
+    is reported by :meth:`cache_bytes`, so long-lived instances amortise
+    assembly cost without ever regrowing an ``O(n^2)`` resident
     footprint.  A structural update builds a new tables object, which is
     what fences every cache to its epoch.
     """
@@ -563,6 +620,13 @@ class PartitionedCostTables:
     _row_cache: _LRUPairCache = field(init=False, repr=False)
     #: Cached per-source border legs (see :meth:`_leg`): length k, not n.
     _leg_cache: _LRUPairCache = field(init=False, repr=False)
+    #: Cached per-target ``mid`` vectors (see :meth:`_mid`): length k.
+    _mid_cache: _LRUPairCache = field(init=False, repr=False)
+    #: Shared row readers: per ``(kind, node set)`` its slab, per
+    #: ``((kind, node set), source)`` its primary row (see :meth:`row_reader`).
+    _readers: _ByteLRU = field(init=False, repr=False)
+    #: Contiguous per-cell copies of in-cell slices (:meth:`_block`).
+    _blocks: _Blocks = field(init=False, repr=False)
     #: Per cell: its border nodes as rows of ``border_nodes`` and as local
     #: ids inside the cell (same order), fixed by the partition.
     _cell_borders: tuple[np.ndarray, ...] = field(init=False, repr=False)
@@ -570,9 +634,12 @@ class PartitionedCostTables:
 
     def __post_init__(self) -> None:
         part = self.partition
-        self._column_cache = _LRUPairCache(self.num_nodes)
-        self._row_cache = _LRUPairCache(self.num_nodes)
-        self._leg_cache = _LRUPairCache(len(part.border_nodes))
+        self._column_cache = _LRUPairCache()
+        self._row_cache = _LRUPairCache()
+        self._leg_cache = _LRUPairCache()
+        self._mid_cache = _LRUPairCache()
+        self._readers = _ByteLRU()
+        self._blocks = _Blocks()
         self._cell_borders, self._cell_border_locals = _cell_border_layout(
             part, self.local_index
         )
@@ -750,7 +817,7 @@ class PartitionedCostTables:
     # ------------------------------------------------------------------
     def os_tau_col(self, t: int) -> np.ndarray:
         """Assembled ``OS(tau_{i,t})`` for every ``i``."""
-        return self._columns(t, "tau")[0]
+        return self._columns(t, "tau", pair=False)[0]
 
     def bs_tau_col(self, t: int) -> np.ndarray:
         """Assembled ``BS`` along tau for every ``i``."""
@@ -763,6 +830,16 @@ class PartitionedCostTables:
     def bs_sigma_col(self, t: int) -> np.ndarray:
         """Assembled ``BS(sigma_{i,t})`` for every ``i``."""
         return self._columns(t, "sigma", pair=False)[0]
+
+    def bs_tau_entries(self, t: int) -> _ColumnEntries:
+        """``BS(tau_{i,t})`` read per node: ``entries[i] == bs_tau_col(t)[i]``
+        bit for bit, each entry assembled on its first read."""
+        return _ColumnEntries(self, t, "tau")
+
+    def os_sigma_entries(self, t: int) -> _ColumnEntries:
+        """``OS(sigma_{i,t})`` read per node: ``entries[i] == os_sigma_col(t)[i]``
+        bit for bit, each entry assembled on its first read."""
+        return _ColumnEntries(self, t, "sigma")
 
     def os_tau_cols(self, nodes: np.ndarray) -> np.ndarray:
         """``OS(tau_{i,t})`` for every ``i`` and every ``t`` in *nodes*."""
@@ -796,9 +873,17 @@ class PartitionedCostTables:
 
         ``reader.primary(i)`` equals ``os_tau_row(i)[nodes]`` (tau) or
         ``bs_sigma_row(i)[nodes]`` (sigma) bit for bit, at the cost of the
-        nodes read instead of all n; the reader is per query, not cached.
+        nodes read instead of all n.  Readers of an identical node set and
+        kind share one slab and one memo of the rows read, cached for the
+        life of these tables (bounded and counted like every cache here).
         """
-        return _RowReader(self, nodes, kind)
+        nodes = np.asarray(nodes, dtype=np.int64).ravel()
+        key = (kind, nodes.tobytes())
+        slab = self._readers.get(key)
+        if slab is None:
+            slab, nbytes = _RowReader.gather(self, nodes, kind)
+            self._readers.put(key, slab, nbytes)
+        return _RowReader(self, key, slab)
 
     # ------------------------------------------------------------------
     # path materialisation (protocol shared with CostTables)
@@ -843,11 +928,15 @@ class PartitionedCostTables:
         return total
 
     def cache_bytes(self) -> int:
-        """Bytes currently held by the bounded column/row/leg LRU caches."""
+        """Bytes currently held by the derived state: the bounded column,
+        row, leg, mid and reader caches, and the per-cell blocks."""
         return (
             self._column_cache.nbytes()
             + self._row_cache.nbytes()
             + self._leg_cache.nbytes()
+            + self._mid_cache.nbytes()
+            + self._readers.nbytes()
+            + self._blocks.nbytes()
         )
 
     @staticmethod
@@ -868,6 +957,26 @@ class PartitionedCostTables:
             return self.border_os_tau, self.border_bs_tau
         return self.border_bs_sigma, self.border_os_sigma
 
+    def _block(self, side: str, kind: str, cell: int, secondary: bool = False) -> np.ndarray:
+        """One cell's slice of a *kind* in-cell matrix as a contiguous copy,
+        built on first use so the reads below slice it instead of gathering.
+
+        ``"entry"``: the rows at the cell's border nodes (``|borders| x
+        n_c``, paths leaving an entry); ``"exit"``: the columns at them,
+        transposed (``|borders| x n_c``, paths reaching an exit).  The
+        primary matrix, or with *secondary* the other one.  (The border
+        matrices' rows are gathered per leg instead: a per-cell copy of
+        them duplicated the ``k x k`` tier and measured no faster.)
+        """
+        key = (side, kind, cell, secondary)
+        block = self._blocks.get(key)
+        if block is None:
+            matrix = self._in_cell(kind, cell)[secondary]
+            locals_ = self._cell_border_locals[cell]
+            block = matrix[locals_] if side == "entry" else matrix[:, locals_].T.copy()
+            block = self._blocks.setdefault(key, block)
+        return block
+
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise PrepError(f"node {node} outside 0..{self.num_nodes - 1}")
@@ -885,49 +994,38 @@ class PartitionedCostTables:
         nothing is reachable) and ``(b1, b2)`` — global border node ids —
         when the stitched path wins.  Ties prefer the in-cell path, then
         the lexicographically smaller ``(primary, secondary)`` combo.
-        The legs associate as ``leg1 + (border + leg3)``: bitwise the
-        value ``_columns`` holds, and within an ulp of the one ``_rows``
-        and the restricted read hold (they associate the other way).
+        The entry side is the target's cached :meth:`_mid`, the one
+        ``_columns`` reads, so the legs associate as ``leg1 + (border +
+        leg3)``: bitwise the value ``_columns`` holds, and within an ulp of
+        the one ``_rows`` and the restricted read hold (they associate the
+        other way).
         """
         self._check_node(i)
         self._check_node(j)
         part = self.partition
         ci, cj = int(part.cell_of[i]), int(part.cell_of[j])
-        li, lj = int(self.local_index[i]), int(self.local_index[j])
+        li = int(self.local_index[i])
+        prim_i, sec_i = self._in_cell(kind, ci)
         best_primary, best_secondary = np.inf, np.inf
         if ci == cj:
-            prim_m, sec_m = self._in_cell(kind, ci)
-            best_primary = float(prim_m[li, lj])
-            best_secondary = float(sec_m[li, lj])
+            lj = int(self.local_index[j])
+            best_primary, best_secondary = float(prim_i[li, lj]), float(sec_i[li, lj])
         combo: tuple[int, int] | None = None
 
         exits = self._cell_borders[ci]
-        entries = self._cell_borders[cj]
-        if len(exits) and len(entries):
-            prim_i, sec_i = self._in_cell(kind, ci)
-            prim_j, sec_j = self._in_cell(kind, cj)
-            border_prim, border_sec = self._border_matrices(kind)
-            # legs: i -> exit (in cell), exit -> entry (border), entry -> j,
-            # associated as leg1 + (border + leg3) to match _columns.
-            leg1_prim = prim_i[li, self._cell_border_locals[ci]]
-            leg1_sec = sec_i[li, self._cell_border_locals[ci]]
-            leg3_prim = prim_j[self._cell_border_locals[cj], lj]
-            leg3_sec = sec_j[self._cell_border_locals[cj], lj]
-            mid_prim_all = border_prim[np.ix_(exits, entries)] + leg3_prim[None, :]
-            mid_sec_all = border_sec[np.ix_(exits, entries)] + leg3_sec[None, :]
-            mid_prim, mid_sec = _lex_min(mid_prim_all, mid_sec_all, axis=1)
-            total_prim = leg1_prim + mid_prim
-            total_sec = leg1_sec + mid_sec
+        mid = self._mid(j, kind) if len(exits) else None
+        if mid is not None:
+            # legs: i -> exit (in cell), then the target's cached entry
+            # side, associated as leg1 + (border + leg3) to match _columns.
+            exit_locals = self._cell_border_locals[ci]
+            total_prim = prim_i[li, exit_locals] + mid[0][exits]
+            total_sec = sec_i[li, exit_locals] + mid[1][exits]
             pick = _lex_argmin(total_prim, total_sec)
             cand_prim = float(total_prim[pick])
             cand_sec = float(total_sec[pick])
             if (cand_prim, cand_sec) < (best_primary, best_secondary):
                 best_primary, best_secondary = cand_prim, cand_sec
-                entry_pick = _lex_argmin(mid_prim_all[pick], mid_sec_all[pick])
-                combo = (
-                    int(part.border_nodes[exits[pick]]),
-                    int(part.border_nodes[entries[entry_pick]]),
-                )
+                combo = self._decomposition(int(exits[pick]), j, kind)
         return best_primary, best_secondary, combo
 
     def _columns(
@@ -950,20 +1048,7 @@ class PartitionedCostTables:
         lt = int(self.local_index[t])
         prim_col = np.full(n, np.inf)
         sec_col = np.full(n, np.inf) if pair else None
-
-        entries = self._cell_borders[ct]
-        have_mid = len(entries) > 0
-        if have_mid:
-            prim_t, sec_t = self._in_cell(kind, ct)
-            entry_locals = self._cell_border_locals[ct]
-            border_prim, border_sec = self._border_matrices(kind)
-            # mid[b1] = best (border(b1 -> b2) + in-cell(b2 -> t)) over
-            # all entries b2 of cell(t): one (k,)-vector for the column.
-            mid_prim, mid_sec = _lex_min(
-                border_prim[:, entries] + prim_t[entry_locals, lt][None, :],
-                border_sec[:, entries] + sec_t[entry_locals, lt][None, :] if pair else None,
-                axis=1,
-            )
+        mid = self._mid(t, kind, pair)
 
         for cell in range(part.num_cells):
             nodes = part.cells[cell]
@@ -973,12 +1058,12 @@ class PartitionedCostTables:
             else:
                 best = (np.full(len(nodes), np.inf), np.full(len(nodes), np.inf))
             exits = self._cell_borders[cell]
-            if have_mid and len(exits):
-                exit_locals = self._cell_border_locals[cell]
+            if mid is not None and len(exits):
+                exit_sec = self._block("exit", kind, cell, True) if pair else None
                 stitched = _lex_min(
-                    prim_m[:, exit_locals] + mid_prim[exits][None, :],
-                    sec_m[:, exit_locals] + mid_sec[exits][None, :] if pair else None,
-                    axis=1,
+                    self._block("exit", kind, cell) + mid[0][exits][:, None],
+                    exit_sec + mid[1][exits][:, None] if pair else None,
+                    axis=0,
                 )
                 best = _prefer_in_cell(best, stitched)
             prim_col[nodes] = best[0]
@@ -987,6 +1072,49 @@ class PartitionedCostTables:
 
         self._column_cache.put(key, (prim_col, sec_col))
         return prim_col, sec_col
+
+    def _mid(
+        self, t: int, kind: str, pair: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """The entry side of target *t*'s column: ``(primary, secondary)``
+        k-vectors, ``mid[b1]`` the best ``border(b1 -> b2) + in_cell(b2 ->
+        t)`` over all entries ``b2`` of ``cell(t)``.  ``None`` when
+        ``cell(t)`` has no border node; ``pair=False`` as in :meth:`_columns`.
+        """
+        key = (t, kind)
+        cached = self._mid_cache.get(key)
+        if cached is not None and not (pair and cached[1] is None):
+            return cached
+        ct = int(self.partition.cell_of[t])
+        entries = self._cell_borders[ct]
+        if not len(entries):
+            return None
+        lt = int(self.local_index[t])
+        border_prim, border_sec = self._border_matrices(kind)
+        leg3_prim = self._block("entry", kind, ct)[:, lt]
+        leg3_sec = self._block("entry", kind, ct, True)[:, lt] if pair else None
+        mid = _lex_min(
+            border_prim[:, entries] + leg3_prim[None, :],
+            border_sec[:, entries] + leg3_sec[None, :] if pair else None,
+            axis=1,
+        )
+        self._mid_cache.put(key, mid)
+        return mid
+
+    def _decomposition(self, exit_row: int, j: int, kind: str) -> tuple[int, int]:
+        """``(b1, b2)`` of the stitched pair that leaves through border row
+        *exit_row* for target *j*: the entry ``b2`` whose ``border + leg3``
+        is ``_mid(j, kind)[exit_row]``, ties to the smaller secondary."""
+        cj = int(self.partition.cell_of[j])
+        lj = int(self.local_index[j])
+        entries = self._cell_borders[cj]
+        border_prim, border_sec = self._border_matrices(kind)
+        pick = _lex_argmin(
+            border_prim[exit_row, entries] + self._block("entry", kind, cj)[:, lj],
+            border_sec[exit_row, entries] + self._block("entry", kind, cj, True)[:, lj],
+        )
+        nodes = self.partition.border_nodes
+        return int(nodes[exit_row]), int(nodes[entries[pick]])
 
     def _leg(self, i: int, kind: str) -> tuple[np.ndarray, np.ndarray] | None:
         """The border leg of source *i*: ``(primary, secondary)`` k-vectors.
@@ -1010,8 +1138,8 @@ class PartitionedCostTables:
         exit_locals = self._cell_border_locals[ci]
         border_prim, border_sec = self._border_matrices(kind)
         leg = _lex_min(
-            prim_i[li, exit_locals][:, None] + border_prim[exits, :],
-            sec_i[li, exit_locals][:, None] + border_sec[exits, :],
+            prim_i[li][exit_locals][:, None] + border_prim[exits],
+            sec_i[li][exit_locals][:, None] + border_sec[exits],
             axis=0,
         )
         self._leg_cache.put(key, leg)
@@ -1040,10 +1168,9 @@ class PartitionedCostTables:
                 best = (np.full(len(nodes), np.inf), np.full(len(nodes), np.inf))
             entries = self._cell_borders[cell]
             if leg is not None and len(entries):
-                entry_locals = self._cell_border_locals[cell]
                 stitched = _lex_min(
-                    leg[0][entries][:, None] + prim_m[entry_locals, :],
-                    leg[1][entries][:, None] + sec_m[entry_locals, :],
+                    leg[0][entries][:, None] + self._block("entry", kind, cell),
+                    leg[1][entries][:, None] + self._block("entry", kind, cell, True),
                     axis=0,
                 )
                 best = _prefer_in_cell(best, stitched)

@@ -143,6 +143,18 @@ class CostTables:
         """``BS(sigma_{i,t})`` for all ``i``."""
         return self.bs_sigma[:, t]
 
+    def bs_tau_entries(self, t: int) -> np.ndarray:
+        """``BS(tau_{i,t})`` read per node (``entries[i]``): the column view.
+
+        The partitioned tables assemble each entry read instead, for a
+        search that reads a handful of a column it never needs whole.
+        """
+        return self.bs_tau[:, t]
+
+    def os_sigma_entries(self, t: int) -> np.ndarray:
+        """``OS(sigma_{i,t})`` read per node (``entries[i]``): the column view."""
+        return self.os_sigma[:, t]
+
     def os_tau_cols(self, nodes: np.ndarray) -> np.ndarray:
         """``OS(tau_{i,t})`` for all ``i`` and every ``t`` in *nodes*.
 

@@ -62,6 +62,43 @@ class TestBudgetMode:
         assert result.found
         assert result.within_budget
 
+    def test_sigma_fallback_leaf_scores(self, fig1_engine, monkeypatch):
+        """When tau's budget busts Delta the leaf completes along sigma: its
+        scores are pinned, on flat and on partitioned tables alike, and the
+        partitioned sigma column stays the primary-only entry the search
+        cached (the fallback reads one entry per node, not the pair)."""
+        import importlib
+
+        from repro.prep.partition import PartitionedCostTables
+
+        module = importlib.import_module("repro.core.greedy")
+        leaves = []
+        leaf_type = module._Leaf
+
+        def recording_leaf(*fields):
+            leaves.append(leaf_type(*fields))
+            return leaves[-1]
+
+        monkeypatch.setattr(module, "_Leaf", recording_leaf)
+        graph = fig1_engine.graph
+        # Cells {2, 5, 6} and {0, 1, 3, 4, 7}: the waypoint 5 completes to
+        # the target 7 across the cut.
+        partitioned = PartitionedCostTables.from_graph(
+            graph, num_cells=2, seed=0, predecessors=True
+        )
+        assert partitioned.partition.cell_of[5] != partitioned.partition.cell_of[7]
+        pinned = [leaf_type((0, 3, 5), 3, 9.0, 5.0, "sigma")]
+        for tables in (fig1_engine.tables, partitioned):
+            leaves.clear()
+            result = greedy(
+                graph, tables, fig1_engine.index, KORQuery(0, 7, ("t1", "t2"), 5.0), mode="budget"
+            )
+            assert leaves == pinned
+            assert result.route.objective_score == 9.0
+            assert result.route.budget_score == 5.0
+            assert result.within_budget
+        assert partitioned._column_cache.get((7, "sigma"))[1] is None
+
 
 class TestWidth:
     def test_greedy2_never_worse_on_fig1(self, fig1_engine):

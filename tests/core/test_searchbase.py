@@ -379,11 +379,17 @@ class TestCrossCellReads:
                 infrequent_threshold=0.2,
             )
             before = dict(calls)
+            entries = search.ctx.bs_tau_t
+            read_before = len(entries._memo)
             while (label := search.pop()) is not None:
                 search.step(label)
                 popped += 1
-            assert calls == before, f"{query}: the loop fell back to a full assembly"
-            # Materialising the answer is where pairs are still assembled.
+            assert calls["_rows"] == 0, f"{query}: the loop fell back to a full row"
+            # The loop's only pair lookups are the per-node BS(tau_{i,t})
+            # reads of labels covering every keyword, one per node read.
+            loop_pairs = calls["_assemble_pair"] - before["_assemble_pair"]
+            assert loop_pairs == len(entries._memo) - read_before, query
+            # Materialising the answer is where paths are assembled.
             found += search.result().found
         assert popped > 50 and found
         assert calls["_rows"] == 0 and calls["_assemble_pair"] > 0

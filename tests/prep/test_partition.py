@@ -252,6 +252,8 @@ class TestPathMaterialisation:
 
     def test_row_column_caches_stay_bounded(self, grid, monkeypatch):
         """The LRU caches can never regrow an O(n^2) footprint."""
+        from repro.prep.partition import _CACHE_MIN_ENTRIES
+
         # A budget small enough that 49 sources overflow every cache.
         monkeypatch.setattr("repro.prep.partition._CACHE_BYTE_BUDGET", 1)
         tables = PartitionedCostTables.from_graph(grid, num_cells=4, seed=1)
@@ -262,74 +264,140 @@ class TestPathMaterialisation:
                 tables.bs_sigma_col(t)
                 tables.os_tau_row(t)
                 tables.bs_sigma_row(t)
+                tables.bs_tau_entries(t)[0]
                 reader.primary(t)
-            assert len(reader._memo) == reader._memo.capacity
-        capacity = tables._column_cache.capacity
-        assert capacity == tables._leg_cache.capacity < 2 * grid.num_nodes
-        assert len(tables._column_cache) == capacity
-        assert len(tables._row_cache) == capacity
-        assert len(tables._leg_cache) == capacity
+                tables.row_reader(np.array([t, 0]), kind).primary(t)
+        # Every cache is bounded by bytes, so the one-byte budget holds each
+        # at its entry floor: the readers' slabs and memoised rows too.
+        caches = ("_column_cache", "_row_cache", "_leg_cache", "_mid_cache", "_readers")
+        for name in caches:
+            assert len(getattr(tables, name)) == _CACHE_MIN_ENTRIES, name
         per_entry = 2 * 8 * grid.num_nodes
         per_leg = 2 * 8 * len(tables.partition.border_nodes)
-        # The loop read the sigma columns' primaries only: such an entry
-        # holds one array, counted as one, until ``os_sigma_col`` asks for
-        # the pair and the entry is replaced in place.
-        primary_only = [
-            key for key, (_prim, sec) in tables._column_cache._data.items() if sec is None
-        ]
-        assert primary_only and all(kind == "sigma" for _t, kind in primary_only)
-        assert tables.cache_bytes() == (
-            capacity * (2 * per_entry + per_leg) - len(primary_only) * per_entry // 2
-        )
-        for t, _kind in primary_only:
-            primary = tables.bs_sigma_col(t)
-            tables.os_sigma_col(t)
-            np.testing.assert_array_equal(tables.bs_sigma_col(t), primary)
-        assert len(tables._column_cache) == capacity
-        assert tables.cache_bytes() == capacity * (2 * per_entry + per_leg)
+        # Per (side, kind, cell, secondary) at most one contiguous in-cell
+        # block: bounded by the partition, not by what was read.
+        sizes = [len(nodes) for nodes in tables.partition.cells]
+        borders = [len(rows) for rows in tables._cell_borders]
+        blocks_bound = 2 * 2 * 8 * 2 * sum(b * c for b, c in zip(borders, sizes))
+
+        def primary_only(cache):
+            return [key for key, ((_prim, sec), _nbytes) in cache._data.items() if sec is None]
+
+        def expected_bytes():
+            """Full entries at two arrays each, primary-only ones at one,
+            plus the readers' and blocks' own count."""
+            return (
+                _CACHE_MIN_ENTRIES * (2 * per_entry + 2 * per_leg)
+                - len(primary_only(tables._column_cache)) * per_entry // 2
+                - len(primary_only(tables._mid_cache)) * per_leg // 2
+                + tables._readers.nbytes()
+                + tables._blocks.nbytes()
+            )
+
+        # The loop read the columns' primaries only: such an entry holds
+        # one array, counted as one, until a caller asks for the pair and
+        # the entry is replaced in place.  So do the mids behind them, save
+        # the tau mids the per-node BS(tau) read asked whole.
+        columns_primary_only = primary_only(tables._column_cache)
+        assert {kind for _t, kind in columns_primary_only} == {"tau", "sigma"}
+        mids_primary_only = primary_only(tables._mid_cache)
+        assert mids_primary_only and all(kind == "sigma" for _t, kind in mids_primary_only)
+        assert 0 < tables._blocks.nbytes() <= blocks_bound
+        assert tables.cache_bytes() == expected_bytes()
+        for t, kind in columns_primary_only:
+            primary = tables._columns(t, kind, pair=False)[0]
+            tables.bs_tau_col(t) if kind == "tau" else tables.os_sigma_col(t)
+            np.testing.assert_array_equal(tables._columns(t, kind, pair=False)[0], primary)
+        assert primary_only(tables._column_cache) == []
+        for name in caches:
+            assert len(getattr(tables, name)) == _CACHE_MIN_ENTRIES, name
+        assert 0 < tables._blocks.nbytes() <= blocks_bound
+        assert tables.cache_bytes() == expected_bytes()
         # Hot entries survive (LRU, not clear-on-full): the last target
         # touched is still cached.
         last = grid.num_nodes - 1
         assert tables._column_cache.get((last, "tau")) is not None
 
+    def test_shared_readers_stay_within_the_byte_budget(self, grid, monkeypatch):
+        """Readers of many node sets, each read from many sources: the
+        shared slabs and rows are evicted oldest first once their bytes
+        pass the budget, and ``cache_bytes`` counts exactly what stays."""
+        from repro.prep.partition import _CACHE_MIN_ENTRIES
+
+        budget = 40_000
+        monkeypatch.setattr("repro.prep.partition._CACHE_BYTE_BUDGET", budget)
+        tables = PartitionedCostTables.from_graph(grid, num_cells=4, seed=1)
+        rng = np.random.default_rng(3)
+        peak = 0
+        for _ in range(60):
+            nodes = rng.choice(grid.num_nodes, size=int(rng.integers(1, 30)), replace=False)
+            reader = tables.row_reader(nodes, "sigma" if rng.random() < 0.5 else "tau")
+            for source in rng.choice(grid.num_nodes, size=10):
+                reader.primary(int(source))
+                reader.secondary_at(int(source), 0)
+            stored = tables._readers
+            assert stored.nbytes() == sum(nbytes for _value, nbytes in stored._data.values())
+            assert stored.nbytes() <= budget or len(stored) <= _CACHE_MIN_ENTRIES
+            peak = max(peak, len(stored))
+        assert peak > _CACHE_MIN_ENTRIES  # the budget, not the floor, bounded it
+        assert tables._readers.nbytes() <= tables.cache_bytes()
+
     def test_lru_cache_evicts_oldest_first(self):
         from repro.prep.partition import _CACHE_BYTE_BUDGET, _LRUPairCache
 
-        # A graph large enough that the byte budget forces the entry floor.
-        cache = _LRUPairCache(entry_length=_CACHE_BYTE_BUDGET)
-        capacity = cache.capacity
-        empty = (np.empty(0), np.empty(0))
-        for key in range(capacity):
-            cache.put(key, empty)
+        # Pairs of a twentieth of the byte budget: twenty fit exactly.
+        fits = 20
+        pair = (np.empty(_CACHE_BYTE_BUDGET // (2 * 8 * fits)),) * 2
+        cache = _LRUPairCache()
+        for key in range(fits):
+            cache.put(key, pair)
+        assert cache.nbytes() == _CACHE_BYTE_BUDGET
         assert cache.get(0) is not None  # refresh key 0
-        cache.put(capacity, empty)  # evicts key 1 (oldest unrefreshed)
-        assert len(cache) == capacity
+        cache.put(fits, pair)  # evicts key 1 (oldest unrefreshed)
+        assert len(cache) == fits
+        assert cache.nbytes() == _CACHE_BYTE_BUDGET
         assert cache.get(1) is None
         assert cache.get(0) is not None
-        assert cache.get(capacity) is not None
+        assert cache.get(fits) is not None
+        # A primary-only entry is charged its one array.
+        cache.put("primary", (pair[0], None))
+        assert cache.nbytes() == _CACHE_BYTE_BUDGET - pair[0].nbytes
+
+    def test_lru_cache_keeps_its_entry_floor(self):
+        """Entries each past the whole budget: the floor, not the bytes,
+        decides how many stay."""
+        from repro.prep.partition import _CACHE_BYTE_BUDGET, _CACHE_MIN_ENTRIES, _LRUPairCache
+
+        pair = (np.empty(_CACHE_BYTE_BUDGET // 8),) * 2
+        cache = _LRUPairCache()
+        for key in range(3 * _CACHE_MIN_ENTRIES):
+            cache.put(key, pair)
+            assert len(cache) == min(key + 1, _CACHE_MIN_ENTRIES)
+        assert cache.get(2 * _CACHE_MIN_ENTRIES - 1) is None
+        assert cache.get(2 * _CACHE_MIN_ENTRIES) is not None
 
     def test_lru_cache_survives_concurrent_readers_and_writers(self):
         """Thread workers share one tables object: interleaved get/put on
         a full cache must neither raise (the unlocked version lost keys
-        between its check and its delete) nor overshoot the capacity."""
+        between its check and its delete) nor overshoot its entry floor."""
         import random
         import sys
         import threading
 
-        from repro.prep.partition import _CACHE_BYTE_BUDGET, _LRUPairCache
+        from repro.prep.partition import _CACHE_BYTE_BUDGET, _CACHE_MIN_ENTRIES, _LRUPairCache
 
-        cache = _LRUPairCache(entry_length=_CACHE_BYTE_BUDGET)  # the 16-entry floor
-        pair = (np.empty(0), np.empty(0))
+        cache = _LRUPairCache()
+        pair = (np.empty(_CACHE_BYTE_BUDGET // 8),) * 2  # past the budget: the floor holds
         errors = []
 
         def worker(seed):
             rng = random.Random(seed)
             try:
                 for _ in range(30_000):
-                    key = rng.randrange(cache.capacity + 8)
+                    key = rng.randrange(_CACHE_MIN_ENTRIES + 8)
                     if cache.get(key) is None:
                         cache.put(key, pair)
-                    assert len(cache) <= cache.capacity
+                    assert len(cache) <= _CACHE_MIN_ENTRIES
             except Exception as exc:  # surfaced below, in the main thread
                 errors.append(exc)
 
@@ -345,18 +413,129 @@ class TestPathMaterialisation:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(cache) == cache.capacity
+        assert len(cache) == _CACHE_MIN_ENTRIES
+        assert cache.nbytes() == _CACHE_MIN_ENTRIES * 2 * pair[0].nbytes
+
+    def test_byte_lru_survives_concurrent_readers_and_writers(self):
+        """The shared-reader cache under the same hammering: entries of
+        varying size, get/put interleaved on a cache past its budget, and
+        the byte count always equal to what the entries claim."""
+        import random
+        import sys
+        import threading
+
+        from repro.prep.partition import _CACHE_BYTE_BUDGET, _CACHE_MIN_ENTRIES, _ByteLRU
+
+        cache = _ByteLRU()
+        chunk = _CACHE_BYTE_BUDGET // 8
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(30_000):
+                    key = rng.randrange(64)
+                    if cache.get(key) is None:
+                        cache.put(key, key, rng.choice((1, chunk)))
+            except Exception as exc:  # surfaced below, in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.nbytes() == sum(nbytes for _value, nbytes in cache._data.values())
+        assert cache.nbytes() <= _CACHE_BYTE_BUDGET or len(cache) <= _CACHE_MIN_ENTRIES
+
+    def test_shared_reads_survive_concurrent_threads(self, grid, monkeypatch):
+        """Thread workers share one tables object: concurrent searches
+        building and reading the same readers, mids and blocks (evicted
+        all the while under a small budget) read the single-thread floats."""
+        import sys
+        import threading
+
+        monkeypatch.setattr("repro.prep.partition._CACHE_BYTE_BUDGET", 20_000)
+        reference = PartitionedCostTables.from_graph(grid, num_cells=4, seed=1)
+        node_sets = [np.arange(start, grid.num_nodes, 3) for start in range(3)]
+
+        def read(tables, kind, index, source):
+            """A search's reads: the row at the node set, every secondary
+            of it, and BS(tau) from node *index* to target *source*."""
+            reader = tables.row_reader(node_sets[index], kind)
+            secondaries = [reader.secondary_at(source, p) for p in range(len(node_sets[index]))]
+            entry = tables.bs_tau_entries(source)[index]
+            return reader.primary(source).tolist(), secondaries, entry
+
+        expected = {
+            (kind, index, source): read(reference, kind, index, source)
+            for kind in ("tau", "sigma")
+            for index in range(len(node_sets))
+            for source in range(grid.num_nodes)
+        }
+        shared = PartitionedCostTables.from_graph(grid, num_cells=4, seed=1)
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(150):
+                    key = (
+                        ("tau", "sigma")[int(rng.integers(2))],
+                        int(rng.integers(len(node_sets))),
+                        int(rng.integers(grid.num_nodes)),
+                    )
+                    assert read(shared, *key) == expected[key]
+            except Exception as exc:  # surfaced below, in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    #: Every cache of derived state a tables object holds.
+    DERIVED = ("_column_cache", "_row_cache", "_leg_cache", "_mid_cache", "_readers", "_blocks")
+
+    @staticmethod
+    def warm(tables) -> None:
+        """Populate every derived cache: a column, a row, legs, a mid,
+        a shared reader with a memoised row, and per-cell blocks."""
+        tables.os_tau_col(24)
+        tables.os_tau_row(24)
+        tables.bs_tau_entries(48)[0]
+        tables.row_reader(np.arange(0, 49, 3), "sigma").primary(24)
+        for name in TestPathMaterialisation.DERIVED:
+            assert len(getattr(tables, name)) > 0, name
+        assert tables.cache_bytes() > 0
 
     def test_pickle_round_trip_drops_caches_keeps_answers(self, grid, with_paths):
+        """Worker tasks and ``PartPatch`` deltas pickle the tables: what a
+        parent looked up must neither ship nor grow the pickle."""
+        import dataclasses
         import pickle
 
-        with_paths.os_tau_col(24)  # populate a cache entry of each kind
-        with_paths.os_tau_row(24)
-        assert len(with_paths._leg_cache) > 0
+        cold = len(pickle.dumps(dataclasses.replace(with_paths)))
+        self.warm(with_paths)
+        assert len(pickle.dumps(with_paths)) == cold
         clone = pickle.loads(pickle.dumps(with_paths))
-        assert clone._column_cache == {}
-        assert clone._row_cache == {}
-        assert clone._leg_cache == {}
+        for name in self.DERIVED:
+            assert getattr(clone, name) == {}, name
         assert clone.cache_bytes() == 0
         np.testing.assert_array_equal(clone.os_tau_row(24), with_paths.os_tau_row(24))
         np.testing.assert_array_equal(clone.os_tau_col(24), with_paths.os_tau_col(24))
@@ -367,14 +546,24 @@ class TestPathMaterialisation:
         nothing computed from the old border tier may survive it."""
         import dataclasses
 
-        with_paths.os_tau_row(24)
-        with_paths.os_tau_col(24)
+        self.warm(with_paths)
         patched = dataclasses.replace(
             with_paths, border_os_tau=with_paths.border_os_tau + 1.0
         )
-        for name in ("_column_cache", "_row_cache", "_leg_cache"):
-            assert len(getattr(with_paths, name)) > 0
-            assert getattr(patched, name) == {}
+        for name in self.DERIVED:
+            assert getattr(patched, name) == {}, name
+        assert patched.cache_bytes() == 0
+
+    def test_repair_starts_with_empty_caches(self, grid, with_paths):
+        """A repaired border tier is a new epoch: no reader, mid or block
+        of the old tables carries over."""
+        self.warm(with_paths)
+        repaired, _swept = with_paths.repaired(grid, with_paths.cell_tables, [])
+        for name in self.DERIVED:
+            assert getattr(repaired, name) == {}, name
+        assert repaired.cache_bytes() == 0
+        assert repaired.row_reader(np.arange(0, 49, 3), "sigma") is not None
+        assert len(with_paths._readers) > 0 and len(repaired._readers) == 1
 
     def test_out_of_range_reads_raise(self, partitioned):
         n = partitioned.num_nodes
@@ -413,7 +602,12 @@ class TestPathMaterialisation:
         assert reader.secondary_at(0, 1) == 1.5
         assert reader.secondary_at(0, 2) == np.inf
         np.testing.assert_array_equal(reader.primary(0), tables.bs_sigma_row(0))
-        assert tables.cache_bytes() == 2 * 8 * 4  # one row pair, no leg to keep
+        # One row pair; no leg, mid or block to keep; the reader's slab (the
+        # node ids of its key, two node-index vectors, two per-cell
+        # column/local pairs, no entry rows) and its two memoised rows.
+        slab = 3 * 8 * 4 + 2 * 2 * 8 * 2
+        assert tables._readers.nbytes() == slab + 2 * 8 * 4
+        assert tables.cache_bytes() == 2 * 8 * 4 + tables._readers.nbytes()
 
     def test_shared_cell_tables_are_validated(self, grid):
         partition = partition_graph(grid, 2, seed=0)

@@ -1,9 +1,14 @@
 """Property-based tests for partitioned pre-processing."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import PrepError
 from repro.graph.builder import GraphBuilder
 from repro.prep.partition import GraphPartition, PartitionedCostTables, partition_graph
 from repro.prep.tables import CostTables
@@ -96,6 +101,41 @@ def partitioned_instances(draw):
     return graph, PartitionedCostTables.from_graph(graph, partition=partition)
 
 
+def _tie_tables() -> PartitionedCostTables:
+    """Five nodes, two cells, and a primary tie between an in-cell path and
+    a detour through the other cell, in both kinds.
+
+    Cell {0, 1, 3, 4} with borders 0 and 1; node 2 is the other cell.
+    tau 3 -> 4: OS 4.0 directly (BS 9.0) and via 0, 2, 1 (BS 4.0).
+    sigma 4 -> 3: BS 4.0 directly (OS 3.0) and via 1, 2, 0 (OS 6.0).
+    """
+    builder = GraphBuilder()
+    for _ in range(5):
+        builder.add_node(keywords=())
+    unit = ((3, 0), (0, 2), (2, 1), (1, 4), (4, 1), (0, 3))
+    for u, v, objective, budget in (
+        (3, 4, 4.0, 9.0),
+        (4, 3, 3.0, 4.0),
+        (1, 2, 2.0, 1.0),
+        (2, 0, 2.0, 1.0),
+        *((u, v, 1.0, 1.0) for u, v in unit),
+    ):
+        builder.add_edge(u, v, objective, budget)
+    graph = builder.build()
+    return PartitionedCostTables.from_graph(graph, partition=_partition_of(graph, [0, 0, 1, 0, 0]))
+
+
+def _island_tables() -> PartitionedCostTables:
+    """Two one-edge islands, one cell each: no border node anywhere."""
+    builder = GraphBuilder()
+    for _ in range(4):
+        builder.add_node(keywords=())
+    builder.add_edge(0, 1, 1.5, 2.5)
+    builder.add_edge(2, 3, 0.5, 0.25)
+    graph = builder.build()
+    return PartitionedCostTables.from_graph(graph, partition=_partition_of(graph, [0, 0, 1, 1]))
+
+
 #: reader kind -> (row method of the primary score, of the secondary score)
 ROWS = {"tau": ("os_tau_row", "bs_tau_row"), "sigma": ("bs_sigma_row", "os_sigma_row")}
 
@@ -163,24 +203,7 @@ class TestRestrictedRowReads:
     def test_primary_tie_inside_the_source_cell(self):
         """The in-cell path and a detour through the other cell tie on the
         primary: the smaller secondary wins, whichever path holds it."""
-        builder = GraphBuilder()
-        for _ in range(5):
-            builder.add_node(keywords=())
-        # Cell {0, 1, 3, 4} with borders 0 and 1; node 2 is the other cell.
-        # tau 3 -> 4: OS 4.0 directly (BS 9.0) and via 0, 2, 1 (BS 4.0).
-        # sigma 4 -> 3: BS 4.0 directly (OS 3.0) and via 1, 2, 0 (OS 6.0).
-        unit = ((3, 0), (0, 2), (2, 1), (1, 4), (4, 1), (0, 3))
-        for u, v, objective, budget in (
-            (3, 4, 4.0, 9.0),
-            (4, 3, 3.0, 4.0),
-            (1, 2, 2.0, 1.0),
-            (2, 0, 2.0, 1.0),
-            *((u, v, 1.0, 1.0) for u, v in unit),
-        ):
-            builder.add_edge(u, v, objective, budget)
-        graph = builder.build()
-        partition = _partition_of(graph, [0, 0, 1, 0, 0])
-        tables = PartitionedCostTables.from_graph(graph, partition=partition)
+        tables = _tie_tables()
         nodes = np.arange(5)
         for kind, source, position, secondary in (("tau", 3, 4, 4.0), ("sigma", 4, 3, 3.0)):
             reader = tables.row_reader(nodes, kind)
@@ -210,3 +233,118 @@ class TestRestrictedRowReads:
             ):
                 got = [scalar(i, j) for i in range(tables.num_nodes)]
                 np.testing.assert_array_equal(got, column)
+
+
+# ----------------------------------------------------------------------
+# per-node column secondaries (the search's BS(tau_{i,t}))
+# ----------------------------------------------------------------------
+#: per-node accessor -> the column it reads one entry of
+ENTRIES = {"bs_tau_entries": "bs_tau_col", "os_sigma_entries": "os_sigma_col"}
+
+
+def assert_entries_equal_columns(tables, reference) -> None:
+    """Every ``*_entries(t)[i]`` of *tables* == ``*_col(t)[i]`` of
+    *reference*, bit for bit, sources read last to first."""
+    n = tables.num_nodes
+    for t in range(n):
+        for entries_name, column_name in ENTRIES.items():
+            entries = getattr(tables, entries_name)(t)
+            got = [entries[i] for i in reversed(range(n))][::-1]
+            np.testing.assert_array_equal(
+                got, getattr(reference, column_name)(t), err_msg=f"{entries_name}({t})"
+            )
+
+
+class TestColumnEntries:
+    """``BS(tau_{i,t})`` / ``OS(sigma_{i,t})`` read one node at a time."""
+
+    @SLOW
+    @given(partitioned_instances())
+    def test_partitioned_entries_equal_column_entries(self, instance):
+        """Random assignments give cells without exits, one-node cells and
+        unreachable sources; every entry is the column's float."""
+        _graph, tables = instance
+        fresh = dataclasses.replace(tables)  # nothing cached
+        assert_entries_equal_columns(fresh, tables)
+        assert len(fresh._column_cache) == 0  # no column was assembled
+
+    @SLOW
+    @given(small_graphs(min_nodes=2, max_nodes=7))
+    def test_flat_entries_are_the_column(self, graph):
+        tables = CostTables.from_graph(graph, predecessors=False)
+        assert_entries_equal_columns(tables, tables)
+
+    def test_primary_tie_inside_the_source_cell(self):
+        """The in-cell path wins a primary tie only with the smaller
+        secondary: tau 3 -> 4 reads the detour's BS, sigma 4 -> 3 the
+        direct edge's OS."""
+        tables = _tie_tables()
+        assert tables.bs_tau_entries(4)[3] == 4.0
+        assert tables.os_sigma_entries(3)[4] == 3.0
+        assert_entries_equal_columns(dataclasses.replace(tables), tables)
+
+    def test_cell_without_exits_and_unreachable_sources(self):
+        tables = _island_tables()
+        assert tables.bs_tau_entries(1)[0] == 2.5
+        assert tables.os_sigma_entries(3)[2] == 0.5
+        for t, i in ((1, 2), (3, 0), (0, 1)):
+            assert tables.bs_tau_entries(t)[i] == np.inf
+            assert tables.os_sigma_entries(t)[i] == np.inf
+        assert_entries_equal_columns(dataclasses.replace(tables), tables)
+
+    def test_out_of_range_reads_raise(self):
+        tables = _tie_tables()
+        for t in (5, -1):
+            with pytest.raises(PrepError):
+                tables.bs_tau_entries(t)
+        entries = tables.os_sigma_entries(0)
+        for i in (5, -1):
+            with pytest.raises(PrepError):
+                entries[i]
+
+
+# ----------------------------------------------------------------------
+# readers shared per tables epoch
+# ----------------------------------------------------------------------
+class TestSharedReaders:
+    @SLOW
+    @given(partitioned_instances(), st.data())
+    def test_shared_reader_equals_a_fresh_reader(self, instance, data):
+        """Two node sets read from drawn sources in drawn order, as
+        successive queries would: every read of the shared reader (its slab
+        and memo built by earlier reads) equals one from tables that have
+        cached nothing, and one node set and kind is one slab."""
+        _graph, tables = instance
+        n = tables.num_nodes
+        node_sets = [
+            np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.int64)
+            for _ in range(2)
+        ]
+        sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+        for source in sources:
+            for kind in ROWS:
+                for nodes in node_sets:
+                    shared = tables.row_reader(nodes.copy(), kind)
+                    fresh = dataclasses.replace(tables).row_reader(nodes, kind)
+                    np.testing.assert_array_equal(shared.primary(source), fresh.primary(source))
+                    assert [shared.secondary_at(source, p) for p in range(len(nodes))] == [
+                        fresh.secondary_at(source, p) for p in range(len(nodes))
+                    ]
+                    again = tables.row_reader(nodes, kind)
+                    assert again._leg3_prim is shared._leg3_prim
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(partitioned_instances(), st.data())
+    def test_reads_survive_every_cache_at_its_floor(self, instance, data):
+        """With a one-byte budget every cache keeps only its entry floor:
+        readers, memoised rows, legs and mids are evicted and rebuilt
+        between reads, and every read still equals the full rows."""
+        _graph, tables = instance
+        n = tables.num_nodes
+        with mock.patch("repro.prep.partition._CACHE_BYTE_BUDGET", 1):
+            small = dataclasses.replace(tables)
+            for _ in range(3):
+                assert_reads_equal_rows(
+                    small, data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+                )
+            assert_entries_equal_columns(small, tables)

@@ -137,6 +137,7 @@ def test_thread_workers_share_the_bounded_table_caches(monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.datasets import QuerySetConfig, RoadConfig, build_road_graph, generate_query_set
+    from repro.prep.partition import _CACHE_MIN_ENTRIES
     from repro.service import ShardedQueryService
     from repro.world import MutableWorld
 
@@ -172,7 +173,9 @@ def test_thread_workers_share_the_bounded_table_caches(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     tables = world.tables
+    # Every cache is bounded by bytes: the one-byte budget holds it at
+    # its entry floor.
     for cache in (tables._column_cache, tables._row_cache, tables._leg_cache):
-        assert 0 < len(cache) <= cache.capacity == 16
+        assert 0 < len(cache) <= _CACHE_MIN_ENTRIES == 16
     serial = answers(ShardedQueryService(world=world.rebuilt(), cache_capacity=0), callers=1)
     assert threaded == serial

@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graph.generators import grid_graph
-from repro.prep.partition import PartitionedCostTables
+from repro.prep.partition import _CACHE_BYTE_BUDGET, PartitionedCostTables
 from repro.prep.tables import CostTables
 from repro.service import SerialBackend, ShardedQueryService
 
@@ -138,7 +138,9 @@ def test_warm_caches_are_counted_and_stay_below_the_flat_footprint():
     total is non-increasing in the cell count (above); warm, what a
     search leaves behind is one length-k leg per source it popped, not a
     length-n row, so a split service stays below the one-cell footprint
-    (with cached rows the 4-cell service used to end up above it)."""
+    (with cached rows the 4-cell service used to end up above it).  The
+    readers the searches share, and the per-cell blocks they slice, are
+    counted the same way."""
     from repro.core.query import KORQuery
 
     graph = grid_graph(4, 48, keywords={0: ["a"], 95: ["b"], 190: ["c"]})
@@ -157,9 +159,20 @@ def test_warm_caches_are_counted_and_stay_below_the_flat_footprint():
             # One cell has no border node, hence no leg worth keeping.
             assert (legs.nbytes() > 0) == (num_cells > 1)
             per_leg = 2 * 8 * len(assembled.partition.border_nodes)
-            assert legs.nbytes() == len(legs) * per_leg <= legs.capacity * per_leg
+            assert legs.nbytes() == len(legs) * per_leg <= _CACHE_BYTE_BUDGET
             assert assembled._row_cache.nbytes() == 0  # the search reads no full row
             assert legs.nbytes() <= assembled.cache_bytes()
+            # The shared readers (slabs and memoised rows) and the per-cell
+            # blocks are resident too, the readers within their budget.
+            readers, blocks = assembled._readers, assembled._blocks
+            assert (readers.nbytes() > 0) == (blocks.nbytes() > 0) == (num_cells > 1)
+            assert readers.nbytes() <= _CACHE_BYTE_BUDGET
+            assert legs.nbytes() + readers.nbytes() + blocks.nbytes() <= assembled.cache_bytes()
+            # The search reads BS(tau) per node: no tau column pair is built.
+            assert all(
+                kind != "tau" or sec is None
+                for (_t, kind), ((_prim, sec), _nbytes) in assembled._column_cache._data.items()
+            )
             assert service.memory_bytes() == cold + assembled.cache_bytes()
             sizes[num_cells] = service.memory_bytes()
     assert max(sizes[4], sizes[8]) < 0.6 * sizes[1], sizes
