@@ -13,7 +13,8 @@ the paper's algorithms::
 
 from __future__ import annotations
 
-from typing import Iterable
+import inspect
+from typing import Callable, Iterable
 
 from repro.core.bruteforce import branch_and_bound, exhaustive_search
 from repro.core.bucketbound import bucket_bound
@@ -29,15 +30,54 @@ from repro.prep.tables import CostTables
 
 __all__ = ["KOREngine", "ALGORITHMS"]
 
+#: The search behind each algorithm name :meth:`KOREngine.run` accepts.
+_SEARCHES: dict[str, Callable] = {
+    "osscaling": os_scaling,
+    "bucketbound": bucket_bound,
+    "greedy": greedy,
+    "greedy2": greedy,
+    "exact": branch_and_bound,
+    "exhaustive": exhaustive_search,
+}
+#: ... and each one :meth:`KOREngine.top_k` accepts.
+_TOP_K_SEARCHES: dict[str, Callable] = {
+    "osscaling": os_scaling_top_k,
+    "bucketbound": bucket_bound_top_k,
+}
+
 #: Names accepted by :meth:`KOREngine.query`.
-ALGORITHMS = (
-    "osscaling",
-    "bucketbound",
-    "greedy",
-    "greedy2",
-    "exact",
-    "exhaustive",
-)
+ALGORITHMS = tuple(_SEARCHES)
+
+#: The parameters each search takes by keyword: every one with a default.
+_PARAMETERS = {
+    search: frozenset(
+        name
+        for name, parameter in inspect.signature(search).parameters.items()
+        if parameter.default is not parameter.empty
+    )
+    for search in (*_SEARCHES.values(), *_TOP_K_SEARCHES.values())
+}
+
+
+def _search_for(searches: dict[str, Callable], algorithm: str, params: dict) -> Callable:
+    """The search *algorithm* names in *searches*, refused before it starts
+    when the caller's deadline has already expired, the name is unknown or
+    *params* carries a parameter the search does not take."""
+    deadline = params.get("deadline")
+    if deadline is not None:
+        # Refuse to start a search whose caller already gave up.
+        deadline.check()
+    search = searches.get(algorithm)
+    if search is None:
+        raise QueryError(f"unknown algorithm {algorithm!r}; expected one of {', '.join(searches)}")
+    accepted = _PARAMETERS[search]
+    unknown = sorted(set(params) - accepted)
+    if unknown:
+        raise QueryError(
+            f"algorithm {algorithm!r} takes no parameter {unknown[0]!r}; "
+            f"it accepts {', '.join(sorted(accepted))}"
+        )
+    return search
 
 
 class KOREngine:
@@ -130,32 +170,20 @@ class KOREngine:
 
         ``params`` may carry ``binding=`` (a context from :meth:`bind`) or
         ``candidates=`` (a map from :meth:`candidate_sets`); either skips
-        the per-query index lookups — the serving layer's batch path.
+        the per-query index lookups — the serving layer's batch path.  A
+        parameter the algorithm does not take is refused with a
+        :class:`QueryError` that lists the ones it does.
         """
         graph, tables, index = self._graph, self._tables, self._index
-        deadline = params.get("deadline")
-        if deadline is not None:
-            # Refuse to start a search whose caller already gave up.
-            deadline.check()
         candidates = params.pop("candidates", None)
+        search = _search_for(_SEARCHES, algorithm, params)
         if candidates is not None and params.get("binding") is None:
             params["binding"] = self.bind(query, candidates=candidates)
-        if algorithm == "osscaling":
-            return os_scaling(graph, tables, index, query, **params)
-        if algorithm == "bucketbound":
-            return bucket_bound(graph, tables, index, query, **params)
-        if algorithm == "greedy":
-            return greedy(graph, tables, index, query, **params)
         if algorithm == "greedy2":
             params.setdefault("width", 2)
-            return greedy(graph, tables, index, query, **params)
-        if algorithm == "exact":
-            return branch_and_bound(graph, tables, index, query, **params)
-        if algorithm == "exhaustive":
+        if search is exhaustive_search:
             return exhaustive_search(graph, index, query, **params)
-        raise QueryError(
-            f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
-        )
+        return search(graph, tables, index, query, **params)
 
     def top_k(
         self,
@@ -170,16 +198,9 @@ class KOREngine:
         """Answer one KkR (top-k) query with either approximation algorithm.
 
         ``params`` may carry ``deadline=``; like :meth:`run`, an already
-        expired one refuses the search before it starts.
+        expired one refuses the search before it starts, and so does a
+        parameter the algorithm does not take.
         """
         query = KORQuery(source, target, tuple(keywords), budget_limit)
-        deadline = params.get("deadline")
-        if deadline is not None:
-            deadline.check()
-        if algorithm == "osscaling":
-            return os_scaling_top_k(self._graph, self._tables, self._index, query, k, **params)
-        if algorithm == "bucketbound":
-            return bucket_bound_top_k(self._graph, self._tables, self._index, query, k, **params)
-        raise QueryError(
-            f"unknown top-k algorithm {algorithm!r}; expected 'osscaling' or 'bucketbound'"
-        )
+        search = _search_for(_TOP_K_SEARCHES, algorithm, params)
+        return search(self._graph, self._tables, self._index, query, k, **params)

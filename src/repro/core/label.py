@@ -166,44 +166,25 @@ class LabelStore:
             self._by_node[label.node] = groups
 
         mask = label.mask
-        if self._k == 1:
-            # Fast path: remove every stored label the newcomer dominates.
-            for stored_mask in list(groups):
-                if (mask & stored_mask) != stored_mask:
-                    continue
-                labels = groups[stored_mask]
-                kept = []
-                for stored in labels:
-                    if dominates_scores(label.scaled_os, label.bs, stored.scaled_os, stored.bs):
-                        stored.alive = False
-                        self._size -= 1
-                        if on_evict is not None:
-                            on_evict(stored)
-                    else:
-                        kept.append(stored)
-                if len(kept) != len(labels):
-                    if kept:
-                        groups[stored_mask] = kept
-                    else:
-                        del groups[stored_mask]
-        else:
-            # k-domination: eviction requires k dominators among stored
-            # labels *plus* the newcomer; recount lazily per victim.
-            for stored_mask in list(groups):
-                if (mask & stored_mask) != stored_mask:
-                    continue
-                labels = groups[stored_mask]
-                kept: list[Label] = []
-                for stored in labels:
-                    if label.dominates(stored) and self._count_dominators(stored) + 1 >= self._k:
-                        # Counting the newcomer, the stored label is now
-                        # dominated by >= k labels; evict it.
-                        stored.alive = False
-                        self._size -= 1
-                        if on_evict is not None:
-                            on_evict(stored)
-                    else:
-                        kept.append(stored)
+        for stored_mask in list(groups):
+            if (mask & stored_mask) != stored_mask:
+                continue
+            labels = groups[stored_mask]
+            kept = []
+            for stored in labels:
+                # Under k-domination eviction requires k dominators among
+                # the stored labels *plus* the newcomer, recounted lazily
+                # per victim; k = 1 needs the newcomer alone.
+                if dominates_scores(label.scaled_os, label.bs, stored.scaled_os, stored.bs) and (
+                    self._k == 1 or self._count_dominators(stored) + 1 >= self._k
+                ):
+                    stored.alive = False
+                    self._size -= 1
+                    if on_evict is not None:
+                        on_evict(stored)
+                else:
+                    kept.append(stored)
+            if len(kept) != len(labels):
                 if kept:
                     groups[stored_mask] = kept
                 else:

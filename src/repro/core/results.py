@@ -34,7 +34,7 @@ class TraceEvent:
 
     ``kind`` is one of ``create``, ``enqueue``, ``dequeue``,
     ``prune_budget``, ``prune_bound``, ``prune_dominated``,
-    ``prune_strategy2``, ``bound_update`` or ``found``.
+    ``prune_strategy2`` or ``bound_update``.
     """
 
     kind: str

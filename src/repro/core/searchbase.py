@@ -1,24 +1,33 @@
-"""Shared machinery of the label-correcting searches.
+"""The label-correcting search and its shared machinery.
 
 OSScaling (Algorithm 1), BucketBound (Algorithm 2) and their top-k
-variants all share: query binding, per-query scaled edge weights, the two
-optimisation strategies of Section 3.2, and route materialisation from a
-label chain plus a ``tau`` completion.  :class:`SearchContext` packages
-that state so each algorithm module only contains its control flow.
+variants (Section 3.5) are one search: the label treatment of
+Definitions 7-8 (budget test, bound test, Strategy 2, domination, the
+Strategy-1 jump) applied to labels drawn from a *frontier* and offered
+to an *answer set*.  The frontier picks the algorithm — :class:`LabelHeap`
+is Algorithm 1's heap, :class:`repro.core.bucketbound.BucketQueue`
+Algorithm 2's geometric buckets with the Lemma-5 stop — and the answer
+set picks top-1 (:class:`Incumbent`) or KkR
+(:class:`repro.core.topk.TopKCollector`).  :class:`LabelSearch` runs the
+one loop; :class:`SearchContext` holds the per-query state the treatment
+reads: the query binding, scaled edge weights, the two optimisation
+strategies of Section 3.2, and route materialisation from a label chain
+plus a ``tau`` completion.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable
+import time
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.core.deadline import Deadline
-from repro.core.label import VIA_EDGE, VIA_JUMP, VIA_ROOT, Label
+from repro.core.label import VIA_EDGE, VIA_JUMP, VIA_ROOT, Label, LabelStore, label_sort_key
 from repro.core.query import KORQuery, QueryBinding
-from repro.core.results import SearchStats
+from repro.core.results import KkRResult, KORResult, SearchStats, SearchTrace
 from repro.core.route import Route
 from repro.core.scaling import ScalingContext
 from repro.exceptions import PrepError
@@ -26,7 +35,11 @@ from repro.graph.digraph import SpatialKeywordGraph
 from repro.index.inverted import InvertedIndex
 from repro.prep.tables import CostTables
 
-__all__ = ["SearchContext", "SCREEN_MIN_DEGREE"]
+if TYPE_CHECKING:
+    from repro.core.bucketbound import BucketQueue
+    from repro.core.topk import TopKCollector
+
+__all__ = ["Incumbent", "LabelHeap", "LabelSearch", "SearchContext", "SCREEN_MIN_DEGREE"]
 
 #: Out-degree from which :meth:`SearchContext.expand` evaluates the two
 #: early prunes for a popped node's whole out-edge block in one numpy pass
@@ -51,7 +64,10 @@ SCREEN_MIN_DEGREE = 24
 #: associate differently, so a route whose budget is exactly Delta can
 #: read a few ulps above it in one and at it in the other.  1e-9 is far
 #: above that rounding (~1e-16 per add over any realistic route length)
-#: and far below any genuine gap between a budget limit and a route.
+#: and far below any genuine gap between a budget limit and a route.  The
+#: cheaper ``BS(sigma_{s,t})`` screen takes the same slack: partitioned
+#: tables assemble that entry from border legs, so it can read an ulp
+#: above the same path summed edge by edge.
 _PROOF_SLACK = 1e-9
 
 
@@ -141,7 +157,7 @@ class SearchContext:
         source = self.query.source
         if not np.isfinite(self.os_tau_t[source]):
             return "target is unreachable from source"
-        if self.bs_sigma_t[source] > self.delta:
+        if self.bs_sigma_t[source] > self.delta * (1.0 + _PROOF_SLACK):
             return (
                 f"cheapest route budget {self.bs_sigma_t[source]:.4g} "
                 f"exceeds the limit {self.delta:.4g}"
@@ -482,9 +498,7 @@ class SearchContext:
         nodes: list[int] = []
         prev: int | None = None
         for node, via in label.chain_nodes():
-            if via == VIA_ROOT:
-                nodes.append(node)
-            elif via == VIA_EDGE:
+            if via == VIA_ROOT or via == VIA_EDGE:
                 nodes.append(node)
             elif via == VIA_JUMP:
                 assert prev is not None
@@ -496,3 +510,247 @@ class SearchContext:
         completion = self.tables.tau_path(prev, self.query.target)
         nodes.extend(completion[1:])
         return Route.from_nodes(self.graph, nodes)
+
+
+class LabelHeap:
+    """Algorithm 1's frontier: one heap in Definition 8's label order."""
+
+    buckets_opened = 0
+
+    def __init__(self) -> None:
+        self._heap: list[tuple[tuple[int, float, float, int], Label]] = []
+
+    def push(self, label: Label, low: float) -> None:
+        heapq.heappush(self._heap, (label_sort_key(label), label))
+
+    def draw(self, bound: float) -> Label | None:
+        """The lowest-order live label (lines 5-6), skipping evicted ones."""
+        heap = self._heap
+        while heap:
+            label = heapq.heappop(heap)[1]
+            if label.alive:
+                return label
+        return None
+
+    @staticmethod
+    def is_stale(low: float, bound: float) -> bool:
+        """Line 7: the admissible completion exceeds the upper bound ``U``."""
+        return low > bound
+
+
+class Incumbent:
+    """The top-1 answer set: the best feasible all-covering label so far.
+
+    The label is consumed: its tau completion is its best (Lemma 3), so no
+    extension of it can improve on the recorded route.  Its ``LOW`` is the
+    new bound — Algorithm 1's ``U``, Algorithm 2's ``L*``.
+    """
+
+    k = 1
+    consumes = True
+
+    def __init__(self) -> None:
+        self.label: Label | None = None
+        self.upper_bound = math.inf
+
+    def offer(self, ctx: SearchContext, label: Label, low: float) -> bool:
+        # Always an improvement: the bound test let only ``low < U`` through.
+        self.label, self.upper_bound = label, low
+        return True
+
+    def result(self, search: LabelSearch, failure_reason: str | None) -> KORResult:
+        route = None if self.label is None else search.ctx.materialize(self.label)
+        return KORResult(
+            query=search.query,
+            algorithm=search.algorithm,
+            route=route,
+            covers_keywords=route is not None,
+            within_budget=route is not None and route.budget_score <= search.ctx.delta + 1e-9,
+            stats=search.stats,
+            failure_reason=failure_reason if route is None else None,
+        )
+
+
+class LabelSearch:
+    """One label-correcting search over the scaled graph (Definitions 7-8).
+
+    :meth:`run` files the source label, then draws labels from the
+    *frontier* until it reports the search over, treats each drawn label's
+    out-edges (:meth:`SearchContext.expand`) and its Strategy-1 jump with
+    :meth:`consider`, and has the answer set package the result.
+
+    ``frontier`` builds the frontier once the query survives the
+    infeasibility screens.  A frontier files a label under its ``LOW``
+    (``push``), hands out the next live label or ``None`` once the search
+    is over (``draw(bound)``), tells a drawn label that can no longer
+    matter (``is_stale(low, bound)``) and counts ``buckets_opened``.
+    ``answers`` takes each feasible all-covering label (``offer``: True
+    when the answers changed) and packages the ``result``; it holds the
+    pruning bound ``upper_bound``, the domination ``k`` and ``consumes``:
+    whether an offered label leaves the search.
+
+    ``epsilon`` scales objectives (``exact`` compares true scores, which
+    makes Algorithm 1 an exact branch-and-bound), the two strategies can
+    be toggled for ablations, ``trace`` collects per-label events,
+    ``binding`` reuses a pre-built query context and ``deadline`` ticks
+    once per draw.
+    """
+
+    def __init__(
+        self,
+        graph: SpatialKeywordGraph,
+        tables: CostTables,
+        index: InvertedIndex,
+        query: KORQuery,
+        algorithm: str,
+        frontier: Callable[[SearchContext], LabelHeap | BucketQueue],
+        answers: Incumbent | TopKCollector,
+        epsilon: float = 0.5,
+        use_strategy1: bool = True,
+        use_strategy2: bool = True,
+        infrequent_threshold: float = 0.01,
+        exact: bool = False,
+        trace: SearchTrace | None = None,
+        binding: QueryBinding | None = None,
+        deadline: Deadline | None = None,
+    ) -> None:
+        self._start = time.perf_counter()
+        self.query = query
+        self.algorithm = algorithm
+        self.answers = answers
+        self.use_strategy1 = use_strategy1
+        self.use_strategy2 = use_strategy2
+        self.trace = trace
+        self.deadline = deadline
+        self.stats = SearchStats()
+        scaling = ScalingContext.for_query(graph, query.budget_limit, epsilon, exact=exact)
+        self.ctx = SearchContext(
+            graph,
+            tables,
+            index,
+            query,
+            scaling,
+            infrequent_threshold=infrequent_threshold,
+            binding=binding,
+        )
+        self.full_mask = self.ctx.binding.full_mask
+        self._make_frontier = frontier
+        self.frontier: LabelHeap | BucketQueue | None = None
+        self._store = LabelStore(graph.num_nodes, k=answers.k)
+
+    def run(self) -> KORResult | KkRResult:
+        """Search to the end and package the answer."""
+        ctx, stats, answers = self.ctx, self.stats, self.answers
+        reason = ctx.impossibility_reason(self.deadline)
+        if reason is not None:
+            return self._package(reason)
+        self.frontier = frontier = self._make_frontier(ctx)
+
+        root = ctx.root_label()
+        low = root.os + ctx.os_tau_t_list[root.node]
+        if root.mask == self.full_mask and ctx.bs_tau_t[root.node] <= ctx.delta:
+            # The source (plus the target, via tau's endpoints) already
+            # covers every keyword and the objective-optimal completion
+            # fits the budget: tau_{s,t} is globally objective-optimal, so
+            # it is the top-1 answer with no search, and KkR's first one.
+            improved = answers.offer(ctx, root, low)
+            if answers.consumes:
+                return self._package()
+            stats.bound_updates += improved
+        frontier.push(root, low)
+        self._store.insert(root)
+        # The top-1 searches count the root among the enqueued labels; KkR
+        # never has.
+        stats.labels_enqueued += answers.consumes
+
+        deadline, trace = self.deadline, self.trace
+        while True:
+            if deadline is not None:
+                deadline.tick()
+            label = frontier.draw(answers.upper_bound)
+            if label is None:
+                break
+            stats.loops += 1
+            if trace is not None:
+                trace.record("dequeue", label.node, label.mask, label.scaled_os, label.os, label.bs)
+            # Filed before the bound reached its current value; stale now.
+            if frontier.is_stale(label.os + ctx.os_tau_t_list[label.node], answers.upper_bound):
+                continue
+            ctx.expand(label, answers.upper_bound, stats, self.consider, per_edge=trace is not None)
+            # Optimisation Strategy 1's extra extension.
+            if self.use_strategy1 and label.mask != self.full_mask:
+                jump = ctx.jump_candidate(label)
+                if jump is not None:
+                    vj, seg_os, seg_bs = jump
+                    stats.jump_labels_created += 1
+                    self.consider(label, vj, seg_os, seg_bs, ctx.scaling.scale(seg_os), VIA_JUMP)
+        return self._package("no feasible route exists")
+
+    def consider(
+        self, parent: Label, node: int, seg_os: float, seg_bs: float, seg_sos: float, via: int
+    ) -> None:
+        """Label treatment of one candidate extension, all checks inline."""
+        ctx = self.ctx
+        stats = self.stats
+        trace = self.trace
+        stats.labels_created += 1
+        new_mask = parent.mask | ctx.binding.node_mask(node)
+        new_os = parent.os + seg_os
+        new_bs = parent.bs + seg_bs
+        new_sos = parent.scaled_os + seg_sos
+        if trace is not None:
+            trace.record("create", node, new_mask, new_sos, new_os, new_bs)
+
+        if new_bs + ctx.bs_sigma_t_list[node] > ctx.delta:
+            stats.labels_pruned_budget += 1
+            if trace is not None:
+                trace.record("prune_budget", node, new_mask, new_sos, new_os, new_bs)
+            return
+        # LOW(L) (Lemma 3) is monotone along extensions, so neither this
+        # label's completions nor its descendants' can beat the bound.
+        low = new_os + ctx.os_tau_t_list[node]
+        upper = self.answers.upper_bound
+        if not low < upper:
+            stats.labels_pruned_bound += 1
+            if trace is not None:
+                trace.record("prune_bound", node, new_mask, new_sos, new_os, new_bs)
+            return
+        if self.use_strategy2 and ctx.strategy2_rejects(node, new_mask, new_os, new_bs, upper):
+            stats.labels_pruned_strategy2 += 1
+            if trace is not None:
+                trace.record("prune_strategy2", node, new_mask, new_sos, new_os, new_bs)
+            return
+
+        label = Label(node, new_mask, new_sos, new_os, new_bs, parent=parent, via=via)
+        if self._store.is_dominated(label):
+            stats.labels_pruned_dominated += 1
+            if trace is not None:
+                trace.record("prune_dominated", node, new_mask, new_sos, new_os, new_bs)
+            return
+
+        if new_mask == self.full_mask and new_bs + ctx.bs_tau_t[node] <= ctx.delta:
+            # Feasible completion via tau_{j,t}: an answer (lines 17-19).
+            if self.answers.offer(ctx, label, low):
+                stats.bound_updates += 1
+                if trace is not None:
+                    trace.record("bound_update", node, new_mask, new_sos, new_os, new_bs, low)
+            if self.answers.consumes:
+                return
+        # Otherwise (line 20) — covering everything but tau's budget does
+        # not fit, or a KkR answer whose other completions may rank too —
+        # keep searching from it.
+        self.frontier.push(label, low)
+        self._store.insert(label, self._on_evict)
+        stats.labels_enqueued += 1
+        if trace is not None:
+            trace.record("enqueue", node, new_mask, new_sos, new_os, new_bs, low)
+
+    def _on_evict(self, _victim: Label) -> None:
+        self.stats.labels_evicted += 1
+
+    def _package(self, failure_reason: str | None = None) -> KORResult | KkRResult:
+        if self.frontier is not None:
+            self.stats.buckets_opened = self.frontier.buckets_opened
+        result = self.answers.result(self, failure_reason)
+        self.stats.runtime_seconds = time.perf_counter() - self._start
+        return result

@@ -52,3 +52,46 @@ class TestDispatch:
     def test_results_report_algorithm(self, fig1_engine):
         assert fig1_engine.query(0, 7, ["t1"], 8.0, algorithm="osscaling").algorithm == "osscaling"
         assert fig1_engine.query(0, 7, ["t1"], 8.0, algorithm="exact").algorithm == "exact"
+
+
+class TestParameterRefusal:
+    """A parameter the chosen search does not take, or a ``beta`` no
+    bucket grid can use, is the caller's error: a ``QueryError`` naming
+    it, never a ``TypeError`` / ``ValueError`` from inside the search."""
+
+    @pytest.mark.parametrize(
+        "algorithm,params,named",
+        [
+            ("osscaling", {"bogus": 1}, "bogus"),
+            ("osscaling", {"beta": 1.5}, "beta"),
+            ("exact", {"epsilon": 0.5}, "epsilon"),
+            ("greedy", {"beta": 1.5}, "beta"),
+            ("exhaustive", {"epsilon": 0.5}, "epsilon"),
+        ],
+    )
+    def test_run_refuses_a_name_the_algorithm_does_not_take(
+        self, fig1_engine, algorithm, params, named
+    ):
+        with pytest.raises(QueryError, match=f"no parameter '{named}'") as excinfo:
+            fig1_engine.query(0, 7, ["t1", "t2"], 10.0, algorithm=algorithm, **params)
+        # The message lists what the algorithm does take.
+        message = str(excinfo.value)
+        assert "it accepts" in message and "deadline" in message
+
+    def test_top_k_refuses_a_name_the_algorithm_does_not_take(self, fig1_engine):
+        with pytest.raises(QueryError, match="no parameter 'beta'"):
+            fig1_engine.top_k(0, 7, ["t1", "t2"], 10.0, 2, algorithm="osscaling", beta=1.5)
+
+    def test_top_k_takes_the_top_1_tuning_parameters(self, fig1_engine):
+        for algorithm in ("osscaling", "bucketbound"):
+            result = fig1_engine.top_k(
+                0, 7, ["t1", "t2"], 10.0, 2, algorithm=algorithm, infrequent_threshold=0.2
+            )
+            assert len(result.routes) == 2
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5, -2.0])
+    def test_beta_at_or_below_one_is_refused(self, fig1_engine, beta):
+        with pytest.raises(QueryError, match="beta must be > 1"):
+            fig1_engine.query(0, 7, ["t1", "t2"], 10.0, algorithm="bucketbound", beta=beta)
+        with pytest.raises(QueryError, match="beta must be > 1"):
+            fig1_engine.top_k(0, 7, ["t1", "t2"], 10.0, 2, algorithm="bucketbound", beta=beta)

@@ -8,19 +8,33 @@ import numpy as np
 import pytest
 
 from repro.core import searchbase
-from repro.core.bucketbound import bucket_bound
+from repro.core.bucketbound import BucketQueue, bucket_bound
 from repro.core.deadline import Deadline
 from repro.core.engine import KOREngine
 from repro.core.label import VIA_JUMP, Label
-from repro.core.osscaling import _OSScalingSearch
 from repro.core.query import KORQuery
 from repro.core.results import SearchTrace
 from repro.core.scaling import ScalingContext
-from repro.core.searchbase import SCREEN_MIN_DEGREE, SearchContext
+from repro.core.searchbase import (
+    SCREEN_MIN_DEGREE,
+    Incumbent,
+    LabelHeap,
+    LabelSearch,
+    SearchContext,
+)
 from repro.exceptions import DeadlineExceeded
 from repro.graph.builder import GraphBuilder
 
 from tests.core.test_kernels import STAT_FIELDS
+
+
+def label_search(engine, query, algorithm="osscaling", **params):
+    """The search ``os_scaling`` / ``bucket_bound`` builds, before it runs."""
+    frontier = (lambda _ctx: LabelHeap()) if algorithm == "osscaling" else BucketQueue.factory(1.2)
+    return LabelSearch(
+        engine.graph, engine.tables, engine.index, query, algorithm, frontier, Incumbent(),
+        **params,
+    )
 
 
 def make_context(engine, query, epsilon=0.5, threshold=0.01):
@@ -354,8 +368,6 @@ class TestCrossCellReads:
     def test_search_loop_assembles_no_full_row_and_no_pair(
         self, border_engine, queries, algorithm, monkeypatch
     ):
-        from repro.core.bucketbound import _BucketBoundSearch
-        from repro.core.osscaling import _OSScalingSearch
         from repro.prep.partition import PartitionedCostTables
 
         calls = {"_assemble_pair": 0, "_rows": 0}
@@ -368,29 +380,30 @@ class TestCrossCellReads:
 
             monkeypatch.setattr(PartitionedCostTables, name, counting)
 
-        search_class = _BucketBoundSearch if algorithm == "bucketbound" else _OSScalingSearch
         popped = found = 0
         for query in queries:
-            search = search_class(
-                border_engine.graph,
-                border_engine.tables,
-                border_engine.index,
-                query,
-                infrequent_threshold=0.2,
-            )
+            search = label_search(border_engine, query, algorithm, infrequent_threshold=0.2)
             before = dict(calls)
             entries = search.ctx.bs_tau_t
             read_before = len(entries._memo)
-            while (label := search.pop()) is not None:
-                search.step(label)
-                popped += 1
-            assert calls["_rows"] == 0, f"{query}: the loop fell back to a full row"
+            # The counts as the loop ends, before the answer is packaged.
+            ends = []
+
+            def package(*args, _package=search._package):
+                ends.append((dict(calls), len(entries._memo)))
+                return _package(*args)
+
+            search._package = package
+            result = search.run()
+            (at_end, read_at_end), = ends
+            popped += result.stats.loops
+            assert at_end["_rows"] == 0, f"{query}: the loop fell back to a full row"
             # The loop's only pair lookups are the per-node BS(tau_{i,t})
             # reads of labels covering every keyword, one per node read.
-            loop_pairs = calls["_assemble_pair"] - before["_assemble_pair"]
-            assert loop_pairs == len(entries._memo) - read_before, query
+            loop_pairs = at_end["_assemble_pair"] - before["_assemble_pair"]
+            assert loop_pairs == read_at_end - read_before, query
             # Materialising the answer is where paths are assembled.
-            found += search.result().found
+            found += result.found
         assert popped > 50 and found
         assert calls["_rows"] == 0 and calls["_assemble_pair"] > 0
 
@@ -461,15 +474,7 @@ class TestExpand:
 
     @staticmethod
     def search(engine, query, **params):
-        return _OSScalingSearch(
-            engine.graph, engine.tables, engine.index, query, use_strategy1=False, **params
-        )
-
-    @staticmethod
-    def drain(search):
-        while (label := search.pop()) is not None:
-            search.step(label)
-        return search.result()
+        return label_search(engine, query, use_strategy1=False, **params)
 
     def test_consider_and_scale_see_survivors_only(self, hubs, monkeypatch):
         engine, query, _relay = hubs
@@ -501,7 +506,7 @@ class TestExpand:
             original_expand(label, bound, stats, consider)
 
         ctx.expand = expand
-        result = self.drain(search)
+        result = search.run()
 
         assert result.feasible and search.stats.loops == 2  # s, then relay
         assert [args[:4] for args in considered] == expected
@@ -512,7 +517,7 @@ class TestExpand:
     def test_bound_tightened_inside_a_block_kills_later_survivors(self, hubs):
         engine, query, _relay = hubs
         with screen_from(NEVER):
-            reference = self.drain(self.search(engine, query)).stats
+            reference = self.search(engine, query).run().stats
 
         search = self.search(engine, query)
         in_consider = {"bound": 0, "budget": 0}
@@ -525,7 +530,7 @@ class TestExpand:
             in_consider["budget"] += search.stats.labels_pruned_budget - before[1]
 
         search.consider = consider
-        stats = self.drain(search).stats
+        stats = search.run().stats
 
         # From s the snapshot bound is inf: every reachable, affordable leaf
         # survives the screen, the first one becomes the incumbent and
@@ -554,18 +559,18 @@ class TestExpand:
             builder.add_edge(leaf, t, 1.0, 0.1)
         engine = KOREngine(builder.build())
         query = KORQuery(s, t, ("kw",), delta)
-        screened = self.drain(self.search(engine, query))
+        screened = self.search(engine, query).run()
         with screen_from(NEVER):
-            per_edge = self.drain(self.search(engine, query))
+            per_edge = self.search(engine, query).run()
         assert fingerprint(screened) == fingerprint(per_edge)
         assert screened.stats.labels_pruned_budget == SCREEN_MIN_DEGREE - 1
         assert screened.route.nodes == (s, relay, relay + 1, t)
 
     def test_traced_search_takes_the_per_edge_loop(self, hubs):
         engine, query, _relay = hubs
-        untraced = self.drain(self.search(engine, query))
+        untraced = self.search(engine, query).run()
         trace = SearchTrace()
-        traced = self.drain(self.search(engine, query, trace=trace))
+        traced = self.search(engine, query, trace=trace).run()
         assert fingerprint(traced) == fingerprint(untraced)
         assert len(trace.created_labels()) == traced.stats.labels_created
 
@@ -621,8 +626,10 @@ class TestTraceMatchesStats:
         "bound_update": "bound_updates",
     }
 
+    @pytest.mark.parametrize("k", (None, 3))
     @pytest.mark.parametrize("algorithm", ("osscaling", "bucketbound"))
-    def test_event_counts_equal_counters(self, small_flickr_engine, algorithm):
+    def test_event_counts_equal_counters(self, small_flickr_engine, algorithm, k):
+        """Top-1 (``k=None``) and KkR searches alike."""
         from repro.datasets import QuerySetConfig, generate_query_set
 
         engine = small_flickr_engine
@@ -632,10 +639,17 @@ class TestTraceMatchesStats:
         for query in queries:
             trace = SearchTrace()
             # A threshold that makes one query keyword "infrequent".
-            result = engine.run(query, algorithm=algorithm, trace=trace, infrequent_threshold=0.2)
+            params = {"algorithm": algorithm, "trace": trace, "infrequent_threshold": 0.2}
+            if k is None:
+                result = engine.run(query, **params)
+            else:
+                result = engine.top_k(
+                    query.source, query.target, query.keywords, query.budget_limit, k, **params
+                )
             events = collections.Counter(event.kind for event in trace.events)
-            # The root is enqueued without an event of its own.
-            events["enqueue"] += result.stats.labels_enqueued > 0
+            # The root is enqueued without an event of its own (and KkR
+            # never counted it among the enqueued labels).
+            events["enqueue"] += k is None and result.stats.labels_enqueued > 0
             for kind, counter in self.KINDS.items():
                 assert events[kind] == getattr(result.stats, counter), (algorithm, kind)
             strategy2 += result.stats.labels_pruned_strategy2

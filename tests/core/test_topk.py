@@ -99,3 +99,21 @@ class TestTopKAlgorithms:
 
         with pytest.raises(QE):
             fig1_engine.top_k(0, 7, ["t1"], 10.0, k=2, algorithm="greedy")
+
+    @pytest.mark.parametrize("top_k", [os_scaling_top_k, bucket_bound_top_k])
+    def test_the_roots_completion_counts_as_a_bound_update(self, top_k):
+        """``s``{a} -> ``t`` and ``s`` -> ``m``{a} -> ``t``: the root's own
+        tau completion is the first answer, and both algorithms count it."""
+        from repro.core.engine import KOREngine
+        from repro.graph.builder import GraphBuilder
+
+        builder = GraphBuilder()
+        s, m, t = builder.add_node(["a"]), builder.add_node(["a"]), builder.add_node()
+        for u, v in ((s, t), (s, m), (m, t)):
+            builder.add_edge(u, v, 1.0, 1.0)
+        engine = KOREngine(builder.build())
+        result = top_k(
+            engine.graph, engine.tables, engine.index, KORQuery(s, t, ("a",), 10.0), k=2
+        )
+        assert [r.nodes for r in result.routes] == [(s, t), (s, m, t)]
+        assert result.stats.bound_updates == 2

@@ -657,3 +657,77 @@ class TestPathologicalBudgets:
                 engine.run(huge, algorithm=algorithm)
         for algorithm in ("greedy", "exact"):
             assert engine.run(huge, algorithm=algorithm).query is huge
+
+
+class TestParameterRefusal:
+    """Client ``params`` a search cannot take are the client's error: a
+    400 ``QueryError`` naming the parameter (a ``/batch`` slot carries
+    the same error), never a 500 from a ``TypeError`` / ``ValueError``
+    raised inside the search."""
+
+    #: ``(algorithm, params)`` the search refuses, and the name it reports.
+    REFUSED = (
+        ("bucketbound", {"bogus": 1}, "bogus"),
+        ("bucketbound", {"beta": 0.5}, "beta"),
+        ("exact", {"epsilon": 0.5}, "epsilon"),
+        ("greedy", {"beta": 1.5}, "beta"),
+    )
+
+    @staticmethod
+    def fig1_query():
+        from repro.core.query import KORQuery
+
+        # Non-trivial: the source covers neither keyword, so BucketBound
+        # builds its buckets and the search pops labels.
+        return KORQuery(0, 7, ("t1", "t2"), 10.0)
+
+    @pytest.mark.parametrize("algorithm,params,named", REFUSED)
+    def test_query_answers_400(self, fig1_engine, algorithm, params, named):
+        body = query_payload(self.fig1_query(), algorithm=algorithm, params=params)
+
+        async def scenario(app):
+            status, payload = await request_with_headers(app, body, [])
+            assert status == 400, payload
+            assert payload["error"]["type"] == "QueryError"
+            assert named in payload["error"]["message"]
+            assert app.pending == 0
+            return app.frontend.snapshot().endpoints["/query"]
+
+        assert drive(scenario, fig1_engine) == {"requests": 1, "errors": 1}
+
+    def test_batch_slots_carry_the_query_error(self, fig1_engine):
+        query = self.fig1_query()
+        slots = [
+            query_payload(query, algorithm=algorithm, params=params)
+            for algorithm, params, _named in self.REFUSED
+        ]
+
+        async def scenario(app):
+            response = await asgi_request(
+                app, "POST", "/batch", {"queries": [*slots, query_payload(query)]}
+            )
+            assert response.status == 200
+            *refused, answered = response.json()["results"]
+            assert [item["error"]["type"] for item in refused] == ["QueryError"] * len(slots)
+            for item, (_algorithm, _params, named) in zip(refused, self.REFUSED):
+                assert named in item["error"]["message"]
+            assert answered["found"]
+
+        drive(scenario, fig1_engine)
+
+    def test_topk_stream_takes_what_query_takes_and_refuses_the_rest(self, fig1_engine):
+        base = {**query_payload(self.fig1_query()), "k": 2}
+
+        async def scenario(app):
+            status, lines = await request_with_headers(
+                app, {**base, "params": {"infrequent_threshold": 0.2}}, [], "/topk/stream"
+            )
+            assert status == 200 and lines[0]["count"] == 2
+            status, payload = await request_with_headers(
+                app, {**base, "params": {"bogus": 1}}, [], "/topk/stream"
+            )
+            assert status == 400 and payload["error"]["type"] == "QueryError"
+            assert "bogus" in payload["error"]["message"]
+            return app.frontend.snapshot().endpoints["/topk/stream"]
+
+        assert drive(scenario, fig1_engine) == {"requests": 2, "errors": 1}

@@ -234,7 +234,7 @@ class TestQueryService:
     def test_a_stray_workers_argument_is_refused_by_submit(self, fig1_engine):
         """``submit`` is a batch of one: it raises the slot's error."""
         service = QueryService(fig1_engine)
-        with pytest.raises(TypeError, match="workers"):
+        with pytest.raises(QueryError, match="workers"):
             service.submit(KORQuery(0, 7, ("t1", "t2"), 8.0), workers=2)
         assert len(service.cache) == 0
 
