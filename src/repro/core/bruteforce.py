@@ -23,6 +23,7 @@ from repro.core.osscaling import os_scaling
 from repro.core.query import KORQuery, QueryBinding
 from repro.core.results import KORResult, SearchStats
 from repro.core.route import Route
+from repro.exceptions import QueryError
 from repro.graph.digraph import SpatialKeywordGraph
 from repro.index.inverted import InvertedIndex
 from repro.prep.tables import CostTables
@@ -40,7 +41,7 @@ def exhaustive_search(
 ) -> KORResult:
     """Enumerate every budget-feasible walk; return the true optimum.
 
-    Raises ``RuntimeError`` after *max_expansions* queue pops, which keeps
+    Raises :class:`QueryError` after *max_expansions* queue pops, which keeps
     accidental use on non-toy inputs from hanging the test suite.
     """
     start = time.perf_counter()
@@ -62,7 +63,7 @@ def exhaustive_search(
         node, mask, os_score, bs_score, path = queue.popleft()
         expansions += 1
         if expansions > max_expansions:
-            raise RuntimeError(
+            raise QueryError(
                 f"exhaustive search exceeded {max_expansions} expansions; "
                 "use branch_and_bound for anything beyond toy graphs"
             )

@@ -14,7 +14,8 @@ the paper's algorithms::
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Iterable
+import numbers
+from typing import Callable, Iterable, Mapping
 
 from repro.core.bruteforce import branch_and_bound, exhaustive_search
 from repro.core.bucketbound import bucket_bound
@@ -28,7 +29,7 @@ from repro.graph.digraph import SpatialKeywordGraph
 from repro.index.inverted import InvertedIndex
 from repro.prep.tables import CostTables
 
-__all__ = ["KOREngine", "ALGORITHMS"]
+__all__ = ["KOREngine", "ALGORITHMS", "WIRE_PARAMETERS", "check_parameters"]
 
 #: The search behind each algorithm name :meth:`KOREngine.run` accepts.
 _SEARCHES: dict[str, Callable] = {
@@ -48,21 +49,57 @@ _TOP_K_SEARCHES: dict[str, Callable] = {
 #: Names accepted by :meth:`KOREngine.query`.
 ALGORITHMS = tuple(_SEARCHES)
 
-#: The parameters each search takes by keyword: every one with a default.
+#: The parameters each search takes by keyword -- every one with a
+#: default -- and the type of that default.
 _PARAMETERS = {
-    search: frozenset(
-        name
+    search: {
+        name: type(parameter.default)
         for name, parameter in inspect.signature(search).parameters.items()
         if parameter.default is not parameter.empty
-    )
+    }
     for search in (*_SEARCHES.values(), *_TOP_K_SEARCHES.values())
 }
+
+#: What a value of each JSON type must be: ``float`` takes any real
+#: number, ``int`` any integer, but neither takes a ``bool``.
+_ACCEPTS = {float: numbers.Real, int: numbers.Integral, bool: bool, str: str}
+
+#: Per algorithm :meth:`KOREngine.run` accepts, the parameters a JSON
+#: request may set: those whose default has one of the JSON types.
+WIRE_PARAMETERS = {
+    algorithm: {name: kind for name, kind in _PARAMETERS[search].items() if kind in _ACCEPTS}
+    for algorithm, search in _SEARCHES.items()
+}
+
+
+def check_parameters(
+    algorithm: str, params: Mapping, accepted: Mapping[str, type], hint: str = ""
+) -> None:
+    """Refuse with a :class:`QueryError` a name in *params* that *accepted*
+    lacks (the message lists what it has, then *hint*) or a value that the
+    type of its default refuses, when that is a JSON type."""
+    unknown = sorted(params.keys() - accepted.keys())
+    if unknown:
+        raise QueryError(
+            f"algorithm {algorithm!r} takes no parameter {unknown[0]!r}; "
+            f"it accepts {', '.join(sorted(accepted))}{hint}"
+        )
+    for name, value in params.items():
+        kind = accepted[name]
+        if kind in _ACCEPTS and (
+            not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind is not bool)
+        ):
+            raise QueryError(
+                f"algorithm {algorithm!r} parameter {name!r} must be {kind.__name__}, "
+                f"got {type(value).__name__}"
+            )
 
 
 def _search_for(searches: dict[str, Callable], algorithm: str, params: dict) -> Callable:
     """The search *algorithm* names in *searches*, refused before it starts
     when the caller's deadline has already expired, the name is unknown or
-    *params* carries a parameter the search does not take."""
+    *params* carries a parameter the search does not take or a value of the
+    wrong type."""
     deadline = params.get("deadline")
     if deadline is not None:
         # Refuse to start a search whose caller already gave up.
@@ -70,13 +107,7 @@ def _search_for(searches: dict[str, Callable], algorithm: str, params: dict) -> 
     search = searches.get(algorithm)
     if search is None:
         raise QueryError(f"unknown algorithm {algorithm!r}; expected one of {', '.join(searches)}")
-    accepted = _PARAMETERS[search]
-    unknown = sorted(set(params) - accepted)
-    if unknown:
-        raise QueryError(
-            f"algorithm {algorithm!r} takes no parameter {unknown[0]!r}; "
-            f"it accepts {', '.join(sorted(accepted))}"
-        )
+    check_parameters(algorithm, params, _PARAMETERS[search])
     return search
 
 
@@ -172,7 +203,8 @@ class KOREngine:
         ``candidates=`` (a map from :meth:`candidate_sets`); either skips
         the per-query index lookups — the serving layer's batch path.  A
         parameter the algorithm does not take is refused with a
-        :class:`QueryError` that lists the ones it does.
+        :class:`QueryError` that lists the ones it does, and so is a value
+        its default's type refuses (``epsilon="x"``, ``width=2.5``).
         """
         graph, tables, index = self._graph, self._tables, self._index
         candidates = params.pop("candidates", None)

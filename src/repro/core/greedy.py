@@ -34,7 +34,7 @@ from repro.core.deadline import Deadline
 from repro.core.query import KORQuery, QueryBinding
 from repro.core.results import KORResult, SearchStats
 from repro.core.route import Route
-from repro.exceptions import PrepError
+from repro.exceptions import QueryError
 from repro.graph.digraph import SpatialKeywordGraph
 from repro.index.inverted import InvertedIndex
 from repro.prep.tables import CostTables
@@ -86,11 +86,11 @@ def greedy(
     algorithm = f"greedy-{width}" if mode == "coverage" else f"greedy-{width}-budget"
     stats = SearchStats()
     if not 0.0 <= alpha <= 1.0:
-        raise PrepError(f"alpha must be within [0, 1], got {alpha}")
+        raise QueryError(f"alpha must be within [0, 1], got {alpha}")
     if width < 1:
-        raise PrepError(f"width must be >= 1, got {width}")
+        raise QueryError(f"width must be >= 1, got {width}")
     if mode not in ("coverage", "budget"):
-        raise PrepError(f"mode must be 'coverage' or 'budget', got {mode!r}")
+        raise QueryError(f"mode must be 'coverage' or 'budget', got {mode!r}")
 
     if binding is None:
         binding = QueryBinding.bind(graph, index, query)

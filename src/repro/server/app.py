@@ -29,11 +29,14 @@ Endpoints (all JSON, schema-stamped per :mod:`repro.server.schema`):
                               the graph epoch now in force
 ====================  ======  =================================================
 
-Error mapping: malformed payloads and bad parameters (``WireError`` /
-``QueryError``) are 400, expired deadlines (``DeadlineExceeded``) and
-per-awaiter timeouts are 504, a shut-down serving tier
-(``ServiceClosed``) is 503, unknown paths are 404, wrong methods are
-405, anything else is a 500 carrying the exception type.  **Every**
+Every endpoint takes one path through :meth:`KORApp.__call__`: method
+check, admission, body read, handler, and one error mapping — malformed
+payloads and bad parameters (``WireError`` / ``QueryError``) are 400, a
+``/batch`` too long to queue (``PayloadTooLarge``) is 413, expired
+deadlines (``DeadlineExceeded``) and per-awaiter timeouts are 504, a
+shut-down serving tier (``ServiceClosed``) is 503, unknown paths are
+404, wrong methods are 405, anything else is a 500 carrying the
+exception type.  **Every**
 ``kor.route_result.v1`` document is passed through
 :func:`~repro.server.schema.validate_route_result` before it is sent —
 the server refuses to emit a response it would itself reject.
@@ -67,45 +70,40 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import asdict
-from typing import Awaitable, Callable
+from typing import Callable
 
 from repro.core.deadline import Deadline
 from repro.exceptions import DeadlineExceeded, QueryError, ServiceClosed
 from repro.graph.mutation import MutationError
 from repro.server.schema import (
-    MAX_TOPK,
-    ROUTE_TOPK_SCHEMA,
+    MAX_BATCH_QUERIES,
     SERVICE_STATS_SCHEMA,
+    PayloadTooLarge,
     WireError,
     encode_batch,
     encode_error,
     encode_route_result,
+    encode_topk,
     encode_update_ack,
     parse_graph_update,
+    parse_route_batch,
     parse_route_query,
+    parse_route_topk,
+    parse_timeout_header,
     validate_route_result,
 )
 from repro.service.frontend import AsyncQueryService
 
-__all__ = ["KORApp"]
+__all__ = ["KORApp", "MAX_BATCH_QUERIES"]
 
 _JSON_HEADERS = [(b"content-type", b"application/json")]
 _NDJSON_HEADERS = [(b"content-type", b"application/x-ndjson")]
-
-#: Endpoints that cost engine work and therefore count against (and can
-#: be refused by) the pending-request budget.
-_WORK_ENDPOINTS = frozenset({"/query", "/batch", "/topk/stream"})
 
 #: Default cap on concurrently admitted work requests.
 DEFAULT_MAX_PENDING = 256
 
 #: What a shed response tells the client to wait before retrying.
 RETRY_AFTER_SECONDS = 1
-
-#: Most queries one ``/batch`` may carry (16x the front-end's default
-#: ``max_batch``); a longer list is refused with 413 before any slot is
-#: parsed, so one request cannot queue unbounded engine work.
-MAX_BATCH_QUERIES = 1024
 
 
 class KORApp:
@@ -147,15 +145,18 @@ class KORApp:
         # Everything runs on one event loop, so a plain int is exact.
         self._pending = 0
         self._draining = False
-        self._routes: dict[str, tuple[str, Callable[[dict, bytes], Awaitable[tuple[int, dict]]]]] = {
-            "/healthz": ("GET", self._healthz),
-            "/stats": ("GET", self._stats),
-            "/query": ("POST", self._query),
-            "/batch": ("POST", self._batch),
-            # Deliberately NOT a work endpoint: operators must be able
-            # to push graph updates while the app sheds or drains query
-            # traffic, and updates never count against the pending budget.
-            "/admin/update": ("POST", self._admin_update),
+        # path -> (method, admitted, handler).  An admitted endpoint costs
+        # engine work, so it counts against (and can be refused by) the
+        # pending-request budget.
+        self._routes: dict[str, tuple[str, bool, Callable]] = {
+            "/healthz": ("GET", False, self._healthz),
+            "/stats": ("GET", False, self._stats),
+            "/query": ("POST", True, self._query),
+            "/batch": ("POST", True, self._batch),
+            "/topk/stream": ("POST", True, self._topk_stream),
+            # Deliberately NOT admitted: operators must be able to push graph
+            # updates while the app sheds or drains query traffic.
+            "/admin/update": ("POST", False, self._admin_update),
         }
 
     @property
@@ -194,41 +195,16 @@ class KORApp:
         if scope["type"] != "http":
             raise RuntimeError(f"KORApp only speaks http/lifespan, got {scope['type']!r}")
         path = scope["path"]
-        method = scope["method"].upper()
-        if path == "/topk/stream":
-            if method != "POST":
-                await self._finish(
-                    send, path, 405,
-                    {"error": {"type": "MethodNotAllowed", "message": "use POST"}},
-                )
-                return
-            if await self._shed(send, path):
-                return
-            self._pending += 1
-            try:
-                await self._topk_stream(scope, receive, send)
-            finally:
-                self._pending -= 1
-            return
         route = self._routes.get(path)
         if route is None:
+            await self._finish(send, "<unknown>", 404, _error("NotFound", f"no endpoint {path!r}"))
+            return
+        expected_method, admitted, handler = route
+        if scope["method"].upper() != expected_method:
             await self._finish(
-                send,
-                "<unknown>",
-                404,
-                {"error": {"type": "NotFound", "message": f"no endpoint {path!r}"}},
+                send, path, 405, _error("MethodNotAllowed", f"use {expected_method}")
             )
             return
-        expected_method, handler = route
-        if method != expected_method:
-            await self._finish(
-                send,
-                path,
-                405,
-                {"error": {"type": "MethodNotAllowed", "message": f"use {expected_method}"}},
-            )
-            return
-        admitted = path in _WORK_ENDPOINTS
         if admitted:
             if await self._shed(send, path):
                 return
@@ -243,6 +219,8 @@ class KORApp:
                 status, payload = 504, encode_error(error)
             except ServiceClosed as error:
                 status, payload = 503, encode_error(error)
+            except PayloadTooLarge as error:
+                status, payload = 413, encode_error(error)
             except (WireError, QueryError, MutationError) as error:
                 status, payload = 400, encode_error(error)
             except asyncio.TimeoutError as error:
@@ -251,7 +229,10 @@ class KORApp:
                 raise
             except Exception as error:  # noqa: BLE001 - boundary: map to 500
                 status, payload = 500, encode_error(error)
-            await self._finish(send, path, status, payload)
+            if isinstance(payload, list):  # NDJSON lines (/topk/stream)
+                await self._stream(send, path, status, payload)
+            else:
+                await self._finish(send, path, status, payload)
         finally:
             if admitted:
                 self._pending -= 1
@@ -259,22 +240,13 @@ class KORApp:
     async def _shed(self, send, path: str) -> bool:
         """Refuse *path* (503 + Retry-After) when draining or over budget."""
         if self._draining:
-            refusal = {
-                "error": {
-                    "type": "Draining",
-                    "message": "server is draining; retry against another instance",
-                }
-            }
+            refusal = _error("Draining", "server is draining; retry against another instance")
         elif self._pending >= self._max_pending:
-            refusal = {
-                "error": {
-                    "type": "Overloaded",
-                    "message": (
-                        f"pending budget exhausted ({self._max_pending} requests "
-                        "in flight); retry after backoff"
-                    ),
-                }
-            }
+            refusal = _error(
+                "Overloaded",
+                f"pending budget exhausted ({self._max_pending} requests in flight); "
+                "retry after backoff",
+            )
         else:
             return False
         self._front.stats.record_shed()
@@ -302,7 +274,7 @@ class KORApp:
             status = "ok"
         payload = {
             "status": status,
-            "endpoints": sorted(self._routes) + ["/topk/stream"],
+            "endpoints": sorted(self._routes),
             "pending": self._pending,
             "max_pending": self._max_pending,
             "shed": self._front.stats.shed,
@@ -340,66 +312,42 @@ class KORApp:
         # must not stamp its epoch on an answer computed before it (a
         # raced stamp may read one epoch old, never new).
         epoch = self._front.epoch
-        result = await self._front.submit(
-            spec["query"],
-            algorithm=spec["algorithm"],
-            timeout=_request_timeout(spec, scope),
-            **spec["params"],
-        )
+        result = await self._answer(spec, _header_timeout(scope))
         return 200, validate_route_result(
             encode_route_result(result, explain=spec["explain"], epoch=epoch)
         )
 
     async def _batch(self, scope, body: bytes) -> tuple[int, dict]:
-        payload = _loads(body)
-        if not isinstance(payload, dict) or not isinstance(payload.get("queries"), list):
-            raise WireError("route_batch: body must carry a 'queries' list")
-        if len(payload["queries"]) > MAX_BATCH_QUERIES:
-            message = (
-                f"route_batch: {len(payload['queries'])} queries exceed the "
-                f"{MAX_BATCH_QUERIES}-query limit"
-            )
-            return 413, {"error": {"type": "PayloadTooLarge", "message": message}}
-        defaults = {
-            key: payload[key]
-            for key in ("algorithm", "params", "explain", "timeout")
-            if key in payload
-        }
-        specs = []
-        for item in payload["queries"]:
-            if not isinstance(item, dict):
-                raise WireError("route_batch: each query must be a JSON object")
-            # Batch-level defaults apply unless the slot overrides them.
-            specs.append(parse_route_query({**defaults, **item}))
+        slots = parse_route_batch(_loads(body))
         header_timeout = _header_timeout(scope)
         epoch = self._front.epoch  # before the await, as in _query
         outcomes = await asyncio.gather(
-            *(
-                self._front.submit(
-                    spec["query"],
-                    algorithm=spec["algorithm"],
-                    timeout=(
-                        spec["timeout"] if spec["timeout"] is not None else header_timeout
-                    ),
-                    **spec["params"],
-                )
-                for spec in specs
-            ),
+            *(self._answer(slot, header_timeout) for slot in slots),
             return_exceptions=True,
         )
         items = []
-        for spec, outcome in zip(specs, outcomes):
+        for slot, outcome in zip(slots, outcomes):
             if isinstance(outcome, BaseException):
                 items.append(encode_error(outcome))
             else:
                 items.append(
                     validate_route_result(
-                        encode_route_result(
-                            outcome, explain=spec["explain"], epoch=epoch
-                        )
+                        encode_route_result(outcome, explain=slot["explain"], epoch=epoch)
                     )
                 )
         return 200, encode_batch(items)
+
+    async def _answer(self, spec: dict | QueryError, header_timeout: float | None):
+        """Submit one parsed query; a ``/batch`` slot refused at parse
+        raises its refusal here."""
+        if isinstance(spec, QueryError):
+            raise spec
+        return await self._front.submit(
+            spec["query"],
+            algorithm=spec["algorithm"],
+            timeout=_request_timeout(spec, header_timeout),
+            **spec["params"],
+        )
 
     async def _admin_update(self, scope, body: bytes) -> tuple[int, dict]:
         """Apply a ``kor.graph_update.v1`` mutation batch to the world.
@@ -414,8 +362,9 @@ class KORApp:
         epoch = await self._front.apply_update(ops)
         return 200, encode_update_ack(epoch, applied=len(ops))
 
-    async def _topk_stream(self, scope, receive, send) -> None:
-        """KkR top-k as chunked NDJSON (header line, then ranked routes).
+    async def _topk_stream(self, scope, body: bytes) -> tuple[int, dict | list[dict]]:
+        """KkR top-k as NDJSON lines: a ``kor.route_topk.v1`` header, then
+        one ranked route per line.
 
         The whole search runs on a worker thread before the first byte
         is written — top-k has no incremental API — but the response is
@@ -426,87 +375,28 @@ class KORApp:
         inside the search loop, which is what stops the worker thread:
         nothing else can cancel it.
         """
-        body = await self._read_body(receive)
         engine = self._topk_engine
         if engine is None:
             engine = getattr(getattr(self._front, "service", None), "engine", None)
-        try:
-            if engine is None:
-                raise LookupError("this deployment exposes no top-k engine")
-            payload = _loads(body)
-            spec = parse_route_query(payload)
-            k = payload.get("k")
-            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-                raise WireError("route_topk: 'k' must be a positive integer")
-            if k > MAX_TOPK:
-                raise WireError(f"route_topk: k={k} exceeds the limit of {MAX_TOPK}")
-            timeout = _request_timeout(spec, scope)
-            deadline = Deadline.after(timeout) if timeout is not None else None
-            loop = asyncio.get_running_loop()
-            answer = await loop.run_in_executor(
-                None,
-                lambda: engine.top_k(
-                    spec["query"].source,
-                    spec["query"].target,
-                    spec["query"].keywords,
-                    spec["query"].budget_limit,
-                    k,
-                    algorithm=spec["algorithm"],
-                    deadline=deadline,
-                    **spec["params"],
-                ),
-            )
-        except DeadlineExceeded as error:
-            # Before the QueryError arm, as in ``__call__``.
-            await self._finish(send, "/topk/stream", 504, encode_error(error))
-            return
-        except (WireError, QueryError) as error:
-            await self._finish(send, "/topk/stream", 400, encode_error(error))
-            return
-        except LookupError as error:
-            await self._finish(send, "/topk/stream", 501, encode_error(error))
-            return
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 - boundary: map to 500
-            await self._finish(send, "/topk/stream", 500, encode_error(error))
-            return
-        header = {
-            "schema": ROUTE_TOPK_SCHEMA,
-            "query": {
-                "source": spec["query"].source,
-                "target": spec["query"].target,
-                "keywords": list(spec["query"].keywords),
-                "budget_limit": spec["query"].budget_limit,
-            },
-            "algorithm": spec["algorithm"],
-            "k": k,
-            "count": len(answer.routes),
-        }
-        await send(
-            {
-                "type": "http.response.start",
-                "status": 200,
-                "headers": list(_NDJSON_HEADERS),
-            }
+        if engine is None:
+            return 501, encode_error(LookupError("this deployment exposes no top-k engine"))
+        spec = parse_route_topk(_loads(body))
+        query, timeout = spec["query"], _request_timeout(spec, _header_timeout(scope))
+        deadline = None if timeout is None else Deadline.after(timeout)
+        answer = await asyncio.get_running_loop().run_in_executor(
+            None,
+            lambda: engine.top_k(
+                query.source,
+                query.target,
+                query.keywords,
+                query.budget_limit,
+                spec["k"],
+                algorithm=spec["algorithm"],
+                deadline=deadline,
+                **spec["params"],
+            ),
         )
-        await send(
-            {"type": "http.response.body", "body": _line(header), "more_body": True}
-        )
-        for rank, route in enumerate(answer.routes, start=1):
-            line = {
-                "rank": rank,
-                "nodes": [int(node) for node in route.nodes],
-                "score": {
-                    "objective": float(route.objective_score),
-                    "budget": float(route.budget_score),
-                },
-            }
-            await send(
-                {"type": "http.response.body", "body": _line(line), "more_body": True}
-            )
-        await send({"type": "http.response.body", "body": b"", "more_body": False})
-        self._front.stats.record_endpoint("/topk/stream")
+        return 200, encode_topk(spec, answer.routes)
 
     # ------------------------------------------------------------------
     # plumbing
@@ -529,6 +419,17 @@ class KORApp:
             chunks.append(message.get("body", b""))
             if not message.get("more_body", False):
                 return b"".join(chunks)
+
+    async def _stream(self, send, endpoint: str, status: int, lines: list[dict]) -> None:
+        """*lines* as one chunked NDJSON response + the endpoint counter tick."""
+        await send(
+            {"type": "http.response.start", "status": status, "headers": list(_NDJSON_HEADERS)}
+        )
+        for line in lines:
+            body = json.dumps(line, allow_nan=False).encode() + b"\n"
+            await send({"type": "http.response.body", "body": body, "more_body": True})
+        await send({"type": "http.response.body", "body": b"", "more_body": False})
+        self._front.stats.record_endpoint(endpoint, error=status >= 400)
 
     async def _finish(
         self,
@@ -556,6 +457,11 @@ class KORApp:
         self._front.stats.record_endpoint(endpoint, error=status >= 400)
 
 
+def _error(kind: str, message: str) -> dict:
+    """An error object, as :func:`~repro.server.schema.encode_error` writes one."""
+    return {"error": {"type": kind, "message": message}}
+
+
 def _loads(body: bytes) -> object:
     try:
         return json.loads(body or b"null")
@@ -572,24 +478,10 @@ def _header_timeout(scope) -> float | None:
     """
     for name, value in scope.get("headers") or ():
         if bytes(name).lower() == b"x-kor-timeout-ms":
-            text = bytes(value).decode("latin-1").strip()
-            try:
-                ms = float(text)
-            except ValueError:
-                raise WireError(
-                    f"x-kor-timeout-ms header must be a number, got {text!r}"
-                ) from None
-            if ms <= 0:
-                raise WireError("x-kor-timeout-ms header must be positive")
-            return ms / 1000.0
+            return parse_timeout_header(bytes(value).decode("latin-1").strip())
     return None
 
 
-def _request_timeout(spec: dict, scope) -> float | None:
+def _request_timeout(spec: dict, header_timeout: float | None) -> float | None:
     """One request's deadline in seconds: the body's, else the header's."""
-    timeout = spec["timeout"]
-    return timeout if timeout is not None else _header_timeout(scope)
-
-
-def _line(payload: dict) -> bytes:
-    return json.dumps(payload, allow_nan=False).encode() + b"\n"
+    return spec["timeout"] if spec["timeout"] is not None else header_timeout

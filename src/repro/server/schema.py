@@ -10,13 +10,14 @@ generator, the differential tests — validate again on receipt, so a
 drift in either direction fails loudly instead of silently changing
 what "a route result" means mid-deployment.
 
-Schemas defined here:
+Each message read here is a :class:`Message`: a field table plus named
+cross-field hooks, run by the one interpreter :func:`_read`.  The
+README's wire reference is rendered from the tables
+(:func:`wire_reference`).  Schemas defined here:
 
 ``kor.route_query.v1``
-    A single query request (``/query`` body): required ``source`` /
-    ``target`` / ``keywords`` (at most ``MAX_QUERY_KEYWORDS``) /
-    ``budget_limit``, optional ``algorithm`` / ``params`` / ``explain``
-    / ``timeout``.
+    A single query request (``/query`` body, a ``/batch`` slot; with
+    ``k``, the ``/topk/stream`` body).
 ``kor.route_result.v1``
     One answered query: the echoed query, the algorithm, the four
     feasibility verdicts, a ``score`` breakdown (objective + budget, or
@@ -52,11 +53,12 @@ are ``null``), so payloads stay valid strict JSON.
 
 from __future__ import annotations
 
-import math
+import sys
+from collections.abc import Mapping
 from dataclasses import asdict
-from typing import Mapping
+from typing import Callable, NamedTuple
 
-from repro.core.engine import ALGORITHMS
+from repro.core.engine import ALGORITHMS, WIRE_PARAMETERS, check_parameters
 from repro.core.query import KORQuery
 from repro.core.results import KORResult, SearchStats
 from repro.core.route import Route
@@ -73,7 +75,9 @@ __all__ = [
     "GRAPH_UPDATE_ACK_SCHEMA",
     "MAX_QUERY_KEYWORDS",
     "MAX_TOPK",
+    "MAX_BATCH_QUERIES",
     "WireError",
+    "PayloadTooLarge",
     "encode_route_result",
     "validate_route_result",
     "decode_route_result",
@@ -103,55 +107,256 @@ MAX_QUERY_KEYWORDS = 64
 #: Fig. 16 reproduction sweeps ``k`` over 1..5.
 MAX_TOPK = 100
 
-#: Required top-level fields of a ``kor.route_result.v1`` document and
-#: the python types each must carry.  ``route`` and ``failure_reason``
-#: are required *keys* whose values may be null.
-_RESULT_REQUIRED: dict[str, tuple[type, ...]] = {
-    "schema": (str,),
-    "query": (dict,),
-    "algorithm": (str,),
-    "found": (bool,),
-    "feasible": (bool,),
-    "covers_keywords": (bool,),
-    "within_budget": (bool,),
-    "score": (dict,),
-    "route": (list, type(None)),
-    "failure_reason": (str, type(None)),
-}
-
-_QUERY_REQUIRED: dict[str, tuple[type, ...]] = {
-    "source": (int,),
-    "target": (int,),
-    "keywords": (list,),
-    "budget_limit": (int, float),
-}
+#: Most queries one ``/batch`` may carry (16x the front-end's default
+#: ``max_batch``); a longer list is refused with 413 before any slot is
+#: parsed, so one request cannot queue unbounded engine work.
+MAX_BATCH_QUERIES = 1024
 
 
 class WireError(QueryError):
     """A payload violated the wire schema (either direction)."""
 
 
-def _require(payload: Mapping, spec: dict[str, tuple[type, ...]], where: str) -> None:
-    if not isinstance(payload, Mapping):
+class PayloadTooLarge(WireError):
+    """A well-formed request that asks for more work than one may queue (413)."""
+
+
+# ----------------------------------------------------------------------
+# kinds, cross-field hooks, field tables and the interpreter
+# ----------------------------------------------------------------------
+
+
+class Field(NamedTuple):
+    """One row of a field table.  *presence* is ``required``, ``nullable``
+    (required, may be ``null``) or ``optional`` (absent or ``null`` reads
+    as *default*); what *bound* means depends on the kind."""
+
+    name: str
+    kind: str
+    presence: str = "required"
+    bound: object = None
+    default: object = None
+
+
+class Message:
+    """A field table; *title* prefixes its errors, and each hook returns
+    the refusal of a rule across the values read, or None."""
+
+    def __init__(self, title: str, fields: tuple[Field, ...], hooks: tuple = ()) -> None:
+        self.title, self.fields, self.hooks = title, fields, hooks
+        # What _read walks, each kind looked up once: plain tuples.
+        self.rows = tuple((f.name, *_KINDS[f.kind], *f[2:]) for f in fields)
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite(value: object) -> bool:
+    # json.loads accepts NaN / Infinity, and integers beyond float range.
+    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
+
+
+def _object(value: object, bound: Message | None) -> bool:
+    if bound is None:
+        return isinstance(value, Mapping)
+    _read(bound, value)  # its own field table, under its own title
+    return True
+
+
+#: Each kind: a test of ``(value, bound)`` and its refusal, formatted with
+#: the field's name, the value and the bound's text.
+# fmt: off
+_KINDS: dict[str, tuple[Callable[[object, object], bool], str]] = {
+    "node_id": (
+        lambda v, b: type(v) is int and v >= 0, "{name!r} must be a non-negative integer node id"
+    ),
+    "integer": (lambda v, b: type(v) is int and v in b, "{name!r} must be an integer in {bound}"),
+    "finite_number": (lambda v, b: _finite(v), "{name!r} must be a finite number"),
+    "positive_finite_number": (
+        lambda v, b: _finite(v) and v > 0, "{name!r} must be a positive finite number"
+    ),
+    "bool": (lambda v, b: isinstance(v, bool), "{name!r} must be a boolean"),
+    "str": (lambda v, b: isinstance(v, str) and v != "", "{name!r} must be a non-empty string"),
+    "choice": (
+        lambda v, b: isinstance(v, str) and v in b,
+        "unknown {name} {value!r}; expected one of {bound}",
+    ),
+    "schema": (lambda v, b: v == b, "unsupported schema {value!r}; schema must be {bound!r}"),
+    "str_list": (
+        lambda v, b: isinstance(v, list) and all(isinstance(w, str) and w for w in v),
+        "{name!r} must be a list of non-empty strings",
+    ),
+    "node_list": (
+        lambda v, b: isinstance(v, list) and all(type(n) is int and n >= 0 for n in v),
+        "{name!r} must be a list of non-negative integer node ids",
+    ),
+    "list": (lambda v, b: isinstance(v, list) and len(v) > 0, "{name!r} must be a non-empty list"),
+    "object": (_object, "{name!r} must be a JSON object"),
+}
+# fmt: on
+
+
+def _keyword_limit(values: dict) -> str | None:
+    """At most 64 (`MAX_QUERY_KEYWORDS`) `keywords`."""
+    if len(values["keywords"]) > MAX_QUERY_KEYWORDS:
+        return f"{len(values['keywords'])} keywords exceed the {MAX_QUERY_KEYWORDS}-keyword limit"
+
+
+def _one_timeout(values: dict) -> str | None:
+    """`timeout` (seconds) or `timeout_ms`, not both."""
+    if values["timeout"] is not None and values["timeout_ms"] is not None:
+        return "give 'timeout' or 'timeout_ms', not both"
+
+
+def _found_route_score(values: dict) -> str | None:
+    """`found` iff `route` is non-null iff both scores are non-null."""
+    found, score = values["route"] is not None, values["score"]
+    if values["found"] != found:
+        return "'found' must mirror the presence of 'route'"
+    if (score["objective"] is None) == found or (score["budget"] is None) == found:
+        return "score breakdown must be non-null exactly when a route exists"
+
+
+def _feasible(values: dict) -> str | None:
+    """`feasible` equals `found` and `covers_keywords` and `within_budget`."""
+    if values["feasible"] != (
+        values["found"] and values["covers_keywords"] and values["within_budget"]
+    ):
+        return "'feasible' must equal found and covers_keywords and within_budget"
+
+
+def _objective_or_budget(values: dict) -> str | None:
+    """`objective`, `budget`, or both."""
+    if values["objective"] is None and values["budget"] is None:
+        return "needs 'objective', 'budget', or both"
+
+
+_QUERY = (
+    Field("source", "node_id"),
+    Field("target", "node_id"),
+    Field("keywords", "str_list"),
+    Field("budget_limit", "finite_number"),
+)
+#: What a ``/batch`` envelope may set for every slot that does not.
+_SLOT_DEFAULTS = (
+    Field("algorithm", "choice", "optional", ALGORITHMS, "bucketbound"),
+    Field("params", "object", "optional", default={}),
+    Field("explain", "bool", "optional", default=False),
+    Field("timeout", "positive_finite_number", "optional"),
+)
+# fmt: off
+ROUTE_QUERY = Message("route_query", (
+    Field("schema", "schema", "optional", ROUTE_QUERY_SCHEMA),
+    *_QUERY,
+    *_SLOT_DEFAULTS,
+    Field("timeout_ms", "positive_finite_number", "optional"),
+), (_keyword_limit, _one_timeout))
+ROUTE_TOPK = Message("route_topk", (
+    *ROUTE_QUERY.fields,
+    Field("k", "integer", bound=range(1, MAX_TOPK + 1)),
+), ROUTE_QUERY.hooks)
+ROUTE_BATCH = Message("route_batch", (Field("queries", "list"), *_SLOT_DEFAULTS))
+ROUTE_RESULT = Message("route_result", (
+    Field("schema", "schema", bound=ROUTE_RESULT_SCHEMA),
+    Field("query", "object", bound=Message("route_result.query", _QUERY)),
+    Field("algorithm", "str"),
+    Field("found", "bool"),
+    Field("feasible", "bool"),
+    Field("covers_keywords", "bool"),
+    Field("within_budget", "bool"),
+    Field("score", "object", bound=Message("route_result.score", (
+        Field("objective", "finite_number", "nullable"),
+        Field("budget", "finite_number", "nullable"),
+    ))),
+    Field("route", "node_list", "nullable"),
+    Field("failure_reason", "str", "nullable"),
+    Field("degraded", "bool", "optional"),
+    Field("epoch", "integer", "optional", range(2**63)),
+    Field("explain", "object", "optional"),
+), (_found_route_score, _feasible))
+GRAPH_UPDATE = Message("graph_update", (
+    Field("schema", "schema", "optional", GRAPH_UPDATE_SCHEMA),
+    Field("ops", "list"),
+))
+_OP = Message("graph_update.ops[]", (Field("op", "choice", bound=OP_NAMES),))
+_NODE = Field("node", "node_id")
+_OPS = {
+    "update_edge_cost": Message("update_edge_cost", (
+        Field("u", "node_id"),
+        Field("v", "node_id"),
+        Field("objective", "positive_finite_number", "optional"),
+        Field("budget", "positive_finite_number", "optional"),
+    ), (_objective_or_budget,)),
+    "close_node": Message("close_node", (_NODE,)),
+    "open_node": Message("open_node", (_NODE,)),
+    "update_keywords": Message("update_keywords", (_NODE, Field("keywords", "str_list"))),
+}
+_HEADER = Message("request header", (Field("x-kor-timeout-ms", "positive_finite_number"),))
+# fmt: on
+
+_ABSENT = object()
+
+
+def _text(bound: object) -> str:
+    """A bound as errors and the README print it."""
+    if isinstance(bound, range):
+        return f"{bound.start}..{bound.stop - 1}"
+    if isinstance(bound, tuple):
+        return ", ".join(bound)
+    return "" if bound is None else str(bound)
+
+
+def _read(message: Message, payload: object, where: str | None = None) -> dict:
+    """Check *payload* against *message*; the value of each field."""
+    where = where or message.title
+    if not isinstance(payload, (dict, Mapping)):  # dict first: the common, fast case
         raise WireError(f"{where}: expected a JSON object, got {type(payload).__name__}")
-    for field, types in spec.items():
-        if field not in payload:
-            raise WireError(f"{where}: required field {field!r} is missing")
-        value = payload[field]
-        if not isinstance(value, types) or (
-            # bool is an int subclass; a numeric field must not accept it.
-            isinstance(value, bool) and bool not in types
-        ):
-            expected = "/".join(t.__name__ for t in types)
-            raise WireError(
-                f"{where}: field {field!r} must be {expected}, "
-                f"got {type(value).__name__}"
-            )
+    values = {}
+    for name, test, refusal, presence, bound, default in message.rows:
+        value = payload.get(name, _ABSENT)
+        if value is _ABSENT or value is None:
+            if value is _ABSENT and presence != "optional":
+                raise WireError(f"{where}: required field {name!r} is missing")
+            if value is _ABSENT or presence != "required":
+                values[name] = default
+                continue
+        if not test(value, bound):
+            refusal = refusal.format(name=name, value=value, bound=_text(bound))
+            raise WireError(f"{where}: {refusal}")
+        values[name] = value
+    for hook in message.hooks:
+        refusal = hook(values)
+        if refusal is not None:
+            raise WireError(f"{where}: {refusal}")
+    return values
 
 
 # ----------------------------------------------------------------------
 # requests
 # ----------------------------------------------------------------------
+
+
+#: Ends the refusal of a ``params`` name: where a deadline goes instead.
+_DEADLINE_HINT = "; a deadline is the 'timeout' / 'timeout_ms' field or the x-kor-timeout-ms header"
+
+
+def _spec(values: dict) -> dict:
+    """A query request's values as the app submits them; a ``params`` name
+    or value the algorithm refuses over the wire is a :class:`QueryError`."""
+    algorithm, params = values["algorithm"], dict(values["params"])
+    if params:
+        check_parameters(algorithm, params, WIRE_PARAMETERS[algorithm], _DEADLINE_HINT)
+    timeout = values["timeout"]
+    if values["timeout_ms"] is not None:
+        timeout = values["timeout_ms"] / 1000.0
+    query = KORQuery(values["source"], values["target"], values["keywords"], values["budget_limit"])
+    return {
+        "query": query,
+        "algorithm": algorithm,
+        "params": params,
+        "explain": values["explain"],
+        "timeout": None if timeout is None else float(timeout),
+    }
 
 
 def parse_route_query(payload: object) -> dict:
@@ -160,93 +365,46 @@ def parse_route_query(payload: object) -> dict:
     Returns ``{"query": KORQuery, "algorithm": str, "params": dict,
     "explain": bool, "timeout": float | None}``.  Raises
     :class:`WireError` on any malformed field — the server maps that to
-    a 400, never a 500.
-
-    The request deadline may be spelled ``timeout`` (seconds) or
-    ``timeout_ms`` (milliseconds, the header-friendly form) — but not
-    both.  ``params`` may not smuggle a ``deadline``: deadlines are
-    transport-level and travel out-of-band.
+    a 400, never a 500 — and :class:`QueryError` for a ``params`` name
+    outside :data:`~repro.core.engine.WIRE_PARAMETERS` (``trace``,
+    ``binding`` and ``deadline`` among them) or a value of the wrong type.
     """
-    _require(payload, _QUERY_REQUIRED, "route_query")
-    schema = payload.get("schema", ROUTE_QUERY_SCHEMA)
-    if schema != ROUTE_QUERY_SCHEMA:
-        raise WireError(
-            f"route_query: unsupported schema {schema!r}; expected {ROUTE_QUERY_SCHEMA!r}"
+    return _spec(_read(ROUTE_QUERY, payload))
+
+
+def parse_route_topk(payload: object) -> dict:
+    """:func:`parse_route_query` of a ``/topk/stream`` body, plus its ``k``."""
+    values = _read(ROUTE_TOPK, payload)
+    return {**_spec(values), "k": values["k"]}
+
+
+def parse_route_batch(payload: object) -> list[dict | QueryError]:
+    """One spec per ``/batch`` slot, in order: a malformed envelope or slot
+    refuses the batch (:class:`PayloadTooLarge` past ``MAX_BATCH_QUERIES``
+    slots), a slot the engine would refuse holds its :class:`QueryError`."""
+    queries = _read(ROUTE_BATCH, payload)["queries"]
+    if len(queries) > MAX_BATCH_QUERIES:
+        raise PayloadTooLarge(
+            f"route_batch: {len(queries)} queries exceed the {MAX_BATCH_QUERIES}-query limit"
         )
-    keywords = payload["keywords"]
-    if len(keywords) > MAX_QUERY_KEYWORDS:
-        raise WireError(
-            f"route_query: {len(keywords)} keywords exceed the {MAX_QUERY_KEYWORDS}-keyword limit"
-        )
-    if not all(isinstance(word, str) for word in keywords):
-        raise WireError("route_query: 'keywords' must be a list of strings")
+    defaults = {key: payload[key] for key, *_ in _SLOT_DEFAULTS if key in payload}
+    slots: list[dict | QueryError] = []
+    for item in queries:
+        values = _read(ROUTE_QUERY, {**defaults, **item} if isinstance(item, Mapping) else item)
+        try:
+            slots.append(_spec(values))
+        except QueryError as refusal:
+            slots.append(refusal)
+    return slots
+
+
+def parse_timeout_header(text: str) -> float:
+    """An ``x-kor-timeout-ms`` header, in seconds, read as the body's field."""
     try:
-        budget = float(payload["budget_limit"])
-    except OverflowError:  # an integer literal beyond float range
-        budget = math.inf
-    if not math.isfinite(budget):
-        # json.loads accepts the non-JSON literals Infinity / NaN.
-        raise WireError("route_query: 'budget_limit' must be a finite number")
-    algorithm = payload.get("algorithm", "bucketbound")
-    if algorithm not in ALGORITHMS:
-        raise WireError(
-            f"route_query: unknown algorithm {algorithm!r}; "
-            f"expected one of {', '.join(ALGORITHMS)}"
-        )
-    params = payload.get("params", {})
-    if not isinstance(params, Mapping):
-        raise WireError("route_query: 'params' must be a JSON object")
-    if "deadline" in params:
-        raise WireError(
-            "route_query: 'deadline' is not a query parameter; use "
-            "'timeout' / 'timeout_ms' (or the x-kor-timeout-ms header)"
-        )
-    explain = payload.get("explain", False)
-    if not isinstance(explain, bool):
-        raise WireError("route_query: 'explain' must be a boolean")
-    timeout = payload.get("timeout")
-    if timeout is not None and (
-        isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or timeout <= 0
-    ):
-        raise WireError("route_query: 'timeout' must be a positive number")
-    timeout_ms = payload.get("timeout_ms")
-    if timeout_ms is not None:
-        if timeout is not None:
-            raise WireError(
-                "route_query: give 'timeout' or 'timeout_ms', not both"
-            )
-        if (
-            isinstance(timeout_ms, bool)
-            or not isinstance(timeout_ms, (int, float))
-            or timeout_ms <= 0
-        ):
-            raise WireError("route_query: 'timeout_ms' must be a positive number")
-        timeout = float(timeout_ms) / 1000.0
-    return {
-        "query": KORQuery(
-            int(payload["source"]), int(payload["target"]), tuple(keywords), budget
-        ),
-        "algorithm": algorithm,
-        "params": dict(params),
-        "explain": explain,
-        "timeout": float(timeout) if timeout is not None else None,
-    }
-
-
-def _node_id(op: Mapping, field: str, where: str) -> int:
-    value = op.get(field)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise WireError(f"{where}: {field!r} must be a non-negative integer node id")
-    return value
-
-
-def _positive_weight(op: Mapping, field: str, where: str) -> float | None:
-    value = op.get(field)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-        raise WireError(f"{where}: {field!r} must be a positive number")
-    return float(value)
+        value: object = float(text)
+    except ValueError:
+        value = text
+    return _read(_HEADER, {"x-kor-timeout-ms": value})["x-kor-timeout-ms"] / 1000.0
 
 
 def parse_graph_update(payload: object) -> list[dict]:
@@ -260,59 +418,12 @@ def parse_graph_update(payload: object) -> list[dict]:
     :class:`~repro.graph.mutation.MutationError` the server also maps
     to a 400.
     """
-    if not isinstance(payload, Mapping):
-        raise WireError(
-            f"graph_update: expected a JSON object, got {type(payload).__name__}"
-        )
-    schema = payload.get("schema", GRAPH_UPDATE_SCHEMA)
-    if schema != GRAPH_UPDATE_SCHEMA:
-        raise WireError(
-            f"graph_update: unsupported schema {schema!r}; "
-            f"expected {GRAPH_UPDATE_SCHEMA!r}"
-        )
-    ops = payload.get("ops")
-    if not isinstance(ops, list) or not ops:
-        raise WireError("graph_update: 'ops' must be a non-empty list")
     parsed: list[dict] = []
-    for position, op in enumerate(ops):
+    for position, op in enumerate(_read(GRAPH_UPDATE, payload)["ops"]):
         where = f"graph_update.ops[{position}]"
-        if not isinstance(op, Mapping):
-            raise WireError(f"{where}: expected a JSON object")
-        kind = op.get("op")
-        if kind not in OP_NAMES:
-            raise WireError(
-                f"{where}: unknown op {kind!r}; expected one of {', '.join(OP_NAMES)}"
-            )
-        if kind == "update_edge_cost":
-            entry = {
-                "op": kind,
-                "u": _node_id(op, "u", where),
-                "v": _node_id(op, "v", where),
-            }
-            objective = _positive_weight(op, "objective", where)
-            budget = _positive_weight(op, "budget", where)
-            if objective is None and budget is None:
-                raise WireError(f"{where}: needs 'objective', 'budget', or both")
-            if objective is not None:
-                entry["objective"] = objective
-            if budget is not None:
-                entry["budget"] = budget
-        elif kind == "update_keywords":
-            keywords = op.get("keywords")
-            if not isinstance(keywords, list) or not all(
-                isinstance(word, str) and word for word in keywords
-            ):
-                raise WireError(
-                    f"{where}: 'keywords' must be a list of non-empty strings"
-                )
-            entry = {
-                "op": kind,
-                "node": _node_id(op, "node", where),
-                "keywords": list(keywords),
-            }
-        else:  # close_node / open_node
-            entry = {"op": kind, "node": _node_id(op, "node", where)}
-        parsed.append(entry)
+        kind = _read(_OP, op, where)["op"]
+        values = _read(_OPS[kind], op, where)
+        parsed.append({"op": kind, **{k: v for k, v in values.items() if v is not None}})
     return parsed
 
 
@@ -344,21 +455,13 @@ def encode_route_result(
     route = result.route
     payload = {
         "schema": ROUTE_RESULT_SCHEMA,
-        "query": {
-            "source": int(result.query.source),
-            "target": int(result.query.target),
-            "keywords": list(result.query.keywords),
-            "budget_limit": float(result.query.budget_limit),
-        },
+        "query": _echo(result.query),
         "algorithm": result.algorithm,
         "found": result.found,
         "feasible": result.feasible,
         "covers_keywords": result.covers_keywords,
         "within_budget": result.within_budget,
-        "score": {
-            "objective": float(route.objective_score) if route is not None else None,
-            "budget": float(route.budget_score) if route is not None else None,
-        },
+        "score": _score(route),
         "route": [int(node) for node in route.nodes] if route is not None else None,
         "failure_reason": result.failure_reason,
     }
@@ -374,68 +477,50 @@ def encode_route_result(
     return payload
 
 
+def encode_topk(spec: dict, routes: list[Route]) -> list[dict]:
+    """``/topk/stream``'s NDJSON lines: a ``kor.route_topk.v1`` header for
+    *spec* (a :func:`parse_route_topk` result), then one per ranked route."""
+    header = {
+        "schema": ROUTE_TOPK_SCHEMA,
+        "query": _echo(spec["query"]),
+        "algorithm": spec["algorithm"],
+        "k": spec["k"],
+        "count": len(routes),
+    }
+    ranked = [
+        {"rank": rank, "nodes": [int(node) for node in route.nodes], "score": _score(route)}
+        for rank, route in enumerate(routes, start=1)
+    ]
+    return [header, *ranked]
+
+
+def _echo(query: KORQuery) -> dict:
+    return {
+        "source": int(query.source),
+        "target": int(query.target),
+        "keywords": list(query.keywords),
+        "budget_limit": float(query.budget_limit),
+    }
+
+
+def _score(route: Route | None) -> dict:
+    if route is None:
+        return {"objective": None, "budget": None}
+    return {"objective": float(route.objective_score), "budget": float(route.budget_score)}
+
+
 def validate_route_result(payload: object) -> dict:
     """Check *payload* against ``kor.route_result.v1``; return it.
 
-    Beyond per-field types this enforces the cross-field invariants that
-    make a document *coherent*: the schema constant, a well-formed
-    echoed query, and the found/route/score consistency triangle
-    (``found`` iff a route is present iff the score breakdown is
-    non-null).  Raises :class:`WireError` with a pinpointed message.
+    Beyond per-field kinds this enforces the cross-field invariants that
+    make a document *coherent*: the found/route/score consistency
+    triangle (``found`` iff a route is present iff the score breakdown
+    is non-null) and ``feasible``.  Result labels are *descriptive*
+    (``greedy-1``, ``exact``…), not the request-side names, so
+    ``algorithm`` need only be a non-empty string.  Raises
+    :class:`WireError` with a pinpointed message.
     """
-    _require(payload, _RESULT_REQUIRED, "route_result")
-    if payload["schema"] != ROUTE_RESULT_SCHEMA:
-        raise WireError(
-            f"route_result: schema must be {ROUTE_RESULT_SCHEMA!r}, "
-            f"got {payload['schema']!r}"
-        )
-    _require(payload["query"], _QUERY_REQUIRED, "route_result.query")
-    if not all(isinstance(word, str) for word in payload["query"]["keywords"]):
-        raise WireError("route_result.query: 'keywords' must be a list of strings")
-    # Result labels are *descriptive* (``greedy-1``, ``exact``…), not
-    # the request-side names — only emptiness is a wire violation here.
-    if not payload["algorithm"]:
-        raise WireError("route_result: 'algorithm' must be a non-empty string")
-    score = payload["score"]
-    for part in ("objective", "budget"):
-        if part not in score:
-            raise WireError(f"route_result.score: required field {part!r} is missing")
-        value = score[part]
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
-            raise WireError(f"route_result.score: {part!r} must be a number or null")
-    route = payload["route"]
-    if route is not None and not all(
-        isinstance(node, int) and not isinstance(node, bool) for node in route
-    ):
-        raise WireError("route_result: 'route' must be a list of integer node ids")
-    has_route = route is not None
-    if payload["found"] != has_route:
-        raise WireError("route_result: 'found' must mirror the presence of 'route'")
-    if (score["objective"] is None) == has_route or (score["budget"] is None) == has_route:
-        raise WireError(
-            "route_result: score breakdown must be non-null exactly when a route exists"
-        )
-    if payload["feasible"] != (
-        has_route and payload["covers_keywords"] and payload["within_budget"]
-    ):
-        raise WireError(
-            "route_result: 'feasible' must equal found and covers_keywords "
-            "and within_budget"
-        )
-    if "degraded" in payload and not isinstance(payload["degraded"], bool):
-        raise WireError("route_result: 'degraded' must be a boolean when present")
-    if "epoch" in payload and (
-        isinstance(payload["epoch"], bool)
-        or not isinstance(payload["epoch"], int)
-        or payload["epoch"] < 0
-    ):
-        raise WireError(
-            "route_result: 'epoch' must be a non-negative integer when present"
-        )
-    if "explain" in payload and not isinstance(payload["explain"], Mapping):
-        raise WireError("route_result: 'explain' must be a JSON object when present")
+    _read(ROUTE_RESULT, payload)
     return dict(payload)
 
 
@@ -481,7 +566,7 @@ def decode_route_result(payload: Mapping) -> KORResult:
 
 
 # ----------------------------------------------------------------------
-# envelopes
+# envelopes and the wire reference
 # ----------------------------------------------------------------------
 
 
@@ -493,3 +578,36 @@ def encode_error(error: BaseException) -> dict:
 def encode_batch(items: list[dict]) -> dict:
     """Wrap per-slot documents into a ``kor.route_batch.v1`` envelope."""
     return {"schema": ROUTE_BATCH_SCHEMA, "count": len(items), "results": items}
+
+
+def _markdown(message: Message, heading: str) -> list[str]:
+    lines = [heading, "", "| field | kind | presence | bound |", "|---|---|---|---|"]
+    for name, kind, presence, bound, default in message.fields:
+        if default is not None:
+            presence += f", default `{str(default).lower()}`"
+        text = f"`{bound.title}`" if isinstance(bound, Message) else _text(bound)
+        lines.append(f"| `{name}` | {kind} | {presence} | {text} |")
+    if message.hooks:
+        lines += ["", "Rules: " + " ".join(hook.__doc__ for hook in message.hooks)]
+    lines.append("")
+    for field in message.fields:
+        if isinstance(field.bound, Message):
+            lines += _markdown(field.bound, f"`{field.bound.title}`:")
+    return lines
+
+
+def wire_reference() -> str:
+    """The README's wire reference: the request and result tables, and
+    :data:`~repro.core.engine.WIRE_PARAMETERS` as the ``params`` table."""
+    k = _text(ROUTE_TOPK.fields[-1].bound)
+    lines = _markdown(ROUTE_QUERY, f"**`{ROUTE_QUERY_SCHEMA}`** (`/topk/stream` adds `k` in {k}):")
+    lines += _markdown(ROUTE_BATCH, "**`/batch`** (each default applies to slots without it):")
+    lines += ["**`params`** per algorithm:", "", "| algorithm | parameter: type |", "|---|---|"]
+    for algorithm, parameters in WIRE_PARAMETERS.items():
+        pairs = ", ".join(f"`{name}`: {kind.__name__}" for name, kind in sorted(parameters.items()))
+        lines.append(f"| `{algorithm}` | {pairs} |")
+    lines += ["", *_markdown(ROUTE_RESULT, f"**`{ROUTE_RESULT_SCHEMA}`**:")]
+    lines += _markdown(GRAPH_UPDATE, f"**`{GRAPH_UPDATE_SCHEMA}`** (each op: `op` + its table):")
+    for name, op in _OPS.items():
+        lines += _markdown(op, f"`{name}`:")
+    return "\n".join(lines)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.bruteforce import branch_and_bound, exhaustive_search
 from repro.core.query import KORQuery
+from repro.exceptions import QueryError
 
 
 class TestExhaustiveSearch:
@@ -21,7 +22,7 @@ class TestExhaustiveSearch:
         assert not result.feasible
 
     def test_expansion_cap_raises(self, fig1_engine):
-        with pytest.raises(RuntimeError, match="expansions"):
+        with pytest.raises(QueryError, match="expansions"):
             exhaustive_search(
                 fig1_engine.graph,
                 fig1_engine.index,

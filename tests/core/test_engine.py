@@ -78,6 +78,38 @@ class TestParameterRefusal:
         message = str(excinfo.value)
         assert "it accepts" in message and "deadline" in message
 
+    @pytest.mark.parametrize(
+        "algorithm,params,named",
+        [
+            ("bucketbound", {"epsilon": "x"}, "'epsilon' must be float"),
+            ("bucketbound", {"beta": [2]}, "'beta' must be float"),
+            ("osscaling", {"infrequent_threshold": "x"}, "'infrequent_threshold' must be float"),
+            ("bucketbound", {"use_strategy1": "no"}, "'use_strategy1' must be bool"),
+            ("osscaling", {"epsilon": True}, "'epsilon' must be float"),
+            ("greedy", {"width": 2.5}, "'width' must be int"),
+            ("greedy", {"width": -1}, "width must be >= 1"),
+            ("greedy", {"mode": "bogus"}, "mode must be"),
+            ("exhaustive", {"max_expansions": "many"}, "'max_expansions' must be int"),
+        ],
+    )
+    def test_run_and_top_k_refuse_a_mistyped_value(self, fig1_engine, algorithm, params, named):
+        """A value the type of the parameter's default refuses; ``True`` is
+        no number, though ``bool`` subclasses ``int``."""
+        with pytest.raises(QueryError, match=named):
+            fig1_engine.query(0, 7, ["t1", "t2"], 10.0, algorithm=algorithm, **params)
+        if algorithm in ("osscaling", "bucketbound"):
+            with pytest.raises(QueryError, match=named):
+                fig1_engine.top_k(0, 7, ["t1", "t2"], 10.0, 2, algorithm=algorithm, **params)
+
+    def test_numeric_values_of_any_real_type_are_taken(self, fig1_engine):
+        import numpy as np
+
+        result = fig1_engine.query(
+            0, 7, ["t1", "t2"], 10.0, algorithm="greedy", alpha=np.float32(0.5), width=np.int64(2)
+        )
+        assert result.found
+        assert fig1_engine.query(0, 7, ["t1", "t2"], 10.0, epsilon=1 / 2, beta=2).found
+
     def test_top_k_refuses_a_name_the_algorithm_does_not_take(self, fig1_engine):
         with pytest.raises(QueryError, match="no parameter 'beta'"):
             fig1_engine.top_k(0, 7, ["t1", "t2"], 10.0, 2, algorithm="osscaling", beta=1.5)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.greedy import greedy
 from repro.core.query import KORQuery
-from repro.exceptions import PrepError
+from repro.exceptions import QueryError
 
 
 def run(engine, source, target, keywords, delta, **params):
@@ -128,15 +128,15 @@ class TestAlpha:
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.1])
     def test_alpha_out_of_range_rejected(self, fig1_engine, alpha):
-        with pytest.raises(PrepError, match="alpha"):
+        with pytest.raises(QueryError, match="alpha"):
             run(fig1_engine, 0, 7, ("t1",), 10.0, alpha=alpha)
 
     def test_invalid_width_rejected(self, fig1_engine):
-        with pytest.raises(PrepError, match="width"):
+        with pytest.raises(QueryError, match="width"):
             run(fig1_engine, 0, 7, ("t1",), 10.0, width=0)
 
     def test_invalid_mode_rejected(self, fig1_engine):
-        with pytest.raises(PrepError, match="mode"):
+        with pytest.raises(QueryError, match="mode"):
             run(fig1_engine, 0, 7, ("t1",), 10.0, mode="yolo")
 
 

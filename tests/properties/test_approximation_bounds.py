@@ -16,6 +16,7 @@ from repro.core.bruteforce import branch_and_bound
 from repro.core.bucketbound import bucket_bound
 from repro.core.osscaling import os_scaling
 from repro.core.query import KORQuery
+from repro.exceptions import QueryError
 from repro.index.inverted import InvertedIndex
 from repro.prep.tables import CostTables
 
@@ -91,7 +92,7 @@ class TestAgainstExactOptimum:
         exact = branch_and_bound(graph, tables, index, query)
         try:
             brute = exhaustive_search(graph, index, query, max_expansions=200_000)
-        except RuntimeError:
+        except QueryError:
             assume(False)  # oracle blew its budget; not a counterexample
             return
         assert exact.feasible == brute.feasible

@@ -195,12 +195,36 @@ class TestDeadlines:
         engine, queries = random_instance(0)
 
         async def scenario(app):
-            for bad in (b"soon", b"-5", b"0"):
+            for bad in (b"soon", b"-5", b"0", b"nan", b"inf"):
                 status, payload = await request_with_headers(
                     app, query_payload(queries[0]), [(b"x-kor-timeout-ms", bad)]
                 )
                 assert status == 400
                 assert "x-kor-timeout-ms" in payload["error"]["message"]
+
+        drive(scenario, engine)
+
+    @pytest.mark.parametrize(
+        "path,body",
+        [
+            ("/query", {"timeout": float("nan")}),
+            ("/query", {"timeout": float("inf")}),
+            ("/query", {"timeout_ms": float("nan")}),
+            ("/batch", {"timeout": float("nan")}),
+            ("/topk/stream", {"timeout_ms": float("inf"), "k": 2}),
+        ],
+    )
+    def test_non_finite_body_timeout_is_a_400(self, path, body):
+        """``Deadline(expires_at=nan)`` never expires: a NaN or infinite
+        timeout is refused, never served unbounded."""
+        engine, queries = random_instance(0)
+        slot = query_payload(queries[0])
+        payload = {**body, "queries": [slot]} if path == "/batch" else {**slot, **body}
+
+        async def scenario(app):
+            status, answer = await request_with_headers(app, payload, [], path)
+            assert status == 400, answer
+            assert "timeout" in answer["error"]["message"]
 
         drive(scenario, engine)
 
@@ -671,6 +695,16 @@ class TestParameterRefusal:
         ("bucketbound", {"beta": 0.5}, "beta"),
         ("exact", {"epsilon": 0.5}, "epsilon"),
         ("greedy", {"beta": 1.5}, "beta"),
+        # Values of the wrong type, a name only in-process callers may
+        # pass, and tuning values greedy refuses.
+        ("bucketbound", {"epsilon": "x"}, "epsilon"),
+        ("bucketbound", {"beta": [2]}, "beta"),
+        ("osscaling", {"trace": 1}, "trace"),
+        ("osscaling", {"infrequent_threshold": "x"}, "infrequent_threshold"),
+        ("greedy", {"width": 2.5}, "width"),
+        ("greedy", {"width": -1}, "width"),
+        ("greedy", {"mode": "bogus"}, "mode"),
+        ("bucketbound", {"use_strategy1": "no"}, "use_strategy1"),
     )
 
     @staticmethod
@@ -712,6 +746,22 @@ class TestParameterRefusal:
             for item, (_algorithm, _params, named) in zip(refused, self.REFUSED):
                 assert named in item["error"]["message"]
             assert answered["found"]
+
+        drive(scenario, fig1_engine)
+
+    @pytest.mark.parametrize(
+        "algorithm,params,named",
+        [case for case in REFUSED if case[0] in ("osscaling", "bucketbound")],
+    )
+    def test_topk_stream_answers_400(self, fig1_engine, algorithm, params, named):
+        body = {**query_payload(self.fig1_query(), algorithm=algorithm, params=params), "k": 2}
+
+        async def scenario(app):
+            status, payload = await request_with_headers(app, body, [], "/topk/stream")
+            assert status == 400, payload
+            assert payload["error"]["type"] == "QueryError"
+            assert named in payload["error"]["message"]
+            assert app.pending == 0
 
         drive(scenario, fig1_engine)
 

@@ -9,11 +9,13 @@ rejected with :class:`~repro.server.schema.WireError`, never emitted.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.engine import ALGORITHMS
 from repro.core.query import KORQuery
+from repro.exceptions import QueryError
 from repro.server.schema import (
     ROUTE_BATCH_SCHEMA,
     ROUTE_RESULT_SCHEMA,
@@ -24,11 +26,16 @@ from repro.server.schema import (
     encode_update_ack,
     decode_route_result,
     parse_graph_update,
+    parse_route_batch,
     parse_route_query,
     validate_route_result,
+    wire_reference,
 )
 
 from tests.service.test_differential import fingerprint, random_instance
+
+README = Path(__file__).resolve().parents[2] / "README.md"
+BEGIN, END = "<!-- wire-reference:begin -->\n", "\n<!-- wire-reference:end -->"
 
 
 class TestRoundTrip:
@@ -198,7 +205,7 @@ class TestParseRouteQuery:
         with pytest.raises(WireError, match="keywords"):
             parse_route_query(self.payload(keywords=[3]))
 
-    @pytest.mark.parametrize("timeout", (0, -1.0, "soon", True))
+    @pytest.mark.parametrize("timeout", (0, -1.0, "soon", True, float("nan"), float("inf")))
     def test_bad_timeout_rejected(self, timeout):
         with pytest.raises(WireError, match="timeout"):
             parse_route_query(self.payload(timeout=timeout))
@@ -219,6 +226,38 @@ class TestParseRouteQuery:
         assert len(parse_route_query(self.payload(keywords=words[:-1]))["query"].keywords) == 64
         with pytest.raises(WireError, match="65 keywords exceed the 64-keyword limit"):
             parse_route_query(self.payload(keywords=words))
+
+
+class TestParseRouteBatch:
+    SLOT = {"source": 0, "target": 1, "keywords": ["pub"], "budget_limit": 4.0}
+
+    def test_envelope_defaults_apply_to_slots_that_leave_them_out(self):
+        own = {**self.SLOT, "algorithm": "greedy", "timeout": 2.0}
+        first, second = parse_route_batch(
+            {"algorithm": "osscaling", "timeout": 1.0, "queries": [self.SLOT, own]}
+        )
+        assert (first["algorithm"], first["timeout"]) == ("osscaling", 1.0)
+        assert (second["algorithm"], second["timeout"]) == ("greedy", 2.0)
+
+    def test_a_slot_the_engine_would_refuse_fails_alone(self):
+        refused = {**self.SLOT, "params": {"epsilon": "x"}}
+        for slot in ({**self.SLOT, "budget_limit": -1.0}, refused):
+            spec, refusal = parse_route_batch({"queries": [self.SLOT, slot]})
+            assert spec["query"] == KORQuery(0, 1, ("pub",), 4.0)
+            assert type(refusal) is QueryError
+
+    @pytest.mark.parametrize(
+        "body",
+        (
+            {"queries": []},
+            {"queries": [3]},
+            {"queries": [{**SLOT, "source": -1}]},
+            {"queries": [SLOT], "timeout": float("nan")},
+        ),
+    )
+    def test_a_malformed_envelope_or_slot_refuses_the_batch(self, body):
+        with pytest.raises(WireError):
+            parse_route_batch(body)
 
 
 class TestEnvelopes:
@@ -339,3 +378,17 @@ class TestResultEpochStamp:
         document["epoch"] = epoch
         with pytest.raises(WireError, match="epoch"):
             validate_route_result(document)
+
+
+def test_readme_wire_reference_is_rendered_from_the_tables():
+    """README's wire reference is ``wire_reference()``'s output, so a
+    change to a field table, a hook or a search signature shows up there."""
+    text = README.read_text()
+    assert text.count(BEGIN) == text.count(END) == 1
+    assert text.split(BEGIN)[1].split(END)[0] == wire_reference()
+
+
+if __name__ == "__main__":
+    head, rest = README.read_text().split(BEGIN)
+    README.write_text(head + BEGIN + wire_reference() + END + rest.split(END)[1])
+    print(f"wrote the wire reference into {README}")

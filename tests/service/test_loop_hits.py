@@ -291,7 +291,7 @@ def test_keyless_requests_never_probe_and_still_fly_solo(tier):
                 *(front.submit(query, algorithm="osscaling", trace=t) for t in traces),
                 return_exceptions=True,
             )
-            with pytest.raises(TypeError):
+            with pytest.raises(QueryError, match="'epsilon' must be float"):
                 await front.submit(query, algorithm="osscaling", epsilon=[0.5])
             return plain, traces, traced, front.scheduling_stats(), front.snapshot()
 
