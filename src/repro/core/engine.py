@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import inspect
 import numbers
+import typing
 from typing import Callable, Iterable, Mapping
 
 from repro.core.bruteforce import branch_and_bound, exhaustive_search
@@ -49,15 +50,27 @@ _TOP_K_SEARCHES: dict[str, Callable] = {
 #: Names accepted by :meth:`KOREngine.query`.
 ALGORITHMS = tuple(_SEARCHES)
 
-#: The parameters each search takes by keyword -- every one with a
-#: default -- and the type of that default.
+
+def _accepted(function: Callable) -> dict[str, type]:
+    """The parameters *function* takes by keyword -- every one with a
+    default -- and the type a value must have: its default's, or for a
+    ``None`` default the other member of its ``X | None`` annotation."""
+    hints = typing.get_type_hints(function)
+    accepted = {}
+    for name, parameter in inspect.signature(function).parameters.items():
+        if parameter.default is parameter.empty:
+            continue
+        if parameter.default is None:
+            (kind,) = (arg for arg in typing.get_args(hints[name]) if arg is not type(None))
+            accepted[name] = typing.get_origin(kind) or kind
+        else:
+            accepted[name] = type(parameter.default)
+    return accepted
+
+
+#: The parameters each search takes by keyword and the type of each.
 _PARAMETERS = {
-    search: {
-        name: type(parameter.default)
-        for name, parameter in inspect.signature(search).parameters.items()
-        if parameter.default is not parameter.empty
-    }
-    for search in (*_SEARCHES.values(), *_TOP_K_SEARCHES.values())
+    search: _accepted(search) for search in (*_SEARCHES.values(), *_TOP_K_SEARCHES.values())
 }
 
 #: What a value of each JSON type must be: ``float`` takes any real
@@ -76,8 +89,8 @@ def check_parameters(
     algorithm: str, params: Mapping, accepted: Mapping[str, type], hint: str = ""
 ) -> None:
     """Refuse with a :class:`QueryError` a name in *params* that *accepted*
-    lacks (the message lists what it has, then *hint*) or a value that the
-    type of its default refuses, when that is a JSON type."""
+    lacks (the message lists what it has, then *hint*) or a value its type
+    refuses.  A JSON type refuses ``None`` too; any other type takes it."""
     unknown = sorted(params.keys() - accepted.keys())
     if unknown:
         raise QueryError(
@@ -86,9 +99,13 @@ def check_parameters(
         )
     for name, value in params.items():
         kind = accepted[name]
-        if kind in _ACCEPTS and (
-            not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind is not bool)
-        ):
+        if kind in _ACCEPTS:
+            refused = not isinstance(value, _ACCEPTS[kind]) or (
+                isinstance(value, bool) and kind is not bool
+            )
+        else:
+            refused = value is not None and not isinstance(value, kind)
+        if refused:
             raise QueryError(
                 f"algorithm {algorithm!r} parameter {name!r} must be {kind.__name__}, "
                 f"got {type(value).__name__}"
@@ -97,17 +114,17 @@ def check_parameters(
 
 def _search_for(searches: dict[str, Callable], algorithm: str, params: dict) -> Callable:
     """The search *algorithm* names in *searches*, refused before it starts
-    when the caller's deadline has already expired, the name is unknown or
-    *params* carries a parameter the search does not take or a value of the
-    wrong type."""
-    deadline = params.get("deadline")
-    if deadline is not None:
-        # Refuse to start a search whose caller already gave up.
-        deadline.check()
+    when the name is unknown, *params* carries a parameter the search does
+    not take or a value of the wrong type, or the caller's deadline has
+    already expired."""
     search = searches.get(algorithm)
     if search is None:
         raise QueryError(f"unknown algorithm {algorithm!r}; expected one of {', '.join(searches)}")
     check_parameters(algorithm, params, _PARAMETERS[search])
+    deadline = params.get("deadline")
+    if deadline is not None:
+        # Refuse to start a search whose caller already gave up.
+        deadline.check()
     return search
 
 
@@ -204,10 +221,12 @@ class KOREngine:
         the per-query index lookups — the serving layer's batch path.  A
         parameter the algorithm does not take is refused with a
         :class:`QueryError` that lists the ones it does, and so is a value
-        its default's type refuses (``epsilon="x"``, ``width=2.5``).
+        its default's type refuses (``epsilon="x"``, ``width=2.5``) or, for
+        a ``None`` default, its annotation's (``trace=1``, ``candidates=1``).
         """
         graph, tables, index = self._graph, self._tables, self._index
         candidates = params.pop("candidates", None)
+        check_parameters(algorithm, {"candidates": candidates}, _BIND_PARAMETERS)
         search = _search_for(_SEARCHES, algorithm, params)
         if candidates is not None and params.get("binding") is None:
             params["binding"] = self.bind(query, candidates=candidates)
@@ -236,3 +255,7 @@ class KOREngine:
         query = KORQuery(source, target, tuple(keywords), budget_limit)
         search = _search_for(_TOP_K_SEARCHES, algorithm, params)
         return search(self._graph, self._tables, self._index, query, k, **params)
+
+
+#: What :meth:`KOREngine.run` hands on to :meth:`KOREngine.bind`.
+_BIND_PARAMETERS = _accepted(KOREngine.bind)

@@ -10,7 +10,10 @@ Definition 7).  New labels are pruned when
   ``Delta``,
 * the best completion objective ``OS + OS(tau_{j,t})`` cannot beat the
   current upper bound ``U``, or
-* Optimisation Strategy 2's infrequent-keyword detour test fails.
+* Optimisation Strategy 2 fails: the infrequent-keyword detour test, or
+  the keyword floor at a wide node — for some keyword the label misses,
+  the cheapest route through a node carrying it busts ``Delta`` or
+  cannot beat ``U``.
 
 When a new label covers the whole query and its objective-optimal
 completion ``tau_{j,t}`` fits the budget, ``U`` improves and the label

@@ -34,7 +34,12 @@ class TraceEvent:
 
     ``kind`` is one of ``create``, ``enqueue``, ``dequeue``,
     ``prune_budget``, ``prune_bound``, ``prune_dominated``,
-    ``prune_strategy2`` or ``bound_update``.
+    ``prune_strategy2`` or ``bound_update``.  ``prune_strategy2`` is
+    Strategy 2 in either form: the rare-keyword detour test, or the
+    keyword floor (``SearchContext.floor_rejects``), which drops a created
+    label — or a drawn one, against the bound as it stands then — when the
+    cheapest route through some keyword it misses busts the budget or
+    cannot beat the bound.
     """
 
     kind: str
@@ -47,7 +52,12 @@ class TraceEvent:
 
 
 class SearchTrace:
-    """Collects :class:`TraceEvent` records when tracing is enabled."""
+    """Collects :class:`TraceEvent` records when tracing is enabled.
+
+    Every counted prune, enqueue and bound update is one event; a label
+    the keyword floor drops when it is drawn gets a ``dequeue`` and then a
+    ``prune_strategy2``.
+    """
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []

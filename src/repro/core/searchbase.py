@@ -39,7 +39,14 @@ if TYPE_CHECKING:
     from repro.core.bucketbound import BucketQueue
     from repro.core.topk import TopKCollector
 
-__all__ = ["Incumbent", "LabelHeap", "LabelSearch", "SearchContext", "SCREEN_MIN_DEGREE"]
+__all__ = [
+    "FLOOR_MIN_DEGREE",
+    "Incumbent",
+    "LabelHeap",
+    "LabelSearch",
+    "SearchContext",
+    "SCREEN_MIN_DEGREE",
+]
 
 #: Out-degree from which :meth:`SearchContext.expand` evaluates the two
 #: early prunes for a popped node's whole out-edge block in one numpy pass
@@ -54,6 +61,19 @@ __all__ = ["Incumbent", "LabelHeap", "LabelSearch", "SearchContext", "SCREEN_MIN
 #: the constant swept 4..32 reads 231-241 ms per pass throughout (378 ms
 #: with the pass off; 254 ms at 48), so the hub break-even sets it.
 SCREEN_MIN_DEGREE = 24
+
+#: Out-degree from which a label at a node is tested against the node's
+#: keyword floor (:meth:`SearchContext.floor_rejects`).  A node's floor is
+#: one row read per half over the keyword nodes the source misses (~115 on
+#: the ``search_cold`` stream): ~3 us on flat tables, ~130 us on two-cell
+#: partitioned ones, which assemble the cross-cell legs.  It pays only
+#: through the labels it drops, so the gate is an out-degree, set from the
+#: served workloads.  Replaying the flat ``search_cold`` stream's 170 label
+#: searches in process (interleaved, best of 8 per query) with the gate
+#: swept, BucketBound / OSScaling ms: off 82 / 103; 0 52 / 46; 8 52 / 46;
+#: 16 54 / 49; 24 57 / 55; 40 67 / 71.  8 is the smallest gate above road
+#: graphs' out-degree (at most 6), so the road-1000 world builds no floor.
+FLOOR_MIN_DEGREE = 8
 
 #: Relative slack of the keyword-order budget proof
 #: (:meth:`SearchContext.impossibility_reason`): a query is declared
@@ -127,6 +147,17 @@ class SearchContext:
         #: (node, missing mask) -> (nearest uncovered keyword node vj,
         #: OS(sigma_{node,vj}), BS(sigma_{node,vj}), BS(sigma_{vj,t})).
         self._nearest: dict[tuple[int, int], tuple[int, float, float, float]] = {}
+        #: node -> [budget floor per keyword bit, objective floor per bit or
+        #: None until a bound exists], or ``()`` below :data:`FLOOR_MIN_DEGREE`.
+        self._floors: dict[int, list | tuple] = {}
+        #: The floor's keyword bits (those the source misses), the positions
+        #: in their union carrying each, bit after bit, and where each bit's
+        #: positions start.
+        self._floor_segments: tuple[list[int], np.ndarray, np.ndarray] | None = None
+        #: The tau-row reader over that union and OS(tau_{l,t}) at it.
+        self._floor_tau: tuple[object, np.ndarray] | None = None
+        #: missing mask -> its bit positions.
+        self._mask_bits: dict[int, list[int]] = {}
 
         # Optimisation Strategy 2 state ----------------------------------
         self._rare_bit: int | None = None
@@ -452,6 +483,81 @@ class SearchContext:
         self._rare_min_bs = bs_via.min(axis=1).tolist()
         self._rare_min_os = os_via.min(axis=1).tolist()
 
+    def floor_rejects(self, node: int, mask: int, os: float, bs: float, upper: float) -> bool:
+        """Strategy 2 for every keyword a label at *node* misses.
+
+        A route completing the label passes, for each missing keyword w,
+        some node ``l`` carrying it, so its budget is at least ``bs +
+        min_l [BS(sigma_{node,l}) + BS(sigma_{l,t})]`` and its objective at
+        least ``os + min_l [OS(tau_{node,l}) + OS(tau_{l,t})]``: the node's
+        *keyword floor* for w.  The label is rejected when, for some missing
+        bit, the budget bound exceeds ``Delta * (1 + _PROOF_SLACK)`` or the
+        objective bound reaches ``upper * (1 + _PROOF_SLACK)`` — no
+        completion can be feasible or beat *upper*.  The slack absorbs the
+        different association of the floor's sums (see :data:`_PROOF_SLACK`).
+
+        Only nodes of out-degree >= :data:`FLOOR_MIN_DEGREE` have a floor.
+        It is built on first need and kept for the query; its objective
+        half waits until *upper* is finite.  Ask only about a query that
+        :meth:`impossibility_reason` cleared: every keyword has a node.
+        """
+        missing = self.binding.full_mask & ~mask
+        if not missing:
+            return False
+        floor = self._floors.get(node)
+        if floor is None:
+            wide = self.graph.out_degree(node) >= FLOOR_MIN_DEGREE
+            floor = self._floors[node] = [self._keyword_floor(node, 0), None] if wide else ()
+        if not floor:
+            return False
+        bits = self._mask_bits.get(missing)
+        if bits is None:
+            bits = self._mask_bits[missing] = self.binding.uncovered_bits(mask)
+        limit = self.delta * (1.0 + _PROOF_SLACK)
+        budget = floor[0]
+        for bit in bits:
+            if bs + budget[bit] > limit:
+                return True
+        if upper == math.inf:
+            return False
+        objective = floor[1]
+        if objective is None:
+            objective = floor[1] = self._keyword_floor(node, 1)
+        reach = upper * (1.0 + _PROOF_SLACK)
+        for bit in bits:
+            if os + objective[bit] >= reach:
+                return True
+        return False
+
+    def _keyword_floor(self, node: int, half: int) -> list[float]:
+        """Per keyword bit, ``min_l [row(node, l) + to_t(l)]`` over the
+        nodes ``l`` carrying it: the sigma budget (*half* 0) or tau
+        objective (1) half of the keyword floor.  Bits the source carries
+        are never missing and read 0."""
+        binding = self.binding
+        # Every label's mask holds the source's bits, so the union the
+        # source misses (shared with the proof and the root's jump) holds
+        # every node a floor can need.
+        start = binding.node_mask(self.query.source)
+        nodes, sigma, bs_to_t, carried = self._uncovered(binding.full_mask & ~start)
+        if self._floor_segments is None:
+            bits = binding.uncovered_bits(start)
+            segments = [np.flatnonzero((carried & (1 << bit)) != 0) for bit in bits]
+            starts = np.cumsum([0] + [len(segment) for segment in segments[:-1]])
+            self._floor_segments = (bits, np.concatenate(segments), starts)
+        bits, order, starts = self._floor_segments
+        if half == 0:
+            reader, to_t = sigma, bs_to_t
+        else:
+            if self._floor_tau is None:
+                self._floor_tau = (self.tables.row_reader(nodes, "tau"), self.os_tau_t[nodes])
+            reader, to_t = self._floor_tau
+        floor = [0.0] * len(binding.nodes_with_bit)
+        through = (reader.primary(node) + to_t)[order]
+        for bit, value in zip(bits, np.minimum.reduceat(through, starts).tolist()):
+            floor[bit] = value
+        return floor
+
     @property
     def strategy2_active(self) -> bool:
         """Whether an infrequent query keyword was found."""
@@ -676,6 +782,16 @@ class LabelSearch:
             # Filed before the bound reached its current value; stale now.
             if frontier.is_stale(label.os + ctx.os_tau_t_list[label.node], answers.upper_bound):
                 continue
+            # The bound may have tightened since the label was filed.
+            if (
+                self.use_strategy2
+                and ctx._floors.get(label.node, True)
+                and ctx.floor_rejects(
+                    label.node, label.mask, label.os, label.bs, answers.upper_bound
+                )
+            ):
+                self._prune_strategy2(label.node, label.mask, label.scaled_os, label.os, label.bs)
+                continue
             ctx.expand(label, answers.upper_bound, stats, self.consider, per_edge=trace is not None)
             # Optimisation Strategy 1's extra extension.
             if self.use_strategy1 and label.mask != self.full_mask:
@@ -715,10 +831,16 @@ class LabelSearch:
             if trace is not None:
                 trace.record("prune_bound", node, new_mask, new_sos, new_os, new_bs)
             return
-        if self.use_strategy2 and ctx.strategy2_rejects(node, new_mask, new_os, new_bs, upper):
-            stats.labels_pruned_strategy2 += 1
-            if trace is not None:
-                trace.record("prune_strategy2", node, new_mask, new_sos, new_os, new_bs)
+        # A node the floor memo holds as narrow (``()``) skips the call:
+        # on road graphs that is every node.
+        if self.use_strategy2 and (
+            (
+                ctx._floors.get(node, True)
+                and ctx.floor_rejects(node, new_mask, new_os, new_bs, upper)
+            )
+            or ctx.strategy2_rejects(node, new_mask, new_os, new_bs, upper)
+        ):
+            self._prune_strategy2(node, new_mask, new_sos, new_os, new_bs)
             return
 
         label = Label(node, new_mask, new_sos, new_os, new_bs, parent=parent, via=via)
@@ -744,6 +866,11 @@ class LabelSearch:
         stats.labels_enqueued += 1
         if trace is not None:
             trace.record("enqueue", node, new_mask, new_sos, new_os, new_bs, low)
+
+    def _prune_strategy2(self, node: int, mask: int, sos: float, os: float, bs: float) -> None:
+        self.stats.labels_pruned_strategy2 += 1
+        if self.trace is not None:
+            self.trace.record("prune_strategy2", node, mask, sos, os, bs)
 
     def _on_evict(self, _victim: Label) -> None:
         self.stats.labels_evicted += 1

@@ -90,16 +90,27 @@ class TestParameterRefusal:
             ("greedy", {"width": -1}, "width must be >= 1"),
             ("greedy", {"mode": "bogus"}, "mode must be"),
             ("exhaustive", {"max_expansions": "many"}, "'max_expansions' must be int"),
+            ("bucketbound", {"trace": 1}, "'trace' must be SearchTrace, got int"),
+            ("osscaling", {"binding": 1}, "'binding' must be QueryBinding, got int"),
+            ("bucketbound", {"deadline": 1}, "'deadline' must be Deadline, got int"),
+            ("greedy", {"candidates": 1}, "'candidates' must be dict, got int"),
+            ("greedy", {"binding": "x"}, "'binding' must be QueryBinding, got str"),
         ],
     )
     def test_run_and_top_k_refuse_a_mistyped_value(self, fig1_engine, algorithm, params, named):
         """A value the type of the parameter's default refuses; ``True`` is
-        no number, though ``bool`` subclasses ``int``."""
+        no number, though ``bool`` subclasses ``int``.  A parameter whose
+        default is ``None`` takes the other member of its annotation."""
         with pytest.raises(QueryError, match=named):
             fig1_engine.query(0, 7, ["t1", "t2"], 10.0, algorithm=algorithm, **params)
         if algorithm in ("osscaling", "bucketbound"):
             with pytest.raises(QueryError, match=named):
                 fig1_engine.top_k(0, 7, ["t1", "t2"], 10.0, 2, algorithm=algorithm, **params)
+
+    def test_none_stays_accepted_for_object_parameters(self, fig1_engine):
+        nothing = {"trace": None, "binding": None, "deadline": None}
+        assert fig1_engine.query(0, 7, ["t1", "t2"], 10.0, candidates=None, **nothing).found
+        assert fig1_engine.top_k(0, 7, ["t1", "t2"], 10.0, 2, **nothing).found
 
     def test_numeric_values_of_any_real_type_are_taken(self, fig1_engine):
         import numpy as np

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bucketbound import BucketQueue
+from repro.core.deadline import Deadline
 from repro.core.engine import ALGORITHMS
 from repro.core.kernels import run_wave
 from repro.core.label import dominates_scores
@@ -150,11 +151,12 @@ class TestWaveDifferential:
         assert wave_records(survivors) == expected
 
 
-class _CountdownDeadline:
+class _CountdownDeadline(Deadline):
     """Deadline double expiring on its Nth checkpoint — ``check()`` and
     ``tick()`` alike, i.e. a stride of one — so mid-wave expiry is
     deterministic, independent of the wall clock.  ``late`` counts the
-    checkpoints reached after expiry."""
+    checkpoints reached after expiry.  A :class:`Deadline` subclass: the
+    engine refuses a ``deadline`` of any other type."""
 
     def __init__(self, checks: int) -> None:
         self.checks = checks

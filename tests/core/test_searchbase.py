@@ -419,7 +419,19 @@ def screen_from(degree):
         searchbase.SCREEN_MIN_DEGREE = saved
 
 
-#: Above every out-degree: the per-edge loop, the screen's reference.
+@contextlib.contextmanager
+def floor_from(degree):
+    """Run the body with :data:`FLOOR_MIN_DEGREE` set to *degree*."""
+    saved = searchbase.FLOOR_MIN_DEGREE
+    searchbase.FLOOR_MIN_DEGREE = degree
+    try:
+        yield
+    finally:
+        searchbase.FLOOR_MIN_DEGREE = saved
+
+
+#: Above every out-degree: the per-edge loop, the screen's reference, and
+#: no keyword floor.
 NEVER = 10**9
 
 def counters(stats):
@@ -590,7 +602,17 @@ class TestExpand:
             per_edge = [fingerprint(engine.run(query, algorithm=algorithm)) for query in queries]
         assert screened == per_edge
         assert any(routes[0] is not None for routes, _reason, _stats in screened)
-        assert sum(stats["labels_pruned_budget"] for _r, _f, stats in screened) > 100
+        # Without the keyword floor, which drops labels before they reach a
+        # hub, the screen prunes over 100 on a budget: the same comparison
+        # there exercises it.
+        with floor_from(NEVER):
+            unfloored = [fingerprint(engine.run(query, algorithm=algorithm)) for query in queries]
+            with screen_from(NEVER):
+                unfloored_per_edge = [
+                    fingerprint(engine.run(query, algorithm=algorithm)) for query in queries
+                ]
+        assert unfloored == unfloored_per_edge
+        assert sum(stats["labels_pruned_budget"] for _r, _f, stats in unfloored) > 100
 
     @pytest.mark.parametrize("algorithm", ("osscaling", "bucketbound", "greedy2"))
     def test_concurrent_callers_equal_serial(self, small_flickr_engine, algorithm):

@@ -345,7 +345,10 @@ class TestTopKStream:
 
     @staticmethod
     def long_topk():
-        """A complete graph whose k=100 search takes >1 000 pops (~0.1 s)."""
+        """A complete graph whose k=100 search takes >1 000 pops (~0.4 s).
+
+        Two keywords: with one, the keyword floor (every node is wide)
+        ends the search in ~940 pops."""
         import random
 
         from repro.core.engine import KOREngine
@@ -355,19 +358,22 @@ class TestTopKStream:
         rng = random.Random(1)
         builder = GraphBuilder()
         builder.add_node(keywords=["rare"])
-        for _ in range(9):
-            builder.add_node()
+        for u in range(1, 10):
+            builder.add_node(keywords=["also"] if u == 5 else [])
         for u in range(10):
             for v in range(10):
                 if u != v:
                     builder.add_edge(u, v, rng.uniform(1, 2), rng.uniform(1, 2))
-        return KOREngine(builder.build()), KORQuery(1, 2, ("rare",), 12.0)
+        return KOREngine(builder.build()), KORQuery(1, 2, ("rare", "also"), 12.0)
 
     def test_asgi_deadline_is_a_504_from_every_spelling(self):
         from repro.server.schema import MAX_TOPK
 
         engine, query = self.long_topk()
-        plain = engine.top_k(1, 2, ("rare",), 12.0, MAX_TOPK, algorithm="osscaling")
+        plain = engine.top_k(
+            query.source, query.target, query.keywords, query.budget_limit, MAX_TOPK,
+            algorithm="osscaling",
+        )
         assert plain.stats.loops > 1000  # far beyond a checkpoint stride
 
         async def scenario(app):
