@@ -75,19 +75,19 @@ SCREEN_MIN_DEGREE = 24
 #: graphs' out-degree (at most 6), so the road-1000 world builds no floor.
 FLOOR_MIN_DEGREE = 8
 
-#: Relative slack of the keyword-order budget proof
-#: (:meth:`SearchContext.impossibility_reason`): a query is declared
-#: infeasible only when its bound exceeds ``Delta * (1 + _PROOF_SLACK)``.
-#: The bound sums sigma legs left to right, ``((BS(sigma_{s,l1}) +
-#: BS(sigma_{l1,l2})) + ...) + BS(sigma_{lm,t})``, while a search sums the
-#: same route edge by edge and leg by leg in label order; the two
-#: associate differently, so a route whose budget is exactly Delta can
-#: read a few ulps above it in one and at it in the other.  1e-9 is far
-#: above that rounding (~1e-16 per add over any realistic route length)
-#: and far below any genuine gap between a budget limit and a route.  The
-#: cheaper ``BS(sigma_{s,t})`` screen takes the same slack: partitioned
-#: tables assemble that entry from border legs, so it can read an ulp
-#: above the same path summed edge by edge.
+#: Relative slack of every budget compare of a label search: a budget
+#: fits when it is at most ``SearchContext.limit = Delta * (1 +
+#: _PROOF_SLACK)``.  The keyword-order proof
+#: (:meth:`SearchContext.impossibility_reason`) sums sigma legs left to
+#: right, ``((BS(sigma_{s,l1}) + BS(sigma_{l1,l2})) + ...) +
+#: BS(sigma_{lm,t})``, a label sums jump legs and edges in label order and
+#: a route sums its own edges one by one; they associate differently, so a
+#: route whose budget is exactly Delta can read a few ulps above it in one
+#: and at it in another.  1e-9 is far above that rounding (~1e-16 per add
+#: over any realistic route length) and far below any genuine gap between
+#: a budget limit and a route.  Partitioned tables assemble
+#: ``BS(sigma_{s,t})`` from border legs, so it too can read an ulp above
+#: the same path summed edge by edge.
 _PROOF_SLACK = 1e-9
 
 
@@ -115,6 +115,10 @@ class SearchContext:
             binding if binding is not None else QueryBinding.bind(graph, index, query)
         )
         self.delta = query.budget_limit
+        #: The budget every compare of the search reads: ``Delta * (1 +
+        #: _PROOF_SLACK)``, so a route whose budget is exactly Delta is not
+        #: lost to its labels' sums associating differently from its own.
+        self.limit = self.delta * (1.0 + _PROOF_SLACK)
 
         target = query.target
         #: OS(tau_{i,t}) for every i — the admissible completion bound
@@ -188,7 +192,7 @@ class SearchContext:
         source = self.query.source
         if not np.isfinite(self.os_tau_t[source]):
             return "target is unreachable from source"
-        if self.bs_sigma_t[source] > self.delta * (1.0 + _PROOF_SLACK):
+        if self.bs_sigma_t[source] > self.limit:
             return (
                 f"cheapest route budget {self.bs_sigma_t[source]:.4g} "
                 f"exceeds the limit {self.delta:.4g}"
@@ -228,7 +232,7 @@ class SearchContext:
         if not need:
             return False  # the bound is BS(sigma_{s,t}), screened already
         nodes, rows, bs_to_t, bits = self._uncovered(binding.full_mask & ~start)
-        limit = self.delta * (1.0 + _PROOF_SLACK)
+        limit = self.limit
 
         # 1. The witness.  Every step covers a needed bit or stops.
         node, covered, spent = source, 0, 0.0
@@ -360,7 +364,7 @@ class SearchContext:
             )
             self._blocks[node] = block
         objectives, budgets, os_tau, bs_sigma = block
-        fits = (label.bs + budgets) + bs_sigma <= self.delta
+        fits = (label.bs + budgets) + bs_sigma <= self.limit
         keep = fits & ((label.os + objectives) + os_tau < bound)
         survivors = keep.nonzero()[0].tolist()
         fitting = int(np.count_nonzero(fits))
@@ -392,7 +396,7 @@ class SearchContext:
         # and the scalar test associates exactly as the vector one does.
         key = (label.node, missing)
         nearest = self._nearest.get(key)
-        if nearest is not None and (label.bs + nearest[2]) + nearest[3] <= self.delta:
+        if nearest is not None and (label.bs + nearest[2]) + nearest[3] <= self.limit:
             return nearest[:3]
         nodes, sigma_rows, bs_to_t, _bits = self._uncovered(missing)
         if len(nodes) == 0:
@@ -401,13 +405,13 @@ class SearchContext:
         if nearest is None:
             first = int(seg_bs.argmin())
             first_bs, first_to_t = float(seg_bs[first]), float(bs_to_t[first])
-            if (label.bs + first_bs) + first_to_t <= self.delta:
+            if (label.bs + first_bs) + first_to_t <= self.limit:
                 found = (int(nodes[first]), sigma_rows.secondary_at(label.node, first), first_bs)
                 if len(self._nearest) >= self.MAX_JUMP_MEMO:
                     self._nearest.pop(next(iter(self._nearest)))
                 self._nearest[key] = found + (first_to_t,)
                 return found
-        feasible = (label.bs + seg_bs + bs_to_t) <= self.delta
+        feasible = (label.bs + seg_bs + bs_to_t) <= self.limit
         if not feasible.any():
             return None
         best = int(np.where(feasible, seg_bs, np.inf).argmin())
@@ -513,7 +517,7 @@ class SearchContext:
         bits = self._mask_bits.get(missing)
         if bits is None:
             bits = self._mask_bits[missing] = self.binding.uncovered_bits(mask)
-        limit = self.delta * (1.0 + _PROOF_SLACK)
+        limit = self.limit
         budget = floor[0]
         for bit in bits:
             if bs + budget[bit] > limit:
@@ -578,7 +582,7 @@ class SearchContext:
         """
         if self._rare_bit is None or mask & (1 << self._rare_bit):
             return False
-        if bs + self._rare_min_bs[node] > self.delta:
+        if bs + self._rare_min_bs[node] > self.limit:
             return True
         if upper == math.inf:
             # Without an objective bound the joint test degenerates to the
@@ -588,7 +592,7 @@ class SearchContext:
             return True
         os_via = os + self._rare_os_rows.primary(node) + self._rare_os_to_t
         bs_via = bs + self._rare_bs_rows.primary(node) + self._rare_bs_to_t
-        keeps = (os_via <= upper) & (bs_via <= self.delta)
+        keeps = (os_via <= upper) & (bs_via <= self.limit)
         return not bool(keeps.any())
 
     # ------------------------------------------------------------------
@@ -671,7 +675,7 @@ class Incumbent:
             algorithm=search.algorithm,
             route=route,
             covers_keywords=route is not None,
-            within_budget=route is not None and route.budget_score <= search.ctx.delta + 1e-9,
+            within_budget=route is not None and route.budget_score <= search.ctx.limit,
             stats=search.stats,
             failure_reason=failure_reason if route is None else None,
         )
@@ -754,7 +758,7 @@ class LabelSearch:
 
         root = ctx.root_label()
         low = root.os + ctx.os_tau_t_list[root.node]
-        if root.mask == self.full_mask and ctx.bs_tau_t[root.node] <= ctx.delta:
+        if root.mask == self.full_mask and ctx.bs_tau_t[root.node] <= ctx.limit:
             # The source (plus the target, via tau's endpoints) already
             # covers every keyword and the objective-optimal completion
             # fits the budget: tau_{s,t} is globally objective-optimal, so
@@ -817,7 +821,7 @@ class LabelSearch:
         if trace is not None:
             trace.record("create", node, new_mask, new_sos, new_os, new_bs)
 
-        if new_bs + ctx.bs_sigma_t_list[node] > ctx.delta:
+        if new_bs + ctx.bs_sigma_t_list[node] > ctx.limit:
             stats.labels_pruned_budget += 1
             if trace is not None:
                 trace.record("prune_budget", node, new_mask, new_sos, new_os, new_bs)
@@ -850,7 +854,7 @@ class LabelSearch:
                 trace.record("prune_dominated", node, new_mask, new_sos, new_os, new_bs)
             return
 
-        if new_mask == self.full_mask and new_bs + ctx.bs_tau_t[node] <= ctx.delta:
+        if new_mask == self.full_mask and new_bs + ctx.bs_tau_t[node] <= ctx.limit:
             # Feasible completion via tau_{j,t}: an answer (lines 17-19).
             if self.answers.offer(ctx, label, low):
                 stats.bound_updates += 1

@@ -610,10 +610,9 @@ class PartitionedCostTables:
     #: Overlay predecessors, k x k positions in ``border_nodes`` (optional).
     border_pred_tau: np.ndarray | None = None
     border_pred_sigma: np.ndarray | None = None
-    # Derived state below is not part of ``__init__``, so
-    # ``dataclasses.replace`` — how a pool worker folds a repair patch
-    # in — always starts from empty caches: the old ones memoise the old
-    # tables.
+    # Derived state below is not part of ``__init__``, so a copy made
+    # with ``dataclasses.replace`` always starts from empty caches: the
+    # old ones memoise the old tables.
     #: Cached per-target columns (queries hit the same target repeatedly).
     _column_cache: _LRUPairCache = field(init=False, repr=False)
     #: Cached per-source rows (greedy expansion walks one node at a time).

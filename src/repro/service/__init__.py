@@ -11,9 +11,9 @@ amortise most of that work.  This package adds one:
     serves a :class:`repro.world.MutableWorld` cell by cell:
 
     * a **canonicalizing LRU result cache** — keyword order and
-      duplicates never change the cache key; capacity, an optional
-      total-route-size budget, hit/miss counters and epoch-based
-      invalidation are exposed (:mod:`repro.service.cache`);
+      duplicates never change the cache key; capacity, hit/miss
+      counters and epoch-based invalidation are exposed
+      (:mod:`repro.service.cache`);
     * a **batch path** — a list of :class:`repro.core.query.KORQuery`
       objects is deduplicated against the cache and against itself, and
       each unique miss is routed to the cell(s) that can answer it and
@@ -23,7 +23,8 @@ amortise most of that work.  This package adds one:
       reported per-slot without poisoning the cache or its neighbours
       (:mod:`repro.service.batch`);
     * **live updates** — the world repairs the rows a change can move;
-      the service patches pool workers and bumps the epoch;
+      the service ships each replaced part (graph, tables, index) to
+      pool workers and bumps the epoch;
     * **serving metrics** via :class:`repro.service.stats.ServiceStats`.
 
     ``QueryService(engine)`` is the flat tier: the one-cell world of its
@@ -50,15 +51,15 @@ amortise most of that work.  This package adds one:
     Where compute actually runs (:mod:`repro.service.backends`).  The
     one unit of work is the :class:`~repro.service.backends.WaveTask`
     (a single query is a wave of one) and the primitive is futures-based
-    — ``submit_wave(task) -> Future[list[TaskOutcome]]`` with bounded
-    in-flight admission (``max_in_flight``).  ``SerialBackend`` (the
+    — ``submit_wave(task) -> Future[list[TaskOutcome]]``, with the
+    submission depth counted.  ``SerialBackend`` (the
     in-process backend and the default: waves run inline on the live
     engines) and ``ProcessBackend`` (**warm-pinned**
     single-process lanes over picklable
     :class:`~repro.service.backends.EngineHandle` shard state: repeat
     traffic for a shard sticks to the worker that already materialised
-    its engine, with a per-worker engine LRU, saturation spill and
-    dead-worker retry — the backend that scales CPU-bound fan-out past
+    its engine, with saturation spill, dead-worker retry and a per-lane
+    circuit breaker — the backend that scales CPU-bound fan-out past
     the GIL).
 
 Quickstart::

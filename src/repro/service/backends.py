@@ -5,7 +5,7 @@ The serving layer describes compute work in exactly one currency: the
 queries addressed at the engine registered under one shard key, shipped
 as *one* submission and executed member after member through
 :func:`repro.core.kernels.run_wave` on that engine.  A single query is a
-wave of one.  What a wave buys is transport: one admission slot, one
+wave of one.  What a wave buys is transport: one submission, one
 future and — on a process pool — one pickle + IPC round trip for all its
 members, plus one shared candidate-set pass over the index.
 
@@ -18,13 +18,11 @@ faults (cancellation, a worker that died beyond retry), which the batch
 executor answers by resubmitting the members as waves of one
 (:func:`repro.service.batch.dispatch_waves`).
 
-Admission is bounded: construct any backend with ``max_in_flight=N`` and
-the (N+1)-th concurrent submission blocks until a slot frees.  The
-current depth, high-water mark and number of blocked admissions are
-exposed (:attr:`~ExecutionBackend.in_flight`,
-:attr:`~ExecutionBackend.peak_in_flight`,
-:attr:`~ExecutionBackend.admission_waits`) and surface in service
-snapshots as ``queue_depth_peak``.
+Every backend counts its unresolved submissions: the current depth and
+its high-water mark (:attr:`~ExecutionBackend.in_flight`,
+:attr:`~ExecutionBackend.peak_in_flight`) surface in service snapshots as
+``queue_depth_peak``.  A backend admits every submission; the stack's one
+admission control is the HTTP front door's ``max_pending`` (503).
 
 :class:`SerialBackend` executes waves inline, in the calling thread, on
 the live engines behind the registered handles; concurrency in process
@@ -35,22 +33,21 @@ every batch shape tried.  :class:`ProcessBackend` executes waves out of
 process — and is **warm-pinned**: instead of one anonymous pool it keeps ``workers``
 single-process *lanes* and remembers which lane first served each shard,
 so repeat traffic for a cell lands on the worker that already
-materialised that cell's engine.  Worker-side, engines live in a
-per-worker LRU under an optional byte budget
-(``max_worker_engine_bytes``); parent-side, pin hits/misses/assignments
-and dead-worker fallbacks are counted (:meth:`ProcessBackend.pin_stats`)
-and per-worker build/eviction counters are introspectable
-(:meth:`ProcessBackend.worker_stats`).  A pinned lane that is saturated
-(its queue runs ``spill_margin`` deeper than the least-loaded lane)
-spills to the least-loaded lane; a lane whose worker died is rebuilt and
-the wave retried once, transparently.
+materialised that cell's engine.  A worker keeps every engine it built
+until a live update or a lane rebuild replaces it; parent-side, pin
+hits/misses/assignments and dead-worker fallbacks are counted
+(:meth:`ProcessBackend.pin_stats`) and per-worker build counters are
+introspectable (:meth:`ProcessBackend.worker_stats`).  A pinned lane that
+is saturated (its queue runs :data:`SPILL_MARGIN` deeper than the
+least-loaded lane) spills to the least-loaded lane; a lane whose worker
+died is rebuilt and the wave retried once, transparently.
 
 Repeated deaths trip a per-lane **circuit breaker**: after
-``breaker_threshold`` consecutive dead-worker retires the lane stops
-admitting work for ``breaker_backoff_seconds`` (pinned traffic spills to
-healthy lanes), then a single half-open probe wave decides whether the
-lane re-admits or re-opens.  Breaker transitions are counted in
-:meth:`ProcessBackend.breaker_stats`.
+:data:`BREAKER_THRESHOLD` consecutive dead-worker retires the lane stops
+admitting work for :data:`BREAKER_BACKOFF_SECONDS` (pinned traffic
+spills to healthy lanes), then a single half-open probe wave decides
+whether the lane re-admits or re-opens.  Breaker transitions are counted
+in :meth:`ProcessBackend.breaker_stats`.
 
 Deterministic fault injection (:mod:`repro.service.faults`) hooks both
 tiers: :func:`run_wave_on_engine` applies task-side delay/error rules
@@ -67,7 +64,6 @@ import pickle
 import threading
 import time
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from concurrent.futures import (
     CancelledError,
     Future,
@@ -76,8 +72,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from dataclasses import replace as _dataclass_replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.deadline import Deadline
 from repro.core.engine import KOREngine
@@ -85,7 +80,6 @@ from repro.core.kernels import run_wave
 from repro.core.query import KORQuery
 from repro.core.results import KORResult
 from repro.exceptions import QueryError
-from repro.graph.mutation import GraphDelta, apply_graph_delta
 from repro.service import faults
 
 __all__ = [
@@ -108,13 +102,13 @@ DEFAULT_WORKERS = 4
 
 #: How much deeper a pinned lane's queue may run than the least-loaded
 #: lane before a task spills off its pin (counted as a pin miss).
-DEFAULT_SPILL_MARGIN = 8
+SPILL_MARGIN = 8
 
 #: Consecutive dead-worker failures that open a lane's circuit breaker.
-DEFAULT_BREAKER_THRESHOLD = 3
+BREAKER_THRESHOLD = 3
 
 #: How long an open breaker refuses traffic before a half-open probe.
-DEFAULT_BREAKER_BACKOFF_SECONDS = 1.0
+BREAKER_BACKOFF_SECONDS = 1.0
 
 _HANDLE_COUNTER = itertools.count()
 
@@ -126,7 +120,7 @@ class EngineHandle:
     the graph plus the *pre-built* cost tables and inverted index (plain
     dataclasses over numpy arrays), so a receiving worker process pays
     zero pre-processing: :meth:`engine` reassembles the engine from the
-    parts on first use and caches it for the life of the worker.  The
+    parts on first use and keeps it until a patch replaces a part.  The
     engine's *class* travels with the state, so a
     :class:`~repro.service.crosscell.BorderEngine` handle re-materialises
     as a ``BorderEngine`` (partitioned border tables and all), not as a
@@ -146,15 +140,6 @@ class EngineHandle:
         self._tables = engine.tables
         self._index = engine.index
 
-    def materialise(self) -> KOREngine:
-        """A fresh live engine assembled from the pre-built parts.
-
-        Unlike :meth:`engine` the result is *not* retained on the
-        handle — the worker-side engine LRU owns the lifetime, so an
-        evicted engine is actually freed instead of hiding here.
-        """
-        return self._engine_cls(self._graph, tables=self._tables, index=self._index)
-
     def reset(self, engine: KOREngine) -> None:
         """Swap this handle's state for *engine*'s, keeping the key.
 
@@ -172,9 +157,10 @@ class EngineHandle:
         self._index = engine.index
 
     def engine(self) -> KOREngine:
-        """The live engine (materialised from parts after unpickling)."""
+        """The live engine, assembled from the parts on first use after
+        unpickling or a patch and kept until the next one."""
         if self._engine is None:
-            self._engine = self.materialise()
+            self._engine = self._engine_cls(self._graph, tables=self._tables, index=self._index)
         return self._engine
 
     def __getstate__(self) -> dict:
@@ -200,57 +186,28 @@ class EngineHandle:
 
 @dataclass(frozen=True, eq=False)
 class PartPatch:
-    """A picklable *partial* update to one registered shard's state.
+    """A picklable update to one registered shard's state.
 
     This is the live-update currency: instead of unregistering a shard
-    and shipping a whole rebuilt engine to every pool worker, the
-    serving layer broadcasts the pieces that actually changed.  Every
-    field is absolute (new state, not diffs-of-diffs), so re-applying a
-    patch is a no-op — which is what makes the broadcast safe against a
-    lane being (re)initialised from the already-updated parent handles
+    and re-initialising every pool worker, the serving layer broadcasts
+    the parts that changed.  Each field is a whole part — ``graph``,
+    ``tables`` or ``index`` — and ``None`` leaves that part as it is, so
+    re-applying a patch is a no-op: the broadcast is safe against a lane
+    being (re)initialised from the already-updated parent handles
     concurrently.
-
-    ``graph`` replaces the graph outright; ``graph_delta`` instead
-    replays a :class:`~repro.graph.mutation.GraphDelta` against the
-    recipient's current graph (cheaper on the wire; identical result on
-    every replica because delta application is deterministic, including
-    keyword-id interning order).  ``tables`` replaces the table object
-    wholesale, while ``cell_tables`` + ``border`` substitute individual
-    cells and border matrices into an existing
-    :class:`~repro.prep.partition.PartitionedCostTables` — the
-    incremental-repair fast path, shipping one repaired cell instead of
-    every cell.  ``index`` replaces the inverted index.
     """
 
     key: str
     graph: object | None = None
-    graph_delta: GraphDelta | None = None
     tables: object | None = None
-    cell_tables: tuple[tuple[int, object], ...] = ()
-    border: tuple[tuple[str, object], ...] = ()
     index: object | None = None
 
     def apply_to(self, handle: EngineHandle) -> None:
         """Fold this patch into *handle* (idempotent)."""
-        graph = handle._graph
         if self.graph is not None:
-            graph = self.graph
-        elif self.graph_delta is not None:
-            graph = apply_graph_delta(graph, self.graph_delta)
-        tables = handle._tables
+            handle._graph = self.graph
         if self.tables is not None:
-            tables = self.tables
-        elif self.cell_tables or self.border:
-            cells = list(tables.cell_tables)
-            for cell, cell_table in self.cell_tables:
-                cells[cell] = cell_table
-            # replace() re-runs __post_init__, which starts every cache
-            # empty — the old caches memoise the old tables.
-            tables = _dataclass_replace(
-                tables, cell_tables=tuple(cells), **dict(self.border)
-            )
-        handle._graph = graph
-        handle._tables = tables
+            handle._tables = self.tables
         if self.index is not None:
             handle._index = self.index
         handle._engine = None
@@ -378,42 +335,18 @@ def _try_resolve(
         pass
 
 
-def _engine_weight_bytes(engine: KOREngine) -> int:
-    """Resident-byte estimate of one engine (its cost tables dominate)."""
-    tables = getattr(engine, "tables", None)
-    if tables is None:
-        return 0
-    memory = getattr(tables, "memory_bytes", None)
-    if callable(memory):
-        return int(memory())
-    total = 0
-    for name in ("os_tau", "bs_tau", "os_sigma", "bs_sigma", "pred_tau", "pred_sigma"):
-        matrix = getattr(tables, name, None)
-        if matrix is not None and hasattr(matrix, "nbytes"):
-            total += int(matrix.nbytes)
-    return total
-
-
 # ----------------------------------------------------------------------
 # process-worker plumbing (module level so it pickles by reference)
 # ----------------------------------------------------------------------
 
 _WORKER_STATE: dict = {
-    "handles": {},
-    "engines": OrderedDict(),  # shard key -> live engine (LRU order)
-    "weights": {},  # shard key -> resident byte estimate
-    "budget": None,
+    "handles": {},  # shard key -> handle; its engine() memo is the cache
     "builds": {},  # shard key -> times materialised in this worker
-    "evictions": 0,
 }
 
 
-def _process_worker_init(
-    handles: tuple[EngineHandle, ...],
-    engine_budget: int | None,
-    fault_rules: tuple = (),
-) -> None:
-    """Pool initializer: install this generation's handles and budget.
+def _process_worker_init(handles: tuple[EngineHandle, ...], fault_rules: tuple = ()) -> None:
+    """Pool initializer: install this generation's handles.
 
     ``fault_rules`` ships the active fault plan's task-side rules into
     the worker, where the parent's module global is invisible; the
@@ -421,44 +354,15 @@ def _process_worker_init(
     single hook covers every backend.
     """
     _WORKER_STATE["handles"] = {handle.key: handle for handle in handles}
-    _WORKER_STATE["engines"] = OrderedDict()
-    _WORKER_STATE["weights"] = {}
-    _WORKER_STATE["budget"] = engine_budget
     _WORKER_STATE["builds"] = {}
-    _WORKER_STATE["evictions"] = 0
+    for handle in handles:
+        # A forked worker receives the parent's handles unpickled, live
+        # engines included: each worker builds its own from the parts.
+        handle._engine = None
     if fault_rules:
         faults.install(faults.FaultPlan(fault_rules))
     else:
         faults.clear()
-
-
-def _worker_engine(key: str) -> KOREngine:
-    """This worker's engine for shard *key*, via the per-worker LRU.
-
-    A cache hit refreshes recency; a miss materialises the engine from
-    its handle (counted in ``builds``) and, when a byte budget is set,
-    evicts least-recently-used engines until the resident estimate fits
-    again — always keeping at least the engine just built.
-    """
-    engines: OrderedDict = _WORKER_STATE["engines"]
-    engine = engines.get(key)
-    if engine is not None:
-        engines.move_to_end(key)
-        return engine
-    handle: EngineHandle = _WORKER_STATE["handles"][key]
-    engine = handle.materialise()
-    builds = _WORKER_STATE["builds"]
-    builds[key] = builds.get(key, 0) + 1
-    weights: dict = _WORKER_STATE["weights"]
-    engines[key] = engine
-    weights[key] = _engine_weight_bytes(engine)
-    budget = _WORKER_STATE["budget"]
-    if budget is not None:
-        while len(engines) > 1 and sum(weights.values()) > budget:
-            evicted_key, _evicted = engines.popitem(last=False)
-            weights.pop(evicted_key, None)
-            _WORKER_STATE["evictions"] += 1
-    return engine
 
 
 def _portable_error(error: Exception) -> Exception:
@@ -471,15 +375,20 @@ def _portable_error(error: Exception) -> Exception:
 
 
 def _process_run_wave(task: WaveTask) -> list[TaskOutcome]:
-    """Worker-side wave entry point (looks the engine up by shard key)."""
-    if task.shard not in _WORKER_STATE["handles"]:
+    """Worker-side wave entry point (looks the engine up by shard key;
+    a handle without a live engine builds one, counted in ``builds``)."""
+    handle = _WORKER_STATE["handles"].get(task.shard)
+    if handle is None:
         return task.failed(
             RemoteTaskError(
                 f"shard {task.shard!r} is not registered in this worker; "
                 f"known shards: {sorted(_WORKER_STATE['handles'])}"
             )
         )
-    outcomes = run_wave_on_engine(_worker_engine(task.shard), task)
+    if handle._engine is None:
+        builds = _WORKER_STATE["builds"]
+        builds[task.shard] = builds.get(task.shard, 0) + 1
+    outcomes = run_wave_on_engine(handle.engine(), task)
     for outcome in outcomes:
         if outcome.error is not None:
             outcome.error = _portable_error(outcome.error)
@@ -487,7 +396,8 @@ def _process_run_wave(task: WaveTask) -> list[TaskOutcome]:
 
 
 def _process_apply_patches(patches: tuple) -> bool:
-    """Worker-side live update: patch handles, drop derived state.
+    """Worker-side live update: patch handles, dropping their engines
+    (the next wave builds one over the new parts).
 
     Runs through the lane's ordinary FIFO queue, which is the epoch
     fence: tasks submitted before the patch see the old engines, tasks
@@ -497,10 +407,6 @@ def _process_apply_patches(patches: tuple) -> bool:
         handle = _WORKER_STATE["handles"].get(patch.key)
         if handle is not None:
             patch.apply_to(handle)
-        # Materialised engines and weight estimates memoise the
-        # pre-patch parts; next use rebuilds from the handle.
-        _WORKER_STATE["engines"].pop(patch.key, None)
-        _WORKER_STATE["weights"].pop(patch.key, None)
     return True
 
 
@@ -509,9 +415,9 @@ def _worker_introspect(_: int = 0) -> dict:
     return {
         "pid": os.getpid(),
         "builds": dict(_WORKER_STATE["builds"]),
-        "resident": list(_WORKER_STATE["engines"]),
-        "resident_bytes": sum(_WORKER_STATE["weights"].values()),
-        "evictions": _WORKER_STATE["evictions"],
+        "resident": [
+            key for key, handle in _WORKER_STATE["handles"].items() if handle._engine is not None
+        ],
     }
 
 
@@ -533,10 +439,6 @@ class ExecutionBackend(ABC):
     :meth:`register`.  ``in_process`` backends run waves on the live
     registered engines; out-of-process backends run them on worker-side
     copies.
-
-    ``max_in_flight`` bounds concurrent submissions: the backend admits
-    at most that many unresolved futures, blocking further
-    ``submit_wave`` calls until one completes.
     """
 
     #: Stable name used by benchmarks, stats and ``backend_from_name``.
@@ -545,18 +447,11 @@ class ExecutionBackend(ABC):
     #: caller's ``trace`` sink is only filled then).
     in_process: bool = True
 
-    def __init__(self, max_in_flight: int | None = None) -> None:
-        if max_in_flight is not None and max_in_flight < 1:
-            raise QueryError(f"max_in_flight must be >= 1 or None, got {max_in_flight}")
+    def __init__(self) -> None:
         self._handles: dict[str, EngineHandle] = {}
-        self._max_in_flight = max_in_flight
-        self._admission = (
-            threading.Semaphore(max_in_flight) if max_in_flight is not None else None
-        )
         self._depth_lock = threading.Lock()
         self._in_flight = 0
         self._peak_in_flight = 0
-        self._admission_waits = 0
 
     # -- shard registry ------------------------------------------------
     def register(self, handle: EngineHandle) -> EngineHandle:
@@ -624,12 +519,7 @@ class ExecutionBackend(ABC):
             )
         )
 
-    # -- admission -----------------------------------------------------
-    @property
-    def max_in_flight(self) -> int | None:
-        """Admission bound (None = unbounded)."""
-        return self._max_in_flight
-
+    # -- depth accounting ----------------------------------------------
     @property
     def in_flight(self) -> int:
         """Submissions admitted but not yet resolved."""
@@ -642,54 +532,37 @@ class ExecutionBackend(ABC):
         with self._depth_lock:
             return self._peak_in_flight
 
-    @property
-    def admission_waits(self) -> int:
-        """Times a submission had to block for an admission slot."""
-        with self._depth_lock:
-            return self._admission_waits
-
     def _release_slot(self, _future: Future | None = None) -> None:
         with self._depth_lock:
             self._in_flight -= 1
-        if self._admission is not None:
-            self._admission.release()
-
-    def _admitted(self, submit: Callable[[], Future]) -> Future:
-        """Run one submission through admission + depth accounting."""
-        if self._admission is not None and not self._admission.acquire(blocking=False):
-            with self._depth_lock:
-                self._admission_waits += 1
-            self._admission.acquire()
-        with self._depth_lock:
-            self._in_flight += 1
-            if self._in_flight > self._peak_in_flight:
-                self._peak_in_flight = self._in_flight
-        try:
-            future = submit()
-        except BaseException:
-            self._release_slot()
-            raise
-        future.add_done_callback(self._release_slot)
-        return future
 
     # -- submission ----------------------------------------------------
     @abstractmethod
     def _submit_wave(self, task: WaveTask) -> Future:
-        """Backend-specific wave submission (no admission control)."""
+        """Backend-specific wave submission (no depth accounting)."""
 
     def submit_wave(self, task: WaveTask) -> Future:
         """Submit one wave, returning a ``Future[list[TaskOutcome]]``.
 
-        One wave occupies one admission slot however many queries it
+        One wave counts once in the depth however many queries it
         carries — waves are the coarser scheduling unit by design.  The
         future resolves to one outcome per member in order — query
         failures are *inside* the outcomes; the future itself only
         raises for submission-level faults (cancellation, a worker that
         died beyond retry), in which case the caller should resubmit the
-        members as waves of one.  Blocks when ``max_in_flight`` is
-        reached.
+        members as waves of one.
         """
-        return self._admitted(lambda: self._submit_wave(task))
+        with self._depth_lock:
+            self._in_flight += 1
+            if self._in_flight > self._peak_in_flight:
+                self._peak_in_flight = self._in_flight
+        try:
+            future = self._submit_wave(task)
+        except BaseException:
+            self._release_slot()
+            raise
+        future.add_done_callback(self._release_slot)
+        return future
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -715,8 +588,7 @@ class SerialBackend(ExecutionBackend):
     ``submit_wave`` executes the wave *during submission* on the live
     registered engine and returns an already-resolved future, so
     tracebacks point straight at the failing query.  Concurrent callers
-    (the async front end's executor threads) each run their own waves;
-    ``max_in_flight`` then blocks the callers beyond the bound.
+    (the async front end's executor threads) each run their own waves.
     """
 
     name = "serial"
@@ -773,12 +645,12 @@ class ProcessBackend(ExecutionBackend):
     (workers would not know the new key) and the next submission builds
     fresh ones.  Engines are materialised worker-side from pre-built
     parts — workers never repeat the tables/index pre-processing — and
-    live in a per-worker LRU bounded by ``max_worker_engine_bytes``.
+    each stays on its worker's handle until a patch replaces its parts.
 
     **Warm-pinning**: the first task for a shard is assigned to the
     least-loaded lane and the shard is pinned there; later tasks for the
     same shard prefer the pinned lane, so only that worker pays the
-    engine build.  When the pinned lane's queue runs ``spill_margin``
+    engine build.  When the pinned lane's queue runs :data:`SPILL_MARGIN`
     deeper than the least-loaded lane, the task spills to the
     least-loaded lane instead (a pin *miss* — throughput beats
     affinity).  A lane whose worker process died is detected at
@@ -792,42 +664,15 @@ class ProcessBackend(ExecutionBackend):
     name = "process"
     in_process = False
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        start_method: str | None = None,
-        max_in_flight: int | None = None,
-        max_worker_engine_bytes: int | None = None,
-        spill_margin: int = DEFAULT_SPILL_MARGIN,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        breaker_backoff_seconds: float = DEFAULT_BREAKER_BACKOFF_SECONDS,
-    ) -> None:
-        super().__init__(max_in_flight=max_in_flight)
+    def __init__(self, workers: int | None = None) -> None:
+        super().__init__()
         if workers is not None and workers < 1:
             raise QueryError(f"process backend workers must be >= 1, got {workers}")
-        if max_worker_engine_bytes is not None and max_worker_engine_bytes < 0:
-            raise QueryError(
-                f"max_worker_engine_bytes must be >= 0 or None, got {max_worker_engine_bytes}"
-            )
-        if spill_margin < 0:
-            raise QueryError(f"spill_margin must be >= 0, got {spill_margin}")
-        if breaker_threshold < 1:
-            raise QueryError(f"breaker_threshold must be >= 1, got {breaker_threshold}")
-        if breaker_backoff_seconds <= 0:
-            raise QueryError(
-                f"breaker_backoff_seconds must be > 0, got {breaker_backoff_seconds}"
-            )
         if workers is None:
             try:
                 workers = len(os.sched_getaffinity(0))
             except AttributeError:  # non-Linux
                 workers = os.cpu_count() or 1
-        self._workers = workers
-        self._start_method = start_method
-        self._max_worker_engine_bytes = max_worker_engine_bytes
-        self._spill_margin = spill_margin
-        self._breaker_threshold = breaker_threshold
-        self._breaker_backoff_seconds = breaker_backoff_seconds
         self._route_lock = threading.Lock()
         self._lanes = [_Lane(index=i) for i in range(workers)]
         self._pins: dict[str, int] = {}
@@ -845,24 +690,12 @@ class ProcessBackend(ExecutionBackend):
         }
 
     # -- lane plumbing -------------------------------------------------
-    def _mp_context(self):
-        if self._start_method is None:
-            return None
-        import multiprocessing
-
-        return multiprocessing.get_context(self._start_method)
-
     def _lane_executor_locked(self, lane: _Lane) -> ProcessPoolExecutor:
         if lane.executor is None:
             lane.executor = ProcessPoolExecutor(
                 max_workers=1,
-                mp_context=self._mp_context(),
                 initializer=_process_worker_init,
-                initargs=(
-                    tuple(self._handles.values()),
-                    self._max_worker_engine_bytes,
-                    faults.worker_rules(),
-                ),
+                initargs=(tuple(self._handles.values()), faults.worker_rules()),
             )
             lane.seen = set()
         return lane.executor
@@ -889,10 +722,10 @@ class ProcessBackend(ExecutionBackend):
                 self._pin_counters["dead_worker_fallbacks"] += 1
                 lane.failures += 1
                 lane.probing = False
-                if lane.failures >= self._breaker_threshold:
+                if lane.failures >= BREAKER_THRESHOLD:
                     if lane.open_until == 0.0:
                         self._breaker_counters["opened"] += 1
-                    lane.open_until = time.monotonic() + self._breaker_backoff_seconds
+                    lane.open_until = time.monotonic() + BREAKER_BACKOFF_SECONDS
             else:
                 # Deliberate retire (registry change, close): breaker
                 # state describes a worker that no longer exists.
@@ -942,7 +775,7 @@ class ProcessBackend(ExecutionBackend):
             chosen = least
         else:
             pinned = self._lanes[pinned_index]
-            if pinned.pending - least.pending > self._spill_margin:
+            if pinned.pending - least.pending > SPILL_MARGIN:
                 # Saturated pin: prefer a lane that has already seen this
                 # shard (its worker likely holds the engine warm) before
                 # paying a cold build on the least-loaded lane.
@@ -950,7 +783,7 @@ class ProcessBackend(ExecutionBackend):
                     lane
                     for lane in lanes
                     if shard in lane.seen
-                    and pinned.pending - lane.pending > self._spill_margin
+                    and pinned.pending - lane.pending > SPILL_MARGIN
                 ]
                 self._pin_counters["misses"] += 1
                 chosen = (
@@ -1123,8 +956,8 @@ class ProcessBackend(ExecutionBackend):
             return {**self._breaker_counters, "lanes": lanes}
 
     def worker_stats(self, timeout: float = 60.0) -> dict[int, dict]:
-        """Per-lane worker counters (pid, builds, resident engines,
-        evictions) for every lane whose pool has been started.
+        """Per-lane worker counters (pid, builds, resident engines) for
+        every lane whose pool has been started.
 
         This round-trips a control task through each live lane — cheap,
         but not free; meant for tests, demos and debugging endpoints.
@@ -1160,9 +993,7 @@ class ProcessBackend(ExecutionBackend):
             ping.result()
 
 
-def backend_from_name(
-    name: str, workers: int | None = None, **kwargs
-) -> ExecutionBackend:
+def backend_from_name(name: str, workers: int | None = None) -> ExecutionBackend:
     """Build a backend from its :attr:`~ExecutionBackend.name`.
 
     Recognised names: ``serial`` (``workers`` is ignored: waves run
@@ -1172,7 +1003,7 @@ def backend_from_name(
     """
     normalized = name.strip().lower()
     if normalized == "serial":
-        return SerialBackend(**kwargs)
+        return SerialBackend()
     if normalized == "process":
-        return ProcessBackend(workers=workers, **kwargs)
+        return ProcessBackend(workers=workers)
     raise QueryError(f"unknown execution backend {name!r}; expected serial or process")

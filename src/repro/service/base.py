@@ -12,9 +12,10 @@ call takes the same path:
   out as waves (:func:`~repro.service.batch.dispatch_waves`), the
   outcomes merge (:meth:`RoutedService._merge`) and the winner is
   cached;
-* an **update** is applied by the world (incremental row repair), its
-  parts land as :class:`~repro.service.backends.PartPatch` deltas, the
-  cache is invalidated and the new epoch published.
+* an **update** is applied by the world (incremental row repair), the
+  parts it replaced ship to pool workers in
+  :class:`~repro.service.backends.PartPatch` objects, the cache is
+  invalidated and the new epoch published.
 
 The flat tier is the one-cell world: its cell *is* the graph (identity
 id maps), it registers exactly one backend handle and builds
@@ -39,7 +40,6 @@ from repro.core.query import KORQuery
 from repro.core.results import KORResult
 from repro.core.route import Route
 from repro.exceptions import QueryError
-from repro.graph.mutation import GraphDelta
 from repro.service.backends import (
     EngineHandle,
     ExecutionBackend,
@@ -68,16 +68,6 @@ SPAN_KEYWORDS = "keywords-span-cells"
 MISSING_KEYWORDS = "keywords-missing-from-graph"
 INVALID_ENDPOINTS = "invalid-endpoints"
 
-#: The border-tier arrays a structural update patches into pool workers.
-BORDER_ARRAYS = (
-    "border_os_tau",
-    "border_bs_tau",
-    "border_os_sigma",
-    "border_bs_sigma",
-    "border_pred_tau",
-    "border_pred_sigma",
-)
-
 
 @dataclass(frozen=True)
 class Shard:
@@ -100,20 +90,6 @@ class Shard:
         return len(self.to_global)
 
 
-def _graph_patch(graph, delta: GraphDelta | None) -> dict:
-    """The graph half of a patch: *graph* outright, or the *delta* that
-    replays it on the recipient's copy (``None``: no delta applies).
-
-    A delta that interned new keywords cannot be replayed remotely: the
-    worker would intern in merged-delta order, not op order, and disagree
-    with the shipped index on keyword ids — ship the full graph then
-    (adjacency-sized, not table-sized).
-    """
-    if delta is None or delta.set_keywords:
-        return {"graph": graph}
-    return {"graph_delta": delta}
-
-
 class RoutedService:
     """Cached, routed, backend-executed serving over a mutable world.
 
@@ -129,7 +105,6 @@ class RoutedService:
         world: MutableWorld,
         cache_capacity: int,
         backend: ExecutionBackend | None,
-        max_cached_route_nodes: int | None,
         wave_size: int,
         engine: KOREngine | None = None,
     ) -> None:
@@ -137,7 +112,7 @@ class RoutedService:
             raise QueryError(f"wave_size must be >= 1, got {wave_size}")
         self._owns_backend = backend is None
         self._backend = backend if backend is not None else SerialBackend()
-        self._cache = ResultCache(cache_capacity, max_route_nodes=max_cached_route_nodes)
+        self._cache = ResultCache(cache_capacity)
         self._stats = ServiceStats()
         self._update_lock = threading.Lock()
         self._wave_size = int(wave_size)
@@ -275,12 +250,13 @@ class RoutedService:
 
         The world performs the incremental repair (only the rows the
         change can move, in the touched cells and the border tier); the
-        repaired parts then land under an **epoch fence**: affected
-        handles are reset in place (same keys), pool workers receive
-        :class:`~repro.service.backends.PartPatch` deltas through their
-        ordinary FIFO task queues — so every task submitted before the
+        new parts then land under an **epoch fence**: affected handles
+        are reset in place (same keys), and pool workers receive each
+        replaced part whole — graph, tables or index, in a
+        :class:`~repro.service.backends.PartPatch` — through their
+        ordinary FIFO task queues, so every task submitted before the
         update runs against the old state and every task after against
-        the new — and the result cache is invalidated exactly once at the
+        the new.  The result cache is invalidated exactly once at the
         end, which also drops write-backs from queries still finishing on
         the old graph.
         """
@@ -323,7 +299,6 @@ class RoutedService:
 
         patches: list[PartPatch] = []
         shards = list(self._shards)
-        whole = len(shards) == 1
         for cell in update.refreshed_cells:
             state = world.cells[cell]
             reindexed = state.index is not shards[cell].engine.index
@@ -331,10 +306,7 @@ class RoutedService:
             patches.append(
                 PartPatch(
                     key=shards[cell].key,
-                    # A cell subgraph is small: shipping the refreshed one
-                    # outright is cheaper than delta bookkeeping in local
-                    # ids.  The whole-graph cell's ids are global.
-                    **_graph_patch(state.subgraph, update.delta if whole else None),
+                    graph=state.subgraph,
                     tables=state.tables if cell in update.repaired_cells else None,
                     index=state.index if reindexed else None,
                 )
@@ -346,18 +318,12 @@ class RoutedService:
             # change rewrote the full graph it binds queries against.
             self._border_engine = BorderEngine(self._graph, tables=world.tables, index=world.index)
             self._crosscell_handle.reset(self._border_engine)
+            retabled = bool(update.repaired_cells) or update.border_rebuilt
             patches.append(
                 PartPatch(
                     key=self._crosscell_handle.key,
-                    **_graph_patch(self._graph, update.delta),
-                    cell_tables=tuple(
-                        (cell, world.cells[cell].tables) for cell in update.repaired_cells
-                    ),
-                    border=(
-                        tuple((name, getattr(world.tables, name)) for name in BORDER_ARRAYS)
-                        if update.border_rebuilt
-                        else ()
-                    ),
+                    graph=self._graph,
+                    tables=world.tables if retabled else None,
                     index=world.index if update.index_rebuilt else None,
                 )
             )

@@ -8,14 +8,8 @@ and algorithm parameters.  Two queries with the same canonical key are
 answered by the same :class:`repro.core.results.KORResult` object; the
 cached result's ``query`` attribute is the query that first computed it.
 
-Two orthogonal bounds govern eviction:
-
-* ``capacity`` — maximum entry count (LRU eviction beyond it);
-* ``max_route_nodes`` — optional budget on the *total route size* held
-  (results store full routes, so a thousand 3-node answers and a dozen
-  thousand-node answers are very different memory stories).  Inserting
-  past the budget evicts LRU entries until the total fits again; a
-  single result bigger than the whole budget is never stored.
+One bound governs eviction: ``capacity``, the maximum entry count (LRU
+eviction beyond it).
 
 The cache also carries an **epoch**.  Keys only describe the query —
 not the graph it was answered on — so a service whose engine is rebuilt
@@ -90,17 +84,6 @@ def _hashable(value: object) -> bool:
     return True
 
 
-def _route_size(result: KORResult) -> int:
-    """Stored route size of one result (0 when no route was produced).
-
-    Tolerates arbitrary stored values (tests stub results with plain
-    objects): anything without a route costs 0 nodes.
-    """
-    route = getattr(result, "route", None)
-    nodes = getattr(route, "nodes", None)
-    return len(nodes) if nodes is not None else 0
-
-
 @dataclass
 class CacheStats:
     """Counters of one :class:`ResultCache` (monotonically increasing)."""
@@ -109,8 +92,6 @@ class CacheStats:
     misses: int = 0
     insertions: int = 0
     evictions: int = 0
-    #: Results refused because one route exceeded the whole size budget.
-    oversize_rejections: int = 0
     #: Writes dropped because the cache epoch moved while they computed.
     stale_writes: int = 0
     #: Times :meth:`ResultCache.invalidate` wiped the store.
@@ -130,24 +111,16 @@ class CacheStats:
 class ResultCache:
     """Thread-safe LRU mapping canonical keys to :class:`KORResult`.
 
-    ``capacity`` bounds the entry count; ``max_route_nodes`` (optional)
-    bounds the summed ``len(route.nodes)`` of stored results.  Inserting
-    beyond either bound evicts the least recently *used* entries
-    (lookups refresh recency).  A capacity of 0 disables storage
-    entirely while keeping the stats flowing.
+    ``capacity`` bounds the entry count: inserting beyond it evicts the
+    least recently *used* entries (lookups refresh recency).  A capacity
+    of 0 disables storage entirely while keeping the stats flowing.
     """
 
-    def __init__(self, capacity: int = 1024, max_route_nodes: int | None = None) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity < 0:
             raise QueryError(f"cache capacity must be >= 0, got {capacity}")
-        if max_route_nodes is not None and max_route_nodes < 0:
-            raise QueryError(
-                f"max_route_nodes must be >= 0 or None, got {max_route_nodes}"
-            )
         self._capacity = capacity
-        self._max_route_nodes = max_route_nodes
         self._entries: OrderedDict[Hashable, KORResult] = OrderedDict()
-        self._route_nodes = 0
         self._epoch = 0
         self._lock = threading.Lock()
         self._stats = CacheStats()
@@ -156,17 +129,6 @@ class ResultCache:
     def capacity(self) -> int:
         """Maximum number of stored results."""
         return self._capacity
-
-    @property
-    def max_route_nodes(self) -> int | None:
-        """Total stored-route-size budget (None = unbounded)."""
-        return self._max_route_nodes
-
-    @property
-    def total_route_nodes(self) -> int:
-        """Summed route size of every stored result."""
-        with self._lock:
-            return self._route_nodes
 
     @property
     def epoch(self) -> int:
@@ -228,29 +190,16 @@ class ResultCache:
         """
         if self._capacity == 0:
             return
-        size = _route_size(result)
         with self._lock:
             if epoch is not None and epoch != self._epoch:
                 self._stats.stale_writes += 1
                 return
-            if self._max_route_nodes is not None and size > self._max_route_nodes:
-                # Bigger than the whole budget: storing it would evict
-                # everything and still not fit.
-                self._stats.oversize_rejections += 1
-                return
-            previous = self._entries.get(key)
-            if previous is not None:
-                self._route_nodes -= _route_size(previous)
+            if key in self._entries:
                 self._entries.move_to_end(key)
             self._entries[key] = result
-            self._route_nodes += size
             self._stats.insertions += 1
-            while len(self._entries) > self._capacity or (
-                self._max_route_nodes is not None
-                and self._route_nodes > self._max_route_nodes
-            ):
-                _evicted_key, evicted = self._entries.popitem(last=False)
-                self._route_nodes -= _route_size(evicted)
+            while len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
                 self._stats.evictions += 1
 
     def invalidate(self) -> int:
@@ -263,7 +212,6 @@ class ResultCache:
         """
         with self._lock:
             self._entries.clear()
-            self._route_nodes = 0
             self._epoch += 1
             self._stats.invalidations += 1
             return self._epoch
@@ -272,7 +220,6 @@ class ResultCache:
         """Drop every entry (counters and epoch are kept)."""
         with self._lock:
             self._entries.clear()
-            self._route_nodes = 0
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:

@@ -70,8 +70,8 @@ class ServiceConfig:
     per-query dispatch).
 
     The remaining fields mirror the constructor parameters of the same
-    name on the sync services (``cache_capacity``,
-    ``max_cached_route_nodes``, ``num_cells``, ``seed``) and the async
+    name on the sync services (``cache_capacity``, ``num_cells``,
+    ``seed``) and the async
     front end (``window_seconds`` through ``slo_seconds``).
     """
 
@@ -79,7 +79,6 @@ class ServiceConfig:
     backend: str | ExecutionBackend | None = None
     workers: int = DEFAULT_WORKERS
     cache_capacity: int = 1024
-    max_cached_route_nodes: int | None = None
     wave_size: int = DEFAULT_WAVE_SIZE
     # sharded tier
     num_cells: int | None = None
@@ -165,7 +164,6 @@ def build_service(
         **served,
         backend=backend,
         cache_capacity=config.cache_capacity,
-        max_cached_route_nodes=config.max_cached_route_nodes,
         wave_size=config.wave_size,
     )
     # The service normally only owns a backend it defaulted into

@@ -51,9 +51,6 @@ class QueryService(RoutedService):
         :class:`~repro.service.backends.ProcessBackend` moves the
         compute out of the GIL.  Either way the service registers its
         engine with the backend.
-    max_cached_route_nodes:
-        Optional total-route-size budget for the cache (results store
-        full routes); see :class:`~repro.service.cache.ResultCache`.
     wave_size:
         How many unique computations of a batch share one submission
         (default :data:`~repro.service.batch.DEFAULT_WAVE_SIZE`); ``1``
@@ -65,14 +62,12 @@ class QueryService(RoutedService):
         engine: KOREngine,
         cache_capacity: int = 1024,
         backend: ExecutionBackend | None = None,
-        max_cached_route_nodes: int | None = None,
         wave_size: int = DEFAULT_WAVE_SIZE,
     ) -> None:
         super().__init__(
             MutableWorld.from_engine(engine),
             cache_capacity,
             backend,
-            max_cached_route_nodes,
             wave_size,
             engine=engine,
         )

@@ -51,7 +51,7 @@ from repro.exceptions import QueryError
 from repro.graph.digraph import SpatialKeywordGraph
 from repro.prep.partition import GraphPartition
 from repro.service.backends import ExecutionBackend
-from repro.service.base import BORDER_ARRAYS, RoutedService, Shard
+from repro.service.base import RoutedService, Shard
 from repro.service.batch import DEFAULT_WAVE_SIZE
 from repro.service.crosscell import BorderEngine
 from repro.world import MutableWorld
@@ -60,6 +60,8 @@ __all__ = ["Shard", "ShardedQueryService"]
 
 #: Table arrays counted by :meth:`ShardedQueryService.memory_bytes`.
 _TABLE_ARRAYS = ("os_tau", "bs_tau", "os_sigma", "bs_sigma", "pred_tau", "pred_sigma")
+#: The border-tier twins of those arrays on the partitioned tables.
+_BORDER_ARRAYS = tuple(f"border_{name}" for name in _TABLE_ARRAYS)
 
 
 class ShardedQueryService(RoutedService):
@@ -78,8 +80,8 @@ class ShardedQueryService(RoutedService):
         Execution backend for shard waves; default a
         :class:`~repro.service.backends.SerialBackend` owned (and closed)
         by this service.  A caller-supplied backend is shared, not owned.
-    cache_capacity / max_cached_route_nodes:
-        Result-cache bounds, as in the flat service.  Cached entries are
+    cache_capacity:
+        Result-cache size, as in the flat service.  Cached entries are
         already translated to global node ids.
     world:
         A pre-built :class:`~repro.world.MutableWorld` to serve instead
@@ -99,7 +101,6 @@ class ShardedQueryService(RoutedService):
         seed: int = 0,
         backend: ExecutionBackend | None = None,
         cache_capacity: int = 1024,
-        max_cached_route_nodes: int | None = None,
         world: MutableWorld | None = None,
         wave_size: int = DEFAULT_WAVE_SIZE,
     ) -> None:
@@ -112,13 +113,7 @@ class ShardedQueryService(RoutedService):
                 "pass either a graph or a world, not both: the world carries "
                 "its own graph"
             )
-        super().__init__(
-            world,
-            cache_capacity,
-            backend,
-            max_cached_route_nodes,
-            wave_size,
-        )
+        super().__init__(world, cache_capacity, backend, wave_size)
 
     @classmethod
     def from_engine(cls, engine: KOREngine, **kwargs) -> "ShardedQueryService":
@@ -185,7 +180,7 @@ class ShardedQueryService(RoutedService):
                 *assembled.cell_tables,
             )
             for name in _TABLE_ARRAYS
-        ] + [getattr(assembled, name) for name in BORDER_ARRAYS]
+        ] + [getattr(assembled, name) for name in _BORDER_ARRAYS]
         total = assembled.cache_bytes()
         for array in arrays:
             if array is not None and id(array) not in seen:

@@ -15,6 +15,9 @@ from typing import Mapping
 
 __all__ = ["ServiceStats", "StatsSnapshot", "percentile"]
 
+#: Latency samples a :class:`ServiceStats` keeps for its percentiles.
+LATENCY_WINDOW = 8192
+
 
 def percentile(samples: list[float], q: float) -> float:
     """The *q*-th percentile (0..100) by linear interpolation, 0.0 if empty.
@@ -181,19 +184,17 @@ class ServiceStats:
     batch counts once, however many workers it fanned out over), so the
     throughput it yields is what a caller actually observed.
 
-    Latency samples live in a bounded sliding window (``window`` most
-    recent queries) so a long-lived service does not grow without bound;
+    Latency samples live in a bounded sliding window (the
+    :data:`LATENCY_WINDOW` most recent queries) so a long-lived service does not grow without bound;
     the percentiles are therefore *recent* percentiles, while the
     query/hit/error counters cover the whole lifetime.
     """
 
-    def __init__(self, window: int = 8192, slo_seconds: float | None = None) -> None:
-        if window < 1:
-            raise ValueError(f"latency window must be >= 1, got {window}")
+    def __init__(self, slo_seconds: float | None = None) -> None:
         if slo_seconds is not None and slo_seconds <= 0.0:
             raise ValueError(f"slo_seconds must be > 0 or None, got {slo_seconds}")
         self._lock = threading.Lock()
-        self._latencies: deque[float] = deque(maxlen=window)
+        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._queries = 0
         self._errors = 0
         self._hits = 0

@@ -131,11 +131,11 @@ class WorldUpdate:
     each kind (``"tau"``, ``"sigma"``) to the source rows the repair
     swept again: ``(cell rows, summed over the repaired cells, overlay
     rows)``; every other row was copied.  The serving layer turns this
-    receipt into minimal per-shard patches for its execution backend.
+    receipt into per-shard patches of the replaced parts for its
+    execution backend.
     """
 
     epoch: int
-    delta: GraphDelta
     repaired_cells: tuple[int, ...]
     refreshed_cells: tuple[int, ...]
     border_rebuilt: bool
@@ -396,7 +396,6 @@ class MutableWorld:
         self._epoch += 1
         return WorldUpdate(
             epoch=self._epoch,
-            delta=delta,
             repaired_cells=tuple(sorted(repair)),
             refreshed_cells=tuple(sorted(refresh)),
             border_rebuilt=border_rebuilt,

@@ -123,6 +123,51 @@ class TestInfeasibilityProof:
         assert result.stats.loops == 11
 
 
+class TestBudgetExactlyDelta:
+    """A budget set exactly at the only covering route's cost.  The
+    route sums its edges one by one; a label sums jump legs and edges in
+    another association and reads an ulp above Delta.  Every budget
+    compare of the search reads ``SearchContext.limit``, so the route is
+    still found."""
+
+    ROUTE = (70, 4, 62, 25, 8)
+
+    @pytest.fixture(scope="class")
+    def tight(self):
+        from repro.core.query import QueryBinding
+
+        from tests.properties.test_expand_properties import hub_instance
+        from tests.properties.test_infeasibility_properties import cheapest_covering_walk
+
+        graph, query = hub_instance(3501, 12)
+        engine = KOREngine(graph)
+        delta = cheapest_covering_walk(graph, QueryBinding.bind(graph, engine.index, query), query)
+        assert delta == 2.213256511846619
+        return engine, KORQuery(query.source, query.target, query.keywords, delta)
+
+    def test_the_oracle_finds_the_route(self, tight):
+        engine, query = tight
+        result = engine.run(query, algorithm="exhaustive")
+        assert result.route.nodes == self.ROUTE
+        assert result.route.budget_score == query.budget_limit
+
+    @pytest.mark.parametrize("algorithm", ("exact", "osscaling", "bucketbound"))
+    def test_label_searches_find_it(self, tight, algorithm):
+        engine, query = tight
+        result = engine.run(query, algorithm=algorithm)
+        assert result.feasible, result.failure_reason
+        assert result.route.nodes == self.ROUTE
+
+    @pytest.mark.parametrize("algorithm", ("osscaling", "bucketbound"))
+    def test_top_k_finds_it(self, tight, algorithm):
+        engine, query = tight
+        result = engine.top_k(
+            query.source, query.target, query.keywords, query.budget_limit, k=2,
+            algorithm=algorithm,
+        )
+        assert [route.nodes for route in result.routes] == [self.ROUTE]
+
+
 def keyword_clique(m: int) -> KOREngine:
     """Source 0, target 1 and *m* nodes carrying one keyword each, every
     pair one unit apart: covering the query costs exactly ``m + 1``."""

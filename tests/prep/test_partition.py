@@ -525,8 +525,8 @@ class TestPathMaterialisation:
         assert tables.cache_bytes() > 0
 
     def test_pickle_round_trip_drops_caches_keeps_answers(self, grid, with_paths):
-        """Worker tasks and ``PartPatch`` deltas pickle the tables: what a
-        parent looked up must neither ship nor grow the pickle."""
+        """Worker handles and ``PartPatch`` objects pickle the tables: what
+        a parent looked up must neither ship nor grow the pickle."""
         import dataclasses
         import pickle
 
@@ -542,8 +542,8 @@ class TestPathMaterialisation:
         assert clone.tau_path(0, 48) == with_paths.tau_path(0, 48)
 
     def test_dataclass_replace_starts_with_empty_caches(self, with_paths):
-        """How a pool worker folds a repair patch in (``PartPatch.apply_to``):
-        nothing computed from the old border tier may survive it."""
+        """A copy with a new border tier: nothing computed from the old
+        border tier may survive it."""
         import dataclasses
 
         self.warm(with_paths)

@@ -645,7 +645,7 @@ class TestAdminUpdate:
 
     @pytest.mark.parametrize("tier", ["flat", "sharded"])
     def test_refused_batch_keeps_process_workers_in_step(self, tier):
-        """Pool workers replay only accepted deltas: after a refused batch
+        """Pool workers receive only accepted updates' parts: after a refused batch
         and a valid update through the front door, a process-backed
         service answers like a serial one that never saw the refusal."""
         engine, queries = random_instance(0)

@@ -1,5 +1,5 @@
 """Backend lifecycle edges: close idempotency, in-flight unregister,
-cancellation of queued work, and bounded admission accounting.
+cancellation of queued work, and submission depth accounting.
 
 These are the contracts the async front-end leans on: futures must
 resolve (or cancel) cleanly whatever the registry and pools do around
@@ -140,7 +140,7 @@ class TestUnregisterInFlight:
 class TestCancellation:
     def test_cancel_submitted_but_unstarted_task(self):
         """A wave queued behind a busy lane can be cancelled before the
-        worker picks it up; the admission slot is returned and the lane
+        worker picks it up; its depth count is returned and the lane
         keeps serving."""
         engine, queries = random_instance(0)
         plan = FaultPlan([FaultRule(kind="delay_task", shard="blocker", seconds=0.5)])
@@ -165,36 +165,10 @@ class TestCancellation:
                 backend.close()
 
 
-class TestBoundedAdmission:
-    def test_submissions_block_at_max_in_flight(self):
-        """An inline wave holds its slot while it runs: with two callers
-        parked inside their searches, a third caller blocks at admission."""
-        engine, queries = random_instance(0)
-        gated = GatedEngine(engine)
-        backend = SerialBackend(max_in_flight=2)
-        handle = backend.register_engine(gated, key="gated")
-        callers = [submit_in_thread(backend, wave_of_one(handle.key, q)) for q in queries[:3]]
-        try:
-            for _ in range(2):
-                assert gated.running.acquire(timeout=10.0)
-            deadline = time.time() + 5.0
-            while backend.admission_waits < 1 and time.time() < deadline:
-                time.sleep(0.01)
-            # The third submission must be *blocked*, not admitted.
-            assert backend.admission_waits == 1
-            assert backend.in_flight == 2
-            assert not gated.running.acquire(timeout=0.2)
-        finally:
-            gated.gate.set()
-            for thread, _box in callers:
-                thread.join(timeout=10.0)
-        assert [box[0][0].ok for _thread, box in callers] == [True] * 3
-        assert backend.peak_in_flight == 2
-        assert backend.in_flight == 0
-
-    def test_unbounded_admission_counts_every_parked_caller(self):
-        """Without a bound, concurrent inline callers are all admitted at
-        once; the depth gauge (``queue_depth_peak``) counts each."""
+class TestDepthAccounting:
+    def test_depth_counts_every_parked_caller(self):
+        """Concurrent inline callers are all admitted at once; the depth
+        gauge (``queue_depth_peak``) counts each."""
         engine, queries = random_instance(0)
         gated = GatedEngine(engine)
         backend = SerialBackend()
@@ -209,22 +183,20 @@ class TestBoundedAdmission:
             for thread, _box in callers:
                 thread.join(timeout=10.0)
         assert [box[0][0].ok for _thread, box in callers] == [True] * 3
-        assert (backend.peak_in_flight, backend.admission_waits, backend.in_flight) == (3, 0, 0)
+        assert (backend.peak_in_flight, backend.in_flight) == (3, 0)
 
-    def test_serial_backend_counts_depth_without_blocking(self):
+    def test_serial_backend_counts_depth(self):
         engine, queries = random_instance(0)
-        backend = SerialBackend(max_in_flight=1)
+        backend = SerialBackend()
         try:
             handle = backend.register_engine(engine, key="serial-depth")
             outcomes = run_waves_of_one(
                 backend, [wave_of_one(handle.key, q) for q in queries[:3]]
             )
             assert all(outcome.ok for outcome in outcomes)
-            # Serial tasks resolve at submission: depth never exceeds 1
-            # and nothing ever has to wait.
+            # Serial tasks resolve at submission: depth never exceeds 1.
             assert backend.peak_in_flight == 1
             assert backend.in_flight == 0
-            assert backend.admission_waits == 0
         finally:
             backend.close()
 
@@ -232,7 +204,7 @@ class TestBoundedAdmission:
         from repro.service import QueryService
 
         engine, queries = random_instance(0)
-        backend = SerialBackend(max_in_flight=8)
+        backend = SerialBackend()
         try:
             service = QueryService(engine, cache_capacity=0, backend=backend)
             service.run_batch(queries, algorithm="bucketbound")

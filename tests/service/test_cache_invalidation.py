@@ -42,7 +42,6 @@ class TestResultCacheEpoch:
         new_epoch = cache.invalidate()
         assert new_epoch == first_epoch + 1 == cache.epoch
         assert len(cache) == 0
-        assert cache.total_route_nodes == 0
         assert cache.stats.invalidations == 1
 
     def test_stale_write_is_dropped(self):

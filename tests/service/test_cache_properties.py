@@ -8,10 +8,8 @@ The contract (tests drive :func:`repro.service.canonical_cache_key` and
   identically;
 * everything that can change the answer — source, target, budget,
   algorithm, parameter values — always changes the key (no collisions);
-* size-aware eviction: with a ``max_route_nodes`` budget, the summed
-  stored route size never exceeds the budget after any operation
-  sequence, eviction is LRU, and an entry bigger than the whole budget
-  is refused outright.
+* capacity eviction: the entry count never exceeds ``capacity`` after
+  any operation sequence, and eviction is LRU.
 """
 
 from __future__ import annotations
@@ -133,12 +131,12 @@ class TestNoCollisions:
 
 
 # ----------------------------------------------------------------------
-# size-aware eviction (max_route_nodes budget)
+# capacity eviction
 # ----------------------------------------------------------------------
 
 
 def make_result(route_nodes: int) -> KORResult:
-    """A synthetic result whose stored size is *route_nodes* nodes."""
+    """A synthetic result whose route has *route_nodes* nodes."""
     route = (
         Route(
             nodes=tuple(range(route_nodes)),
@@ -166,25 +164,21 @@ cache_ops = st.lists(
 )
 
 
-class TestSizeAwareEviction:
+class TestCapacityEviction:
     @LENIENT
-    @given(st.integers(1, 6), st.integers(0, 12), cache_ops)
-    def test_budget_and_capacity_hold_after_any_op_sequence(
-        self, capacity, budget, ops
-    ):
-        cache = ResultCache(capacity, max_route_nodes=budget)
+    @given(st.integers(1, 6), cache_ops)
+    def test_capacity_holds_after_any_op_sequence(self, capacity, ops):
+        cache = ResultCache(capacity)
         for key, size in ops:
             if size is None:
                 cache.get(key)
             else:
                 cache.put(key, make_result(size))
             assert len(cache) <= capacity
-            assert cache.total_route_nodes <= budget
 
     @LENIENT
     @given(cache_ops)
-    def test_unbudgeted_cache_never_size_evicts(self, ops):
-        """max_route_nodes=None keeps PR 1 semantics: count-only LRU."""
+    def test_cache_below_capacity_never_evicts(self, ops):
         cache = ResultCache(capacity=64)
         stored: dict = {}
         for key, size in ops:
@@ -193,45 +187,21 @@ class TestSizeAwareEviction:
             cache.put(key, make_result(size))
             stored[key] = size
         assert len(cache) == len(stored)
-        assert cache.total_route_nodes == sum(stored.values())
         assert cache.stats.evictions == 0
 
-    def test_total_tracks_replacement_of_same_key(self):
-        cache = ResultCache(8, max_route_nodes=100)
+    def test_replacing_a_key_keeps_one_entry(self):
+        cache = ResultCache(8)
         cache.put("k", make_result(9))
-        assert cache.total_route_nodes == 9
         cache.put("k", make_result(3))
-        assert cache.total_route_nodes == 3
         assert len(cache) == 1
+        assert len(cache.get("k").route.nodes) == 3
 
-    def test_eviction_is_lru_under_size_pressure(self):
-        cache = ResultCache(16, max_route_nodes=10)
+    def test_eviction_is_lru_under_capacity_pressure(self):
+        cache = ResultCache(2)
         cache.put("a", make_result(4))
         cache.put("b", make_result(4))
         cache.get("a")  # refresh: b is now the LRU entry
-        cache.put("c", make_result(4))  # 12 > 10 -> evict b
+        cache.put("c", make_result(4))  # 3 > 2 -> evict b
         assert "a" in cache and "c" in cache
         assert "b" not in cache
-        assert cache.total_route_nodes == 8
-
-    def test_oversize_entry_is_refused_and_counted(self):
-        cache = ResultCache(8, max_route_nodes=5)
-        cache.put("small", make_result(3))
-        before = len(cache)
-        cache.put("huge", make_result(6))
-        assert "huge" not in cache
-        assert len(cache) == before  # nothing was evicted to make room
-        assert cache.stats.oversize_rejections == 1
-
-    def test_routeless_results_cost_nothing(self):
-        cache = ResultCache(8, max_route_nodes=0)
-        cache.put("miss", make_result(0))
-        assert "miss" in cache
-        assert cache.total_route_nodes == 0
-
-    def test_negative_budget_rejected(self):
-        try:
-            ResultCache(8, max_route_nodes=-1)
-        except QueryError:
-            return
-        raise AssertionError("expected QueryError for negative max_route_nodes")
+        assert cache.stats.evictions == 1

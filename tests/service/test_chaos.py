@@ -20,7 +20,7 @@ import pytest
 from repro.core.deadline import Deadline
 from repro.core.engine import ALGORITHMS
 from repro.exceptions import DeadlineExceeded
-from repro.service import ProcessBackend, QueryService, SerialBackend
+from repro.service import ProcessBackend, QueryService, SerialBackend, backends
 from repro.service.cache import ResultCache
 from repro.service.faults import (
     FaultInjected,
@@ -167,7 +167,7 @@ def test_kill_worker_is_survived_transparently(algorithm):
 
 
 class TestLaneBreaker:
-    def test_storm_opens_spills_and_reclosing_probe(self):
+    def test_storm_opens_spills_and_reclosing_probe(self, monkeypatch):
         """The full breaker storyline on a two-lane backend:
 
         1. a ``drop_lane`` storm kills lane 0's worker on every dispatch
@@ -183,10 +183,10 @@ class TestLaneBreaker:
         # attempt and their transparent retry (two kills each, two
         # failed slots, two consecutive dead-worker retires), task 3's
         # first attempt is the third retire — threshold reached.
+        assert backends.BREAKER_THRESHOLD == 3
+        monkeypatch.setattr(backends, "BREAKER_BACKOFF_SECONDS", 0.5)
         plan = install(FaultPlan([FaultRule(kind="drop_lane", lane=0, times=5)]))
-        backend = ProcessBackend(
-            workers=2, breaker_threshold=3, breaker_backoff_seconds=0.5
-        )
+        backend = ProcessBackend(workers=2)
         try:
             service = QueryService(engine, cache_capacity=0, backend=backend)
 

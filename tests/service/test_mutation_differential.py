@@ -15,6 +15,7 @@ the from-scratch oracle, and any process-pool worker.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import threading
 import time
@@ -24,7 +25,7 @@ import pytest
 from repro.core.engine import ALGORITHMS, KOREngine
 from repro.core.query import KORQuery
 from repro.graph.mutation import GraphMutator, resolve_ops
-from repro.service import QueryService, SerialBackend, ShardedQueryService
+from repro.service import ProcessBackend, QueryService, SerialBackend, ShardedQueryService
 from repro.service.faults import FaultPlan, FaultRule, injected
 from repro.world import MutableWorld
 
@@ -105,6 +106,20 @@ def mutation_sequence(graph, seed: int, count: int = SEQUENCE_LENGTH):
     return ops
 
 
+#: A word no generated graph carries: an update that gives it to a node
+#: grows the vocabulary, so the index is rebuilt and ids are interned.
+NEW_WORD = "newly-named"
+
+
+def with_new_word(graph, ops):
+    """*ops* plus a last one that gives a node still open at the end
+    :data:`NEW_WORD`, and that node."""
+    mutator = GraphMutator(graph)
+    resolve_ops(mutator, ops)
+    node = min(u for u in range(graph.num_nodes) if u not in mutator.closed_nodes)
+    return ops + [{"op": "update_keywords", "node": node, "keywords": [NEW_WORD]}], node
+
+
 def chunked(ops, seed: int):
     """Split *ops* into random batches of 1..5 (how callers really apply)."""
     rng = random.Random(seed ^ 0x5EED)
@@ -115,8 +130,9 @@ def chunked(ops, seed: int):
         start += size
 
 
-def query_battery(graph, seed: int, count: int = 8):
-    """Queries against whatever keywords the mutated world ended up with."""
+def query_battery(graph, seed: int, count: int = 8, via: int | None = None):
+    """Queries against whatever keywords the mutated world ended up with,
+    plus, with *via*, two from that node asking for :data:`NEW_WORD`."""
     rng = random.Random(seed + 71)
     present = sorted(set(graph.keyword_table.words))
     n = graph.num_nodes
@@ -130,6 +146,8 @@ def query_battery(graph, seed: int, count: int = 8):
         queries.append(
             KORQuery(rng.randrange(n), rng.randrange(n), keywords, rng.choice((2.0, 4.0, 6.0)))
         )
+    if via is not None:
+        queries += [KORQuery(via, rng.randrange(n), (NEW_WORD,), 6.0) for _ in range(2)]
     return queries
 
 
@@ -144,53 +162,84 @@ def assert_all_algorithms_match(service, oracle_run, queries):
         assert got == expected, f"{algorithm}: incremental != rebuild"
 
 
-@pytest.mark.parametrize("seed", (0, 1, 2))
-def test_flat_incremental_matches_fresh_engine(seed, service_backend):
+#: Every seed on the environment's backend, and one seed pinned to two
+#: process lanes: tier-1 runs ``service_backend`` serial, and a live lane
+#: is the only place a shipped patch is applied.
+INCREMENTAL_CASES = [(0, "env"), (1, "env"), (2, "env"), (0, "process")]
+
+
+@contextlib.contextmanager
+def backend_for(name, service_backend):
+    """*service_backend*, or a fresh two-lane process backend."""
+    if name == "env":
+        yield service_backend
+        return
+    with ProcessBackend(workers=2) as backend:
+        yield backend
+
+
+def assert_patched_in_place(backend):
+    """On a process backend, some worker that served before the updates
+    built an engine again after them: it was patched, not restarted."""
+    if isinstance(backend, ProcessBackend):
+        builds = [n for stats in backend.worker_stats().values() for n in stats["builds"].values()]
+        assert max(builds) >= 2, builds
+
+
+@pytest.mark.parametrize("seed, backend_name", INCREMENTAL_CASES)
+def test_flat_incremental_matches_fresh_engine(seed, backend_name, service_backend):
     """Flat tier: a 50-op sequence applied through ``QueryService``
     serves exactly what a fresh engine over the final graph serves."""
-    engine, _queries = random_instance(seed)
-    ops = mutation_sequence(engine.graph, seed)
+    engine, warmup = random_instance(seed)
+    ops, via = with_new_word(engine.graph, mutation_sequence(engine.graph, seed))
 
-    service = QueryService(engine, cache_capacity=256, backend=service_backend)
-    epochs = [service.apply_ops(batch) for batch in chunked(ops, seed)]
-    assert epochs == sorted(set(epochs))  # one bump per batch, monotonic
+    with backend_for(backend_name, service_backend) as backend:
+        service = QueryService(engine, cache_capacity=256, backend=backend)
+        # Warm the backend first, so the updates reach a live lane.
+        service.run_batch(warmup[:4], algorithm="greedy")
+        epochs = [service.apply_ops(batch) for batch in chunked(ops, seed)]
+        assert epochs == sorted(set(epochs))  # one bump per batch, monotonic
 
-    oracle_mutator = GraphMutator(engine.graph)
-    resolve_ops(oracle_mutator, ops)
-    oracle = KOREngine(oracle_mutator.graph)
-    queries = query_battery(service.engine.graph, seed)
-    assert_all_algorithms_match(
-        service, lambda q, a: oracle.run(q, algorithm=a), queries
-    )
+        oracle_mutator = GraphMutator(engine.graph)
+        resolve_ops(oracle_mutator, ops)
+        oracle = KOREngine(oracle_mutator.graph)
+        queries = query_battery(service.engine.graph, seed, via=via)
+        assert_all_algorithms_match(
+            service, lambda q, a: oracle.run(q, algorithm=a), queries
+        )
+        assert_patched_in_place(backend)
 
 
-@pytest.mark.parametrize("seed", (0, 1, 2))
-def test_sharded_incremental_matches_rebuilt_world(seed, service_backend):
+@pytest.mark.parametrize("seed, backend_name", INCREMENTAL_CASES)
+def test_sharded_incremental_matches_rebuilt_world(seed, backend_name, service_backend):
     """Sharded tier: incremental repair (cells + border tier) after a
     50-op sequence == a world rebuilt from scratch on the same
     partition, for all six algorithms."""
     engine, warmup = random_instance(seed)
+    ops, via = with_new_word(engine.graph, mutation_sequence(engine.graph, seed))
     world = MutableWorld(engine.graph, num_cells=2, seed=0)
-    service = ShardedQueryService(world=world, backend=service_backend)
-    # Warm the backend (materialised engines, process lanes) *before*
-    # mutating, so repair exercises the live patch-broadcast path and
-    # not just fresh construction.
-    service.run_batch(warmup[:4], algorithm="greedy")
+    with backend_for(backend_name, service_backend) as backend:
+        service = ShardedQueryService(world=world, backend=backend)
+        # Warm the backend (materialised engines, process lanes) *before*
+        # mutating, so repair exercises the live patch-broadcast path and
+        # not just fresh construction.
+        service.run_batch(warmup[:4], algorithm="greedy")
 
-    for batch in chunked(mutation_sequence(engine.graph, seed), seed):
-        service.apply_ops(batch)
-    assert service.epoch == world.epoch > 0
+        for batch in chunked(ops, seed):
+            service.apply_ops(batch)
+        assert service.epoch == world.epoch > 0
 
-    oracle = ShardedQueryService(world=world.rebuilt())
-    try:
-        queries = query_battery(world.graph, seed)
-        assert_all_algorithms_match(
-            service,
-            lambda q, a: oracle.run_batch([q], algorithm=a)[0],
-            queries,
-        )
-    finally:
-        oracle.close()
+        oracle = ShardedQueryService(world=world.rebuilt())
+        try:
+            queries = query_battery(world.graph, seed, via=via)
+            assert_all_algorithms_match(
+                service,
+                lambda q, a: oracle.run_batch([q], algorithm=a)[0],
+                queries,
+            )
+        finally:
+            oracle.close()
+        assert_patched_in_place(backend)
 
 
 def test_convenience_methods_equal_wire_ops(service_backend):

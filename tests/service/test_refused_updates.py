@@ -6,7 +6,8 @@ as it goes.  Before it was made all-or-nothing, a batch refused at op
 repaired and no epoch had moved: the next accepted update then repaired
 only its own cells, and served a mix — tables that still routed through
 a node the graph had closed, a border tier read from the new graph, and
-pool workers (who replay only accepted deltas) on yet another graph.
+pool workers (sent only the parts of accepted updates) on yet another
+graph.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def test_flat_service_refused_batch_is_not_applied_later(
     graph, closed, refused, recost, queries, service_backend
 ):
     """Flat tier: the refused op must not take effect at the next update,
-    and pool workers (who replay only the accepted delta) must agree."""
+    and pool workers (sent only the accepted update's parts) must agree."""
     service = QueryService(KOREngine(graph), cache_capacity=64, backend=service_backend)
     with pytest.raises(MutationError, match="already closed"):
         service.apply_ops(refused)
@@ -159,9 +160,9 @@ def test_sharded_service_refused_batch_keeps_parent_and_workers_agreeing(
 def test_process_backend_answers_like_a_service_that_never_saw_the_batch(
     graph, refused, recost, queries, tier
 ):
-    """The reproduction from the issue, on the backend whose workers only
-    ever see accepted deltas: refused batch, then a valid update, against
-    a serial service that was only ever sent the valid update."""
+    """The reproduction on the backend whose workers only ever receive
+    the parts of accepted updates: refused batch, then a valid update,
+    against a serial service that was only ever sent the valid update."""
 
     def serve(backend_name, batches):
         backend = backend_from_name(backend_name, workers=2)

@@ -15,6 +15,7 @@ from repro.service import (
     ShardedQueryService,
     canonical_cache_key,
 )
+from repro.service import stats as stats_module
 from repro.service.stats import ServiceStats, percentile
 
 
@@ -119,18 +120,15 @@ class TestServiceStats:
         stats.reset()
         assert stats.snapshot().queries == 0
 
-    def test_latency_window_is_bounded_but_counters_are_lifetime(self):
-        stats = ServiceStats(window=4)
+    def test_latency_window_is_bounded_but_counters_are_lifetime(self, monkeypatch):
+        monkeypatch.setattr(stats_module, "LATENCY_WINDOW", 4)
+        stats = ServiceStats()
         for i in range(10):
             stats.record_query(float(i), cached=False)
         snapshot = stats.snapshot()
         assert snapshot.queries == 10  # lifetime count survives the window
         # Percentiles only see the 4 most recent samples (6..9).
         assert snapshot.p50_latency_seconds == pytest.approx(7.5)
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            ServiceStats(window=0)
 
 
 class TestQueryService:

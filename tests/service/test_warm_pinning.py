@@ -15,25 +15,25 @@ import time
 import pytest
 
 from repro.exceptions import QueryError
-from repro.service import ProcessBackend, ShardedQueryService
+from repro.service import ProcessBackend, ShardedQueryService, backends
 
 from tests.service.test_backends import run_waves_of_one, wave_of_one
 from tests.service.test_differential import random_instance
 
 
-def build_backend(**kwargs) -> ProcessBackend:
-    kwargs.setdefault("workers", 2)
-    # A generous spill margin keeps routing deterministic in tests that
-    # assert *affinity*; the spill test sets its own margin.
-    kwargs.setdefault("spill_margin", 1_000)
-    return ProcessBackend(**kwargs)
+@pytest.fixture
+def no_spill(monkeypatch):
+    """A spill margin no test queue reaches keeps routing deterministic
+    in tests that assert *affinity*."""
+    monkeypatch.setattr(backends, "SPILL_MARGIN", 1_000)
 
 
+@pytest.mark.usefixtures("no_spill")
 class TestAffinity:
     def test_repeat_traffic_builds_engine_in_exactly_one_worker(self):
         engine_a, queries_a = random_instance(0)
         engine_b, queries_b = random_instance(7)
-        backend = build_backend()
+        backend = ProcessBackend(workers=2)
         try:
             handle_a = backend.register_engine(engine_a, key="shard-a")
             handle_b = backend.register_engine(engine_b, key="shard-b")
@@ -62,7 +62,7 @@ class TestAffinity:
     def test_sharded_service_snapshot_reports_pin_hits(self):
         """Acceptance: pin-hit rate > 0 through the full service stack."""
         engine, queries = random_instance(1)
-        backend = build_backend()
+        backend = ProcessBackend(workers=2)
         try:
             service = ShardedQueryService(
                 engine.graph,
@@ -82,16 +82,19 @@ class TestAffinity:
         finally:
             backend.close()
 
+
+class TestSpill:
     def test_saturated_pin_spills_to_least_loaded_lane(self):
         engine, queries = random_instance(0)
-        backend = build_backend(spill_margin=0)
+        backend = ProcessBackend(workers=2)
         try:
             handle = backend.register_engine(engine, key="hot-shard")
-            # A burst submitted without waiting: the pinned lane's queue
-            # grows, and with margin 0 later tasks must spill.
+            # A burst submitted without waiting while the lanes' workers
+            # start: the pinned lane's queue runs more than SPILL_MARGIN
+            # deeper than the idle lane, so later tasks must spill.
             futures = [
                 backend.submit_wave(wave_of_one(handle.key, queries[i % len(queries)]))
-                for i in range(8)
+                for i in range(4 * backends.SPILL_MARGIN)
             ]
             outcomes = [future.result()[0] for future in futures]
             assert all(outcome.ok for outcome in outcomes)
@@ -102,40 +105,11 @@ class TestAffinity:
             backend.close()
 
 
-class TestWorkerEngineLRU:
-    def test_budget_evicts_and_rebuilds_without_wrong_answers(self):
+class TestWorkerEngines:
+    def test_a_worker_keeps_every_engine_it_built(self):
         engine_a, queries_a = random_instance(0)
         engine_b, queries_b = random_instance(7)
-        expected_a = engine_a.run(queries_a[0], algorithm="bucketbound")
-        expected_b = engine_b.run(queries_b[0], algorithm="bucketbound")
-        # One lane, a budget below any engine's weight: every shard
-        # switch evicts the resident engine and rebuilds on return.
-        backend = ProcessBackend(workers=1, max_worker_engine_bytes=1, spill_margin=1_000)
-        try:
-            handle_a = backend.register_engine(engine_a, key="lru-a")
-            handle_b = backend.register_engine(engine_b, key="lru-b")
-            plan = [
-                wave_of_one(handle_a.key, queries_a[0]),
-                wave_of_one(handle_b.key, queries_b[0]),
-                wave_of_one(handle_a.key, queries_a[0]),
-            ]
-            outcomes = run_waves_of_one(backend, plan)
-            assert all(outcome.ok for outcome in outcomes)
-            assert outcomes[0].result.objective_score == expected_a.objective_score
-            assert outcomes[1].result.objective_score == expected_b.objective_score
-            assert outcomes[2].result.objective_score == expected_a.objective_score
-
-            (stats,) = backend.worker_stats().values()
-            assert stats["evictions"] >= 2  # a evicted by b, b by a's return
-            assert stats["builds"]["lru-a"] == 2  # rebuilt after eviction
-            assert len(stats["resident"]) == 1  # budget keeps exactly one
-        finally:
-            backend.close()
-
-    def test_no_budget_keeps_every_engine_resident(self):
-        engine_a, queries_a = random_instance(0)
-        engine_b, queries_b = random_instance(7)
-        backend = ProcessBackend(workers=1, spill_margin=1_000)
+        backend = ProcessBackend(workers=1)
         try:
             handle_a = backend.register_engine(engine_a, key="res-a")
             handle_b = backend.register_engine(engine_b, key="res-b")
@@ -149,18 +123,18 @@ class TestWorkerEngineLRU:
             )
             assert all(outcome.ok for outcome in outcomes)
             (stats,) = backend.worker_stats().values()
-            assert stats["evictions"] == 0
             assert stats["builds"] == {"res-a": 1, "res-b": 1}
             assert sorted(stats["resident"]) == ["res-a", "res-b"]
         finally:
             backend.close()
 
 
+@pytest.mark.usefixtures("no_spill")
 class TestDeadWorkerFallback:
     def test_killed_worker_is_replaced_and_traffic_continues(self):
         engine, queries = random_instance(0)
         expected = engine.run(queries[0], algorithm="bucketbound")
-        backend = build_backend(workers=2)
+        backend = ProcessBackend(workers=2)
         try:
             handle = backend.register_engine(engine, key="fragile")
             first = run_waves_of_one(backend, [wave_of_one(handle.key, queries[0])])
@@ -187,7 +161,7 @@ class TestDeadWorkerFallback:
         """Several tasks sunk by the same dead worker must trigger one
         lane rebuild (not one per task) and leave pending counts at 0."""
         engine, queries = random_instance(0)
-        backend = build_backend(workers=2)
+        backend = ProcessBackend(workers=2)
         try:
             handle = backend.register_engine(engine, key="burst")
             warm = run_waves_of_one(backend, [wave_of_one(handle.key, queries[0])])
@@ -213,31 +187,25 @@ class TestDeadWorkerFallback:
 
 
 class TestConstructionGuards:
-    def test_invalid_knobs_are_rejected(self):
+    def test_invalid_worker_count_is_rejected(self):
         with pytest.raises(QueryError):
             ProcessBackend(workers=0)
-        with pytest.raises(QueryError):
-            ProcessBackend(max_worker_engine_bytes=-1)
-        with pytest.raises(QueryError):
-            ProcessBackend(spill_margin=-1)
-        with pytest.raises(QueryError):
-            ProcessBackend(max_in_flight=0)
 
 
-class TestAdmissionSlots:
-    """``max_in_flight`` accounting across dead-worker rebuild+retry.
+@pytest.mark.usefixtures("no_spill")
+class TestDepthSlots:
+    """Depth accounting across dead-worker rebuild+retry.
 
-    Regression guard: the admission slot taken at ``submit_wave`` must
-    be released exactly once per task even when the task's worker is
+    Regression guard: the depth count taken at ``submit_wave`` must be
+    released exactly once per task even when the task's worker is
     SIGKILLed and the backend rebuilds the lane and retries — a leaked
-    slot would shrink admission until it deadlocks.
+    or doubled release would skew ``in_flight`` and ``queue_depth_peak``
+    for good.
     """
 
     def test_repeated_sigkill_releases_each_slot_exactly_once(self):
-        import threading
-
         engine, queries = random_instance(0)
-        backend = build_backend(workers=2, max_in_flight=2)
+        backend = ProcessBackend(workers=2)
         try:
             handle = backend.register_engine(engine, key="slots")
             warm = run_waves_of_one(backend, [wave_of_one(handle.key, queries[0])])
@@ -262,24 +230,14 @@ class TestAdmissionSlots:
                 # in_flight go negative on the next round's peak check).
                 assert backend.in_flight == 0, f"slot leaked in round {round_number}"
 
-            # Admission must still turn over: a burst larger than
-            # max_in_flight completes only if all slots were returned.
-            # Submit from a helper thread so a leak shows up as a test
-            # failure, not an indefinite hang on the admission gate.
-            box: dict = {}
-
-            def submit_burst():
-                box["futures"] = [
-                    backend.submit_wave(wave_of_one(handle.key, queries[i % len(queries)]))
-                    for i in range(5)
-                ]
-
-            submitter = threading.Thread(target=submit_burst)
-            submitter.start()
-            submitter.join(timeout=30.0)
-            assert not submitter.is_alive(), "admission gate deadlocked: slot leak"
-            assert all(f.result(timeout=60.0)[0].ok for f in box["futures"])
+            # A later burst is counted from zero: each of its tasks is in
+            # flight once and released once.
+            futures = [
+                backend.submit_wave(wave_of_one(handle.key, queries[i % len(queries)]))
+                for i in range(5)
+            ]
+            assert all(f.result(timeout=60.0)[0].ok for f in futures)
             assert backend.in_flight == 0
-            assert backend.peak_in_flight <= 2
+            assert backend.peak_in_flight <= 5
         finally:
             backend.close()

@@ -312,9 +312,9 @@ class TestWaveTaskShape:
         assert len(outcomes) == 3
         assert all(isinstance(o.error, QueryError) for o in outcomes)
 
-    def test_wave_occupies_one_admission_slot(self):
+    def test_wave_counts_once_in_the_depth(self):
         engine, queries = random_instance(1)
-        backend = SerialBackend(max_in_flight=1)
+        backend = SerialBackend()
         try:
             backend.register_engine(engine, key="adm")
             task = WaveTask.build("adm", queries, "greedy")
