@@ -10,7 +10,8 @@ Walks through the full ShardedQueryService story:
 2. show the routing rule at work — which queries get a cell-local
    attempt, which go straight to the cross-cell assembly, and why;
 3. run the same batch on both execution backends (serial: waves inline;
-   process: warm-pinned worker lanes) and compare wall clock;
+   process: each wave on the least-loaded of two worker lanes) and
+   compare wall clock, plus the engines each lane built;
 4. read the per-shard task counters and scatter-merge wins off the
    service stats.
 
@@ -84,6 +85,9 @@ def main():
             f"{name} backend: {1000.0 * wall:7.1f} ms "
             f"({len(batch) / wall:6.0f} qps, {feasible}/{len(batch)} feasible)"
         )
+        if isinstance(backend, ProcessBackend):
+            for lane, stats in sorted(backend.worker_stats().items()):
+                print(f"  lane {lane} built {sum(stats['builds'].values())} engine(s)")
         backend.close()
     print("\n(on a single-CPU box the lanes cannot beat serial — the point of\n"
           " the process pool is multi-core batch fan-out past the GIL)\n")

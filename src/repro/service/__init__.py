@@ -54,13 +54,11 @@ amortise most of that work.  This package adds one:
     — ``submit_wave(task) -> Future[list[TaskOutcome]]``, with the
     submission depth counted.  ``SerialBackend`` (the
     in-process backend and the default: waves run inline on the live
-    engines) and ``ProcessBackend`` (**warm-pinned**
-    single-process lanes over picklable
-    :class:`~repro.service.backends.EngineHandle` shard state: repeat
-    traffic for a shard sticks to the worker that already materialised
-    its engine, with saturation spill, dead-worker retry and a per-lane
-    circuit breaker — the backend that scales CPU-bound fan-out past
-    the GIL).
+    engines) and ``ProcessBackend`` (single-process lanes over
+    picklable :class:`~repro.service.backends.EngineHandle` shard state:
+    each wave goes to the least-loaded lane, with dead-worker retry and
+    a per-lane circuit breaker — the backend that scales CPU-bound
+    fan-out past the GIL).
 
 Quickstart::
 

@@ -3,11 +3,11 @@
 The serving layer describes compute work in exactly one currency: the
 **wave** (:class:`WaveTask`) — one or more same-``(algorithm, params)``
 queries addressed at the engine registered under one shard key, shipped
-as *one* submission and executed member after member through
-:func:`repro.core.kernels.run_wave` on that engine.  A single query is a
-wave of one.  What a wave buys is transport: one submission, one
-future and — on a process pool — one pickle + IPC round trip for all its
-members, plus one shared candidate-set pass over the index.
+as *one* submission and executed member after member by
+:func:`run_wave_on_engine` on that engine.  A single query is a wave of
+one.  What a wave buys is transport: one submission, one future and — on
+a process pool — one pickle + IPC round trip for all its members, plus
+one shared candidate-set pass over the index.
 
 The primitive every backend implements is **futures-based submission**:
 :meth:`ExecutionBackend.submit_wave` hands one wave to the backend and
@@ -30,24 +30,22 @@ comes from concurrent callers (the async front end's executor threads).
 There is no thread-pool backend: the label searches hold the GIL, so a
 pool cannot run two waves at once, and it measured slower than inline on
 every batch shape tried.  :class:`ProcessBackend` executes waves out of
-process — and is **warm-pinned**: instead of one anonymous pool it keeps ``workers``
-single-process *lanes* and remembers which lane first served each shard,
-so repeat traffic for a cell lands on the worker that already
-materialised that cell's engine.  A worker keeps every engine it built
-until a live update or a lane rebuild replaces it; parent-side, pin
-hits/misses/assignments and dead-worker fallbacks are counted
+process on ``workers`` single-process *lanes*: each wave goes to the
+least-loaded lane whose breaker admits traffic, so the waves of one
+batch run side by side however many shards they address.  A worker
+builds an engine from a handle's pre-built parts on first use and keeps
+it until a live update or a lane rebuild replaces it; parent-side, lane
+hits/misses and dead-worker fallbacks are counted
 (:meth:`ProcessBackend.pin_stats`) and per-worker build counters are
-introspectable (:meth:`ProcessBackend.worker_stats`).  A pinned lane that
-is saturated (its queue runs :data:`SPILL_MARGIN` deeper than the
-least-loaded lane) spills to the least-loaded lane; a lane whose worker
-died is rebuilt and the wave retried once, transparently.
+introspectable (:meth:`ProcessBackend.worker_stats`).  A lane whose
+worker died is rebuilt and the wave retried once, transparently.
 
 Repeated deaths trip a per-lane **circuit breaker**: after
 :data:`BREAKER_THRESHOLD` consecutive dead-worker retires the lane stops
-admitting work for :data:`BREAKER_BACKOFF_SECONDS` (pinned traffic
-spills to healthy lanes), then a single half-open probe wave decides
-whether the lane re-admits or re-opens.  Breaker transitions are counted
-in :meth:`ProcessBackend.breaker_stats`.
+admitting work for :data:`BREAKER_BACKOFF_SECONDS` (waves route to the
+healthy lanes), then a single half-open probe wave decides whether the
+lane re-admits or re-opens.  Breaker transitions are counted in
+:meth:`ProcessBackend.breaker_stats`.
 
 Deterministic fault injection (:mod:`repro.service.faults`) hooks both
 tiers: :func:`run_wave_on_engine` applies task-side delay/error rules
@@ -76,7 +74,6 @@ from typing import Mapping, Sequence
 
 from repro.core.deadline import Deadline
 from repro.core.engine import KOREngine
-from repro.core.kernels import run_wave
 from repro.core.query import KORQuery
 from repro.core.results import KORResult
 from repro.exceptions import QueryError
@@ -99,10 +96,6 @@ __all__ = [
 #: Process-lane count :class:`~repro.service.config.ServiceConfig` asks
 #: for when the caller does not pick one.
 DEFAULT_WORKERS = 4
-
-#: How much deeper a pinned lane's queue may run than the least-loaded
-#: lane before a task spills off its pin (counted as a pin miss).
-SPILL_MARGIN = 8
 
 #: Consecutive dead-worker failures that open a lane's circuit breaker.
 BREAKER_THRESHOLD = 3
@@ -217,7 +210,7 @@ class PartPatch:
 class WaveTask:
     """The one picklable unit of work: same-``(algorithm, params)``
     queries against one registered shard, run member after member by a
-    single :func:`repro.core.kernels.run_wave` call.
+    single :func:`run_wave_on_engine` call.
 
     A per-query task is a wave of one.  Failures stay per member — the
     wave resolves to one :class:`TaskOutcome` per query, in order.
@@ -283,36 +276,53 @@ def run_wave_on_engine(
 ) -> list[TaskOutcome]:
     """Execute a wave against a live *engine*, one outcome per member.
 
-    Fault rules fire per member through ``run_wave``'s ``on_member``
-    hook — every member presents to the plan as its wave (something with
-    a ``.shard``), so an injected error poisons only its own slot.
+    The members' keywords are resolved through the index **once** (one
+    ``candidate_sets`` pass over their union); the members then run one
+    after another through :meth:`~repro.core.engine.KOREngine.run`, the
+    entry point a solo query takes, so a wave's results — routes,
+    scores, failure reasons and per-label statistics — are those of N
+    solo runs by construction.
 
-    A *wave-level* failure (anything :func:`repro.core.kernels.run_wave`
-    itself raises, as opposed to a member's contained error) still
-    yields one outcome per member, each carrying that error.
+    Failures are contained per member: an injected fault (the active
+    plan's ``on_task`` fires before each member), an expired deadline,
+    an unbindable query or a search error poison only that member's
+    outcome; the members before it keep their results and the members
+    after it still run.  The deadline is checked before each member and
+    ticks inside its search loop.  A *wave-level* failure (the shared
+    candidate-set pass raising) yields one outcome per member, each
+    carrying that error.
 
     ``kernel_context`` is accepted and ignored: ``benchmarks/e2e`` still
-    passes the lockstep driver's cache object positionally.
+    passes a :class:`~repro.core.kernels.KernelContext` positionally.
     """
-    # Fault hook: one global load + None check when no plan is
-    # installed — the zero-overhead-when-off contract.
-    plan = faults._ACTIVE
-    on_member = None if plan is None else (lambda _index, _query: plan.on_task(task))
     try:
-        wave = run_wave(
-            engine,
-            task.queries,
-            task.algorithm,
-            dict(task.params),
-            deadline=task.deadline,
-            on_member=on_member,
+        candidates = engine.candidate_sets(
+            {word for query in task.queries for word in query.keywords}
         )
     except Exception as error:  # noqa: BLE001 - wave-level fault, reported per member
         return task.failed(error)
-    return [
-        TaskOutcome(result=o.result, error=o.error, latency_seconds=o.latency_seconds)
-        for o in wave
-    ]
+    params = dict(task.params)
+    deadline = task.deadline
+    # Fault hook: one global load + None check when no plan is
+    # installed — the zero-overhead-when-off contract.
+    plan = faults._ACTIVE
+    outcomes: list[TaskOutcome] = []
+    for query in task.queries:
+        begin = time.perf_counter()
+        result = error = None
+        try:
+            if plan is not None:
+                plan.on_task(task)
+            if deadline is not None:
+                deadline.check()
+            binding = engine.bind(query, candidates=candidates)
+            result = engine.run(
+                query, algorithm=task.algorithm, binding=binding, deadline=deadline, **params
+            )
+        except Exception as exc:  # noqa: BLE001 - contained in the member's slot
+            error = exc
+        outcomes.append(TaskOutcome(result, error, time.perf_counter() - begin))
+    return outcomes
 
 
 def _completed_future(outcomes: list[TaskOutcome]) -> Future:
@@ -609,11 +619,12 @@ class SerialBackend(ExecutionBackend):
 
 @dataclass
 class _Lane:
-    """One warm-pinnable slot of a :class:`ProcessBackend`.
+    """One slot of a :class:`ProcessBackend`.
 
-    A lane owns (at most) one single-process executor; ``pending``
-    counts tasks dispatched to it and not yet resolved — the signal the
-    router uses for least-loaded assignment and saturation spill.
+    A lane owns (at most) one single-process executor, whose FIFO queue
+    is the epoch fence for live patches; ``pending`` counts waves
+    dispatched to it and not yet resolved — the signal the router picks
+    the least-loaded lane by.
     ``generation`` increments every time the executor is retired, so
     completions of tasks dispatched to a *previous* executor neither
     decrement the rebuilt lane's count nor tear the rebuild down again
@@ -626,7 +637,7 @@ class _Lane:
     generation: int = 0
     #: Shards this lane's current worker has been asked to serve (resets
     #: when the lane is rebuilt) — a parent-side proxy for which engines
-    #: the worker has warm.
+    #: the worker has built, read by the hit/miss counters.
     seen: set = field(default_factory=set)
     #: Circuit-breaker state: consecutive dead-worker failures, the
     #: monotonic instant before which the breaker refuses traffic
@@ -637,7 +648,7 @@ class _Lane:
 
 
 class ProcessBackend(ExecutionBackend):
-    """Warm-pinned process fan-out over picklable shard handles.
+    """Process fan-out over picklable shard handles.
 
     ``workers`` independent single-process **lanes** are created lazily;
     each lane's initializer installs every handle registered *so far*,
@@ -647,16 +658,13 @@ class ProcessBackend(ExecutionBackend):
     parts — workers never repeat the tables/index pre-processing — and
     each stays on its worker's handle until a patch replaces its parts.
 
-    **Warm-pinning**: the first task for a shard is assigned to the
-    least-loaded lane and the shard is pinned there; later tasks for the
-    same shard prefer the pinned lane, so only that worker pays the
-    engine build.  When the pinned lane's queue runs :data:`SPILL_MARGIN`
-    deeper than the least-loaded lane, the task spills to the
-    least-loaded lane instead (a pin *miss* — throughput beats
-    affinity).  A lane whose worker process died is detected at
-    submission or completion, torn down, rebuilt, and the task retried
-    once (a ``dead_worker_fallbacks`` count); the retry prefers the
-    rebuilt pin, whose fresh worker rebuilds the engine on demand.
+    **Routing** has one rule: a wave goes to the least-loaded lane
+    (fewest unresolved waves) among those whose breaker admits traffic,
+    ties to the lowest index.  A wave landing on a lane whose current
+    worker already ran its shard is a *hit*, any other a *miss* (that
+    worker builds the engine on demand).  A lane whose worker process
+    died is detected at submission or completion, torn down, rebuilt,
+    and the wave retried once (a ``dead_worker_fallbacks`` count).
 
     ``workers=None`` sizes the lane count to the machine.
     """
@@ -675,9 +683,7 @@ class ProcessBackend(ExecutionBackend):
                 workers = os.cpu_count() or 1
         self._route_lock = threading.Lock()
         self._lanes = [_Lane(index=i) for i in range(workers)]
-        self._pins: dict[str, int] = {}
         self._pin_counters = {
-            "assignments": 0,
             "hits": 0,
             "misses": 0,
             "dead_worker_fallbacks": 0,
@@ -697,7 +703,6 @@ class ProcessBackend(ExecutionBackend):
                 initializer=_process_worker_init,
                 initargs=(tuple(self._handles.values()), faults.worker_rules()),
             )
-            lane.seen = set()
         return lane.executor
 
     def _retire_lane(
@@ -757,43 +762,13 @@ class ProcessBackend(ExecutionBackend):
         return admitted
 
     def _route_locked(self, shard: str) -> _Lane:
-        """Pick the lane for one task (caller holds the route lock)."""
+        """Pick the lane for one wave (caller holds the route lock): the
+        least-loaded admitting lane, ties to the lowest index."""
         lanes = self._admitting_lanes_locked()
-        admitted = {lane.index for lane in lanes}
-        least = min(lanes, key=lambda lane: (lane.pending, lane.index))
-        chosen: _Lane
-        pinned_index = self._pins.get(shard)
-        if pinned_index is None:
-            self._pins[shard] = least.index
-            self._pin_counters["assignments"] += 1
-            chosen = least
-        elif pinned_index not in admitted:
-            # The pin's breaker is open: spill to a healthy lane without
-            # re-pinning — the pin re-admits when the breaker closes.
+        if len(lanes) < len(self._lanes):
             self._breaker_counters["short_circuits"] += 1
-            self._pin_counters["misses"] += 1
-            chosen = least
-        else:
-            pinned = self._lanes[pinned_index]
-            if pinned.pending - least.pending > SPILL_MARGIN:
-                # Saturated pin: prefer a lane that has already seen this
-                # shard (its worker likely holds the engine warm) before
-                # paying a cold build on the least-loaded lane.
-                warm = [
-                    lane
-                    for lane in lanes
-                    if shard in lane.seen
-                    and pinned.pending - lane.pending > SPILL_MARGIN
-                ]
-                self._pin_counters["misses"] += 1
-                chosen = (
-                    min(warm, key=lambda lane: (lane.pending, lane.index))
-                    if warm
-                    else least
-                )
-            else:
-                self._pin_counters["hits"] += 1
-                chosen = pinned
+        chosen = min(lanes, key=lambda lane: (lane.pending, lane.index))
+        self._pin_counters["hits" if shard in chosen.seen else "misses"] += 1
         if chosen.open_until > 0.0 and not chosen.probing:
             chosen.probing = True
             self._breaker_counters["half_open_probes"] += 1
@@ -814,7 +789,7 @@ class ProcessBackend(ExecutionBackend):
         travels the same single-worker FIFO queue as ordinary tasks, so
         each worker applies it after everything submitted before the
         update and before everything submitted after — a per-lane epoch
-        fence that keeps warm engines warm for every unpatched shard.
+        fence that keeps built engines for every unpatched shard.
         Lanes not yet started need nothing: their initializer will ship
         the already-patched parent handles.  A lane whose broadcast
         fails is retired (its next submission rebuilds it with current
@@ -932,7 +907,9 @@ class ProcessBackend(ExecutionBackend):
 
     # -- introspection -------------------------------------------------
     def pin_stats(self) -> dict[str, int]:
-        """Parent-side warm-pinning counters (see class docstring)."""
+        """Parent-side lane counters: ``hits`` / ``misses`` (whether a
+        wave's lane had already run its shard) and
+        ``dead_worker_fallbacks`` (see class docstring)."""
         with self._route_lock:
             return dict(self._pin_counters)
 

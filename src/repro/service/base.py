@@ -40,6 +40,7 @@ from repro.core.query import KORQuery
 from repro.core.results import KORResult
 from repro.core.route import Route
 from repro.exceptions import QueryError
+from repro.service import batch
 from repro.service.backends import (
     EngineHandle,
     ExecutionBackend,
@@ -105,17 +106,13 @@ class RoutedService:
         world: MutableWorld,
         cache_capacity: int,
         backend: ExecutionBackend | None,
-        wave_size: int,
         engine: KOREngine | None = None,
     ) -> None:
-        if wave_size < 1:
-            raise QueryError(f"wave_size must be >= 1, got {wave_size}")
         self._owns_backend = backend is None
         self._backend = backend if backend is not None else SerialBackend()
         self._cache = ResultCache(cache_capacity)
         self._stats = ServiceStats()
         self._update_lock = threading.Lock()
-        self._wave_size = int(wave_size)
         self._prefix = f"svc{next(_SERVICE_COUNTER)}/"
         self._epoch = world.epoch
         self._install(world, engine)
@@ -205,8 +202,7 @@ class RoutedService:
 
         Beyond the raw :class:`ServiceStats` aggregates this folds in
         the backend's live submission accounting (``queue_depth_peak``)
-        and, for a warm-pinned process backend, its pin counters
-        (``pinning``).
+        and, for a process backend, its lane counters (``pinning``).
         """
         pin_stats = getattr(self._backend, "pin_stats", None)
         pinning = pin_stats() if callable(pin_stats) else None
@@ -220,7 +216,7 @@ class RoutedService:
         """Retire this service's engines from the backend (idempotent).
 
         Every handle is unregistered — on a shared backend the engines
-        would otherwise stay pinned, and be re-shipped to every new pool
+        would otherwise stay alive, and be re-shipped to every new pool
         worker, for the backend's lifetime.  The backend itself is only
         closed when this service (or
         :func:`~repro.service.config.build_service` on its behalf)
@@ -239,8 +235,9 @@ class RoutedService:
 
     @property
     def wave_size(self) -> int:
-        """How many queries one batch dispatch ships per submission."""
-        return self._wave_size
+        """How many queries one batch dispatch ships per submission:
+        :data:`repro.service.batch.DEFAULT_WAVE_SIZE`, read at dispatch."""
+        return batch.DEFAULT_WAVE_SIZE
 
     # ------------------------------------------------------------------
     # live mutation
@@ -593,7 +590,7 @@ class RoutedService:
         """Dispatch the scatter plan; outcomes return in attempt order.
 
         :func:`~repro.service.batch.dispatch_waves` groups the attempts
-        by shard key, chunks each group by ``wave_size`` and
+        by shard key, chunks each group by :attr:`wave_size` and
         ships every chunk as one :class:`~repro.service.backends.WaveTask`
         — one submission (and, on a process pool, one pickle+IPC round
         trip) per shard wave.  The containment tiers are that function's:
@@ -608,7 +605,7 @@ class RoutedService:
             algorithm,
             params,
             deadline,
-            self._wave_size,
+            self.wave_size,
             stats=self._stats,
         )
         for (shard, _query), outcome in zip(attempts, outcomes):

@@ -9,14 +9,14 @@ these:
    deduplicated *within* the batch — two slots with the same canonical
    key share one computation (:func:`dedup_units`);
 2. the unique computations' attempts go through :func:`dispatch_waves`,
-   the one dispatch path: chunked into **waves** of up to ``wave_size``
-   queries, each chunk shipped as one
+   the one dispatch path: chunked into **waves** of up to
+   :data:`DEFAULT_WAVE_SIZE` queries, each chunk shipped as one
    :class:`~repro.service.backends.WaveTask` through the caller's
    :class:`~repro.service.backends.ExecutionBackend` and addressed at a
    registered handle — one submission (on a process pool one pickle +
    IPC round trip) per wave, one candidate-set pass over the index per
    wave, then the members one after another through ``engine.run``.  A
-   batch of one is a wave of one; ``wave_size=1`` is per-query dispatch;
+   batch of one is a wave of one;
 3. results land back in their slots (:class:`BatchReport`), so the
    report's order is the submission order on every backend.
 
@@ -50,7 +50,8 @@ __all__ = [
 
 #: How many unique computations one wave carries.  Bigger waves
 #: amortise one submission (one pickle + IPC round trip on a process
-#: pool) over more queries but serialise more work behind it.
+#: pool) over more queries but serialise more work behind it.  The sync
+#: services read it at every dispatch; it is not a per-service option.
 DEFAULT_WAVE_SIZE = 32
 
 

@@ -35,7 +35,6 @@ from repro.service.backends import (
     ExecutionBackend,
     backend_from_name,
 )
-from repro.service.batch import DEFAULT_WAVE_SIZE
 from repro.service.frontend import AsyncQueryService
 from repro.service.service import QueryService
 from repro.service.sharding import ShardedQueryService
@@ -66,8 +65,6 @@ class ServiceConfig:
     :class:`~repro.service.backends.ExecutionBackend` instance (shared,
     never closed by the service), or ``None`` for the sync tiers'
     default (a serial backend, owned and closed by the service).
-    ``wave_size`` is how many queries share one submission (``1`` =
-    per-query dispatch).
 
     The remaining fields mirror the constructor parameters of the same
     name on the sync services (``cache_capacity``, ``num_cells``,
@@ -79,7 +76,6 @@ class ServiceConfig:
     backend: str | ExecutionBackend | None = None
     workers: int = DEFAULT_WORKERS
     cache_capacity: int = 1024
-    wave_size: int = DEFAULT_WAVE_SIZE
     # sharded tier
     num_cells: int | None = None
     seed: int = 0
@@ -160,12 +156,7 @@ def build_service(
     else:
         engine = world if isinstance(world, KOREngine) else KOREngine(graph)
         cls, served = QueryService, {"engine": engine}
-    service = cls(
-        **served,
-        backend=backend,
-        cache_capacity=config.cache_capacity,
-        wave_size=config.wave_size,
-    )
+    service = cls(**served, backend=backend, cache_capacity=config.cache_capacity)
     # The service normally only owns a backend it defaulted into
     # existence; a factory-built one has no other owner either.
     service._owns_backend |= owns_backend

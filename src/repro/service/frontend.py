@@ -27,12 +27,12 @@ miss parks the request in three stages:
    ``service.execute(...)`` call on a worker thread, which reuses
    everything the sync tier already has: result cache, in-batch dedup,
    shared candidate sets, and its backend (waves inline on that thread,
-   or on warm-pinned process lanes).  Because flights are grouped by
-   ``(algorithm, params)``, a micro-batch is exactly the shape the sync
-   tier's waves want (:class:`~repro.service.backends.WaveTask`): the
-   flat ``QueryService`` ships the whole micro-batch in
-   ``wave_size``-query submissions.  The wave's report is scattered
-   back to each flight's awaiters.
+   or on the least-loaded process lanes).  Because flights are grouped
+   by ``(algorithm, params)``, a micro-batch is exactly the shape the
+   sync tier's waves want (:class:`~repro.service.backends.WaveTask`):
+   the flat ``QueryService`` ships the whole micro-batch in
+   ``DEFAULT_WAVE_SIZE``-query submissions.  The wave's report is
+   scattered back to each flight's awaiters.
 
 Per-request **timeouts and cancellation** detach the awaiter
 immediately; when the *last* awaiter of a flight detaches before its

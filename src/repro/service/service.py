@@ -28,7 +28,6 @@ from __future__ import annotations
 from repro.core.engine import KOREngine
 from repro.service.backends import ExecutionBackend
 from repro.service.base import RoutedService
-from repro.service.batch import DEFAULT_WAVE_SIZE
 from repro.world import MutableWorld
 
 __all__ = ["QueryService"]
@@ -51,10 +50,6 @@ class QueryService(RoutedService):
         :class:`~repro.service.backends.ProcessBackend` moves the
         compute out of the GIL.  Either way the service registers its
         engine with the backend.
-    wave_size:
-        How many unique computations of a batch share one submission
-        (default :data:`~repro.service.batch.DEFAULT_WAVE_SIZE`); ``1``
-        is per-query dispatch.
     """
 
     def __init__(
@@ -62,15 +57,8 @@ class QueryService(RoutedService):
         engine: KOREngine,
         cache_capacity: int = 1024,
         backend: ExecutionBackend | None = None,
-        wave_size: int = DEFAULT_WAVE_SIZE,
     ) -> None:
-        super().__init__(
-            MutableWorld.from_engine(engine),
-            cache_capacity,
-            backend,
-            wave_size,
-            engine=engine,
-        )
+        super().__init__(MutableWorld.from_engine(engine), cache_capacity, backend, engine=engine)
 
     @classmethod
     def from_graph(cls, graph, **kwargs) -> "QueryService":

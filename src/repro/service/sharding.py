@@ -52,7 +52,6 @@ from repro.graph.digraph import SpatialKeywordGraph
 from repro.prep.partition import GraphPartition
 from repro.service.backends import ExecutionBackend
 from repro.service.base import RoutedService, Shard
-from repro.service.batch import DEFAULT_WAVE_SIZE
 from repro.service.crosscell import BorderEngine
 from repro.world import MutableWorld
 
@@ -86,12 +85,6 @@ class ShardedQueryService(RoutedService):
     world:
         A pre-built :class:`~repro.world.MutableWorld` to serve instead
         of partitioning *graph*.
-    wave_size:
-        How many same-shard attempts share one
-        :class:`~repro.service.backends.WaveTask` (one submission and, on
-        a process backend, one pickle+IPC round trip; default
-        :data:`~repro.service.batch.DEFAULT_WAVE_SIZE`); ``1`` is
-        per-attempt dispatch.
     """
 
     def __init__(
@@ -102,7 +95,6 @@ class ShardedQueryService(RoutedService):
         backend: ExecutionBackend | None = None,
         cache_capacity: int = 1024,
         world: MutableWorld | None = None,
-        wave_size: int = DEFAULT_WAVE_SIZE,
     ) -> None:
         if world is None:
             if graph is None:
@@ -113,7 +105,7 @@ class ShardedQueryService(RoutedService):
                 "pass either a graph or a world, not both: the world carries "
                 "its own graph"
             )
-        super().__init__(world, cache_capacity, backend, wave_size)
+        super().__init__(world, cache_capacity, backend)
 
     @classmethod
     def from_engine(cls, engine: KOREngine, **kwargs) -> "ShardedQueryService":

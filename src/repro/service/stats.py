@@ -87,9 +87,9 @@ class StatsSnapshot:
     #: Deepest submission queue observed (in-flight backend tasks or
     #: pending async requests, whichever the recorder measures).
     queue_depth_peak: int = 0
-    #: Warm-pinning counters of a pinned process backend (``hits`` /
-    #: ``misses`` / ``assignments`` / ``dead_worker_fallbacks``); empty
-    #: for in-process backends, which have nothing to pin.
+    #: Lane counters of a process backend (``hits`` / ``misses``: whether
+    #: a wave's lane had already run its shard; ``dead_worker_fallbacks``);
+    #: empty for in-process backends, which have no lanes.
     pinning: dict = field(default_factory=dict)
     #: Wave-dispatch counters (``formed`` / ``members`` / ``capacity`` /
     #: ``solo_fallbacks`` plus the derived ``mean_members`` and

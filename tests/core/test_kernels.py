@@ -1,7 +1,7 @@
 """Waves over the scalar engine: golden fingerprints and containment.
 
-:func:`repro.core.kernels.run_wave` runs a wave's members one after
-another through ``engine.run``.  Before the lockstep numpy driver was
+:func:`repro.service.backends.run_wave_on_engine` runs a wave's members
+one after another through ``engine.run``.  Before the lockstep numpy driver was
 deleted, what *it* produced for the seeded streams below — route nodes,
 scores, feasibility flags, failure reasons **and every per-label
 statistic** — was dumped to ``tests/golden/wave_fingerprints.json``;
@@ -24,14 +24,14 @@ from hypothesis import strategies as st
 from repro.core.bucketbound import BucketQueue
 from repro.core.deadline import Deadline
 from repro.core.engine import ALGORITHMS
-from repro.core.kernels import run_wave
 from repro.core.label import dominates_scores
 from repro.exceptions import DeadlineExceeded, QueryError
+from repro.service.backends import WaveTask, run_wave_on_engine
 
 from tests.service.test_differential import random_instance
 
 #: What the lockstep wave path produced at the commit that deleted it
-#: (``flat``: ``run_wave`` per stream; ``sharded``: a two-cell
+#: (``flat``: one wave per stream; ``sharded``: a two-cell
 #: ``ShardedQueryService.execute`` per stream, identical on all three
 #: backends).  Stat counters are stored in ``stat_fields`` order.
 GOLDEN = json.loads(
@@ -94,6 +94,12 @@ def scalar_records(engine, queries, algorithm, params):
     return records
 
 
+def run_as_wave(engine, queries, algorithm, params=None, deadline=None):
+    """One wave of *queries* on *engine*, as a backend runs it."""
+    task = WaveTask.build("wave", queries, algorithm, params, deadline=deadline)
+    return run_wave_on_engine(engine, task)
+
+
 def wave_records(members):
     return [outcome_record(member.result, member.error) for member in members]
 
@@ -107,7 +113,7 @@ class TestWaveDifferential:
         for seed in range(8):
             engine, queries = random_instance(seed)
             golden = GOLDEN["flat"][f"{algorithm}/strategies-on/seed-{seed}"]
-            wave = wave_records(run_wave(engine, queries, algorithm))
+            wave = wave_records(run_as_wave(engine, queries, algorithm))
             assert wave == golden, f"seed={seed} algorithm={algorithm}"
             loop = scalar_records(engine, queries, algorithm, {})
             assert loop == golden, f"seed={seed} algorithm={algorithm}"
@@ -117,14 +123,14 @@ class TestWaveDifferential:
         for seed in range(8):
             engine, queries = random_instance(seed)
             golden = GOLDEN["flat"][f"{algorithm}/strategies-off/seed-{seed}"]
-            wave = wave_records(run_wave(engine, queries, algorithm, STRATEGIES_OFF))
+            wave = wave_records(run_as_wave(engine, queries, algorithm, STRATEGIES_OFF))
             assert wave == golden, f"seed={seed} algorithm={algorithm}"
 
     def test_single_member_wave_matches_scalar(self):
         """A wave of one is a solo run."""
         engine, queries = random_instance(3)
         for query in queries[:3]:
-            assert wave_records(run_wave(engine, [query], "bucketbound")) == scalar_records(
+            assert wave_records(run_as_wave(engine, [query], "bucketbound")) == scalar_records(
                 engine, [query], "bucketbound", {}
             )
 
@@ -133,7 +139,7 @@ class TestWaveDifferential:
         with the same exception type N solo runs would raise."""
         engine, queries = random_instance(1)
         expected = scalar_records(engine, queries, "osscaling", {"bogus": 1})
-        got = wave_records(run_wave(engine, queries, "osscaling", {"bogus": 1}))
+        got = wave_records(run_as_wave(engine, queries, "osscaling", {"bogus": 1}))
         assert got == expected
         assert all("error" in member for member in got)
 
@@ -144,7 +150,7 @@ class TestWaveDifferential:
         engine, queries = random_instance(4)
         bad = KORQuery(9_999, queries[0].target, queries[0].keywords, 5.0)
         wave = list(queries[:3]) + [bad] + list(queries[3:6])
-        outcomes = run_wave(engine, wave, "bucketbound", {})
+        outcomes = run_as_wave(engine, wave, "bucketbound", {})
         assert isinstance(outcomes[3].error, QueryError)
         expected = scalar_records(engine, queries[:3] + queries[3:6], "bucketbound", {})
         survivors = [o for i, o in enumerate(outcomes) if i != 3]
@@ -181,15 +187,15 @@ class TestWaveDeadline:
         engine, queries = random_instance(0)
         # Generous budget first: count the checkpoints a full wave passes.
         probe = _CountdownDeadline(10_000)
-        clean = run_wave(engine, queries, "osscaling", {}, deadline=probe)
+        clean = run_as_wave(engine, queries, "osscaling", {}, deadline=probe)
         assert all(o.error is None for o in clean)
         used = 10_000 - probe.checks
-        # Two checkpoints per member come before its search (run_wave's
+        # Two checkpoints per member come before its search (the wave's
         # and engine.run's); the rest tick inside the search loops.
         assert used > 2 * len(queries), "searches must tick the deadline"
 
         mid = _CountdownDeadline(used // 2)
-        outcomes = run_wave(engine, queries, "osscaling", {}, deadline=mid)
+        outcomes = run_as_wave(engine, queries, "osscaling", {}, deadline=mid)
         finished = [i for i, o in enumerate(outcomes) if o.error is None]
         expired = [i for i, o in enumerate(outcomes) if isinstance(o.error, DeadlineExceeded)]
         assert finished and expired, "the countdown must run out mid-wave"
@@ -200,7 +206,7 @@ class TestWaveDeadline:
 
     def test_pre_expired_deadline_errors_every_member(self):
         engine, queries = random_instance(1)
-        outcomes = run_wave(engine, queries, "bucketbound", {}, deadline=_CountdownDeadline(0))
+        outcomes = run_as_wave(engine, queries, "bucketbound", {}, deadline=_CountdownDeadline(0))
         assert all(isinstance(o.error, DeadlineExceeded) for o in outcomes)
 
 

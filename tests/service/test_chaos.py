@@ -167,12 +167,12 @@ def test_kill_worker_is_survived_transparently(algorithm):
 
 
 class TestLaneBreaker:
-    def test_storm_opens_spills_and_reclosing_probe(self, monkeypatch):
+    def test_storm_opens_reroutes_and_reclosing_probe(self, monkeypatch):
         """The full breaker storyline on a two-lane backend:
 
         1. a ``drop_lane`` storm kills lane 0's worker on every dispatch
            until three consecutive dead-worker retires open its breaker;
-        2. while open, pinned work spills to the healthy lane (a
+        2. while open, work routes to the healthy lane (a
            short-circuit) and completes correctly;
         3. after the backoff, one half-open probe re-admits the lane and
            a completed task closes the breaker.
@@ -195,7 +195,7 @@ class TestLaneBreaker:
                 assert not report.ok
 
             # The third storm batch opens the breaker; its dead-worker
-            # retry spills to lane 1 and still answers correctly.
+            # retry routes to lane 1 and still answers correctly.
             report = service.execute([queries[0]])
             assert report.ok
             assert fingerprint(report.items[0].result) == expected
@@ -211,8 +211,9 @@ class TestLaneBreaker:
             assert report.ok
             assert backend.breaker_stats()["opened"] == 1
 
-            # Past the backoff, the pinned lane is probed half-open and
-            # one completed task closes the breaker again.
+            # Past the backoff, lane 0 is probed half-open (sequential
+            # traffic ties to the lowest index) and one completed task
+            # closes the breaker again.
             time.sleep(0.6)
             report = service.execute([queries[0]])
             assert report.ok

@@ -75,11 +75,12 @@ class TestCallerCountInvariance:
 
 class TestInBatchDedup:
     @pytest.mark.parametrize("wave_size", (1, DEFAULT_WAVE_SIZE))
-    def test_duplicate_slots_share_one_computation(self, wave_size):
+    def test_duplicate_slots_share_one_computation(self, wave_size, monkeypatch):
         """Dedup happens before the misses are cut into waves: it holds
         for per-query dispatch as for the default."""
+        monkeypatch.setattr("repro.service.batch.DEFAULT_WAVE_SIZE", wave_size)
         engine, queries = random_instance(4)
-        service = QueryService(engine, cache_capacity=256, wave_size=wave_size)
+        service = QueryService(engine, cache_capacity=256)
         batch = [queries[0], queries[1], queries[0], queries[0]]
         report = service.execute(batch, algorithm="bucketbound")
         assert report.ok

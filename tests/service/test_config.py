@@ -64,20 +64,6 @@ class TestConstructorValidation:
     same message on the constructors and through ``build_service``."""
 
     @pytest.mark.parametrize(
-        "build",
-        (
-            lambda graph, **kw: QueryService(KOREngine(graph), **kw),
-            lambda graph, **kw: ShardedQueryService(graph, num_cells=2, **kw),
-            lambda graph, **kw: build_service(graph, **kw),
-        ),
-        ids=("flat", "sharded", "build_service"),
-    )
-    @pytest.mark.parametrize("wave_size", (0, -1))
-    def test_wave_size_below_one_is_rejected(self, graph, build, wave_size):
-        with pytest.raises(QueryError, match=f"wave_size must be >= 1, got {wave_size}"):
-            build(graph, wave_size=wave_size)
-
-    @pytest.mark.parametrize(
         "knob, message",
         (
             ({"max_batch": 0}, "max_batch must be >= 1, got 0"),
@@ -96,11 +82,13 @@ class TestConstructorValidation:
         with pytest.raises(QueryError, match=message):
             build_service(graph, tier="async", **knob)
 
-    def test_default_wave_size_is_the_fixed_default(self, graph):
+    def test_wave_size_is_the_module_default_read_live(self, graph, monkeypatch):
         with build_service(graph) as service:
             assert service.wave_size == DEFAULT_WAVE_SIZE
-        with build_service(graph, wave_size=5) as service:
+            monkeypatch.setattr("repro.service.batch.DEFAULT_WAVE_SIZE", 5)
             assert service.wave_size == 5
+        with pytest.raises(QueryError, match="unknown ServiceConfig field"):
+            build_service(graph, wave_size=5)
 
 
 class TestTierSelection:

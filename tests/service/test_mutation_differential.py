@@ -178,12 +178,30 @@ def backend_for(name, service_backend):
         yield backend
 
 
-def assert_patched_in_place(backend):
-    """On a process backend, some worker that served before the updates
-    built an engine again after them: it was patched, not restarted."""
-    if isinstance(backend, ProcessBackend):
-        builds = [n for stats in backend.worker_stats().values() for n in stats["builds"].values()]
-        assert max(builds) >= 2, builds
+def lane_snapshot(backend) -> dict:
+    """Per-lane worker counters of a process backend (``{}`` otherwise)."""
+    return backend.worker_stats() if isinstance(backend, ProcessBackend) else {}
+
+
+def assert_patched_in_place(backend, before: dict) -> None:
+    """On a process backend, some worker that held an engine before the
+    updates has dropped it since — built it again, or holds it no
+    longer — in the same process: it was patched, not restarted.
+    (Waves go to the least-loaded lane, so which worker runs a shard
+    after the updates is not fixed.)"""
+    if not before:
+        return
+    after = backend.worker_stats()
+    dropped = []
+    for lane, stats in before.items():
+        now = after[lane]
+        assert now["pid"] == stats["pid"], f"lane {lane} was restarted"
+        dropped += [
+            key
+            for key in stats["resident"]
+            if now["builds"].get(key, 0) > stats["builds"][key] or key not in now["resident"]
+        ]
+    assert dropped, (before, after)
 
 
 @pytest.mark.parametrize("seed, backend_name", INCREMENTAL_CASES)
@@ -197,6 +215,7 @@ def test_flat_incremental_matches_fresh_engine(seed, backend_name, service_backe
         service = QueryService(engine, cache_capacity=256, backend=backend)
         # Warm the backend first, so the updates reach a live lane.
         service.run_batch(warmup[:4], algorithm="greedy")
+        before = lane_snapshot(backend)
         epochs = [service.apply_ops(batch) for batch in chunked(ops, seed)]
         assert epochs == sorted(set(epochs))  # one bump per batch, monotonic
 
@@ -207,7 +226,7 @@ def test_flat_incremental_matches_fresh_engine(seed, backend_name, service_backe
         assert_all_algorithms_match(
             service, lambda q, a: oracle.run(q, algorithm=a), queries
         )
-        assert_patched_in_place(backend)
+        assert_patched_in_place(backend, before)
 
 
 @pytest.mark.parametrize("seed, backend_name", INCREMENTAL_CASES)
@@ -224,6 +243,7 @@ def test_sharded_incremental_matches_rebuilt_world(seed, backend_name, service_b
         # mutating, so repair exercises the live patch-broadcast path and
         # not just fresh construction.
         service.run_batch(warmup[:4], algorithm="greedy")
+        before = lane_snapshot(backend)
 
         for batch in chunked(ops, seed):
             service.apply_ops(batch)
@@ -239,7 +259,7 @@ def test_sharded_incremental_matches_rebuilt_world(seed, backend_name, service_b
             )
         finally:
             oracle.close()
-        assert_patched_in_place(backend)
+        assert_patched_in_place(backend, before)
 
 
 def test_convenience_methods_equal_wire_ops(service_backend):

@@ -1,9 +1,11 @@
-"""Warm-pinning: shard→worker affinity on the ProcessBackend.
+"""Process lanes: least-loaded routing on the ProcessBackend.
 
-The acceptance contract: with a multi-worker process backend, repeat
-traffic for a shard shows a pin-hit rate > 0 in the service snapshot and
-does **not** rebuild that shard's engine in other workers (asserted via
-the per-worker build counters the workers expose).
+A wave goes to the least-loaded lane whose breaker admits traffic, ties
+to the lowest index.  The contract: the waves of one batch spread over
+the lanes even when they all address one shard (a flat service), every
+worker builds an engine it is asked for exactly once, and a lane whose
+worker dies is rebuilt and its waves retried without a leaked depth
+slot.
 """
 
 from __future__ import annotations
@@ -14,53 +16,55 @@ import time
 
 import pytest
 
+from repro.core.query import KORQuery
 from repro.exceptions import QueryError
-from repro.service import ProcessBackend, ShardedQueryService, backends
+from repro.service import ProcessBackend, QueryService, ShardedQueryService
+from repro.service.batch import DEFAULT_WAVE_SIZE
 
 from tests.service.test_backends import run_waves_of_one, wave_of_one
 from tests.service.test_differential import random_instance
 
 
-@pytest.fixture
-def no_spill(monkeypatch):
-    """A spill margin no test queue reaches keeps routing deterministic
-    in tests that assert *affinity*."""
-    monkeypatch.setattr(backends, "SPILL_MARGIN", 1_000)
+def served_lane(backend: ProcessBackend, shard: str) -> int:
+    """The one started lane whose worker has built *shard*'s engine."""
+    (lane,) = [
+        index
+        for index, stats in backend.worker_stats().items()
+        if stats["builds"].get(shard, 0) > 0
+    ]
+    return lane
 
 
-@pytest.mark.usefixtures("no_spill")
-class TestAffinity:
-    def test_repeat_traffic_builds_engine_in_exactly_one_worker(self):
-        engine_a, queries_a = random_instance(0)
-        engine_b, queries_b = random_instance(7)
+class TestFlatPool:
+    def test_one_execute_builds_on_both_lanes(self):
+        """A flat service is one shard, yet one ``execute`` of three waves
+        runs on both lanes: the second wave finds lane 0 busy."""
+        engine, queries = random_instance(0)
+        base = queries[0]
+        batch = [
+            KORQuery(base.source, base.target, base.keywords, base.budget_limit + step)
+            for step in range(3 * DEFAULT_WAVE_SIZE)
+        ]
         backend = ProcessBackend(workers=2)
         try:
-            handle_a = backend.register_engine(engine_a, key="shard-a")
-            handle_b = backend.register_engine(engine_b, key="shard-b")
-            tasks = [
-                wave_of_one(handle_a.key, queries_a[i % len(queries_a)]) for i in range(6)
-            ] + [wave_of_one(handle_b.key, queries_b[i % len(queries_b)]) for i in range(6)]
-            for _ in range(2):  # two rounds of repeat traffic
-                outcomes = run_waves_of_one(backend, tasks)
-                assert all(outcome.ok for outcome in outcomes)
-
-            pins = backend.pin_stats()
-            assert pins["assignments"] == 2  # one pin per shard
-            assert pins["hits"] > 0
-            assert pins["misses"] == 0  # nothing saturated at this margin
-
+            service = QueryService(engine, cache_capacity=0, backend=backend)
+            report = service.execute(batch)
+            assert report.ok
+            assert service.snapshot().waves["formed"] == 3
+            (shard,) = backend.shard_keys
             workers = backend.worker_stats()
-            builds_a = [stats["builds"].get("shard-a", 0) for stats in workers.values()]
-            builds_b = [stats["builds"].get("shard-b", 0) for stats in workers.values()]
-            # Each engine was materialised exactly once, in exactly one
-            # worker — the whole point of pinning.
-            assert sorted(builds_a) == [0, 1]
-            assert sorted(builds_b) == [0, 1]
+            assert sorted(workers) == [0, 1]
+            assert [workers[lane]["builds"] for lane in (0, 1)] == [{shard: 1}, {shard: 1}]
+            # Each lane's first wave is a miss (its worker builds the
+            # engine); the third wave lands where the shard already ran.
+            pins = backend.pin_stats()
+            assert (pins["misses"], pins["hits"]) == (2, 1)
         finally:
             backend.close()
 
     def test_sharded_service_snapshot_reports_pin_hits(self):
-        """Acceptance: pin-hit rate > 0 through the full service stack."""
+        """Repeat traffic lands on lanes that already ran its shards, and
+        the service snapshot carries the lane counters."""
         engine, queries = random_instance(1)
         backend = ProcessBackend(workers=2)
         try:
@@ -74,35 +78,88 @@ class TestAffinity:
                 report = service.execute(queries, algorithm="bucketbound")
                 assert all(item.result is not None or item.error for item in report.items)
             snapshot = service.snapshot()
-            assert snapshot.pinning, "snapshot should carry pinning counters"
+            assert snapshot.pinning, "snapshot should carry the lane counters"
             assert snapshot.pinning["hits"] > 0
-            total = snapshot.pinning["hits"] + snapshot.pinning["misses"]
-            assert snapshot.pinning["hits"] / total > 0.0
             service.close()
         finally:
             backend.close()
 
 
-class TestSpill:
-    def test_saturated_pin_spills_to_least_loaded_lane(self):
-        engine, queries = random_instance(0)
-        backend = ProcessBackend(workers=2)
-        try:
-            handle = backend.register_engine(engine, key="hot-shard")
-            # A burst submitted without waiting while the lanes' workers
-            # start: the pinned lane's queue runs more than SPILL_MARGIN
-            # deeper than the idle lane, so later tasks must spill.
-            futures = [
-                backend.submit_wave(wave_of_one(handle.key, queries[i % len(queries)]))
-                for i in range(4 * backends.SPILL_MARGIN)
-            ]
-            outcomes = [future.result()[0] for future in futures]
-            assert all(outcome.ok for outcome in outcomes)
-            pins = backend.pin_stats()
-            assert pins["assignments"] == 1
-            assert pins["misses"] > 0  # the burst outran the single lane
-        finally:
-            backend.close()
+class TestRouting:
+    """The routing rule on lane state alone: ``_route_locked`` starts no
+    worker process, so each case sets ``pending`` / ``seen`` / breaker
+    fields by hand and reads which lane one wave would take."""
+
+    @pytest.fixture
+    def backend(self):
+        backend = ProcessBackend(workers=3)
+        yield backend
+        backend.close()
+
+    @staticmethod
+    def route(backend: ProcessBackend, shard: str = "s") -> int:
+        with backend._route_lock:  # noqa: SLF001
+            return backend._route_locked(shard).index  # noqa: SLF001
+
+    def test_ties_go_to_the_lowest_index(self, backend):
+        assert [self.route(backend) for _ in range(3)] == [0, 0, 0]
+        assert backend.pin_stats() == {"hits": 0, "misses": 3, "dead_worker_fallbacks": 0}
+
+    @pytest.mark.parametrize(
+        "pending, lane", (((2, 0, 1), 1), ((1, 1, 0), 2), ((1, 0, 0), 1), ((4, 4, 4), 0))
+    )
+    def test_least_loaded_lane_wins(self, backend, pending, lane):
+        for slot, depth in zip(backend._lanes, pending):  # noqa: SLF001
+            slot.pending = depth
+        assert self.route(backend) == lane
+
+    def test_a_hit_is_a_lane_whose_worker_ran_the_shard(self, backend):
+        backend._lanes[0].seen = {"s"}  # noqa: SLF001
+        assert self.route(backend, "s") == 0
+        assert self.route(backend, "t") == 0
+        stats = backend.pin_stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+        assert "assignments" not in stats
+
+    def test_a_rebuilt_lane_forgets_what_it_ran(self, backend):
+        lane = backend._lanes[0]  # noqa: SLF001
+        lane.seen = {"s"}
+        backend._retire_lane(lane, dead_worker=True)  # noqa: SLF001
+        assert lane.seen == set()
+        assert self.route(backend) == 0
+        stats = backend.pin_stats()
+        assert (stats["hits"], stats["misses"], stats["dead_worker_fallbacks"]) == (0, 1, 1)
+
+    def test_an_open_lane_is_passed_over_and_counted(self, backend):
+        """An open breaker outranks load: the idle lane 0 is refused, and
+        the dispatch counts as a short circuit."""
+        lanes = backend._lanes  # noqa: SLF001
+        lanes[0].open_until = time.monotonic() + 3600.0
+        lanes[1].pending = 2
+        lanes[2].pending = 1
+        assert self.route(backend) == 2
+        assert backend.breaker_stats()["short_circuits"] == 1
+        lanes[0].open_until = 0.0
+        assert self.route(backend) == 0
+        assert backend.breaker_stats()["short_circuits"] == 1
+
+    def test_a_lane_past_its_backoff_admits_one_probe(self, backend):
+        lanes = backend._lanes  # noqa: SLF001
+        lanes[0].open_until = time.monotonic() - 1.0
+        assert self.route(backend) == 0
+        assert lanes[0].probing
+        assert backend.breaker_stats()["half_open_probes"] == 1
+        # While the probe is out the lane admits nothing more.
+        assert self.route(backend) == 1
+        assert backend.breaker_stats()["half_open_probes"] == 1
+
+    def test_all_lanes_open_force_probe_the_earliest(self, backend):
+        now = time.monotonic()
+        for lane, delay in zip(backend._lanes, (300.0, 100.0, 200.0)):  # noqa: SLF001
+            lane.open_until = now + delay
+        assert self.route(backend) == 1
+        assert backend._lanes[1].probing  # noqa: SLF001
+        assert backend.breaker_stats()["short_circuits"] == 1
 
 
 class TestWorkerEngines:
@@ -129,7 +186,6 @@ class TestWorkerEngines:
             backend.close()
 
 
-@pytest.mark.usefixtures("no_spill")
 class TestDeadWorkerFallback:
     def test_killed_worker_is_replaced_and_traffic_continues(self):
         engine, queries = random_instance(0)
@@ -140,10 +196,9 @@ class TestDeadWorkerFallback:
             first = run_waves_of_one(backend, [wave_of_one(handle.key, queries[0])])
             assert first[0].ok
 
-            # Kill the pinned worker out from under the backend.
-            workers = backend.worker_stats()
-            pinned_lane = backend._pins[handle.key]  # noqa: SLF001 - test introspection
-            os.kill(workers[pinned_lane]["pid"], signal.SIGKILL)
+            # Kill the worker that served the warm-up wave.
+            lane = served_lane(backend, handle.key)
+            os.kill(backend.worker_stats()[lane]["pid"], signal.SIGKILL)
             time.sleep(0.1)
 
             # Traffic for the shard must keep flowing: the dead lane is
@@ -156,7 +211,6 @@ class TestDeadWorkerFallback:
         finally:
             backend.close()
 
-
     def test_one_death_under_a_burst_counts_once_and_keeps_lanes_sane(self):
         """Several tasks sunk by the same dead worker must trigger one
         lane rebuild (not one per task) and leave pending counts at 0."""
@@ -167,9 +221,8 @@ class TestDeadWorkerFallback:
             warm = run_waves_of_one(backend, [wave_of_one(handle.key, queries[0])])
             assert warm[0].ok
 
-            workers = backend.worker_stats()
-            pinned_lane = backend._pins[handle.key]  # noqa: SLF001 - test introspection
-            os.kill(workers[pinned_lane]["pid"], signal.SIGKILL)
+            lane = served_lane(backend, handle.key)
+            os.kill(backend.worker_stats()[lane]["pid"], signal.SIGKILL)
             time.sleep(0.1)
 
             futures = [
@@ -192,7 +245,6 @@ class TestConstructionGuards:
             ProcessBackend(workers=0)
 
 
-@pytest.mark.usefixtures("no_spill")
 class TestDepthSlots:
     """Depth accounting across dead-worker rebuild+retry.
 
@@ -211,11 +263,12 @@ class TestDepthSlots:
             warm = run_waves_of_one(backend, [wave_of_one(handle.key, queries[0])])
             assert warm[0].ok
             assert backend.in_flight == 0
+            # Every round kills the worker of the lane the warm-up wave
+            # ran on; the retry rebuilds it for the next round.
+            lane = served_lane(backend, handle.key)
 
             for round_number in range(3):
-                workers = backend.worker_stats()
-                pinned_lane = backend._pins[handle.key]  # noqa: SLF001 - test introspection
-                os.kill(workers[pinned_lane]["pid"], signal.SIGKILL)
+                os.kill(backend.worker_stats()[lane]["pid"], signal.SIGKILL)
                 time.sleep(0.1)
                 futures = [
                     backend.submit_wave(wave_of_one(handle.key, queries[i % len(queries)]))

@@ -106,22 +106,19 @@ class TestShardedWaveDifferential:
                     == GOLDEN["sharded"][f"{algorithm}/seed-{seed}"]
                 ), f"seed={seed}"
 
-    def test_per_attempt_and_default_scatter_are_identical(self, service_backend):
-        """``wave_size=1`` (one submission per attempt) vs the default:
+    def test_per_attempt_and_default_scatter_are_identical(self, service_backend, monkeypatch):
+        """Waves of one (one submission per attempt) vs the default:
         same report, same shard/merge accounting."""
         engine, queries = random_instance(0)
         waved = ShardedQueryService(
             engine.graph, num_cells=2, backend=service_backend, cache_capacity=0
         )
         per_attempt = ShardedQueryService(
-            engine.graph,
-            num_cells=2,
-            backend=service_backend,
-            cache_capacity=0,
-            wave_size=1,
+            engine.graph, num_cells=2, backend=service_backend, cache_capacity=0
         )
         try:
             waved_report = waved.execute(queries)
+            monkeypatch.setattr("repro.service.batch.DEFAULT_WAVE_SIZE", 1)
             per_attempt_report = per_attempt.execute(queries)
             assert _report_view(waved_report) == _report_view(per_attempt_report)
             assert _snapshot_view(waved) == _snapshot_view(per_attempt)
@@ -169,14 +166,11 @@ class TestWaveObservability:
         finally:
             service.close()
 
-    def test_wave_size_one_forms_no_waves(self, service_backend):
+    def test_wave_size_one_forms_no_waves(self, service_backend, monkeypatch):
+        monkeypatch.setattr("repro.service.batch.DEFAULT_WAVE_SIZE", 1)
         engine, queries = random_instance(2)
         service = ShardedQueryService(
-            engine.graph,
-            num_cells=2,
-            backend=service_backend,
-            cache_capacity=0,
-            wave_size=1,
+            engine.graph, num_cells=2, backend=service_backend, cache_capacity=0
         )
         try:
             service.execute(queries)

@@ -8,14 +8,14 @@ one).  These tests pin:
   batch reproduces ``tests/golden/wave_fingerprints.json``, what the
   deleted lockstep path produced for the same seeded streams, per-label
   statistics included, and so does the served path (the async front
-  end, whatever its micro-batch size); chunking (``wave_size=1`` vs
-  default vs 2) never changes a slot;
+  end, whatever its micro-batch size); chunking (``DEFAULT_WAVE_SIZE``
+  patched to 1 or 2 vs the default) never changes a slot;
 * the three containment tiers:
 
   1. a poisoned member (unbindable query, injected fault) errors only
      its slot, on every backend;
-  2. a *wave-level* failure inside the worker (``run_wave`` itself
-     raising) still yields one outcome per member;
+  2. a *wave-level* failure inside the worker (the wave's shared
+     candidate-set pass raising) still yields one outcome per member;
   3. a wave whose *submission* breaks (future raises or is cancelled)
      is resubmitted member by member as waves of one, and a member
      whose retry breaks too reports the error in its own slot.
@@ -132,15 +132,16 @@ class TestWaveBatchGolden:
         ] == GOLDEN["flat"][f"{algorithm}/strategies-off/seed-0"]
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_per_query_and_default_waves_are_identical(self, algorithm, service_backend):
-        """``wave_size=1`` (one submission per query) vs the default:
-        same report; only the occupancy counters tell them apart."""
+    def test_per_query_and_default_waves_are_identical(
+        self, algorithm, service_backend, monkeypatch
+    ):
+        """Waves of one (one submission per query) vs the default: same
+        report; only the occupancy counters tell them apart."""
         engine, queries = random_instance(0)
         views, waves = [], []
         for wave_size in (DEFAULT_WAVE_SIZE, 1):
-            with QueryService(
-                engine, cache_capacity=0, backend=service_backend, wave_size=wave_size
-            ) as service:
+            monkeypatch.setattr("repro.service.batch.DEFAULT_WAVE_SIZE", wave_size)
+            with QueryService(engine, cache_capacity=0, backend=service_backend) as service:
                 report = service.execute(queries, algorithm=algorithm)
             views.append(_report_view(report))
             waves.append(service.snapshot().waves)
@@ -152,11 +153,12 @@ class TestWaveBatchGolden:
         )
         assert (waves[1]["formed"], waves[1]["solo_fallbacks"]) == (0, len(queries))
 
-    def test_small_wave_size_chunks_correctly(self, service_backend):
-        """wave_size=2 forces several waves per batch; slots stay exact."""
+    def test_small_wave_size_chunks_correctly(self, service_backend, monkeypatch):
+        """Waves of 2 force several waves per batch; slots stay exact."""
+        monkeypatch.setattr("repro.service.batch.DEFAULT_WAVE_SIZE", 2)
         engine, queries = random_instance(1)
         baseline = [fingerprint(engine.run(q)) for q in queries]
-        service = QueryService(engine, cache_capacity=0, backend=service_backend, wave_size=2)
+        service = QueryService(engine, cache_capacity=0, backend=service_backend)
         report = service.execute(queries)
         assert report.ok
         assert [fingerprint(item.result) for item in report.items] == baseline
@@ -171,14 +173,14 @@ class TestWaveBatchGolden:
         waves = service.snapshot().waves
         assert (waves["formed"], waves["solo_fallbacks"]) == (0, 1)
 
-    def test_service_wave_size_one_answers_identically(self):
-        """wave_size=1 on the service still answers identically."""
+    def test_service_wave_size_one_answers_identically(self, monkeypatch):
+        """Waves of one on the service still answer identically."""
         engine, queries = random_instance(2)
-        with QueryService(engine, cache_capacity=0) as waved:
-            with QueryService(engine, cache_capacity=0, wave_size=1) as per_query:
-                assert _report_view(waved.execute(queries)) == _report_view(
-                    per_query.execute(queries)
-                )
+        with QueryService(engine, cache_capacity=0) as service:
+            waved = _report_view(service.execute(queries))
+            monkeypatch.setattr("repro.service.batch.DEFAULT_WAVE_SIZE", 1)
+            assert _report_view(service.execute(queries)) == waved
+            assert service.snapshot().waves["formed"] == 1
 
 
 class TestPoisonedMember:
@@ -239,17 +241,16 @@ class _BrokenWaveBackend(SerialBackend):
 
 
 class TestWaveLevelFailure:
-    def test_broken_run_wave_yields_one_outcome_per_member(self, monkeypatch):
-        """Tier 2: if run_wave itself explodes, run_wave_on_engine still
-        answers for every member — each with that error."""
-        import repro.service.backends as backends_mod
-
+    def test_broken_candidate_pass_yields_one_outcome_per_member(self, monkeypatch):
+        """Tier 2: if the wave's shared candidate-set pass explodes,
+        run_wave_on_engine still answers for every member — each with
+        that error."""
         engine, queries = random_instance(5)
 
         def boom(*args, **kwargs):
             raise RuntimeError("wave exploded")
 
-        monkeypatch.setattr(backends_mod, "run_wave", boom)
+        monkeypatch.setattr(engine, "candidate_sets", boom)
         task = WaveTask.build("s", queries, "osscaling")
         outcomes = run_wave_on_engine(engine, task)
         assert len(outcomes) == len(queries)
