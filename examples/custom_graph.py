@@ -1,14 +1,13 @@
 #!/usr/bin/env python
-"""Bring your own graph: networkx import, persistence, disk index.
+"""Bring your own graph: networkx import and persistence.
 
 Shows the integration surface a downstream user cares about:
 
 1. build a keyword-labelled digraph in networkx and convert it;
 2. save/load the graph (JSON) and its pre-processed tables (NPZ);
-3. swap the in-memory inverted file for the paper's disk-resident
-   B+-tree index without touching query code.
+3. query the reloaded graph with its reloaded tables.
 
-Run:  python examples/custom_graph_and_disk_index.py
+Run:  python examples/custom_graph.py
 """
 
 import tempfile
@@ -19,7 +18,6 @@ import networkx as nx
 from repro.core.engine import KOREngine
 from repro.graph.interop import from_networkx
 from repro.graph.io import load_json, save_json
-from repro.index.diskindex import DiskInvertedIndex
 from repro.prep.tables import CostTables
 
 
@@ -67,9 +65,7 @@ def main():
         reloaded_tables = CostTables.load(tmp / "city-tables.npz")
         print("persisted and reloaded graph + tables")
 
-        # The paper's disk-resident inverted file as the index backend.
-        disk_index = DiskInvertedIndex.build(reloaded, tmp / "city-index.pages")
-        engine = KOREngine(reloaded, tables=reloaded_tables, index=disk_index)
+        engine = KOREngine(reloaded, tables=reloaded_tables)
 
         source = reloaded.index_of("station")
         result = engine.query(
@@ -84,13 +80,6 @@ def main():
             print(" ", result.route.describe(reloaded))
         else:
             print(f"\nno feasible route: {result.failure_reason}")
-
-        stats = disk_index.buffer_pool.stats
-        print(
-            f"\ndisk index served {stats.hits + stats.misses} page requests "
-            f"({100 * stats.hit_rate:.0f}% from the buffer pool)"
-        )
-        disk_index.close()
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ from repro.exceptions import (
     PrepError,
     QueryError,
     ReproError,
-    StorageError,
 )
 from repro.graph import (
     GraphBuilder,
@@ -95,7 +94,6 @@ __all__ = [
     "ServiceStats",
     "ShardedQueryService",
     "SpatialKeywordGraph",
-    "StorageError",
     "Vocabulary",
     "branch_and_bound",
     "bucket_bound",

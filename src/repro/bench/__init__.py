@@ -10,7 +10,7 @@ The package splits into four layers:
 * :mod:`repro.bench.experiments` — the figures as one table: a
   :class:`~repro.bench.experiments.Figure` row per paper figure
   (Figures 4-19) and per ablation (the optimisation strategies, epsilon
-  vs label volume, partitioned tables, the disk index), and one runner,
+  vs label volume, partitioned tables), and one runner,
   :func:`~repro.bench.experiments.run_figure`, returning an
   :class:`~repro.bench.experiments.ExperimentResult`;
 * :mod:`repro.bench.reporting` — fixed-width text / JSON emitters for

@@ -5,11 +5,10 @@ paper legend name, a metric and the check its result must pass.  A
 series maps each x to the measurement *cells* behind that point — one
 ``(algorithm, keywords, delta, params)`` run over one cached query set —
 and :func:`run_figure` reports the mean of the metric over those cells.
-Four figures are not such grids (top-k, the strategy ablation with its
-own query set, the partitioned tables and the disk index); their rows
-carry a short ``measure`` function instead.  ``all_experiments()`` is
-the table; ``run_figure(row).to_table()`` renders the rows the paper
-plots.
+Three figures are not such grids (top-k, the strategy ablation with its
+own query set and the partitioned tables); their rows carry a short
+``measure`` function instead.  ``all_experiments()`` is the table;
+``run_figure(row).to_table()`` renders the rows the paper plots.
 
 Cells go through a module-level cache, so figures sharing measurements
 (e.g. Figure 4 and Figure 10 both consume the keyword-sweep grid) never
@@ -388,52 +387,11 @@ def _partition_tables(workload: Workload, _metrics: list) -> tuple[dict, dict]:
     return series, {"cells": partition.num_cells, "borders": len(partition.border_nodes)}
 
 
-def _index_lookups(workload: Workload, _metrics: list) -> tuple[dict, dict]:
-    """A3: in-memory vs disk-resident B+-tree inverted file lookups."""
-    import tempfile
-
-    import numpy as np
-
-    from repro.index.diskindex import DiskInvertedIndex
-
-    graph = workload.graph
-    memory_index = workload.engine.index
-    keyword_ids = [
-        kid
-        for kid in range(len(graph.keyword_table))
-        if memory_index.document_frequency(kid) > 0
-    ]
-    rng = np.random.default_rng(11)
-    probes = [int(k) for k in rng.choice(keyword_ids, size=2000, replace=True)]
-
-    with tempfile.TemporaryDirectory() as tmp:
-        disk_index = DiskInvertedIndex.build(graph, Path(tmp) / "index.pages", buffer_capacity=64)
-        microseconds = []
-        for index in (memory_index, disk_index):
-            begin = time.perf_counter()
-            for kid in probes:
-                index.postings(kid)
-            microseconds.append(1e6 * (time.perf_counter() - begin) / len(probes))
-        hit_rate = disk_index.buffer_pool.stats.hit_rate
-        disk_index.close()
-
-    series = {
-        "in-memory": [microseconds[0], 100.0],
-        "disk B+-tree": [microseconds[1], 100.0 * hit_rate],
-    }
-    return series, {"probes": len(probes), "terms": len(keyword_ids)}
-
-
 def _partition_is_smaller_and_exact(result: ExperimentResult) -> bool:
     # Less table memory is the point of the design; the exact assembly
     # neither undercuts nor inflates the flat optimum.
     flat, partitioned = result.series["flat"], result.series["partitioned"]
     return partitioned[1] < flat[1] and abs(partitioned[2]) < 1e-9
-
-
-def _index_measured(result: ExperimentResult) -> bool:
-    memory, disk = result.series["in-memory"], result.series["disk B+-tree"]
-    return memory[0] > 0 and disk[0] > 0 and 0.0 <= disk[1] <= 100.0
 
 
 # ----------------------------------------------------------------------
@@ -580,10 +538,5 @@ def all_experiments() -> list[Figure]:
                workload=lambda _x: road_workload(road_sizes()[0]),
                measure=_partition_tables,
                check=_partition_is_smaller_and_exact),
-        Figure("ablation_disk_index", "ablation_index",
-               "Inverted file back ends: in-memory vs disk B+-tree",
-               "metric", ("lookup latency (us)", "buffer hit rate (%)"), "see metric",
-               "{probes} random postings lookups over {terms} terms, 64-page LRU buffer pool",
-               measure=_index_lookups, check=_index_measured),
     ]
     # fmt: on

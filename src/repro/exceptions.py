@@ -44,9 +44,5 @@ class PrepError(ReproError):
     """Raised when pre-processing tables are missing, stale, or inconsistent."""
 
 
-class StorageError(ReproError):
-    """Raised by the disk-resident index substrate (pages, buffer pool, B+-tree)."""
-
-
 class DatasetError(ReproError):
     """Raised by the synthetic dataset generators for invalid parameters."""

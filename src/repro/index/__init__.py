@@ -1,10 +1,8 @@
-"""Inverted-file substrate (paper Section 3.1): vocabulary + posting lists.
+"""Inverted file (paper Section 3.1): vocabulary + posting lists, in memory.
 
-Two interchangeable realisations:
-
-* :class:`repro.index.inverted.InvertedIndex` — in-memory (default).
-* :class:`repro.index.diskindex.DiskInvertedIndex` — the paper's
-  disk-resident B+-tree inverted file, built on the page/buffer-pool stack.
+The paper keeps the inverted file on disk under a B+-tree; none of its
+results depend on that storage, so :class:`InvertedIndex` holds the
+posting lists in memory.
 """
 
 from repro.index.inverted import InvertedIndex

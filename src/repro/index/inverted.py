@@ -2,9 +2,8 @@
 
 The paper's index (Section 3.1) has two components: a vocabulary and one
 posting list per word holding the ids of the nodes whose description
-contains the word.  The paper makes it disk resident via a B+-tree; that
-variant lives in :mod:`repro.index.diskindex` with an identical query
-interface, so the two are interchangeable (and tested for equivalence).
+contains the word.  The paper makes it disk resident via a B+-tree; here
+the posting lists are numpy arrays in a dict.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.exceptions import QueryError
 from repro.graph.digraph import SpatialKeywordGraph
 from repro.index.vocabulary import Vocabulary
 
@@ -59,35 +57,15 @@ class InvertedIndex:
         """Posting-list length of *keyword_id*."""
         return len(self.postings(keyword_id))
 
-    def nodes_covering_any(self, keyword_ids: Iterable[int]) -> np.ndarray:
-        """Union of posting lists — the greedy algorithm's ``nodeSet``."""
-        lists = [self.postings(kid) for kid in keyword_ids]
-        lists = [lst for lst in lists if len(lst)]
-        if not lists:
-            return _EMPTY
-        return np.unique(np.concatenate(lists))
-
-    def nodes_covering_all(self, keyword_ids: Iterable[int]) -> np.ndarray:
-        """Intersection of posting lists (nodes covering every keyword)."""
-        ids = list(keyword_ids)
-        if not ids:
-            raise QueryError("nodes_covering_all() requires at least one keyword")
-        result = self.postings(ids[0])
-        for kid in ids[1:]:
-            if len(result) == 0:
-                break
-            result = np.intersect1d(result, self.postings(kid), assume_unique=True)
-        return result
-
     def candidate_sets(self, keyword_ids: Iterable[int]) -> dict[int, np.ndarray]:
         """Posting list per keyword id, fetched once per distinct id.
 
-        The shared candidate-set API of both index back ends: a batch of
-        queries collects the union of its keyword ids, resolves them in a
-        single call, and every query binding then reuses the returned map
-        instead of hitting the index again (``QueryBinding.bind``'s
-        ``candidates`` argument).  Absent keywords map to empty arrays so
-        callers can distinguish "looked up, nowhere" from "not looked up".
+        A batch of queries collects the union of its keyword ids, resolves
+        them in a single call, and every query binding then reuses the
+        returned map instead of hitting the index again
+        (``QueryBinding.bind``'s ``candidates`` argument).  Absent keywords
+        map to empty arrays so callers can distinguish "looked up, nowhere"
+        from "not looked up".
         """
         return {kid: self.postings(kid) for kid in dict.fromkeys(keyword_ids)}
 

@@ -40,7 +40,6 @@ CHEAP_ROWS = (
     "ablation_opt_strategies",
     "ablation_epsilon_labels",
     "ablation_partition",
-    "ablation_disk_index",
 )
 
 
@@ -162,9 +161,8 @@ class TestExperimentStructure:
             "ablation_opt_strategies",
             "ablation_epsilon_labels",
             "ablation_partition",
-            "ablation_disk_index",
         ]
-        assert len({row.figure for row in table.values()}) == 20
+        assert len({row.figure for row in table.values()}) == 19
 
 
 class TestGolden:
@@ -193,9 +191,6 @@ class TestChecks:
             ("fig13_failure_vs_alpha", "Greedy-2", 4, -1.0),
             ("ablation_partition", "partitioned", 1, 1e9),  # more MB than flat
             ("ablation_partition", "partitioned", 2, 1e-6),  # inexact assembly
-            ("ablation_disk_index", "disk B+-tree", 0, 0.0),
-            ("ablation_disk_index", "in-memory", 0, 0.0),
-            ("ablation_disk_index", "disk B+-tree", 1, 100.5),
         ],
     )
     def test_check_rejects_a_violation(self, name, series, index, value, table, result_of):

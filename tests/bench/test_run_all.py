@@ -23,4 +23,4 @@ def test_unknown_only_prefix_fails_and_lists_the_figures(only, tmp_path, capsys)
     err = capsys.readouterr().err
     assert "nope" in err
     assert "fig04_runtime_vs_keywords" in err
-    assert "ablation_disk_index" in err
+    assert "ablation_partition" in err

@@ -36,19 +36,6 @@ class TestPostings:
             assert index.document_frequency(kid) == len(index.postings(kid))
 
 
-class TestBooleanOps:
-    def test_nodes_covering_any(self, index, table):
-        nodes = index.nodes_covering_any([table.id_of("t1"), table.id_of("t4")])
-        assert sorted(nodes.tolist()) == [3, 4, 6]
-
-    def test_nodes_covering_all(self, index, table):
-        # No single node carries both t1 and t2 in Figure 1.
-        nodes = index.nodes_covering_all([table.id_of("t1"), table.id_of("t2")])
-        assert nodes.tolist() == []
-
-    def test_nodes_covering_all_single_keyword(self, index, table):
-        nodes = index.nodes_covering_all([table.id_of("t2")])
-        assert nodes.tolist() == [2, 5, 7]
-
+class TestVocabulary:
     def test_vocabulary_attached(self, index, table):
         assert index.vocabulary.document_frequency(table.id_of("t2")) == 3

@@ -25,8 +25,8 @@ class TestExamples:
         assert "most popular route" in output
         assert "hotel" in output
 
-    def test_custom_graph_and_disk_index(self):
-        output = run_example("custom_graph_and_disk_index.py")
+    def test_custom_graph(self):
+        output = run_example("custom_graph.py")
         assert "persisted and reloaded" in output
         assert "round trip from the station" in output
 

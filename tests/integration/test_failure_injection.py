@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import KOREngine
-from repro.exceptions import QueryError, StorageError
+from repro.exceptions import QueryError
 from repro.graph.generators import figure_1_graph, line_graph
 
 
@@ -42,25 +42,6 @@ class TestImpossibleQueries:
 
 
 class TestCorruptedStorage:
-    def test_corrupt_page_surfaces_as_storage_error(self, tmp_path):
-        from repro.index.diskindex import DiskInvertedIndex
-
-        graph = figure_1_graph()
-        path = tmp_path / "index.pages"
-        index = DiskInvertedIndex.build(graph, path, buffer_capacity=2)
-        # Reach under the hood and corrupt a data page, then force the
-        # buffer pool to re-read it from disk.
-        store = index.buffer_pool.store
-        index.flush()
-        for page_id in range(1, store.num_pages):
-            store.corrupt_page_for_testing(page_id)
-        with pytest.raises(StorageError, match="checksum"):
-            for kid in range(len(graph.keyword_table)):
-                # Drain through enough lookups to force disk reads.
-                for _ in range(8):
-                    index.postings(kid)
-        index.close()
-
     def test_truncated_tables_archive(self, tmp_path):
         from repro.exceptions import PrepError
         from repro.prep.tables import CostTables

@@ -27,7 +27,6 @@ class TestTopLevelExports:
             repro.GraphError,
             repro.QueryError,
             repro.PrepError,
-            repro.StorageError,
             repro.DatasetError,
         ):
             assert issubclass(exc, repro.ReproError)
