@@ -138,3 +138,65 @@ class TestParameterRefusal:
             fig1_engine.query(0, 7, ["t1", "t2"], 10.0, algorithm="bucketbound", beta=beta)
         with pytest.raises(QueryError, match="beta must be > 1"):
             fig1_engine.top_k(0, 7, ["t1", "t2"], 10.0, 2, algorithm="bucketbound", beta=beta)
+
+
+class TestIndexLookups:
+    """Every search reads its posting lists through the engine's index,
+    directly or from a batch's shared candidate map, with one outcome."""
+
+    @staticmethod
+    def fingerprint(result):
+        route = result.route
+        return (
+            result.feasible,
+            result.failure_reason,
+            None if route is None else (tuple(route.nodes), route.objective_score),
+        )
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_candidate_map_answers_like_direct_lookups(self, fig1_engine, algorithm):
+        query = KORQuery(0, 7, ("t1", "t2", "t4"), 10.0)
+        candidates = fig1_engine.candidate_sets(query.keywords)
+        assert self.fingerprint(
+            fig1_engine.run(query, algorithm=algorithm, candidates=candidates)
+        ) == self.fingerprint(fig1_engine.run(query, algorithm=algorithm))
+
+    # The exhaustive oracle runs none of the feasibility screens (it shares
+    # no code with the label search): it only finds no covering walk.
+    @pytest.mark.parametrize("algorithm", [name for name in ALGORITHMS if name != "exhaustive"])
+    def test_absent_keyword_is_reported_by_name(self, fig1_engine, algorithm):
+        query = KORQuery(0, 7, ("t1", "keyword-that-does-not-exist"), 10.0)
+        result = fig1_engine.run(query, algorithm=algorithm)
+        assert not result.feasible
+        assert result.failure_reason == (
+            "keywords not present in the graph: keyword-that-does-not-exist"
+        )
+
+    def test_engine_over_another_engines_index_answers_alike(self, small_flickr_engine):
+        graph = small_flickr_engine.graph
+        twin = KOREngine(graph, tables=small_flickr_engine.tables, index=small_flickr_engine.index)
+        words = sorted(graph.keyword_table.words)[:2]
+        query = KORQuery(0, graph.num_nodes - 1, tuple(words), 5.0)
+        for algorithm in ("osscaling", "bucketbound", "greedy"):
+            assert self.fingerprint(twin.run(query, algorithm=algorithm)) == self.fingerprint(
+                small_flickr_engine.run(query, algorithm=algorithm)
+            )
+
+    def test_candidate_sets_skip_unknown_words(self, fig1_engine, fig1_graph):
+        candidates = fig1_engine.candidate_sets(["t1", "ghost", "t1", "t2"])
+        table = fig1_graph.keyword_table
+        assert {kid: nodes.tolist() for kid, nodes in candidates.items()} == {
+            table.id_of("t1"): [3, 6],
+            table.id_of("t2"): [2, 5, 7],
+        }
+
+    def test_candidate_sets_look_each_keyword_up_once(self, fig1_graph, monkeypatch):
+        engine = KOREngine(fig1_graph)
+        looked_up = []
+        postings = engine.index.postings
+        monkeypatch.setattr(
+            engine.index, "postings", lambda kid: looked_up.append(kid) or postings(kid)
+        )
+        engine.candidate_sets(["t2", "t1", "t2", "t2"])
+        table = fig1_graph.keyword_table
+        assert looked_up == [table.id_of("t2"), table.id_of("t1")]

@@ -1,5 +1,6 @@
 """Tests for KOR query objects and binding (repro.core.query)."""
 
+import numpy as np
 import pytest
 
 from repro.core.query import KORQuery, QueryBinding
@@ -86,3 +87,21 @@ class TestQueryBinding:
         binding = QueryBinding.bind(graph, index, KORQuery(0, 7, ("t1", "t2"), 8.0))
         assert binding.mask_to_words(0b01) == frozenset({"t1"})
         assert binding.mask_to_words(0b11) == frozenset({"t1", "t2"})
+
+    def test_candidate_map_entries_are_taken_as_given(self, graph, index):
+        t2 = graph.keyword_table.id_of("t2")
+        narrowed = {t2: np.asarray([5], dtype=np.int64)}
+        binding = QueryBinding.bind(
+            graph, index, KORQuery(0, 7, ("t2",), 8.0), candidates=narrowed
+        )
+        assert binding.nodes_with_bit[0].tolist() == [5]
+        assert binding.node_mask(2) == 0
+
+    def test_keywords_outside_the_candidate_map_read_the_index(self, graph, index):
+        t2 = graph.keyword_table.id_of("t2")
+        candidates = index.candidate_sets([t2])
+        binding = QueryBinding.bind(
+            graph, index, KORQuery(0, 7, ("t2", "t1"), 8.0), candidates=candidates
+        )
+        assert [nodes.tolist() for nodes in binding.nodes_with_bit] == [[2, 5, 7], [3, 6]]
+        assert binding.node_mask(3) == 0b10
