@@ -239,6 +239,8 @@ class GraphMutator:
         self._edge_costs: dict[tuple[int, int], tuple[float, float]] = {}
         #: Latest explicit keyword sets per node, surviving closures.
         self._keywords: dict[int, tuple[str, ...]] = {}
+        #: While a batch resolves, keyword sets are left to its end.
+        self._holding_keywords = False
 
     @property
     def graph(self) -> SpatialKeywordGraph:
@@ -371,7 +373,8 @@ class GraphMutator:
     # internals
     # ------------------------------------------------------------------
     def _resolve(self, delta: GraphDelta) -> GraphDelta:
-        self._graph = apply_graph_delta(self._graph, delta)
+        applied = GraphDelta(delta.set_edges, delta.drop_edges) if self._holding_keywords else delta
+        self._graph = apply_graph_delta(self._graph, applied)
         return delta
 
     def _snapshot(self) -> tuple:
@@ -400,14 +403,22 @@ def resolve_ops(
     the merged result is equivalent to applying the ops in order because
     every delta entry is absolute.  All or nothing: when any op is
     refused the mutator is put back exactly as the batch found it, so the
-    graph never runs ahead of tables that were not repaired.
+    graph never runs ahead of tables that were not repaired.  The merged
+    keyword sets are applied only once every op is accepted, so a
+    refused batch interns no word into the keyword table the graph
+    shares with its callers.  (An op reads a node's keywords from the
+    graph only where no earlier op of the batch has set them.)
     """
     before = mutator._snapshot()
     merged = GraphDelta()
+    mutator._holding_keywords = True
     try:
         for op in ops:
             merged = merged.merge(mutator.apply_op(op))
     except BaseException:
         mutator._restore(before)
         raise
+    finally:
+        mutator._holding_keywords = False
+    mutator._resolve(GraphDelta(set_keywords=merged.set_keywords))
     return merged

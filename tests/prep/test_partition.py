@@ -5,8 +5,119 @@ import pytest
 
 from repro.exceptions import PrepError
 from repro.graph.generators import figure_1_graph, grid_graph
-from repro.prep.partition import PartitionedCostTables, partition_graph
+from repro.prep.partition import (
+    _CACHE_BYTE_BUDGET,
+    _CACHE_MIN_ENTRIES,
+    PartitionedCostTables,
+    _RowReader,
+    _Stale,
+    partition_graph,
+)
 from repro.prep.tables import CostTables
+
+#: The byte-bounded LRUs among the derived caches (the blocks are
+#: bounded by the partition).
+BOUNDED = ("_column_cache", "_row_cache", "_leg_cache", "_mid_cache", "_readers")
+
+
+def warm_everywhere(tables, nodes=None) -> None:
+    """Fill every derived cache of *tables* from the sources and targets
+    *nodes* (default: all): primary-only columns and mids at even nodes,
+    pairs at odd ones, both kinds' rows and legs, the per-cell blocks,
+    and two shared readers per kind with a memoised row per node."""
+    n = tables.num_nodes
+    nodes = range(n) if nodes is None else nodes
+    for node in nodes:
+        if node % 2:
+            tables.bs_tau_col(node)
+            tables.os_sigma_col(node)
+        else:
+            tables.os_tau_col(node)
+            tables.bs_sigma_col(node)
+        tables.os_tau_row(node)
+        tables.bs_sigma_row(node)
+    for step in (2, 3):
+        for kind in ("tau", "sigma"):
+            reader = tables.row_reader(np.arange(0, n, step), kind)
+            for node in nodes:
+                reader.primary(node)
+
+
+def _same_bits(mine, theirs) -> bool:
+    if mine is None or theirs is None:
+        return mine is theirs
+    mine, theirs = np.asarray(mine), np.asarray(theirs)
+    return (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
+
+
+def _read_stale_entries(tables) -> int:
+    """Read every entry a repair left stale through its own access path,
+    which patches it; returns how many there were."""
+    reads = {
+        "_column_cache": lambda key, value: tables._columns(*key, pair=value[1] is not None),
+        "_mid_cache": lambda key, value: tables._mid(*key, pair=value[1] is not None),
+        "_row_cache": lambda key, value: tables._rows(*key),
+    }
+    stale = 0
+    for name, read in reads.items():
+        for key, value, _nbytes in getattr(tables, name).items():
+            if type(value) is _Stale:
+                read(key, value.value)
+                stale += 1
+    for key, value, _nbytes in tables._readers.items():
+        if type(value) is _Stale:
+            slab_key, source = (key, None) if isinstance(key[0], str) else key
+            reader = tables.row_reader(np.frombuffer(slab_key[1], dtype=np.int64), slab_key[0])
+            if source is not None:
+                reader.primary(source)
+            stale += 1
+    return stale
+
+
+def assert_caches_read_fresh(tables, fresh=None) -> dict[str, int]:
+    """Every entry *tables* holds in its derived caches equals, bit for
+    bit, the same read on *fresh* tables (default: a copy of *tables*
+    with empty caches) — a stale entry once its first read has patched
+    it — and every bounded cache keeps to its byte budget.  Returns the
+    number of entries checked per cache, and of stale ones patched."""
+    import dataclasses
+
+    fresh = dataclasses.replace(tables) if fresh is None else fresh
+    patched = _read_stale_entries(tables)
+    for key, (prim, sec), _nbytes in tables._column_cache.items():
+        want = fresh._columns(*key, pair=sec is not None)
+        assert _same_bits(prim, want[0]) and _same_bits(sec, want[1]), ("column", key)
+    for key, (prim, sec), _nbytes in tables._row_cache.items():
+        want = fresh._rows(*key)
+        assert _same_bits(prim, want[0]) and _same_bits(sec, want[1]), ("row", key)
+    for key, (prim, sec), _nbytes in tables._leg_cache.items():
+        want = fresh._leg(*key)
+        assert _same_bits(prim, want[0]) and _same_bits(sec, want[1]), ("leg", key)
+    for key, (prim, sec), _nbytes in tables._mid_cache.items():
+        want = fresh._mid(*key, pair=sec is not None)
+        assert _same_bits(prim, want[0]) and _same_bits(sec, want[1]), ("mid", key)
+    for key, block in tables._blocks.items():
+        assert _same_bits(block, fresh._block(*key)), ("block", key)
+    for key, value, nbytes in tables._readers.items():
+        if isinstance(key[0], str):
+            kind, raw = key
+            want, size = _RowReader.gather(fresh, np.frombuffer(raw, dtype=np.int64), kind)
+            assert size == nbytes, ("slab", key)
+            assert all(_same_bits(a, b) for a, b in zip(value[:2] + value[3:], want[:2] + want[3:]))
+            assert value[2].keys() == want[2].keys(), ("slab", key)
+            for cell, pair in value[2].items():
+                assert all(map(_same_bits, pair, want[2][cell])), ("slab", key, cell)
+        else:
+            (kind, raw), i = key
+            reader = fresh.row_reader(np.frombuffer(raw, dtype=np.int64), kind)
+            assert _same_bits(value, reader.primary(i)), ("reader row", key)
+            assert not value.flags.writeable
+    for name in BOUNDED:
+        cache = getattr(tables, name)
+        assert cache.nbytes() <= _CACHE_BYTE_BUDGET or len(cache) <= _CACHE_MIN_ENTRIES, name
+        assert cache.nbytes() == sum(nbytes for _key, _value, nbytes in cache.items()), name
+    counts = {name: len(getattr(tables, name)) for name in TestPathMaterialisation.DERIVED}
+    return {**counts, "stale": patched}
 
 
 @pytest.fixture(scope="module")
@@ -554,16 +665,170 @@ class TestPathMaterialisation:
             assert getattr(patched, name) == {}, name
         assert patched.cache_bytes() == 0
 
-    def test_repair_starts_with_empty_caches(self, grid, with_paths):
-        """A repaired border tier is a new epoch: no reader, mid or block
-        of the old tables carries over."""
-        self.warm(with_paths)
-        repaired, _swept = with_paths.repaired(grid, with_paths.cell_tables, [])
-        for name in self.DERIVED:
-            assert getattr(repaired, name) == {}, name
-        assert repaired.cache_bytes() == 0
-        assert repaired.row_reader(np.arange(0, 49, 3), "sigma") is not None
-        assert len(with_paths._readers) > 0 and len(repaired._readers) == 1
+    def test_repair_without_a_change_carries_every_entry(self, grid):
+        """Same cells, no cut edge: no border row moves, so every entry of
+        every cache survives as the very object the old tables held."""
+        tables = PartitionedCostTables.from_graph(grid, num_cells=4, seed=1, predecessors=True)
+        warm_everywhere(tables)
+        repaired, swept = tables.repaired(grid, tables.cell_tables, [])
+        assert swept == (0, 0)
+        for name in BOUNDED:
+            old, new = getattr(tables, name).items(), getattr(repaired, name).items()
+            assert [key for key, *_ in new] == [key for key, *_ in old], name
+            assert all(a[1] is b[1] for a, b in zip(new, old)), name
+        assert len(repaired._blocks) == len(tables._blocks)
+        assert all(repaired._blocks.get(key) is block for key, block in tables._blocks.items())
+        assert repaired.cache_bytes() == tables.cache_bytes()
+        assert_caches_read_fresh(repaired)
+
+    def test_repair_of_a_cell_carries_patches_and_drops(self):
+        """One re-costed edge inside a cell: what the repaired cell or a
+        moved border row fed is patched or dropped, bitwise a fresh read,
+        and everything else is carried as the old object."""
+        from repro.datasets import RoadConfig, build_road_graph
+        from repro.world import MutableWorld
+
+        world = MutableWorld(build_road_graph(RoadConfig(num_nodes=120, seed=3)), num_cells=4)
+        cell_of = world.partition.cell_of
+        old = world.tables
+        warm_everywhere(old)
+        u, v, objective, budget = next(
+            (u, v, objective, budget)
+            for u in range(world.graph.num_nodes)
+            for v, objective, budget in world.graph.out_edges(u)
+            if cell_of[u] == cell_of[v] == 0
+        )
+        update = world.update_edge_cost(u, v, objective=objective * 3, budget=budget * 2)
+        new = world.tables
+        assert update.repaired_cells == (0,)
+        counts = assert_caches_read_fresh(new)
+        assert all(counts[name] for name in self.DERIVED) and counts["stale"], counts
+
+        border_cell = cell_of[world.partition.border_nodes]
+        moved = {
+            kind: np.logical_or.reduce(
+                [
+                    mine != theirs
+                    for mine, theirs in zip(old._border_matrices(kind), new._border_matrices(kind))
+                ]
+            )
+            for kind in ("tau", "sigma")
+        }
+        assert all(rows.any() for rows in moved.values())
+        # Blocks survive with their cell, everything else with its source
+        # or target cell; nothing of the repaired cell survives.
+        for key, block in old._blocks.items():
+            assert (new._blocks.get(key) is block) == (key[2] != 0), key
+        for name in ("_leg_cache", "_mid_cache", "_column_cache", "_row_cache"):
+            old_keys = {key for key, *_ in getattr(old, name).items()}
+            assert {key for key, *_ in getattr(new, name).items()} == {
+                key for key in old_keys if cell_of[key[0]] != 0
+            }, name
+        # A leg is the old object unless its cell's exit rows moved, and
+        # keeps every other border column bit for bit.
+        old_legs = {key: leg for key, leg, _nbytes in old._leg_cache.items()}
+        for (i, kind), leg, _nbytes in new._leg_cache.items():
+            columns = moved[kind][new._cell_borders[cell_of[i]]].any(axis=0)
+            assert (leg is old_legs[(i, kind)]) == (not columns.any())
+            for mine, theirs in zip(leg, old_legs[(i, kind)]):
+                assert _same_bits(mine[~columns], theirs[~columns])
+        # A column keeps the segments of the cells outside the repaired
+        # one whose exit rows kept their entries into the target's cell;
+        # the rest was patched (and moved in some columns), not dropped.
+        old_columns = {key: column for key, column, _nbytes in old._column_cache.items()}
+        moved_columns = 0
+        for (t, kind), (prim, _sec), _nbytes in new._column_cache.items():
+            rows = moved[kind][:, new._cell_borders[cell_of[t]]].any(axis=1)
+            stale = np.isin(cell_of, [0, *border_cell[rows]])
+            assert _same_bits(prim[~stale], old_columns[(t, kind)][0][~stale])
+            moved_columns += not _same_bits(prim, old_columns[(t, kind)][0])
+        assert moved_columns
+
+    def test_repairs_in_a_row_patch_what_either_changed(self):
+        """An entry left stale by one repair and unread before the next is
+        patched where either repair changed its inputs."""
+        from repro.datasets import RoadConfig, build_road_graph
+        from repro.world import MutableWorld
+
+        world = MutableWorld(build_road_graph(RoadConfig(num_nodes=120, seed=3)), num_cells=4)
+        warm_everywhere(world.tables)
+        cell_of = world.partition.cell_of
+        for cell in (0, 1):
+            u, v, objective, budget = next(
+                (u, v, objective, budget)
+                for u in range(world.graph.num_nodes)
+                for v, objective, budget in world.graph.out_edges(u)
+                if cell_of[u] == cell_of[v] == cell
+            )
+            world.update_edge_cost(u, v, objective=objective * 3, budget=budget * 2)
+        stale = [
+            value.where
+            for _key, value, _nbytes in world.tables._column_cache.items()
+            if type(value) is _Stale
+        ]
+        assert stale and all({0, 1} <= set(where) for where in stale)
+        assert assert_caches_read_fresh(world.tables)["stale"]
+
+    def test_stale_entries_patch_under_concurrent_readers(self, monkeypatch):
+        """Thread workers share repaired tables: concurrent first reads of
+        the same stale entries (evicted all the while under a small
+        budget) all read a fresh object's floats, and what stays cached
+        is bitwise a fresh read."""
+        import dataclasses
+        import sys
+        import threading
+
+        from repro.datasets import RoadConfig, build_road_graph
+        from repro.world import MutableWorld
+
+        world = MutableWorld(build_road_graph(RoadConfig(num_nodes=120, seed=3)), num_cells=4)
+        warm_everywhere(world.tables)
+        cell_of = world.partition.cell_of
+        u, v, objective, budget = next(
+            (u, v, objective, budget)
+            for u in range(world.graph.num_nodes)
+            for v, objective, budget in world.graph.out_edges(u)
+            if cell_of[u] == cell_of[v] == 0
+        )
+        world.update_edge_cost(u, v, objective=objective * 3, budget=budget * 2)
+        shared = world.tables
+        assert any(type(value) is _Stale for _key, value, _nbytes in shared._column_cache.items())
+        node_sets = [np.arange(0, world.graph.num_nodes, step) for step in (2, 3)]
+
+        def read(tables, kind, node):
+            column, row, mid = tables._columns(node, kind), tables._rows(node, kind), tables._mid(node, kind)
+            readers = [tables.row_reader(nodes, kind).primary(node) for nodes in node_sets]
+            return [array.tobytes() for array in (*column, *row, *readers)] + [
+                None if mid is None else b"".join(part.tobytes() for part in mid)
+            ]
+
+        fresh = dataclasses.replace(shared)
+        keys = [(kind, node) for kind in ("tau", "sigma") for node in range(world.graph.num_nodes)]
+        expected = {key: read(fresh, *key) for key in keys}
+        monkeypatch.setattr("repro.prep.partition._CACHE_BYTE_BUDGET", 20_000)
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for position in rng.permutation(len(keys))[:120]:
+                    assert read(shared, *keys[position]) == expected[keys[position]]
+            except Exception as exc:  # surfaced below, in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert_caches_read_fresh(shared)
 
     def test_out_of_range_reads_raise(self, partitioned):
         n = partitioned.num_nodes

@@ -13,7 +13,8 @@ re-swept tie rows.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.builder import GraphBuilder
@@ -22,6 +23,7 @@ from repro.graph.mutation import GraphMutator
 from repro.prep.partition import partition_graph
 from repro.world import MutableWorld
 
+from tests.prep.test_partition import assert_caches_read_fresh, warm_everywhere
 from tests.properties.test_partition_properties import _partition_of
 
 SLOW = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -32,8 +34,9 @@ BORDER_ARRAYS = tuple(f"border_{name}" for name in CELL_ARRAYS)
 POOL = (1.0, 1.5, 2.0, 3.0)
 
 
-def assert_repair_equals_rebuild(world: MutableWorld) -> None:
-    """All twelve table arrays of *world* equal a from-scratch rebuild's."""
+def assert_repair_equals_rebuild(world: MutableWorld) -> MutableWorld:
+    """All twelve table arrays of *world* equal a from-scratch rebuild's,
+    which is returned."""
     fresh = world.rebuilt()
     for cell, (state, rebuilt) in enumerate(zip(world.cells, fresh.cells)):
         for name in CELL_ARRAYS:
@@ -46,6 +49,16 @@ def assert_repair_equals_rebuild(world: MutableWorld) -> None:
         np.testing.assert_array_equal(
             getattr(world.tables, name), getattr(fresh.tables, name), err_msg=name
         )
+    return fresh
+
+
+def _moved_border_rows(before, after) -> int:
+    """Border rows whose scores differ bitwise between two tables objects."""
+    return sum(
+        int((old != new).any(axis=1).sum())
+        for kind in ("tau", "sigma")
+        for old, new in zip(before._border_matrices(kind), after._border_matrices(kind))
+    )
 
 
 def _table_arrays(world: MutableWorld) -> list[np.ndarray]:
@@ -149,8 +162,14 @@ class TestRepairEqualsRebuild:
                 ops.append(op)
             before = _table_arrays(world)
             snapshot = [array.copy() for array in before]
+            # Warm caches: what the repair carries over or patches must
+            # read like the rebuilt world's tables, bit for bit.
+            warm_everywhere(world.tables)
+            old_tables = world.tables
             update = world.apply_ops(ops)
-            assert_repair_equals_rebuild(world)
+            fresh = assert_repair_equals_rebuild(world)
+            assert_caches_read_fresh(world.tables, fresh.tables)
+            event(f"border rows moved: {bool(_moved_border_rows(old_tables, world.tables))}")
             # Rows are copied, never written in place: a reader holding
             # the previous tables keeps them whole.
             for array, copy in zip(before, snapshot):
@@ -234,3 +253,58 @@ class TestNamedCases:
         # Rows 0 and 1 reach node 2 again (in-cell); border 2 reaches 3.
         assert update.swept_rows["tau"][0] >= 2
         assert update.swept_rows["tau"][1] >= 1
+
+
+class TestWarmCachesOverRepairs:
+    """Caches warmed before an update read like a rebuilt world's tables
+    after it, whether or not the update moved border rows."""
+
+    @pytest.fixture(scope="class")
+    def road(self):
+        from repro.datasets import RoadConfig, build_road_graph
+
+        return build_road_graph(RoadConfig(num_nodes=150, seed=7))
+
+    def _recost(self, world, u, v, factor) -> tuple[dict, int]:
+        objective, budget = world.graph.edge(u, v)
+        warm_everywhere(world.tables, range(0, world.graph.num_nodes, 4))
+        old = world.tables
+        world.update_edge_cost(u, v, objective=objective * factor, budget=budget * factor)
+        fresh = assert_repair_equals_rebuild(world)
+        counts = assert_caches_read_fresh(world.tables, fresh.tables)
+        return counts, _moved_border_rows(old, world.tables)
+
+    def test_in_cell_updates_with_and_without_moved_border_rows(self, road):
+        world = MutableWorld(road, num_cells=4, seed=0)
+        cell_of = world.partition.cell_of
+        seen = set()
+        for u, v in (
+            (u, v)
+            for u in range(road.num_nodes)
+            for v, _objective, _budget in road.out_edges(u)
+            if cell_of[u] == cell_of[v]
+        ):
+            counts, moved = self._recost(world, u, v, 1.5)
+            assert counts["_column_cache"] and counts["_readers"], counts
+            seen.add(moved > 0)
+            self._recost(world, u, v, 1 / 1.5)
+            if seen == {True, False}:
+                break
+        assert seen == {True, False}
+
+    def test_a_cut_edge_moves_border_rows_and_replaces_no_cell(self, road):
+        world = MutableWorld(road, num_cells=4, seed=0)
+        cell_of = world.partition.cell_of
+        cells = world.tables.cell_tables
+        for u, v in (
+            (u, v)
+            for u in range(road.num_nodes)
+            for v, _objective, _budget in road.out_edges(u)
+            if cell_of[u] != cell_of[v]
+        ):
+            counts, moved = self._recost(world, u, v, 0.25)
+            assert all(new is old for new, old in zip(world.tables.cell_tables, cells))
+            if moved:
+                assert counts["_blocks"] and counts["_mid_cache"], counts
+                return
+        raise AssertionError("no cut edge re-cost moved a border row")

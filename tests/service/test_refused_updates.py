@@ -184,3 +184,33 @@ def test_process_backend_answers_like_a_service_that_never_saw_the_batch(
             backend.close()
 
     assert serve("process", [refused, recost]) == serve("serial", [recost])
+
+
+@pytest.mark.parametrize("tier", ["world", "flat"])
+def test_refused_batch_interns_no_word(tier):
+    """The words of the ops before the refused one must not reach the
+    keyword table the world shares with the caller's graph."""
+    from repro.graph.generators import figure_1_graph
+
+    graph = figure_1_graph()
+    table = graph.keyword_table
+    size, known = len(table), table.get("q")
+    target = MutableWorld(graph, num_cells=2) if tier == "world" else QueryService(KOREngine(graph))
+    refused = [
+        {"op": "update_keywords", "node": 2, "keywords": ["q", "r"]},
+        {"op": "update_keywords", "node": graph.num_nodes + 5, "keywords": ["s"]},
+    ]
+    with pytest.raises(MutationError):
+        target.apply_ops(refused)
+    assert len(table) == size
+    assert table.get("q") == known is None
+
+    # An accepted batch interns its words once, and only its final ones.
+    target.apply_ops(refused[:1] + [{"op": "update_keywords", "node": 3, "keywords": ["t"]}])
+    assert len(table) == size + 3
+    assert {word: table.get(word) for word in "qrst"} == {
+        "q": size,
+        "r": size + 1,
+        "s": None,
+        "t": size + 2,
+    }
