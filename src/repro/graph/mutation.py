@@ -239,8 +239,6 @@ class GraphMutator:
         self._edge_costs: dict[tuple[int, int], tuple[float, float]] = {}
         #: Latest explicit keyword sets per node, surviving closures.
         self._keywords: dict[int, tuple[str, ...]] = {}
-        #: While a batch resolves, keyword sets are left to its end.
-        self._holding_keywords = False
 
     @property
     def graph(self) -> SpatialKeywordGraph:
@@ -268,6 +266,58 @@ class GraphMutator:
         budget: float | None = None,
     ) -> GraphDelta:
         """Re-cost the existing edge ``(u, v)``; unset weights persist."""
+        return self.apply_op(
+            {"op": "update_edge_cost", "u": u, "v": v, "objective": objective, "budget": budget}
+        )
+
+    def close_node(self, node: int) -> GraphDelta:
+        """Remove *node* from service: strip its edges and keywords.
+
+        The node id stays valid (the world never renumbers); it simply
+        becomes unreachable and keyword-less until :meth:`open_node`.
+        """
+        return self.apply_op({"op": "close_node", "node": node})
+
+    def open_node(self, node: int) -> GraphDelta:
+        """Re-open a closed node, restoring its latest edges and keywords.
+
+        Restores every *base-graph* edge incident to the node whose other
+        endpoint is currently open, at the most recently configured
+        weights; edges toward still-closed neighbours come back when
+        those neighbours re-open.
+        """
+        return self.apply_op({"op": "open_node", "node": node})
+
+    def update_keywords(self, node: int, keywords: Iterable[str]) -> GraphDelta:
+        """Replace *node*'s keyword set (open nodes only)."""
+        return self.apply_op({"op": "update_keywords", "node": node, "keywords": keywords})
+
+    def apply_op(self, op: Mapping[str, object]) -> GraphDelta:
+        """Apply one wire-shaped operation (see :data:`OP_NAMES`)."""
+        return resolve_ops(self, [op])
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+    def _step(self, op: Mapping[str, object]) -> GraphDelta:
+        """Validate *op* against the current state and record it; its
+        edges are applied, its keyword sets left to :func:`resolve_ops`."""
+        kind = op.get("op")
+        if kind == "update_edge_cost":
+            return self._update_edge_cost(op["u"], op["v"], op.get("objective"), op.get("budget"))
+        if kind == "close_node":
+            return self._close_node(op["node"])
+        if kind == "open_node":
+            return self._open_node(op["node"])
+        if kind == "update_keywords":
+            return self._update_keywords(op["node"], op["keywords"])
+        raise MutationError(
+            f"unknown mutation op {kind!r}; expected one of {', '.join(OP_NAMES)}"
+        )
+
+    def _update_edge_cost(
+        self, u: int, v: int, objective: float | None, budget: float | None
+    ) -> GraphDelta:
         n = self._graph.num_nodes
         _check_node(n, u)
         _check_node(n, v)
@@ -295,12 +345,7 @@ class GraphMutator:
         self._edge_costs[(u, v)] = (obj, bud)
         return self._resolve(GraphDelta(set_edges=((u, v, obj, bud),)))
 
-    def close_node(self, node: int) -> GraphDelta:
-        """Remove *node* from service: strip its edges and keywords.
-
-        The node id stays valid (the world never renumbers); it simply
-        becomes unreachable and keyword-less until :meth:`open_node`.
-        """
+    def _close_node(self, node: int) -> GraphDelta:
         _check_node(self._graph.num_nodes, node)
         if node in self._closed:
             raise MutationError(f"node {node} is already closed")
@@ -318,14 +363,7 @@ class GraphMutator:
             GraphDelta(drop_edges=tuple(drops), set_keywords=((node, ()),))
         )
 
-    def open_node(self, node: int) -> GraphDelta:
-        """Re-open a closed node, restoring its latest edges and keywords.
-
-        Restores every *base-graph* edge incident to the node whose other
-        endpoint is currently open, at the most recently configured
-        weights; edges toward still-closed neighbours come back when
-        those neighbours re-open.
-        """
+    def _open_node(self, node: int) -> GraphDelta:
         _check_node(self._graph.num_nodes, node)
         if node not in self._closed:
             raise MutationError(f"node {node} is not closed")
@@ -341,8 +379,7 @@ class GraphMutator:
             GraphDelta(set_edges=tuple(restored), set_keywords=((node, words),))
         )
 
-    def update_keywords(self, node: int, keywords: Iterable[str]) -> GraphDelta:
-        """Replace *node*'s keyword set (open nodes only)."""
+    def _update_keywords(self, node: int, keywords: Iterable[str]) -> GraphDelta:
         _check_node(self._graph.num_nodes, node)
         if node in self._closed:
             raise MutationError(
@@ -352,29 +389,9 @@ class GraphMutator:
         self._keywords[node] = words
         return self._resolve(GraphDelta(set_keywords=((node, words),)))
 
-    def apply_op(self, op: Mapping[str, object]) -> GraphDelta:
-        """Apply one wire-shaped operation (see :data:`OP_NAMES`)."""
-        kind = op.get("op")
-        if kind == "update_edge_cost":
-            return self.update_edge_cost(
-                op["u"], op["v"], objective=op.get("objective"), budget=op.get("budget")
-            )
-        if kind == "close_node":
-            return self.close_node(op["node"])
-        if kind == "open_node":
-            return self.open_node(op["node"])
-        if kind == "update_keywords":
-            return self.update_keywords(op["node"], op["keywords"])
-        raise MutationError(
-            f"unknown mutation op {kind!r}; expected one of {', '.join(OP_NAMES)}"
-        )
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
     def _resolve(self, delta: GraphDelta) -> GraphDelta:
-        applied = GraphDelta(delta.set_edges, delta.drop_edges) if self._holding_keywords else delta
-        self._graph = apply_graph_delta(self._graph, applied)
+        """Apply *delta*'s edges; returns the whole delta."""
+        self._graph = apply_graph_delta(self._graph, GraphDelta(delta.set_edges, delta.drop_edges))
         return delta
 
     def _snapshot(self) -> tuple:
@@ -404,21 +421,20 @@ def resolve_ops(
     every delta entry is absolute.  All or nothing: when any op is
     refused the mutator is put back exactly as the batch found it, so the
     graph never runs ahead of tables that were not repaired.  The merged
-    keyword sets are applied only once every op is accepted, so a
+    keyword sets are applied last, once every op is accepted, so a
     refused batch interns no word into the keyword table the graph
     shares with its callers.  (An op reads a node's keywords from the
     graph only where no earlier op of the batch has set them.)
     """
     before = mutator._snapshot()
     merged = GraphDelta()
-    mutator._holding_keywords = True
     try:
         for op in ops:
-            merged = merged.merge(mutator.apply_op(op))
+            merged = merged.merge(mutator._step(op))
+        mutator._graph = apply_graph_delta(
+            mutator._graph, GraphDelta(set_keywords=merged.set_keywords)
+        )
     except BaseException:
         mutator._restore(before)
         raise
-    finally:
-        mutator._holding_keywords = False
-    mutator._resolve(GraphDelta(set_keywords=merged.set_keywords))
     return merged

@@ -338,14 +338,6 @@ class _ByteLRU:
             while self._bytes > _CACHE_BYTE_BUDGET and len(self._data) > _CACHE_MIN_ENTRIES:
                 self._bytes -= self._data.pop(next(iter(self._data)))[1]
 
-    def refresh(self, key, stale: "_Stale", value) -> None:
-        """Swap *key*'s entry, if it still is *stale*, for its patched
-        *value* (same shape, same bytes)."""
-        with self._lock:
-            entry = self._data.get(key)
-            if entry is not None and entry[0] is stale:
-                self._data[key] = (value, entry[1])
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -380,27 +372,6 @@ class _Blocks(dict):
     def nbytes(self) -> int:
         """Bytes held by the blocks built so far."""
         return sum(block.nbytes for block in list(self.values()))
-
-
-class _Stale:
-    """A cache entry carried over a repair that changed some of its
-    inputs: the *value* read before, and *where* it is out of date (the
-    cells of a column, row, slab or reader row; the border columns of a
-    leg; the border rows of a mid).  Its first read patches it there
-    (see :meth:`PartitionedCostTables._seed_caches`)."""
-
-    __slots__ = ("value", "where")
-
-    def __init__(self, value, where: list[int]) -> None:
-        self.value, self.where = value, where
-
-
-def _pending(value, where: list[int]):
-    """*value*, an entry or a stale one, also out of date at *where*."""
-    if type(value) is _Stale:
-        where = sorted({*value.where, *where})
-        value = value.value
-    return _Stale(value, where) if where else value
 
 
 def _prefer_in_cell(
@@ -500,8 +471,7 @@ class _RowReader:
     The query-time half of the row assembly, for a search that reads
     ``row(i)[nodes]`` from many sources ``i``: everything that depends on
     the node set alone (the *slab*, :meth:`gather`) is gathered once
-    while it stays cached (a repair regathers only a replaced cell's
-    columns, :meth:`regathered`) — per column the entries ``b2`` of
+    while it stays cached — per column the entries ``b2`` of
     the node's cell and the primary ``in_cell(b2 -> node)``, padded to the
     tallest cell with ``inf`` — so a primary read is the source's cached
     border leg plus that slab under one plain ``min`` (the primary of a
@@ -550,34 +520,6 @@ class _RowReader:
         nbytes += sum(columns.nbytes + locals_.nbytes for columns, locals_ in cell_columns.values())
         return (node_cells, node_locals, cell_columns, entries, leg3_prim), nbytes
 
-    @staticmethod
-    def regathered(tables: "PartitionedCostTables", slab: tuple, kind: str, cells: list) -> tuple:
-        """*slab* of an older epoch, over *tables* whose in-cell tables of
-        *cells* were replaced: those cells' columns gathered again (the
-        entries are the partition's), every other column kept."""
-        cell_columns, leg3_prim = slab[2], slab[4]
-        cells = [cell for cell in cells if cell in cell_columns and len(tables._cell_borders[cell])]
-        if not cells:
-            return slab
-        leg3_prim = leg3_prim.copy()
-        for cell in cells:
-            columns, locals_ = cell_columns[cell]
-            block = tables._block("entry", kind, cell)
-            leg3_prim[: len(block), columns] = block[:, locals_]
-        return (*slab[:4], leg3_prim)
-
-    def reassembled(self, i: int, row: np.ndarray, cells: list) -> np.ndarray:
-        """Row *i* of an older epoch, with the columns in *cells* (where
-        the repairs since changed its inputs) assembled again."""
-        columns = [self._cell_columns[cell][0] for cell in cells if cell in self._cell_columns]
-        if not columns:
-            return row
-        columns = np.concatenate(columns)
-        row = row.copy()
-        row[columns] = self._assemble(i, columns)
-        row.flags.writeable = False
-        return row
-
     def primary(self, i: int) -> np.ndarray:
         """The primary score of row *i* at every node of the set."""
         return self._row(i)
@@ -610,30 +552,20 @@ class _RowReader:
         tables = self._tables
         key = (self._key, i)
         cached = tables._readers.get(key)
-        if type(cached) is _Stale:
-            stale, cached = cached, self.reassembled(i, cached.value, cached.where)
-            tables._readers.refresh(key, stale, cached)
         if cached is not None:
             return cached
-        best = self._assemble(i, slice(None))
-        best.flags.writeable = False  # shared by every reader of the node set
-        tables._readers.put(key, best, best.nbytes)
-        return best
-
-    def _assemble(self, i: int, columns) -> np.ndarray:
-        """Row *i*'s primaries at the slab's *columns*."""
-        tables, kind = self._tables, self._kind
+        kind = self._kind
         leg = tables._leg(i, kind)  # validates i
         best = np.full(len(self._node_cells), np.inf)
         cell = int(tables.partition.cell_of[i])
         own = self._cell_columns.get(cell)
         if own is not None:
-            own_columns, locals_ = own
-            best[own_columns] = tables._in_cell(kind, cell)[0][int(tables.local_index[i]), locals_]
-        best = best[columns]
+            columns, locals_ = own
+            best[columns] = tables._in_cell(kind, cell)[0][int(tables.local_index[i]), locals_]
         if leg is not None and len(self._entries):
-            stitched = leg[0][self._entries[:, columns]] + self._leg3_prim[:, columns]
-            best = np.minimum(best, stitched.min(axis=0))
+            best = np.minimum(best, (leg[0][self._entries] + self._leg3_prim).min(axis=0))
+        best.flags.writeable = False  # shared by every reader of the node set
+        tables._readers.put(key, best, best.nbytes)
         return best
 
 
@@ -675,12 +607,10 @@ class PartitionedCostTables:
     is reported by :meth:`cache_bytes`, so long-lived instances amortise
     assembly cost without ever regrowing an ``O(n^2)`` resident
     footprint.  A structural update builds a new tables object
-    (:meth:`repaired`) whose caches start from the old object's: what the
-    update left valid is carried over, what it changed in part is patched
-    on its first read, and the rest is dropped, so every entry reads as
-    a fresh object's would (:meth:`_seed_caches`).  Built any other way —
-    :meth:`from_graph`, unpickled, ``dataclasses.replace`` — the caches
-    start empty.
+    (:meth:`repaired`) whose caches start with the old object's entries
+    that the update left valid, and only those
+    (:meth:`_seed_caches`).  Built any other way — :meth:`from_graph`,
+    unpickled, ``dataclasses.replace`` — the caches start empty.
     """
 
     partition: GraphPartition
@@ -827,10 +757,10 @@ class PartitionedCostTables:
         can move are swept again (:func:`repro.prep.dijkstra.
         repair_two_criteria`), so the result is bitwise
         ``from_graph(graph, partition=..., cell_tables=cell_tables,
-        predecessors=True)``, with these tables' caches carried over
-        where still valid (:meth:`_seed_caches`).  Returned with the
-        number of overlay rows swept per kind, ``(tau, sigma)``.  Needs
-        the overlay predecessors.
+        predecessors=True)``, with these tables' cache entries that are
+        still valid carried over (:meth:`_seed_caches`).  Returned with
+        the number of overlay rows swept per kind, ``(tau, sigma)``.
+        Needs the overlay predecessors.
         """
         if not self.has_paths:
             raise PrepError("repairing the border tier needs its overlay predecessors")
@@ -864,72 +794,64 @@ class PartitionedCostTables:
         return tables, tuple(swept)
 
     def _seed_caches(self, old: "PartitionedCostTables") -> None:
-        """Seed these repaired tables' derived state from *old*'s.
+        """Seed these repaired tables' derived caches with the entries of
+        *old*'s whose inputs the repair left bitwise unchanged; the rest
+        is dropped and built again on its next read.
 
-        An entry whose inputs the repair left bitwise unchanged is carried
-        over as is.  One whose inputs changed only in a replaced cell's
-        in-cell tables or in border entries that moved is carried as
-        :class:`_Stale`: its first read patches it there, with the same
-        association and tie rule as a fresh read.  Every other entry is
-        dropped.  Validity is decided per cell and kind, never per entry,
-        from one bitwise compare of the old and new border matrices:
+        Validity is decided per cell and kind, never per entry, from one
+        bitwise compare of the old and new border matrices:
         - a block survives with its cell;
-        - a source's leg survives with its cell, stale at the border
-          columns where that cell's exit rows moved; its row and its
-          memoised reader rows are stale at those columns' cells and at
-          the replaced cells;
-        - a target's mid survives with its cell, stale at the border rows
-          that moved at that cell's entries; its column is stale at those
-          rows' cells and at the replaced cells;
-        - a reader slab always survives, stale at the replaced cells.
+        - a source's leg with its cell, unless a border entry moved in
+          one of that cell's exit rows;
+        - a target's mid with its cell, unless one moved in a column at
+          that cell's entries;
+        - a row and its memoised reader rows with its source's leg, a
+          column with its target's mid, and a reader slab, only when no
+          cell was replaced (they read every cell's in-cell tables).
         Entries keep their recency order and their bytes.
         """
-        part = self.partition
-        cell_of = part.cell_of.tolist()
-        border_cell = part.cell_of[part.border_nodes]
+        cell_of = self.partition.cell_of.tolist()
         kept = [new is prev for new, prev in zip(self.cell_tables, old.cell_tables)]
-        replaced = [cell for cell, same in enumerate(kept) if not same]
-        leg_columns, mid_rows, row_cells, column_cells = {}, {}, {}, {}
+        legs, mids = {}, {}
         for kind in ("tau", "sigma"):
             (old_prim, old_sec), (new_prim, new_sec) = (
                 old._border_matrices(kind),
                 self._border_matrices(kind),
             )
             moved = (old_prim != new_prim) | (old_sec != new_sec)
-            leg_columns[kind] = [
-                np.flatnonzero(moved[exits].any(axis=0)).tolist() for exits in self._cell_borders
+            legs[kind] = [
+                same and not moved[borders].any()
+                for same, borders in zip(kept, self._cell_borders)
             ]
-            mid_rows[kind] = [
-                np.flatnonzero(moved[:, entries].any(axis=1)).tolist()
-                for entries in self._cell_borders
-            ]
-            row_cells[kind] = [
-                sorted({*replaced, *border_cell[columns].tolist()}) for columns in leg_columns[kind]
-            ]
-            column_cells[kind] = [
-                sorted({*replaced, *border_cell[rows].tolist()}) for rows in mid_rows[kind]
+            mids[kind] = [
+                same and not moved[:, borders].any()
+                for same, borders in zip(kept, self._cell_borders)
             ]
 
-        self._blocks.update((key, block) for key, block in old._blocks.items() if kept[key[2]])
-        for cache, old_cache, where in (
-            (self._leg_cache, old._leg_cache, leg_columns),
-            (self._mid_cache, old._mid_cache, mid_rows),
-            (self._column_cache, old._column_cache, column_cells),
-            (self._row_cache, old._row_cache, row_cells),
-        ):
+        # Thread workers may still be first-touching blocks of *old*:
+        # snapshot the dict before filtering it.
+        blocks = list(old._blocks.items())
+        self._blocks.update((key, block) for key, block in blocks if kept[key[2]])
+        whole = all(kept)
+        carried = [(self._leg_cache, old._leg_cache, legs), (self._mid_cache, old._mid_cache, mids)]
+        if whole:
+            carried += [
+                (self._row_cache, old._row_cache, legs),
+                (self._column_cache, old._column_cache, mids),
+            ]
+        for cache, old_cache, valid in carried:
             cache.seed(
-                ((node, kind), _pending(value, where[kind][cell_of[node]]), nbytes)
+                ((node, kind), value, nbytes)
                 for (node, kind), value, nbytes in old_cache.items()
-                if kept[cell_of[node]]
+                if valid[kind][cell_of[node]]
             )
-        # A slab is keyed ``(kind, node ids)``, a reader row ``(slab key, source)``.
-        self._readers.seed(
-            (key, _pending(value, replaced), nbytes)
-            if type(key[0]) is str
-            else (key, _pending(value, row_cells[key[0][0]][cell_of[key[1]]]), nbytes)
-            for key, value, nbytes in old._readers.items()
-            if type(key[0]) is str or kept[cell_of[key[1]]]
-        )
+        if whole:
+            # A slab is keyed ``(kind, node ids)``, a reader row ``(slab key, source)``.
+            self._readers.seed(
+                (key, value, nbytes)
+                for key, value, nbytes in old._readers.items()
+                if type(key[0]) is str or legs[key[0][0]][cell_of[key[1]]]
+            )
 
     # ------------------------------------------------------------------
     # basic protocol
@@ -1037,9 +959,6 @@ class PartitionedCostTables:
         nodes = np.asarray(nodes, dtype=np.int64).ravel()
         key = (kind, nodes.tobytes())
         slab = self._readers.get(key)
-        if type(slab) is _Stale:
-            stale, slab = slab, _RowReader.regathered(self, slab.value, kind, slab.where)
-            self._readers.refresh(key, stale, slab)
         if slab is None:
             slab, nbytes = _RowReader.gather(self, nodes, kind)
             self._readers.put(key, slab, nbytes)
@@ -1198,30 +1117,19 @@ class PartitionedCostTables:
         replaced in place by the full pair.
         """
         key = (t, kind)
-        cached = self._cached(self._column_cache, key, self._fill_column)
+        cached = self._column_cache.get(key)
         if cached is not None and not (pair and cached[1] is None):
             return cached
         self._check_node(t)
-        n = self.num_nodes
-        prim_col = np.full(n, np.inf)
-        sec_col = np.full(n, np.inf) if pair else None
-        self._fill_column(t, kind, (prim_col, sec_col), range(self.partition.num_cells))
-        self._column_cache.put(key, (prim_col, sec_col))
-        return prim_col, sec_col
-
-    def _fill_column(
-        self, t: int, kind: str, column: tuple[np.ndarray, np.ndarray | None], cells
-    ) -> None:
-        """Assemble target *t*'s *column* (secondary ``None``: the primary
-        alone) at the nodes of *cells*, in place."""
         part = self.partition
+        n = self.num_nodes
         ct = int(part.cell_of[t])
         lt = int(self.local_index[t])
-        prim_col, sec_col = column
-        pair = sec_col is not None
+        prim_col = np.full(n, np.inf)
+        sec_col = np.full(n, np.inf) if pair else None
         mid = self._mid(t, kind, pair)
 
-        for cell in cells:
+        for cell in range(part.num_cells):
             nodes = part.cells[cell]
             prim_m, sec_m = self._in_cell(kind, cell)
             if cell == ct:
@@ -1241,6 +1149,9 @@ class PartitionedCostTables:
             if pair:
                 sec_col[nodes] = best[1]
 
+        self._column_cache.put(key, (prim_col, sec_col))
+        return prim_col, sec_col
+
     def _mid(
         self, t: int, kind: str, pair: bool = True
     ) -> tuple[np.ndarray, np.ndarray | None] | None:
@@ -1250,51 +1161,24 @@ class PartitionedCostTables:
         ``cell(t)`` has no border node; ``pair=False`` as in :meth:`_columns`.
         """
         key = (t, kind)
-        cached = self._cached(self._mid_cache, key, self._fill_mid)
+        cached = self._mid_cache.get(key)
         if cached is not None and not (pair and cached[1] is None):
             return cached
-        if not len(self._cell_borders[int(self.partition.cell_of[t])]):
-            return None
-        mid = self._mid_at(t, kind, pair)
-        self._mid_cache.put(key, mid)
-        return mid
-
-    def _mid_at(
-        self, t: int, kind: str, pair: bool, rows: list[int] | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Target *t*'s mid at the border *rows* (``None``: all; ``cell(t)``
-        has entries)."""
         ct = int(self.partition.cell_of[t])
         entries = self._cell_borders[ct]
-        block = (slice(None), entries) if rows is None else np.ix_(rows, entries)
+        if not len(entries):
+            return None
         lt = int(self.local_index[t])
         border_prim, border_sec = self._border_matrices(kind)
         leg3_prim = self._block("entry", kind, ct)[:, lt]
         leg3_sec = self._block("entry", kind, ct, True)[:, lt] if pair else None
-        return _lex_min(
-            border_prim[block] + leg3_prim[None, :],
-            border_sec[block] + leg3_sec[None, :] if pair else None,
+        mid = _lex_min(
+            border_prim[:, entries] + leg3_prim[None, :],
+            border_sec[:, entries] + leg3_sec[None, :] if pair else None,
             axis=1,
         )
-
-    def _fill_mid(self, t: int, kind: str, mid: tuple[np.ndarray, np.ndarray | None], rows) -> None:
-        """Assemble target *t*'s *mid* at the border *rows*, in place."""
-        best = self._mid_at(t, kind, mid[1] is not None, rows)
-        mid[0][rows] = best[0]
-        if mid[1] is not None:
-            mid[1][rows] = best[1]
-
-    def _cached(self, cache: _ByteLRU, key: tuple, fill):
-        """*cache*'s entry for *key* (``None`` if absent).  A stale one is
-        patched first: ``fill(*key, entry, where)`` on a copy of the
-        entry, which then takes its place."""
-        cached = cache.get(key)
-        if type(cached) is not _Stale:
-            return cached
-        value = tuple(None if part is None else part.copy() for part in cached.value)
-        fill(*key, value, cached.where)
-        cache.refresh(key, cached, value)
-        return value
+        self._mid_cache.put(key, mid)
+        return mid
 
     def _decomposition(self, exit_row: int, j: int, kind: str) -> tuple[int, int]:
         """``(b1, b2)`` of the stitched pair that leaves through border row
@@ -1320,62 +1204,41 @@ class PartitionedCostTables:
         ``2 * 8 * n``.  ``None`` when ``cell(i)`` has no border node.
         """
         key = (i, kind)
-        cached = self._cached(self._leg_cache, key, self._fill_leg)
+        cached = self._leg_cache.get(key)
         if cached is not None:
             return cached
         self._check_node(i)
-        if not len(self._cell_borders[int(self.partition.cell_of[i])]):
-            return None
-        leg = self._leg_at(i, kind)
-        self._leg_cache.put(key, leg)
-        return leg
-
-    def _leg_at(
-        self, i: int, kind: str, columns: list[int] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Source *i*'s leg at the border *columns* (``None``: all;
-        ``cell(i)`` has exits)."""
         ci = int(self.partition.cell_of[i])
         exits = self._cell_borders[ci]
-        block = exits if columns is None else np.ix_(exits, columns)
+        if not len(exits):
+            return None
         prim_i, sec_i = self._in_cell(kind, ci)
         li = int(self.local_index[i])
         exit_locals = self._cell_border_locals[ci]
         border_prim, border_sec = self._border_matrices(kind)
-        return _lex_min(
-            prim_i[li][exit_locals][:, None] + border_prim[block],
-            sec_i[li][exit_locals][:, None] + border_sec[block],
+        leg = _lex_min(
+            prim_i[li][exit_locals][:, None] + border_prim[exits],
+            sec_i[li][exit_locals][:, None] + border_sec[exits],
             axis=0,
         )
-
-    def _fill_leg(self, i: int, kind: str, leg: tuple[np.ndarray, np.ndarray], columns) -> None:
-        """Assemble source *i*'s *leg* at the border *columns*, in place."""
-        leg[0][columns], leg[1][columns] = self._leg_at(i, kind, columns)
+        self._leg_cache.put(key, leg)
+        return leg
 
     def _rows(self, i: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """Assembled ``(primary, secondary)`` rows for source *i*."""
         key = (i, kind)
-        cached = self._cached(self._row_cache, key, self._fill_row)
+        cached = self._row_cache.get(key)
         if cached is not None:
             return cached
-        n = self.num_nodes
-        prim_row = np.full(n, np.inf)
-        sec_row = np.full(n, np.inf)
-        self._fill_row(i, kind, (prim_row, sec_row), range(self.partition.num_cells))
-        self._row_cache.put(key, (prim_row, sec_row))
-        return prim_row, sec_row
-
-    def _fill_row(
-        self, i: int, kind: str, row: tuple[np.ndarray, np.ndarray], cells
-    ) -> None:
-        """Assemble source *i*'s *row* at the nodes of *cells*, in place."""
         leg = self._leg(i, kind)  # validates i
         part = self.partition
+        n = self.num_nodes
         ci = int(part.cell_of[i])
         li = int(self.local_index[i])
-        prim_row, sec_row = row
+        prim_row = np.full(n, np.inf)
+        sec_row = np.full(n, np.inf)
 
-        for cell in cells:
+        for cell in range(part.num_cells):
             nodes = part.cells[cell]
             prim_m, sec_m = self._in_cell(kind, cell)
             if cell == ci:
@@ -1391,6 +1254,9 @@ class PartitionedCostTables:
                 )
                 best = _prefer_in_cell(best, stitched)
             prim_row[nodes], sec_row[nodes] = best
+
+        self._row_cache.put(key, (prim_row, sec_row))
+        return prim_row, sec_row
 
     def _gather_cols(self, nodes: np.ndarray, kind: str) -> np.ndarray:
         """The primary columns of *kind* at *nodes*, side by side."""

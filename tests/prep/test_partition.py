@@ -10,7 +10,6 @@ from repro.prep.partition import (
     _CACHE_MIN_ENTRIES,
     PartitionedCostTables,
     _RowReader,
-    _Stale,
     partition_graph,
 )
 from repro.prep.tables import CostTables
@@ -43,47 +42,37 @@ def warm_everywhere(tables, nodes=None) -> None:
                 reader.primary(node)
 
 
+def _edge_in_cell(world, cell: int) -> tuple[int, int, float, float]:
+    """The first edge ``(u, v, objective, budget)`` of *world* whose ends
+    are both in *cell*."""
+    cell_of = world.partition.cell_of
+    return next(
+        (u, v, objective, budget)
+        for u in range(world.graph.num_nodes)
+        for v, objective, budget in world.graph.out_edges(u)
+        if cell_of[u] == cell_of[v] == cell
+    )
+
+
 def _same_bits(mine, theirs) -> bool:
     if mine is None or theirs is None:
         return mine is theirs
     mine, theirs = np.asarray(mine), np.asarray(theirs)
-    return (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
-
-
-def _read_stale_entries(tables) -> int:
-    """Read every entry a repair left stale through its own access path,
-    which patches it; returns how many there were."""
-    reads = {
-        "_column_cache": lambda key, value: tables._columns(*key, pair=value[1] is not None),
-        "_mid_cache": lambda key, value: tables._mid(*key, pair=value[1] is not None),
-        "_row_cache": lambda key, value: tables._rows(*key),
-    }
-    stale = 0
-    for name, read in reads.items():
-        for key, value, _nbytes in getattr(tables, name).items():
-            if type(value) is _Stale:
-                read(key, value.value)
-                stale += 1
-    for key, value, _nbytes in tables._readers.items():
-        if type(value) is _Stale:
-            slab_key, source = (key, None) if isinstance(key[0], str) else key
-            reader = tables.row_reader(np.frombuffer(slab_key[1], dtype=np.int64), slab_key[0])
-            if source is not None:
-                reader.primary(source)
-            stale += 1
-    return stale
+    return (mine.dtype, mine.shape, mine.tobytes()) == (
+        theirs.dtype,
+        theirs.shape,
+        theirs.tobytes(),
+    )
 
 
 def assert_caches_read_fresh(tables, fresh=None) -> dict[str, int]:
     """Every entry *tables* holds in its derived caches equals, bit for
     bit, the same read on *fresh* tables (default: a copy of *tables*
-    with empty caches) — a stale entry once its first read has patched
-    it — and every bounded cache keeps to its byte budget.  Returns the
-    number of entries checked per cache, and of stale ones patched."""
+    with empty caches), and every bounded cache keeps to its byte
+    budget.  Returns the number of entries checked per cache."""
     import dataclasses
 
     fresh = dataclasses.replace(tables) if fresh is None else fresh
-    patched = _read_stale_entries(tables)
     for key, (prim, sec), _nbytes in tables._column_cache.items():
         want = fresh._columns(*key, pair=sec is not None)
         assert _same_bits(prim, want[0]) and _same_bits(sec, want[1]), ("column", key)
@@ -116,8 +105,7 @@ def assert_caches_read_fresh(tables, fresh=None) -> dict[str, int]:
         cache = getattr(tables, name)
         assert cache.nbytes() <= _CACHE_BYTE_BUDGET or len(cache) <= _CACHE_MIN_ENTRIES, name
         assert cache.nbytes() == sum(nbytes for _key, _value, nbytes in cache.items()), name
-    counts = {name: len(getattr(tables, name)) for name in TestPathMaterialisation.DERIVED}
-    return {**counts, "stale": patched}
+    return {name: len(getattr(tables, name)) for name in TestPathMaterialisation.DERIVED}
 
 
 @pytest.fixture(scope="module")
@@ -681,10 +669,55 @@ class TestPathMaterialisation:
         assert repaired.cache_bytes() == tables.cache_bytes()
         assert_caches_read_fresh(repaired)
 
-    def test_repair_of_a_cell_carries_patches_and_drops(self):
-        """One re-costed edge inside a cell: what the repaired cell or a
-        moved border row fed is patched or dropped, bitwise a fresh read,
-        and everything else is carried as the old object."""
+    def test_repair_of_a_cell_carries_what_it_left_valid(self):
+        """One re-costed edge inside a cell: a block, leg or mid is carried
+        as the old object exactly when its cell is not the repaired one
+        and no border entry it reads moved; rows, columns and readers read
+        every cell's tables and are dropped.  What is held reads fresh."""
+        from repro.datasets import RoadConfig, build_road_graph
+        from repro.world import MutableWorld
+
+        world = MutableWorld(build_road_graph(RoadConfig(num_nodes=120, seed=3)), num_cells=4)
+        cell_of = world.partition.cell_of
+        old = world.tables
+        warm_everywhere(old)
+        u, v, objective, budget = _edge_in_cell(world, 0)
+        update = world.update_edge_cost(u, v, objective=objective * 3, budget=budget * 2)
+        new = world.tables
+        assert update.repaired_cells == (0,)
+        counts = assert_caches_read_fresh(new)
+        assert counts["_blocks"] and counts["_leg_cache"] and counts["_mid_cache"], counts
+        assert counts["_column_cache"] == counts["_row_cache"] == counts["_readers"] == 0, counts
+
+        moved = {
+            kind: np.logical_or.reduce(
+                [
+                    mine != theirs
+                    for mine, theirs in zip(old._border_matrices(kind), new._border_matrices(kind))
+                ]
+            )
+            for kind in ("tau", "sigma")
+        }
+        assert all(rows.any() for rows in moved.values())
+        for key, block in old._blocks.items():
+            assert (new._blocks.get(key) is block) == (key[2] != 0), key
+        dropped_elsewhere = 0
+        for name, reads in (
+            ("_leg_cache", lambda moved, borders: moved[borders]),  # exit rows
+            ("_mid_cache", lambda moved, borders: moved[:, borders]),  # entry columns
+        ):
+            held = {key: value for key, value, _nbytes in getattr(new, name).items()}
+            for (node, kind), value, _nbytes in getattr(old, name).items():
+                cell = cell_of[node]
+                valid = cell != 0 and not reads(moved[kind], new._cell_borders[cell]).any()
+                assert (held.get((node, kind)) is value) == valid, (name, node, kind)
+                assert ((node, kind) in held) == valid, (name, node, kind)
+                dropped_elsewhere += cell != 0 and not valid
+        assert dropped_elsewhere
+
+    def test_repair_of_a_cut_edge_carries_every_cell(self):
+        """A re-cost between cells replaces no cell: rows, columns and
+        readers survive with their source's leg or target's mid."""
         from repro.datasets import RoadConfig, build_road_graph
         from repro.world import MutableWorld
 
@@ -696,57 +729,24 @@ class TestPathMaterialisation:
             (u, v, objective, budget)
             for u in range(world.graph.num_nodes)
             for v, objective, budget in world.graph.out_edges(u)
-            if cell_of[u] == cell_of[v] == 0
+            if cell_of[u] != cell_of[v]
         )
-        update = world.update_edge_cost(u, v, objective=objective * 3, budget=budget * 2)
+        world.update_edge_cost(u, v, objective=objective * 1.01, budget=budget)
         new = world.tables
-        assert update.repaired_cells == (0,)
+        assert all(mine is theirs for mine, theirs in zip(new.cell_tables, old.cell_tables))
         counts = assert_caches_read_fresh(new)
-        assert all(counts[name] for name in self.DERIVED) and counts["stale"], counts
+        assert all(counts[name] for name in self.DERIVED), counts
+        legs = {key: leg for key, leg, _nbytes in new._leg_cache.items()}
+        mids = {key: mid for key, mid, _nbytes in new._mid_cache.items()}
+        for (i, kind), _row, _nbytes in new._row_cache.items():
+            assert (i, kind) in legs or not len(new._cell_borders[cell_of[i]])
+        for (t, kind), _column, _nbytes in new._column_cache.items():
+            assert (t, kind) in mids or not len(new._cell_borders[cell_of[t]])
+        assert len(new._blocks) == len(old._blocks)
 
-        border_cell = cell_of[world.partition.border_nodes]
-        moved = {
-            kind: np.logical_or.reduce(
-                [
-                    mine != theirs
-                    for mine, theirs in zip(old._border_matrices(kind), new._border_matrices(kind))
-                ]
-            )
-            for kind in ("tau", "sigma")
-        }
-        assert all(rows.any() for rows in moved.values())
-        # Blocks survive with their cell, everything else with its source
-        # or target cell; nothing of the repaired cell survives.
-        for key, block in old._blocks.items():
-            assert (new._blocks.get(key) is block) == (key[2] != 0), key
-        for name in ("_leg_cache", "_mid_cache", "_column_cache", "_row_cache"):
-            old_keys = {key for key, *_ in getattr(old, name).items()}
-            assert {key for key, *_ in getattr(new, name).items()} == {
-                key for key in old_keys if cell_of[key[0]] != 0
-            }, name
-        # A leg is the old object unless its cell's exit rows moved, and
-        # keeps every other border column bit for bit.
-        old_legs = {key: leg for key, leg, _nbytes in old._leg_cache.items()}
-        for (i, kind), leg, _nbytes in new._leg_cache.items():
-            columns = moved[kind][new._cell_borders[cell_of[i]]].any(axis=0)
-            assert (leg is old_legs[(i, kind)]) == (not columns.any())
-            for mine, theirs in zip(leg, old_legs[(i, kind)]):
-                assert _same_bits(mine[~columns], theirs[~columns])
-        # A column keeps the segments of the cells outside the repaired
-        # one whose exit rows kept their entries into the target's cell;
-        # the rest was patched (and moved in some columns), not dropped.
-        old_columns = {key: column for key, column, _nbytes in old._column_cache.items()}
-        moved_columns = 0
-        for (t, kind), (prim, _sec), _nbytes in new._column_cache.items():
-            rows = moved[kind][:, new._cell_borders[cell_of[t]]].any(axis=1)
-            stale = np.isin(cell_of, [0, *border_cell[rows]])
-            assert _same_bits(prim[~stale], old_columns[(t, kind)][0][~stale])
-            moved_columns += not _same_bits(prim, old_columns[(t, kind)][0])
-        assert moved_columns
-
-    def test_repairs_in_a_row_patch_what_either_changed(self):
-        """An entry left stale by one repair and unread before the next is
-        patched where either repair changed its inputs."""
+    def test_repairs_in_a_row_carry_only_what_neither_changed(self):
+        """Two repairs in a row, nothing read in between: what survives
+        both reads fresh, and nothing of either repaired cell survives."""
         from repro.datasets import RoadConfig, build_road_graph
         from repro.world import MutableWorld
 
@@ -754,81 +754,63 @@ class TestPathMaterialisation:
         warm_everywhere(world.tables)
         cell_of = world.partition.cell_of
         for cell in (0, 1):
-            u, v, objective, budget = next(
-                (u, v, objective, budget)
-                for u in range(world.graph.num_nodes)
-                for v, objective, budget in world.graph.out_edges(u)
-                if cell_of[u] == cell_of[v] == cell
-            )
+            u, v, objective, budget = _edge_in_cell(world, cell)
             world.update_edge_cost(u, v, objective=objective * 3, budget=budget * 2)
-        stale = [
-            value.where
-            for _key, value, _nbytes in world.tables._column_cache.items()
-            if type(value) is _Stale
-        ]
-        assert stale and all({0, 1} <= set(where) for where in stale)
-        assert assert_caches_read_fresh(world.tables)["stale"]
+        tables = world.tables
+        assert_caches_read_fresh(tables, world.rebuilt().tables)
+        held = [key for key, *_ in tables._leg_cache.items() + tables._mid_cache.items()]
+        assert held and all(cell_of[node] >= 2 for node, _kind in held)
+        assert tables._blocks and all(key[2] >= 2 for key in tables._blocks)
 
-    def test_stale_entries_patch_under_concurrent_readers(self, monkeypatch):
-        """Thread workers share repaired tables: concurrent first reads of
-        the same stale entries (evicted all the while under a small
-        budget) all read a fresh object's floats, and what stays cached
-        is bitwise a fresh read."""
+    def test_repair_while_readers_first_touch_the_old_tables(self, grid):
+        """Thread workers still query the tables a repair replaces: their
+        first touches of per-cell blocks must not break the repair's
+        carry-over of the old blocks (filtering the live dict raises
+        "dictionary changed size during iteration")."""
         import dataclasses
         import sys
         import threading
 
-        from repro.datasets import RoadConfig, build_road_graph
-        from repro.world import MutableWorld
-
-        world = MutableWorld(build_road_graph(RoadConfig(num_nodes=120, seed=3)), num_cells=4)
-        warm_everywhere(world.tables)
-        cell_of = world.partition.cell_of
-        u, v, objective, budget = next(
-            (u, v, objective, budget)
-            for u in range(world.graph.num_nodes)
-            for v, objective, budget in world.graph.out_edges(u)
-            if cell_of[u] == cell_of[v] == 0
-        )
-        world.update_edge_cost(u, v, objective=objective * 3, budget=budget * 2)
-        shared = world.tables
-        assert any(type(value) is _Stale for _key, value, _nbytes in shared._column_cache.items())
-        node_sets = [np.arange(0, world.graph.num_nodes, step) for step in (2, 3)]
-
-        def read(tables, kind, node):
-            column, row, mid = tables._columns(node, kind), tables._rows(node, kind), tables._mid(node, kind)
-            readers = [tables.row_reader(nodes, kind).primary(node) for nodes in node_sets]
-            return [array.tobytes() for array in (*column, *row, *readers)] + [
-                None if mid is None else b"".join(part.tobytes() for part in mid)
-            ]
-
-        fresh = dataclasses.replace(shared)
-        keys = [(kind, node) for kind in ("tau", "sigma") for node in range(world.graph.num_nodes)]
-        expected = {key: read(fresh, *key) for key in keys}
-        monkeypatch.setattr("repro.prep.partition._CACHE_BYTE_BUDGET", 20_000)
+        tables = PartitionedCostTables.from_graph(grid, num_cells=8, seed=1, predecessors=True)
+        old = dataclasses.replace(tables)
+        keys = [
+            (side, kind, cell, secondary)
+            for cell in range(8)
+            for side in ("entry", "exit")
+            for kind in ("tau", "sigma")
+            for secondary in (False, True)
+        ]
+        for key in keys:
+            old._block(*key)
+        stop = threading.Event()
         errors = []
 
-        def worker(seed):
-            rng = np.random.default_rng(seed)
+        def touch():
+            # Each block is dropped again before its touch, so every
+            # touch is a first one.
             try:
-                for position in rng.permutation(len(keys))[:120]:
-                    assert read(shared, *keys[position]) == expected[keys[position]]
+                while not stop.is_set():
+                    for key in keys:
+                        old._blocks.pop(key, None)
+                        old._block(*key)
             except Exception as exc:  # surfaced below, in the main thread
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=touch)
+        thread.start()
         try:
-            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(120.0)
+            for _round in range(500):
+                repaired, _swept = old.repaired(grid, old.cell_tables, [])
+                for key, block in repaired._blocks.items():
+                    assert _same_bits(block, tables._block(*key)), key
         finally:
+            stop.set()
+            thread.join(60.0)
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        assert not thread.is_alive()
         assert errors == []
-        assert_caches_read_fresh(shared)
 
     def test_out_of_range_reads_raise(self, partitioned):
         n = partitioned.num_nodes
