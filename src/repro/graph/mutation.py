@@ -1,35 +1,20 @@
-"""Live graph mutation: deltas, application, and the stateful mutator.
+"""Live graph mutation: the stateful mutator and the delta it reports.
 
 :class:`~repro.graph.digraph.SpatialKeywordGraph` is immutable by
 design — pre-processing caches CSR exports and weight extrema against
-it.  A *dynamic* world therefore mutates by **replacement**: every
-change is first resolved into a :class:`GraphDelta` (a frozen, picklable
-record of absolute edge/keyword assignments) and then applied with
-:func:`apply_graph_delta`, which builds a fresh graph sharing the
-append-only :class:`~repro.graph.keywords.KeywordTable`.
+it.  A *dynamic* world therefore mutates by **replacement**:
+:class:`GraphMutator` validates each operation — ``update_edge_cost`` /
+``close_node`` / ``open_node`` / ``update_keywords`` — against the
+*current* graph and derives the next graph from the rows it names
+(:meth:`SpatialKeywordGraph.with_rows`), sharing every other row and the
+append-only :class:`~repro.graph.keywords.KeywordTable`.  It remembers
+enough history (cost overrides, closure set) that re-opening a node
+restores its most recently configured edges and keywords.
 
-Deltas are deliberately **absolute and idempotent**:
-
-* ``set_edges`` *upserts* — the edge gets exactly these weights whether
-  or not it currently exists (this is what makes node re-opening a plain
-  delta, and what makes re-applying a delta a no-op);
-* ``drop_edges`` removes an edge if present and is silent otherwise;
-* ``set_keywords`` replaces a node's keyword set with exactly these
-  *strings* — strings, not interned ids, so a delta shipped to a
-  process-pool worker interns new words into the worker's own table copy
-  in the same first-seen order the parent did, keeping keyword ids
-  identical on both sides of the pickle boundary.
-
-:class:`GraphMutator` layers the user-facing operations on top —
-``update_edge_cost`` / ``close_node`` / ``open_node`` /
-``update_keywords`` — validating each against the *current* graph and
-remembering enough history (cost overrides, closure set) that re-opening
-a node restores its most recently configured edges and keywords.
-
-The validation/resolution split matters downstream: resolution is strict
-(closing a closed node is an error), application is lenient (re-applying
-an already-applied delta changes nothing) — so a delta can be broadcast
-to every process-pool worker without coordinating exactly-once delivery.
+:func:`resolve_ops` applies a batch all or nothing and reports what it
+changed as a :class:`GraphDelta`: the edges set or dropped and the nodes
+whose keywords were replaced.  Everything downstream reads the new graph
+itself; the delta only says where to look.
 """
 
 from __future__ import annotations
@@ -45,7 +30,6 @@ __all__ = [
     "GraphDelta",
     "GraphMutator",
     "MutationError",
-    "apply_graph_delta",
     "resolve_ops",
 ]
 
@@ -72,135 +56,15 @@ class MutationError(GraphError):
 
 @dataclass(frozen=True)
 class GraphDelta:
-    """One batch of absolute graph changes, picklable and replayable.
+    """What one accepted batch changed.
 
-    ``set_edges`` holds ``(u, v, objective, budget)`` upserts,
-    ``drop_edges`` holds ``(u, v)`` removals and ``set_keywords`` holds
-    ``(node, words)`` replacements with ``words`` a sorted tuple of
-    keyword strings.  An edge never appears in both ``set_edges`` and
-    ``drop_edges``; a node appears at most once in ``set_keywords``.
+    ``edges`` holds every ``(u, v)`` the batch set or dropped, sorted;
+    ``keywords`` holds ``(node, words)`` keyword-set replacements, sorted
+    by node, with ``words`` the sorted keyword strings.
     """
 
-    set_edges: tuple[tuple[int, int, float, float], ...] = ()
-    drop_edges: tuple[tuple[int, int], ...] = ()
-    set_keywords: tuple[tuple[int, tuple[str, ...]], ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether applying this delta can change anything."""
-        return not (self.set_edges or self.drop_edges or self.set_keywords)
-
-    @property
-    def structural(self) -> bool:
-        """Whether the delta changes edges (vs keywords only)."""
-        return bool(self.set_edges or self.drop_edges)
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Every edge ``(u, v)`` the delta sets or drops."""
-        return tuple((u, v) for u, v, _obj, _bud in self.set_edges) + self.drop_edges
-
-    def touched_nodes(self) -> frozenset[int]:
-        """Every node an applied change is anchored at."""
-        nodes = {node for edge in self.edges() for node in edge}
-        nodes.update(node for node, _words in self.set_keywords)
-        return frozenset(nodes)
-
-    def induced(self, mapping: Mapping[int, int]) -> "GraphDelta":
-        """The slice of this delta inside the node set *mapping* covers,
-        re-indexed by it — the delta twin of
-        :meth:`SpatialKeywordGraph.induced_subgraph` (entry order kept, so
-        applying it reproduces the induced subgraph's adjacency order)."""
-        return GraphDelta(
-            set_edges=tuple(
-                (mapping[u], mapping[v], obj, bud)
-                for u, v, obj, bud in self.set_edges
-                if u in mapping and v in mapping
-            ),
-            drop_edges=tuple(
-                (mapping[u], mapping[v])
-                for u, v in self.drop_edges
-                if u in mapping and v in mapping
-            ),
-            set_keywords=tuple(
-                (mapping[node], words)
-                for node, words in self.set_keywords
-                if node in mapping
-            ),
-        )
-
-    def merge(self, later: "GraphDelta") -> "GraphDelta":
-        """The delta equivalent to applying ``self`` then *later*.
-
-        Sound because every entry is absolute: a later assignment to the
-        same edge or node simply wins.
-        """
-        edges: dict[tuple[int, int], tuple[float, float] | None] = {}
-        for u, v, obj, bud in self.set_edges:
-            edges[(u, v)] = (obj, bud)
-        for u, v in self.drop_edges:
-            edges[(u, v)] = None
-        for u, v, obj, bud in later.set_edges:
-            edges[(u, v)] = (obj, bud)
-        for u, v in later.drop_edges:
-            edges[(u, v)] = None
-        keywords: dict[int, tuple[str, ...]] = dict(self.set_keywords)
-        keywords.update(dict(later.set_keywords))
-        return GraphDelta(
-            set_edges=tuple(
-                (u, v, weights[0], weights[1])
-                for (u, v), weights in sorted(edges.items())
-                if weights is not None
-            ),
-            drop_edges=tuple(
-                (u, v) for (u, v), weights in sorted(edges.items()) if weights is None
-            ),
-            set_keywords=tuple(sorted(keywords.items())),
-        )
-
-
-def apply_graph_delta(
-    graph: SpatialKeywordGraph, delta: GraphDelta
-) -> SpatialKeywordGraph:
-    """A new graph with *delta* applied (lenient, idempotent).
-
-    Copy-on-write (:meth:`SpatialKeywordGraph.with_rows`): only the
-    out-rows and keyword sets the delta names are rebuilt — and pass the
-    constructor's edge validation — while every other row, the
-    (append-only) keyword table, names and coordinates are shared with
-    *graph*.  Adjacency order is stable: an updated edge keeps its
-    position, a re-created edge appends — so replaying the same delta
-    sequence always reproduces the same adjacency (and therefore the
-    same search tie-breaking) on every replica.
-    """
-    if delta.is_empty:
-        return graph
-    n = graph.num_nodes
-    rows: dict[int, list[tuple[int, float, float]]] = {}
-    for u, v in delta.drop_edges:
-        _check_node(n, u)
-        _check_node(n, v)
-        out = rows[u] if u in rows else graph.out_edges(u)
-        rows[u] = [edge for edge in out if edge[0] != v]
-    for u, v, obj, bud in delta.set_edges:
-        _check_node(n, u)
-        _check_node(n, v)
-        if u not in rows:
-            rows[u] = list(graph.out_edges(u))
-        out = rows[u]
-        for position, (target, _o, _b) in enumerate(out):
-            if target == v:
-                out[position] = (v, obj, bud)
-                break
-        else:
-            out.append((v, obj, bud))
-    node_keywords: dict[int, frozenset[int]] = {}
-    table = graph.keyword_table
-    for node, words in delta.set_keywords:
-        _check_node(n, node)
-        # Interning in the delta's (sorted, deduplicated) word order keeps
-        # fresh ids identical across every replica applying this delta.
-        node_keywords[node] = table.intern_many(words)
-    return graph.with_rows(rows, node_keywords)
+    edges: tuple[tuple[int, int], ...] = ()
+    keywords: tuple[tuple[int, tuple[str, ...]], ...] = ()
 
 
 def _check_node(n: int, node: int) -> None:
@@ -219,16 +83,16 @@ def _normalised_words(words: Iterable[str]) -> tuple[str, ...]:
 
 
 class GraphMutator:
-    """Stateful front door over :class:`GraphDelta` resolution.
+    """Stateful front door: validates and applies graph operations.
 
     Tracks the *current* graph plus the closure set and the latest
     per-edge cost / per-node keyword overrides, so operations validate
     against what the world looks like now and ``open_node`` restores the
     most recently configured state, not the original one.  Mutations
-    never grow the world: the node set is fixed and ``set_edges`` only
-    ever re-creates edges that existed at construction time (possibly
-    with updated costs) — which is what lets a partition computed over
-    the base graph stay the unit of repair forever.
+    never grow the world: the node set is fixed and an edge is only ever
+    re-created where it existed at construction time (possibly with
+    updated costs) — which is what lets a partition computed over the
+    base graph stay the unit of repair forever.
     """
 
     def __init__(self, graph: SpatialKeywordGraph) -> None:
@@ -242,13 +106,8 @@ class GraphMutator:
 
     @property
     def graph(self) -> SpatialKeywordGraph:
-        """The current (latest-delta-applied) graph."""
+        """The current (latest-batch-applied) graph."""
         return self._graph
-
-    @property
-    def base_graph(self) -> SpatialKeywordGraph:
-        """The graph the mutator was constructed over."""
-        return self._base
 
     @property
     def closed_nodes(self) -> frozenset[int]:
@@ -299,9 +158,13 @@ class GraphMutator:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _step(self, op: Mapping[str, object]) -> GraphDelta:
-        """Validate *op* against the current state and record it; its
-        edges are applied, its keyword sets left to :func:`resolve_ops`."""
+    def _step(self, op: Mapping[str, object]) -> tuple[dict, dict]:
+        """Validate *op* against the current state and record it.
+
+        Returns its edge changes — ``(u, v)`` to new weights, or ``None``
+        for a drop — and its keyword replacements; :func:`resolve_ops`
+        applies both.
+        """
         kind = op.get("op")
         if kind == "update_edge_cost":
             return self._update_edge_cost(op["u"], op["v"], op.get("objective"), op.get("budget"))
@@ -317,7 +180,7 @@ class GraphMutator:
 
     def _update_edge_cost(
         self, u: int, v: int, objective: float | None, budget: float | None
-    ) -> GraphDelta:
+    ) -> tuple[dict, dict]:
         n = self._graph.num_nodes
         _check_node(n, u)
         _check_node(n, v)
@@ -343,9 +206,9 @@ class GraphMutator:
                     f"[{MIN_EDGE_WEIGHT}, {MAX_EDGE_WEIGHT}], got {value}"
                 )
         self._edge_costs[(u, v)] = (obj, bud)
-        return self._resolve(GraphDelta(set_edges=((u, v, obj, bud),)))
+        return {(u, v): (obj, bud)}, {}
 
-    def _close_node(self, node: int) -> GraphDelta:
+    def _close_node(self, node: int) -> tuple[dict, dict]:
         _check_node(self._graph.num_nodes, node)
         if node in self._closed:
             raise MutationError(f"node {node} is already closed")
@@ -354,32 +217,25 @@ class GraphMutator:
         self._keywords.setdefault(
             node, _normalised_words(self._graph.node_keyword_strings(node))
         )
-        drops = [(node, v) for v, _obj, _bud in self._graph.out_edges(node)]
+        drops = {(node, v): None for v, _obj, _bud in self._graph.out_edges(node)}
         for u in range(self._graph.num_nodes):
             if u != node and self._graph.has_edge(u, node):
-                drops.append((u, node))
+                drops[(u, node)] = None
         self._closed.add(node)
-        return self._resolve(
-            GraphDelta(drop_edges=tuple(drops), set_keywords=((node, ()),))
-        )
+        return drops, {node: ()}
 
-    def _open_node(self, node: int) -> GraphDelta:
+    def _open_node(self, node: int) -> tuple[dict, dict]:
         _check_node(self._graph.num_nodes, node)
         if node not in self._closed:
             raise MutationError(f"node {node} is not closed")
         self._closed.discard(node)
-        restored: list[tuple[int, int, float, float]] = []
+        restored = {}
         for u, v, obj, bud in self._incident_base_edges(node):
-            if u in self._closed or v in self._closed:
-                continue
-            obj, bud = self._edge_costs.get((u, v), (obj, bud))
-            restored.append((u, v, obj, bud))
-        words = self._keywords.get(node, ())
-        return self._resolve(
-            GraphDelta(set_edges=tuple(restored), set_keywords=((node, words),))
-        )
+            if u not in self._closed and v not in self._closed:
+                restored[(u, v)] = self._edge_costs.get((u, v), (obj, bud))
+        return restored, {node: self._keywords.get(node, ())}
 
-    def _update_keywords(self, node: int, keywords: Iterable[str]) -> GraphDelta:
+    def _update_keywords(self, node: int, keywords: Iterable[str]) -> tuple[dict, dict]:
         _check_node(self._graph.num_nodes, node)
         if node in self._closed:
             raise MutationError(
@@ -387,12 +243,29 @@ class GraphMutator:
             )
         words = _normalised_words(keywords)
         self._keywords[node] = words
-        return self._resolve(GraphDelta(set_keywords=((node, words),)))
+        return {}, {node: words}
 
-    def _resolve(self, delta: GraphDelta) -> GraphDelta:
-        """Apply *delta*'s edges; returns the whole delta."""
-        self._graph = apply_graph_delta(self._graph, GraphDelta(delta.set_edges, delta.drop_edges))
-        return delta
+    def _edit_rows(self, changes: Mapping[tuple[int, int], tuple[float, float] | None]) -> None:
+        """Set (weights) or drop (``None``) each edge of *changes*.
+
+        The one adjacency rule: an updated edge keeps its position in its
+        out-row, a re-created edge is appended to it.  Search tie-breaking
+        follows adjacency order, so every graph a batch derives — the
+        world's cell subgraphs included — inherits this order.
+        """
+        rows: dict[int, list[tuple[int, float, float]]] = {}
+        for (u, v), weights in changes.items():
+            if u not in rows:
+                rows[u] = list(self._graph.out_edges(u))
+            row = rows[u]
+            position = next((i for i, (target, _o, _b) in enumerate(row) if target == v), None)
+            if weights is None:
+                del row[position]  # an op drops only edges it found
+            elif position is None:
+                row.append((v, *weights))
+            else:
+                row[position] = (v, *weights)
+        self._graph = self._graph.with_rows(rows)
 
     def _snapshot(self) -> tuple:
         """Everything an operation can change (graphs are immutable)."""
@@ -414,27 +287,37 @@ class GraphMutator:
 def resolve_ops(
     mutator: GraphMutator, ops: Sequence[Mapping[str, object]]
 ) -> GraphDelta:
-    """Resolve a sequence of operations into one merged delta.
+    """Apply a non-empty batch of operations to *mutator*, in order.
 
-    Validation is sequential (each op sees its predecessors applied);
-    the merged result is equivalent to applying the ops in order because
-    every delta entry is absolute.  All or nothing: when any op is
-    refused the mutator is put back exactly as the batch found it, so the
-    graph never runs ahead of tables that were not repaired.  The merged
-    keyword sets are applied last, once every op is accepted, so a
-    refused batch interns no word into the keyword table the graph
-    shares with its callers.  (An op reads a node's keywords from the
-    graph only where no earlier op of the batch has set them.)
+    Each op is validated against its predecessors' effects and its edges
+    are applied before the next op is read.  All or nothing: when any op
+    is refused the mutator is put back exactly as the batch found it, so
+    the graph never runs ahead of tables that were not repaired.  The
+    batch's keyword sets are interned and applied last, once every op is
+    accepted, so a refused batch interns no word into the keyword table
+    the graph shares with its callers.  (An op reads a node's keywords
+    from the graph only where no earlier op of the batch has set them.)
+    An empty batch changes nothing and is refused.
     """
+    if not ops:
+        raise MutationError("an update needs at least one op")
     before = mutator._snapshot()
-    merged = GraphDelta()
+    edges: set[tuple[int, int]] = set()
+    keywords: dict[int, tuple[str, ...]] = {}
     try:
         for op in ops:
-            merged = merged.merge(mutator._step(op))
-        mutator._graph = apply_graph_delta(
-            mutator._graph, GraphDelta(set_keywords=merged.set_keywords)
-        )
+            changes, words = mutator._step(op)
+            if changes:
+                mutator._edit_rows(changes)
+            edges.update(changes)
+            keywords.update(words)
+        keywords = dict(sorted(keywords.items()))
+        if keywords:
+            table = mutator._graph.keyword_table
+            mutator._graph = mutator._graph.with_rows(
+                {}, {node: table.intern_many(words) for node, words in keywords.items()}
+            )
     except BaseException:
         mutator._restore(before)
         raise
-    return merged
+    return GraphDelta(edges=tuple(sorted(edges)), keywords=tuple(keywords.items()))

@@ -137,9 +137,6 @@ class AsyncQueryService:
         that much latency for bigger waves.
     max_batch:
         Flush early once this many distinct flights are queued.
-    executor:
-        Where the blocking ``service.execute`` waves run; ``None`` uses
-        the event loop's default thread pool.
     close_service:
         Whether :meth:`close` also closes the wrapped sync service
         (only meaningful for services owning their backend).
@@ -158,7 +155,6 @@ class AsyncQueryService:
         service,
         window_seconds: float = 0.0,
         max_batch: int = 64,
-        executor=None,
         close_service: bool = False,
         slo_seconds: float | None = None,
     ) -> None:
@@ -175,7 +171,6 @@ class AsyncQueryService:
         self._serve_cached = serve_cached if callable(serve_cached) else None
         self._window = window_seconds
         self._max_batch = max_batch
-        self._executor = executor
         self._close_service = close_service
         self._pending: dict[Hashable, _Flight] = {}
         self._queue: list[_Flight] = []
@@ -207,11 +202,11 @@ class AsyncQueryService:
     async def apply_update(self, ops: Sequence) -> int:
         """Apply graph mutations through the wrapped sync service.
 
-        Runs the blocking repair on the executor the waves use, so the
-        event loop keeps serving while tables recompute.  In-flight
-        waves finish on the old epoch (the sync service's epoch fence);
-        waves dispatched after this returns see the new state.  Returns
-        the new epoch.
+        Runs the blocking repair on the event loop's default executor,
+        where the waves run too, so the event loop keeps serving while
+        tables recompute.  In-flight waves finish on the old epoch (the
+        sync service's epoch fence); waves dispatched after this returns
+        see the new state.  Returns the new epoch.
         """
         if self._closed:
             raise ServiceClosed("AsyncQueryService is closed")
@@ -221,9 +216,7 @@ class AsyncQueryService:
                 f"{type(self._service).__name__} does not support live updates"
             )
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor, partial(apply_ops, list(ops))
-        )
+        return await loop.run_in_executor(None, partial(apply_ops, list(ops)))
 
     def snapshot(self) -> StatsSnapshot:
         """Frozen front-end metrics (see :attr:`stats`)."""
@@ -475,7 +468,7 @@ class AsyncQueryService:
         loop = asyncio.get_running_loop()
         try:
             report = await loop.run_in_executor(
-                self._executor,
+                None,
                 partial(
                     self._service.execute,
                     [flight.query for flight in flights],

@@ -36,15 +36,14 @@ and the repaired cells' shortcuts whose entry moved.  Border scores are
 exact; a leg's last ulp and its secondary under a primary tie follow the
 overlay (see that module's docstring).  What an update pays is therefore
 what it changed: the named rows of the graph and of the touched cells'
-subgraphs (both derived copy-on-write from the delta —
-:func:`repro.graph.mutation.apply_graph_delta`), the swept rows of the
-repaired cells' tables and of the overlay (``WorldUpdate.swept_rows``) —
-never the other cells' tables, the untouched adjacency rows or an n-node
-Dijkstra per border node (``tests/graph/test_mutation.py::
-TestRepairLocality`` pins which tables and rows a repair sweeps; the
-``sharded_mutating`` rows ``world.update_p50_ms`` / ``world.rebuild_ms``
-of ``benchmarks/e2e`` and the README's "What an update costs" show the
-gap).
+subgraphs (each cell's read from the new graph, every other row shared),
+the swept rows of the repaired cells' tables and of the overlay
+(``WorldUpdate.swept_rows``) — never the other cells' tables, the
+untouched adjacency rows or an n-node Dijkstra per border node
+(``tests/graph/test_mutation.py::TestRepairLocality`` pins which tables
+and rows a repair sweeps; the ``sharded_mutating`` rows
+``world.update_p50_ms`` / ``world.rebuild_ms`` of ``benchmarks/e2e`` and
+the README's "What an update costs" show the gap).
 
 The **frozen-partition invariant** makes all of this sound: mutations
 never add nodes or novel edges (closures drop base edges, re-opens
@@ -66,12 +65,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.graph.digraph import SpatialKeywordGraph
-from repro.graph.mutation import (
-    GraphDelta,
-    GraphMutator,
-    apply_graph_delta,
-    resolve_ops,
-)
+from repro.graph.mutation import GraphDelta, GraphMutator, resolve_ops
 from repro.index.inverted import InvertedIndex
 from repro.prep.partition import (
     GraphPartition,
@@ -295,11 +289,12 @@ class MutableWorld:
     def apply_ops(self, ops: Sequence[Mapping[str, object]]) -> WorldUpdate:
         """Apply a batch of wire-shaped operations as **one** update.
 
-        The ops resolve sequentially (each validated against its
-        predecessors' effects) but repair runs once over the merged
-        delta — one epoch bump, one border-tier recompute, however many
-        ops arrived.  A batch with a refused op raises and changes
-        nothing: graph, closure set, tables and epoch stay as they were.
+        The ops apply sequentially (each validated against its
+        predecessors' effects) but repair runs once over everything they
+        changed — one epoch bump, one border-tier recompute, however many
+        ops arrived.  An empty batch, or one with a refused op, raises
+        and changes nothing: graph, closure set, tables and epoch stay
+        as they were.
         """
         return self._apply(resolve_ops(self._mutator, ops))
 
@@ -324,40 +319,52 @@ class MutableWorld:
     def _apply(self, delta: GraphDelta) -> WorldUpdate:
         # The mutator already advanced self.graph; classify the damage.
         cell_of = self._partition.cell_of
-        repair: set[int] = set()  # cells whose cost tables are stale
-        refresh: set[int] = set()  # cells whose subgraph/index are stale
+        in_cell: dict[int, list[tuple[int, int]]] = {}  # cells whose cost tables are stale
         cut_edges: list[tuple[int, int]] = []  # the delta's edges between cells
-        for u, v in delta.edges():
+        for u, v in delta.edges:
             if int(cell_of[u]) == int(cell_of[v]):
-                repair.add(int(cell_of[u]))
+                in_cell.setdefault(int(cell_of[u]), []).append((u, v))
             else:
                 cut_edges.append((u, v))
-        for node, _words in delta.set_keywords:
-            refresh.add(int(cell_of[node]))
-        refresh |= repair
+        relabelled: dict[int, list[int]] = {}  # cells whose index is stale
+        for node, _words in delta.keywords:
+            relabelled.setdefault(int(cell_of[node]), []).append(node)
+        refresh = set(in_cell) | set(relabelled)  # cells whose subgraph is stale
 
         graph = self.graph
         cells = list(self._cells)
         cell_rows = [0, 0]
         for cell in sorted(refresh):
             old = cells[cell]
+            edges = in_cell.get(cell, [])
+            nodes = relabelled.get(cell, [])
             if len(cells) == 1:
                 # The one cell is the graph itself, in its own ids.
-                local, subgraph = delta, graph
+                subgraph, local_edges = graph, edges
             else:
-                # The delta's in-cell slice, in local ids, applied to the
-                # old subgraph: row for row the subgraph the new graph
-                # induces (same adjacency order, by apply_graph_delta's
-                # own contract).
-                local = delta.induced(old.to_local)
-                subgraph = apply_graph_delta(old.subgraph, local)
+                # The new graph's rows of the touched tails and keyword
+                # sets of the relabelled nodes, restricted to the cell and
+                # in local ids: row for row what the new graph induces.
+                to_local = old.to_local
+                rows = {
+                    to_local[u]: [
+                        (to_local[v], obj, bud)
+                        for v, obj, bud in graph.out_edges(u)
+                        if v in to_local
+                    ]
+                    for u in {u for u, _v in edges}
+                }
+                subgraph = old.subgraph.with_rows(
+                    rows, {to_local[node]: graph.node_keywords(node) for node in nodes}
+                )
+                local_edges = [(to_local[u], to_local[v]) for u, v in edges]
             # Edges unchanged -> the old tables still describe the new
             # subgraph (same nodes, same edges); otherwise only the rows
             # the changed edges can move are swept again.
             tables = old.tables
-            if cell in repair:
-                tables, rows = old.tables.repaired(subgraph, local.edges())
-                cell_rows = [total + count for total, count in zip(cell_rows, rows)]
+            if edges:
+                tables, rows_swept = old.tables.repaired(subgraph, local_edges)
+                cell_rows = [total + count for total, count in zip(cell_rows, rows_swept)]
             cells[cell] = CellState(
                 cell=cell,
                 subgraph=subgraph,
@@ -365,15 +372,11 @@ class MutableWorld:
                 to_global=old.to_global,
                 tables=tables,
                 # Keywords unchanged -> the old postings still describe it.
-                index=(
-                    InvertedIndex.from_graph(subgraph)
-                    if any(int(cell_of[node]) == cell for node, _ in delta.set_keywords)
-                    else old.index
-                ),
+                index=InvertedIndex.from_graph(subgraph) if nodes else old.index,
             )
         self._cells = tuple(cells)
 
-        border_rebuilt = delta.structural
+        border_rebuilt = bool(delta.edges)
         overlay_rows = (0, 0)
         if border_rebuilt:
             # Any edge change can reroute a border-to-border leg: the tier
@@ -385,7 +388,7 @@ class MutableWorld:
                 graph, tuple(state.tables for state in self._cells), cut_edges
             )
 
-        index_rebuilt = bool(delta.set_keywords)
+        index_rebuilt = bool(delta.keywords)
         if index_rebuilt:
             self._index = (
                 self._cells[0].index
@@ -396,7 +399,7 @@ class MutableWorld:
         self._epoch += 1
         return WorldUpdate(
             epoch=self._epoch,
-            repaired_cells=tuple(sorted(repair)),
+            repaired_cells=tuple(sorted(in_cell)),
             refreshed_cells=tuple(sorted(refresh)),
             border_rebuilt=border_rebuilt,
             index_rebuilt=index_rebuilt,

@@ -125,7 +125,7 @@ class TestTransforms:
 
 
 class TestWithRows:
-    """The copy-on-write constructor path behind ``apply_graph_delta``."""
+    """The copy-on-write constructor path behind every graph mutation."""
 
     def test_replaced_rows_equal_a_full_construction(self, triangle):
         sibling = triangle.with_rows(

@@ -1,19 +1,16 @@
-"""Unit tests for the graph-mutation layer (deltas + mutator).
+"""Unit tests for the graph-mutation layer (the mutator and its batches).
 
 The contract under test (see ``repro.graph.mutation``):
 
 * resolution is **strict** — closing a closed node, re-costing a
   missing edge, non-positive weights are all :class:`MutationError`;
-* application is **lenient and idempotent** — re-applying a delta is a
-  no-op, so exactly-once delivery is never required;
-* deltas are **absolute** — merging is order-respecting last-write-wins,
-  and a merged delta applied once equals the op sequence applied one at
-  a time.
+* a batch is **all or nothing**, and an empty batch is refused;
+* a batch leaves exactly the graph its ops leave applied one call at a
+  time, adjacency order included: an updated edge keeps its position, a
+  re-created edge is appended.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -24,9 +21,10 @@ from repro.graph.mutation import (
     GraphDelta,
     GraphMutator,
     MutationError,
-    apply_graph_delta,
     resolve_ops,
 )
+
+from tests.properties.test_cow_graph_properties import assert_same_graph
 
 
 def small_graph():
@@ -62,119 +60,12 @@ def keyword_map(graph):
     }
 
 
-class TestGraphDelta:
-    def test_empty_and_structural_flags(self):
-        assert GraphDelta().is_empty
-        assert not GraphDelta().structural
-        assert GraphDelta(set_edges=((0, 1, 1.0, 1.0),)).structural
-        assert GraphDelta(drop_edges=((0, 1),)).structural
-        assert not GraphDelta(set_keywords=((0, ("pub",)),)).structural
-
-    def test_touched_nodes_covers_all_anchors(self):
-        delta = GraphDelta(
-            set_edges=((0, 1, 1.0, 1.0),),
-            drop_edges=((2, 3),),
-            set_keywords=((1, ("pub",)),),
-        )
-        assert delta.touched_nodes() == frozenset({0, 1, 2, 3})
-
-    def test_merge_is_last_write_wins(self):
-        first = GraphDelta(
-            set_edges=((0, 1, 1.0, 1.0), (1, 2, 2.0, 2.0)),
-            set_keywords=((0, ("pub",)),),
-        )
-        second = GraphDelta(
-            drop_edges=((0, 1),),
-            set_edges=((1, 2, 5.0, 5.0),),
-            set_keywords=((0, ()),),
-        )
-        merged = first.merge(second)
-        assert merged.drop_edges == ((0, 1),)
-        assert merged.set_edges == ((1, 2, 5.0, 5.0),)
-        assert merged.set_keywords == ((0, ()),)
-        # And the other order resurrects the edge instead.
-        reversed_merge = second.merge(first)
-        assert (0, 1, 1.0, 1.0) in reversed_merge.set_edges
-        assert reversed_merge.drop_edges == ()
-
-    def test_merged_delta_equals_sequential_application(self):
-        graph = small_graph()
-        first = GraphDelta(set_edges=((0, 1, 9.0, 9.0),), drop_edges=((0, 2),))
-        second = GraphDelta(
-            set_edges=((0, 2, 1.0, 1.0),), set_keywords=((3, ("park",)),)
-        )
-        sequential = apply_graph_delta(apply_graph_delta(graph, first), second)
-        merged = apply_graph_delta(graph, first.merge(second))
-        assert edge_map(sequential) == edge_map(merged)
-        assert keyword_map(sequential) == keyword_map(merged)
-
-    def test_delta_round_trips_through_pickle(self):
-        delta = GraphDelta(
-            set_edges=((0, 1, 1.5, 2.0),),
-            drop_edges=((2, 3),),
-            set_keywords=((1, ("mall", "pub")),),
-        )
-        assert pickle.loads(pickle.dumps(delta)) == delta
-
-
-class TestApplyGraphDelta:
-    def test_application_is_idempotent(self):
-        graph = small_graph()
-        delta = GraphDelta(
-            set_edges=((0, 1, 7.0, 7.0),),
-            drop_edges=((1, 2),),
-            set_keywords=((0, ("imax",)),),
-        )
-        once = apply_graph_delta(graph, delta)
-        twice = apply_graph_delta(once, delta)
-        assert edge_map(once) == edge_map(twice)
-        assert keyword_map(once) == keyword_map(twice)
-
-    def test_empty_delta_returns_same_graph(self):
-        graph = small_graph()
-        assert apply_graph_delta(graph, GraphDelta()) is graph
-
-    def test_updated_edge_keeps_adjacency_position(self):
-        graph = small_graph()
-        before = [v for v, _o, _b in graph.out_edges(0)]
-        updated = apply_graph_delta(
-            graph, GraphDelta(set_edges=((0, 2, 9.0, 9.0),))
-        )
-        assert [v for v, _o, _b in updated.out_edges(0)] == before
-
-    def test_out_of_range_node_is_rejected(self):
-        graph = small_graph()
-        with pytest.raises(MutationError, match="outside the graph"):
-            apply_graph_delta(graph, GraphDelta(drop_edges=((0, 99),)))
-
-    def test_keyword_table_is_shared_and_append_only(self):
-        graph = small_graph()
-        updated = apply_graph_delta(
-            graph, GraphDelta(set_keywords=((3, ("zoo",)),))
-        )
-        assert updated.keyword_table is graph.keyword_table
-        assert "zoo" in set(graph.keyword_table.words)
-
-
-class TestInducedDelta:
-    def test_slice_keeps_in_set_entries_in_order_and_relabels(self):
-        delta = GraphDelta(
-            set_edges=((5, 7, 1.0, 2.0), (5, 6, 3.0, 4.0), (7, 5, 5.0, 6.0)),
-            drop_edges=((7, 9), (9, 5), (5, 7)),
-            set_keywords=((6, ("pub",)), (7, ())),
-        )
-        local = delta.induced({5: 0, 7: 1, 9: 2})
-        assert local.set_edges == ((0, 1, 1.0, 2.0), (1, 0, 5.0, 6.0))
-        assert local.drop_edges == ((1, 2), (2, 0), (0, 1))
-        assert local.set_keywords == ((1, ()),)
-        assert delta.induced({}).is_empty
-
+class TestWorldCells:
     def test_world_cell_subgraphs_track_the_induced_subgraph(self):
         """Over the seeded 50-op sequence, every cell subgraph the world
-        derives from a delta is row for row the subgraph the new graph
-        induces on that cell (adjacency order, keywords, bounds, CSR)."""
+        refreshes is row for row the subgraph the new graph induces on
+        that cell (adjacency order, keywords, bounds, CSR)."""
         from repro.world import MutableWorld
-        from tests.properties.test_cow_graph_properties import assert_same_graph
         from tests.service.test_differential import random_instance
         from tests.service.test_mutation_differential import chunked, mutation_sequence
 
@@ -376,6 +267,21 @@ class TestGraphMutator:
         with pytest.raises(MutationError, match="non-empty strings"):
             mutator.update_keywords(0, [""])
 
+    def test_an_updated_edge_keeps_its_place_and_a_recreated_one_is_appended(self):
+        mutator = GraphMutator(small_graph())
+        mutator.update_edge_cost(0, 1, objective=9.0)
+        assert mutator.graph.out_edges(0) == ((1, 9.0, 1.0), (2, 3.0, 3.0))
+        mutator.close_node(1)
+        mutator.open_node(1)
+        assert mutator.graph.out_edges(0) == ((2, 3.0, 3.0), (1, 9.0, 1.0))
+
+    def test_keyword_table_is_shared_and_append_only(self):
+        graph = small_graph()
+        mutator = GraphMutator(graph)
+        mutator.update_keywords(3, ["zoo"])
+        assert mutator.graph.keyword_table is graph.keyword_table
+        assert "zoo" in set(graph.keyword_table.words)
+
     def test_apply_op_dispatches_and_rejects_unknown(self):
         mutator = GraphMutator(small_graph())
         mutator.apply_op({"op": "update_edge_cost", "u": 0, "v": 1, "objective": 3.0})
@@ -385,19 +291,40 @@ class TestGraphMutator:
 
 
 class TestResolveOps:
-    def test_merged_delta_reproduces_the_mutator_graph(self):
+    OPS = [
+        {"op": "update_edge_cost", "u": 0, "v": 1, "objective": 2.5},
+        {"op": "close_node", "node": 2},
+        {"op": "update_keywords", "node": 3, "keywords": ["park"]},
+        {"op": "open_node", "node": 2},
+    ]
+
+    def test_a_batch_equals_its_ops_applied_one_call_at_a_time(self):
+        """Adjacency order included: the batch drops and re-creates the
+        edges of node 2, which come back appended to their rows."""
         graph = small_graph()
-        ops = [
-            {"op": "update_edge_cost", "u": 0, "v": 1, "objective": 2.5},
-            {"op": "close_node", "node": 2},
-            {"op": "update_keywords", "node": 3, "keywords": ["park"]},
-            {"op": "open_node", "node": 2},
-        ]
-        mutator = GraphMutator(graph)
-        delta = resolve_ops(mutator, ops)
-        replayed = apply_graph_delta(graph, delta)
-        assert edge_map(replayed) == edge_map(mutator.graph)
-        assert keyword_map(replayed) == keyword_map(mutator.graph)
+        batched, stepped = GraphMutator(graph), GraphMutator(graph)
+        resolve_ops(batched, self.OPS)
+        for op in self.OPS:
+            stepped.apply_op(op)
+        assert_same_graph(batched.graph, stepped.graph)
+        assert batched.closed_nodes == stepped.closed_nodes == frozenset()
+        assert batched.graph.out_edges(0) == ((1, 2.5, 1.0), (2, 3.0, 3.0))
+        assert batched.graph.out_edges(1) == ((2, 2.0, 1.5),)
+
+    def test_the_delta_names_what_the_batch_changed(self):
+        mutator = GraphMutator(small_graph())
+        assert resolve_ops(mutator, self.OPS) == GraphDelta(
+            edges=((0, 1), (0, 2), (1, 2), (2, 3)),
+            keywords=((2, ("cafe", "pub")), (3, ("park",))),
+        )
+        assert mutator.update_keywords(0, ["zoo"]) == GraphDelta(keywords=((0, ("zoo",)),))
+
+    def test_an_empty_batch_is_refused(self):
+        mutator = GraphMutator(small_graph())
+        graph = mutator.graph
+        with pytest.raises(MutationError, match="at least one op"):
+            resolve_ops(mutator, [])
+        assert mutator.graph is graph
 
     def test_error_mid_sequence_restores_the_mutator(self):
         """All or nothing: a refused batch leaves graph, closure set and

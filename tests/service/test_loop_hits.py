@@ -83,23 +83,25 @@ def test_a_hit_returns_while_the_only_worker_is_held_by_a_wave(tier):
     service = build(tier, graph, backend=backend)
 
     async def drive():
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            async with AsyncQueryService(service, executor=executor) as front:
-                warm = await front.submit(hot, algorithm=hot_algorithm)
-                backend.entered.clear()
-                backend.gate.clear()
-                try:
-                    blocked = asyncio.ensure_future(
-                        front.submit(cold, algorithm=cold_algorithm)
-                    )
-                    while not backend.entered.is_set():
-                        await asyncio.sleep(0.002)
-                    hit = await front.submit(hot, algorithm=hot_algorithm, timeout=5.0)
-                    still_blocked = not blocked.done()
-                finally:
-                    backend.gate.set()
-                await blocked
-                return warm, hit, still_blocked, front.scheduling_stats()
+        # One executor thread, which the blocked wave holds (asyncio.run
+        # shuts it down with the loop).
+        asyncio.get_running_loop().set_default_executor(ThreadPoolExecutor(max_workers=1))
+        async with AsyncQueryService(service) as front:
+            warm = await front.submit(hot, algorithm=hot_algorithm)
+            backend.entered.clear()
+            backend.gate.clear()
+            try:
+                blocked = asyncio.ensure_future(
+                    front.submit(cold, algorithm=cold_algorithm)
+                )
+                while not backend.entered.is_set():
+                    await asyncio.sleep(0.002)
+                hit = await front.submit(hot, algorithm=hot_algorithm, timeout=5.0)
+                still_blocked = not blocked.done()
+            finally:
+                backend.gate.set()
+            await blocked
+            return warm, hit, still_blocked, front.scheduling_stats()
 
     try:
         warm, hit, still_blocked, scheduling = asyncio.run(drive())

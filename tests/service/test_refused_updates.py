@@ -214,3 +214,34 @@ def test_refused_batch_interns_no_word(tier):
         "s": None,
         "t": size + 2,
     }
+
+
+@pytest.mark.parametrize("tier", ["world", "flat", "sharded"])
+def test_an_empty_batch_is_refused_and_flushes_nothing(tier):
+    """``apply_ops([])`` changes nothing, so it must not bump the epoch
+    and drop every cached answer with it; the wire refuses
+    ``{"ops": []}`` with 400 by the same rule."""
+    from repro.core.query import KORQuery
+    from repro.graph.generators import figure_1_graph
+
+    graph = figure_1_graph()
+    if tier == "world":
+        world = MutableWorld(graph, num_cells=2)
+        with pytest.raises(MutationError, match="at least one op"):
+            world.apply_ops([])
+        assert world.epoch == 0 and world.graph is graph
+        return
+    if tier == "flat":
+        service = QueryService(KOREngine(graph), cache_capacity=8)
+    else:
+        service = ShardedQueryService(world=MutableWorld(graph, num_cells=2), cache_capacity=8)
+    with service:
+        query = KORQuery(0, 7, ("t1",), 10.0)
+        answer = service.submit(query, algorithm="bucketbound")
+        with pytest.raises(MutationError, match="at least one op"):
+            service.apply_ops([])
+        assert service.epoch == 0
+        assert service.cache.stats.invalidations == 0 and len(service.cache) == 1
+        assert service.submit(query, algorithm="bucketbound") is answer
+        graph_now = service.engine.graph if tier == "flat" else service.world.graph
+        assert graph_now is graph
