@@ -3,17 +3,18 @@
 :class:`~repro.graph.digraph.SpatialKeywordGraph` is immutable by
 design — pre-processing caches CSR exports and weight extrema against
 it.  A *dynamic* world therefore mutates by **replacement**:
-:class:`GraphMutator` validates each operation — ``update_edge_cost`` /
-``close_node`` / ``open_node`` / ``update_keywords`` — against the
-*current* graph and derives the next graph from the rows it names
-(:meth:`SpatialKeywordGraph.with_rows`), sharing every other row and the
-append-only :class:`~repro.graph.keywords.KeywordTable`.  It remembers
-enough history (cost overrides, closure set) that re-opening a node
-restores its most recently configured edges and keywords.
+:meth:`GraphMutator.apply_ops` validates each operation of a batch —
+``update_edge_cost`` / ``close_node`` / ``open_node`` /
+``update_keywords`` — against the *current* graph and derives the next
+graph from the rows it names (:meth:`SpatialKeywordGraph.with_rows`),
+sharing every other row and the append-only
+:class:`~repro.graph.keywords.KeywordTable`.  It remembers enough
+history (cost overrides, closure set) that re-opening a node restores
+its most recently configured edges and keywords.
 
-:func:`resolve_ops` applies a batch all or nothing and reports what it
-changed as a :class:`GraphDelta`: the edges set or dropped and the nodes
-whose keywords were replaced.  Everything downstream reads the new graph
+A batch applies all or nothing and reports what it changed as a
+:class:`GraphDelta`: the edges set or dropped and the nodes whose
+keywords were replaced.  Everything downstream reads the new graph
 itself; the delta only says where to look.
 """
 
@@ -30,10 +31,9 @@ __all__ = [
     "GraphDelta",
     "GraphMutator",
     "MutationError",
-    "resolve_ops",
 ]
 
-#: Operation names accepted by :func:`resolve_ops` (the wire-level set).
+#: Operation names accepted by :meth:`GraphMutator.apply_ops` (the wire-level set).
 OP_NAMES = ("update_edge_cost", "close_node", "open_node", "update_keywords")
 
 #: The range a re-costed edge weight must stay in.  The paper's scaling
@@ -65,11 +65,6 @@ class GraphDelta:
 
     edges: tuple[tuple[int, int], ...] = ()
     keywords: tuple[tuple[int, tuple[str, ...]], ...] = ()
-
-
-def _check_node(n: int, node: int) -> None:
-    if not (isinstance(node, int) and 0 <= node < n):
-        raise MutationError(f"node {node!r} is outside the graph's 0..{n - 1} range")
 
 
 def _normalised_words(words: Iterable[str]) -> tuple[str, ...]:
@@ -114,76 +109,85 @@ class GraphMutator:
         """Nodes currently closed."""
         return frozenset(self._closed)
 
-    # ------------------------------------------------------------------
-    # operations
-    # ------------------------------------------------------------------
-    def update_edge_cost(
-        self,
-        u: int,
-        v: int,
-        objective: float | None = None,
-        budget: float | None = None,
-    ) -> GraphDelta:
-        """Re-cost the existing edge ``(u, v)``; unset weights persist."""
-        return self.apply_op(
-            {"op": "update_edge_cost", "u": u, "v": v, "objective": objective, "budget": budget}
-        )
+    def apply_ops(self, ops: Sequence[Mapping[str, object]]) -> GraphDelta:
+        """Apply a non-empty batch of wire-shaped operations, in order.
 
-    def close_node(self, node: int) -> GraphDelta:
-        """Remove *node* from service: strip its edges and keywords.
-
-        The node id stays valid (the world never renumbers); it simply
-        becomes unreachable and keyword-less until :meth:`open_node`.
+        Each op is validated against its predecessors' effects and its
+        edges are applied before the next op is read.  Field types follow
+        the wire's ``kor.graph_update.v1`` rules: the batch is a list (or
+        tuple), a node id an ``int`` (``True`` is not node 1), a weight a
+        finite ``int`` or ``float`` (absent or ``None`` keeps the edge's
+        current one), keywords a list (or tuple) of non-empty strings —
+        never a bare ``str``.  All or nothing: when any op is refused the
+        mutator is put back exactly as the batch found it, so the graph
+        never runs ahead of tables that were not repaired.  The batch's
+        keyword sets are interned and applied last, once every op is
+        accepted, so a refused batch interns no word into the keyword
+        table the graph shares with its callers.  (An op reads a node's
+        keywords from the graph only where no earlier op of the batch has
+        set them.)  An empty batch changes nothing and is refused.
         """
-        return self.apply_op({"op": "close_node", "node": node})
-
-    def open_node(self, node: int) -> GraphDelta:
-        """Re-open a closed node, restoring its latest edges and keywords.
-
-        Restores every *base-graph* edge incident to the node whose other
-        endpoint is currently open, at the most recently configured
-        weights; edges toward still-closed neighbours come back when
-        those neighbours re-open.
-        """
-        return self.apply_op({"op": "open_node", "node": node})
-
-    def update_keywords(self, node: int, keywords: Iterable[str]) -> GraphDelta:
-        """Replace *node*'s keyword set (open nodes only)."""
-        return self.apply_op({"op": "update_keywords", "node": node, "keywords": keywords})
-
-    def apply_op(self, op: Mapping[str, object]) -> GraphDelta:
-        """Apply one wire-shaped operation (see :data:`OP_NAMES`)."""
-        return resolve_ops(self, [op])
+        if not isinstance(ops, (list, tuple)) or not ops:
+            raise MutationError(f"an update needs at least one op, in a list; got {ops!r}")
+        before = self._snapshot()
+        edges: set[tuple[int, int]] = set()
+        keywords: dict[int, tuple[str, ...]] = {}
+        try:
+            for op in ops:
+                changes, words = self._step(op)
+                if changes:
+                    self._edit_rows(changes)
+                edges.update(changes)
+                keywords.update(words)
+            keywords = dict(sorted(keywords.items()))
+            if keywords:
+                table = self._graph.keyword_table
+                self._graph = self._graph.with_rows(
+                    {}, {node: table.intern_many(words) for node, words in keywords.items()}
+                )
+        except BaseException:
+            self._restore(before)
+            raise
+        return GraphDelta(edges=tuple(sorted(edges)), keywords=tuple(keywords.items()))
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _step(self, op: Mapping[str, object]) -> tuple[dict, dict]:
+    def _step(self, op: object) -> tuple[dict, dict]:
         """Validate *op* against the current state and record it.
 
         Returns its edge changes — ``(u, v)`` to new weights, or ``None``
-        for a drop — and its keyword replacements; :func:`resolve_ops`
+        for a drop — and its keyword replacements; :meth:`apply_ops`
         applies both.
         """
+        if not isinstance(op, Mapping):
+            raise MutationError(f"an op must be a mapping, got {op!r}")
         kind = op.get("op")
         if kind == "update_edge_cost":
-            return self._update_edge_cost(op["u"], op["v"], op.get("objective"), op.get("budget"))
+            u, v = self._node(op, "u"), self._node(op, "v")
+            return self._update_edge_cost(u, v, op.get("objective"), op.get("budget"))
         if kind == "close_node":
-            return self._close_node(op["node"])
+            return self._close_node(self._node(op, "node"))
         if kind == "open_node":
-            return self._open_node(op["node"])
+            return self._open_node(self._node(op, "node"))
         if kind == "update_keywords":
-            return self._update_keywords(op["node"], op["keywords"])
+            return self._update_keywords(self._node(op, "node"), op.get("keywords"))
         raise MutationError(
             f"unknown mutation op {kind!r}; expected one of {', '.join(OP_NAMES)}"
         )
 
+    def _node(self, op: Mapping[str, object], field: str) -> int:
+        """``op[field]`` as a node id of the current graph."""
+        if field not in op:
+            raise MutationError(f"{op['op']} needs {field!r}")
+        node, n = op[field], self._graph.num_nodes
+        if type(node) is not int or not 0 <= node < n:
+            raise MutationError(f"{field} {node!r} is outside the graph's 0..{n - 1} node ids")
+        return node
+
     def _update_edge_cost(
         self, u: int, v: int, objective: float | None, budget: float | None
     ) -> tuple[dict, dict]:
-        n = self._graph.num_nodes
-        _check_node(n, u)
-        _check_node(n, v)
         if u in self._closed or v in self._closed:
             raise MutationError(
                 f"cannot update edge ({u}, {v}): one of its endpoints is closed"
@@ -192,24 +196,30 @@ class GraphMutator:
             raise MutationError(f"no edge ({u}, {v}) to update")
         if objective is None and budget is None:
             raise MutationError("update_edge_cost needs objective=, budget=, or both")
-        current_obj, current_bud = self._graph.edge(u, v)
-        obj = float(objective) if objective is not None else current_obj
-        bud = float(budget) if budget is not None else current_bud
-        for name, value in (("objective", obj), ("budget", bud)):
-            if not (value > 0.0) or not math.isfinite(value):
+        weights = []
+        for name, value, current in zip(
+            ("objective", "budget"), (objective, budget), self._graph.edge(u, v)
+        ):
+            if value is None:
+                value = current
+            elif type(value) not in (int, float):  # the wire's rule: no bool, no "2"
+                raise MutationError(f"edge ({u}, {v}) {name} must be a number, got {value!r}")
+            if not value > 0 or value == math.inf:
                 raise MutationError(
-                    f"edge ({u}, {v}) {name} must be finite and > 0, got {value}"
+                    f"edge ({u}, {v}) {name} must be finite and > 0, got {value!r}"
                 )
             if not MIN_EDGE_WEIGHT <= value <= MAX_EDGE_WEIGHT:
                 raise MutationError(
                     f"edge ({u}, {v}) {name} must lie in "
                     f"[{MIN_EDGE_WEIGHT}, {MAX_EDGE_WEIGHT}], got {value}"
                 )
-        self._edge_costs[(u, v)] = (obj, bud)
-        return {(u, v): (obj, bud)}, {}
+            weights.append(float(value))
+        self._edge_costs[(u, v)] = costs = tuple(weights)
+        return {(u, v): costs}, {}
 
     def _close_node(self, node: int) -> tuple[dict, dict]:
-        _check_node(self._graph.num_nodes, node)
+        """Strip *node*'s edges and keywords; its id stays valid (the
+        world never renumbers) until ``open_node`` restores them."""
         if node in self._closed:
             raise MutationError(f"node {node} is already closed")
         # Remember the pre-closure keywords unless an explicit override
@@ -225,7 +235,8 @@ class GraphMutator:
         return drops, {node: ()}
 
     def _open_node(self, node: int) -> tuple[dict, dict]:
-        _check_node(self._graph.num_nodes, node)
+        """Restore every base edge of *node* whose other endpoint is open,
+        at its latest weights, and its latest keywords."""
         if node not in self._closed:
             raise MutationError(f"node {node} is not closed")
         self._closed.discard(node)
@@ -235,12 +246,13 @@ class GraphMutator:
                 restored[(u, v)] = self._edge_costs.get((u, v), (obj, bud))
         return restored, {node: self._keywords.get(node, ())}
 
-    def _update_keywords(self, node: int, keywords: Iterable[str]) -> tuple[dict, dict]:
-        _check_node(self._graph.num_nodes, node)
+    def _update_keywords(self, node: int, keywords: object) -> tuple[dict, dict]:
         if node in self._closed:
             raise MutationError(
                 f"cannot update keywords of closed node {node}; open it first"
             )
+        if not isinstance(keywords, (list, tuple)):  # a str would split into letters
+            raise MutationError(f"keywords must be a list of non-empty strings, got {keywords!r}")
         words = _normalised_words(keywords)
         self._keywords[node] = words
         return {}, {node: words}
@@ -283,41 +295,3 @@ class GraphMutator:
                 obj, bud = self._base.edge(u, node)
                 yield u, node, obj, bud
 
-
-def resolve_ops(
-    mutator: GraphMutator, ops: Sequence[Mapping[str, object]]
-) -> GraphDelta:
-    """Apply a non-empty batch of operations to *mutator*, in order.
-
-    Each op is validated against its predecessors' effects and its edges
-    are applied before the next op is read.  All or nothing: when any op
-    is refused the mutator is put back exactly as the batch found it, so
-    the graph never runs ahead of tables that were not repaired.  The
-    batch's keyword sets are interned and applied last, once every op is
-    accepted, so a refused batch interns no word into the keyword table
-    the graph shares with its callers.  (An op reads a node's keywords
-    from the graph only where no earlier op of the batch has set them.)
-    An empty batch changes nothing and is refused.
-    """
-    if not ops:
-        raise MutationError("an update needs at least one op")
-    before = mutator._snapshot()
-    edges: set[tuple[int, int]] = set()
-    keywords: dict[int, tuple[str, ...]] = {}
-    try:
-        for op in ops:
-            changes, words = mutator._step(op)
-            if changes:
-                mutator._edit_rows(changes)
-            edges.update(changes)
-            keywords.update(words)
-        keywords = dict(sorted(keywords.items()))
-        if keywords:
-            table = mutator._graph.keyword_table
-            mutator._graph = mutator._graph.with_rows(
-                {}, {node: table.intern_many(words) for node, words in keywords.items()}
-            )
-    except BaseException:
-        mutator._restore(before)
-        raise
-    return GraphDelta(edges=tuple(sorted(edges)), keywords=tuple(keywords.items()))

@@ -278,33 +278,25 @@ class KORApp:
             "pending": self._pending,
             "max_pending": self._max_pending,
             "shed": self._front.stats.shed,
+            "epoch": self._front.epoch,
         }
-        epoch = self._front.epoch
-        if epoch is not None:
-            payload["epoch"] = int(epoch)
         if breakers is not None:
             payload["breakers"] = breakers
         return 200, payload
 
     def _breaker_stats(self) -> dict | None:
         """Circuit-breaker readings of the wrapped service's backend."""
-        backend = getattr(self._front.service, "backend", None)
-        stats = getattr(backend, "breaker_stats", None)
+        stats = getattr(self._front.service.backend, "breaker_stats", None)
         return stats() if callable(stats) else None
 
     async def _stats(self, scope, body: bytes) -> tuple[int, dict]:
-        payload = {
+        return 200, {
             "schema": SERVICE_STATS_SCHEMA,
             "frontend": asdict(self._front.snapshot()),
             "scheduling": self._front.scheduling_stats(),
+            "epoch": self._front.epoch,
+            "service": asdict(self._front.service.snapshot()),
         }
-        epoch = self._front.epoch
-        if epoch is not None:
-            payload["epoch"] = int(epoch)
-        wrapped = getattr(self._front.service, "snapshot", None)
-        if callable(wrapped):
-            payload["service"] = asdict(wrapped())
-        return 200, payload
 
     async def _query(self, scope, body: bytes) -> tuple[int, dict]:
         spec = parse_route_query(_loads(body))

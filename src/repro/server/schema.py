@@ -411,7 +411,7 @@ def parse_graph_update(payload: object) -> list[dict]:
     """Validate one ``kor.graph_update.v1`` body into mutation ops.
 
     Returns the ordered op list in exactly the wire shape
-    :meth:`repro.graph.mutation.GraphMutator.apply_op` consumes —
+    :meth:`repro.graph.mutation.GraphMutator.apply_ops` consumes —
     shape-validated here (types, op names, required fields) so a
     malformed body maps to a 400; *semantic* validation (does the edge
     exist, is the node already closed) stays with the mutator, whose

@@ -22,9 +22,10 @@ amortise most of that work.  This package adds one:
       Results come back in submission order, and one failing query is
       reported per-slot without poisoning the cache or its neighbours
       (:mod:`repro.service.batch`);
-    * **live updates** — the world repairs the rows a change can move;
-      the service ships each replaced part (graph, tables, index) to
-      pool workers and bumps the epoch;
+    * **live updates**, all through ``apply_ops(ops)`` (a batch of
+      ``kor.graph_update.v1`` ops) — the world repairs the rows a change
+      can move; the service ships each replaced part (graph, tables,
+      index) to pool workers and bumps the epoch;
     * **serving metrics** via :class:`repro.service.stats.ServiceStats`.
 
     ``QueryService(engine)`` is the flat tier: the one-cell world of its

@@ -480,7 +480,7 @@ class ExecutionBackend(ABC):
     def unregister(self, key: str) -> None:
         """Forget the shard under *key* (a no-op for unknown keys).
 
-        Callers that retire an engine (e.g. ``replace_engine``) must
+        Callers that retire an engine (e.g. a closed service) must
         unregister its handle, or the backend keeps the graph, tables
         and index alive — and keeps shipping them to pool workers.
         Tasks already submitted for the shard run (or fail) with the

@@ -115,12 +115,8 @@ class RoutedService:
         self._update_lock = threading.Lock()
         self._prefix = f"svc{next(_SERVICE_COUNTER)}/"
         self._epoch = world.epoch
-        self._install(world, engine)
-
-    def _install(self, world: MutableWorld, engine: KOREngine | None = None) -> None:
-        """Serve *world*: one registered handle per cell, plus the
-        cross-cell twin when there is more than one cell.  Handles keep
-        their keys across installs, so registering replaces in place."""
+        # One registered handle per cell, plus the cross-cell twin when
+        # there is more than one cell.
         self._world = world
         self._graph = world.graph
         self._shards = tuple(self._build_shard(state, engine=engine) for state in world.cells)
@@ -188,7 +184,7 @@ class RoutedService:
 
     @property
     def epoch(self) -> int:
-        """Graph epoch in force: applied updates (and engine swaps).
+        """Graph epoch in force: the number of applied updates.
 
         Published once an update's parts are installed and the cache is
         invalidated, so whoever reads epoch N is answered from state at
@@ -260,33 +256,6 @@ class RoutedService:
         with self._update_lock:
             self._integrate(self._world.apply_ops(ops))
             return self._epoch
-
-    def update_edge_cost(
-        self,
-        u: int,
-        v: int,
-        objective: float | None = None,
-        budget: float | None = None,
-    ) -> int:
-        """Re-cost edge ``(u, v)``; returns the new epoch."""
-        op = {"op": "update_edge_cost", "u": u, "v": v}
-        if objective is not None:
-            op["objective"] = objective
-        if budget is not None:
-            op["budget"] = budget
-        return self.apply_ops([op])
-
-    def close_node(self, node: int) -> int:
-        """Take *node* out of service; returns the new epoch."""
-        return self.apply_ops([{"op": "close_node", "node": node}])
-
-    def open_node(self, node: int) -> int:
-        """Restore a closed node; returns the new epoch."""
-        return self.apply_ops([{"op": "open_node", "node": node}])
-
-    def update_keywords(self, node: int, keywords: Iterable[str]) -> int:
-        """Replace *node*'s keywords; returns the new epoch."""
-        return self.apply_ops([{"op": "update_keywords", "node": node, "keywords": list(keywords)}])
 
     def _integrate(self, update: WorldUpdate) -> None:
         """Land one applied :class:`~repro.world.WorldUpdate` in the

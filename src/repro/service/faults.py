@@ -251,7 +251,7 @@ def injected(plan: FaultPlan):
 def corrupt_then_invalidate(cache, key, bogus) -> int:
     """Plant a corrupt entry under *key*, then invalidate the epoch.
 
-    Models an engine swap racing a poisoned write: the bogus result is
+    Models a graph update racing a poisoned write: the bogus result is
     stored, the epoch bump wipes it, and any in-flight write that
     captured the old epoch is dropped on arrival — callers probing with
     the new epoch can never observe *bogus*.  Returns the new epoch.

@@ -19,7 +19,7 @@ miss parks the request in three stages:
    duplicate (single-flight, counted in ``snapshot().coalesced``) — the
    stack's one coalescer: the sync services run every call they get.  A
    flight is joined only under the epoch it was created in: after an
-   update or engine swap, a repeat request starts a flight of its own;
+   update, a repeat request starts a flight of its own;
 2. **micro-batch** — new flights collect for one batching window
    (``window_seconds``; 0 = the current event-loop tick) or until
    ``max_batch`` of them are waiting, whichever first;
@@ -67,6 +67,7 @@ from repro.core.deadline import Deadline
 from repro.core.query import KORQuery
 from repro.core.results import KORResult
 from repro.exceptions import QueryError, ServiceClosed
+from repro.service.base import RoutedService
 from repro.service.batch import batch_keys
 from repro.service.stats import ServiceStats, StatsSnapshot
 
@@ -88,7 +89,7 @@ class _Flight:
     deadline: Deadline | None = None
     #: The wrapped service's epoch when the flight was created: a
     #: request arriving under a newer one must not join it.
-    epoch: int | None = None
+    epoch: int = 0
     waiters: int = 0
     dispatched: bool = False
     abandoned: bool = False
@@ -124,10 +125,9 @@ class AsyncQueryService:
     Parameters
     ----------
     service:
-        Any object with the sync serving contract — ``execute(queries,
-        algorithm=..., **params) -> BatchReport`` plus ``snapshot()``
-        (both :class:`~repro.service.service.QueryService` and
-        :class:`~repro.service.sharding.ShardedQueryService` qualify).
+        The sync :class:`~repro.service.base.RoutedService` to serve from
+        (a :class:`~repro.service.service.QueryService` or a
+        :class:`~repro.service.sharding.ShardedQueryService`).
         The frontend *wraps* it; it does not own the underlying
         backend's lifecycle unless :meth:`close` is asked to.
     window_seconds:
@@ -152,7 +152,7 @@ class AsyncQueryService:
 
     def __init__(
         self,
-        service,
+        service: RoutedService,
         window_seconds: float = 0.0,
         max_batch: int = 64,
         close_service: bool = False,
@@ -165,10 +165,6 @@ class AsyncQueryService:
         if slo_seconds is not None and not (math.isfinite(slo_seconds) and slo_seconds > 0.0):
             raise QueryError(f"slo_seconds must be a finite number > 0 or None, got {slo_seconds}")
         self._service = service
-        # Duck-typed like apply_ops: without a cache probe every request
-        # takes the flight path.
-        serve_cached = getattr(service, "serve_cached", None)
-        self._serve_cached = serve_cached if callable(serve_cached) else None
         self._window = window_seconds
         self._max_batch = max_batch
         self._close_service = close_service
@@ -184,7 +180,7 @@ class AsyncQueryService:
     # accessors
     # ------------------------------------------------------------------
     @property
-    def service(self):
+    def service(self) -> RoutedService:
         """The wrapped sync service."""
         return self._service
 
@@ -195,9 +191,9 @@ class AsyncQueryService:
         return self._stats
 
     @property
-    def epoch(self) -> int | None:
-        """The wrapped service's graph epoch (None when it has none)."""
-        return getattr(self._service, "epoch", None)
+    def epoch(self) -> int:
+        """The wrapped service's graph epoch."""
+        return self._service.epoch
 
     async def apply_update(self, ops: Sequence) -> int:
         """Apply graph mutations through the wrapped sync service.
@@ -210,13 +206,8 @@ class AsyncQueryService:
         """
         if self._closed:
             raise ServiceClosed("AsyncQueryService is closed")
-        apply_ops = getattr(self._service, "apply_ops", None)
-        if not callable(apply_ops):
-            raise QueryError(
-                f"{type(self._service).__name__} does not support live updates"
-            )
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, partial(apply_ops, list(ops)))
+        return await loop.run_in_executor(None, partial(self._service.apply_ops, list(ops)))
 
     def snapshot(self) -> StatsSnapshot:
         """Frozen front-end metrics (see :attr:`stats`)."""
@@ -290,8 +281,8 @@ class AsyncQueryService:
         # batch_keys owns the cacheability rules (uncacheable params,
         # unhashable values): the coalescing key IS the sync cache key.
         _cacheable, (key,) = batch_keys([query], algorithm, params)
-        if key is not None and self._serve_cached is not None:
-            hit = self._serve_cached(key)
+        if key is not None:
+            hit = self._service.serve_cached(key)
             if hit is not None:
                 # No flight, future, flush handle or executor hop exists
                 # yet — and no await, so ``timeout`` has nothing to bound.
@@ -515,8 +506,7 @@ class AsyncQueryService:
         shut down under me" (retry elsewhere) from "my own caller gave
         up" (don't).  Waves already running are awaited so the wrapped
         service is quiescent on return.  With ``close_service=True`` the
-        wrapped sync service's ``close()`` (when it has one) is called
-        too.  Idempotent.
+        wrapped sync service's ``close()`` is called too.  Idempotent.
         """
         if self._closed:
             return
@@ -537,9 +527,7 @@ class AsyncQueryService:
         if self._waves:
             await asyncio.gather(*tuple(self._waves), return_exceptions=True)
         if self._close_service:
-            close = getattr(self._service, "close", None)
-            if callable(close):
-                close()
+            self._service.close()
 
     async def __aenter__(self) -> "AsyncQueryService":
         return self

@@ -17,10 +17,9 @@ the cell's engine is re-assembled over the repaired parts.
 
 Results handed out for cache hits are the *same objects* the first
 computation produced — treat ``KORResult`` as immutable (its ``query``
-attribute names the query that first computed the entry).  Swapping the
-engine (:meth:`QueryService.replace_engine`) invalidates the cache: keys
-describe only the query, so entries computed against the old graph must
-not survive the swap.
+attribute names the query that first computed the entry).  An update
+invalidates the cache: keys describe only the query, so entries computed
+against the old graph must not survive it.
 """
 
 from __future__ import annotations
@@ -70,19 +69,3 @@ class QueryService(RoutedService):
         """The engine serving now: the one given until the first update,
         then the one over the repaired tables."""
         return self._shards[0].engine
-
-    def replace_engine(self, engine: KOREngine) -> None:
-        """Serve from *engine* from now on, invalidating the cache.
-
-        The engine's handle is registered under the key the retired one
-        held, so the backend keeps exactly one.  The cache's epoch guard
-        also discards results still being computed against the old
-        engine when they try to store themselves (see
-        :class:`~repro.service.cache.ResultCache`).
-        """
-        with self._update_lock:
-            self._install(MutableWorld.from_engine(engine), engine)
-            # Cache first, epoch second: whoever reads the new epoch can
-            # no longer be handed an entry of the old one.
-            self._cache.invalidate()
-            self._epoch += 1

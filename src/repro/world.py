@@ -5,7 +5,8 @@ tables, inverted indexes), but a production router sees traffic shifts
 and closures.  This module wraps the whole pre-processed state — graph,
 partition, per-cell :class:`~repro.prep.tables.CostTables` and indexes,
 the partitioned border tier and the full-graph inverted index — behind
-the mutation API of :class:`~repro.graph.mutation.GraphMutator` and
+one update call, :meth:`MutableWorld.apply_ops` (a batch of the ops
+:meth:`~repro.graph.mutation.GraphMutator.apply_ops` validates), and
 performs **incremental repair**: the partition is the unit of repair, so
 a change confined to cell ``C`` repairs only ``C``'s tables plus the
 border tier, never the other cells — and within those, only the source
@@ -60,12 +61,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.graph.digraph import SpatialKeywordGraph
-from repro.graph.mutation import GraphDelta, GraphMutator, resolve_ops
+from repro.graph.mutation import GraphDelta, GraphMutator
 from repro.index.inverted import InvertedIndex
 from repro.prep.partition import (
     GraphPartition,
@@ -262,30 +263,6 @@ class MutableWorld:
     # ------------------------------------------------------------------
     # mutation API
     # ------------------------------------------------------------------
-    def update_edge_cost(
-        self,
-        u: int,
-        v: int,
-        objective: float | None = None,
-        budget: float | None = None,
-    ) -> WorldUpdate:
-        """Re-cost edge ``(u, v)`` and repair the affected tables."""
-        return self._apply(
-            self._mutator.update_edge_cost(u, v, objective=objective, budget=budget)
-        )
-
-    def close_node(self, node: int) -> WorldUpdate:
-        """Take *node* out of service (edges and keywords stripped)."""
-        return self._apply(self._mutator.close_node(node))
-
-    def open_node(self, node: int) -> WorldUpdate:
-        """Restore a closed node's latest edges and keywords."""
-        return self._apply(self._mutator.open_node(node))
-
-    def update_keywords(self, node: int, keywords: Iterable[str]) -> WorldUpdate:
-        """Replace *node*'s keyword set and refresh the indexes."""
-        return self._apply(self._mutator.update_keywords(node, keywords))
-
     def apply_ops(self, ops: Sequence[Mapping[str, object]]) -> WorldUpdate:
         """Apply a batch of wire-shaped operations as **one** update.
 
@@ -296,7 +273,7 @@ class MutableWorld:
         and changes nothing: graph, closure set, tables and epoch stay
         as they were.
         """
-        return self._apply(resolve_ops(self._mutator, ops))
+        return self._apply(self._mutator.apply_ops(ops))
 
     # ------------------------------------------------------------------
     # repair

@@ -21,9 +21,9 @@ from repro.graph.mutation import (
     GraphDelta,
     GraphMutator,
     MutationError,
-    resolve_ops,
 )
 
+from tests.ops import close, recost, relabel, reopen
 from tests.properties.test_cow_graph_properties import assert_same_graph
 
 
@@ -102,7 +102,7 @@ class TestRepairLocality:
         c = int(cell_of[u])
         before = [state.tables for state in world.cells]
 
-        update = world.update_edge_cost(u, v, objective=2 * objective, budget=budget)
+        update = world.apply_ops([recost(u, v, objective=2 * objective, budget=budget)])
 
         assert update.repaired_cells == (c,)
         assert update.border_rebuilt
@@ -137,7 +137,7 @@ class TestRepairLocality:
             for kind, pred in (("tau", state.tables.pred_tau), ("sigma", state.tables.pred_sigma))
         }
 
-        update = world.update_edge_cost(u, v, objective=2 * objective, budget=2 * budget)
+        update = world.apply_ops([recost(u, v, objective=2 * objective, budget=2 * budget)])
 
         for kind, (cell_rows, overlay_rows) in update.swept_rows.items():
             assert 0 < cell_rows == users[kind] < len(state.to_global), kind
@@ -148,23 +148,23 @@ class TestRepairLocality:
 class TestGraphMutator:
     def test_update_edge_cost_partial_weights_persist(self):
         mutator = GraphMutator(small_graph())
-        mutator.update_edge_cost(0, 1, objective=4.0)
+        mutator.apply_ops([recost(0, 1, objective=4.0)])
         assert mutator.graph.edge(0, 1) == (4.0, 1.0)
-        mutator.update_edge_cost(0, 1, budget=6.0)
+        mutator.apply_ops([recost(0, 1, budget=6.0)])
         assert mutator.graph.edge(0, 1) == (4.0, 6.0)
 
     def test_update_edge_cost_validation(self):
         mutator = GraphMutator(small_graph())
         with pytest.raises(MutationError, match="no edge"):
-            mutator.update_edge_cost(1, 0, objective=2.0)
+            mutator.apply_ops([recost(1, 0, objective=2.0)])
         with pytest.raises(MutationError, match="needs objective"):
-            mutator.update_edge_cost(0, 1)
+            mutator.apply_ops([recost(0, 1)])
         with pytest.raises(MutationError, match="finite and > 0"):
-            mutator.update_edge_cost(0, 1, objective=0.0)
+            mutator.apply_ops([recost(0, 1, objective=0.0)])
         with pytest.raises(MutationError, match="finite and > 0"):
-            mutator.update_edge_cost(0, 1, budget=float("inf"))
+            mutator.apply_ops([recost(0, 1, budget=float("inf"))])
         with pytest.raises(MutationError, match="outside the graph"):
-            mutator.update_edge_cost(0, 99, objective=1.0)
+            mutator.apply_ops([recost(0, 99, objective=1.0)])
 
     @pytest.mark.parametrize("weight", [5e-324, 1e-300, 1e-10, 1.1e9, 1e308])
     def test_update_edge_cost_refuses_unscalable_weights(self, weight):
@@ -175,17 +175,17 @@ class TestGraphMutator:
         graph = mutator.graph
         for kwargs in ({"objective": weight}, {"budget": weight}, {"objective": weight, "budget": weight}):
             with pytest.raises(MutationError, match=r"must lie in \[1e-09, 1000000000\.0\]"):
-                mutator.update_edge_cost(0, 1, **kwargs)
+                mutator.apply_ops([recost(0, 1, **kwargs)])
         assert mutator.graph is graph
-        mutator.close_node(1)
-        mutator.open_node(1)
+        mutator.apply_ops([close(1)])
+        mutator.apply_ops([reopen(1)])
         assert mutator.graph.edge(0, 1) == (1.0, 1.0)  # no override was recorded
 
     def test_update_edge_cost_accepts_the_boundary_weights(self):
         mutator = GraphMutator(small_graph())
-        mutator.update_edge_cost(0, 1, objective=MIN_EDGE_WEIGHT, budget=MAX_EDGE_WEIGHT)
+        mutator.apply_ops([recost(0, 1, objective=MIN_EDGE_WEIGHT, budget=MAX_EDGE_WEIGHT)])
         assert mutator.graph.edge(0, 1) == (1e-9, 1e9)
-        mutator.update_edge_cost(0, 1, objective=MAX_EDGE_WEIGHT, budget=MIN_EDGE_WEIGHT)
+        mutator.apply_ops([recost(0, 1, objective=MAX_EDGE_WEIGHT, budget=MIN_EDGE_WEIGHT)])
         assert mutator.graph.edge(0, 1) == (1e9, 1e-9)
 
     def test_lookups_never_build_the_edge_map_of_a_fresh_graph(self):
@@ -193,16 +193,16 @@ class TestGraphMutator:
         graph the next update replaces: an |E|-entry map is never built."""
         mutator = GraphMutator(small_graph())
         for _round in range(3):
-            mutator.update_edge_cost(0, 1, objective=2.0)
+            mutator.apply_ops([recost(0, 1, objective=2.0)])
             assert mutator.graph._edge_lookup is None
-            mutator.close_node(2)
+            mutator.apply_ops([close(2)])
             assert mutator.graph._edge_lookup is None
-            mutator.open_node(2)
+            mutator.apply_ops([reopen(2)])
             assert mutator.graph._edge_lookup is None
 
     def test_close_strips_edges_and_keywords(self):
         mutator = GraphMutator(small_graph())
-        mutator.close_node(2)
+        mutator.apply_ops([close(2)])
         graph = mutator.graph
         assert mutator.closed_nodes == frozenset({2})
         assert not graph.out_edges(2)
@@ -212,26 +212,26 @@ class TestGraphMutator:
 
     def test_double_close_and_open_of_open_are_rejected(self):
         mutator = GraphMutator(small_graph())
-        mutator.close_node(2)
+        mutator.apply_ops([close(2)])
         with pytest.raises(MutationError, match="already closed"):
-            mutator.close_node(2)
+            mutator.apply_ops([close(2)])
         with pytest.raises(MutationError, match="not closed"):
-            mutator.open_node(0)
+            mutator.apply_ops([reopen(0)])
 
     def test_closed_node_refuses_edge_and_keyword_updates(self):
         mutator = GraphMutator(small_graph())
-        mutator.close_node(2)
+        mutator.apply_ops([close(2)])
         with pytest.raises(MutationError, match="closed"):
-            mutator.update_edge_cost(0, 2, objective=1.0)
+            mutator.apply_ops([recost(0, 2, objective=1.0)])
         with pytest.raises(MutationError, match="closed"):
-            mutator.update_keywords(2, ["pub"])
+            mutator.apply_ops([relabel(2, ["pub"])])
 
     def test_reopen_restores_latest_edges_and_keywords(self):
         mutator = GraphMutator(small_graph())
-        mutator.update_edge_cost(0, 2, objective=8.0)
-        mutator.update_keywords(2, ["zoo"])
-        mutator.close_node(2)
-        mutator.open_node(2)
+        mutator.apply_ops([recost(0, 2, objective=8.0)])
+        mutator.apply_ops([relabel(2, ["zoo"])])
+        mutator.apply_ops([close(2)])
+        mutator.apply_ops([reopen(2)])
         graph = mutator.graph
         # The explicit overrides survive the closure, not the base state.
         assert graph.edge(0, 2) == (8.0, 3.0)
@@ -240,57 +240,64 @@ class TestGraphMutator:
 
     def test_reopen_skips_edges_toward_closed_neighbours(self):
         mutator = GraphMutator(small_graph())
-        mutator.close_node(1)
-        mutator.close_node(2)
-        mutator.open_node(2)
+        mutator.apply_ops([close(1)])
+        mutator.apply_ops([close(2)])
+        mutator.apply_ops([reopen(2)])
         graph = mutator.graph
         assert not graph.has_edge(1, 2)  # neighbour 1 is still closed
         assert graph.has_edge(0, 2)
         assert graph.has_edge(2, 3)
-        mutator.open_node(1)
+        mutator.apply_ops([reopen(1)])
         assert mutator.graph.has_edge(1, 2)
 
     def test_close_open_round_trip_restores_base_world(self):
         graph = small_graph()
         mutator = GraphMutator(graph)
         for node in (1, 3):
-            mutator.close_node(node)
+            mutator.apply_ops([close(node)])
         for node in (3, 1):
-            mutator.open_node(node)
+            mutator.apply_ops([reopen(node)])
         assert edge_map(mutator.graph) == edge_map(graph)
         assert keyword_map(mutator.graph) == keyword_map(graph)
 
     def test_update_keywords_normalises_and_validates(self):
         mutator = GraphMutator(small_graph())
-        mutator.update_keywords(0, ["zoo", "pub", "zoo"])
+        mutator.apply_ops([relabel(0, ["zoo", "pub", "zoo"])])
         assert set(mutator.graph.node_keyword_strings(0)) == {"pub", "zoo"}
         with pytest.raises(MutationError, match="non-empty strings"):
-            mutator.update_keywords(0, [""])
+            mutator.apply_ops([relabel(0, [""])])
 
     def test_an_updated_edge_keeps_its_place_and_a_recreated_one_is_appended(self):
         mutator = GraphMutator(small_graph())
-        mutator.update_edge_cost(0, 1, objective=9.0)
+        mutator.apply_ops([recost(0, 1, objective=9.0)])
         assert mutator.graph.out_edges(0) == ((1, 9.0, 1.0), (2, 3.0, 3.0))
-        mutator.close_node(1)
-        mutator.open_node(1)
+        mutator.apply_ops([close(1)])
+        mutator.apply_ops([reopen(1)])
         assert mutator.graph.out_edges(0) == ((2, 3.0, 3.0), (1, 9.0, 1.0))
 
     def test_keyword_table_is_shared_and_append_only(self):
         graph = small_graph()
         mutator = GraphMutator(graph)
-        mutator.update_keywords(3, ["zoo"])
+        mutator.apply_ops([relabel(3, ["zoo"])])
         assert mutator.graph.keyword_table is graph.keyword_table
         assert "zoo" in set(graph.keyword_table.words)
 
-    def test_apply_op_dispatches_and_rejects_unknown(self):
+    def test_apply_ops_dispatches_and_rejects_unknown(self):
         mutator = GraphMutator(small_graph())
-        mutator.apply_op({"op": "update_edge_cost", "u": 0, "v": 1, "objective": 3.0})
+        mutator.apply_ops([{"op": "update_edge_cost", "u": 0, "v": 1, "objective": 3.0}])
         assert mutator.graph.edge(0, 1) == (3.0, 1.0)
         with pytest.raises(MutationError, match="unknown mutation op"):
-            mutator.apply_op({"op": "grow_node"})
+            mutator.apply_ops([{"op": "grow_node"}])
+
+    def test_an_integer_weight_is_a_weight(self):
+        """The wire's number rule: a JSON integer is accepted, as a float."""
+        mutator = GraphMutator(small_graph())
+        mutator.apply_ops([recost(0, 1, objective=4, budget=2)])
+        assert mutator.graph.out_edges(0)[0] == (1, 4.0, 2.0)
+        assert all(type(weight) is float for weight in mutator.graph.edge(0, 1))
 
 
-class TestResolveOps:
+class TestApplyOps:
     OPS = [
         {"op": "update_edge_cost", "u": 0, "v": 1, "objective": 2.5},
         {"op": "close_node", "node": 2},
@@ -303,9 +310,9 @@ class TestResolveOps:
         edges of node 2, which come back appended to their rows."""
         graph = small_graph()
         batched, stepped = GraphMutator(graph), GraphMutator(graph)
-        resolve_ops(batched, self.OPS)
+        batched.apply_ops(self.OPS)
         for op in self.OPS:
-            stepped.apply_op(op)
+            stepped.apply_ops([op])
         assert_same_graph(batched.graph, stepped.graph)
         assert batched.closed_nodes == stepped.closed_nodes == frozenset()
         assert batched.graph.out_edges(0) == ((1, 2.5, 1.0), (2, 3.0, 3.0))
@@ -313,26 +320,26 @@ class TestResolveOps:
 
     def test_the_delta_names_what_the_batch_changed(self):
         mutator = GraphMutator(small_graph())
-        assert resolve_ops(mutator, self.OPS) == GraphDelta(
+        assert mutator.apply_ops(self.OPS) == GraphDelta(
             edges=((0, 1), (0, 2), (1, 2), (2, 3)),
             keywords=((2, ("cafe", "pub")), (3, ("park",))),
         )
-        assert mutator.update_keywords(0, ["zoo"]) == GraphDelta(keywords=((0, ("zoo",)),))
+        assert mutator.apply_ops([relabel(0, ["zoo"])]) == GraphDelta(keywords=((0, ("zoo",)),))
 
     def test_an_empty_batch_is_refused(self):
         mutator = GraphMutator(small_graph())
         graph = mutator.graph
         with pytest.raises(MutationError, match="at least one op"):
-            resolve_ops(mutator, [])
+            mutator.apply_ops([])
         assert mutator.graph is graph
 
     def test_error_mid_sequence_restores_the_mutator(self):
         """All or nothing: a refused batch leaves graph, closure set and
         both override maps exactly as it found them."""
         mutator = GraphMutator(small_graph())
-        mutator.update_edge_cost(0, 1, objective=4.0)
-        mutator.update_keywords(3, ["park"])
-        mutator.close_node(3)
+        mutator.apply_ops([recost(0, 1, objective=4.0)])
+        mutator.apply_ops([relabel(3, ["park"])])
+        mutator.apply_ops([close(3)])
         graph = mutator.graph
         ops = [
             {"op": "update_edge_cost", "u": 0, "v": 1, "objective": 9.0},
@@ -342,15 +349,15 @@ class TestResolveOps:
             {"op": "close_node", "node": 1},  # invalid: already closed
         ]
         with pytest.raises(MutationError, match="already closed"):
-            resolve_ops(mutator, ops)
+            mutator.apply_ops(ops)
         assert mutator.graph is graph
         assert mutator.closed_nodes == frozenset({3})
         # The overrides the batch wrote are gone too: a re-open restores
         # the pre-batch cost and keywords, not the refused ones.
-        mutator.open_node(3)
+        mutator.apply_ops([reopen(3)])
         assert mutator.graph.edge(0, 1) == (4.0, 1.0)
         assert set(mutator.graph.node_keyword_strings(0)) == {"pub"}
         assert set(mutator.graph.node_keyword_strings(3)) == {"park"}
-        mutator.close_node(1)
-        mutator.open_node(1)
+        mutator.apply_ops([close(1)])
+        mutator.apply_ops([reopen(1)])
         assert mutator.graph.edge(0, 1) == (4.0, 1.0)

@@ -18,6 +18,7 @@ from repro.graph.generators import figure_1_graph, grid_graph
 from repro.world import MutableWorld
 
 from tests.index.test_inverted import assert_matches_scan, scanned_postings
+from tests.ops import close, recost, relabel, reopen
 
 WORDS = ("pub", "mall", "cafe", "park")
 
@@ -52,7 +53,7 @@ class TestFlatWorld:
 
     def test_the_one_cell_shares_the_full_index(self, world):
         assert world.index is world.cells[0].index
-        world.update_keywords(2, ["t4"])
+        world.apply_ops([relabel(2, ["t4"])])
         assert world.index is world.cells[0].index
 
     def test_from_engine_adopts_the_engines_index(self):
@@ -61,35 +62,35 @@ class TestFlatWorld:
 
     def test_keyword_update_moves_the_node_between_lists(self, world):
         table = world.graph.keyword_table
-        update = world.update_keywords(2, ["t4"])
+        update = world.apply_ops([relabel(2, ["t4"])])
         assert update.index_rebuilt
         assert world.index.postings(table.id_of("t2")).tolist() == [5, 7]
         assert world.index.postings(table.id_of("t4")).tolist() == [2, 4]
         assert_indexes_current(world)
 
     def test_a_new_word_gets_a_posting_list(self, world):
-        world.update_keywords(6, ["t1", "harbour"])
+        world.apply_ops([relabel(6, ["t1", "harbour"])])
         assert world.index.postings(world.graph.keyword_table.id_of("harbour")).tolist() == [6]
         assert_indexes_current(world)
 
     def test_removing_the_only_carrier_empties_the_list(self, world):
         t5 = world.graph.keyword_table.id_of("t5")
-        world.update_keywords(1, [])
+        world.apply_ops([relabel(1, [])])
         assert world.index.postings(t5).tolist() == []
         assert world.index.document_frequency(t5) == 0
         assert len(world.index) == 4
 
     def test_edge_recost_keeps_the_index(self, world):
         before = world.index
-        update = world.update_edge_cost(0, 1, objective=2.0)
+        update = world.apply_ops([recost(0, 1, objective=2.0)])
         assert not update.index_rebuilt
         assert world.index is before
 
     def test_closing_a_node_drops_it_and_opening_restores_it(self, world):
         t2 = world.graph.keyword_table.id_of("t2")
-        assert world.close_node(5).index_rebuilt
+        assert world.apply_ops([close(5)]).index_rebuilt
         assert world.index.postings(t2).tolist() == [2, 7]
-        assert world.open_node(5).index_rebuilt
+        assert world.apply_ops([reopen(5)]).index_rebuilt
         assert world.index.postings(t2).tolist() == [2, 5, 7]
         assert_indexes_current(world)
 
@@ -114,7 +115,7 @@ class TestCellIndexes:
         world = grid_world(3)
         before = [state.index for state in world.cells]
         node = 5
-        update = world.update_keywords(node, ["imax"])
+        update = world.apply_ops([relabel(node, ["imax"])])
         assert update.index_rebuilt
         assert update.refreshed_cells == (cell_of(world, node),)
         for state, old in zip(world.cells, before):
@@ -124,7 +125,7 @@ class TestCellIndexes:
     def test_edge_recost_rebuilds_no_index(self):
         world = grid_world(3)
         before = [world.index] + [state.index for state in world.cells]
-        update = world.update_edge_cost(0, 1, objective=3.0)
+        update = world.apply_ops([recost(0, 1, objective=3.0)])
         assert not update.index_rebuilt
         assert [world.index] + [state.index for state in world.cells] == before
 
@@ -146,8 +147,8 @@ class TestCellIndexes:
 
     def test_rebuilt_world_has_equal_indexes(self):
         world = grid_world(3)
-        world.update_keywords(7, ["cafe", "imax"])
-        world.close_node(9)
+        world.apply_ops([relabel(7, ["cafe", "imax"])])
+        world.apply_ops([close(9)])
         fresh = world.rebuilt()
         for kid in range(len(world.graph.keyword_table)):
             assert world.index.postings(kid).tolist() == fresh.index.postings(kid).tolist()

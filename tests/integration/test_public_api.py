@@ -47,3 +47,29 @@ class TestTopLevelExports:
             if name != "__version__" and not (getattr(repro, name).__doc__ or "").strip()
         ]
         assert undocumented == []
+
+
+class TestOneUpdateVerb:
+    """Every change to a served world is ``apply_ops(ops)``: the per-op
+    verbs, the module-level batch function and the engine swap are gone."""
+
+    RETIRED = ("update_edge_cost", "close_node", "open_node", "update_keywords")
+
+    def test_the_per_op_verbs_are_retired(self):
+        from repro.graph.mutation import GraphMutator
+        from repro.service import QueryService, ShardedQueryService
+        from repro.service.base import RoutedService
+        from repro.world import MutableWorld
+
+        for owner in (GraphMutator, MutableWorld, RoutedService, QueryService, ShardedQueryService):
+            assert callable(owner.apply_ops)
+            for name in self.RETIRED:
+                assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+        assert not hasattr(GraphMutator, "apply_op")
+
+    def test_the_batch_function_and_the_engine_swap_are_retired(self):
+        import repro.graph.mutation
+        from repro.service import QueryService
+
+        assert not hasattr(repro.graph.mutation, "resolve_ops")
+        assert not hasattr(QueryService, "replace_engine")

@@ -14,6 +14,8 @@ from repro.prep.partition import (
 )
 from repro.prep.tables import CostTables
 
+from tests.ops import recost
+
 #: The byte-bounded LRUs among the derived caches (the blocks are
 #: bounded by the partition).
 BOUNDED = ("_column_cache", "_row_cache", "_leg_cache", "_mid_cache", "_readers")
@@ -682,7 +684,7 @@ class TestPathMaterialisation:
         old = world.tables
         warm_everywhere(old)
         u, v, objective, budget = _edge_in_cell(world, 0)
-        update = world.update_edge_cost(u, v, objective=objective * 3, budget=budget * 2)
+        update = world.apply_ops([recost(u, v, objective=objective * 3, budget=budget * 2)])
         new = world.tables
         assert update.repaired_cells == (0,)
         counts = assert_caches_read_fresh(new)
@@ -731,7 +733,7 @@ class TestPathMaterialisation:
             for v, objective, budget in world.graph.out_edges(u)
             if cell_of[u] != cell_of[v]
         )
-        world.update_edge_cost(u, v, objective=objective * 1.01, budget=budget)
+        world.apply_ops([recost(u, v, objective=objective * 1.01, budget=budget)])
         new = world.tables
         assert all(mine is theirs for mine, theirs in zip(new.cell_tables, old.cell_tables))
         counts = assert_caches_read_fresh(new)
@@ -755,7 +757,7 @@ class TestPathMaterialisation:
         cell_of = world.partition.cell_of
         for cell in (0, 1):
             u, v, objective, budget = _edge_in_cell(world, cell)
-            world.update_edge_cost(u, v, objective=objective * 3, budget=budget * 2)
+            world.apply_ops([recost(u, v, objective=objective * 3, budget=budget * 2)])
         tables = world.tables
         assert_caches_read_fresh(tables, world.rebuilt().tables)
         held = [key for key, *_ in tables._leg_cache.items() + tables._mid_cache.items()]

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
 from repro.graph.digraph import SpatialKeywordGraph
-from repro.graph.mutation import GraphMutator, MutationError, resolve_ops
+from repro.graph.mutation import GraphMutator, MutationError
 from repro.prep.partition import partition_graph
 from repro.world import MutableWorld
 
+from tests.ops import recost
 from tests.strategies import small_graphs
 
 SLOW = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -119,7 +120,7 @@ def batches(draw, mutator: GraphMutator) -> list[dict]:
             op = {"op": kind, "node": draw(st.sampled_from(open_nodes))}
             if kind == "update_keywords":
                 op["keywords"] = draw(st.lists(st.sampled_from(WORDS), max_size=3))
-        scratch.apply_op(op)
+        scratch.apply_ops([op])
         ops.append(op)
     return ops
 
@@ -132,7 +133,7 @@ class TestCopyOnWriteEqualsRebuild:
         for _step in range(data.draw(st.integers(1, 5))):
             current = mutator.graph
             ops = data.draw(batches(mutator))
-            delta = resolve_ops(mutator, ops)
+            delta = mutator.apply_ops(ops)
             for op in ops:
                 model.apply(op)
             derived = mutator.graph
@@ -173,7 +174,7 @@ class TestTouchedRowsAreValidated:
     def test_bad_weights_raise_graph_error(self, graph, weights):
         mutator = GraphMutator(graph)
         with pytest.raises(GraphError, match="finite and > 0"):
-            mutator.update_edge_cost(0, 1, *weights)
+            mutator.apply_ops([recost(0, 1, *weights)])
         assert mutator.graph is graph
 
     @pytest.mark.parametrize("u, v", [(0, 4), (4, 0), (-1, 0), (0, -1)])
@@ -188,7 +189,7 @@ class TestTouchedRowsAreValidated:
         ]
         for op in ops:
             with pytest.raises(MutationError, match="outside the graph"):
-                mutator.apply_op(op)
+                mutator.apply_ops([op])
         assert mutator.graph is graph
 
     def test_a_duplicate_target_in_a_touched_row_raises(self, graph):

@@ -23,6 +23,7 @@ from repro.graph.mutation import GraphMutator
 from repro.prep.partition import partition_graph
 from repro.world import MutableWorld
 
+from tests.ops import close, recost, reopen
 from tests.prep.test_partition import assert_caches_read_fresh, warm_everywhere
 from tests.properties.test_partition_properties import _partition_of
 
@@ -158,7 +159,7 @@ class TestRepairEqualsRebuild:
             ops = []
             for _op in range(data.draw(st.integers(1, 4))):
                 op = _draw_op(data, mutator, cell_of)
-                mutator.apply_op(op)
+                mutator.apply_ops([op])
                 ops.append(op)
             before = _table_arrays(world)
             snapshot = [array.copy() for array in before]
@@ -191,7 +192,7 @@ class TestNamedCases:
             for v, _o, _b in world.graph.out_edges(u)
             if cell_of[u] == cell_of[v]
         )
-        update = world.update_edge_cost(u, v, objective=2.0)
+        update = world.apply_ops([recost(u, v, objective=2.0)])
         size = len(world.partition.cells[int(cell_of[u])])
         assert {kind: rows[0] for kind, rows in update.swept_rows.items()} == {
             "tau": size,
@@ -211,7 +212,7 @@ class TestNamedCases:
         ]
         world = MutableWorld(_graph_of(4, edges), num_cells=1)
         for objective, budget in ((20.0, 20.0), (11.0, 3.0), (3.0, 11.0)):
-            update = world.update_edge_cost(0, 2, objective=objective, budget=budget)
+            update = world.apply_ops([recost(0, 2, objective=objective, budget=budget)])
             assert update.repaired_cells == (0,)
             assert update.swept_rows == {"tau": (0, 0), "sigma": (0, 0)}
             assert_repair_equals_rebuild(world)
@@ -224,7 +225,7 @@ class TestNamedCases:
             _graph_of(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (0, 2, 5.0, 7.0)]), num_cells=1
         )
         assert world.cells[0].tables.pred_tau[0, 2] == 1
-        update = world.update_edge_cost(0, 2, objective=2.0)
+        update = world.apply_ops([recost(0, 2, objective=2.0)])
         assert update.swept_rows["tau"] == (1, 0)
         assert world.cells[0].tables.pred_tau[0, 2] == 0
         assert world.cells[0].tables.bs_tau[0, 2] == 7.0
@@ -244,10 +245,10 @@ class TestNamedCases:
         ]
         graph = _graph_of(5, edges)
         world = MutableWorld(graph, partition=_partition_of(graph, [0, 0, 0, 1, 1]))
-        world.close_node(2)
+        world.apply_ops([close(2)])
         assert_repair_equals_rebuild(world)
         assert np.isinf(world.tables.os_tau(0, 4))
-        update = world.open_node(2)
+        update = world.apply_ops([reopen(2)])
         assert_repair_equals_rebuild(world)
         assert np.isfinite(world.tables.os_tau(0, 4))
         # Rows 0 and 1 reach node 2 again (in-cell); border 2 reaches 3.
@@ -269,7 +270,7 @@ class TestWarmCachesOverRepairs:
         objective, budget = world.graph.edge(u, v)
         warm_everywhere(world.tables, range(0, world.graph.num_nodes, 4))
         old = world.tables
-        world.update_edge_cost(u, v, objective=objective * factor, budget=budget * factor)
+        world.apply_ops([recost(u, v, objective=objective * factor, budget=budget * factor)])
         fresh = assert_repair_equals_rebuild(world)
         counts = assert_caches_read_fresh(world.tables, fresh.tables)
         return counts, _moved_border_rows(old, world.tables)

@@ -754,37 +754,3 @@ class TestAdminUpdate:
         assert refused.status == 503
         assert accepted.status == 200
         assert accepted.json()["epoch"] == world.epoch == 1
-
-    def test_frontend_without_mutation_support_maps_to_400(self):
-        """A front over a service with no ``apply_ops`` answers 400,
-        not 500 — the transport stays honest about capability."""
-        engine, _queries = random_instance(1)
-
-        class NoMutation:
-            """Delegating proxy that hides the mutation API."""
-
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getattr__(self, name):
-                if name in ("apply_ops", "epoch"):
-                    raise AttributeError(name)
-                return getattr(self._inner, name)
-
-        async def drive():
-            async with AsyncQueryService(NoMutation(QueryService(engine))) as front:
-                app = KORApp(front)
-                response = await asgi_request(
-                    app,
-                    "POST",
-                    "/admin/update",
-                    {"ops": [{"op": "close_node", "node": 0}]},
-                )
-                health = await asgi_request(app, "GET", "/healthz")
-                return response, health
-
-        response, health = asyncio.run(drive())
-        assert response.status == 400
-        assert response.json()["error"]["type"] == "QueryError"
-        # No epoch to report either — the field stays additive.
-        assert "epoch" not in health.json()

@@ -23,6 +23,7 @@ from repro.service import (
     backend_from_name,
 )
 
+from tests.ops import recost
 from tests.service.test_concurrency import result_bytes
 from tests.service.test_differential import random_instance
 
@@ -185,18 +186,18 @@ class TestTraceRule:
 
 
 class TestRegistryHygiene:
-    def test_replace_engine_unregisters_the_old_handle(self):
-        engine_a, queries = random_instance(0)
-        engine_b, _ = random_instance(7)
+    def test_an_update_keeps_one_handle_per_key(self):
+        engine, queries = random_instance(0)
         backend = SerialBackend()
-        service = QueryService(engine_a, backend=backend)
-        assert len(backend.shard_keys) == 1
+        service = QueryService(engine, backend=backend)
         keys = backend.shard_keys
         assert len(keys) == 1
-        for replacement in (engine_b, engine_a):
-            service.replace_engine(replacement)
-            assert service.engine is replacement
-            # The replacement took the retired handle's key: one handle.
+        v, objective, _budget = engine.graph.out_edges(0)[0]
+        for factor in (2.0, 1.0):
+            retired = service.engine
+            service.apply_ops([recost(0, v, objective=objective * factor)])
+            assert service.engine is not retired
+            # The repaired engine took the retired handle's key: one handle.
             assert backend.shard_keys == keys
         assert service.run_batch(queries[:2], algorithm="bucketbound")
 

@@ -2,8 +2,8 @@
 
 PR 1's cache keys describe only (query, algorithm, params) — nothing
 about the graph that answered them.  These tests pin the fix: the cache
-carries an epoch, ``invalidate()`` bumps it, services expose
-``replace_engine`` / ``invalidate_cache``, and writes that captured a
+carries an epoch, ``invalidate()`` bumps it, a service's ``apply_ops``
+and ``invalidate_cache`` both invalidate, and writes that captured a
 superseded epoch are dropped instead of poisoning the new one.
 """
 
@@ -16,6 +16,7 @@ from repro.core.query import KORQuery
 from repro.graph.builder import GraphBuilder
 from repro.service import QueryService, ResultCache, ShardedQueryService
 
+from tests.ops import recost
 from tests.service.test_cache_properties import make_result
 
 
@@ -31,6 +32,9 @@ def line_graph(objective: float):
 
 
 QUERY = KORQuery(0, 2, ("pub",), 8.0)
+
+#: Re-costs ``line_graph(1.0)`` into ``line_graph(5.0)``.
+RECOST_TO_5 = [recost(0, 1, objective=5.0), recost(1, 2, objective=5.0)]
 
 
 class TestResultCacheEpoch:
@@ -48,7 +52,7 @@ class TestResultCacheEpoch:
         """A computation that started before invalidate() cannot land."""
         cache = ResultCache(8)
         epoch = cache.epoch  # captured before the "long computation"
-        cache.invalidate()  # engine swapped mid-flight
+        cache.invalidate()  # an update landed mid-flight
         cache.put("k", make_result(3), epoch=epoch)
         assert "k" not in cache
         assert cache.stats.stale_writes == 1
@@ -67,15 +71,15 @@ class TestResultCacheEpoch:
 
 
 class TestServiceInvalidation:
-    def test_replace_engine_stops_serving_stale_routes(self):
-        """The original bug: same query, rebuilt graph, cached answer."""
+    def test_an_update_stops_serving_stale_routes(self):
+        """The original bug: same query, re-costed graph, cached answer."""
         service = QueryService(KOREngine(line_graph(1.0)), cache_capacity=64)
         before = service.submit(QUERY, algorithm="bucketbound")
         assert before.objective_score == pytest.approx(2.0)
         # Same query again: served from cache (same object).
         assert service.submit(QUERY, algorithm="bucketbound") is before
 
-        service.replace_engine(KOREngine(line_graph(5.0)))
+        service.apply_ops(RECOST_TO_5)
         after = service.submit(QUERY, algorithm="bucketbound")
         assert after is not before
         assert after.objective_score == pytest.approx(10.0)
@@ -91,7 +95,7 @@ class TestServiceInvalidation:
     def test_batch_path_respects_invalidation(self):
         service = QueryService(KOREngine(line_graph(1.0)), cache_capacity=64)
         service.run_batch([QUERY], algorithm="bucketbound")
-        service.replace_engine(KOREngine(line_graph(5.0)))
+        service.apply_ops(RECOST_TO_5)
         results = service.run_batch([QUERY], algorithm="bucketbound")
         assert results[0].objective_score == pytest.approx(10.0)
         assert service.cache.stats.invalidations == 1

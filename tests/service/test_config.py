@@ -25,6 +25,7 @@ from repro.service import (
 from repro.service.batch import DEFAULT_WAVE_SIZE
 from repro.world import MutableWorld
 
+from tests.ops import recost
 from tests.service.test_differential import fingerprint, random_instance
 
 
@@ -187,14 +188,8 @@ class TestFactoryEquivalence:
     def test_factory_built_service_supports_mutation(self, graph):
         service = build_service(MutableWorld(graph, num_cells=2))
         try:
-            epoch = service.update_edge_cost(
-                *next(
-                    (u, v)
-                    for u in range(graph.num_nodes)
-                    for v, _o, _b in graph.out_edges(u)
-                ),
-                objective=2.5,
-            )
+            u, v = next((u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u))
+            epoch = service.apply_ops([recost(u, v, objective=2.5)])
             assert epoch == service.epoch == 1
         finally:
             service.close()

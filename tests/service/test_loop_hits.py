@@ -25,6 +25,7 @@ from repro.service import AsyncQueryService, QueryService, ShardedQueryService
 from repro.service.backends import SerialBackend
 from repro.service.cache import canonical_cache_key
 
+from tests.ops import recost
 from tests.service.test_differential import fingerprint, random_instance
 
 pytestmark = pytest.mark.timeout(120)
@@ -245,7 +246,7 @@ def test_the_new_epoch_is_published_after_the_cache_is_invalidated(tier):
 
     service.cache.invalidate = spy
     try:
-        assert service.update_edge_cost(u, v, objective=9.0) == 1
+        assert service.apply_ops([recost(u, v, objective=9.0)]) == 1
     finally:
         service.close()
     assert seen == [0]
@@ -332,26 +333,3 @@ def test_a_closed_front_end_refuses_a_cached_key(tier):
     assert scheduling["requests"] == 1
     assert scheduling["loop_hits"] == 0
     assert service.cache.stats.hits == 0
-
-
-def test_a_service_without_the_probe_keeps_the_flight_path():
-    """Duck typing: a stub with only ``execute`` is still served."""
-    engine, queries = random_instance(0)
-    inner = QueryService(engine)
-
-    class ExecuteOnly:
-        execute = staticmethod(inner.execute)
-
-    async def drive():
-        async with AsyncQueryService(ExecuteOnly()) as front:
-            first = await front.submit(queries[0])
-            second = await front.submit(queries[0])
-            return first, second, front.scheduling_stats()
-
-    try:
-        first, second, scheduling = asyncio.run(drive())
-    finally:
-        inner.close()
-    assert second is first  # the wrapped execute's own cache answered
-    assert scheduling["loop_hits"] == 0
-    assert scheduling["flights"] == 2

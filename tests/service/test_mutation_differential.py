@@ -24,11 +24,12 @@ import pytest
 
 from repro.core.engine import ALGORITHMS, KOREngine
 from repro.core.query import KORQuery
-from repro.graph.mutation import GraphMutator, resolve_ops
+from repro.graph.mutation import GraphMutator
 from repro.service import ProcessBackend, QueryService, SerialBackend, ShardedQueryService
 from repro.service.faults import FaultPlan, FaultRule, injected
 from repro.world import MutableWorld
 
+from tests.ops import close, recost, relabel, reopen
 from tests.properties.test_repair_properties import assert_repair_equals_rebuild
 from tests.service.test_backend_lifecycle import GatedEngine
 from tests.service.test_differential import (
@@ -101,7 +102,7 @@ def mutation_sequence(graph, seed: int, count: int = SEQUENCE_LENGTH):
             node = rng.choice(open_nodes)
             words = rng.sample(KEYWORD_POOL, rng.randint(0, 2))
             op = {"op": "update_keywords", "node": node, "keywords": words}
-        mutator.apply_op(op)
+        mutator.apply_ops([op])
         ops.append(op)
     return ops
 
@@ -115,7 +116,7 @@ def with_new_word(graph, ops):
     """*ops* plus a last one that gives a node still open at the end
     :data:`NEW_WORD`, and that node."""
     mutator = GraphMutator(graph)
-    resolve_ops(mutator, ops)
+    mutator.apply_ops(ops)
     node = min(u for u in range(graph.num_nodes) if u not in mutator.closed_nodes)
     return ops + [{"op": "update_keywords", "node": node, "keywords": [NEW_WORD]}], node
 
@@ -220,7 +221,7 @@ def test_flat_incremental_matches_fresh_engine(seed, backend_name, service_backe
         assert epochs == sorted(set(epochs))  # one bump per batch, monotonic
 
         oracle_mutator = GraphMutator(engine.graph)
-        resolve_ops(oracle_mutator, ops)
+        oracle_mutator.apply_ops(ops)
         oracle = KOREngine(oracle_mutator.graph)
         queries = query_battery(service.engine.graph, seed, via=via)
         assert_all_algorithms_match(
@@ -262,34 +263,25 @@ def test_sharded_incremental_matches_rebuilt_world(seed, backend_name, service_b
         assert_patched_in_place(backend, before)
 
 
-def test_convenience_methods_equal_wire_ops(service_backend):
-    """The four typed methods and their wire-op spellings are the same
-    mutation (same resulting answers, one epoch bump each)."""
+def test_a_batch_equals_its_ops_one_call_at_a_time(service_backend):
+    """Four ops sent one ``apply_ops`` call each and the same four sent as
+    one batch are the same mutation (same resulting answers), with one
+    epoch bump per call."""
     engine, _ = random_instance(0)
-    via_methods = QueryService(KOREngine(engine.graph), cache_capacity=64)
-    via_ops = QueryService(
-        KOREngine(engine.graph), cache_capacity=64, backend=service_backend
-    )
+    via_calls = QueryService(KOREngine(engine.graph), cache_capacity=64)
+    via_batch = QueryService(KOREngine(engine.graph), cache_capacity=64, backend=service_backend)
 
-    via_methods.update_edge_cost(0, 1, objective=2.5)
-    via_methods.close_node(2)
-    via_methods.open_node(2)
-    via_methods.update_keywords(1, ["imax", "park"])
-    epoch = via_ops.apply_ops(
-        [
-            {"op": "update_edge_cost", "u": 0, "v": 1, "objective": 2.5},
-            {"op": "close_node", "node": 2},
-            {"op": "open_node", "node": 2},
-            {"op": "update_keywords", "node": 1, "keywords": ["imax", "park"]},
-        ]
-    )
-    assert via_methods.epoch == 4  # one bump per method call
+    ops = [recost(0, 1, objective=2.5), close(2), reopen(2), relabel(1, ["imax", "park"])]
+    for op in ops:
+        via_calls.apply_ops([op])
+    epoch = via_batch.apply_ops(ops)
+    assert via_calls.epoch == 4  # one bump per call
     assert epoch == 1  # one bump for the whole batch
 
-    queries = query_battery(via_ops.engine.graph, 0)
+    queries = query_battery(via_batch.engine.graph, 0)
     for algorithm in ("bucketbound", "exact"):
-        lhs = via_methods.run_batch(queries, algorithm=algorithm)
-        rhs = via_ops.run_batch(queries, algorithm=algorithm)
+        lhs = via_calls.run_batch(queries, algorithm=algorithm)
+        rhs = via_batch.run_batch(queries, algorithm=algorithm)
         assert [fingerprint(r) for r in lhs] == [fingerprint(r) for r in rhs]
 
 
@@ -333,7 +325,7 @@ class TestUpdateWhileServing:
 
         ops = mutation_sequence(base_graph, 31, count=5)
         post_mutator = GraphMutator(base_graph)
-        resolve_ops(post_mutator, ops)
+        post_mutator.apply_ops(ops)
         post_oracle = KOREngine(post_mutator.graph)
         post = [fingerprint(post_oracle.run(q, algorithm="exact")) for q in queries]
 
@@ -436,7 +428,7 @@ class TestEpochFence:
         )
         query = KORQuery(u, v, (), 6.0)
         before = service.run_batch([query], algorithm="exact")[0]
-        service.update_edge_cost(u, v, objective=0.25, budget=0.25)
+        service.apply_ops([recost(u, v, objective=0.25, budget=0.25)])
         after = service.run_batch([query], algorithm="exact")[0]
         oracle = KOREngine(service.engine.graph)
         assert fingerprint(after) == fingerprint(oracle.run(query, algorithm="exact"))
@@ -496,12 +488,12 @@ def test_cross_cell_jumps_follow_a_recosted_cell(service_backend):
     old_tables = service.border_engine.tables
     assert len(old_tables._leg_cache) > 0
 
-    service.update_edge_cost(u, v, objective=objective * 8, budget=budget * 8)
+    service.apply_ops([recost(u, v, objective=objective * 8, budget=budget * 8)])
     assert service.border_engine.tables is not old_tables
     during = served()
     assert during == rebuilt()
     assert during != before  # the re-cost moved at least one answer
 
-    service.update_edge_cost(u, v, objective=objective, budget=budget)
+    service.apply_ops([recost(u, v, objective=objective, budget=budget)])
     assert served() == before
     service.close()

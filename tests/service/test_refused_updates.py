@@ -1,7 +1,7 @@
 """A refused update batch changes nothing, on any tier.
 
-``resolve_ops`` validates a batch op by op against a mutator it advances
-as it goes.  Before it was made all-or-nothing, a batch refused at op
+``GraphMutator.apply_ops`` validates a batch op by op against a mutator
+it advances as it goes.  Before it was made all-or-nothing, a batch refused at op
 ``k`` left ops ``0..k-1`` applied to the *graph* while no table had been
 repaired and no epoch had moved: the next accepted update then repaired
 only its own cells, and served a mix — tables that still routed through
@@ -18,6 +18,7 @@ import pytest
 from repro.core.engine import KOREngine
 from repro.datasets import QuerySetConfig, RoadConfig, build_road_graph, generate_query_set
 from repro.graph.mutation import MutationError
+from repro.server.schema import WireError, parse_graph_update
 from repro.service import QueryService, ShardedQueryService, backend_from_name
 from repro.world import MutableWorld
 
@@ -216,32 +217,83 @@ def test_refused_batch_interns_no_word(tier):
     }
 
 
+#: Batches the wire refuses with a 400, by the name of what is wrong and
+#: the words the in-process refusal names it with.
+MALFORMED = {
+    "empty": ([], "at least one op"),
+    "none-batch": (None, "at least one op"),
+    "bare-op": ({"op": "close_node", "node": 1}, "at least one op"),
+    "bare-name": (["close_node"], "must be a mapping"),
+    "no-node": ([{"op": "close_node"}], "needs 'node'"),
+    "no-u": ([{"op": "update_edge_cost", "v": 1, "objective": 2.0}], "needs 'u'"),
+    "bool-node": ([{"op": "close_node", "node": True}], "outside the graph"),
+    "bool-v": (
+        [{"op": "update_edge_cost", "u": 0, "v": True, "objective": 2.0}],
+        "outside the graph",
+    ),
+    "float-node": ([{"op": "close_node", "node": 2.0}], "outside the graph"),
+    "str-weight": (
+        [{"op": "update_edge_cost", "u": 0, "v": 1, "objective": "2"}],
+        "must be a number",
+    ),
+    "bool-weight": (
+        [{"op": "update_edge_cost", "u": 0, "v": 1, "budget": True}],
+        "must be a number",
+    ),
+    "str-keywords": (
+        [{"op": "update_keywords", "node": 1, "keywords": "t1"}],
+        "list of non-empty strings",
+    ),
+    "none-keywords": (
+        [{"op": "update_keywords", "node": 1, "keywords": None}],
+        "list of non-empty strings",
+    ),
+    "set-keywords": (
+        [{"op": "update_keywords", "node": 1, "keywords": {"t1"}}],
+        "list of non-empty strings",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_the_wire_refuses_every_malformed_batch(case):
+    batch, _refusal = MALFORMED[case]
+    with pytest.raises(WireError):
+        parse_graph_update({"ops": batch})
+
+
+@pytest.mark.parametrize("case", MALFORMED)
 @pytest.mark.parametrize("tier", ["world", "flat", "sharded"])
-def test_an_empty_batch_is_refused_and_flushes_nothing(tier):
-    """``apply_ops([])`` changes nothing, so it must not bump the epoch
-    and drop every cached answer with it; the wire refuses
-    ``{"ops": []}`` with 400 by the same rule."""
+def test_a_malformed_batch_is_refused_and_flushes_nothing(tier, case):
+    """What the wire refuses, ``apply_ops`` refuses: no ``True`` read as
+    node 1, no ``"2"`` coerced to 2.0, no ``"t1"`` split into the words
+    ``t`` and ``1``.  And a refused batch changes nothing, so it must not
+    bump the epoch and drop every cached answer with it (``[]`` did)."""
     from repro.core.query import KORQuery
     from repro.graph.generators import figure_1_graph
 
+    batch, refusal = MALFORMED[case]
     graph = figure_1_graph()
     if tier == "world":
         world = MutableWorld(graph, num_cells=2)
-        with pytest.raises(MutationError, match="at least one op"):
-            world.apply_ops([])
-        assert world.epoch == 0 and world.graph is graph
+        index = world.index
+        with pytest.raises(MutationError, match=refusal):
+            world.apply_ops(batch)
+        assert world.epoch == 0 and world.graph is graph and world.index is index
         return
     if tier == "flat":
         service = QueryService(KOREngine(graph), cache_capacity=8)
     else:
         service = ShardedQueryService(world=MutableWorld(graph, num_cells=2), cache_capacity=8)
+    served = service.engine if tier == "flat" else service.world
+    index = served.index
     with service:
         query = KORQuery(0, 7, ("t1",), 10.0)
         answer = service.submit(query, algorithm="bucketbound")
-        with pytest.raises(MutationError, match="at least one op"):
-            service.apply_ops([])
+        with pytest.raises(MutationError, match=refusal):
+            service.apply_ops(batch)
         assert service.epoch == 0
         assert service.cache.stats.invalidations == 0 and len(service.cache) == 1
         assert service.submit(query, algorithm="bucketbound") is answer
-        graph_now = service.engine.graph if tier == "flat" else service.world.graph
-        assert graph_now is graph
+        served = service.engine if tier == "flat" else service.world
+        assert served.graph is graph and served.index is index

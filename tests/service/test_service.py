@@ -18,6 +18,8 @@ from repro.service import (
 from repro.service import stats as stats_module
 from repro.service.stats import ServiceStats, percentile
 
+from tests.ops import close, recost
+
 
 def key_for(source=0, target=1, words=("pub",), delta=4.0, algorithm="bucketbound"):
     return canonical_cache_key(KORQuery(source, target, words, delta), algorithm)
@@ -173,7 +175,7 @@ class TestQueryService:
         before = engine.run(query)
         service = QueryService(engine, cache_capacity=0)
         assert service.engine is engine
-        service.close_node(3)
+        service.apply_ops([close(3)])
         assert service.engine is not engine
         assert service.engine.graph is not fig1_graph
         assert engine.graph is fig1_graph and engine.tables is tables
@@ -194,7 +196,7 @@ class TestQueryService:
                 service.submit(query, algorithm="exhaustive").route
                 == engine.run(query, algorithm="exhaustive").route
             )
-            service.update_edge_cost(0, 3, objective=9.0)
+            service.apply_ops([recost(0, 3, objective=9.0)])
             fresh = KOREngine(service.engine.graph)
             for algorithm in ALGORITHMS:
                 assert (
