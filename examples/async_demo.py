@@ -99,12 +99,12 @@ async def main_async():
         print(f"  patient client got OS={result.objective_score:.2f} "
               f"(timeouts recorded: {front.snapshot().timeouts})\n")
 
-    # -- sharded service: same front-end, partition-routed back end ----
+    # -- sharded service: same front-end, one cross-cell engine -------
     sharded = ShardedQueryService(graph, num_cells=4, cache_capacity=1024)
     async with AsyncQueryService(sharded, close_service=True) as front:
         sharded_results = await serve_concurrently(front, queries)
-        plans = sharded.snapshot().merge_wins
-        print(f"sharded async burst: {len(sharded_results)} answers; merge wins: {plans}")
+        outcomes = sharded.snapshot().merge_wins
+        print(f"sharded async burst: {len(sharded_results)} answers; outcomes: {outcomes}")
 
     matching = sum(
         1

@@ -1,19 +1,18 @@
 #!/usr/bin/env python
-"""Sharded serving demo: partition-routed KOR over a Flickr-like city.
+"""Sharded serving demo: partitioned KOR over a Flickr-like city.
 
 Walks through the full ShardedQueryService story:
 
-1. partition the city graph into cells and build one engine per cell,
-   plus the cross-cell BorderEngine that assembles full-graph answers
-   from the cells' own tables and a border-to-border tier — no flat
-   global engine anywhere;
-2. show the routing rule at work — which queries get a cell-local
-   attempt, which go straight to the cross-cell assembly, and why;
+1. partition the city graph into cells, each with its own small cost
+   tables, and serve one cross-cell BorderEngine that assembles
+   full-graph answers from the cells' tables and a border-to-border
+   tier — no flat global engine anywhere;
+2. show that every query, wherever it lies, is one search on that
+   engine;
 3. run the same batch on both execution backends (serial: waves inline;
    process: each wave on the least-loaded of two worker lanes) and
    compare wall clock, plus the engines each lane built;
-4. read the per-shard task counters and scatter-merge wins off the
-   service stats.
+4. read the task counters and search outcomes off the service stats.
 
 Run:  PYTHONPATH=src python examples/sharded_demo.py
 """
@@ -37,7 +36,7 @@ def build_city():
 
 def build_batch(service, count=30, seed=11):
     """Distinct queries drawn from the city's own vocabulary."""
-    engine = service.border_engine  # full-graph view, partitioned tables
+    engine = service.engine  # full-graph view, partitioned tables
     config = QuerySetConfig(
         num_queries=count, num_keywords=3, budget_limit=5.0, seed=seed
     )
@@ -49,9 +48,9 @@ def main():
     print(f"flickr-like city: {graph.num_nodes} locations, {graph.num_edges} arcs")
 
     service = ShardedQueryService(graph, backend=SerialBackend(), cache_capacity=0)
-    sizes = [shard.num_nodes for shard in service.shards]
+    sizes = [len(state.to_global) for state in service.world.cells]
     flat_mb = PartitionedCostTables.flat_memory_bytes(graph.num_nodes) / 1e6
-    borders = len(service.border_engine.partition.border_nodes)
+    borders = service.engine.num_border_nodes
     print(
         f"partitioned into {service.num_shards} cells of {min(sizes)}-{max(sizes)} "
         f"nodes + a {borders}-node border tier "
@@ -61,13 +60,11 @@ def main():
 
     batch = build_batch(service)
     plans = Counter(service.plan_of(query) for query in batch)
-    print(f"routing {len(batch)} queries: ", dict(plans))
+    print(f"plans of {len(batch)} queries: ", dict(plans))
     print(
-        "  'local' races the owning cell's engine against the cross-cell\n"
-        "  BorderEngine in one wave and keeps the better objective score;\n"
-        "  everything else runs on the BorderEngine alone.  Border-table\n"
-        "  assembly is exact, so feasibility always matches a flat engine\n"
-        "  for the complete algorithms.\n"
+        "  every query is one search on the cross-cell BorderEngine, in\n"
+        "  global node ids.  Border-table assembly is exact, so feasibility\n"
+        "  always matches a flat engine for the complete algorithms.\n"
     )
 
     backends = (
@@ -94,14 +91,14 @@ def main():
 
     service.run_batch(batch, algorithm="bucketbound")
     snapshot = service.snapshot()
-    print("per-shard task counters:")
+    print("task counters:")
     for shard, tasks in sorted(snapshot.shard_tasks.items()):
         print(f"  {shard:18s} {tasks:4d} tasks")
     if snapshot.merge_wins:
         wins = ", ".join(
             f"{winner}={count}" for winner, count in sorted(snapshot.merge_wins.items())
         )
-        print(f"scatter-merge wins: {wins}")
+        print(f"search outcomes: {wins}")
     print("\nserving metrics:", snapshot.describe())
 
     best = min(

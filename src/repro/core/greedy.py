@@ -162,7 +162,9 @@ def greedy(
             )
             return
         leaves.append(
-            _Leaf(waypoints, mask, os + float(os_tau_t[current]), bs + float(bs_tau_t[current]), "tau")
+            _Leaf(
+                waypoints, mask, os + float(os_tau_t[current]), bs + float(bs_tau_t[current]), "tau"
+            )
         )
 
     def extend(waypoints: tuple[int, ...], mask: int, os: float, bs: float) -> None:
@@ -243,7 +245,9 @@ def _materialize(
         nodes.extend(tables.tau_path(prev, nxt)[1:])
     last = leaf.waypoints[-1]
     segment = (
-        tables.tau_path(last, target) if leaf.completion == "tau" else tables.sigma_path(last, target)
+        tables.tau_path(last, target)
+        if leaf.completion == "tau"
+        else tables.sigma_path(last, target)
     )
     nodes.extend(segment[1:])
     return Route.from_nodes(graph, nodes)

@@ -100,10 +100,6 @@ class KORResult:
     within_budget: bool
     stats: SearchStats = field(default_factory=SearchStats)
     failure_reason: str | None = None
-    #: True when a failure forced a fallback answer (e.g. the cross-cell
-    #: attempt missed its deadline and the cell-local result stood in).
-    #: Exact answers are never flagged.
-    degraded: bool = False
 
     @property
     def found(self) -> bool:

@@ -337,7 +337,9 @@ class SpatialKeywordGraph:
             self._csr_cache = (indptr, indices, objectives, budgets)
         return self._csr_cache
 
-    def induced_subgraph(self, nodes: Sequence[int]) -> tuple["SpatialKeywordGraph", dict[int, int]]:
+    def induced_subgraph(
+        self, nodes: Sequence[int]
+    ) -> tuple["SpatialKeywordGraph", dict[int, int]]:
         """Subgraph induced by *nodes*, re-indexed densely.
 
         Returns the new graph plus the mapping ``old id -> new id``.  The

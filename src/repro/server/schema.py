@@ -270,7 +270,6 @@ ROUTE_RESULT = Message("route_result", (
     ))),
     Field("route", "node_list", "nullable"),
     Field("failure_reason", "str", "nullable"),
-    Field("degraded", "bool", "optional"),
     Field("epoch", "integer", "optional", range(2**63)),
     Field("explain", "object", "optional"),
 ), (_found_route_score, _feasible))
@@ -465,12 +464,8 @@ def encode_route_result(
         "route": [int(node) for node in route.nodes] if route is not None else None,
         "failure_reason": result.failure_reason,
     }
-    if result.degraded:
-        # v1-compatible extension: the key appears only on degraded
-        # answers, so normal responses stay byte-identical to before.
-        payload["degraded"] = True
     if epoch is not None:
-        # Same additive pattern: only epoch-tracking servers emit it.
+        # v1-compatible extension: only epoch-tracking servers emit it.
         payload["epoch"] = int(epoch)
     if explain:
         payload["explain"] = {"search": asdict(result.stats)}
@@ -561,7 +556,6 @@ def decode_route_result(payload: Mapping) -> KORResult:
         within_budget=payload["within_budget"],
         stats=stats,
         failure_reason=payload["failure_reason"],
-        degraded=payload.get("degraded", False),
     )
 
 

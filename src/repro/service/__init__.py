@@ -107,7 +107,7 @@ from repro.service.config import ServiceConfig, build_service
 from repro.service.crosscell import BorderEngine
 from repro.service.frontend import AsyncQueryService
 from repro.service.service import QueryService
-from repro.service.sharding import Shard, ShardedQueryService
+from repro.service.sharding import ShardedQueryService
 from repro.service.stats import ServiceStats, StatsSnapshot
 
 __all__ = [
@@ -127,7 +127,6 @@ __all__ = [
     "SerialBackend",
     "ServiceConfig",
     "ServiceStats",
-    "Shard",
     "ShardedQueryService",
     "StatsSnapshot",
     "TaskOutcome",

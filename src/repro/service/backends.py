@@ -761,7 +761,7 @@ class ProcessBackend(ExecutionBackend):
             admitted = [min(self._lanes, key=lambda lane: (lane.open_until, lane.index))]
         return admitted
 
-    def _route_locked(self, shard: str) -> _Lane:
+    def _pick_lane_locked(self, shard: str) -> _Lane:
         """Pick the lane for one wave (caller holds the route lock): the
         least-loaded admitting lane, ties to the lowest index."""
         lanes = self._admitting_lanes_locked()
@@ -837,7 +837,7 @@ class ProcessBackend(ExecutionBackend):
 
     def _dispatch(self, task: WaveTask, outer: Future, retried: bool) -> None:
         with self._route_lock:
-            lane = self._route_locked(task.shard)
+            lane = self._pick_lane_locked(task.shard)
             executor = self._lane_executor_locked(lane)
             generation = lane.generation
             lane.pending += 1

@@ -8,7 +8,7 @@ these:
    reordered keyword list still hits) and the remaining misses are
    deduplicated *within* the batch — two slots with the same canonical
    key share one computation (:func:`dedup_units`);
-2. the unique computations' attempts go through :func:`dispatch_waves`,
+2. the unique computations go through :func:`dispatch_waves`,
    the one dispatch path: chunked into **waves** of up to
    :data:`DEFAULT_WAVE_SIZE` queries, each chunk shipped as one
    :class:`~repro.service.backends.WaveTask` through the caller's
@@ -65,12 +65,8 @@ class BatchItem:
     error: Exception | None = None
     cached: bool = False
     latency_seconds: float = 0.0
-    #: Key of the engine handle whose answer won (the one cell's on the
-    #: flat service); None for cache hits.
+    #: Key of the engine handle that answered; None for cache hits.
     shard: str | None = None
-    #: Routing decision (``local`` / ``endpoints-span-cells`` / ...);
-    #: None for cache hits, which never reach the router.
-    plan: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -131,11 +127,6 @@ class _Unit:
     query: KORQuery
     slots: list[int]
     key: Hashable | None = None
-    result: KORResult | None = None
-    error: Exception | None = None
-    latency_seconds: float = 0.0
-    shard: str | None = None
-    plan: str | None = None
 
 
 def dedup_units(
@@ -186,20 +177,21 @@ def batch_keys(
 
 def dispatch_waves(
     backend: ExecutionBackend,
-    attempts: Sequence[tuple[str, KORQuery]],
+    shard: str,
+    queries: Sequence[KORQuery],
     algorithm: str,
     params: dict,
     deadline: Deadline | None,
     wave_size: int,
     stats=None,
 ) -> list[TaskOutcome]:
-    """Run every ``(shard key, query)`` attempt; outcomes in attempt order.
+    """Run every query on the handle *shard*; outcomes in query order.
 
-    The sync service's one dispatch path.  Attempts are grouped by
-    shard key, every group is chunked by *wave_size*, and each chunk
-    ships as one :class:`~repro.service.backends.WaveTask` through
+    The sync service's one dispatch path.  The queries are chunked by
+    *wave_size*, and each chunk ships as one
+    :class:`~repro.service.backends.WaveTask` through
     ``backend.submit_wave`` — every wave is submitted before any is
-    awaited, so process lanes run them side by side; a lone attempt is a
+    awaited, so process lanes run them side by side; a lone query is a
     wave of one.  Member-level failures arrive inside the wave's outcome
     list; a multi-member wave whose *submission* broke (future raised,
     was cancelled, or resolved to something that is not one outcome per
@@ -209,15 +201,11 @@ def dispatch_waves(
     ``stats``, when given, is a :class:`~repro.service.stats.ServiceStats`
     (or anything with ``record_wave`` / ``record_wave_solo``) receiving
     the occupancy counters: multi-member waves count as formed, lone
-    attempts and member-wise retries as solo.
+    queries and member-wise retries as solo.
     """
-    groups: dict[str, list[int]] = {}
-    for position, (shard, _query) in enumerate(attempts):
-        groups.setdefault(shard, []).append(position)
     chunks = [
-        positions[lo : lo + wave_size]
-        for positions in groups.values()
-        for lo in range(0, len(positions), wave_size)
+        list(range(lo, min(lo + wave_size, len(queries))))
+        for lo in range(0, len(queries), wave_size)
     ]
     if stats is not None:
         for chunk in chunks:
@@ -226,15 +214,15 @@ def dispatch_waves(
             else:
                 stats.record_wave_solo()
 
-    outcomes: list[TaskOutcome | None] = [None] * len(attempts)
+    outcomes: list[TaskOutcome | None] = [None] * len(queries)
 
     def run(chunks: list[list[int]]) -> list[tuple[list[int], Exception]]:
         """Ship *chunks* as waves and file their outcomes; returns the
         chunks whose submission broke, each with the reason."""
         waves = [
             WaveTask.build(
-                attempts[chunk[0]][0],
-                [attempts[position][1] for position in chunk],
+                shard,
+                [queries[position] for position in chunk],
                 algorithm,
                 params,
                 deadline=deadline,

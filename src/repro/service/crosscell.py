@@ -1,14 +1,11 @@
 """``BorderEngine`` — cross-cell KOR answering over border tables.
 
-The sharded service used to keep a full flat
-:class:`~repro.core.engine.KOREngine` as its "global tier", which meant
-every service paid ``O(n^2)`` floats *on top of* the per-cell tables —
-memory grew with the cell count instead of shrinking.  This module
-completes the partition architecture instead: a :class:`BorderEngine`
+A :class:`BorderEngine` is the one engine a sharded service serves: it
 answers any KOR/KkR query over the **full** graph, but its cost tables
-are a :class:`repro.prep.partition.PartitionedCostTables` — per-cell
-all-pairs tables (shared with the cell engines, not duplicated) plus
-border-to-border tables holding exact full-graph scores.
+are a :class:`repro.prep.partition.PartitionedCostTables` — the world's
+per-cell all-pairs tables (the unit of repair, not duplicated) plus
+border-to-border tables holding exact full-graph scores — so no service
+pays the ``O(n^2)`` floats of a flat global table.
 
 Why this is exact
 -----------------

@@ -23,7 +23,7 @@ workload replays the same fault schedule every time.
 The chaos suites (`tests/service/test_chaos.py`) drive seeded plans
 through the differential oracle: every response that *survives* a fault
 plan must be byte-identical to the flat engine's answer — faults may
-cost retries, degraded flags or errors, never silently-wrong routes.
+cost retries or errors, never silently-wrong routes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import QueryError
 

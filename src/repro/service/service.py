@@ -63,9 +63,3 @@ class QueryService(RoutedService):
     def from_graph(cls, graph, **kwargs) -> "QueryService":
         """Convenience: pre-process *graph* and serve it."""
         return cls(KOREngine(graph), **kwargs)
-
-    @property
-    def engine(self) -> KOREngine:
-        """The engine serving now: the one given until the first update,
-        then the one over the repaired tables."""
-        return self._shards[0].engine

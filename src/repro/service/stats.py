@@ -71,10 +71,11 @@ class StatsSnapshot:
     shard_tasks: dict = field(default_factory=dict)
     #: Shard key -> tasks that raised there.
     shard_errors: dict = field(default_factory=dict)
-    #: Scatter-merge outcomes of a sync service: how many computed
-    #: queries were won by the cell attempt (``cell``), by the
-    #: cross-cell assembly (``crosscell``), proven infeasible
-    #: (``infeasible``) or failed outright (``error``).
+    #: Outcomes of a sync service's searches: how many computed queries
+    #: the one cell's engine (``cell``) or the cross-cell engine
+    #: (``crosscell``) answered with a feasible route, how many were
+    #: proven infeasible (``infeasible``) and how many failed outright
+    #: (``error``).
     merge_wins: dict = field(default_factory=dict)
     #: Requests served by coalescing onto another caller's in-flight
     #: computation (single-flight) instead of computing themselves.
@@ -254,9 +255,8 @@ class ServiceStats:
     def record_shard(self, shard: str, tasks: int = 1, errors: int = 0) -> None:
         """Account *tasks* executed (and *errors* raised) on one shard.
 
-        These count backend *tasks*, not client queries: one scatter-
-        gathered query contributes to every shard it touched, and cache
-        hits contribute nowhere.
+        These count backend *tasks*: each computed query is one task on
+        its service's one handle, and cache hits contribute nowhere.
         """
         with self._lock:
             self._shard_tasks[shard] = self._shard_tasks.get(shard, 0) + tasks
@@ -264,8 +264,8 @@ class ServiceStats:
                 self._shard_errors[shard] = self._shard_errors.get(shard, 0) + errors
 
     def record_merge(self, winner: str) -> None:
-        """Account one scatter-merge outcome (``cell`` / ``crosscell`` /
-        ``degraded`` / ``infeasible`` / ``error``)."""
+        """Account one search outcome (``cell`` / ``crosscell`` /
+        ``infeasible`` / ``error``)."""
         with self._lock:
             self._merge_wins[winner] = self._merge_wins.get(winner, 0) + 1
 

@@ -3,8 +3,8 @@
 Every table in this reproduction is build-once (cell cost tables, border
 tables, inverted indexes), but a production router sees traffic shifts
 and closures.  This module wraps the whole pre-processed state — graph,
-partition, per-cell :class:`~repro.prep.tables.CostTables` and indexes,
-the partitioned border tier and the full-graph inverted index — behind
+partition, per-cell :class:`~repro.prep.tables.CostTables`, the
+partitioned border tier and the full-graph inverted index — behind
 one update call, :meth:`MutableWorld.apply_ops` (a batch of the ops
 :meth:`~repro.graph.mutation.GraphMutator.apply_ops` validates), and
 performs **incremental repair**: the partition is the unit of repair, so
@@ -15,9 +15,9 @@ rows the change can move.
 What each operation actually invalidates:
 
 =====================  ==========================================================
-edge change in cell C  C's tables + the border tier (cell indexes untouched)
+edge change in cell C  C's tables + the border tier (the index untouched)
 cross-cell edge        the border tier only (no cell contains the edge)
-keyword change at v    v's cell's subgraph + index, and the full index —
+keyword change at v    v's cell's subgraph and the full index —
                        **no** cost table anywhere (costs ignore keywords)
 close/open node v      both of the above (edges and keywords change together)
 =====================  ==========================================================
@@ -88,9 +88,9 @@ class CellState:
     """One cell's pre-processed serving state.
 
     ``to_global[local_id] == global_id``; ``to_local`` is the inverse.
-    ``subgraph``/``tables``/``index`` are rebuilt (only) when a repair
-    touches this cell — compare object identities across updates to see
-    what a repair actually recomputed.
+    ``subgraph``/``tables`` are rebuilt (only) when a repair touches this
+    cell — compare object identities across updates to see what a repair
+    actually recomputed.
     """
 
     cell: int
@@ -98,10 +98,9 @@ class CellState:
     to_local: dict[int, int]
     to_global: np.ndarray
     tables: CostTables
-    index: InvertedIndex
 
 
-def _whole_cell(graph: SpatialKeywordGraph, tables, index) -> CellState:
+def _whole_cell(graph: SpatialKeywordGraph, tables) -> CellState:
     """The one cell of a one-cell world: the graph itself, identity ids."""
     n = graph.num_nodes
     return CellState(
@@ -110,7 +109,6 @@ def _whole_cell(graph: SpatialKeywordGraph, tables, index) -> CellState:
         to_local={v: v for v in range(n)},
         to_global=np.arange(n, dtype=np.int64),
         tables=tables,
-        index=index,
     )
 
 
@@ -119,15 +117,15 @@ class WorldUpdate:
     """What one applied delta changed (the repair receipt).
 
     ``repaired_cells`` lists cells whose *cost tables* were rebuilt;
-    ``refreshed_cells`` lists cells whose subgraph (and possibly index)
-    was refreshed for any reason — always a superset of
+    ``refreshed_cells`` lists cells whose subgraph was refreshed for any
+    reason — always a superset of
     ``repaired_cells``.  ``border_rebuilt`` / ``index_rebuilt`` flag the
     border tier and the full-graph inverted index.  ``swept_rows`` maps
     each kind (``"tau"``, ``"sigma"``) to the source rows the repair
     swept again: ``(cell rows, summed over the repaired cells, overlay
     rows)``; every other row was copied.  The serving layer turns this
-    receipt into per-shard patches of the replaced parts for its
-    execution backend.
+    receipt into a patch of the replaced parts for its execution
+    backend.
     """
 
     epoch: int
@@ -139,7 +137,7 @@ class WorldUpdate:
 
 
 class MutableWorld:
-    """Graph + partitioned tables + indexes with incremental repair.
+    """Graph + partitioned tables + index with incremental repair.
 
     Parameters
     ----------
@@ -172,6 +170,7 @@ class MutableWorld:
         self._partition = partition
         self._mutator = GraphMutator(graph)
         self._epoch = 0
+        self._index = InvertedIndex.from_graph(graph)
         self._install(
             *(self._build_cell(cell, nodes) for cell, nodes in enumerate(partition.cells))
         )
@@ -190,7 +189,8 @@ class MutableWorld:
         world._partition = partition_graph(graph, 1)
         world._mutator = GraphMutator(graph)
         world._epoch = 0
-        world._install(_whole_cell(graph, tables, engine.index))
+        world._index = engine.index
+        world._install(_whole_cell(graph, tables))
         return world
 
     def _install(self, *cells: CellState) -> None:
@@ -201,10 +201,6 @@ class MutableWorld:
             cell_tables=tuple(state.tables for state in cells),
             predecessors=True,
         )
-        # With one cell the subgraph is the whole graph: its index
-        # already covers everything, so the full index is shared rather
-        # than built twice.
-        self._index = cells[0].index if len(cells) == 1 else InvertedIndex.from_graph(self.graph)
 
     # ------------------------------------------------------------------
     # accessors
@@ -281,8 +277,7 @@ class MutableWorld:
     def _build_cell(self, cell: int, nodes: np.ndarray) -> CellState:
         graph = self.graph
         if self._partition.num_cells == 1:
-            tables = CostTables.from_graph(graph, predecessors=True)
-            return _whole_cell(graph, tables, InvertedIndex.from_graph(graph))
+            return _whole_cell(graph, CostTables.from_graph(graph, predecessors=True))
         subgraph, to_local = graph.induced_subgraph([int(v) for v in nodes])
         return CellState(
             cell=cell,
@@ -290,7 +285,6 @@ class MutableWorld:
             to_local=to_local,
             to_global=np.array(sorted(to_local), dtype=np.int64),
             tables=CostTables.from_graph(subgraph, predecessors=True),
-            index=InvertedIndex.from_graph(subgraph),
         )
 
     def _apply(self, delta: GraphDelta) -> WorldUpdate:
@@ -303,7 +297,7 @@ class MutableWorld:
                 in_cell.setdefault(int(cell_of[u]), []).append((u, v))
             else:
                 cut_edges.append((u, v))
-        relabelled: dict[int, list[int]] = {}  # cells whose index is stale
+        relabelled: dict[int, list[int]] = {}  # cells whose keyword sets are stale
         for node, _words in delta.keywords:
             relabelled.setdefault(int(cell_of[node]), []).append(node)
         refresh = set(in_cell) | set(relabelled)  # cells whose subgraph is stale
@@ -348,8 +342,6 @@ class MutableWorld:
                 to_local=old.to_local,
                 to_global=old.to_global,
                 tables=tables,
-                # Keywords unchanged -> the old postings still describe it.
-                index=InvertedIndex.from_graph(subgraph) if nodes else old.index,
             )
         self._cells = tuple(cells)
 
@@ -367,11 +359,7 @@ class MutableWorld:
 
         index_rebuilt = bool(delta.keywords)
         if index_rebuilt:
-            self._index = (
-                self._cells[0].index
-                if len(self._cells) == 1
-                else InvertedIndex.from_graph(graph)
-            )
+            self._index = InvertedIndex.from_graph(graph)
 
         self._epoch += 1
         return WorldUpdate(

@@ -31,9 +31,11 @@ from repro.service.backends import WaveTask, run_wave_on_engine
 from tests.service.test_differential import random_instance
 
 #: What the lockstep wave path produced at the commit that deleted it
-#: (``flat``: one wave per stream; ``sharded``: a two-cell
-#: ``ShardedQueryService.execute`` per stream, identical on all three
-#: backends).  Stat counters are stored in ``stat_fields`` order.
+#: (``flat``: one wave per stream), and what a two-cell
+#: ``ShardedQueryService.execute`` per stream produces (``sharded``,
+#: identical on every backend; recorded when a sharded query became one
+#: search on the cross-cell engine).  Stat counters are stored in
+#: ``stat_fields`` order.
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent.parent / "golden" / "wave_fingerprints.json").read_text()
 )

@@ -110,7 +110,11 @@ class TestOptimisationStrategies:
         graph = small_flickr_engine.graph
         vocabulary = small_flickr_engine.index.vocabulary
         rare = min(
-            (kid for kid in range(len(graph.keyword_table)) if vocabulary.document_frequency(kid) > 0),
+            (
+                kid
+                for kid in range(len(graph.keyword_table))
+                if vocabulary.document_frequency(kid) > 0
+            ),
             key=vocabulary.document_frequency,
         )
         word = graph.keyword_table.word_of(rare)

@@ -72,7 +72,9 @@ class TestExactMode:
 class TestBounds:
     def test_theorem2_ratio(self, graph):
         assert ScalingContext.for_query(graph, 10.0, 0.5).approximation_ratio() == 2.0
-        assert ScalingContext.for_query(graph, 10.0, 0.9).approximation_ratio() == pytest.approx(10.0)
+        assert ScalingContext.for_query(graph, 10.0, 0.9).approximation_ratio() == pytest.approx(
+            10.0
+        )
 
     def test_lemma1_label_bound(self, graph):
         """2^m * floor(Delta/b_min) * floor(o_max*Delta/(eps*o_min*b_min))."""

@@ -107,7 +107,9 @@ class TestTransforms:
         # Edge (2, 6) of the original graph survives under new ids.
         assert sub.has_edge(mapping[2], mapping[6])
         # Edge (0, 1) does not: node 1 was dropped.
-        assert all(not sub.has_edge(mapping[0], j) for j in range(4) if j != mapping[3] and j != mapping[2])
+        assert all(
+            not sub.has_edge(mapping[0], j) for j in range(4) if j != mapping[3] and j != mapping[2]
+        )
 
     def test_induced_subgraph_keeps_weights(self):
         graph = figure_1_graph()

@@ -173,7 +173,11 @@ class TestGraphMutator:
         nothing is applied or remembered."""
         mutator = GraphMutator(small_graph())
         graph = mutator.graph
-        for kwargs in ({"objective": weight}, {"budget": weight}, {"objective": weight, "budget": weight}):
+        for kwargs in (
+            {"objective": weight},
+            {"budget": weight},
+            {"objective": weight, "budget": weight},
+        ):
             with pytest.raises(MutationError, match=r"must lie in \[1e-09, 1000000000\.0\]"):
                 mutator.apply_ops([recost(0, 1, **kwargs)])
         assert mutator.graph is graph

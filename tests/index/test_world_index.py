@@ -1,11 +1,9 @@
-"""The inverted files of a ``MutableWorld`` follow its keyword updates.
+"""The inverted file of a ``MutableWorld`` follows its keyword updates.
 
-A world holds one index per cell (over the cell's subgraph, in local
-ids) plus the full-graph index the search binds against.  Keyword
-updates, closures and re-openings rebuild the indexes of the cells they
-touch and the full-graph one; edge re-costs rebuild none.  After any
-sequence of updates every index must equal one built from scratch over
-the current graph.
+A world holds one index, over the full graph, which the search binds
+against.  Keyword updates, closures and re-openings rebuild it; edge
+re-costs do not.  After any sequence of updates it must equal one built
+from scratch over the current graph.
 """
 
 import pytest
@@ -17,24 +15,20 @@ from repro.exceptions import ReproError
 from repro.graph.generators import figure_1_graph, grid_graph
 from repro.world import MutableWorld
 
-from tests.index.test_inverted import assert_matches_scan, scanned_postings
+from tests.index.test_inverted import assert_matches_scan
 from tests.ops import close, recost, relabel, reopen
 
 WORDS = ("pub", "mall", "cafe", "park")
 
 
 def assert_indexes_current(world: MutableWorld) -> None:
-    """The full index and every cell index equal a scan of the graph."""
+    """The index equals a scan of the graph, and so does every cell
+    subgraph's keyword sets (the cells' keywords follow the graph)."""
     graph = world.graph
     assert_matches_scan(world.index, graph)
-    carriers = scanned_postings(graph)
     for state in world.cells:
-        members = set(state.to_global.tolist())
-        for kid, nodes in carriers.items():
-            local = state.index.postings(kid)
-            assert [int(state.to_global[v]) for v in local] == [
-                v for v in nodes if v in members
-            ], f"cell {state.cell}, keyword id {kid}"
+        for local, node in enumerate(state.to_global.tolist()):
+            assert state.subgraph.node_keywords(local) == graph.node_keywords(node)
 
 
 def grid_world(num_cells: int) -> MutableWorld:
@@ -50,11 +44,6 @@ class TestFlatWorld:
     @pytest.fixture()
     def world(self):
         return MutableWorld.from_engine(KOREngine(figure_1_graph()))
-
-    def test_the_one_cell_shares_the_full_index(self, world):
-        assert world.index is world.cells[0].index
-        world.apply_ops([relabel(2, ["t4"])])
-        assert world.index is world.cells[0].index
 
     def test_from_engine_adopts_the_engines_index(self):
         engine = KOREngine(figure_1_graph())
@@ -113,21 +102,21 @@ class TestCellIndexes:
 
     def test_keyword_update_refreshes_only_its_cell(self):
         world = grid_world(3)
-        before = [state.index for state in world.cells]
+        before = [state.subgraph for state in world.cells]
         node = 5
         update = world.apply_ops([relabel(node, ["imax"])])
         assert update.index_rebuilt
         assert update.refreshed_cells == (cell_of(world, node),)
         for state, old in zip(world.cells, before):
-            assert (state.index is old) == (state.cell != cell_of(world, node))
+            assert (state.subgraph is old) == (state.cell != cell_of(world, node))
         assert_indexes_current(world)
 
     def test_edge_recost_rebuilds_no_index(self):
         world = grid_world(3)
-        before = [world.index] + [state.index for state in world.cells]
+        before = world.index
         update = world.apply_ops([recost(0, 1, objective=3.0)])
         assert not update.index_rebuilt
-        assert [world.index] + [state.index for state in world.cells] == before
+        assert world.index is before
 
     def test_one_batch_over_two_cells_refreshes_both(self):
         world = grid_world(3)
@@ -152,8 +141,6 @@ class TestCellIndexes:
         fresh = world.rebuilt()
         for kid in range(len(world.graph.keyword_table)):
             assert world.index.postings(kid).tolist() == fresh.index.postings(kid).tolist()
-            for state, rebuilt in zip(world.cells, fresh.cells):
-                assert state.index.postings(kid).tolist() == rebuilt.index.postings(kid).tolist()
 
 
 @st.composite

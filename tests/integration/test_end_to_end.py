@@ -33,7 +33,9 @@ def run_kor(request, small_flickr_engine, small_flickr_service):
 
 
 class TestFlickrPipeline:
-    def test_all_algorithms_run_on_generated_queries(self, small_flickr_engine, run_kor, query_battery):
+    def test_all_algorithms_run_on_generated_queries(
+        self, small_flickr_engine, run_kor, query_battery
+    ):
         for query in query_battery:
             for algorithm in ("osscaling", "bucketbound", "greedy", "greedy2"):
                 result = run_kor(query, algorithm=algorithm)

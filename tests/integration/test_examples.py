@@ -47,4 +47,4 @@ class TestExamples:
         output = run_example("sharded_demo.py")
         assert "serial  backend:" in output
         assert "process backend:" in output
-        assert "scatter-merge wins" in output
+        assert "search outcomes" in output

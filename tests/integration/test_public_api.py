@@ -73,3 +73,38 @@ class TestOneUpdateVerb:
 
         assert not hasattr(repro.graph.mutation, "resolve_ops")
         assert not hasattr(QueryService, "replace_engine")
+
+
+class TestOneSearchPerQuery:
+    """Every service serves one engine, so every query is one search: the
+    per-cell engines, the cross-cell twin's accessor and the fallback
+    flag are gone."""
+
+    def test_the_cell_attempt_names_are_retired(self):
+        import repro.service
+        import repro.service.base
+        import repro.service.sharding
+        from repro.service import ShardedQueryService
+
+        for module in (repro, repro.service, repro.service.base, repro.service.sharding):
+            assert not hasattr(module, "Shard"), module.__name__
+        assert "Shard" not in repro.service.__all__
+        for name in ("shards", "border_engine"):
+            assert not hasattr(ShardedQueryService, name), name
+
+    def test_results_carry_no_degraded_flag(self):
+        from repro.core.results import KORResult
+
+        assert "degraded" not in KORResult.__dataclass_fields__
+
+    def test_both_tiers_register_one_handle(self):
+        from repro.service import QueryService, ShardedQueryService
+
+        graph = repro.figure_1_graph()
+        for service in (
+            QueryService(repro.KOREngine(graph)),
+            ShardedQueryService(graph, num_cells=2),
+        ):
+            with service:
+                assert len(service.backend.shard_keys) == 1
+                assert isinstance(service.engine, repro.KOREngine)

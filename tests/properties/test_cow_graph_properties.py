@@ -170,7 +170,9 @@ class TestTouchedRowsAreValidated:
 
         return grid_graph(2, 2)
 
-    @pytest.mark.parametrize("weights", [(0.0, 1.0), (1.0, -1.0), (float("nan"), 1.0), (1.0, float("inf"))])
+    @pytest.mark.parametrize(
+        "weights", [(0.0, 1.0), (1.0, -1.0), (float("nan"), 1.0), (1.0, float("inf"))]
+    )
     def test_bad_weights_raise_graph_error(self, graph, weights):
         mutator = GraphMutator(graph)
         with pytest.raises(GraphError, match="finite and > 0"):

@@ -694,7 +694,13 @@ class TestAdminUpdate:
         )
 
         def recost(objective, budget):
-            op = {"op": "update_edge_cost", "u": u, "v": v, "objective": objective, "budget": budget}
+            op = {
+                "op": "update_edge_cost",
+                "u": u,
+                "v": v,
+                "objective": objective,
+                "budget": budget,
+            }
             return asgi_request(app, "POST", "/admin/update", {"ops": [op]})
 
         async def drive():

@@ -25,7 +25,7 @@ from repro.service import (
 
 from tests.ops import recost
 from tests.service.test_concurrency import result_bytes
-from tests.service.test_differential import random_instance
+from tests.service.test_differential import fingerprint, random_instance
 
 BACKEND_FACTORIES = (
     ("serial", lambda: SerialBackend()),
@@ -143,10 +143,10 @@ class TestFailureInjection:
 
 
 class TestTraceRule:
-    """One rule on both names: ``trace`` is accepted where node ids are
-    global and the sink is shared memory — a one-cell service on an
-    in-process backend — and refused on more cells (cell-local ids) or
-    out of process (a pickled copy of the sink would come back empty)."""
+    """One rule on both names and every cell count: ``trace`` is accepted
+    where the sink is shared memory — an in-process backend — and refused
+    out of process (a pickled copy of the sink would come back empty).
+    Every query is one search on ``service.engine``, in global ids."""
 
     @staticmethod
     def traced(service, queries):
@@ -173,16 +173,33 @@ class TestTraceRule:
         engine, queries = random_instance(0)
         with dict(BACKEND_FACTORIES)[name]() as backend:
             service = ShardedQueryService(engine.graph, num_cells=num_cells, backend=backend)
-            if num_cells > 1:
-                with pytest.raises(QueryError, match="not supported on a sharded service"):
-                    self.traced(service, queries)
-            elif backend.in_process:
+            if backend.in_process:
                 events = self.traced(service, queries).events
-                flat = self.traced(QueryService(engine, cache_capacity=0, backend=backend), queries)
-                assert events == flat.events  # global ids, as on the flat name
+                assert events
+                if num_cells == 1:
+                    flat = QueryService(engine, cache_capacity=0, backend=backend)
+                    assert events == self.traced(flat, queries).events  # as on the flat name
             else:
                 with pytest.raises(QueryError, match="cross the process boundary"):
                     self.traced(service, queries)
+
+    @pytest.mark.parametrize("algorithm", ("bucketbound", "osscaling"))
+    def test_two_cell_submit_traces_like_its_engine(self, algorithm):
+        """A traced query on a two-cell service is its engine's traced
+        run: the same events, in global ids, and the same result."""
+        from repro.core.results import SearchTrace
+
+        engine, queries = random_instance(0)
+        with ShardedQueryService(engine.graph, num_cells=2, cache_capacity=0) as service:
+            traced = 0
+            for query in queries:
+                served, direct = SearchTrace(), SearchTrace()
+                result = service.submit(query, algorithm=algorithm, trace=served)
+                expected = service.engine.run(query, algorithm=algorithm, trace=direct)
+                assert served.events == direct.events
+                assert fingerprint(result) == fingerprint(expected)
+                traced += len(served.events)
+            assert traced > 0
 
 
 class TestRegistryHygiene:
@@ -206,7 +223,7 @@ class TestRegistryHygiene:
         engine, queries = random_instance(0)
         backend = SerialBackend()
         first = ShardedQueryService(engine.graph, num_cells=2, backend=backend)
-        assert len(backend.shard_keys) == first.num_shards + 1
+        assert len(backend.shard_keys) == 1
         first.close()
         assert backend.shard_keys == ()
         # The shared backend is still usable by a successor service.

@@ -2,10 +2,10 @@
 
 Every test installs a deterministic :class:`~repro.service.faults.FaultPlan`
 and drives a real workload through the serving stack.  The invariant is
-always the same — **faults may cost errors, retries or degraded flags,
-never silently-wrong routes**: every response that survives a fault plan
-must be fingerprint-identical to the flat engine's answer for the same
-query (degraded responses excepted, and those must carry the flag).
+always the same — **faults may cost errors or retries, never
+silently-wrong routes**: every response that survives a fault plan must
+be fingerprint-identical to the flat engine's answer for the same
+query.
 
 SIGKILL-based scenarios (worker storms, lane breakers) run only on the
 process backend, which is the only tier with workers to kill.
@@ -39,14 +39,11 @@ pytestmark = pytest.mark.timeout(300)
 
 
 def _assert_survivors_match(report, baseline) -> int:
-    """The chaos oracle: surviving slots == flat engine, or flagged."""
+    """The chaos oracle: surviving slots == flat engine."""
     failed = 0
     for item, expected in zip(report.items, baseline):
         if item.result is None:
             failed += 1
-            continue
-        if item.result.degraded:
-            assert item.result.feasible
             continue
         assert fingerprint(item.result) == expected, (
             f"slot {item.index} survived a fault plan with a silently "
@@ -299,7 +296,7 @@ class TestChaosMidWave:
     parent-side kills land while a whole wave is in flight on one lane
     (the dead-worker retry must replay the *wave*), and task-side rules
     fire per member through the wave's ``on_member`` hook mid-batch.
-    The oracle is unchanged: degraded-or-identical, never silently
+    The oracle is unchanged: identical or failed, never silently
     wrong.
     """
 

@@ -216,3 +216,33 @@ class TestHarnessContract:
     def test_sharded_tier_has_a_world(self, graph, service_backend):
         with build_service(graph, tier="sharded", backend=service_backend) as service:
             assert isinstance(service.world, MutableWorld)
+
+    def test_sharded_tier_serves_the_traced_onions_reads(self, graph, service_backend):
+        """``run.py --trace 1`` reads these off the sharded tier: the
+        plan share (``e2e_onion.py:440``), the outcome counters
+        (``:155``), the update probes (``:577-632``) and the population
+        generator (``e2e_workloads.py:97``, ``:258``)."""
+        from repro.prep.partition import PartitionedCostTables
+
+        _engine, queries = random_instance(0)
+        with build_service(graph, tier="sharded", backend=service_backend) as service:
+            plans = {service.plan_of(query) for query in queries}
+            assert len(plans) == 1 and all(isinstance(plan, str) for plan in plans)
+            assert service.num_shards == service.world.num_cells >= 2
+            assert len(service.partition.cell_of) == service.graph.num_nodes
+            assert isinstance(service.world.tables, PartitionedCostTables)
+            assert service.world.index is not None
+            service.run_batch(queries, algorithm="bucketbound")
+            merge_wins = service.snapshot().merge_wins
+            assert isinstance(merge_wins, dict)
+            assert set(merge_wins) <= {"cell", "crosscell", "infeasible", "error"}
+            assert sum(merge_wins.values()) == len(set(queries))
+            assert isinstance(service.invalidate_cache(), int)
+            u, v = next((u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u))
+            assert service.apply_ops([recost(u, v, objective=2.5)]) == 1
+
+    def test_flat_tier_warms_its_backend(self, graph):
+        """``e2e_workloads.py:134`` warms a process pool before timing."""
+        with build_service(graph, tier="flat", backend="process", workers=1) as service:
+            service.backend.warm_up()
+            assert service.run_batch([random_instance(0)[1][0]])

@@ -10,10 +10,9 @@ Three contracts the front door depends on:
   queued-but-undispatched flights with
   :class:`~repro.exceptions.ServiceClosed`, never a bare cancellation,
   and later submissions are refused with the same error.
-* **Degradation is explicit** — a sharded wave whose cross-cell attempt
-  died returns the feasible cell answer flagged ``degraded=True``; a
-  completed cross attempt is authoritative and never degrades; the flag
-  survives the wire schema round-trip without disturbing v1 payloads.
+* **A failed search fails its slot** — a sharded query is one search on
+  the cross-cell engine; when it dies the slot carries the error and
+  nothing is cached or substituted, as on the flat tier.
 """
 
 from __future__ import annotations
@@ -146,106 +145,44 @@ class TestServiceClosed:
 
 
 def _cross_killer(service: ShardedQueryService) -> FaultPlan:
-    """A plan failing every cross-cell attempt of *service*, nothing else."""
-    return FaultPlan(
-        [FaultRule(kind="error_task", shard="crosscell", times=10_000)]
-    )
+    """A plan failing every cross-cell search of *service*, nothing else."""
+    return FaultPlan([FaultRule(kind="error_task", shard="crosscell", times=10_000)])
 
 
-def _cell_local_instance():
-    """A graph + query whose cell-local attempt is always feasible.
-
-    Every node carries the keyword and all edges cost 1, so whatever the
-    partition looks like, a query between two nodes of the same cell is
-    answerable inside that cell.
-    """
-    from repro.core.query import KORQuery
-    from repro.graph.builder import GraphBuilder
-
-    builder = GraphBuilder()
-    for _ in range(6):
-        builder.add_node(keywords=["pub"])
-    for u in range(6):
-        for v in range(6):
-            if u != v:
-                builder.add_edge(u, v, 1.0, 1.0)
-    graph = builder.build()
-    service = ShardedQueryService(graph, num_cells=2, seed=4)
-    shard = next(s for s in service.shards if len(s.to_global) >= 2)
-    query = KORQuery(
-        int(shard.to_global[0]), int(shard.to_global[1]), ("pub",), 10.0
-    )
-    return service, query
-
-
-class TestGracefulDegradation:
-    def test_cross_cell_death_degrades_instead_of_failing(self):
-        service, query = _cell_local_instance()
-
-        with injected(_cross_killer(service)) as plan:
-            report = service.execute([query])
-        assert plan.fired(), "the cross-cell fault never fired"
-
-        assert report.ok
-        result = report.items[0].result
-        # A degraded answer is genuinely feasible — a subgraph route is
-        # a full-graph route — it just lost its global-optimality
-        # certificate.
-        assert result.degraded
-        assert result.feasible
-        assert result.covers_keywords
-        assert result.within_budget
-        assert service.snapshot().merge_wins.get("degraded", 0) == 1
-
-    def test_cross_cell_death_without_cell_answer_is_an_error(self):
-        service, query = _cell_local_instance()
-        with injected(
-            FaultPlan([FaultRule(kind="error_task", times=10_000)])
-        ):
-            report = service.execute([query])
-        assert not report.ok
-        assert not any(
-            item.result is not None and item.result.degraded for item in report.items
-        )
-
-    def test_completed_cross_attempt_never_degrades(self):
+class TestOneSearchFailsAlone:
+    def test_a_dead_cross_cell_search_errors_its_slot(self):
         engine, queries = random_instance(1)
         service = ShardedQueryService(engine.graph, num_cells=2, seed=4)
-        results = service.run_batch(queries)
-        assert all(not result.degraded for result in results)
-        assert "degraded" not in service.snapshot().merge_wins
+        with injected(_cross_killer(service)) as plan:
+            report = service.execute(queries[:1])
+        assert plan.fired(), "the cross-cell fault never fired"
+        (item,) = report.items
+        assert item.result is None and item.error is not None
+        assert service.snapshot().merge_wins == {"error": 1}
+        assert len(service.cache) == 0
+        # The next call searches again and answers as the engine does.
+        result = service.submit(queries[0])
+        assert fingerprint(result) == fingerprint(service.engine.run(queries[0]))
 
-    def test_single_cell_service_never_degrades(self):
+    def test_single_cell_service_has_no_cross_cell_search(self):
         engine, queries = random_instance(1)
         service = ShardedQueryService(engine.graph, num_cells=1, seed=4)
-        with injected(_cross_killer(service)):
+        with injected(_cross_killer(service)) as plan:
             report = service.execute(queries)
+        assert not plan.fired()
         assert report.ok
-        assert all(not item.result.degraded for item in report.items)
+        expected = [fingerprint(engine.run(query)) for query in queries]
+        assert [fingerprint(item.result) for item in report.items] == expected
 
-
-class TestDegradedOnTheWire:
-    def test_normal_payloads_are_unchanged(self):
+    def test_route_results_carry_no_degraded_key(self):
+        """No answer is a fallback, so none is flagged; a document that
+        still carries the key (an older server's) validates as before."""
         engine, queries = random_instance(2)
-        result = engine.run(queries[0])
-        payload = encode_route_result(result)
+        service = ShardedQueryService(engine.graph, num_cells=2, seed=4)
+        payload = encode_route_result(service.submit(queries[0]))
         assert "degraded" not in payload
         validate_route_result(payload)
-        assert decode_route_result(payload).degraded is False
-
-    def test_degraded_flag_round_trips(self):
-        from dataclasses import replace
-
-        engine, queries = random_instance(2)
-        result = replace(engine.run(queries[0]), degraded=True)
-        payload = encode_route_result(result)
-        assert payload["degraded"] is True
-        validate_route_result(payload)
-        assert decode_route_result(payload).degraded is True
-
-    def test_degraded_must_be_boolean(self):
-        engine, queries = random_instance(2)
-        payload = encode_route_result(engine.run(queries[0]))
-        payload["degraded"] = "yes"
-        with pytest.raises(Exception, match="boolean"):
-            validate_route_result(payload)
+        older = {**payload, "degraded": True}
+        validate_route_result(older)
+        decoded = decode_route_result(older)
+        assert fingerprint(decoded) == fingerprint(decode_route_result(payload))

@@ -485,11 +485,11 @@ def test_cross_cell_jumps_follow_a_recosted_cell(service_backend):
         if cell_of[u] == cell_of[v] != cell_of[query.source]
     )
     objective, budget = next((o, b) for w, o, b in graph.out_edges(u) if w == v)
-    old_tables = service.border_engine.tables
+    old_tables = service.engine.tables
     assert len(old_tables._leg_cache) > 0
 
     service.apply_ops([recost(u, v, objective=objective * 8, budget=budget * 8)])
-    assert service.border_engine.tables is not old_tables
+    assert service.engine.tables is not old_tables
     during = served()
     assert during == rebuilt()
     assert during != before  # the re-cost moved at least one answer

@@ -86,7 +86,7 @@ class TestFlatPool:
 
 
 class TestRouting:
-    """The routing rule on lane state alone: ``_route_locked`` starts no
+    """The routing rule on lane state alone: ``_pick_lane_locked`` starts no
     worker process, so each case sets ``pending`` / ``seen`` / breaker
     fields by hand and reads which lane one wave would take."""
 
@@ -99,7 +99,7 @@ class TestRouting:
     @staticmethod
     def route(backend: ProcessBackend, shard: str = "s") -> int:
         with backend._route_lock:  # noqa: SLF001
-            return backend._route_locked(shard).index  # noqa: SLF001
+            return backend._pick_lane_locked(shard).index  # noqa: SLF001
 
     def test_ties_go_to_the_lowest_index(self, backend):
         assert [self.route(backend) for _ in range(3)] == [0, 0, 0]

@@ -53,7 +53,9 @@ def closed(graph, queries) -> int:
     """A node in the middle of a served route: closing it moves answers."""
     engine = KOREngine(graph)
     routes = (engine.run(query, algorithm="bucketbound").route for query in queries)
-    return next(route.nodes[len(route.nodes) // 2] for route in routes if route and len(route.nodes) > 2)
+    return next(
+        route.nodes[len(route.nodes) // 2] for route in routes if route and len(route.nodes) > 2
+    )
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +74,9 @@ def recost(graph, closed) -> list[dict]:
         for v, objective, budget in graph.out_edges(u)
         if cell_of[u] == cell_of[v] != cell_of[closed]
     )
-    return [{"op": "update_edge_cost", "u": u, "v": v, "objective": objective * 3, "budget": budget * 2}]
+    return [
+        {"op": "update_edge_cost", "u": u, "v": v, "objective": objective * 3, "budget": budget * 2}
+    ]
 
 
 def assert_worlds_bit_equal(repaired: MutableWorld, rebuilt: MutableWorld) -> None:

@@ -49,25 +49,25 @@ def test_memory_non_increasing_in_cell_count(long_grid):
 
 
 def test_no_flat_global_engine(long_grid):
-    """No engine in the service holds O(n^2) tables once cells > 1."""
+    """No table in the service is O(n^2) once cells > 1."""
     n = long_grid.num_nodes
     with service_for(long_grid, 4) as service:
         assert not hasattr(service, "global_engine")
-        assert isinstance(service.border_engine.tables, PartitionedCostTables)
-        for shard in service.shards:
-            assert isinstance(shard.engine.tables, CostTables)
-            assert shard.engine.tables.num_nodes < n
-        # The border engine reuses the shard tables rather than cloning:
-        for cell_tables, shard in zip(
-            service.border_engine.tables.cell_tables, service.shards
-        ):
-            assert cell_tables is shard.engine.tables
+        assert service.engine.tables is service.world.tables
+        assert isinstance(service.engine.tables, PartitionedCostTables)
+        for state in service.world.cells:
+            assert isinstance(state.tables, CostTables)
+            assert state.tables.num_nodes < n
+        # The border engine reuses the cell tables rather than cloning:
+        for cell_tables, state in zip(service.engine.tables.cell_tables, service.world.cells):
+            assert cell_tables is state.tables
 
 
 def test_single_cell_matches_flat_footprint(long_grid):
     """num_cells=1 degenerates to exactly one flat engine's tables."""
     with service_for(long_grid, 1) as service:
-        flat = service.shards[0].engine.tables
+        flat = service.engine.tables
+        assert isinstance(flat, CostTables)
         expected = sum(
             getattr(flat, name).nbytes
             for name in (
@@ -80,13 +80,13 @@ def test_single_cell_matches_flat_footprint(long_grid):
             )
         )
         assert service.memory_bytes() == expected
-        assert len(service.border_engine.tables.partition.border_nodes) == 0
+        assert len(service.world.tables.partition.border_nodes) == 0
 
 
 def test_memory_accounting_deduplicates_shared_tables(long_grid):
-    """Counting shards + border engine never double-counts shared cells."""
+    """Counting cells + border tier never double-counts shared cells."""
     with service_for(long_grid, 4) as service:
-        assembled = service.border_engine.tables
+        assembled = service.world.tables
         border_only = assembled.memory_bytes(include_paths=True)
         cell_only = sum(
             sum(
@@ -154,7 +154,7 @@ def test_warm_caches_are_counted_and_stay_below_the_flat_footprint():
         with service_for(graph, num_cells) as service:
             cold = service.memory_bytes()
             service.run_batch(queries, algorithm="bucketbound")
-            assembled = service.border_engine.tables
+            assembled = service.world.tables
             legs = assembled._leg_cache
             # One cell has no border node, hence no leg worth keeping.
             assert (legs.nbytes() > 0) == (num_cells > 1)

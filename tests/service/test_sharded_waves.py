@@ -1,13 +1,12 @@
-"""Shard-aware wave routing: golden results, observability and chaos.
+"""Sharded waves: golden results, observability and chaos.
 
-The sharded scatter groups same-shard attempts into
-:class:`~repro.service.backends.WaveTask` waves (one submission per
-shard wave; a shard with one attempt gets a wave of one).  The contract
-is **fingerprint identity** with ``tests/golden/wave_fingerprints.json``
-— what the deleted lockstep path produced for the same seeded streams:
-routes, scores, failure reasons, per-label search statistics and the
-shard/merge accounting, for all six algorithms, on the serial and
-process backends and through the async front end — plus the containment tiers (poisoned member /
+A sharded batch ships its searches on the cross-cell engine as
+:class:`~repro.service.backends.WaveTask` waves (a lone query gets a
+wave of one).  The contract is **fingerprint identity** with
+``tests/golden/wave_fingerprints.json``: routes, scores, failure
+reasons, per-label search statistics and the shard/outcome accounting,
+for all six algorithms, on the serial and process backends and through
+the async front end — plus the containment tiers (poisoned member /
 wave-level failure / broken-wave member-wise resubmission) and the wave
 occupancy counters in ``ServiceStats``.
 """
@@ -29,7 +28,7 @@ pytestmark = pytest.mark.timeout(300)
 
 
 def _snapshot_view(service):
-    """Routing/merge counters with the per-service key prefix stripped
+    """Task/outcome counters with the per-service key prefix stripped
     (two services over the same graph must agree on these)."""
     snapshot = service.stats.snapshot()
     strip = lambda d: {k.split("/", 1)[-1]: v for k, v in d.items()}  # noqa: E731
@@ -52,7 +51,6 @@ def _report_view(report):
                     item.index,
                     fingerprint(item.result),
                     tuple(getattr(item.result.stats, f) for f in STAT_FIELDS),
-                    item.result.degraded,
                 )
             )
     return view
@@ -63,12 +61,7 @@ def _golden_view(service, outcomes) -> dict:
     shape."""
     shard_tasks, shard_errors, merge_wins = _snapshot_view(service)
     return {
-        "items": [
-            outcome_record(result, error)
-            if error is not None
-            else {**outcome_record(result, None), "degraded": result.degraded}
-            for result, error in outcomes
-        ],
+        "items": [outcome_record(result, error) for result, error in outcomes],
         "shard_tasks": shard_tasks,
         "shard_errors": shard_errors,
         "merge_wins": merge_wins,
@@ -79,8 +72,8 @@ class TestShardedWaveDifferential:
     @pytest.mark.parametrize("backend_name", ("serial", "process"))
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_scatter_reproduces_golden(self, algorithm, backend_name):
-        """Wave-routed results == the golden file, down to the per-label
-        statistics and the shard/merge accounting."""
+        """Waved results == the golden file, down to the per-label
+        statistics and the shard/outcome accounting."""
         with backend_from_name(backend_name, workers=2) as backend:
             for seed in (0, 1):
                 engine, queries = random_instance(seed)
@@ -95,8 +88,8 @@ class TestShardedWaveDifferential:
 
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_served_path_reproduces_golden(self, algorithm):
-        """The async front end's coalesced micro-batch scatters exactly
-        as the sync batch does: same records, same accounting."""
+        """The async front end's coalesced micro-batch runs exactly as
+        the sync batch does: same records, same accounting."""
         for seed in (0, 1):
             engine, queries = random_instance(seed)
             with ShardedQueryService(engine.graph, num_cells=2, cache_capacity=0) as service:
@@ -107,8 +100,8 @@ class TestShardedWaveDifferential:
                 ), f"seed={seed}"
 
     def test_per_attempt_and_default_scatter_are_identical(self, service_backend, monkeypatch):
-        """Waves of one (one submission per attempt) vs the default:
-        same report, same shard/merge accounting."""
+        """Waves of one (one submission per query) vs the default:
+        same report, same shard/outcome accounting."""
         engine, queries = random_instance(0)
         waved = ShardedQueryService(
             engine.graph, num_cells=2, backend=service_backend, cache_capacity=0
@@ -127,8 +120,8 @@ class TestShardedWaveDifferential:
             per_attempt.close()
 
     def test_single_cell_waves_match_flat_engine(self, service_backend):
-        """``num_cells=1``: the waved scatter still answers exactly like
-        the flat engine (every attempt is cell-local, one group)."""
+        """``num_cells=1``: the waves still answer exactly like the flat
+        engine (the one cell's engine is the flat engine)."""
         engine, queries = random_instance(4)
         service = ShardedQueryService(
             engine.graph, num_cells=1, backend=service_backend, cache_capacity=0
@@ -153,8 +146,8 @@ class TestWaveObservability:
         try:
             service.execute(queries)
             waves = service.stats.snapshot().waves
-            # 8 queries over 2 cells + crosscell: at least the crosscell
-            # group (every unit has a cross attempt) forms a real wave.
+            # 8 queries, one search each on the crosscell handle: at least
+            # one real wave forms.
             assert waves["formed"] >= 1
             assert waves["members"] >= 2 * waves["formed"]
             assert waves["capacity"] >= waves["members"]
@@ -176,17 +169,17 @@ class TestWaveObservability:
             service.execute(queries)
             snapshot = service.stats.snapshot()
             assert snapshot.waves["formed"] == 0
-            # Every attempt went out as a wave of one.
+            # Every query went out as a wave of one.
             assert snapshot.waves["solo_fallbacks"] == sum(snapshot.shard_tasks.values())
         finally:
             service.close()
 
 
 class TestWaveChaos:
-    def test_kill_worker_mid_shard_wave_degraded_or_identical(self):
+    def test_kill_worker_mid_shard_wave_is_survived_identically(self):
         """SIGKILL under a shard wave: the dead-worker retry (and, past
         it, the member-wise resubmission tier) must deliver every slot an
-        answer that is fingerprint-identical or flagged degraded."""
+        answer that is fingerprint-identical to the flat engine's."""
         engine, queries = random_instance(3)
         baseline = [fingerprint(engine.run(q)) for q in queries]
         backend = ProcessBackend(workers=2)
@@ -200,9 +193,6 @@ class TestWaveChaos:
             assert plan.fired() == {0: 1}
             for item, expected in zip(report.items, baseline):
                 assert item.error is None
-                if item.result.degraded:
-                    assert item.result.feasible
-                else:
-                    assert fingerprint(item.result) == expected
+                assert fingerprint(item.result) == expected
         finally:
             backend.close()
