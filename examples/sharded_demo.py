@@ -4,9 +4,9 @@
 Walks through the full ShardedQueryService story:
 
 1. partition the city graph into cells, each with its own small cost
-   tables, and serve one cross-cell BorderEngine that assembles
+   tables, and serve one engine over partitioned tables that assemble
    full-graph answers from the cells' tables and a border-to-border
-   tier — no flat global engine anywhere;
+   tier — no flat global tables anywhere;
 2. show that every query, wherever it lies, is one search on that
    engine;
 3. run the same batch on both execution backends (serial: waves inline;
@@ -50,7 +50,7 @@ def main():
     service = ShardedQueryService(graph, backend=SerialBackend(), cache_capacity=0)
     sizes = [len(state.to_global) for state in service.world.cells]
     flat_mb = PartitionedCostTables.flat_memory_bytes(graph.num_nodes) / 1e6
-    borders = service.engine.num_border_nodes
+    borders = len(service.partition.border_nodes)
     print(
         f"partitioned into {service.num_shards} cells of {min(sizes)}-{max(sizes)} "
         f"nodes + a {borders}-node border tier "
@@ -62,7 +62,7 @@ def main():
     plans = Counter(service.plan_of(query) for query in batch)
     print(f"plans of {len(batch)} queries: ", dict(plans))
     print(
-        "  every query is one search on the cross-cell BorderEngine, in\n"
+        "  every query is one search on the engine over the border tier, in\n"
         "  global node ids.  Border-table assembly is exact, so feasibility\n"
         "  always matches a flat engine for the complete algorithms.\n"
     )

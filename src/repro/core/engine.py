@@ -138,12 +138,14 @@ class KOREngine:
         index: InvertedIndex | None = None,
         predecessors: bool = True,
     ) -> None:
+        if tables is None:
+            tables = CostTables.from_graph(graph, predecessors=predecessors)
+        elif tables.num_nodes != graph.num_nodes:
+            raise QueryError(
+                f"tables cover {tables.num_nodes} nodes but the graph has {graph.num_nodes}"
+            )
         self._graph = graph
-        self._tables = (
-            tables
-            if tables is not None
-            else CostTables.from_graph(graph, predecessors=predecessors)
-        )
+        self._tables = tables
         self._index = index if index is not None else InvertedIndex.from_graph(graph)
 
     # ------------------------------------------------------------------

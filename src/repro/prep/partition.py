@@ -63,9 +63,9 @@ through their cell's predecessor matrices, the border leg by walking the
 ``k x k`` overlay predecessors (positions in ``border_nodes``) hop by
 hop — a hop inside one cell is a shortcut and expands through *that*
 cell's predecessor matrix, a hop between cells is a cut edge and stands
-for itself.  That is what lets
-:class:`repro.service.crosscell.BorderEngine` run every search algorithm
-over a partitioned graph with flat-engine semantics.
+for itself.  That is what lets a :class:`repro.core.engine.KOREngine`
+over these tables run every search algorithm over a partitioned graph
+with flat-table semantics.
 
 Float addition is not associative, so *which* two legs are summed first
 is part of each access path's contract.  Rows and restricted rows

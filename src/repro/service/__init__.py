@@ -8,7 +8,7 @@ amortise most of that work.  This package adds one:
 
 ``QueryService`` / ``ShardedQueryService``
     Two names over one sync service (:mod:`repro.service.base`), which
-    serves a :class:`repro.world.MutableWorld` cell by cell:
+    serves a :class:`repro.world.MutableWorld` through one engine:
 
     * a **canonicalizing LRU result cache** — keyword order and
       duplicates never change the cache key; capacity, hit/miss
@@ -16,8 +16,8 @@ amortise most of that work.  This package adds one:
       (:mod:`repro.service.cache`);
     * a **batch path** — a list of :class:`repro.core.query.KORQuery`
       objects is deduplicated against the cache and against itself, and
-      each unique miss is routed to the cell(s) that can answer it and
-      shipped in *waves* over a pluggable execution backend; each wave
+      each unique miss is one search on the service's engine, shipped
+      in *waves* over a pluggable execution backend; each wave
       resolves the union of its members' keywords through the index once.
       Results come back in submission order, and one failing query is
       reported per-slot without poisoning the cache or its neighbours
@@ -31,12 +31,12 @@ amortise most of that work.  This package adds one:
     ``QueryService(engine)`` is the flat tier: the one-cell world of its
     engine, the cell being the whole graph.  ``ShardedQueryService``
     splits the graph into cells
-    (:func:`repro.prep.partition.partition_graph`), one engine each, and
-    assembles cross-cell answers *exactly* with a
-    :class:`~repro.service.crosscell.BorderEngine` over the cells' own
-    tables plus a border-to-border tier — no flat global engine, so
-    table memory shrinks as the cell count grows (see
-    :mod:`repro.service.sharding`).
+    (:func:`repro.prep.partition.partition_graph`), each with its own
+    tables, and serves one :class:`~repro.core.engine.KOREngine` over
+    :class:`~repro.prep.partition.PartitionedCostTables` — the cells'
+    tables plus a border-to-border tier, assembled *exactly* — with no
+    flat global tables, so table memory shrinks as the cell count grows
+    (see :mod:`repro.service.sharding`).
 
 ``AsyncQueryService``
     The request-shaped asyncio tier (:mod:`repro.service.frontend`):
@@ -84,9 +84,9 @@ Guarantees (backed by ``tests/service/``):
   result lists on the serial and process backends, any lane count.
 * **Isolated failures** — a query that raises marks only its own slot;
   nothing about it enters the cache, on any backend.
-* **No stale serving** — rebuilding/replacing an engine bumps the cache
-  epoch: old entries vanish and in-flight writes against the old engine
-  are dropped.
+* **No stale serving** — every applied update bumps the cache epoch:
+  old entries vanish and in-flight writes against the old graph are
+  dropped.
 """
 
 from repro.service.backends import (
@@ -104,7 +104,6 @@ from repro.service.backends import (
 from repro.service.batch import BatchError, BatchItem, BatchReport
 from repro.service.cache import CacheStats, ResultCache, canonical_cache_key
 from repro.service.config import ServiceConfig, build_service
-from repro.service.crosscell import BorderEngine
 from repro.service.frontend import AsyncQueryService
 from repro.service.service import QueryService
 from repro.service.sharding import ShardedQueryService
@@ -115,7 +114,6 @@ __all__ = [
     "BatchError",
     "BatchItem",
     "BatchReport",
-    "BorderEngine",
     "CacheStats",
     "EngineHandle",
     "ExecutionBackend",

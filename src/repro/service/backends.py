@@ -113,22 +113,19 @@ class EngineHandle:
     the graph plus the *pre-built* cost tables and inverted index (plain
     dataclasses over numpy arrays), so a receiving worker process pays
     zero pre-processing: :meth:`engine` reassembles the engine from the
-    parts on first use and keeps it until a patch replaces a part.  The
-    engine's *class* travels with the state, so a
-    :class:`~repro.service.crosscell.BorderEngine` handle re-materialises
-    as a ``BorderEngine`` (partitioned border tables and all), not as a
-    flat :class:`~repro.core.engine.KOREngine`.
+    parts on first use and keeps it until a patch replaces a part: always
+    a :class:`~repro.core.engine.KOREngine`, over whichever tables the
+    handle carries (flat, or partitioned with their border tier).
 
     ``key`` identifies the handle across process boundaries; two handles
     never share a key unless one was pickled from the other.
     """
 
-    __slots__ = ("key", "_graph", "_tables", "_index", "_engine", "_engine_cls")
+    __slots__ = ("key", "_graph", "_tables", "_index", "_engine")
 
     def __init__(self, engine: KOREngine, key: str | None = None) -> None:
         self.key = key if key is not None else f"engine-{next(_HANDLE_COUNTER)}"
         self._engine: KOREngine | None = engine
-        self._engine_cls = type(engine)
         self._graph = engine.graph
         self._tables = engine.tables
         self._index = engine.index
@@ -144,7 +141,6 @@ class EngineHandle:
         :meth:`ExecutionBackend.apply_patches`).
         """
         self._engine = engine
-        self._engine_cls = type(engine)
         self._graph = engine.graph
         self._tables = engine.tables
         self._index = engine.index
@@ -153,7 +149,7 @@ class EngineHandle:
         """The live engine, assembled from the parts on first use after
         unpickling or a patch and kept until the next one."""
         if self._engine is None:
-            self._engine = self._engine_cls(self._graph, tables=self._tables, index=self._index)
+            self._engine = KOREngine(self._graph, tables=self._tables, index=self._index)
         return self._engine
 
     def __getstate__(self) -> dict:
@@ -162,7 +158,6 @@ class EngineHandle:
             "graph": self._graph,
             "tables": self._tables,
             "index": self._index,
-            "engine_cls": self._engine_cls,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -170,7 +165,6 @@ class EngineHandle:
         self._graph = state["graph"]
         self._tables = state["tables"]
         self._index = state["index"]
-        self._engine_cls = state.get("engine_cls", KOREngine)
         self._engine = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -3,11 +3,11 @@
 :class:`~repro.service.service.QueryService` and
 :class:`~repro.service.sharding.ShardedQueryService` are two accessor
 names over this one implementation.  It serves a
-:class:`~repro.world.MutableWorld` through **one** engine and one
-registered backend handle — the one cell's
-:class:`~repro.core.engine.KOREngine` when the world has one cell, else
-the :class:`~repro.service.crosscell.BorderEngine` over every cell's
-tables plus the border tier — and every call takes the same path:
+:class:`~repro.world.MutableWorld` through **one**
+:class:`~repro.core.engine.KOREngine` and one registered backend handle
+— over the one cell's tables when the world has one cell, else over
+every cell's tables plus the border tier — and every call takes the
+same path:
 
 * a **query** is one search: the cache misses go out as waves
   (:func:`~repro.service.batch.dispatch_waves`) and each outcome is its
@@ -48,7 +48,6 @@ from repro.service.batch import (
     dispatch_waves,
 )
 from repro.service.cache import ResultCache
-from repro.service.crosscell import BorderEngine
 from repro.service.stats import ServiceStats, StatsSnapshot
 from repro.world import MutableWorld, WorldUpdate
 
@@ -86,12 +85,11 @@ class RoutedService:
         self._backend.register(self._handle)
 
     def _assemble(self) -> KOREngine:
-        """The engine over the world as it stands: the one cell's
-        :class:`KOREngine`, or the :class:`BorderEngine` over every cell."""
+        """The engine over the world as it stands: over the one cell's
+        tables, or over every cell's plus the border tier."""
         world = self._world
-        if self._tier == "cell":
-            return KOREngine(world.graph, tables=world.cells[0].tables, index=world.index)
-        return BorderEngine(world.graph, tables=world.tables, index=world.index)
+        tables = world.cells[0].tables if world.num_cells == 1 else world.tables
+        return KOREngine(world.graph, tables=tables, index=world.index)
 
     # ------------------------------------------------------------------
     # accessors
@@ -103,10 +101,10 @@ class RoutedService:
 
     @property
     def engine(self) -> KOREngine:
-        """The engine serving now, the one every query runs on: the one
-        cell's :class:`KOREngine`, or the :class:`BorderEngine` over a
-        world of more cells.  Reassembled over the repaired parts by
-        every update."""
+        """The engine serving now, the one every query runs on: a
+        :class:`KOREngine` over the one cell's tables, or over the
+        partitioned tables of a world of more cells.  Reassembled over
+        the repaired parts by every update."""
         return self._engine
 
     @property

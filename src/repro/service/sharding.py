@@ -5,15 +5,16 @@ floats per matrix.  This tier splits the graph with
 :func:`repro.prep.partition.partition_graph` (the paper's Section-6
 sketch) into a :class:`~repro.world.MutableWorld` of cells, each with its
 own (small) tables over its induced subgraph — the unit of repair — and
-serves **one** :class:`~repro.service.crosscell.BorderEngine`, which
-answers queries over the *full* graph from those very cell tables plus
-a ``k x k`` border tier.  There is **no flat global engine**: per-service
+serves **one** :class:`~repro.core.engine.KOREngine` over the world's
+:class:`~repro.prep.partition.PartitionedCostTables`, which answer
+lookups over the *full* graph from those very cell tables plus a
+``k x k`` border tier.  There are **no flat global tables**: per-service
 table memory genuinely shrinks as ``num_cells`` grows.
 
 Every query is one search on that engine, wherever its endpoints and
 keywords lie.  The border assembly is *exact* (see
-:mod:`repro.service.crosscell`), so an answer carries the same
-feasibility/objective semantics as a flat engine's, in global node ids.
+:mod:`repro.prep.partition`), so an answer carries the same
+feasibility/objective semantics as over flat tables, in global node ids.
 
 With ``num_cells=1`` the single cell *is* the whole graph: the service
 serves a :class:`~repro.core.engine.KOREngine` over the cell's own tables
@@ -27,12 +28,11 @@ objects through any :class:`~repro.service.backends.ExecutionBackend`:
 inline on the serial backend, or on a process pool whose workers hold
 their own copy of the engine.  Its
 :class:`~repro.service.backends.EngineHandle` pickles the partitioned
-border tables and re-materialises a ``BorderEngine`` worker-side.
+border tables and re-materialises the engine over them worker-side.
 """
 
 from __future__ import annotations
 
-from repro.core.engine import KOREngine
 from repro.core.query import KORQuery
 from repro.exceptions import QueryError
 from repro.graph.digraph import SpatialKeywordGraph
@@ -42,11 +42,6 @@ from repro.service.base import RoutedService
 from repro.world import MutableWorld
 
 __all__ = ["ShardedQueryService"]
-
-#: Table arrays counted by :meth:`ShardedQueryService.memory_bytes`.
-_TABLE_ARRAYS = ("os_tau", "bs_tau", "os_sigma", "bs_sigma", "pred_tau", "pred_sigma")
-#: The border-tier twins of those arrays on the partitioned tables.
-_BORDER_ARRAYS = tuple(f"border_{name}" for name in _TABLE_ARRAYS)
 
 
 class ShardedQueryService(RoutedService):
@@ -93,11 +88,6 @@ class ShardedQueryService(RoutedService):
             )
         super().__init__(world, cache_capacity, backend)
 
-    @classmethod
-    def from_engine(cls, engine: KOREngine, **kwargs) -> "ShardedQueryService":
-        """Shard an existing engine's graph (the engine is not reused)."""
-        return cls(engine.graph, **kwargs)
-
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
@@ -125,26 +115,16 @@ class ShardedQueryService(RoutedService):
         """Bytes of cost-table state resident in this service.
 
         Counts every score and predecessor matrix of the cell tables and
-        the border tier exactly once (shared arrays are deduplicated by
-        identity), plus the assembled tables' bounded row/column LRU
-        caches: derived state, but resident nonetheless.  This is the
-        number the memory-scaling test pins: without a flat global
-        engine it must not grow with ``num_cells``.
+        the border tier, plus the assembled tables' bounded caches:
+        derived state, but resident nonetheless.  This is the number the
+        memory-scaling test pins: without flat global tables it must not
+        grow with ``num_cells``.
         """
-        seen: set[int] = set()
-        assembled = self._world.tables
-        arrays = [getattr(assembled, name) for name in _BORDER_ARRAYS]
-        for tables in assembled.cell_tables:
-            arrays += [getattr(tables, name) for name in _TABLE_ARRAYS]
-        total = assembled.cache_bytes()
-        for array in arrays:
-            if array is not None and id(array) not in seen:
-                seen.add(id(array))
-                total += array.nbytes
-        return total
+        tables = self._world.tables
+        return tables.memory_bytes(include_paths=True) + tables.cache_bytes()
 
     def plan_of(self, query: KORQuery) -> str:
         """How *query* is served, without running anything: the same
         one search for every query — ``local`` on one cell (the cell is
-        the graph), ``crosscell`` (the border engine) on more."""
+        the graph), ``crosscell`` (over the border tier) on more."""
         return "local" if self.num_shards == 1 else "crosscell"

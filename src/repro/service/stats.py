@@ -311,7 +311,7 @@ class ServiceStats:
 
     def record_wave_solo(self, count: int = 1) -> None:
         """Account *count* queries dispatched per-query instead of waved
-        (singleton shard groups and broken-wave resubmissions)."""
+        (a lone query's wave of one and broken-wave resubmissions)."""
         with self._lock:
             self._wave_solo += count
 

@@ -345,11 +345,10 @@ class TestCrossCellReads:
     def border_engine(self):
         from repro.datasets import RoadConfig, build_road_graph
         from repro.prep.partition import PartitionedCostTables
-        from repro.service import BorderEngine
 
         graph = build_road_graph(RoadConfig(num_nodes=150, seed=7))
         tables = PartitionedCostTables.from_graph(graph, num_cells=3, predecessors=True)
-        return BorderEngine(graph, tables=tables)
+        return KOREngine(graph, tables=tables)
 
     @pytest.fixture(scope="class")
     def queries(self, border_engine):
@@ -635,11 +634,10 @@ class TestExpand:
     def test_border_engine_over_partitioned_tables(self, small_flickr, algorithm):
         from repro.datasets import QuerySetConfig, generate_query_set
         from repro.prep.partition import PartitionedCostTables
-        from repro.service import BorderEngine
 
         graph = small_flickr.graph
         tables = PartitionedCostTables.from_graph(graph, num_cells=3, predecessors=True)
-        engine = BorderEngine(graph, tables=tables)
+        engine = KOREngine(graph, tables=tables)
         config = QuerySetConfig(num_queries=4, num_keywords=2, budget_limit=3.0, seed=11)
         queries = generate_query_set(graph, engine.index, config, tables=tables)
         screened = [fingerprint(engine.run(query, algorithm=algorithm)) for query in queries]

@@ -80,6 +80,5 @@ class TestComponentMismatch:
         from repro.prep.tables import CostTables
 
         small = CostTables.from_graph(line_graph(2))
-        engine = KOREngine(figure_1_graph(), tables=small)
-        with pytest.raises(Exception):
-            engine.query(0, 7, ["t1"], 10.0)
+        with pytest.raises(QueryError, match="tables cover 2 nodes but the graph has 8"):
+            KOREngine(figure_1_graph(), tables=small)

@@ -92,6 +92,18 @@ class TestOneSearchPerQuery:
         for name in ("shards", "border_engine"):
             assert not hasattr(ShardedQueryService, name), name
 
+    def test_the_second_engine_class_is_retired(self):
+        import importlib.util
+
+        import repro.service
+        from repro.service import ShardedQueryService
+
+        for module in (repro, repro.service):
+            assert not hasattr(module, "BorderEngine"), module.__name__
+        assert "BorderEngine" not in repro.service.__all__
+        assert importlib.util.find_spec("repro.service.crosscell") is None
+        assert not hasattr(ShardedQueryService, "from_engine")
+
     def test_results_carry_no_degraded_flag(self):
         from repro.core.results import KORResult
 

@@ -39,7 +39,6 @@ from repro.core.searchbase import _PROOF_SLACK, FLOOR_MIN_DEGREE, SearchContext
 from repro.exceptions import QueryError
 from repro.graph.builder import GraphBuilder
 from repro.prep.partition import PartitionedCostTables
-from repro.service import BorderEngine
 
 from tests.core.test_searchbase import NEVER, floor_from, label_search
 from tests.properties.test_expand_properties import hub_instance
@@ -84,7 +83,7 @@ def engines(graph):
     """The graph over flat and over two-cell partitioned tables."""
     flat = KOREngine(graph)
     tables = PartitionedCostTables.from_graph(graph, num_cells=2, predecessors=True)
-    return {"flat": flat, "partitioned": BorderEngine(graph, tables=tables)}
+    return {"flat": flat, "partitioned": KOREngine(graph, tables=tables)}
 
 
 def answer(result):

@@ -1,8 +1,9 @@
-"""Differential testing: BorderEngine vs flat KOREngine.
+"""Differential testing: KOREngine over partitioned vs flat tables.
 
 The cross-cell tier's contract is *flat-engine semantics from partitioned
 state*: border-table assembly is exact (see
-:mod:`repro.prep.partition`), so a :class:`BorderEngine` must
+:mod:`repro.prep.partition`), so a :class:`KOREngine` over
+:class:`PartitionedCostTables` must
 
 * agree with the flat engine on **feasibility** for every algorithm
   (its pruning columns are mathematically identical);
@@ -11,8 +12,8 @@ state*: border-table assembly is exact (see
 * never beat the certified optimum, and — for the ``exact`` algorithm —
   match it;
 * survive the pickle round-trip :class:`EngineHandle` uses to ship it to
-  process-pool workers, re-materialising as a ``BorderEngine`` (not a
-  flat engine) with identical answers.
+  process-pool workers, re-materialising over partitioned tables (not
+  flat ones) with identical answers.
 """
 
 from __future__ import annotations
@@ -22,19 +23,21 @@ import pickle
 import pytest
 
 from repro.core.engine import ALGORITHMS, KOREngine
+from repro.exceptions import PrepError, QueryError
+from repro.graph.generators import grid_graph
 from repro.prep.partition import PartitionedCostTables
-from repro.service import BorderEngine, EngineHandle
-from repro.service.crosscell import BorderEngine as CrosscellBorderEngine
+from repro.prep.tables import CostTables
+from repro.service import EngineHandle
 
 from tests.service.test_differential import fingerprint, random_instance
 from tests.service.test_sharded_differential import assert_sound
 
 
-def border_engine_for(graph, num_cells, seed=0) -> BorderEngine:
+def border_engine_for(graph, num_cells, seed=0) -> KOREngine:
     tables = PartitionedCostTables.from_graph(
         graph, num_cells=num_cells, seed=seed, predecessors=True
     )
-    return BorderEngine(graph, tables=tables)
+    return KOREngine(graph, tables=tables)
 
 
 @pytest.mark.parametrize("num_cells", (1, 2, 3))
@@ -72,27 +75,57 @@ def test_single_cell_border_engine_is_flat_identical():
             )
 
 
-def test_border_engine_rejects_flat_tables_and_scoreless_tables():
-    from repro.exceptions import QueryError
-
+@pytest.mark.parametrize(
+    "tables",
+    (
+        lambda graph: CostTables.from_graph(graph),
+        lambda graph: PartitionedCostTables.from_graph(graph, num_cells=2, predecessors=True),
+    ),
+    ids=("flat", "partitioned"),
+)
+def test_tables_of_another_node_count_are_refused_on_both_layouts(tables):
     engine, _ = random_instance(0)
-    with pytest.raises(QueryError):
-        BorderEngine(engine.graph, tables=engine.tables)
-    scoreless = PartitionedCostTables.from_graph(
-        engine.graph, num_cells=2, predecessors=False
-    )
-    with pytest.raises(QueryError):
-        BorderEngine(engine.graph, tables=scoreless)
+    other = grid_graph(4, 8)
+    assert other.num_nodes != engine.graph.num_nodes
+    with pytest.raises(QueryError, match="tables cover 32 nodes"):
+        KOREngine(engine.graph, tables=tables(other))
 
 
-def test_engine_handle_round_trip_preserves_border_engine():
-    """A pickled handle re-materialises the cross-cell engine class."""
+def test_pathless_partitioned_tables_fail_like_pathless_flat_ones():
+    """Tables built with ``predecessors=False`` are accepted on both
+    layouts; a search that materialises a route fails with the same
+    :class:`PrepError`, and every other outcome is the same too."""
+
+    def outcome(engine, query, algorithm):
+        try:
+            return engine.run(query, algorithm=algorithm).feasible
+        except PrepError as error:
+            return str(error)
+
+    engine, queries = random_instance(0)
+    flat = KOREngine(engine.graph, predecessors=False)
+    pathless = PartitionedCostTables.from_graph(engine.graph, num_cells=2, predecessors=False)
+    partitioned = KOREngine(engine.graph, tables=pathless)
+    refusals = []
+    for algorithm in ALGORITHMS:
+        for query in queries:
+            got = outcome(partitioned, query, algorithm)
+            assert got == outcome(flat, query, algorithm), (query, algorithm)
+            if isinstance(got, str):
+                refusals.append(got)
+    assert refusals
+    assert all("predecessors=False" in message for message in refusals)
+
+
+def test_engine_handle_round_trip_keeps_partitioned_tables():
+    """A pickled handle re-materialises an engine over the partitioned
+    tables it carried, answering as the original did."""
     engine, queries = random_instance(2)
     border = border_engine_for(engine.graph, 2)
     handle = EngineHandle(border, key="crosscell-test")
     clone = pickle.loads(pickle.dumps(handle))
     rebuilt = clone.engine()
-    assert type(rebuilt) is CrosscellBorderEngine
+    assert type(rebuilt) is KOREngine
     assert isinstance(rebuilt.tables, PartitionedCostTables)
     for query in queries:
         assert fingerprint(rebuilt.run(query, algorithm="bucketbound")) == fingerprint(
@@ -114,14 +147,12 @@ def test_engine_handle_round_trip_still_builds_flat_engines():
 
 def test_border_engine_memory_is_sublinear_in_flat():
     """The partitioned tier undercuts the flat score tables it replaces."""
-    from repro.graph.generators import grid_graph
-
     graph = grid_graph(8, 8)
     border = border_engine_for(graph, 4, seed=1)
     flat_scores = PartitionedCostTables.flat_memory_bytes(graph.num_nodes)
     assert border.tables.memory_bytes() < flat_scores
-    assert border.num_border_nodes > 0
-    assert border.partition.num_cells == 4
+    assert len(border.tables.partition.border_nodes) > 0
+    assert border.tables.partition.num_cells == 4
 
 
 @pytest.mark.timeout(120)

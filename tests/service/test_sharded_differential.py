@@ -11,8 +11,8 @@ randomized graphs and ≥ 3 partition granularities:
   never beat the true optimum certified by the flat ``exact`` engine;
 * feasibility equivalence — for the complete algorithms the sharded
   service finds a feasible route exactly when the flat engine does: every
-  query is one search on the cross-cell ``BorderEngine``, whose
-  border-table assembly is exact over the full graph;
+  query is one search on a ``KOREngine`` over the partitioned tables,
+  whose border-table assembly is exact over the full graph;
 * the paper's bounds through the served tier — Theorem 2
   (``OSScaling <= OPT / (1 - eps)``) and Theorem 3
   (``BucketBound <= OPT * beta / (1 - eps)``) at 2 and 3 cells, before
