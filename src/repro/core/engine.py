@@ -144,9 +144,16 @@ class KOREngine:
             raise QueryError(
                 f"tables cover {tables.num_nodes} nodes but the graph has {graph.num_nodes}"
             )
+        if index is None:
+            index = InvertedIndex.from_graph(graph)
+        elif index.vocabulary.num_nodes != graph.num_nodes:
+            raise QueryError(
+                f"index covers {index.vocabulary.num_nodes} nodes "
+                f"but the graph has {graph.num_nodes}"
+            )
         self._graph = graph
         self._tables = tables
-        self._index = index if index is not None else InvertedIndex.from_graph(graph)
+        self._index = index
 
     # ------------------------------------------------------------------
     # accessors

@@ -144,10 +144,10 @@ class SearchContext:
         #: budgets, OS(tau_{j,t}), BS(sigma_{j,t})) over its out-edges j,
         #: gathered the first time the query pops a wide node.
         self._blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-        #: missing mask -> (uncovered keyword nodes, sigma-row reader at
-        #: them, BS(sigma_{j,t}) at them, the missing keyword bits each
-        #: carries).
-        self._uncovered_union: dict[int, tuple[np.ndarray, object, np.ndarray, np.ndarray]] = {}
+        #: The keyword bits the source misses: every label holds the rest.
+        self._open = self.binding.full_mask & ~self.binding.node_mask(query.source)
+        #: The query's keyword-node set (see :meth:`_keyword_nodes`).
+        self._keyword_set: tuple[np.ndarray, object, np.ndarray, np.ndarray] | None = None
         #: (node, missing mask) -> (nearest uncovered keyword node vj,
         #: OS(sigma_{node,vj}), BS(sigma_{node,vj}), BS(sigma_{vj,t})).
         self._nearest: dict[tuple[int, int], tuple[int, float, float, float]] = {}
@@ -155,10 +155,10 @@ class SearchContext:
         #: None until a bound exists], or ``()`` below :data:`FLOOR_MIN_DEGREE`.
         self._floors: dict[int, list | tuple] = {}
         #: The floor's keyword bits (those the source misses), the positions
-        #: in their union carrying each, bit after bit, and where each bit's
-        #: positions start.
+        #: in the keyword-node set carrying each, bit after bit, and where
+        #: each bit's positions start.
         self._floor_segments: tuple[list[int], np.ndarray, np.ndarray] | None = None
-        #: The tau-row reader over that union and OS(tau_{l,t}) at it.
+        #: The tau-row reader over that set and OS(tau_{l,t}) at it.
         self._floor_tau: tuple[object, np.ndarray] | None = None
         #: missing mask -> its bit positions.
         self._mask_bits: dict[int, list[int]] = {}
@@ -212,7 +212,8 @@ class SearchContext:
         choice of nodes — the minimum-budget sequenced route, taken over
         all orders.  When that bound exceeds Delta by more than
         :data:`_PROOF_SLACK` no route is feasible.  Three stages, cheapest
-        first, all over the sigma reader of the root's Strategy-1 jump:
+        first, all over the query's keyword-node set (:meth:`_keyword_nodes`),
+        which the Strategy-1 jump reads too:
 
         1. a witness, the nearest-uncovered chain (the root's jump,
            repeated).  It is one of the sequences the bound minimises over,
@@ -227,11 +228,10 @@ class SearchContext:
         """
         binding = self.binding
         source = self.query.source
-        start = binding.node_mask(source)
-        need = binding.full_mask & ~start & ~binding.node_mask(self.query.target)
+        need = self._open & ~binding.node_mask(self.query.target)
         if not need:
             return False  # the bound is BS(sigma_{s,t}), screened already
-        nodes, rows, bs_to_t, bits = self._uncovered(binding.full_mask & ~start)
+        nodes, rows, bs_to_t, bits = self._keyword_nodes()
         limit = self.limit
 
         # 1. The witness.  Every step covers a needed bit or stops.
@@ -385,7 +385,9 @@ class SearchContext:
         Returns ``(vj, OS(sigma_{i,j}), BS(sigma_{i,j}))`` for the node vj
         that carries an uncovered query keyword, minimises
         ``BS(sigma_{i,j})``, and still admits a feasible completion:
-        ``label.BS + BS(sigma_{i,j}) + BS(sigma_{j,t}) <= Delta``.
+        ``label.BS + BS(sigma_{i,j}) + BS(sigma_{j,t}) <= Delta``.  *label*
+        holds the source's keyword bits, as every label a search builds
+        does, so its candidates are among the query's keyword-node set.
         """
         missing = self.binding.full_mask & ~label.mask
         if not missing:
@@ -398,10 +400,13 @@ class SearchContext:
         nearest = self._nearest.get(key)
         if nearest is not None and (label.bs + nearest[2]) + nearest[3] <= self.limit:
             return nearest[:3]
-        nodes, sigma_rows, bs_to_t, _bits = self._uncovered(missing)
+        nodes, sigma_rows, bs_to_t, bits = self._keyword_nodes()
         if len(nodes) == 0:
             return None
         seg_bs = sigma_rows.primary(label.node)
+        if missing != self._open:
+            # A node carrying none of the label's missing bits is no candidate.
+            seg_bs = np.where((bits & missing) != 0, seg_bs, np.inf)
         if nearest is None:
             first = int(seg_bs.argmin())
             first_bs, first_to_t = float(seg_bs[first]), float(bs_to_t[first])
@@ -419,22 +424,17 @@ class SearchContext:
         return int(nodes[best]), seg_os, float(seg_bs[best])
 
     #: Cap on memoised nearest jump candidates per search context, evicted
-    #: oldest first like the unions below: a long search over a large graph
-    #: meets up to ``n * (2^|kw| - 1)`` distinct ``(node, missing)`` pairs.
+    #: oldest first: a long search over a large graph meets up to
+    #: ``n * (2^|kw| - 1)`` distinct ``(node, missing)`` pairs.
     MAX_JUMP_MEMO = 4096
 
-    #: Cap on memoised uncovered-node unions (and the row readers kept
-    #: beside them) per search context.  A query with |kw| keywords has
-    #: up to ``2^|kw| - 1`` distinct missing masks; without a bound an
-    #: adversarial many-keyword query could pin that many live arrays
-    #: for the lifetime of the search.
-    MAX_UNCOVERED_MEMO = 64
-
-    def _uncovered(self, missing_mask: int) -> tuple[np.ndarray, object, np.ndarray, np.ndarray]:
-        """Nodes carrying a missing keyword, the sigma rows at them, their
-        ``BS(sigma_{j,t})`` and the missing keyword bits each carries."""
-        cached = self._uncovered_union.get(missing_mask)
-        if cached is None:
+    def _keyword_nodes(self) -> tuple[np.ndarray, object, np.ndarray, np.ndarray]:
+        """The query's one keyword-node set: the nodes carrying a keyword
+        the source misses, the sigma rows at them, their ``BS(sigma_{j,t})``
+        and the missing keyword bits each carries.  Every label holds the
+        source's bits, so the nodes carrying what a label misses are a
+        subset, in the same order; built on first need, kept for the query."""
+        if self._keyword_set is None:
             # ORing the postings into one dense per-node mask yields the
             # sorted union and each node's bits in one pass; it costs less
             # than ``np.unique`` over the concatenated postings it replaced.
@@ -442,15 +442,12 @@ class SearchContext:
             dtype = np.int64 if self.binding.full_mask < (1 << 63) else object
             carried = np.zeros(self.graph.num_nodes, dtype=dtype)
             for bit, postings in enumerate(self.binding.nodes_with_bit):
-                if missing_mask & (1 << bit):
+                if self._open & (1 << bit):
                     carried[postings] |= 1 << bit
             nodes = np.flatnonzero(carried)
-            bits = carried[nodes]
-            cached = (nodes, self.tables.row_reader(nodes, "sigma"), self.bs_sigma_t[nodes], bits)
-            if len(self._uncovered_union) >= self.MAX_UNCOVERED_MEMO:
-                self._uncovered_union.pop(next(iter(self._uncovered_union)), None)
-            self._uncovered_union[missing_mask] = cached
-        return cached
+            reader = self.tables.row_reader(nodes, "sigma")
+            self._keyword_set = (nodes, reader, self.bs_sigma_t[nodes], carried[nodes])
+        return self._keyword_set
 
     # ------------------------------------------------------------------
     # Optimisation Strategy 2: infrequent-keyword pruning
@@ -539,13 +536,11 @@ class SearchContext:
         objective (1) half of the keyword floor.  Bits the source carries
         are never missing and read 0."""
         binding = self.binding
-        # Every label's mask holds the source's bits, so the union the
-        # source misses (shared with the proof and the root's jump) holds
-        # every node a floor can need.
-        start = binding.node_mask(self.query.source)
-        nodes, sigma, bs_to_t, carried = self._uncovered(binding.full_mask & ~start)
+        # Every label's mask holds the source's bits, so the query's
+        # keyword-node set holds every node a floor can need.
+        nodes, sigma, bs_to_t, carried = self._keyword_nodes()
         if self._floor_segments is None:
-            bits = binding.uncovered_bits(start)
+            bits = binding.uncovered_bits(binding.node_mask(self.query.source))
             segments = [np.flatnonzero((carried & (1 << bit)) != 0) for bit in bits]
             starts = np.cumsum([0] + [len(segment) for segment in segments[:-1]])
             self._floor_segments = (bits, np.concatenate(segments), starts)

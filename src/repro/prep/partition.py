@@ -78,6 +78,12 @@ read one cached entry side per target, ``_mid``, and associate ``leg1 +
 Within a family values are bitwise equal (a restricted read *is*
 ``row(i)[nodes]``; a scalar lookup *is* ``col(j)[i]``); across families
 the same entry can differ in its last ulp.
+
+What the tables cache is per node: a source's row and border leg, a
+target's column and ``_mid``, and each cell's contiguous blocks, all
+counted by ``cache_bytes``.  A restricted-row reader belongs to its
+caller, which builds one per node set (a search: one per query), and
+memoises the rows it reads itself.
 """
 
 from __future__ import annotations
@@ -273,8 +279,8 @@ def _lex_argmin(primary: np.ndarray, secondary: np.ndarray) -> int:
     return int(np.argmin(tied))
 
 
-#: Byte budget per cache (columns, rows, border legs, target mids, and the
-#: shared row readers with their memoised rows).  Without a bound a
+#: Byte budget per cache (columns, rows, border legs, target mids, and
+#: each row reader's memoised rows).  Without a bound a
 #: long-lived engine serving varied targets would quietly regrow the very
 #: ``O(n^2)`` footprint the partitioned tables exist to eliminate.
 _CACHE_BYTE_BUDGET = 2_000_000
@@ -470,55 +476,43 @@ class _RowReader:
 
     The query-time half of the row assembly, for a search that reads
     ``row(i)[nodes]`` from many sources ``i``: everything that depends on
-    the node set alone (the *slab*, :meth:`gather`) is gathered once
-    while it stays cached — per column the entries ``b2`` of
-    the node's cell and the primary ``in_cell(b2 -> node)``, padded to the
-    tallest cell with ``inf`` — so a primary read is the source's cached
-    border leg plus that slab under one plain ``min`` (the primary of a
-    lexicographic minimum), then the in-cell compare for the nodes of
-    ``cell(i)``.  A secondary is assembled for the one column asked, from
-    the in-cell secondaries at that column's entries alone, under
-    ``_lex_min``.  Same ``(leg1 + border) + leg3`` association and tie
-    rule as ``_rows``: every value is bitwise the one ``*_row(i)[nodes]``
-    holds.  The slab and the primary rows read are shared by every reader
-    of the same node set and kind (:meth:`PartitionedCostTables.
-    row_reader`), in one byte-bounded cache of the tables; a reader itself
-    holds no state of its own.
+    the node set alone (the *slab*) is gathered once, when the reader is
+    built — per column the entries ``b2`` of the node's cell and the
+    primary ``in_cell(b2 -> node)``, padded to the tallest cell with
+    ``inf`` — so a primary read is the source's cached border leg plus
+    that slab under one plain ``min`` (the primary of a lexicographic
+    minimum), then the in-cell compare for the nodes of ``cell(i)``.  A
+    secondary is assembled for the one column asked, from the in-cell
+    secondaries at that column's entries alone, under ``_lex_min``.  Same
+    ``(leg1 + border) + leg3`` association and tie rule as ``_rows``: every
+    value is bitwise the one ``*_row(i)[nodes]`` holds.  The reader belongs
+    to whoever built it (a search builds its own): it memoises the primary
+    rows it reads in its own byte-bounded LRU, and the tables keep nothing
+    of it.
     """
 
-    def __init__(self, tables: "PartitionedCostTables", key: tuple, slab: tuple) -> None:
-        self._tables = tables
-        self._key = key
-        self._kind = key[0]
-        self._node_cells, self._node_locals, self._cell_columns = slab[:3]
-        self._entries, self._leg3_prim = slab[3:]
-
-    @staticmethod
-    def gather(tables: "PartitionedCostTables", nodes: np.ndarray, kind: str) -> tuple[tuple, int]:
-        """The slab of *nodes* — ``(node cells, node locals, cell -> (its
-        columns, their local ids), padded entries, padded leg3 primaries)``
-        — and the bytes its arrays and its cache key (the node ids) hold."""
+    def __init__(self, tables: "PartitionedCostTables", nodes: np.ndarray, kind: str) -> None:
         if len(nodes) and not 0 <= nodes.min() <= nodes.max() < tables.num_nodes:
             raise PrepError(f"node set reaches outside 0..{tables.num_nodes - 1}")
-        node_cells = tables.partition.cell_of[nodes]
-        node_locals = tables.local_index[nodes]
-        cell_columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._tables, self._kind = tables, kind
+        self._node_cells = node_cells = tables.partition.cell_of[nodes]
+        self._node_locals = node_locals = tables.local_index[nodes]
+        self._cell_columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for cell in np.unique(node_cells).tolist():
             columns = np.flatnonzero(node_cells == cell)
-            cell_columns[cell] = (columns, node_locals[columns])
-        height = max((len(tables._cell_borders[cell]) for cell in cell_columns), default=0)
+            self._cell_columns[cell] = (columns, node_locals[columns])
+        height = max((len(tables._cell_borders[cell]) for cell in self._cell_columns), default=0)
         # Padding points at row 0 and is silenced by the ``inf`` below it.
-        entries = np.zeros((height, len(nodes)), dtype=np.int64)
-        leg3_prim = np.full((height, len(nodes)), np.inf)
-        for cell, (columns, locals_) in cell_columns.items():
+        self._entries = np.zeros((height, len(nodes)), dtype=np.int64)
+        self._leg3_prim = np.full((height, len(nodes)), np.inf)
+        for cell, (columns, locals_) in self._cell_columns.items():
             cell_entries = tables._cell_borders[cell]
             if len(cell_entries):
                 block = tables._block("entry", kind, cell)
-                entries[: len(cell_entries), columns] = cell_entries[:, None]
-                leg3_prim[: len(cell_entries), columns] = block[:, locals_]
-        nbytes = sum(array.nbytes for array in (nodes, node_cells, node_locals, entries, leg3_prim))
-        nbytes += sum(columns.nbytes + locals_.nbytes for columns, locals_ in cell_columns.values())
-        return (node_cells, node_locals, cell_columns, entries, leg3_prim), nbytes
+                self._entries[: len(cell_entries), columns] = cell_entries[:, None]
+                self._leg3_prim[: len(cell_entries), columns] = block[:, locals_]
+        #: source -> its primary row at the node set.
+        self._rows = _ByteLRU()
 
     def primary(self, i: int) -> np.ndarray:
         """The primary score of row *i* at every node of the set."""
@@ -548,12 +542,11 @@ class _RowReader:
         return float(best[1])
 
     def _row(self, i: int) -> np.ndarray:
-        """Row *i*'s primaries at the node set (memoised in the tables)."""
-        tables = self._tables
-        key = (self._key, i)
-        cached = tables._readers.get(key)
+        """Row *i*'s primaries at the node set (memoised in the reader)."""
+        cached = self._rows.get(i)
         if cached is not None:
             return cached
+        tables = self._tables
         kind = self._kind
         leg = tables._leg(i, kind)  # validates i
         best = np.full(len(self._node_cells), np.inf)
@@ -564,8 +557,8 @@ class _RowReader:
             best[columns] = tables._in_cell(kind, cell)[0][int(tables.local_index[i]), locals_]
         if leg is not None and len(self._entries):
             best = np.minimum(best, (leg[0][self._entries] + self._leg3_prim).min(axis=0))
-        best.flags.writeable = False  # shared by every reader of the node set
-        tables._readers.put(key, best, best.nbytes)
+        best.flags.writeable = False  # handed out again on the next read
+        self._rows.put(i, best, best.nbytes)
         return best
 
 
@@ -601,8 +594,8 @@ class PartitionedCostTables:
     path stays inside one cell, stitched through the best border-node
     pair otherwise.  Column, row, border-leg and target-mid results are
     cached per node — queries hit the same target, and a search the same
-    sources, repeatedly — and row readers per node set, in LRU caches
-    bounded to ``_CACHE_BYTE_BUDGET`` bytes each; each cell's slices of
+    sources, repeatedly — in LRU caches bounded to
+    ``_CACHE_BYTE_BUDGET`` bytes each; each cell's slices of
     the in-cell matrices are copied contiguous once.  All of it
     is reported by :meth:`cache_bytes`, so long-lived instances amortise
     assembly cost without ever regrowing an ``O(n^2)`` resident
@@ -638,9 +631,6 @@ class PartitionedCostTables:
     _leg_cache: _LRUPairCache = field(init=False, repr=False)
     #: Cached per-target ``mid`` vectors (see :meth:`_mid`): length k.
     _mid_cache: _LRUPairCache = field(init=False, repr=False)
-    #: Shared row readers: per ``(kind, node set)`` its slab, per
-    #: ``((kind, node set), source)`` its primary row (see :meth:`row_reader`).
-    _readers: _ByteLRU = field(init=False, repr=False)
     #: Contiguous per-cell copies of in-cell slices (:meth:`_block`).
     _blocks: _Blocks = field(init=False, repr=False)
     #: Per cell: its border nodes as rows of ``border_nodes`` and as local
@@ -654,7 +644,6 @@ class PartitionedCostTables:
         self._row_cache = _LRUPairCache()
         self._leg_cache = _LRUPairCache()
         self._mid_cache = _LRUPairCache()
-        self._readers = _ByteLRU()
         self._blocks = _Blocks()
         self._cell_borders, self._cell_border_locals = _cell_border_layout(
             part, self.local_index
@@ -805,9 +794,9 @@ class PartitionedCostTables:
           one of that cell's exit rows;
         - a target's mid with its cell, unless one moved in a column at
           that cell's entries;
-        - a row and its memoised reader rows with its source's leg, a
-          column with its target's mid, and a reader slab, only when no
-          cell was replaced (they read every cell's in-cell tables).
+        - a row with its source's leg and a column with its target's mid,
+          only when no cell was replaced (they read every cell's in-cell
+          tables).
         Entries keep their recency order and their bytes.
         """
         cell_of = self.partition.cell_of.tolist()
@@ -844,13 +833,6 @@ class PartitionedCostTables:
                 ((node, kind), value, nbytes)
                 for (node, kind), value, nbytes in old_cache.items()
                 if valid[kind][cell_of[node]]
-            )
-        if whole:
-            # A slab is keyed ``(kind, node ids)``, a reader row ``(slab key, source)``.
-            self._readers.seed(
-                (key, value, nbytes)
-                for key, value, nbytes in old._readers.items()
-                if type(key[0]) is str or legs[key[0][0]][cell_of[key[1]]]
             )
 
     # ------------------------------------------------------------------
@@ -952,17 +934,12 @@ class PartitionedCostTables:
 
         ``reader.primary(i)`` equals ``os_tau_row(i)[nodes]`` (tau) or
         ``bs_sigma_row(i)[nodes]`` (sigma) bit for bit, at the cost of the
-        nodes read instead of all n.  Readers of an identical node set and
-        kind share one slab and one memo of the rows read, cached for the
-        life of these tables (bounded and counted like every cache here).
+        nodes read instead of all n.  The reader gathers its node set's
+        slab when built and memoises the rows it reads itself, within
+        ``_CACHE_BYTE_BUDGET``; it is the caller's, and nothing of it is
+        cached in (or counted by) these tables.
         """
-        nodes = np.asarray(nodes, dtype=np.int64).ravel()
-        key = (kind, nodes.tobytes())
-        slab = self._readers.get(key)
-        if slab is None:
-            slab, nbytes = _RowReader.gather(self, nodes, kind)
-            self._readers.put(key, slab, nbytes)
-        return _RowReader(self, key, slab)
+        return _RowReader(self, np.asarray(nodes, dtype=np.int64).ravel(), kind)
 
     # ------------------------------------------------------------------
     # path materialisation (protocol shared with CostTables)
@@ -1008,13 +985,12 @@ class PartitionedCostTables:
 
     def cache_bytes(self) -> int:
         """Bytes currently held by the derived state: the bounded column,
-        row, leg, mid and reader caches, and the per-cell blocks."""
+        row, leg and mid caches, and the per-cell blocks."""
         return (
             self._column_cache.nbytes()
             + self._row_cache.nbytes()
             + self._leg_cache.nbytes()
             + self._mid_cache.nbytes()
-            + self._readers.nbytes()
             + self._blocks.nbytes()
         )
 

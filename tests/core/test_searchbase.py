@@ -379,17 +379,31 @@ class TestCrossCellReads:
         vj = int(candidates[int(np.argmin(bs_row[candidates]))])
         return vj, float(ctx.tables.os_sigma_row(label.node)[vj]), float(bs_row[vj])
 
-    def test_jump_candidate_equals_full_row_computation(self, border_engine, queries):
-        jumps = 0
+    @pytest.mark.parametrize("partitioned", (True, False), ids=("partitioned", "flat"))
+    def test_jump_candidate_equals_full_row_computation(self, border_engine, queries, partitioned):
+        """Labels as a search builds them: each holds the source's bits and
+        its node's, and some one more keyword, so the jump reads the
+        query's keyword-node set with the positions outside the label's
+        missing mask silenced — on both table classes."""
+        engine = border_engine if partitioned else KOREngine(border_engine.graph)
+        jumps = narrowed = 0
         for query in queries:
-            ctx = make_context(border_engine, query)
-            for node in range(0, border_engine.graph.num_nodes, 7):
-                for bs in (0.0, 1.0, 4.0):
-                    label = Label(node, ctx.binding.node_mask(node), 0.0, 0.0, bs)
-                    got = ctx.jump_candidate(label)
-                    assert got == self.jump_from_full_rows(ctx, label)
-                    jumps += got is not None
-        assert jumps > 50  # the comparison is not vacuous
+            ctx = make_context(engine, query)
+            start = ctx.binding.node_mask(query.source)
+            extras = [0] + [1 << bit for bit in ctx.binding.uncovered_bits(start)]
+            for node in range(0, engine.graph.num_nodes, 7):
+                for extra in extras:
+                    mask = start | ctx.binding.node_mask(node) | extra
+                    missing = ctx.binding.full_mask & ~mask
+                    for bs in (0.0, 1.0, 4.0):
+                        label = Label(node, mask, 0.0, 0.0, bs)
+                        got = ctx.jump_candidate(label)
+                        assert got == self.jump_from_full_rows(ctx, label)
+                        jumps += got is not None
+                        narrowed += got is not None and missing != ctx.binding.full_mask & ~start
+        # The comparison is not vacuous, and labels missing fewer keywords
+        # than the source pick among fewer nodes of the set.
+        assert jumps > 50 and narrowed > 50, (jumps, narrowed)
 
     def test_strategy2_joint_test_equals_full_row_computation(self, border_engine, queries):
         exercised = 0

@@ -82,3 +82,16 @@ class TestComponentMismatch:
         small = CostTables.from_graph(line_graph(2))
         with pytest.raises(QueryError, match="tables cover 2 nodes but the graph has 8"):
             KOREngine(figure_1_graph(), tables=small)
+
+    def test_index_from_wrong_graph_detected_by_size(self):
+        """An index of another graph would answer from the wrong postings
+        ("keywords not present in the graph: t1" where route 0 -> 3 -> 4 ->
+        7 exists): it is refused at construction."""
+        from repro.graph.generators import grid_graph
+        from repro.index.inverted import InvertedIndex
+
+        other = InvertedIndex.from_graph(grid_graph(4, 8, keywords={0: ["t1"], 31: ["t2"]}))
+        with pytest.raises(QueryError, match="index covers 32 nodes but the graph has 8"):
+            KOREngine(figure_1_graph(), index=other)
+        right = KOREngine(figure_1_graph(), index=InvertedIndex.from_graph(figure_1_graph()))
+        assert right.query(0, 7, ["t1"], 10.0).route.nodes == (0, 3, 4, 7)

@@ -9,7 +9,6 @@ from repro.prep.partition import (
     _CACHE_BYTE_BUDGET,
     _CACHE_MIN_ENTRIES,
     PartitionedCostTables,
-    _RowReader,
     partition_graph,
 )
 from repro.prep.tables import CostTables
@@ -18,14 +17,14 @@ from tests.ops import recost
 
 #: The byte-bounded LRUs among the derived caches (the blocks are
 #: bounded by the partition).
-BOUNDED = ("_column_cache", "_row_cache", "_leg_cache", "_mid_cache", "_readers")
+BOUNDED = ("_column_cache", "_row_cache", "_leg_cache", "_mid_cache")
 
 
 def warm_everywhere(tables, nodes=None) -> None:
     """Fill every derived cache of *tables* from the sources and targets
     *nodes* (default: all): primary-only columns and mids at even nodes,
-    pairs at odd ones, both kinds' rows and legs, the per-cell blocks,
-    and two shared readers per kind with a memoised row per node."""
+    pairs at odd ones, both kinds' rows and legs, and the per-cell blocks
+    that two readers per kind slice, read from every node."""
     n = tables.num_nodes
     nodes = range(n) if nodes is None else nodes
     for node in nodes:
@@ -89,20 +88,6 @@ def assert_caches_read_fresh(tables, fresh=None) -> dict[str, int]:
         assert _same_bits(prim, want[0]) and _same_bits(sec, want[1]), ("mid", key)
     for key, block in tables._blocks.items():
         assert _same_bits(block, fresh._block(*key)), ("block", key)
-    for key, value, nbytes in tables._readers.items():
-        if isinstance(key[0], str):
-            kind, raw = key
-            want, size = _RowReader.gather(fresh, np.frombuffer(raw, dtype=np.int64), kind)
-            assert size == nbytes, ("slab", key)
-            assert all(_same_bits(a, b) for a, b in zip(value[:2] + value[3:], want[:2] + want[3:]))
-            assert value[2].keys() == want[2].keys(), ("slab", key)
-            for cell, pair in value[2].items():
-                assert all(map(_same_bits, pair, want[2][cell])), ("slab", key, cell)
-        else:
-            (kind, raw), i = key
-            reader = fresh.row_reader(np.frombuffer(raw, dtype=np.int64), kind)
-            assert _same_bits(value, reader.primary(i)), ("reader row", key)
-            assert not value.flags.writeable
     for name in BOUNDED:
         cache = getattr(tables, name)
         assert cache.nbytes() <= _CACHE_BYTE_BUDGET or len(cache) <= _CACHE_MIN_ENTRIES, name
@@ -369,8 +354,8 @@ class TestPathMaterialisation:
                 reader.primary(t)
                 tables.row_reader(np.array([t, 0]), kind).primary(t)
         # Every cache is bounded by bytes, so the one-byte budget holds each
-        # at its entry floor: the readers' slabs and memoised rows too.
-        caches = ("_column_cache", "_row_cache", "_leg_cache", "_mid_cache", "_readers")
+        # at its entry floor.
+        caches = ("_column_cache", "_row_cache", "_leg_cache", "_mid_cache")
         for name in caches:
             assert len(getattr(tables, name)) == _CACHE_MIN_ENTRIES, name
         per_entry = 2 * 8 * grid.num_nodes
@@ -386,12 +371,11 @@ class TestPathMaterialisation:
 
         def expected_bytes():
             """Full entries at two arrays each, primary-only ones at one,
-            plus the readers' and blocks' own count."""
+            plus the blocks' own count."""
             return (
                 _CACHE_MIN_ENTRIES * (2 * per_entry + 2 * per_leg)
                 - len(primary_only(tables._column_cache)) * per_entry // 2
                 - len(primary_only(tables._mid_cache)) * per_leg // 2
-                + tables._readers.nbytes()
                 + tables._blocks.nbytes()
             )
 
@@ -419,29 +403,29 @@ class TestPathMaterialisation:
         last = grid.num_nodes - 1
         assert tables._column_cache.get((last, "tau")) is not None
 
-    def test_shared_readers_stay_within_the_byte_budget(self, grid, monkeypatch):
-        """Readers of many node sets, each read from many sources: the
-        shared slabs and rows are evicted oldest first once their bytes
-        pass the budget, and ``cache_bytes`` counts exactly what stays."""
-        from repro.prep.partition import _CACHE_MIN_ENTRIES
-
-        budget = 40_000
-        monkeypatch.setattr("repro.prep.partition._CACHE_BYTE_BUDGET", budget)
+    def test_a_readers_memo_stays_within_the_byte_budget(self, grid, monkeypatch):
+        """One reader read from every source, twice: its memoised rows are
+        evicted oldest first once their bytes pass the budget, a row it
+        still holds is handed out again, and one it dropped reads the same
+        floats when built again."""
+        nodes = np.arange(0, grid.num_nodes, 2)
+        row_bytes = 8 * len(nodes)
+        fits = _CACHE_MIN_ENTRIES + 4
+        monkeypatch.setattr("repro.prep.partition._CACHE_BYTE_BUDGET", fits * row_bytes)
         tables = PartitionedCostTables.from_graph(grid, num_cells=4, seed=1)
-        rng = np.random.default_rng(3)
-        peak = 0
-        for _ in range(60):
-            nodes = rng.choice(grid.num_nodes, size=int(rng.integers(1, 30)), replace=False)
-            reader = tables.row_reader(nodes, "sigma" if rng.random() < 0.5 else "tau")
-            for source in rng.choice(grid.num_nodes, size=10):
-                reader.primary(int(source))
-                reader.secondary_at(int(source), 0)
-            stored = tables._readers
-            assert stored.nbytes() == sum(nbytes for _value, nbytes in stored._data.values())
-            assert stored.nbytes() <= budget or len(stored) <= _CACHE_MIN_ENTRIES
-            peak = max(peak, len(stored))
-        assert peak > _CACHE_MIN_ENTRIES  # the budget, not the floor, bounded it
-        assert tables._readers.nbytes() <= tables.cache_bytes()
+        for kind in ("tau", "sigma"):
+            reader = tables.row_reader(nodes, kind)
+            first = [reader.primary(source) for source in range(grid.num_nodes)]
+            memo = reader._rows
+            assert len(memo) == fits and memo.nbytes() == fits * row_bytes
+            assert memo.nbytes() == sum(nbytes for _key, _value, nbytes in memo.items())
+            held = [key for key, _value, _nbytes in memo.items()]
+            assert held == list(range(grid.num_nodes - fits, grid.num_nodes))
+            for source in held:
+                assert reader.primary(source) is first[source]
+            for source, row in enumerate(first):
+                assert reader.primary(source).tobytes() == row.tobytes()
+                assert len(memo) == fits and memo.nbytes() == fits * row_bytes
 
     def test_lru_cache_evicts_oldest_first(self):
         from repro.prep.partition import _CACHE_BYTE_BUDGET, _LRUPairCache
@@ -557,9 +541,10 @@ class TestPathMaterialisation:
         assert cache.nbytes() <= _CACHE_BYTE_BUDGET or len(cache) <= _CACHE_MIN_ENTRIES
 
     def test_shared_reads_survive_concurrent_threads(self, grid, monkeypatch):
-        """Thread workers share one tables object: concurrent searches
-        building and reading the same readers, mids and blocks (evicted
-        all the while under a small budget) read the single-thread floats."""
+        """Thread workers share one tables object: concurrent searches,
+        each building its own readers over the same node sets, reading the
+        same legs, mids and blocks (evicted all the while under a small
+        budget) read the single-thread floats."""
         import sys
         import threading
 
@@ -611,12 +596,12 @@ class TestPathMaterialisation:
         assert errors == []
 
     #: Every cache of derived state a tables object holds.
-    DERIVED = ("_column_cache", "_row_cache", "_leg_cache", "_mid_cache", "_readers", "_blocks")
+    DERIVED = ("_column_cache", "_row_cache", "_leg_cache", "_mid_cache", "_blocks")
 
     @staticmethod
     def warm(tables) -> None:
         """Populate every derived cache: a column, a row, legs, a mid,
-        a shared reader with a memoised row, and per-cell blocks."""
+        and per-cell blocks (a reader's row slices them)."""
         tables.os_tau_col(24)
         tables.os_tau_row(24)
         tables.bs_tau_entries(48)[0]
@@ -689,7 +674,7 @@ class TestPathMaterialisation:
         assert update.repaired_cells == (0,)
         counts = assert_caches_read_fresh(new)
         assert counts["_blocks"] and counts["_leg_cache"] and counts["_mid_cache"], counts
-        assert counts["_column_cache"] == counts["_row_cache"] == counts["_readers"] == 0, counts
+        assert counts["_column_cache"] == counts["_row_cache"] == 0, counts
 
         moved = {
             kind: np.logical_or.reduce(
@@ -718,8 +703,8 @@ class TestPathMaterialisation:
         assert dropped_elsewhere
 
     def test_repair_of_a_cut_edge_carries_every_cell(self):
-        """A re-cost between cells replaces no cell: rows, columns and
-        readers survive with their source's leg or target's mid."""
+        """A re-cost between cells replaces no cell: rows and columns
+        survive with their source's leg or target's mid."""
         from repro.datasets import RoadConfig, build_road_graph
         from repro.world import MutableWorld
 
@@ -851,12 +836,8 @@ class TestPathMaterialisation:
         assert reader.secondary_at(0, 1) == 1.5
         assert reader.secondary_at(0, 2) == np.inf
         np.testing.assert_array_equal(reader.primary(0), tables.bs_sigma_row(0))
-        # One row pair; no leg, mid or block to keep; the reader's slab (the
-        # node ids of its key, two node-index vectors, two per-cell
-        # column/local pairs, no entry rows) and its two memoised rows.
-        slab = 3 * 8 * 4 + 2 * 2 * 8 * 2
-        assert tables._readers.nbytes() == slab + 2 * 8 * 4
-        assert tables.cache_bytes() == 2 * 8 * 4 + tables._readers.nbytes()
+        # One row pair; no leg, mid or block to keep.
+        assert tables.cache_bytes() == 2 * 8 * 4
 
     def test_shared_cell_tables_are_validated(self, grid):
         partition = partition_graph(grid, 2, seed=0)

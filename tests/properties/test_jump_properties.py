@@ -67,9 +67,13 @@ def contexts(graph, query, cells):
 
 def assert_jumps_equal(ctx, visits) -> int:
     """Every ``(node, mask, bs)`` visit answers as the reference; returns
-    how many visits were answered from the memo."""
+    how many visits were answered from the memo.  Each label holds the
+    source's keyword bits besides *mask*, as every label a search builds
+    does."""
     remembered = 0
+    start = ctx.binding.node_mask(ctx.query.source)
     for node, mask, bs in visits:
+        mask |= start
         label = Label(node, mask, 0.0, 0.0, bs)
         missing = ctx.binding.full_mask & ~mask
         remembered += (node, missing) in ctx._nearest

@@ -304,40 +304,34 @@ class TestColumnEntries:
 
 
 # ----------------------------------------------------------------------
-# readers shared per tables epoch
+# a reader's own memo
 # ----------------------------------------------------------------------
-class TestSharedReaders:
+class TestReaders:
     @SLOW
     @given(partitioned_instances(), st.data())
-    def test_shared_reader_equals_a_fresh_reader(self, instance, data):
-        """Two node sets read from drawn sources in drawn order, as
-        successive queries would: every read of the shared reader (its slab
-        and memo built by earlier reads) equals one from tables that have
-        cached nothing, and one node set and kind is one slab."""
+    def test_used_reader_equals_a_fresh_reader(self, instance, data):
+        """A reader read from drawn sources in drawn order, repeats
+        included, as a search reads it: every read of it (its memo built
+        by the reads before) equals, bit for bit, the same read of a reader
+        built fresh over the same nodes from tables that cached nothing."""
         _graph, tables = instance
         n = tables.num_nodes
-        node_sets = [
-            np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.int64)
-            for _ in range(2)
-        ]
+        nodes = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.int64)
         sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
-        for source in sources:
-            for kind in ROWS:
-                for nodes in node_sets:
-                    shared = tables.row_reader(nodes.copy(), kind)
-                    fresh = dataclasses.replace(tables).row_reader(nodes, kind)
-                    np.testing.assert_array_equal(shared.primary(source), fresh.primary(source))
-                    assert [shared.secondary_at(source, p) for p in range(len(nodes))] == [
-                        fresh.secondary_at(source, p) for p in range(len(nodes))
-                    ]
-                    again = tables.row_reader(nodes, kind)
-                    assert again._leg3_prim is shared._leg3_prim
+        for kind in ROWS:
+            used = tables.row_reader(nodes, kind)
+            for source in sources:
+                fresh = dataclasses.replace(tables).row_reader(nodes.copy(), kind)
+                assert used.primary(source).tobytes() == fresh.primary(source).tobytes()
+                assert [used.secondary_at(source, p) for p in range(len(nodes))] == [
+                    fresh.secondary_at(source, p) for p in range(len(nodes))
+                ]
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(partitioned_instances(), st.data())
     def test_reads_survive_every_cache_at_its_floor(self, instance, data):
         """With a one-byte budget every cache keeps only its entry floor:
-        readers, memoised rows, legs and mids are evicted and rebuilt
+        a reader's memoised rows, legs and mids are evicted and rebuilt
         between reads, and every read still equals the full rows."""
         _graph, tables = instance
         n = tables.num_nodes

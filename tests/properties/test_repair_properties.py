@@ -286,10 +286,10 @@ class TestWarmCachesOverRepairs:
             if cell_of[u] == cell_of[v]
         ):
             counts, moved = self._recost(world, u, v, 1.5)
-            # Other cells' blocks survive; rows, columns and readers read
-            # the replaced cell and do not.
+            # Other cells' blocks survive; rows and columns read the
+            # replaced cell and do not.
             assert counts["_blocks"], counts
-            assert counts["_column_cache"] == counts["_row_cache"] == counts["_readers"] == 0
+            assert counts["_column_cache"] == counts["_row_cache"] == 0
             seen.add(moved > 0)
             self._recost(world, u, v, 1 / 1.5)
             if seen == {True, False}:

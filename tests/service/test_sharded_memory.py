@@ -139,8 +139,8 @@ def test_warm_caches_are_counted_and_stay_below_the_flat_footprint():
     search leaves behind is one length-k leg per source it popped, not a
     length-n row, so a split service stays below the one-cell footprint
     (with cached rows the 4-cell service used to end up above it).  The
-    readers the searches share, and the per-cell blocks they slice, are
-    counted the same way."""
+    per-cell blocks the searches' row readers slice are counted the same
+    way."""
     from repro.core.query import KORQuery
 
     graph = grid_graph(4, 48, keywords={0: ["a"], 95: ["b"], 190: ["c"]})
@@ -162,12 +162,10 @@ def test_warm_caches_are_counted_and_stay_below_the_flat_footprint():
             assert legs.nbytes() == len(legs) * per_leg <= _CACHE_BYTE_BUDGET
             assert assembled._row_cache.nbytes() == 0  # the search reads no full row
             assert legs.nbytes() <= assembled.cache_bytes()
-            # The shared readers (slabs and memoised rows) and the per-cell
-            # blocks are resident too, the readers within their budget.
-            readers, blocks = assembled._readers, assembled._blocks
-            assert (readers.nbytes() > 0) == (blocks.nbytes() > 0) == (num_cells > 1)
-            assert readers.nbytes() <= _CACHE_BYTE_BUDGET
-            assert legs.nbytes() + readers.nbytes() + blocks.nbytes() <= assembled.cache_bytes()
+            # The per-cell blocks the readers slice are resident too.
+            blocks = assembled._blocks
+            assert (blocks.nbytes() > 0) == (num_cells > 1)
+            assert legs.nbytes() + blocks.nbytes() <= assembled.cache_bytes()
             # The search reads BS(tau) per node: no tau column pair is built.
             assert all(
                 kind != "tau" or sec is None
@@ -176,3 +174,38 @@ def test_warm_caches_are_counted_and_stay_below_the_flat_footprint():
             assert service.memory_bytes() == cold + assembled.cache_bytes()
             sizes[num_cells] = service.memory_bytes()
     assert max(sizes[4], sizes[8]) < 0.6 * sizes[1], sizes
+
+
+def test_a_served_search_leaves_no_reader_in_the_tables(monkeypatch):
+    """The row readers a search builds are its own: once the service has
+    answered, none of them is alive, and every byte ``cache_bytes`` counts
+    is a per-node entry (a row, column, border leg or mid) or a per-cell
+    block of the tables."""
+    import gc
+    import weakref
+
+    from repro.core.query import KORQuery
+
+    built = []
+    row_reader = PartitionedCostTables.row_reader
+
+    def tracked(tables, nodes, kind):
+        reader = row_reader(tables, nodes, kind)
+        built.append(weakref.ref(reader))
+        return reader
+
+    monkeypatch.setattr(PartitionedCostTables, "row_reader", tracked)
+    graph = grid_graph(4, 48, keywords={0: ["a"], 95: ["b"], 190: ["c"]})
+    queries = [KORQuery(0, 191, ("a", "b"), 80.0), KORQuery(47, 150, ("a", "c"), 250.0)]
+    with service_for(graph, 4) as service:
+        results = service.run_batch(queries, algorithm="bucketbound")
+        assert all(result.route is not None for result in results)
+        gc.collect()
+        assert built and all(ref() is None for ref in built)
+        tables = service.world.tables
+        lrus = ("_column_cache", "_row_cache", "_leg_cache", "_mid_cache")
+        for name in lrus:
+            for (node, kind), _value, _nbytes in getattr(tables, name).items():
+                assert type(node) is int and kind in ("tau", "sigma"), name
+        counted = sum(getattr(tables, name).nbytes() for name in lrus + ("_blocks",))
+        assert tables.cache_bytes() == counted > 0
