@@ -56,9 +56,7 @@ def render_table(
     lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
     lines.append("  ".join("-" * w for w in widths))
     for row in range(len(xs)):
-        lines.append(
-            "  ".join(column[row].ljust(w) for column, w in zip(columns, widths))
-        )
+        lines.append("  ".join(column[row].ljust(w) for column, w in zip(columns, widths)))
     if notes:
         lines.append(f"note: {notes}")
     return "\n".join(lines) + "\n"

@@ -76,9 +76,7 @@ class Deadline:
     def check(self) -> None:
         """Raise :class:`DeadlineExceeded` if expired (always reads the clock)."""
         if time.monotonic() >= self.expires_at:
-            raise DeadlineExceeded(
-                f"deadline exceeded by {-self.remaining():.4g}s"
-            )
+            raise DeadlineExceeded(f"deadline exceeded by {-self.remaining():.4g}s")
 
     def tick(self) -> None:
         """The search-loop checkpoint: check the clock every ``tick_stride`` calls."""

@@ -223,9 +223,7 @@ def greedy(
     route = _materialize(graph, tables, best, target)
     stats.runtime_seconds = time.perf_counter() - start
     covered = route.covered_keywords(graph)
-    covers = all(
-        kid is not None and kid in covered for kid in binding.keyword_ids
-    )
+    covers = all(kid is not None and kid in covered for kid in binding.keyword_ids)
     return KORResult(
         query=query,
         algorithm=algorithm,
@@ -236,9 +234,7 @@ def greedy(
     )
 
 
-def _materialize(
-    graph: SpatialKeywordGraph, tables: CostTables, leaf: _Leaf, target: int
-) -> Route:
+def _materialize(graph: SpatialKeywordGraph, tables: CostTables, leaf: _Leaf, target: int) -> Route:
     """Concatenate the tau segments between waypoints plus the completion."""
     nodes: list[int] = [leaf.waypoints[0]]
     for prev, nxt in zip(leaf.waypoints, leaf.waypoints[1:]):

@@ -164,6 +164,4 @@ class QueryBinding:
 
     def mask_to_words(self, mask: int) -> frozenset[str]:
         """Human-readable keyword set for a coverage bitmask."""
-        return frozenset(
-            word for bit, word in enumerate(self.query.keywords) if mask & (1 << bit)
-        )
+        return frozenset(word for bit, word in enumerate(self.query.keywords) if mask & (1 << bit))

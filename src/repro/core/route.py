@@ -28,9 +28,7 @@ class Route:
     budget_score: float
 
     @classmethod
-    def from_nodes(
-        cls, graph: SpatialKeywordGraph, nodes: list[int] | tuple[int, ...]
-    ) -> "Route":
+    def from_nodes(cls, graph: SpatialKeywordGraph, nodes: list[int] | tuple[int, ...]) -> "Route":
         """Score an explicit node sequence against *graph*.
 
         Raises :class:`GraphError` when a consecutive pair is not an edge.

@@ -311,9 +311,7 @@ class SearchContext:
         cached = self._scaled_out.get(u)
         if cached is None:
             scale = self.scaling.scale
-            cached = tuple(
-                (v, obj, bud, scale(obj)) for v, obj, bud in self.graph.out_edges(u)
-            )
+            cached = tuple((v, obj, bud, scale(obj)) for v, obj, bud in self.graph.out_edges(u))
             self._scaled_out[u] = cached
         return cached
 

@@ -66,9 +66,7 @@ def cluster_photos(
             sum_y += photo.y
             for tag in photo.tags:
                 tag_users[tag].add(photo.user_id)
-        tags = frozenset(
-            tag for tag, users in tag_users.items() if len(users) >= min_tag_users
-        )
+        tags = frozenset(tag for tag, users in tag_users.items() if len(users) >= min_tag_users)
         location_index = len(locations)
         locations.append(
             Location(

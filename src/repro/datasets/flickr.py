@@ -91,9 +91,7 @@ def build_flickr_graph(config: FlickrConfig | None = None) -> FlickrDataset:
     trip_counts = _extract_trips(photos, photo_to_location, config.trip_cutoff_seconds)
     total_trips = sum(trip_counts.values())
     if total_trips == 0:
-        raise DatasetError(
-            "no trips extracted; increase photos per user or the session length"
-        )
+        raise DatasetError("no trips extracted; increase photos per user or the session length")
 
     graph = _build_graph(locations, trip_counts, total_trips)
     if config.restrict_to_largest_scc:

@@ -205,9 +205,7 @@ def _next_hotspot(
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _hop_cdf(
-    current: int, centers: np.ndarray, popularity: np.ndarray
-) -> np.ndarray | None:
+def _hop_cdf(current: int, centers: np.ndarray, popularity: np.ndarray) -> np.ndarray | None:
     """CDF of the hop out of *current*, or ``None`` when every weight
     underflows (the hop is then uniform)."""
     deltas = centers - centers[current]

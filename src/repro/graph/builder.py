@@ -86,9 +86,7 @@ class GraphBuilder:
     def add_keywords(self, node: int, keywords: Iterable[str]) -> None:
         """Attach additional keywords to an existing node."""
         self._check_node(node)
-        self._node_keywords[node] = self._node_keywords[node] | self._keywords.intern_many(
-            keywords
-        )
+        self._node_keywords[node] = self._node_keywords[node] | self._keywords.intern_many(keywords)
 
     # ------------------------------------------------------------------
     # edges

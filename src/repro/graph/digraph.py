@@ -121,9 +121,7 @@ class SpatialKeywordGraph:
     ) -> None:
         n = len(adjacency)
         if len(node_keywords) != n:
-            raise GraphError(
-                f"adjacency has {n} nodes but node_keywords has {len(node_keywords)}"
-            )
+            raise GraphError(f"adjacency has {n} nodes but node_keywords has {len(node_keywords)}")
         if names is not None and len(names) != n:
             raise GraphError(f"names has {len(names)} entries for {n} nodes")
         if (xs is None) != (ys is None):

@@ -172,9 +172,7 @@ class GraphMutator:
             return self._open_node(self._node(op, "node"))
         if kind == "update_keywords":
             return self._update_keywords(self._node(op, "node"), op.get("keywords"))
-        raise MutationError(
-            f"unknown mutation op {kind!r}; expected one of {', '.join(OP_NAMES)}"
-        )
+        raise MutationError(f"unknown mutation op {kind!r}; expected one of {', '.join(OP_NAMES)}")
 
     def _node(self, op: Mapping[str, object], field: str) -> int:
         """``op[field]`` as a node id of the current graph."""
@@ -189,9 +187,7 @@ class GraphMutator:
         self, u: int, v: int, objective: float | None, budget: float | None
     ) -> tuple[dict, dict]:
         if u in self._closed or v in self._closed:
-            raise MutationError(
-                f"cannot update edge ({u}, {v}): one of its endpoints is closed"
-            )
+            raise MutationError(f"cannot update edge ({u}, {v}): one of its endpoints is closed")
         if not self._graph.has_edge(u, v):
             raise MutationError(f"no edge ({u}, {v}) to update")
         if objective is None and budget is None:
@@ -205,9 +201,7 @@ class GraphMutator:
             elif type(value) not in (int, float):  # the wire's rule: no bool, no "2"
                 raise MutationError(f"edge ({u}, {v}) {name} must be a number, got {value!r}")
             if not value > 0 or value == math.inf:
-                raise MutationError(
-                    f"edge ({u}, {v}) {name} must be finite and > 0, got {value!r}"
-                )
+                raise MutationError(f"edge ({u}, {v}) {name} must be finite and > 0, got {value!r}")
             if not MIN_EDGE_WEIGHT <= value <= MAX_EDGE_WEIGHT:
                 raise MutationError(
                     f"edge ({u}, {v}) {name} must lie in "
@@ -224,9 +218,7 @@ class GraphMutator:
             raise MutationError(f"node {node} is already closed")
         # Remember the pre-closure keywords unless an explicit override
         # already speaks for this node.
-        self._keywords.setdefault(
-            node, _normalised_words(self._graph.node_keyword_strings(node))
-        )
+        self._keywords.setdefault(node, _normalised_words(self._graph.node_keyword_strings(node)))
         drops = {(node, v): None for v, _obj, _bud in self._graph.out_edges(node)}
         for u in range(self._graph.num_nodes):
             if u != node and self._graph.has_edge(u, node):
@@ -248,9 +240,7 @@ class GraphMutator:
 
     def _update_keywords(self, node: int, keywords: object) -> tuple[dict, dict]:
         if node in self._closed:
-            raise MutationError(
-                f"cannot update keywords of closed node {node}; open it first"
-            )
+            raise MutationError(f"cannot update keywords of closed node {node}; open it first")
         if not isinstance(keywords, (list, tuple)):  # a str would split into letters
             raise MutationError(f"keywords must be a list of non-empty strings, got {keywords!r}")
         words = _normalised_words(keywords)

@@ -23,9 +23,7 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class InvertedIndex:
     """Keyword-id -> sorted node-id posting lists, held in memory."""
 
-    def __init__(
-        self, postings: dict[int, np.ndarray], vocabulary: Vocabulary
-    ) -> None:
+    def __init__(self, postings: dict[int, np.ndarray], vocabulary: Vocabulary) -> None:
         self._postings = postings
         self._vocabulary = vocabulary
 
@@ -36,9 +34,7 @@ class InvertedIndex:
         for u in range(graph.num_nodes):
             for kid in graph.node_keywords(u):
                 lists.setdefault(kid, []).append(u)
-        postings = {
-            kid: np.asarray(nodes, dtype=np.int64) for kid, nodes in lists.items()
-        }
+        postings = {kid: np.asarray(nodes, dtype=np.int64) for kid, nodes in lists.items()}
         return cls(postings, Vocabulary(graph))
 
     # ------------------------------------------------------------------

@@ -202,9 +202,7 @@ def partition_graph(graph: SpatialKeywordGraph, num_cells: int, seed: int = 0) -
                 frontiers[cell].append(int(node))
                 assigned += 1
 
-    cells = tuple(
-        np.flatnonzero(cell_of == cell).astype(np.int64) for cell in range(num_cells)
-    )
+    cells = tuple(np.flatnonzero(cell_of == cell).astype(np.int64) for cell in range(num_cells))
     border_mask = np.zeros(n, dtype=bool)
     for edge in graph.iter_edges():
         if cell_of[edge.u] != cell_of[edge.v]:
@@ -645,9 +643,7 @@ class PartitionedCostTables:
         self._leg_cache = _LRUPairCache()
         self._mid_cache = _LRUPairCache()
         self._blocks = _Blocks()
-        self._cell_borders, self._cell_border_locals = _cell_border_layout(
-            part, self.local_index
-        )
+        self._cell_borders, self._cell_border_locals = _cell_border_layout(part, self.local_index)
 
     # ------------------------------------------------------------------
     # construction

@@ -433,9 +433,7 @@ class KORApp:
     ) -> None:
         """One complete JSON response + the endpoint counter tick."""
         body = json.dumps(payload, allow_nan=False).encode()
-        headers = list(_JSON_HEADERS) + [
-            (b"content-length", str(len(body)).encode())
-        ]
+        headers = list(_JSON_HEADERS) + [(b"content-length", str(len(body)).encode())]
         if extra_headers:
             headers.extend(extra_headers)
         await send(

@@ -121,9 +121,7 @@ async def http_request(
     timeout: float = 30.0,
 ) -> HTTPResponse:
     """One HTTP/1.1 exchange over a fresh socket (``Connection: close``)."""
-    return await asyncio.wait_for(
-        _http_request(host, port, method, path, payload), timeout
-    )
+    return await asyncio.wait_for(_http_request(host, port, method, path, payload), timeout)
 
 
 async def _http_request(

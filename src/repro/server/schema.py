@@ -440,9 +440,7 @@ def encode_update_ack(epoch: int, applied: int) -> dict:
 # ----------------------------------------------------------------------
 
 
-def encode_route_result(
-    result: KORResult, explain: bool = False, epoch: int | None = None
-) -> dict:
+def encode_route_result(result: KORResult, explain: bool = False, epoch: int | None = None) -> dict:
     """One :class:`KORResult` as a ``kor.route_result.v1`` document.
 
     ``explain=True`` attaches the search counters (labels created /
@@ -545,9 +543,7 @@ def decode_route_result(payload: Mapping) -> KORResult:
     explain = payload.get("explain")
     if explain and isinstance(explain.get("search"), Mapping):
         known = {field for field in SearchStats.__dataclass_fields__}
-        stats = SearchStats(
-            **{k: v for k, v in explain["search"].items() if k in known}
-        )
+        stats = SearchStats(**{k: v for k, v in explain["search"].items() if k in known})
     return KORResult(
         query=query,
         algorithm=payload["algorithm"],

@@ -265,9 +265,7 @@ class RemoteTaskError(QueryError):
     the process boundary; carries the original type name and message."""
 
 
-def run_wave_on_engine(
-    engine: KOREngine, task: WaveTask, kernel_context=None
-) -> list[TaskOutcome]:
+def run_wave_on_engine(engine: KOREngine, task: WaveTask, kernel_context=None) -> list[TaskOutcome]:
     """Execute a wave against a live *engine*, one outcome per member.
 
     The members' keywords are resolved through the index **once** (one

@@ -32,7 +32,7 @@ from repro.core.deadline import Deadline
 from repro.core.engine import ALGORITHMS, KOREngine
 from repro.core.query import KORQuery
 from repro.core.results import KORResult
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, ServiceClosed
 from repro.service import batch
 from repro.service.backends import (
     EngineHandle,
@@ -62,6 +62,9 @@ class RoutedService:
     (``close()`` closes it); a caller-supplied backend is shared, not
     owned.  ``engine``, when given, is served as the one cell's engine
     until the first update (the flat tier's own engine object).
+    ``close()`` releases the engine, world and handle: afterwards the
+    accessors that read them, updates and batches raise
+    :class:`~repro.exceptions.ServiceClosed`.
     """
 
     def __init__(
@@ -91,6 +94,13 @@ class RoutedService:
         tables = world.cells[0].tables if world.num_cells == 1 else world.tables
         return KOREngine(world.graph, tables=tables, index=world.index)
 
+    def _open_world(self) -> MutableWorld:
+        """The served world; raises :class:`~repro.exceptions.ServiceClosed`
+        once ``close()`` has released it."""
+        if self._world is None:
+            raise ServiceClosed(f"{type(self).__name__} is closed")
+        return self._world
+
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
@@ -105,6 +115,7 @@ class RoutedService:
         :class:`KOREngine` over the one cell's tables, or over the
         partitioned tables of a world of more cells.  Reassembled over
         the repaired parts by every update."""
+        self._open_world()
         return self._engine
 
     @property
@@ -144,18 +155,28 @@ class RoutedService:
         return self._cache.invalidate()
 
     def close(self) -> None:
-        """Retire this service's engine from the backend (idempotent).
+        """Retire this service's engine and release what it serves
+        (idempotent).
 
         The handle is unregistered — on a shared backend the engine
         would otherwise stay alive, and be re-shipped to every new pool
         worker, for the backend's lifetime.  The backend itself is only
         closed when this service (or
         :func:`~repro.service.config.build_service` on its behalf)
-        created it.  A closed service must not serve further batches.
+        created it.  The engine, world and handle are then dropped, so
+        whoever still holds the closed service (a server's front end, a
+        harness's last deployment) no longer holds its tables; reading
+        them, updating or running a batch afterwards raises
+        :class:`~repro.exceptions.ServiceClosed`.  Counters, the stats
+        snapshot and the cache are left as they stand.
         """
-        self._backend.unregister(self._handle.key)
-        if self._owns_backend:
-            self._backend.close()
+        with self._update_lock:  # an update in flight lands first
+            if self._world is None:
+                return
+            self._backend.unregister(self._handle.key)
+            if self._owns_backend:
+                self._backend.close()
+            self._engine = self._world = self._handle = None
 
     def __enter__(self):
         return self
@@ -188,7 +209,7 @@ class RoutedService:
         the old graph.
         """
         with self._update_lock:
-            self._integrate(self._world.apply_ops(ops))
+            self._integrate(self._open_world().apply_ops(ops))
             return self._epoch
 
     def _integrate(self, update: WorldUpdate) -> None:
@@ -301,8 +322,12 @@ class RoutedService:
         slot and nothing about it is cached.
 
         ``deadline`` (out-of-band, never in cache keys) bounds every
-        search.
+        search.  A closed service raises
+        :class:`~repro.exceptions.ServiceClosed` and counts nothing.
         """
+        handle = self._handle  # read once: close() may drop it meanwhile
+        if handle is None:
+            raise ServiceClosed(f"{type(self).__name__} is closed")
         if algorithm not in ALGORITHMS:
             raise QueryError(
                 f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
@@ -334,7 +359,7 @@ class RoutedService:
             # trip) each, with its containment tiers: a poisoned member
             # errors its own slot, and a wave whose submission breaks is
             # resubmitted as waves of one.
-            key = self._handle.key
+            key = handle.key
             outcomes = dispatch_waves(
                 self._backend,
                 key,

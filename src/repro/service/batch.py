@@ -111,12 +111,8 @@ class BatchError(QueryError):
 
     def __init__(self, report: BatchReport) -> None:
         errors = report.errors
-        preview = "; ".join(
-            f"[{index}] {error}" for index, error in sorted(errors.items())[:3]
-        )
-        super().__init__(
-            f"{len(errors)} of {len(report.items)} batch queries failed: {preview}"
-        )
+        preview = "; ".join(f"[{index}] {error}" for index, error in sorted(errors.items())[:3])
+        super().__init__(f"{len(errors)} of {len(report.items)} batch queries failed: {preview}")
         self.report = report
 
 

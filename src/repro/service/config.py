@@ -98,9 +98,7 @@ class ServiceConfig:
         known = {f.name for f in fields(self)}
         unknown = sorted(set(overrides) - known)
         if unknown:
-            raise QueryError(
-                f"unknown ServiceConfig field(s): {', '.join(unknown)}"
-            )
+            raise QueryError(f"unknown ServiceConfig field(s): {', '.join(unknown)}")
         return replace(self, **overrides)
 
 

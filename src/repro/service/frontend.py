@@ -479,9 +479,7 @@ class AsyncQueryService:
                 if flight.key is not None and self._pending.get(flight.key) is flight:
                     del self._pending[flight.key]
 
-    def _deliver(
-        self, flight: _Flight, result: KORResult | None, error: Exception | None
-    ) -> None:
+    def _deliver(self, flight: _Flight, result: KORResult | None, error: Exception | None) -> None:
         future = flight.future
         if future.done():
             return
@@ -520,14 +518,13 @@ class AsyncQueryService:
                 del self._pending[flight.key]
             if not flight.future.done():
                 flight.future.set_exception(
-                    ServiceClosed(
-                        "AsyncQueryService closed before this query dispatched"
-                    )
+                    ServiceClosed("AsyncQueryService closed before this query dispatched")
                 )
         if self._waves:
             await asyncio.gather(*tuple(self._waves), return_exceptions=True)
         if self._close_service:
-            self._service.close()
+            # close() waits for an update in flight: keep the loop free.
+            await asyncio.get_running_loop().run_in_executor(None, self._service.close)
 
     async def __aenter__(self) -> "AsyncQueryService":
         return self

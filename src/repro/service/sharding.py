@@ -94,22 +94,22 @@ class ShardedQueryService(RoutedService):
     @property
     def world(self) -> MutableWorld:
         """The mutable world this service serves (graph + tables + index)."""
-        return self._world
+        return self._open_world()
 
     @property
     def graph(self) -> SpatialKeywordGraph:
         """The full graph being served."""
-        return self._world.graph
+        return self._open_world().graph
 
     @property
     def partition(self) -> GraphPartition:
         """The node-to-cell assignment behind the cells."""
-        return self._world.partition
+        return self._open_world().partition
 
     @property
     def num_shards(self) -> int:
         """Number of cells the graph was split into."""
-        return self._world.num_cells
+        return self._open_world().num_cells
 
     def memory_bytes(self) -> int:
         """Bytes of cost-table state resident in this service.
@@ -120,7 +120,7 @@ class ShardedQueryService(RoutedService):
         memory-scaling test pins: without flat global tables it must not
         grow with ``num_cells``.
         """
-        tables = self._world.tables
+        tables = self._open_world().tables
         return tables.memory_bytes(include_paths=True) + tables.cache_bytes()
 
     def plan_of(self, query: KORQuery) -> str:

@@ -164,9 +164,7 @@ class StatsSnapshot:
         if self.queue_depth_peak:
             line += f"; peak queue depth {self.queue_depth_peak}"
         if self.pinning:
-            pins = ", ".join(
-                f"{name}={count}" for name, count in sorted(self.pinning.items())
-            )
+            pins = ", ".join(f"{name}={count}" for name, count in sorted(self.pinning.items()))
             line += f"; pinning: {pins}"
         if self.waves:
             line += (
@@ -347,9 +345,7 @@ class ServiceStats:
                 coalesced=self._coalesced,
                 timeouts=self._timeouts,
                 shed=self._shed,
-                queue_depth_peak=max(
-                    self._queue_depth_peak, queue_depth_peak or 0
-                ),
+                queue_depth_peak=max(self._queue_depth_peak, queue_depth_peak or 0),
                 pinning=dict(pinning) if pinning else {},
                 waves=(
                     {

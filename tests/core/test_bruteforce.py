@@ -50,15 +50,11 @@ class TestBranchAndBound:
             (("t1", "t2", "t3"), 8.0),
         ):
             query = KORQuery(0, 7, keywords, delta)
-            bnb = branch_and_bound(
-                fig1_engine.graph, fig1_engine.tables, fig1_engine.index, query
-            )
+            bnb = branch_and_bound(fig1_engine.graph, fig1_engine.tables, fig1_engine.index, query)
             brute = exhaustive_search(fig1_engine.graph, fig1_engine.index, query)
             assert bnb.feasible == brute.feasible
             if brute.feasible:
-                assert bnb.route.objective_score == pytest.approx(
-                    brute.route.objective_score
-                )
+                assert bnb.route.objective_score == pytest.approx(brute.route.objective_score)
 
     def test_algorithm_label(self, fig1_engine):
         result = branch_and_bound(
@@ -69,9 +65,7 @@ class TestBranchAndBound:
 
     def test_exact_beats_or_ties_approximations(self, fig1_engine):
         query = KORQuery(0, 7, ("t1", "t2"), 10.0)
-        exact = branch_and_bound(
-            fig1_engine.graph, fig1_engine.tables, fig1_engine.index, query
-        )
+        exact = branch_and_bound(fig1_engine.graph, fig1_engine.tables, fig1_engine.index, query)
         for algorithm in ("osscaling", "bucketbound"):
             approx = fig1_engine.run(query, algorithm=algorithm)
             assert exact.route.objective_score <= approx.route.objective_score + 1e-9

@@ -80,9 +80,7 @@ class TestResults:
     def test_theorem3_bound(self, fig1_engine, beta):
         epsilon = 0.5
         exact = fig1_engine.query(0, 7, ("t1", "t2", "t3"), 8.0, algorithm="exact")
-        result = run(
-            fig1_engine, 0, 7, ("t1", "t2", "t3"), 8.0, epsilon=epsilon, beta=beta
-        )
+        result = run(fig1_engine, 0, 7, ("t1", "t2", "t3"), 8.0, epsilon=epsilon, beta=beta)
         assert result.feasible
         assert (
             result.route.objective_score

@@ -86,9 +86,7 @@ class TestOptimisationStrategies:
 
     @pytest.mark.parametrize("s1,s2", [(True, True), (True, False), (False, True), (False, False)])
     def test_strategies_preserve_result_quality(self, fig1_engine, s1, s2):
-        result = run(
-            fig1_engine, 0, 7, ("t1", "t2"), 10.0, use_strategy1=s1, use_strategy2=s2
-        )
+        result = run(fig1_engine, 0, 7, ("t1", "t2"), 10.0, use_strategy1=s1, use_strategy2=s2)
         assert result.feasible
         assert result.route.objective_score == 4.0  # optimum on this instance
 

@@ -79,9 +79,7 @@ class TestTable1:
 
     def test_every_table1_label_is_created(self, trace):
         trace, _result = trace
-        created = {
-            (e.node, e.mask, e.scaled_os, e.os, e.bs) for e in trace.created_labels()
-        }
+        created = {(e.node, e.mask, e.scaled_os, e.os, e.bs) for e in trace.created_labels()}
         # The root label is created explicitly, not via label treatment.
         created.add((0, 0, 0.0, 0.0, 0.0))
         for name, expected in self.EXPECTED.items():

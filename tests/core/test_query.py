@@ -91,9 +91,7 @@ class TestQueryBinding:
     def test_candidate_map_entries_are_taken_as_given(self, graph, index):
         t2 = graph.keyword_table.id_of("t2")
         narrowed = {t2: np.asarray([5], dtype=np.int64)}
-        binding = QueryBinding.bind(
-            graph, index, KORQuery(0, 7, ("t2",), 8.0), candidates=narrowed
-        )
+        binding = QueryBinding.bind(graph, index, KORQuery(0, 7, ("t2",), 8.0), candidates=narrowed)
         assert binding.nodes_with_bit[0].tolist() == [5]
         assert binding.node_mask(2) == 0
 

@@ -305,9 +305,7 @@ class TestStrategy2:
     def test_objective_screen_uses_upper_bound(self, fig1_engine):
         ctx = make_context(fig1_engine, KORQuery(0, 7, ("t5", "t2"), 20.0), threshold=0.5)
         # Detour through v1 to v7 has objective >= OS(tau_{0,1}) + OS(tau_{1,7}).
-        floor = float(
-            fig1_engine.tables.os_tau[0, 1] + fig1_engine.tables.os_tau[1, 7]
-        )
+        floor = float(fig1_engine.tables.os_tau[0, 1] + fig1_engine.tables.os_tau[1, 7])
         assert ctx.strategy2_rejects(0, 0, 0.0, 0.0, upper=floor - 0.5)
         assert not ctx.strategy2_rejects(0, 0, 0.0, 0.0, upper=floor + 0.5)
 
@@ -331,9 +329,7 @@ class TestMaterialize:
         sigma = fig1_engine.tables.sigma_path(0, 5)
         tau = fig1_engine.tables.tau_path(5, 7)
         assert list(route.nodes) == sigma + tau[1:]
-        assert route.budget_score == pytest.approx(
-            seg_bs + fig1_engine.tables.bs_tau[5, 7]
-        )
+        assert route.budget_score == pytest.approx(seg_bs + fig1_engine.tables.bs_tau[5, 7])
 
 
 class TestCrossCellReads:

@@ -112,8 +112,6 @@ class TestTopKAlgorithms:
         for u, v in ((s, t), (s, m), (m, t)):
             builder.add_edge(u, v, 1.0, 1.0)
         engine = KOREngine(builder.build())
-        result = top_k(
-            engine.graph, engine.tables, engine.index, KORQuery(s, t, ("a",), 10.0), k=2
-        )
+        result = top_k(engine.graph, engine.tables, engine.index, KORQuery(s, t, ("a",), 10.0), k=2)
         assert [r.nodes for r in result.routes] == [(s, t), (s, m, t)]
         assert result.stats.bound_updates == 2

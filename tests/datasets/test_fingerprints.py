@@ -63,9 +63,7 @@ def fingerprint(graph: SpatialKeywordGraph) -> dict:
         x, y = graph.coordinates(u)
         digest.update(repr((graph.name_of(u), keywords, x.hex(), y.hex())).encode())
     for edge in graph.iter_edges():
-        digest.update(
-            repr((edge.u, edge.v, edge.objective.hex(), edge.budget.hex())).encode()
-        )
+        digest.update(repr((edge.u, edge.v, edge.objective.hex(), edge.budget.hex())).encode())
     return {"nodes": graph.num_nodes, "edges": graph.num_edges, "sha256": digest.hexdigest()}
 
 

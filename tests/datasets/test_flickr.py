@@ -48,9 +48,7 @@ class TestPipeline:
 
     def test_popularity_probabilities_consistent(self, small_flickr):
         """Sum of edge probabilities Pr = Num/TotalTrips is at most 1."""
-        total_probability = sum(
-            math.exp(-e.objective) for e in small_flickr.graph.iter_edges()
-        )
+        total_probability = sum(math.exp(-e.objective) for e in small_flickr.graph.iter_edges())
         assert total_probability <= 1.0 + 1e-6
 
     def test_deterministic_given_seed(self):
@@ -64,9 +62,7 @@ class TestPipeline:
 
     def test_too_sparse_configuration_raises(self):
         config = FlickrConfig(
-            photo_stream=PhotoStreamConfig(
-                num_users=1, num_hotspots=2, photos_per_user=(1, 2)
-            ),
+            photo_stream=PhotoStreamConfig(num_users=1, num_hotspots=2, photos_per_user=(1, 2)),
             min_photos_per_location=50,
         )
         with pytest.raises(DatasetError):

@@ -34,9 +34,7 @@ class TestStream:
 
         close = 0
         for photo in photos[:500]:
-            nearest = min(
-                math.hypot(photo.x - h.x, photo.y - h.y) for h in hotspots
-            )
+            nearest = min(math.hypot(photo.x - h.x, photo.y - h.y) for h in hotspots)
             if nearest <= 5 * config.hotspot_sigma_km:
                 close += 1
         assert close >= 450  # nearly all photos hug a hotspot

@@ -51,9 +51,7 @@ class TestRoadGraph:
     def test_different_seeds_differ(self):
         a = build_road_graph(RoadConfig(num_nodes=150, seed=2))
         b = build_road_graph(RoadConfig(num_nodes=150, seed=3))
-        assert [e.objective for e in a.iter_edges()] != [
-            e.objective for e in b.iter_edges()
-        ]
+        assert [e.objective for e in a.iter_edges()] != [e.objective for e in b.iter_edges()]
 
     def test_invalid_config_rejected(self):
         """Every bad knob fails as DatasetError before the first draw."""

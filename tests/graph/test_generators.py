@@ -97,6 +97,4 @@ class TestSyntheticGenerators:
     def test_complete_bigraph(self):
         graph = complete_bigraph(4)
         assert graph.num_edges == 12
-        assert all(
-            graph.has_edge(u, v) for u in range(4) for v in range(4) if u != v
-        )
+        assert all(graph.has_edge(u, v) for u in range(4) for v in range(4) if u != v)

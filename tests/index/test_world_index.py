@@ -159,9 +159,7 @@ def keyword_ops(draw):
 
 
 class TestUpdatesKeepIndexesCurrent:
-    @settings(
-        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.sampled_from((1, 2, 4)), keyword_ops())
     def test_any_sequence(self, num_cells, ops):
         world = grid_world(num_cells)

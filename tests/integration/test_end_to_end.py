@@ -83,9 +83,7 @@ class TestServicePipeline:
                     assert served.route.objective_score == pytest.approx(
                         direct.route.objective_score
                     )
-                    assert served.route.budget_score == pytest.approx(
-                        direct.route.budget_score
-                    )
+                    assert served.route.budget_score == pytest.approx(direct.route.budget_score)
 
     def test_serving_metrics_flow_end_to_end(self, small_flickr_engine, query_battery):
         service = QueryService(small_flickr_engine, cache_capacity=128)
@@ -146,6 +144,4 @@ class TestPrebuiltComponentsMatchFreshOnes:
         reloaded = loaded_engine.run(query, algorithm="osscaling")
         assert fresh.feasible == reloaded.feasible
         if fresh.feasible:
-            assert fresh.route.objective_score == pytest.approx(
-                reloaded.route.objective_score
-            )
+            assert fresh.route.objective_score == pytest.approx(reloaded.route.objective_score)

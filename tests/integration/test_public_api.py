@@ -34,9 +34,7 @@ class TestTopLevelExports:
     def test_functional_entry_points_share_results(self, fig1_engine):
         """Direct function calls match the engine facade."""
         query = repro.KORQuery(0, 7, ("t1", "t2"), 10.0)
-        direct = repro.os_scaling(
-            fig1_engine.graph, fig1_engine.tables, fig1_engine.index, query
-        )
+        direct = repro.os_scaling(fig1_engine.graph, fig1_engine.tables, fig1_engine.index, query)
         via_engine = fig1_engine.run(query, algorithm="osscaling")
         assert direct.route.nodes == via_engine.route.nodes
 

@@ -1,18 +1,24 @@
 """The one table builder against the lexicographic Floyd-Warshall reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.datasets.road import RoadConfig, build_road_graph
-from repro.graph.generators import figure_1_graph, grid_graph
+from repro.graph.generators import figure_1_graph, grid_graph, line_graph
+from repro.graph.mutation import GraphMutator
+from repro.prep import dijkstra
 from repro.prep.dijkstra import (
     all_pairs_two_criteria,
     reconstruct_path,
+    repair_all_pairs,
     single_source_two_criteria,
 )
 from repro.world import MutableWorld
 
 from tests.floyd_warshall import floyd_warshall_two_criteria
+from tests.ops import recost
 
 
 @pytest.fixture(scope="module", params=["road-120", "road-1000-cell-1"])
@@ -24,6 +30,17 @@ def road_graph(request):
     subgraph = world.cells[1].subgraph
     assert subgraph.num_nodes == 239
     return subgraph
+
+
+def graphs():
+    return {
+        "figure1": figure_1_graph(),  # unreachable pairs
+        "grid": grid_graph(5, 5),  # equal weights: ties everywhere
+        "road": build_road_graph(RoadConfig(num_nodes=120, seed=3)),
+        # The longest chain a graph of its size can have: no early stop,
+        # and row blocks stop doubling after different numbers of rounds.
+        "line": line_graph(33),
+    }
 
 
 class TestBackendEquivalence:
@@ -46,12 +63,75 @@ class TestBackendEquivalence:
         np.testing.assert_allclose(dj_secondary, fw_secondary, rtol=1e-9)
         np.testing.assert_array_equal(dj_pred, fw_pred)
 
-    def test_blocked_computation_matches_unblocked(self):
-        graph = grid_graph(5, 5)
-        full = all_pairs_two_criteria(graph, "objective")
-        blocked = all_pairs_two_criteria(graph, "objective", block_size=7)
-        np.testing.assert_allclose(blocked[0], full[0])
-        np.testing.assert_allclose(blocked[1], full[1])
+
+class TestRowBlocks:
+    """Sweeping in bounded row blocks stores bitwise what one block of
+    every source stores, and bounds the sweep's scratch."""
+
+    @staticmethod
+    def rows_per_block(monkeypatch, rows: int, n: int) -> None:
+        """Shrink (or grow) the module budget to *rows* rows of *n* nodes."""
+        monkeypatch.setattr(dijkstra, "SWEEP_BLOCK_BYTES", 8 * n * rows)
+
+    @pytest.mark.parametrize("name", ["figure1", "grid", "road", "line"])
+    @pytest.mark.parametrize("which", ["objective", "budget"])
+    def test_all_pairs_across_blocks_is_the_one_block_sweep(self, monkeypatch, name, which):
+        graph = graphs()[name]
+        n = graph.num_nodes
+        self.rows_per_block(monkeypatch, n, n)
+        whole = all_pairs_two_criteria(graph, which)
+        for rows in (7, 1):
+            self.rows_per_block(monkeypatch, rows, n)
+            blocked = all_pairs_two_criteria(graph, which)
+            for expected, got in zip(whole, blocked):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("name", ["grid", "road"])
+    @pytest.mark.parametrize("which", ["objective", "budget"])
+    def test_repair_across_blocks_is_the_one_block_repair(self, monkeypatch, name, which):
+        """Both halves of a repair run in blocks: the tie check and the
+        re-sweep of the stale rows."""
+        graph = graphs()[name]
+        n = graph.num_nodes
+        edges = list(graph.iter_edges())[::9][:4]
+        mutator = GraphMutator(graph)
+        mutator.apply_ops([recost(e.u, e.v, objective=e.objective * 1.5) for e in edges])
+        changed = np.array([(e.u, e.v) for e in edges])
+        self.rows_per_block(monkeypatch, n, n)
+        previous = all_pairs_two_criteria(graph, which)
+        whole = repair_all_pairs(mutator.graph, previous, changed, which)
+        # Ties re-sweep every grid row; most road rows are copied.
+        assert 0 < len(whole[3]) < n or name == "grid"
+        for rows in (7, 1):
+            self.rows_per_block(monkeypatch, rows, n)
+            blocked = repair_all_pairs(mutator.graph, previous, changed, which)
+            for expected, got in zip(whole, blocked):
+                assert np.array_equal(got, expected)
+        rebuilt = all_pairs_two_criteria(mutator.graph, which)
+        for expected, got in zip(rebuilt, whole):
+            assert np.array_equal(got, expected)
+
+    def test_build_scratch_stays_within_a_few_budgets(self):
+        """On 600 nodes one block of every source would take ~70 budgets
+        of scratch; the blocked sweep holds its outputs, the dense
+        secondary lookup and a few budgets' worth of block arrays."""
+        graph = build_road_graph(RoadConfig(num_nodes=600, seed=6))
+        n = graph.num_nodes
+        graph.to_csr()  # the graph's own cached arrays are not the sweep's
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            outputs = all_pairs_two_criteria(graph, "objective")
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        held = sum(array.nbytes for array in outputs)
+        lookup = 8 * n * n
+        assert peak - before < held + lookup + 16 * dijkstra.SWEEP_BLOCK_BYTES
 
 
 class TestSingleSource:
@@ -81,8 +161,6 @@ class TestPathReconstruction:
         assert reconstruct_path(pred[0], 0, 0) == [0]
 
     def test_unreachable_target_raises(self):
-        from repro.graph.generators import line_graph
-
         graph = line_graph(3)
         _primary, _secondary, pred = all_pairs_two_criteria(graph, "objective")
         with pytest.raises(ValueError):
@@ -119,17 +197,6 @@ class TestSecondaryAccumulation:
             chain = np.take_along_axis(chain, chain, axis=1)
         return total
 
-    @staticmethod
-    def graphs():
-        from repro.graph.generators import line_graph
-
-        return {
-            "figure1": figure_1_graph(),  # unreachable pairs
-            "road": build_road_graph(RoadConfig(num_nodes=120, seed=3)),
-            # The longest chain a graph of its size can have: no early stop.
-            "line": line_graph(33),
-        }
-
     @pytest.mark.parametrize("name", ["figure1", "road", "line"])
     @pytest.mark.parametrize("which", ["objective", "budget"])
     def test_lookup_and_doubling_match_the_loops(self, name, which):
@@ -137,7 +204,7 @@ class TestSecondaryAccumulation:
 
         from repro.prep import dijkstra as module
 
-        graph = self.graphs()[name]
+        graph = graphs()[name]
         lookup = module._dense_secondary_lookup(graph, which)
         np.testing.assert_array_equal(lookup, self.reference_lookup(graph, which))
         for sources in (np.arange(graph.num_nodes), np.array([graph.num_nodes - 1, 0])):

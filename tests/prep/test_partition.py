@@ -113,9 +113,7 @@ def flat(grid):
 class TestPartitioning:
     def test_every_node_assigned(self, grid):
         partition = partition_graph(grid, 4)
-        assert sorted(v for cell in partition.cells for v in cell) == list(
-            range(grid.num_nodes)
-        )
+        assert sorted(v for cell in partition.cells for v in cell) == list(range(grid.num_nodes))
 
     def test_cells_roughly_balanced(self, grid):
         partition = partition_graph(grid, 4)
@@ -174,12 +172,8 @@ class TestAssembledScores:
     @pytest.mark.parametrize("target", [0, 10, 24, 48])
     def test_exact_on_grid(self, partitioned, flat, target):
         """Primary scores equal the flat tables', not just bound them."""
-        np.testing.assert_allclose(
-            partitioned.bs_sigma_col(target), flat.bs_sigma_col(target)
-        )
-        np.testing.assert_allclose(
-            partitioned.os_tau_col(target), flat.os_tau_col(target)
-        )
+        np.testing.assert_allclose(partitioned.bs_sigma_col(target), flat.bs_sigma_col(target))
+        np.testing.assert_allclose(partitioned.os_tau_col(target), flat.os_tau_col(target))
 
     def test_exact_on_random_directed_graphs(self):
         """Exactness holds on directed non-uniform graphs too."""
@@ -194,12 +188,8 @@ class TestAssembledScores:
                     graph, num_cells=min(cells, graph.num_nodes), seed=seed
                 )
                 for t in range(graph.num_nodes):
-                    np.testing.assert_allclose(
-                        partitioned.os_tau_col(t), flat.os_tau_col(t)
-                    )
-                    np.testing.assert_allclose(
-                        partitioned.bs_sigma_col(t), flat.bs_sigma_col(t)
-                    )
+                    np.testing.assert_allclose(partitioned.os_tau_col(t), flat.os_tau_col(t))
+                    np.testing.assert_allclose(partitioned.bs_sigma_col(t), flat.bs_sigma_col(t))
 
     def test_rows_match_columns(self, partitioned):
         """Row and column assemblies describe the same table."""
@@ -221,9 +211,7 @@ class TestAssembledScores:
         nodes = np.array([0, 24, 48])
         gathered = partitioned.os_tau_cols(nodes)
         for position, t in enumerate(nodes):
-            np.testing.assert_array_equal(
-                gathered[:, position], partitioned.os_tau_col(int(t))
-            )
+            np.testing.assert_array_equal(gathered[:, position], partitioned.os_tau_col(int(t)))
 
     def test_reachability_preserved(self):
         """Unreachable pairs stay inf under partitioning."""
@@ -241,9 +229,7 @@ class TestPathMaterialisation:
 
     @pytest.fixture(scope="class")
     def with_paths(self, grid):
-        return PartitionedCostTables.from_graph(
-            grid, num_cells=4, seed=1, predecessors=True
-        )
+        return PartitionedCostTables.from_graph(grid, num_cells=4, seed=1, predecessors=True)
 
     def test_paths_rescore_to_table_entries(self, grid, with_paths):
         from repro.core.route import Route
@@ -265,9 +251,7 @@ class TestPathMaterialisation:
         from repro.datasets import RoadConfig, build_road_graph
 
         graph = build_road_graph(RoadConfig(num_nodes=150, seed=7))
-        tables = PartitionedCostTables.from_graph(
-            graph, num_cells=6, seed=0, predecessors=True
-        )
+        tables = PartitionedCostTables.from_graph(graph, num_cells=6, seed=0, predecessors=True)
         cell_of = tables.partition.cell_of
         long_paths = 0
         for i in range(0, graph.num_nodes, 7):
@@ -295,9 +279,7 @@ class TestPathMaterialisation:
         assert partitioned.border_pred_tau is None
         assert partitioned.border_pred_sigma is None
         assert not partitioned.has_paths
-        cell_preds = sum(
-            t.pred_tau.nbytes + t.pred_sigma.nbytes for t in with_paths.cell_tables
-        )
+        cell_preds = sum(t.pred_tau.nbytes + t.pred_sigma.nbytes for t in with_paths.cell_tables)
         assert (
             with_paths.memory_bytes(include_paths=True) - with_paths.memory_bytes()
             == cell_preds + 2 * 4 * k * k
@@ -325,9 +307,7 @@ class TestPathMaterialisation:
         from repro.graph.generators import line_graph
 
         graph = line_graph(6)
-        tables = PartitionedCostTables.from_graph(
-            graph, num_cells=2, seed=0, predecessors=True
-        )
+        tables = PartitionedCostTables.from_graph(graph, num_cells=2, seed=0, predecessors=True)
         with pytest.raises(PrepError):
             tables.tau_path(5, 0)
 
@@ -633,9 +613,7 @@ class TestPathMaterialisation:
         import dataclasses
 
         self.warm(with_paths)
-        patched = dataclasses.replace(
-            with_paths, border_os_tau=with_paths.border_os_tau + 1.0
-        )
+        patched = dataclasses.replace(with_paths, border_os_tau=with_paths.border_os_tau + 1.0)
         for name in self.DERIVED:
             assert getattr(patched, name) == {}, name
         assert patched.cache_bytes() == 0

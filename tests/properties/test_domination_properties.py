@@ -78,7 +78,5 @@ class TestStoreMaintainsSkyline:
                 store.insert(label)
         alive = list(store.labels_at(0))
         for label in alive:
-            dominators = sum(
-                1 for other in alive if other is not label and other.dominates(label)
-            )
+            dominators = sum(1 for other in alive if other is not label and other.dominates(label))
             assert dominators < k

@@ -97,9 +97,7 @@ def random_instance(seed: int):
     graph = builder.build()
     present = sorted(set(graph.keyword_table.words))
     keywords = tuple(rng.sample(present, rng.randint(1, min(3, len(present))))) if present else ()
-    query = KORQuery(
-        rng.randrange(n), rng.randrange(n), keywords, rng.choice((2.0, 4.0, 6.0, 9.0))
-    )
+    query = KORQuery(rng.randrange(n), rng.randrange(n), keywords, rng.choice((2.0, 4.0, 6.0, 9.0)))
     return graph, query, rng.randint(1, min(4, n))
 
 

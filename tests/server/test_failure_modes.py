@@ -388,9 +388,7 @@ class TestTopKStream:
                 ({**base, "timeout": 1.0, "timeout_ms": 5}, [], 400),
             ):
                 begin = time.monotonic()
-                status, _payload = await request_with_headers(
-                    app, body, headers, "/topk/stream"
-                )
+                status, _payload = await request_with_headers(app, body, headers, "/topk/stream")
                 assert status == expected, body
                 assert time.monotonic() - begin < 5.0
                 assert app.pending == 0
@@ -445,9 +443,7 @@ class TestShedding:
             )
             await asyncio.sleep(0.05)  # let it be admitted
             assert app.pending == 1
-            second = await asgi_request(
-                app, "POST", "/query", query_payload(queries[1])
-            )
+            second = await asgi_request(app, "POST", "/query", query_payload(queries[1]))
             assert second.status == 503
             assert second.headers.get("retry-after") == "1"
             assert second.json()["error"]["type"] == "Overloaded"
@@ -495,9 +491,7 @@ class TestDraining:
             assert not app.draining
             app.begin_drain()
             assert app.draining
-            response = await asgi_request(
-                app, "POST", "/query", query_payload(queries[0])
-            )
+            response = await asgi_request(app, "POST", "/query", query_payload(queries[0]))
             assert response.status == 503
             assert response.headers.get("retry-after") == "1"
             assert response.json()["error"]["type"] == "Draining"

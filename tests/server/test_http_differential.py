@@ -68,18 +68,14 @@ def over_http(server, method, path, payload=None):
 
 class TestHTTPDifferential:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_http_results_byte_identical_to_direct_frontend(
-        self, algorithm, instance, server
-    ):
+    def test_http_results_byte_identical_to_direct_frontend(self, algorithm, instance, server):
         """Acceptance: socket HTTP == direct AsyncQueryService, byte for
         byte on the wire encoding, for all six algorithms."""
         engine, queries = instance
 
         async def direct():
             async with AsyncQueryService(QueryService(engine, cache_capacity=256)) as front:
-                return [
-                    await front.submit(query, algorithm=algorithm) for query in queries
-                ]
+                return [await front.submit(query, algorithm=algorithm) for query in queries]
 
         # The server stamps every result with the graph epoch it served
         # under (0 here: the module fixture never mutates); the direct
@@ -115,9 +111,7 @@ class TestHTTPDifferential:
                 await front.close()
 
         for algorithm, decoded in asyncio.run(drive()):
-            assert fingerprint(decoded) == fingerprint(
-                engine.run(queries[1], algorithm=algorithm)
-            )
+            assert fingerprint(decoded) == fingerprint(engine.run(queries[1], algorithm=algorithm))
 
     def test_batch_endpoint_matches_per_query_answers(self, instance, server):
         engine, queries = instance
@@ -504,9 +498,7 @@ class TestAdminUpdate:
         payload = query_payload(queries[0], "exact")
         if path == "/batch":
             payload = {"queries": [payload]}
-        u, v = next(
-            (u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u)
-        )
+        u, v = next((u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u))
         update = {"ops": [{"op": "update_edge_cost", "u": u, "v": v, "objective": 9.0}]}
 
         async def drive():
@@ -561,9 +553,7 @@ class TestAdminUpdate:
             for query, response in zip(queries, answers):
                 assert response.status == 200
                 expected = oracle.run_batch([query], algorithm="exact")[0]
-                assert fingerprint(decode_route_result(response.json())) == fingerprint(
-                    expected
-                )
+                assert fingerprint(decode_route_result(response.json())) == fingerprint(expected)
         finally:
             oracle.close()
 
@@ -595,9 +585,7 @@ class TestAdminUpdate:
         trace: the next accepted update serves exactly a rebuilt world."""
         app, world, queries = self._fresh()
         graph = world.graph
-        u, v = next(
-            (u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u)
-        )
+        u, v = next((u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u))
 
         async def drive():
             refused = await asgi_request(
@@ -637,9 +625,7 @@ class TestAdminUpdate:
             for query, response in zip(queries, answers):
                 assert response.status == 200
                 expected = oracle.run_batch([query], algorithm="exact")[0]
-                assert fingerprint(decode_route_result(response.json())) == fingerprint(
-                    expected
-                )
+                assert fingerprint(decode_route_result(response.json())) == fingerprint(expected)
         finally:
             oracle.close()
 
@@ -650,9 +636,7 @@ class TestAdminUpdate:
         service answers like a serial one that never saw the refusal."""
         engine, queries = random_instance(0)
         graph = engine.graph
-        u, v = next(
-            (u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u)
-        )
+        u, v = next((u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u))
         refused = {"ops": [{"op": "close_node", "node": u}, {"op": "close_node", "node": u}]}
         valid = {"ops": [{"op": "update_edge_cost", "u": u, "v": v, "objective": 9.0}]}
         batch = {"queries": [query_payload(query, "exact") for query in queries]}
@@ -689,9 +673,7 @@ class TestAdminUpdate:
 
         app, world, queries = self._fresh()
         graph = world.graph
-        u, v = next(
-            (u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u)
-        )
+        u, v = next((u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u))
 
         def recost(objective, budget):
             op = {
@@ -744,9 +726,7 @@ class TestAdminUpdate:
         app.begin_drain()
 
         async def drive():
-            refused = await asgi_request(
-                app, "POST", "/query", query_payload(queries[0], "exact")
-            )
+            refused = await asgi_request(app, "POST", "/query", query_payload(queries[0], "exact"))
             accepted = await asgi_request(
                 app,
                 "POST",

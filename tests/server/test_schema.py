@@ -269,9 +269,7 @@ class TestEnvelopes:
 
     def test_error_envelope(self):
         envelope = encode_error(WireError("bad payload"))
-        assert envelope == {
-            "error": {"type": "WireError", "message": "bad payload"}
-        }
+        assert envelope == {"error": {"type": "WireError", "message": "bad payload"}}
 
 
 class TestGraphUpdateWire:
@@ -316,9 +314,7 @@ class TestGraphUpdateWire:
 
     def test_update_edge_cost_needs_a_weight(self):
         with pytest.raises(WireError, match="'objective', 'budget', or both"):
-            parse_graph_update(
-                self.payload(ops=[{"op": "update_edge_cost", "u": 0, "v": 1}])
-            )
+            parse_graph_update(self.payload(ops=[{"op": "update_edge_cost", "u": 0, "v": 1}]))
 
     @pytest.mark.parametrize("weight", (0, -1.5, "cheap", True))
     def test_non_positive_weights_are_rejected(self, weight):

@@ -127,9 +127,7 @@ class TestUnregisterInFlight:
             outcomes = [future.result(timeout=60.0)[0] for future in futures]
             # Every future resolved; tasks either ran before the retire
             # or failed cleanly — none may hang or crash the backend.
-            assert all(
-                outcome.ok or isinstance(outcome.error, Exception) for outcome in outcomes
-            )
+            assert all(outcome.ok or isinstance(outcome.error, Exception) for outcome in outcomes)
             after = run_waves_of_one(backend, [wave_of_one(handle_a.key, queries_a[0])])
             assert after[0].ok
             assert backend.shard_keys == (handle_a.key,)
@@ -190,9 +188,7 @@ class TestDepthAccounting:
         backend = SerialBackend()
         try:
             handle = backend.register_engine(engine, key="serial-depth")
-            outcomes = run_waves_of_one(
-                backend, [wave_of_one(handle.key, q) for q in queries[:3]]
-            )
+            outcomes = run_waves_of_one(backend, [wave_of_one(handle.key, q) for q in queries[:3]])
             assert all(outcome.ok for outcome in outcomes)
             # Serial tasks resolve at submission: depth never exceeds 1.
             assert backend.peak_in_flight == 1

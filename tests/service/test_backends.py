@@ -75,9 +75,7 @@ class TestBackendEquivalence:
         cells = min(num_cells, engine.graph.num_nodes)
 
         def run(backend):
-            service = ShardedQueryService(
-                engine.graph, num_cells=cells, seed=4, backend=backend
-            )
+            service = ShardedQueryService(engine.graph, num_cells=cells, seed=4, backend=backend)
             return result_bytes(service.run_batch(queries, algorithm="osscaling"))
 
         outputs = run_on_every_backend(run)

@@ -31,9 +31,7 @@ LENIENT = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-keyword_sets = st.lists(
-    st.sampled_from(KEYWORD_POOL), min_size=1, max_size=4, unique=True
-)
+keyword_sets = st.lists(st.sampled_from(KEYWORD_POOL), min_size=1, max_size=4, unique=True)
 
 
 @st.composite

@@ -114,9 +114,7 @@ class TestTaskFaults:
             backend.close()
         failed = _assert_survivors_match(report, baseline)
         assert failed == len(report.errors)
-        assert all(
-            isinstance(error, FaultInjected) for error in report.errors.values()
-        )
+        assert all(isinstance(error, FaultInjected) for error in report.errors.values())
         assert sum(plan.fired().values()) == 2
         # Slots can share a unit (coalescing): at least the fired
         # units failed, and nothing else did.
@@ -247,9 +245,7 @@ class TestChaosDifferential:
         finally:
             backend.close()
         _assert_survivors_match(report, baseline)
-        assert all(
-            isinstance(error, FaultInjected) for error in report.errors.values()
-        )
+        assert all(isinstance(error, FaultInjected) for error in report.errors.values())
 
     def test_mixed_plan_process_backend_all_algorithms(self):
         """Worker-side chaos on one process backend, all six algorithms.
@@ -272,9 +268,7 @@ class TestChaosDifferential:
         try:
             service = QueryService(engine, cache_capacity=0, backend=backend)
             for algorithm in ALGORITHMS:
-                baseline = [
-                    fingerprint(engine.run(q, algorithm=algorithm)) for q in queries
-                ]
+                baseline = [fingerprint(engine.run(q, algorithm=algorithm)) for q in queries]
                 report = service.execute(queries, algorithm=algorithm)
                 _assert_survivors_match(report, baseline)
                 assert all(
@@ -336,9 +330,7 @@ class TestChaosMidWave:
             backend.close()
         failed = _assert_survivors_match(report, baseline)
         assert failed == len(report.errors) >= 2
-        assert all(
-            isinstance(error, FaultInjected) for error in report.errors.values()
-        )
+        assert all(isinstance(error, FaultInjected) for error in report.errors.values())
         assert sum(plan.fired().values()) == 2
 
     def test_delay_fault_mid_wave_trips_the_wave_deadline(self):

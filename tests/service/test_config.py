@@ -178,9 +178,7 @@ class TestFactoryEquivalence:
             for algorithm in ("bucketbound", "exact"):
                 lhs = old_style.run_batch(queries, algorithm=algorithm)
                 rhs = new_style.run_batch(queries, algorithm=algorithm)
-                assert [fingerprint(r) for r in lhs] == [
-                    fingerprint(r) for r in rhs
-                ]
+                assert [fingerprint(r) for r in lhs] == [fingerprint(r) for r in rhs]
         finally:
             old_style.close()
             new_style.close()

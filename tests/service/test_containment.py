@@ -99,9 +99,7 @@ class TestServiceDeadline:
         engine, queries = random_instance(3)
         expected = [fingerprint(engine.run(q, algorithm=algorithm)) for q in queries]
         service = QueryService(engine, cache_capacity=0)
-        batch = service.run_batch(
-            queries, algorithm=algorithm, deadline=Deadline.after(3600.0)
-        )
+        batch = service.run_batch(queries, algorithm=algorithm, deadline=Deadline.after(3600.0))
         assert [fingerprint(r) for r in batch] == expected
 
     def test_sharded_batch_respects_expired_deadline(self):
@@ -109,9 +107,7 @@ class TestServiceDeadline:
         service = ShardedQueryService(engine.graph, num_cells=2, seed=4)
         report = service.execute(queries, deadline=expired_deadline())
         assert not report.ok
-        assert all(
-            isinstance(error, DeadlineExceeded) for error in report.errors.values()
-        )
+        assert all(isinstance(error, DeadlineExceeded) for error in report.errors.values())
 
 
 class TestServiceClosed:

@@ -57,9 +57,7 @@ def test_border_engine_matches_flat_semantics(algorithm, num_cells):
                 optimum = engine.run(query, algorithm="exact")
                 assert got.objective_score >= optimum.objective_score - 1e-9
                 if algorithm == "exact":
-                    assert got.objective_score == pytest.approx(
-                        optimum.objective_score
-                    )
+                    assert got.objective_score == pytest.approx(optimum.objective_score)
             else:
                 assert got.failure_reason == flat.failure_reason
 

@@ -85,17 +85,13 @@ class TestAsyncDifferential:
 
             async def drive():
                 async with AsyncQueryService(service) as front:
-                    return result_bytes(
-                        await front.run_batch(queries, algorithm="bucketbound")
-                    )
+                    return result_bytes(await front.run_batch(queries, algorithm="bucketbound"))
 
             return asyncio.run(drive())
 
         outputs = run_on_every_backend(run)
         sync = result_bytes(
-            QueryService(engine, cache_capacity=256).run_batch(
-                queries, algorithm="bucketbound"
-            )
+            QueryService(engine, cache_capacity=256).run_batch(queries, algorithm="bucketbound")
         )
         assert outputs["serial"] == outputs["process"] == sync
 
@@ -254,9 +250,7 @@ class TestTimeoutAndCancellation:
 
         timed_out, served = asyncio.run(drive())
         assert isinstance(timed_out, asyncio.TimeoutError)
-        assert fingerprint(served) == fingerprint(
-            engine.run(queries[0], algorithm="bucketbound")
-        )
+        assert fingerprint(served) == fingerprint(engine.run(queries[0], algorithm="bucketbound"))
         assert slow.runs == 1
 
     def test_cancellation_before_dispatch(self):
@@ -266,9 +260,7 @@ class TestTimeoutAndCancellation:
 
         async def drive():
             front = AsyncQueryService(service, window_seconds=5.0)
-            task = asyncio.ensure_future(
-                front.submit(queries[0], algorithm="bucketbound")
-            )
+            task = asyncio.ensure_future(front.submit(queries[0], algorithm="bucketbound"))
             await asyncio.sleep(0.01)
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
@@ -301,12 +293,8 @@ class TestErrorsAndLifecycle:
 
         good_a, error, good_b = asyncio.run(drive())
         assert isinstance(error, QueryError)
-        assert fingerprint(good_a) == fingerprint(
-            engine.run(queries[0], algorithm="bucketbound")
-        )
-        assert fingerprint(good_b) == fingerprint(
-            engine.run(queries[1], algorithm="bucketbound")
-        )
+        assert fingerprint(good_a) == fingerprint(engine.run(queries[0], algorithm="bucketbound"))
+        assert fingerprint(good_b) == fingerprint(engine.run(queries[1], algorithm="bucketbound"))
 
     def test_closed_frontend_refuses_submissions(self):
         engine, queries = random_instance(0)
@@ -391,9 +379,7 @@ class TestStaleTimerRegression:
             # Let the original timer's instant pass with a refilled
             # queue behind it: a stale timer would dispatch this flight
             # in a second premature wave.
-            third = asyncio.ensure_future(
-                front.submit(queries[2], algorithm="bucketbound")
-            )
+            third = asyncio.ensure_future(front.submit(queries[2], algorithm="bucketbound"))
             results = await asyncio.gather(*tasks, third)
             stats = front.scheduling_stats()
             await front.close()
@@ -403,9 +389,7 @@ class TestStaleTimerRegression:
         # Exactly two waves: the overflow pair and the third flight's own.
         assert scheduling["waves"] == 2
         assert executes == [2, 1]
-        expected = [
-            fingerprint(engine.run(q, algorithm="bucketbound")) for q in queries[:3]
-        ]
+        expected = [fingerprint(engine.run(q, algorithm="bucketbound")) for q in queries[:3]]
         assert [fingerprint(r) for r in results] == expected
 
     def test_timer_flush_after_overflow_flush_is_harmless(self):
@@ -415,9 +399,7 @@ class TestStaleTimerRegression:
 
         async def drive():
             front = AsyncQueryService(service, window_seconds=0.02, max_batch=2)
-            await asyncio.gather(
-                *(front.submit(q, algorithm="bucketbound") for q in queries[:2])
-            )
+            await asyncio.gather(*(front.submit(q, algorithm="bucketbound") for q in queries[:2]))
             waves_after_overflow = front.scheduling_stats()["waves"]
             await asyncio.sleep(0.06)  # well past the armed window instant
             waves_after_wait = front.scheduling_stats()["waves"]

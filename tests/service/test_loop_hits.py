@@ -70,9 +70,7 @@ def jobs(seed: int) -> tuple[object, list[tuple]]:
 
 
 def first_edge(graph) -> tuple[int, int]:
-    return next(
-        (u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u)
-    )
+    return next((u, v) for u in range(graph.num_nodes) for v, _o, _b in graph.out_edges(u))
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -92,9 +90,7 @@ def test_a_hit_returns_while_the_only_worker_is_held_by_a_wave(tier):
             backend.entered.clear()
             backend.gate.clear()
             try:
-                blocked = asyncio.ensure_future(
-                    front.submit(cold, algorithm=cold_algorithm)
-                )
+                blocked = asyncio.ensure_future(front.submit(cold, algorithm=cold_algorithm))
                 while not backend.entered.is_set():
                     await asyncio.sleep(0.002)
                 hit = await front.submit(hot, algorithm=hot_algorithm, timeout=5.0)
@@ -175,9 +171,7 @@ def test_requests_are_loop_hits_plus_flights_plus_coalesced(tier):
             for _ in range(3):
                 # Each burst repeats every job: first sightings fly, their
                 # duplicates coalesce, later bursts hit on the loop.
-                await asyncio.gather(
-                    *(front.submit(q, algorithm=a) for q, a in work + work[:4])
-                )
+                await asyncio.gather(*(front.submit(q, algorithm=a) for q, a in work + work[:4]))
             return front.scheduling_stats(), front.snapshot()
 
     try:

@@ -60,9 +60,7 @@ def mutation_sequence(graph, seed: int, count: int = SEQUENCE_LENGTH):
         current = mutator.graph
         closed = mutator.closed_nodes
         open_nodes = [u for u in range(graph.num_nodes) if u not in closed]
-        edges = [
-            (u, v) for u in open_nodes for v, _obj, _bud in current.out_edges(u)
-        ]
+        edges = [(u, v) for u in open_nodes for v, _obj, _bud in current.out_edges(u)]
         kinds = ["update_keywords"]
         if edges:
             kinds.extend(["update_edge_cost"] * 3)
@@ -224,9 +222,7 @@ def test_flat_incremental_matches_fresh_engine(seed, backend_name, service_backe
         oracle_mutator.apply_ops(ops)
         oracle = KOREngine(oracle_mutator.graph)
         queries = query_battery(service.engine.graph, seed, via=via)
-        assert_all_algorithms_match(
-            service, lambda q, a: oracle.run(q, algorithm=a), queries
-        )
+        assert_all_algorithms_match(service, lambda q, a: oracle.run(q, algorithm=a), queries)
         assert_patched_in_place(backend, before)
 
 

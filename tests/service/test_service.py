@@ -273,9 +273,7 @@ class TestPercentileAgainstNumpy:
     def test_two_samples_interpolate_linearly(self):
         np = self._np()
         for q in (0.0, 10.0, 25.0, 50.0, 75.0, 99.0, 100.0):
-            assert percentile([1.0, 3.0], q) == pytest.approx(
-                np.percentile([1.0, 3.0], q)
-            )
+            assert percentile([1.0, 3.0], q) == pytest.approx(np.percentile([1.0, 3.0], q))
         assert percentile([1.0, 3.0], 50.0) == pytest.approx(2.0)
 
     def test_property_matches_numpy(self):
@@ -316,9 +314,7 @@ class TestSLOAndEndpointAccounting:
         for latency in samples:
             stats.record_query(latency, cached=False)
         snapshot = stats.snapshot()
-        assert snapshot.p99_latency_seconds == pytest.approx(
-            percentile(samples, 99.0)
-        )
+        assert snapshot.p99_latency_seconds == pytest.approx(percentile(samples, 99.0))
         assert snapshot.p99_latency_seconds >= snapshot.p95_latency_seconds
         assert "p99" in snapshot.describe()
 

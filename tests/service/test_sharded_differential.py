@@ -71,9 +71,7 @@ def test_sharded_matches_flat_contract(algorithm, num_cells, service_backend):
         report = service.execute(queries, algorithm=algorithm)
         assert [item.query for item in report.items] == queries
 
-        for item, flat_result, optimum, query in zip(
-            report.items, flat, optima, queries
-        ):
+        for item, flat_result, optimum, query in zip(report.items, flat, optima, queries):
             assert item.ok, f"slot {item.index} failed: {item.error}"
             result = item.result
             if cells == 1:
@@ -96,9 +94,7 @@ def test_sharded_warm_cache_stays_identical(num_cells, service_backend):
     """A warm second pass (pure cache hits) repeats the cold answers."""
     engine, queries = random_instance(3)
     cells = min(num_cells, engine.graph.num_nodes)
-    service = ShardedQueryService(
-        engine.graph, num_cells=cells, backend=service_backend
-    )
+    service = ShardedQueryService(engine.graph, num_cells=cells, backend=service_backend)
     cold = service.run_batch(queries, algorithm="bucketbound")
     warm = service.run_batch(queries, algorithm="bucketbound")
     assert [fingerprint(r) for r in warm] == [fingerprint(r) for r in cold]

@@ -127,9 +127,7 @@ def test_served_answers_still_sound_on_every_granularity(long_grid):
             for result, reference in zip(got, expected):
                 assert result.feasible == reference.feasible
                 if result.feasible:
-                    assert result.objective_score == pytest.approx(
-                        reference.objective_score
-                    )
+                    assert result.objective_score == pytest.approx(reference.objective_score)
 
 
 def test_warm_caches_are_counted_and_stay_below_the_flat_footprint():

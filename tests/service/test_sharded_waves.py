@@ -130,9 +130,7 @@ class TestShardedWaveDifferential:
             report = service.execute(queries)
             for item in report.items:
                 assert item.error is None
-                assert fingerprint(item.result) == fingerprint(
-                    engine.run(item.query)
-                )
+                assert fingerprint(item.result) == fingerprint(engine.run(item.query))
         finally:
             service.close()
 

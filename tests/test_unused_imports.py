@@ -35,8 +35,9 @@ _EXPRESSION = re.compile(r"[\w.\[\], |]+")
 _NOQA = re.compile(r"#\s*noqa(?!:)|#\s*noqa:[^#]*\bF401\b")
 
 
-def tracked_files() -> list[Path]:
-    """Every tracked ``.py`` file except package ``__init__.py`` files."""
+def python_files() -> list[Path]:
+    """Every tracked ``.py`` file, or every ``.py`` file outside hidden
+    directories when the root is not a git checkout."""
     try:
         listed = subprocess.run(
             ["git", "ls-files", "*.py"], cwd=ROOT, capture_output=True, text=True, check=True
@@ -48,7 +49,12 @@ def tracked_files() -> list[Path]:
             for path in ROOT.rglob("*.py")
             if not any(part.startswith(".") for part in path.relative_to(ROOT).parts)
         ]
-    return sorted(path for path in paths if path.name != "__init__.py" and path.is_file())
+    return sorted(path for path in paths if path.is_file())
+
+
+def tracked_files() -> list[Path]:
+    """Every tracked ``.py`` file except package ``__init__.py`` files."""
+    return [path for path in python_files() if path.name != "__init__.py"]
 
 
 def _used_names(tree: ast.AST) -> set[str]:
