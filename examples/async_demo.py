@@ -28,9 +28,7 @@ from repro.service import AsyncQueryService, QueryService, ShardedQueryService
 
 
 def build_city():
-    config = FlickrConfig(
-        photo_stream=PhotoStreamConfig(num_users=80, num_hotspots=36, seed=3)
-    )
+    config = FlickrConfig(photo_stream=PhotoStreamConfig(num_users=80, num_hotspots=36, seed=3))
     return build_flickr_graph(config).graph
 
 
@@ -88,9 +86,7 @@ async def main_async():
     )
     impatient_service = QueryService(engine, cache_capacity=1024)
     async with AsyncQueryService(impatient_service, window_seconds=0.05) as front:
-        patient = asyncio.ensure_future(
-            front.submit(demo_query, algorithm="bucketbound")
-        )
+        patient = asyncio.ensure_future(front.submit(demo_query, algorithm="bucketbound"))
         try:
             await front.submit(demo_query, algorithm="bucketbound", timeout=1e-6)
         except asyncio.TimeoutError:

@@ -74,9 +74,7 @@ def main():
     print(f"must pass by: {', '.join(keywords)}")
 
     for delta in (9.0, 6.0):
-        result = engine.query(
-            source, target, keywords, delta, algorithm="osscaling", epsilon=0.5
-        )
+        result = engine.query(source, target, keywords, delta, algorithm="osscaling", epsilon=0.5)
         print(f"\nDelta = {delta:.0f} km:")
         if result.feasible:
             print(describe(graph, result.route))

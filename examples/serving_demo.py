@@ -26,18 +26,14 @@ from repro.service import QueryService
 def build_stream(engine, repeats=8, seed=7):
     """A repeat-heavy query stream over the dataset's own vocabulary."""
     config = QuerySetConfig(num_queries=10, num_keywords=3, budget_limit=5.0, seed=seed)
-    base = generate_query_set(
-        engine.graph, engine.index, config, tables=engine.tables
-    )
+    base = generate_query_set(engine.graph, engine.index, config, tables=engine.tables)
     stream = base * repeats
     random.Random(seed).shuffle(stream)
     return stream
 
 
 def main():
-    config = FlickrConfig(
-        photo_stream=PhotoStreamConfig(num_users=150, num_hotspots=60, seed=3)
-    )
+    config = FlickrConfig(photo_stream=PhotoStreamConfig(num_users=150, num_hotspots=60, seed=3))
     dataset = build_flickr_graph(config)
     graph = dataset.graph
     print(f"flickr-like city: {graph.num_nodes} locations, {graph.num_edges} arcs")

@@ -28,18 +28,14 @@ from repro.service import ProcessBackend, SerialBackend, ShardedQueryService
 
 
 def build_city():
-    config = FlickrConfig(
-        photo_stream=PhotoStreamConfig(num_users=150, num_hotspots=60, seed=3)
-    )
+    config = FlickrConfig(photo_stream=PhotoStreamConfig(num_users=150, num_hotspots=60, seed=3))
     return build_flickr_graph(config).graph
 
 
 def build_batch(service, count=30, seed=11):
     """Distinct queries drawn from the city's own vocabulary."""
     engine = service.engine  # full-graph view, partitioned tables
-    config = QuerySetConfig(
-        num_queries=count, num_keywords=3, budget_limit=5.0, seed=seed
-    )
+    config = QuerySetConfig(num_queries=count, num_keywords=3, budget_limit=5.0, seed=seed)
     return generate_query_set(engine.graph, engine.index, config, tables=engine.tables)
 
 

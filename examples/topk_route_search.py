@@ -52,9 +52,7 @@ def main():
     keywords = [city.keyword_table.word_of(kid) for kid in by_frequency[2:5]]
     print(f"  keywords: {keywords}")
 
-    result = city_engine.top_k(
-        0, city.num_nodes // 2, keywords, 8.0, k=3, algorithm="bucketbound"
-    )
+    result = city_engine.top_k(0, city.num_nodes // 2, keywords, 8.0, k=3, algorithm="bucketbound")
     print("\nbucketbound top-3:")
     show(city, result)
 

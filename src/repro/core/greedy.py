@@ -133,9 +133,7 @@ def greedy(
                 for bit, postings in enumerate(binding.nodes_with_bit)
                 if missing & (1 << bit) and len(postings)
             ]
-            cached = (
-                np.unique(np.concatenate(lists)) if lists else np.empty(0, dtype=np.int64)
-            )
+            cached = np.unique(np.concatenate(lists)) if lists else np.empty(0, dtype=np.int64)
             union_cache[missing] = cached
         return cached
 

@@ -111,9 +111,7 @@ class SearchContext:
         self.scaling = scaling
         # A pre-built binding (the serving layer's reusable query context)
         # skips the per-query index lookups; it must describe this query.
-        self.binding = (
-            binding if binding is not None else QueryBinding.bind(graph, index, query)
-        )
+        self.binding = binding if binding is not None else QueryBinding.bind(graph, index, query)
         self.delta = query.budget_limit
         #: The budget every compare of the search reads: ``Delta * (1 +
         #: _PROOF_SLACK)``, so a route whose budget is exactly Delta is not

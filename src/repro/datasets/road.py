@@ -106,10 +106,7 @@ def build_road_graph(config: RoadConfig | None = None) -> SpatialKeywordGraph:
                 add_road(u, right)
             if down is not None:
                 add_road(u, down)
-            if (
-                config.diagonal_probability > 0
-                and rng.random() < config.diagonal_probability
-            ):
+            if config.diagonal_probability > 0 and rng.random() < config.diagonal_probability:
                 diag = node_id(r + 1, c + 1)
                 if diag is not None:
                     add_road(u, diag)

@@ -7,7 +7,8 @@ Layers (bottom up):
 * :mod:`repro.server.app` — :class:`KORApp`, a framework-free ASGI 3
   application over :class:`~repro.service.frontend.AsyncQueryService`;
 * :mod:`repro.server.stdlib` — :class:`StdlibServer`, a zero-dependency
-  loop-native (``asyncio.Protocol``) host for any ASGI app;
+  loop-native host for any ASGI app: plain non-blocking sockets on the
+  event loop's reader and writer callbacks;
 * :mod:`repro.server.client` — tiny in-process and socket clients the
   tests and the load generator share.
 

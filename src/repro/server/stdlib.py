@@ -6,17 +6,23 @@ piece: :class:`StdlibServer` hosts **any** ASGI 3 callable (in practice
 owns the sockets *and* runs the application:
 
 * the constructor binds the listening socket (``address`` is known
-  before ``start()``); one background thread runs the loop —
-  ``loop.create_server`` over that socket plus every application
-  coroutine (every ``AsyncQueryService`` flight, timer and wave), so a
-  request crosses no thread between wire and app;
-* each connection is an :class:`asyncio.Protocol` that buffers bytes,
-  parses request line and headers once per request with plain string
-  operations, validates head and ``Content-Length`` *before* a body
-  byte is used (400 / 413 / 431 in the app's JSON error shape, then
-  ``Connection: close``), builds the ASGI ``scope`` and runs the app as
-  a task on the same loop; ``receive``/``send`` are in-loop closures
-  and each body message is one ``transport.write``;
+  before ``start()``); one background thread runs the loop — the
+  sockets' reader and writer callbacks plus every application coroutine
+  (every ``AsyncQueryService`` flight, timer and wave), so a request
+  crosses no thread between wire and app;
+* the sockets are plain non-blocking sockets on the loop's
+  ``add_reader`` / ``add_writer``: the listener's reader callback
+  accepts every waiting connection, each connection's reader callback
+  reads into its buffer with ``recv``, and an answer goes straight to
+  ``sock.send`` — only what the socket does not take is kept, behind a
+  writer callback.  There is no asyncio transport, protocol or accept
+  task between the socket and the request;
+* each connection parses request line and headers once per request with
+  plain string operations, validates head and ``Content-Length``
+  *before* a body byte is used (400 / 413 / 431 in the app's JSON error
+  shape, then ``Connection: close``), builds the ASGI ``scope`` and runs
+  the app as a task on the same loop; ``receive``/``send`` are in-loop
+  closures;
 * a response whose first body message carries ``more_body=True`` is
   relayed with chunked transfer encoding (this is how ``/topk/stream``
   streams NDJSON); complete responses get a ``Content-Length``;
@@ -27,7 +33,7 @@ owns the sockets *and* runs the application:
 
 Because *all* requests live on one loop, concurrent HTTP callers
 coalesce and micro-batch exactly as concurrent in-process awaiters do —
-the transport preserves the serving semantics, it does not fork them.
+the host preserves the serving semantics, it does not fork them.
 Typical use::
 
     front = AsyncQueryService(QueryService(engine), window_seconds=0.002)
@@ -59,6 +65,11 @@ MAX_HEAD_BYTES = 1 << 16  #: request line + headers; a larger head is refused wi
 #: Ceiling on the wait for the app's next ASGI message (covers the slowest waves).
 _MESSAGE_TIMEOUT = 60.0
 
+_READ_BYTES = 1 << 18  #: most bytes one reader callback takes off a connection
+
+#: Pause before accepting again after ``accept()`` failed for want of descriptors.
+_ACCEPT_RETRY_SECONDS = 1.0
+
 _REASONS = {status.value: status.phrase.encode("latin-1") for status in HTTPStatus}
 
 
@@ -67,11 +78,16 @@ def _head(status: int, headers: list[tuple[bytes, bytes]]) -> bytes:
     return b"\r\n".join(lines + [b"%b: %b" % tuple(field) for field in headers]) + b"\r\n\r\n"
 
 
-class _Connection(asyncio.Protocol):
-    """One client connection: requests in, the app's answers out, in order."""
+class _Connection:
+    """One client connection on the loop's reader and writer callbacks:
+    requests in, the app's answers out, in order."""
 
-    def __init__(self, server: "StdlibServer") -> None:
+    def __init__(self, server: "StdlibServer", sock: socket.socket, peer) -> None:
         self._server = server
+        self._loop = server._loop
+        self._sock: socket.socket | None = sock  # None once closed
+        self._fd = sock.fileno()
+        self._peer = peer
         self._buffer = bytearray()
         #: Bytes already searched for the head's blank line: a head
         #: arriving in segments is never re-scanned (a body never is).
@@ -80,22 +96,80 @@ class _Connection(asyncio.Protocol):
         self._task: asyncio.Task | None = None
         #: 0 nothing on the wire, 1 streaming chunks, 2 response complete.
         self._stage = 0
+        self._unsent = bytearray()  # what ``send`` did not take; non-empty while a writer waits
+        self._reading = True
+        self._closing = False  # no more reads or writes; the socket closes once unsent is out
+        server._connections.add(self)
+        self._loop.add_reader(self._fd, self._readable)
 
-    def connection_made(self, transport) -> None:
-        self._transport = transport
-        self._server._connections.add(self)
-
-    def connection_lost(self, exc) -> None:
-        self._server._connections.discard(self)
-        if self._task is not None:
-            self._task.cancel()  # nobody left to answer: the app frees its slot now
-
-    def data_received(self, data: bytes) -> None:
+    def _readable(self) -> None:
+        try:
+            data = self._sock.recv(_READ_BYTES)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:  # reset by the peer
+            return self._close(flush=False)
+        if not data:  # the peer hung up: nobody is left to answer
+            return self._close()
         self._buffer += data
         if self._task is None:
             self._advance()
         elif len(self._buffer) > MAX_HEAD_BYTES + MAX_BODY_BYTES:
-            self._transport.pause_reading()  # a whole request is queued already
+            self._loop.remove_reader(self._fd)  # a whole request is queued already
+            self._reading = False
+
+    def _write(self, data: bytes) -> None:
+        """Send *data* now; what the socket does not take waits for the writer callback."""
+        if self._closing:
+            return
+        if self._unsent:
+            self._unsent += data
+            return
+        try:
+            sent = self._sock.send(data)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:
+            return self._close(flush=False)
+        if sent < len(data):
+            self._unsent += memoryview(data)[sent:]
+            self._loop.add_writer(self._fd, self._writable)
+
+    def _writable(self) -> None:
+        try:
+            sent = self._sock.send(self._unsent)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            return self._close(flush=False)
+        del self._unsent[:sent]
+        if not self._unsent:
+            self._loop.remove_writer(self._fd)
+            if self._closing:
+                self._release()
+
+    def _close(self, flush: bool = True) -> None:
+        """Stop reading and cancel the request in flight (nobody will read its
+        answer); the socket closes once the unsent bytes are out, or at once
+        when there are none or *flush* is false."""
+        if self._task is not None:
+            self._task.cancel()  # the app frees its admission slot now
+        self._closing = True
+        if self._reading:
+            self._loop.remove_reader(self._fd)
+            self._reading = False
+        if not (flush and self._unsent):
+            self._release()
+
+    def _release(self) -> None:
+        if self._sock is None:
+            return
+        if self._unsent:
+            self._loop.remove_writer(self._fd)
+            self._unsent.clear()
+        self._sock.close()
+        self._sock = None
+        self._server._connections.discard(self)
 
     def _advance(self) -> None:
         """Start the next request once its head and body are buffered."""
@@ -117,7 +191,7 @@ class _Connection(asyncio.Protocol):
             body = bytes(buffer[:length])
             del buffer[:length]
             self._request = None
-            self._task = self._server._loop.create_task(self._respond(scope, body, keep_alive))
+            self._task = self._loop.create_task(self._respond(scope, body, keep_alive))
 
     def _parse_head(self, head: bytes) -> tuple[dict, int, bool] | None:
         """``(scope, content_length, keep_alive)`` — or ``None`` once a bad head
@@ -144,7 +218,7 @@ class _Connection(asyncio.Protocol):
             message = f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
             return self._refuse(413, "PayloadTooLarge", message)
         if fields.get("expect", "").lower() == "100-continue":
-            self._transport.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self._write(b"HTTP/1.1 100 Continue\r\n\r\n")
         path, _, query = target.partition("?")
         scope = {
             "type": "http",
@@ -157,7 +231,7 @@ class _Connection(asyncio.Protocol):
             "query_string": query.encode("latin-1"),
             "root_path": "",
             "headers": headers,
-            "client": self._transport.get_extra_info("peername"),
+            "client": self._peer,
             "server": self._server.address,
         }
         close = version != "HTTP/1.1" or "close" in fields.get("connection", "").lower()
@@ -165,7 +239,7 @@ class _Connection(asyncio.Protocol):
 
     async def _respond(self, scope: dict, body: bytes, keep_alive: bool) -> None:
         """Run the app for one request and relay what it sends."""
-        loop, write = self._server._loop, self._transport.write
+        loop, write = self._loop, self._write
         timer = loop.call_later(_MESSAGE_TIMEOUT, self._time_out)
         self._stage = 0
         requests = [{"type": "http.request", "body": body, "more_body": False}]
@@ -208,7 +282,7 @@ class _Connection(asyncio.Protocol):
             await self._server._app(scope, receive, send)
             if self._stage != 2:
                 raise RuntimeError("ASGI app returned without completing the response")
-        except Exception as error:  # noqa: BLE001 - transport boundary
+        except Exception as error:  # noqa: BLE001 - host boundary
             keep_alive = False
             if self._stage == 0:
                 self._refuse(500, type(error).__name__, str(error))
@@ -216,18 +290,20 @@ class _Connection(asyncio.Protocol):
             timer.cancel()
         self._task = None
         if not keep_alive:
-            self._transport.close()
-        elif not self._transport.is_closing():
-            self._transport.resume_reading()
+            self._close()
+        elif not self._closing:
+            if not self._reading:
+                self._loop.add_reader(self._fd, self._readable)
+                self._reading = True
             if self._buffer:
                 self._advance()
 
     def _time_out(self) -> None:
         """The app went silent: a 500 if nothing is on the wire, then hang up."""
         if self._stage == 0:
-            self._refuse(500, "TimeoutError", "timed out waiting for the ASGI app's next message")
-        self._transport.close()
-        self._task.cancel()
+            message = "timed out waiting for the ASGI app's next message"
+            return self._refuse(500, "TimeoutError", message)
+        self._close()
 
     def _refuse(self, status: int, kind: str, message: str) -> None:
         """Answer in the app's JSON error shape and close the connection
@@ -238,8 +314,8 @@ class _Connection(asyncio.Protocol):
             (b"Content-Length", b"%d" % len(payload)),
             (b"Connection", b"close"),
         ]
-        self._transport.write(_head(status, headers) + payload)
-        self._transport.close()
+        self._write(_head(status, headers) + payload)
+        self._close()
 
 
 class StdlibServer:
@@ -279,10 +355,13 @@ class StdlibServer:
         self._app = app
         self._frontend = frontend
         self._drain_seconds = drain_seconds
-        # Bound (and listening) here: early clients wait in the backlog.
+        # Bound (and listening) here: early clients wait in the backlog.  Accepted
+        # sockets inherit TCP_NODELAY, so a streamed chunk is never held back.
         self._socket = socket.create_server((host, port))
+        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._socket.setblocking(False)
         self._address: tuple[str, int] = self._socket.getsockname()[:2]
-        self._loop = asyncio.new_event_loop()
+        self._loop = asyncio.SelectorEventLoop()  # add_reader / add_writer on every platform
         self._stop = asyncio.Event()
         self._connections: set[_Connection] = set()
         self._thread = threading.Thread(target=self._run, name="kor-server-loop", daemon=True)
@@ -298,17 +377,37 @@ class StdlibServer:
     async def _serve(self) -> None:
         """The loop thread's whole life: accept until :meth:`close` says stop, hang up
         on what the drain left running, close the owned frontend and the executor."""
-        listener = await self._loop.create_server(lambda: _Connection(self), sock=self._socket)
+        self._listen()
         await self._stop.wait()
-        listener.close()
+        self._loop.remove_reader(self._socket.fileno())
+        self._socket.close()
         connections = list(self._connections)
         for connection in connections:
-            connection._transport.abort()
-        await asyncio.sleep(0)  # every connection_lost has run: sockets closed, tasks cancelled
+            connection._close(flush=False)
         await asyncio.gather(*(c._task for c in connections if c._task), return_exceptions=True)
         if self._frontend is not None:
             await self._frontend.close()
         await self._loop.shutdown_default_executor()
+
+    def _listen(self) -> None:
+        if not self._stop.is_set():
+            self._loop.add_reader(self._socket.fileno(), self._accept)
+
+    def _accept(self) -> None:
+        """The listener's reader callback: take every connection that is waiting."""
+        while True:
+            try:
+                sock, peer = self._socket.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except ConnectionAbortedError:
+                continue
+            except OSError:  # out of descriptors or buffers: stop accepting for a moment
+                self._loop.remove_reader(self._socket.fileno())
+                self._loop.call_later(_ACCEPT_RETRY_SECONDS, self._listen)
+                return
+            sock.setblocking(False)
+            _Connection(self, sock, peer)
 
     def start(self) -> "StdlibServer":
         """Start serving and return self (idempotent)."""

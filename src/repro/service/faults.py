@@ -134,11 +134,7 @@ class FaultPlan:
     def fired(self) -> dict[int, int]:
         """Firing count per rule index (only rules that fired)."""
         with self._lock:
-            return {
-                index: state.fired
-                for index, state in enumerate(self._states)
-                if state.fired
-            }
+            return {index: state.fired for index, state in enumerate(self._states) if state.fired}
 
     # -- hooks ----------------------------------------------------------
     def on_task(self, task) -> None:

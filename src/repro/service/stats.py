@@ -373,9 +373,7 @@ class ServiceStats:
             p50_latency_seconds=_percentile_of_sorted(ordered, 50.0),
             p95_latency_seconds=_percentile_of_sorted(ordered, 95.0),
             p99_latency_seconds=_percentile_of_sorted(ordered, 99.0),
-            mean_latency_seconds=(
-                sum(latencies) / len(latencies) if latencies else 0.0
-            ),
+            mean_latency_seconds=(sum(latencies) / len(latencies) if latencies else 0.0),
             **counters,
         )
 

@@ -69,10 +69,7 @@ class TestEpsilon:
         exact = fig1_engine.query(0, 7, ("t1", "t2", "t3"), 8.0, algorithm="exact")
         result = run(fig1_engine, 0, 7, ("t1", "t2", "t3"), 8.0, epsilon=epsilon)
         assert result.feasible
-        assert (
-            result.route.objective_score
-            <= exact.route.objective_score / (1 - epsilon) + 1e-9
-        )
+        assert result.route.objective_score <= exact.route.objective_score / (1 - epsilon) + 1e-9
 
     def test_invalid_epsilon_raises(self, fig1_engine):
         from repro.exceptions import QueryError

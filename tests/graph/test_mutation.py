@@ -54,10 +54,7 @@ def edge_map(graph):
 
 
 def keyword_map(graph):
-    return {
-        u: tuple(sorted(graph.node_keyword_strings(u)))
-        for u in range(graph.num_nodes)
-    }
+    return {u: tuple(sorted(graph.node_keyword_strings(u))) for u in range(graph.num_nodes)}
 
 
 class TestWorldCells:

@@ -48,10 +48,7 @@ class TestAgainstExactOptimum:
         assert result.feasible
         assert result.route.covers(graph, keywords)
         assert result.route.budget_score <= delta + 1e-9
-        assert (
-            result.route.objective_score
-            <= exact.route.objective_score / (1 - epsilon) + 1e-9
-        )
+        assert result.route.objective_score <= exact.route.objective_score / (1 - epsilon) + 1e-9
 
     @SLOW
     @given(graph_and_query(), st.sampled_from((1.2, 1.6, 2.0)))

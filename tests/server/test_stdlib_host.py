@@ -5,13 +5,16 @@ requests answered in order on a kept-alive connection however the bytes
 are segmented; every refusal (bad head, bad or oversized
 ``Content-Length``, oversized head) in the JSON error shape with
 ``Connection: close`` and the body never read; app crashes and silences
-contained; concurrent socket clients coalescing and micro-batching like
+contained; answers larger than the socket buffers delivered whole and in
+order; a peer that hangs up taking its connection, and nothing else, out
+of the loop; concurrent socket clients coalescing and micro-batching like
 in-process awaiters; and a ``close()`` that leaves no thread behind.
 """
 
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import socket
 import threading
@@ -23,7 +26,7 @@ from repro.server import KORApp, StdlibServer, http_request, stdlib
 from repro.server.stdlib import MAX_BODY_BYTES, MAX_HEAD_BYTES
 from repro.service import AsyncQueryService, QueryService
 
-from tests.server.test_failure_modes import query_payload
+from tests.server.test_failure_modes import query_payload, wait_until
 from tests.server.test_http_differential import raw_exchange
 from tests.service.test_differential import random_instance
 from tests.service.test_frontend import SlowEngine
@@ -165,34 +168,36 @@ class TestFraming:
                 CountingBuffer.searched += len(self) - start
                 return super().find(sub, start)
 
-        class Transport:
-            def write(self, data):
-                pass
-
-            def get_extra_info(self, name):
-                return ("127.0.0.1", 1)
-
         class Server:
             address = ("127.0.0.1", 2)
             _connections = set()
-            _loop = asyncio.new_event_loop()
+            _loop = asyncio.SelectorEventLoop()
 
+        ours, theirs = socket.socketpair()
         try:
-            connection = stdlib._Connection(Server)
+            ours.setblocking(False)
+            connection = stdlib._Connection(Server, ours, ("127.0.0.1", 1))
             connection._buffer = CountingBuffer()
-            connection.connection_made(Transport())
+
+            def deliver(segment):  # one segment on the wire, one reader callback
+                theirs.sendall(segment)
+                connection._readable()
+
             head = b"POST /batch HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n" % MAX_BODY_BYTES
             for index in range(len(head)):
-                connection.data_received(head[index : index + 1])
+                deliver(head[index : index + 1])
             for _ in range(MAX_BODY_BYTES // 65536 - 1):
-                connection.data_received(b" " * 65536)
+                deliver(b" " * 65536)
             assert connection._task is None and len(connection._buffer) == MAX_BODY_BYTES - 65536
             assert CountingBuffer.searched <= 4 * len(head)
-            connection.data_received(b" " * 65536)
+            deliver(b" " * 65536)
             assert connection._task is not None and not connection._buffer
-            connection._task.cancel()
+            connection._close(flush=False)  # cancels the request and closes the socket
             Server._loop.run_until_complete(asyncio.sleep(0))
+            assert connection._task.cancelled() and ours.fileno() == -1
         finally:
+            ours.close()
+            theirs.close()
             Server._loop.close()
 
 
@@ -332,6 +337,124 @@ class TestAppFailures:
         data = self.serve_one(app)
         assert time.monotonic() - begin < 5.0
         assert data.count(b"4\r\ntick\r\n") == 3 and not data.endswith(b"0\r\n\r\n")
+
+
+class TestWritesAndHangUps:
+    """Answers larger than the socket buffers wait behind a writer callback
+    in order; a peer that goes away takes its connection, and nothing else,
+    out of the loop."""
+
+    BIG = 8 << 20
+
+    @staticmethod
+    def pattern(size: int) -> bytes:
+        """*size* bytes in which a lost or repeated stretch shows."""
+        return (bytes(range(251)) * (size // 251 + 1))[:size]
+
+    @classmethod
+    async def sized_app(cls, scope, receive, send) -> None:
+        """Answers ``/size/N`` with N pattern bytes."""
+        await receive()
+        body = cls.pattern(int(scope["path"].rpartition("/")[2]))
+        await send({"type": "http.response.start", "status": 200, "headers": []})
+        await send({"type": "http.response.body", "body": body})
+
+    @staticmethod
+    def on_loop(server, function):
+        """*function()* called on the server's loop thread; its result."""
+
+        async def call():
+            return function()
+
+        return asyncio.run_coroutine_threadsafe(call(), server._loop).result(timeout=10.0)
+
+    def unsent(self, server) -> int:
+        """Bytes the server's connections hold back for their writer callbacks."""
+        return self.on_loop(server, lambda: sum(len(c._unsent) for c in server._connections))
+
+    def registered(self, server) -> set[int]:
+        """The descriptors in the loop's selector."""
+        return self.on_loop(server, lambda: set(server._loop._selector.get_map()))
+
+    def test_a_large_answer_to_a_late_reader_arrives_whole_then_the_next(self):
+        with StdlibServer(self.sized_app) as server:
+            with socket.create_connection(server.address, timeout=10.0) as sock:
+                sock.sendall(
+                    b"GET /size/%d HTTP/1.1\r\nHost: t\r\n\r\n" % self.BIG
+                    + b"GET /size/5 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+                )
+                time.sleep(0.3)  # the client reads nothing yet: the answer outgrows the buffers
+                assert self.unsent(server) > 0
+                with sock.makefile("rb") as reader:
+                    first, second = read_response(reader), read_response(reader)
+                    assert reader.read() == b""
+        assert first[0] == 200 and first[2] == self.pattern(self.BIG)
+        assert second[0] == 200 and second[2] == self.pattern(5)
+
+    @pytest.mark.parametrize("connection", [b"keep-alive", b"close"], ids=["reading", "closing"])
+    def test_a_hang_up_on_a_buffered_answer_leaves_only_the_listener(self, connection):
+        """Kept alive, the connection still reads and its reader sees the reset;
+        answered with ``Connection: close``, only the writer is left to see it."""
+        errors: list[dict] = []
+        server = StdlibServer(self.sized_app)
+        server._loop.set_exception_handler(lambda loop, context: errors.append(context))
+        with server:
+            idle = self.registered(server)
+            assert server._socket.fileno() in idle
+            sock = socket.create_connection(server.address, timeout=10.0)
+            sock.sendall(
+                b"GET /size/%d HTTP/1.1\r\nConnection: %b\r\n\r\n" % (self.BIG, connection)
+            )
+            assert sock.recv(1) == b"H"  # the answer is on its way
+            assert wait_until(lambda: self.unsent(server) > 0, 5.0)
+            sock.close()  # with unread bytes in its buffer: a reset
+            assert wait_until(lambda: self.registered(server) == idle, 5.0)
+            assert not server._connections
+            assert asyncio.run(http_request(*server.address, "GET", "/size/3")).body == b"\0\1\2"
+        assert errors == []
+
+    def test_eof_during_a_slow_request_cancels_it(self):
+        engine, queries = random_instance(0)
+        slow = SlowEngine(engine, delay_seconds=1.0)
+        front = AsyncQueryService(QueryService(slow, cache_capacity=0))
+        app = KORApp(front)
+        body = json.dumps(query_payload(queries[0])).encode()
+        with StdlibServer(app, frontend=front) as server:
+            with socket.create_connection(server.address, timeout=10.0) as sock:
+                sock.sendall(
+                    b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n" % len(body)
+                    + body
+                )
+                assert wait_until(lambda: app.pending == 1, 5.0)
+                sock.shutdown(socket.SHUT_WR)  # EOF; the socket stays open for reading
+                assert wait_until(lambda: app.pending == 0, 0.5)  # well inside the 1 s search
+                assert sock.recv(1) == b""  # hung up on, nothing answered
+
+    def test_accepting_pauses_while_descriptors_run_out(self, monkeypatch):
+        monkeypatch.setattr(stdlib, "_ACCEPT_RETRY_SECONDS", 0.05)
+        errors: list[dict] = []
+
+        class Starved:
+            """The listener, whose first ``accept`` finds no descriptor left."""
+
+            def __init__(self, listener):
+                self.listener, self.refused = listener, 0
+
+            def accept(self):
+                if not self.refused:
+                    self.refused += 1
+                    raise OSError(errno.EMFILE, "Too many open files")
+                return self.listener.accept()
+
+            def __getattr__(self, name):
+                return getattr(self.listener, name)
+
+        server = StdlibServer(echo_app)
+        server._socket = Starved(server._socket)
+        server._loop.set_exception_handler(lambda loop, context: errors.append(context))
+        with server:
+            assert asyncio.run(http_request(*server.address, "GET", "/late")).status == 200
+        assert server._socket.refused == 1 and errors == []
 
 
 class TestServingSemantics:

@@ -225,9 +225,7 @@ class TestSubmitWaveProtocol:
             for single, batched in zip(via_futures, batch):
                 assert single.ok == batched.ok
                 if single.ok:
-                    assert (
-                        single.result.objective_score == batched.result.objective_score
-                    )
+                    assert single.result.objective_score == batched.result.objective_score
                     assert single.result.route == batched.result.route
         finally:
             backend.close()

@@ -271,10 +271,7 @@ class TestChaosDifferential:
                 baseline = [fingerprint(engine.run(q, algorithm=algorithm)) for q in queries]
                 report = service.execute(queries, algorithm=algorithm)
                 _assert_survivors_match(report, baseline)
-                assert all(
-                    isinstance(error, FaultInjected)
-                    for error in report.errors.values()
-                )
+                assert all(isinstance(error, FaultInjected) for error in report.errors.values())
         finally:
             from repro.service import faults
 

@@ -154,10 +154,7 @@ def assert_all_algorithms_match(service, oracle_run, queries):
     """Service battery == oracle battery, per slot, every algorithm."""
     for algorithm in ALGORITHMS:
         expected = [fingerprint(oracle_run(q, algorithm)) for q in queries]
-        got = [
-            fingerprint(r)
-            for r in service.run_batch(queries, algorithm=algorithm)
-        ]
+        got = [fingerprint(r) for r in service.run_batch(queries, algorithm=algorithm)]
         assert got == expected, f"{algorithm}: incremental != rebuild"
 
 
