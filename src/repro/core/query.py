@@ -2,8 +2,8 @@
 
 A :class:`KORQuery` (Definition 4) is ``<vs, vt, psi, Delta>``.  Before a
 search runs, the query keywords are *bound* against the graph: each query
-keyword becomes one bit of a bitmask, and every node containing query
-keywords gets its coverage mask materialised from the inverted index.
+keyword becomes one bit of a bitmask, and the inverted index's postings
+are ORed into one dense coverage mask per node.
 Label keyword sets (``L.lambda`` in the paper) are then plain integers,
 making Definition 6's ``lambda superset`` test a single ``&`` operation.
 """
@@ -74,9 +74,14 @@ class QueryBinding:
         ``None`` for keywords absent from the graph's vocabulary.
     full_mask:
         ``(1 << m) - 1`` — a label covering the query carries this mask.
+    masks:
+        Dense per-node coverage bitmasks, one entry per node (0 for nodes
+        carrying no query keyword): ``int64`` below 64 keywords, Python
+        ints in an ``object`` array from 64 on.
     node_masks:
-        Sparse map ``node -> coverage bitmask``; nodes without query
-        keywords are absent (mask 0).
+        ``masks`` as a plain list of Python ints, which a label search
+        reads once per label it creates: 11-19 ns a read, against ~52 ns
+        for a numpy scalar.  A list, unlike a memoryview, pickles.
     nodes_with_bit:
         Per bit position, the posting list of nodes carrying that keyword.
     """
@@ -84,7 +89,8 @@ class QueryBinding:
     query: KORQuery
     keyword_ids: list[int | None]
     full_mask: int
-    node_masks: dict[int, int] = field(repr=False)
+    masks: np.ndarray = field(repr=False)
+    node_masks: list[int] = field(repr=False)
     nodes_with_bit: list[np.ndarray] = field(repr=False)
 
     @classmethod
@@ -111,7 +117,8 @@ class QueryBinding:
 
         keyword_ids: list[int | None] = []
         nodes_with_bit: list[np.ndarray] = []
-        node_masks: dict[int, int] = {}
+        # Keyword masks fit int64 below 64 keywords; Python ints beyond.
+        masks = np.zeros(n, dtype=np.int64 if len(query.keywords) < 64 else object)
         for bit, word in enumerate(query.keywords):
             kid = graph.keyword_table.get(word)
             keyword_ids.append(kid)
@@ -122,17 +129,14 @@ class QueryBinding:
             else:
                 postings = index.postings(kid)
             nodes_with_bit.append(postings)
-            bit_value = 1 << bit
-            # ``tolist`` first: iterating the array yields numpy scalars,
-            # each converted again by ``int()``.
-            for node in postings.tolist():
-                node_masks[node] = node_masks.get(node, 0) | bit_value
+            masks[postings] |= 1 << bit
 
         return cls(
             query=query,
             keyword_ids=keyword_ids,
             full_mask=(1 << len(query.keywords)) - 1,
-            node_masks=node_masks,
+            masks=masks,
+            node_masks=masks.tolist(),
             nodes_with_bit=nodes_with_bit,
         )
 
@@ -141,7 +145,7 @@ class QueryBinding:
     # ------------------------------------------------------------------
     def node_mask(self, node: int) -> int:
         """Bitmask of query keywords carried by *node* (0 for most nodes)."""
-        return self.node_masks.get(node, 0)
+        return self.node_masks[node]
 
     @property
     def missing_keywords(self) -> tuple[str, ...]:

@@ -39,11 +39,7 @@ class HTTPResponse:
 
     def ndjson(self) -> list[object]:
         """The body parsed as newline-delimited JSON (streaming top-k)."""
-        return [
-            json.loads(line)
-            for line in self.body.split(b"\n")
-            if line.strip()
-        ]
+        return [json.loads(line) for line in self.body.split(b"\n") if line.strip()]
 
 
 def _encode_body(payload: object | None) -> bytes:

@@ -50,7 +50,13 @@ class TestColumns:
         ctx = make_context(fig1_engine, KORQuery(0, 7, ("t1",), 10.0))
         np.testing.assert_array_equal(ctx.os_tau_t, fig1_engine.tables.os_tau[:, 7])
         np.testing.assert_array_equal(ctx.bs_sigma_t, fig1_engine.tables.bs_sigma[:, 7])
-        assert ctx.os_tau_t_list == ctx.os_tau_t.tolist()
+        # The label reads go through memoryviews; read whole, they hold the
+        # tables' columns bit for bit.
+        for view, column in (
+            (ctx.os_tau_t_list, fig1_engine.tables.os_tau[:, 7]),
+            (ctx.bs_sigma_t_list, fig1_engine.tables.bs_sigma[:, 7]),
+        ):
+            assert [read.hex() for read in list(view)] == [entry.hex() for entry in column.tolist()]
 
     def test_scaled_out_matches_graph_edges(self, fig1_engine):
         ctx = make_context(fig1_engine, KORQuery(0, 7, ("t1",), 10.0))

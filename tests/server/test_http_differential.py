@@ -80,10 +80,7 @@ class TestHTTPDifferential:
         # The server stamps every result with the graph epoch it served
         # under (0 here: the module fixture never mutates); the direct
         # encoding must carry the same stamp to stay byte-identical.
-        expected = [
-            canonical_bytes(encode_route_result(r, epoch=0))
-            for r in asyncio.run(direct())
-        ]
+        expected = [canonical_bytes(encode_route_result(r, epoch=0)) for r in asyncio.run(direct())]
         got = []
         for query in queries:
             response = over_http(server, "POST", "/query", query_payload(query, algorithm))
